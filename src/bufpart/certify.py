@@ -39,8 +39,12 @@ def lower_bound_unbuffered(g: Graph, k: int) -> float:
 
 
 def check_buffered_lower_bound(g: Graph, part: BufferedPartition, k: int,
-                               tol: float = 1e-9) -> tuple[bool, float]:
+                               tol: float = 1e-9,
+                               basis: SpectralBasis | None = None) -> tuple[bool, float]:
     """Evaluate lambda_k <= 2 phi(partition) + eps; returns (passed, slack).
+
+    basis, when given, is a bottom-k' eigenbasis of g with k' >= k that the
+    caller already holds; otherwise the bottom-k basis is solved here.
 
     This inequality always holds when no vertex weight falls below its
     incident edge cost (the default-weight and regular regimes), so a failure
@@ -51,7 +55,12 @@ def check_buffered_lower_bound(g: Graph, part: BufferedPartition, k: int,
         raise PartitionError(f"invalid partition: {report.first()}")
     if len(part.parts) != k:
         raise ValueError(f"partition has {len(part.parts)} parts, expected {k}")
-    lam = eigenbasis(normalized_laplacian(g), k).eigenvalues[k - 1]
+    if basis is None:
+        basis = eigenbasis(normalized_laplacian(g), k)
+    elif basis.eigenvectors.shape[0] != g.n or basis.k_prime < k:
+        raise ValueError(f"basis of shape {basis.eigenvectors.shape} does not hold "
+                         f"the bottom {k} eigenpairs of this {g.n}-vertex graph")
+    lam = basis.eigenvalues[k - 1]
     phi = partition_cost(g, part).max_expansion
     slack = 2.0 * phi + part.epsilon - float(lam)
     return slack >= -tol, slack
@@ -233,7 +242,7 @@ def certify_run(g: Graph, k: int, epsilon: float, delta: float,
     k_hat = basis.k_prime
     lam_hat = float(basis.eigenvalues[k_hat - 1])
     achieved = partition_cost(g, part).max_expansion
-    passed, slack = check_buffered_lower_bound(g, part, k)
+    passed, slack = check_buffered_lower_bound(g, part, k, basis=basis)
     denom = lam_hat * math.log(k_hat) if k_hat > 1 else 0.0
     if denom > 0.0:
         ratio: float | None = achieved * epsilon / denom

@@ -8,6 +8,7 @@ seed reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -19,7 +20,8 @@ from .graph import (BufferedPartition, Graph, GraphError, PartitionError,
                     load_graph, partition_cost, validate_partition)
 from .partition import AlgoConstants, buffered_k_partition
 from .reports import write_report
-from .spectral import SolverError, eigenbasis, embed, normalized_laplacian
+from .spectral import (EmbeddingError, SolverError, eigenbasis, embed,
+                       normalized_laplacian)
 
 __all__ = ["main", "run"]
 
@@ -158,10 +160,7 @@ def _cmd_partition(args) -> tuple[dict, int]:
     consts = AlgoConstants.from_file(args.constants_file) if args.constants_file \
         else AlgoConstants()
     if args.restarts is not None:
-        consts = AlgoConstants(c_prime=consts.c_prime,
-                               c_double_prime=consts.c_double_prime,
-                               max_restarts=args.restarts,
-                               step4_mode=consts.step4_mode, source=consts.source)
+        consts = dataclasses.replace(consts, max_restarts=args.restarts)
     try:
         bp, report, info = buffered_k_partition(g, args.k, args.eps, args.delta,
                                                 consts, seed=args.seed)
@@ -342,7 +341,7 @@ def run(argv=None) -> int:
     except (ParameterError, GraphError, ValueError, OSError) as exc:
         print(f"bufpart: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PartitionError, SolverError) as exc:
+    except (PartitionError, SolverError, EmbeddingError) as exc:
         print(f"bufpart: failure: {exc}", file=sys.stderr)
         return EXIT_GUARANTEE
     text = write_report(doc, getattr(args, "out", None))

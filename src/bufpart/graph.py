@@ -91,8 +91,12 @@ class Graph:
         eu_a, ev_a, ec_a = eu_a[order], ev_a[order], ec_a[order]
 
         incident = np.zeros(n)
-        np.add.at(incident, eu_a, ec_a)
-        np.add.at(incident, ev_a, ec_a)
+        with np.errstate(over="ignore"):
+            np.add.at(incident, eu_a, ec_a)
+            np.add.at(incident, ev_a, ec_a)
+            incident_total = incident.sum()
+        if not np.isfinite(incident_total):
+            raise GraphError("the total incident edge cost overflows float64; rescale the costs")
         if weights is None:
             w = incident.copy()
             if np.any(w <= 0.0):
@@ -104,6 +108,10 @@ class Graph:
                 raise GraphError(f"expected {n} vertex weights, got {w.shape}")
             if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
                 raise GraphError("vertex weights must be positive and finite")
+            with np.errstate(over="ignore"):
+                weight_total = w.sum()
+            if not np.isfinite(weight_total):
+                raise GraphError("the total vertex weight overflows float64; rescale the weights")
 
         deg = np.zeros(n, dtype=np.int64)
         np.add.at(deg, eu_a, 1)

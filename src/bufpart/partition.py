@@ -8,10 +8,14 @@ and keeps the bookkeeping
     Btilde_t = (X_t u Y_t) minus (Sigma_t u Gamma_{t-1})
     R_P      = never touched        R_B = touched but unassigned
 
+The draws come from separators.measured_draws(), which evaluates them in
+blocks; each round's bookkeeping touches only the indices of X u Y u Z.
+
 Step 3 refines each round by an exhaustive threshold search over the member
 measures (a strictly stronger replacement for the probabilistic-method
-existence argument: it finds a feasible threshold whenever one exists), and
-Step 4 discards refined tuples whose buffered expansion exceeds the
+existence argument: it finds a feasible threshold whenever one exists),
+evaluated on arrays restricted to the round's members and their incident
+edges, and Step 4 discards refined tuples whose buffered expansion exceeds the
 expansion-slack bound.  complete_partition() folds the leftovers into the
 union of the largest tuples; merge_tail() implements the heavy-set merge.
 
@@ -36,7 +40,7 @@ from .certify import certify_run
 from .graph import BufferedPartition, Graph, PartitionError, partition_cost
 from .rng import RandomStream, derive_stream
 from .separators import (CalibrationError, SeparatorParams, calibrate,
-                         practical_params, sample_two_buffers)
+                         measured_draws, practical_params)
 from .spectral import Embedding, embed, eigenbasis, normalized_laplacian
 
 __all__ = [
@@ -204,34 +208,35 @@ def crude_partition(e: Embedding, k: int, epsilon: float, delta: float,
     """Step 2: T separator rounds with the crude-partition bookkeeping."""
     n = e.graph.n
     eff = effective if effective is not None else resolve_step2(n, k, epsilon, delta)
-    psi, mu = e.psi, e.mu
     sigma = np.zeros(n, dtype=bool)
     gamma = np.zeros(n, dtype=bool)
     touched = np.zeros(n, dtype=bool)
     rounds: list[RoundRecord] = []
     rejects = 0
-    for t in range(eff.rounds):
-        s = sample_two_buffers(psi, mu, eff.epsilon, eff.delta_sep, eff.radius,
-                               rng, params=eff.params)
+    draws = measured_draws(e.psi, e.mu, eff.epsilon, eff.delta_sep, eff.radius, rng,
+                           eff.rounds, params=eff.params)
+    for t, s in enumerate(draws):
         if s.rejected:
             rejects += 1
-        x = np.zeros(n, dtype=bool)
-        x[s.x] = True
-        xy = x.copy()
-        xy[s.y] = True
-        xyz = xy.copy()
-        xyz[s.z] = True
-        snapshot = sigma.copy()
-        p_tilde = x & ~touched
-        sigma |= p_tilde
-        b_tilde = xy & ~sigma & ~gamma
-        gamma |= b_tilde
-        touched |= xyz
-        keep = snapshot if (p_tilde.any() or b_tilde.any()) else None
+        if s.is_empty():        # the draw reached nothing: no state changes
+            rounds.append(RoundRecord(index=t, x=s.x, y=s.y, z=s.z, p_tilde=s.x,
+                                      b_tilde=s.y, rejected=s.rejected))
+            continue
+        # Index work on X u Y u Z only; sigma is copied only for active rounds.
+        p_tilde = s.x[~touched[s.x]]
+        snapshot = sigma.copy() if p_tilde.size else None
+        sigma[p_tilde] = True
+        xy = np.union1d(s.x, s.y) if s.y.size else s.x
+        b_tilde = xy[~sigma[xy] & ~gamma[xy]]
+        if b_tilde.size and snapshot is None:
+            snapshot = sigma.copy()
+        gamma[b_tilde] = True
+        touched[s.x] = True
+        touched[s.y] = True
+        touched[s.z] = True
         rounds.append(RoundRecord(
-            index=t, x=s.x, y=s.y, z=s.z,
-            p_tilde=np.flatnonzero(p_tilde), b_tilde=np.flatnonzero(b_tilde),
-            rejected=s.rejected, sigma_before=keep))
+            index=t, x=s.x, y=s.y, z=s.z, p_tilde=p_tilde, b_tilde=b_tilde,
+            rejected=s.rejected, sigma_before=snapshot))
     r_p = np.flatnonzero(~touched)
     r_b = np.flatnonzero(touched & ~sigma & ~gamma)
     crude = CrudePartition(rounds=tuple(rounds), sigma=np.flatnonzero(sigma),
@@ -242,12 +247,8 @@ def crude_partition(e: Embedding, k: int, epsilon: float, delta: float,
 
 
 def _assert_crude_structure(c: CrudePartition, n: int) -> None:
-    coverage = np.zeros(n, dtype=np.int64)
-    for rec in c.rounds:
-        coverage[rec.p_tilde] += 1
-        coverage[rec.b_tilde] += 1
-    coverage[c.r_p] += 1
-    coverage[c.r_b] += 1
+    sets = [arr for rec in c.rounds for arr in (rec.p_tilde, rec.b_tilde) if arr.size]
+    coverage = np.bincount(np.concatenate(sets + [c.r_p, c.r_b]), minlength=n)
     if np.any(coverage != 1):
         raise AssertionError("crude partition bookkeeping violated Sigma u Gamma u R_P u R_B = V")
 
@@ -375,6 +376,7 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
     r_p_prime[c.r_p] = True
     r_b_prime[c.r_b] = True
 
+    local = np.full(n, -1, dtype=np.int64)    # vertex -> index in the current round
     survivors: list[RefinedTuple] = []
     infeasible_rounds = 0
     for rec in c.rounds:
@@ -382,40 +384,54 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
             if rec.b_tilde.size:
                 r_b_prime[rec.b_tilde] = True
             continue
-        pt = np.zeros(n, dtype=bool)
-        pt[rec.p_tilde] = True
-        bt = np.zeros(n, dtype=bool)
-        bt[rec.b_tilde] = True
-        members = np.concatenate([rec.p_tilde, rec.b_tilde]) if rec.b_tilde.size else rec.p_tilde
-        outside_pt = sigma_rp & ~pt
+        # Local view of the round: its members in index order plus a sentinel
+        # slot at the end (never selected) that non-member endpoints reach as
+        # index -1, and the member-incident edges in global edge order.  The
+        # masked sums below select the same elements in the same order as
+        # global masks would, so phi, thresholds and tie-breaks are unchanged.
+        members = np.union1d(rec.p_tilde, rec.b_tilde)
+        size = members.size
+        pt = np.zeros(size + 1, dtype=bool)
+        pt[np.searchsorted(members, rec.p_tilde)] = True
+        bt = np.zeros(size + 1, dtype=bool)
+        bt[:size] = ~pt[:size]
+        mu_l = np.append(mu[members], 0.0)
+        w_l = np.append(w[members], 0.0)
+        local[members] = np.arange(size)
+        incident = np.flatnonzero((local[eu] >= 0) | (local[ev] >= 0))
+        lu, lv = local[eu[incident]], local[ev[incident]]
+        ec_l = ec[incident]
+        out_u = sigma_rp[eu[incident]] & ~pt[lu]
+        out_v = sigma_rp[ev[incident]] & ~pt[lv]
+        local[members] = -1
 
         best = None
-        for r in np.unique(mu[members]):
-            p_mask = pt & (mu >= r)
+        for r in np.unique(mu_l[:size]):
+            p_mask = pt & (mu_l >= r)
             if not p_mask.any():
                 continue
             lo = r / (1.0 + epsilon)
-            b_mask = (bt & (mu >= lo)) | (pt & (mu >= lo) & (mu < r))
-            a2_mask = pt & (mu > lo / (1.0 + epsilon)) & (mu < lo)
+            b_mask = (bt & (mu_l >= lo)) | (pt & (mu_l >= lo) & (mu_l < r))
+            a2_mask = pt & (mu_l > lo / (1.0 + epsilon)) & (mu_l < lo)
             # A' is the untouched remainder of Ptilde; for eps > 0 this is
             # exactly {mu <= r/(1+eps)^2}, and it keeps the bands tiling when
             # eps = 0 collapses the interval endpoints.
             a1_mask = pt & ~p_mask & ~b_mask & ~a2_mask
-            wp = float(w[p_mask].sum())
-            if float(w[b_mask].sum()) > c_prime * epsilon * wp:
+            wp = float(w_l[p_mask].sum())
+            if float(w_l[b_mask].sum()) > c_prime * epsilon * wp:
                 continue
-            if float(w[a2_mask].sum()) > 10.0 * epsilon * wp:
+            if float(w_l[a2_mask].sum()) > 10.0 * epsilon * wp:
                 continue
             pb = p_mask | b_mask
+            pb_u, pb_v = pb[lu], pb[lv]
             if math.isfinite(bound):
-                a1_cut = float(ec[(a1_mask[eu] & pb[ev]) | (a1_mask[ev] & pb[eu])].sum())
+                a1_cut = float(ec_l[(a1_mask[lu] & pb_v) | (a1_mask[lv] & pb_u)].sum())
                 if a1_cut > bound * wp:
                     continue
-                out_cut = float(ec[(pb[eu] & outside_pt[ev] & ~pb[ev]) |
-                                   (pb[ev] & outside_pt[eu] & ~pb[eu])].sum())
+                out_cut = float(ec_l[(pb_u & out_v & ~pb_v) | (pb_v & out_u & ~pb_u)].sum())
                 if out_cut > bound * wp:
                     continue
-            phi_cut = float(ec[(p_mask[eu] & ~pb[ev]) | (p_mask[ev] & ~pb[eu])].sum())
+            phi_cut = float(ec_l[(p_mask[lu] & ~pb_v) | (p_mask[lv] & ~pb_u)].sum())
             phi = phi_cut / wp
             key = (phi, -wp, float(r))
             if best is None or key < best[0]:
@@ -429,12 +445,10 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
             continue
         _, r, p_mask, b_mask, a1_mask, a2_mask, phi = best
         survivors.append(RefinedTuple(
-            round_index=rec.index, p=np.flatnonzero(p_mask), b=np.flatnonzero(b_mask),
-            a_prime=np.flatnonzero(a1_mask), a_double=np.flatnonzero(a2_mask),
+            round_index=rec.index, p=members[p_mask[:size]], b=members[b_mask[:size]],
+            a_prime=members[a1_mask[:size]], a_double=members[a2_mask[:size]],
             threshold=r, phi=phi))
-        stray = bt & ~b_mask
-        if stray.any():
-            r_b_prime |= stray
+        r_b_prime[members[(bt & ~b_mask)[:size]]] = True
 
     theory_kept = [t for t in survivors if t.phi <= bound]
     by_phi = sorted(survivors, key=lambda t: (t.phi, -float(w[t.p].sum()), t.round_index))

@@ -17,11 +17,19 @@ R-separated vectors landing in X together, so no loose tail constants enter.
 The measured variants rerun a one-buffer draw and reject it outright (empty
 sets) unless min over u in X of mu(X minus Ball(u, R)) <= delta mu(U), which
 makes their separation property hold on every returned draw by construction.
+
+measured_draws() evaluates a run of measured draws in blocks: it validates
+the vectors and measures once, takes each block's Gaussian directions from
+one normals() call, projects the block with project() and classifies only
+the vertices that reach X u Y u Z.  The rejection is still applied to every
+draw.  The single-draw sample_measured() and sample_two_buffers() are
+one-draw runs of the same routine, so both paths give the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +46,14 @@ __all__ = [
     "sample_one_buffer",
     "sample_measured",
     "sample_two_buffers",
+    "measured_draws",
     "project",
     "classify",
 ]
 
 T_MAX = 40.0
+BLOCK_VALUES = 2 ** 18      # projections evaluated per block of measured draws
+CHUNK_VALUES = 2 ** 16      # projections summed per cache-sized chunk of a block
 
 
 class CalibrationError(RuntimeError):
@@ -150,10 +161,28 @@ def _check_unit(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def project(vectors: np.ndarray, stream: RandomStream) -> np.ndarray:
-    """One shared Gaussian direction; returns the per-vector projections."""
-    g = stream.normals(vectors.shape[1])
-    return vectors @ g
+def project(columns: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Projections of every vector onto each row of g, shape (draws, count).
+
+    columns is the (dim, count) transpose of the vector list.  Each entry is
+    summed over the coordinates in a fixed order, one elementwise pass each,
+    so a draw's projections are the same bits whether it is projected alone
+    or in a block (a BLAS product may regroup the sum by batch size).  Rows
+    are processed in chunks of about CHUNK_VALUES entries so the passes stay
+    in cache; that does not change any entry's arithmetic.
+    """
+    draws, count = g.shape[0], columns.shape[1]
+    proj = np.empty((draws, count))
+    rows = max(1, CHUNK_VALUES // max(count, 1))
+    term = np.empty((min(rows, draws), count))
+    for lo in range(0, draws, rows):
+        out, gs = proj[lo:lo + rows], g[lo:lo + rows]
+        t = term[:out.shape[0]]
+        np.multiply(gs[:, 0, None], columns[0], out=out)
+        for j in range(1, columns.shape[0]):
+            np.multiply(gs[:, j, None], columns[j], out=t)
+            out += t
+    return proj
 
 
 def classify(proj: np.ndarray, p: SeparatorParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,11 +193,19 @@ def classify(proj: np.ndarray, p: SeparatorParams) -> tuple[np.ndarray, np.ndarr
     return x, y, z
 
 
+def _reached(proj: np.ndarray, p: SeparatorParams) -> np.ndarray:
+    """X u Y u Z of classify() in one comparison."""
+    low = p.t - 2.0 * p.eps_prime
+    # With eps' > 0 the three intervals tile (t - 2 eps', inf); when eps' is
+    # zero or lost to rounding, Y and Z are empty and only X = [t, inf) is left.
+    return proj > low if low < p.t else proj >= p.t
+
+
 def sample_one_buffer(vectors: np.ndarray, p: SeparatorParams,
                       stream: RandomStream) -> SeparatorSample:
     """One draw of the one-buffer separator (z stays empty)."""
     vectors = _check_unit(vectors)
-    proj = project(vectors, stream)
+    proj = project(vectors.T, stream.normals(vectors.shape[1])[None, :])[0]
     x, y, _ = classify(proj, p)
     return SeparatorSample(x=np.flatnonzero(x), y=np.flatnonzero(y),
                            z=np.empty(0, dtype=np.int64), gaussian_seed=stream.label)
@@ -183,9 +220,18 @@ def _min_ball_leftover(vectors: np.ndarray, measures: np.ndarray,
     return float(outside.sum(axis=1).min())
 
 
-def _measured_draw(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
-                   delta: float, r: float, stream: RandomStream,
-                   params: SeparatorParams | None, two_buffers: bool) -> SeparatorSample:
+def measured_draws(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
+                   delta: float, r: float, stream: RandomStream, count: int,
+                   params: SeparatorParams | None = None,
+                   two_buffers: bool = True) -> Iterator[SeparatorSample]:
+    """count successive measured draws from stream, evaluated in blocks.
+
+    The inputs are validated once.  Each block of up to
+    max(1, BLOCK_VALUES // len(vectors)) draws takes its Gaussian directions
+    from one normals() call, which consumes the stream exactly as one call
+    per draw would, so the draws do not depend on the block size.  Every
+    draw is checked by the min-ball rejection.
+    """
     if delta <= 0.0 or delta > 2.0 / 3.0:
         raise ValueError(f"measured separators need delta in (0, 2/3], got {delta}")
     measures = np.asarray(measures, dtype=np.float64)
@@ -195,32 +241,51 @@ def _measured_draw(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
     if measures.shape[0] != vectors.shape[0]:
         raise ValueError("need one measure per vector")
     p = params if params is not None else calibrate(epsilon, 2.0 / delta, r)
-    proj = project(vectors, stream)
-    x, y, z = classify(proj, p)
-    if not two_buffers:
-        z[:] = False
-    x_idx = np.flatnonzero(x)
-    if x_idx.size:
-        leftover = _min_ball_leftover(vectors, measures, x_idx, r)
-        if leftover > delta * float(measures.sum()):
-            empty = np.empty(0, dtype=np.int64)
-            return SeparatorSample(x=empty, y=empty, z=empty,
-                                   gaussian_seed=stream.label, rejected=True)
-    return SeparatorSample(x=x_idx, y=np.flatnonzero(y), z=np.flatnonzero(z),
-                           gaussian_seed=stream.label)
+    return _draw_blocks(vectors, measures, delta * float(measures.sum()), r, p, stream,
+                        int(count), two_buffers)
+
+
+def _draw_blocks(vectors, measures, limit, r, p, stream, count, two_buffers):
+    """The generator behind measured_draws(); limit is delta mu(U)."""
+    count_v, dim = vectors.shape
+    columns = np.ascontiguousarray(vectors.T)
+    block = max(1, BLOCK_VALUES // max(count_v, 1))
+    empty = np.empty(0, dtype=np.int64)
+    quiet = SeparatorSample(x=empty, y=empty, z=empty, gaussian_seed=stream.label)
+    refused = SeparatorSample(x=empty, y=empty, z=empty, gaussian_seed=stream.label,
+                              rejected=True)
+    for first in range(0, count, block):
+        size = min(block, count - first)
+        proj = project(columns, stream.normals(dim * size).reshape(size, dim))
+        rows, cols = np.divmod(np.flatnonzero(_reached(proj, p)), count_v)
+        x, y, z = classify(proj[rows, cols], p)
+        if not two_buffers:
+            z[:] = False
+        bounds = np.searchsorted(rows, np.arange(size + 1)).tolist()
+        for i in range(size):
+            lo, hi = bounds[i], bounds[i + 1]
+            if lo == hi:
+                yield quiet
+                continue
+            span = cols[lo:hi]
+            x_idx = span[x[lo:hi]]
+            if x_idx.size and _min_ball_leftover(vectors, measures, x_idx, r) > limit:
+                yield refused
+                continue
+            yield SeparatorSample(x=x_idx, y=span[y[lo:hi]], z=span[z[lo:hi]],
+                                  gaussian_seed=stream.label)
 
 
 def sample_measured(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
                     delta: float, r: float, stream: RandomStream,
                     params: SeparatorParams | None = None) -> SeparatorSample:
     """Measure-constrained separator: empty unless the min-ball condition holds."""
-    return _measured_draw(vectors, measures, epsilon, delta, r, stream, params,
-                          two_buffers=False)
+    return next(measured_draws(vectors, measures, epsilon, delta, r, stream, 1, params,
+                               two_buffers=False))
 
 
 def sample_two_buffers(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
                        delta: float, r: float, stream: RandomStream,
                        params: SeparatorParams | None = None) -> SeparatorSample:
     """Measure-constrained separator with both buffer layers Y and Z."""
-    return _measured_draw(vectors, measures, epsilon, delta, r, stream, params,
-                          two_buffers=True)
+    return next(measured_draws(vectors, measures, epsilon, delta, r, stream, 1, params))

@@ -120,6 +120,23 @@ class TestBufferedLowerBound:
             assert passed, f"lower bound violated: slack {slack}"
             cases += 1
 
+    def test_given_basis_matches_own_solve(self):
+        g = tiny_connected(8, 71)
+        part = BufferedPartition.from_sets([[0, 1, 2, 3], [4, 5, 6, 7]], [[], []], 0.0)
+        own = check_buffered_lower_bound(g, part, 2)
+        wider = eigenbasis(normalized_laplacian(g), 4)
+        assert check_buffered_lower_bound(g, part, 2, basis=wider) == own
+
+    def test_mismatched_basis_rejected(self):
+        g = tiny_connected(8, 71)
+        part = BufferedPartition.from_sets([[0, 1, 2, 3], [4, 5, 6, 7]], [[], []], 0.0)
+        other = eigenbasis(normalized_laplacian(tiny_connected(7, 72)), 3)
+        with pytest.raises(ValueError, match="basis"):
+            check_buffered_lower_bound(g, part, 2, basis=other)
+        narrow = eigenbasis(normalized_laplacian(g), 1)
+        with pytest.raises(ValueError, match="basis"):
+            check_buffered_lower_bound(g, part, 2, basis=narrow)
+
     def test_invalid_partition_raises(self):
         g = k4()
         part = BufferedPartition.from_sets([[0], []], [[], []], 0.0)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,39 @@ class TestPartitionErrorBranch:
         doc = json.loads(out.read_text())
         VALIDATOR.validate(doc)
         assert "error" in doc
+
+
+class TestOverflowingCosts:
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--k", "2", "--eps", "0.1", "--delta", "0.5"],
+        ["cheeger2", "--eps", "0.1"],
+        ["spectrum", "--k", "2"],
+    ])
+    def test_one_line_exit_1_without_warnings(self, argv, tmp_path, capsys):
+        graph = tmp_path / "big.txt"
+        graph.write_text("0 1 1e308\n1 2 1e308\n2 0 1e308\n2 3 1\n")
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv + ["--graph", str(graph), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bufpart: error: ") and "overflows" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_embedding_error_exits_2_with_one_line(self, clique_file, monkeypatch, capsys):
+        from bufpart import cli as cli_mod
+        from bufpart.spectral import EmbeddingError
+
+        def degenerate(*args, **kwargs):
+            raise EmbeddingError("vertex 3 embeds to the zero vector")
+
+        monkeypatch.setattr(cli_mod, "buffered_k_partition", degenerate)
+        code = run(["partition", "--graph", clique_file, "--k", "3",
+                    "--eps", "0.1", "--delta", "0.1"])
+        assert code == 2
+        assert capsys.readouterr().err == "bufpart: failure: vertex 3 embeds to the zero vector\n"
 
 
 class TestSubprocessDeterminism:

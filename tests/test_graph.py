@@ -38,6 +38,12 @@ class TestGraphBuild:
         with pytest.raises(GraphError, match="weight"):
             Graph.build(2, [(0, 1, 1.0)], weights=[1.0, -2.0])
 
+    def test_overflowing_totals_rejected(self):
+        with pytest.raises(GraphError, match="incident edge cost overflows"):
+            Graph.build(3, [(0, 1, 1e308), (1, 2, 1e308)])
+        with pytest.raises(GraphError, match="vertex weight overflows"):
+            Graph.build(2, [(0, 1, 1.0)], weights=[1e308, 1e308])
+
     def test_isolated_vertex_needs_weight(self):
         with pytest.raises(GraphError, match="isolated"):
             Graph.build(3, [(0, 1, 1.0)])
