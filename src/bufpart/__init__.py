@@ -17,7 +17,7 @@ from .graph import (BufferedPartition, CutReport, Graph, GraphError,
 from .partition import (AlgoConstants, CrudePartition, EtaCosts,
                         PartialPartition, buffered_k_partition,
                         complete_partition, crude_partition, eta_costs,
-                        merge_tail, partial_partition, refine_and_discard)
+                        partial_partition, refine_and_discard)
 from .rng import RandomStream, derive_stream
 from .separators import (CalibrationError, SeparatorParams, SeparatorSample,
                          calibrate, practical_params, sample_measured,

@@ -29,7 +29,6 @@ from .graph import Graph, PartitionError, cut_cost_masks
 from .spectral import eigenbasis, normalized_laplacian
 
 __all__ = [
-    "BalanceSpec",
     "BufferedCut",
     "BalancedCutResult",
     "KwayBalancedResult",
@@ -39,22 +38,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BalanceSpec:
-    """Balance target of a buffered cut or k-way split.
+BALANCE_FRACTION = 0.25     # balanced cut: w(L) and w(R) lie in [W/4, 3W/4]
+PART_WEIGHT_FACTOR = 6.0    # (6,k)-balanced partition: every part weighs <= 6 w(V)/k
 
-    gamma is the balanced-cut fraction (1/4 for the recursive cut's output)
-    or the per-part weight multiplier (6 for the k-way bisection).
-    """
 
-    gamma: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.25:
-            raise ValueError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 0.25:
+        raise ValueError(f"epsilon must lie in (0, 1/4), got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +98,7 @@ def cheeger2_buffered(g: Graph, epsilon: float) -> BufferedCut:
     """Buffered two-way cut with phi <= 4(1+2/eps) lambda_2 and w(B) <= 2 eps w(S)."""
     if g.n < 2:
         raise PartitionError("a two-way cut needs at least two vertices")
-    if not 0.0 < epsilon < 0.25:
-        raise ValueError(f"epsilon must lie in (0, 1/4), got {epsilon}")
+    _check_epsilon(epsilon)
     w = g.weights
     basis = eigenbasis(normalized_laplacian(g), 2)
     lam = float(basis.eigenvalues[1])
@@ -169,7 +158,7 @@ def cheeger2_buffered(g: Graph, epsilon: float) -> BufferedCut:
 
 def buffered_balanced_cut(g: Graph, epsilon: float) -> BalancedCutResult:
     """Stacked buffered cuts giving w(L), w(R) in [W/4, 3W/4], w(B) <= 3 eps min side."""
-    spec = BalanceSpec(gamma=0.25, epsilon=epsilon)
+    _check_epsilon(epsilon)
     if g.n < 2:
         raise PartitionError("balanced cut needs at least two vertices")
     total = g.total_weight
@@ -201,7 +190,7 @@ def buffered_balanced_cut(g: Graph, epsilon: float) -> BalancedCutResult:
         buf.append(lifted.b)
         left_weight += g.weight_of(lifted.s)
         active = lifted.t
-        if left_weight >= spec.gamma * total:
+        if left_weight >= BALANCE_FRACTION * total:
             break
     left_idx = np.concatenate(left) if left else np.empty(0, dtype=np.int64)
     buf_idx = np.concatenate(buf) if buf else np.empty(0, dtype=np.int64)
@@ -215,7 +204,7 @@ def buffered_balanced_cut(g: Graph, epsilon: float) -> BalancedCutResult:
     wb = g.weight_of(buf_idx)
     cut_lr = cut_cost_masks(g, left_mask, right_mask)
     balanced = True
-    lo, hi = spec.gamma * total, (1.0 - spec.gamma) * total
+    lo, hi = BALANCE_FRACTION * total, (1.0 - BALANCE_FRACTION) * total
     if not (lo - 1e-9 <= wl <= hi + 1e-9):
         balanced = False
         violations.append(f"w(L)={wl!r} outside [{lo!r}, {hi!r}]")
@@ -238,7 +227,7 @@ def kway_balanced(g: Graph, k: int, epsilon: float) -> KwayBalancedResult:
     """Recursive bisection into k parts with one shared buffer pool."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    spec = BalanceSpec(gamma=6.0, epsilon=epsilon)
+    _check_epsilon(epsilon)
     total = g.total_weight
     parts: list[np.ndarray] = []
     buffer: list[np.ndarray] = []
@@ -273,7 +262,7 @@ def kway_balanced(g: Graph, k: int, epsilon: float) -> KwayBalancedResult:
     recurse(np.arange(g.n), k)
     buf_idx = np.concatenate(buffer) if buffer else np.empty(0, dtype=np.int64)
     part_w = [g.weight_of(p) for p in parts]
-    limit = spec.gamma * total / k
+    limit = PART_WEIGHT_FACTOR * total / k
     for i, pw in enumerate(part_w):
         if pw > limit + 1e-9:
             violations.append(f"part {i} weight {pw!r} exceeds 6 w(V)/k = {limit!r}")

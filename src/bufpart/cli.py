@@ -134,20 +134,32 @@ def _assignment_dict(g: Graph, parts, buffers) -> dict:
 
 
 def _read_partition_file(path, g: Graph, epsilon: float) -> BufferedPartition:
+    """Parse an assignment file of {vertex: {"part_id": int, "role": "core"|"buffer"}}."""
     import json
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    assignment = data.get("assignment", data)
+    assignment = data.get("assignment", data) if isinstance(data, dict) else None
+    if not isinstance(assignment, dict) or not assignment:
+        raise GraphError("partition file holds no assignment object of vertices")
     names = g.labels if g.labels else tuple(str(i) for i in range(g.n))
     index = {name: i for i, name in enumerate(names)}
-    k = 1 + max(int(entry["part_id"]) for entry in assignment.values())
-    parts = [[] for _ in range(k)]
-    buffers = [[] for _ in range(k)]
+    placed = []
     for name, entry in assignment.items():
         if name not in index:
             raise GraphError(f"partition file names unknown vertex {name!r}")
-        target = parts if entry.get("role", "core") == "core" else buffers
-        target[int(entry["part_id"])].append(index[name])
+        part_id = entry.get("part_id") if isinstance(entry, dict) else None
+        if type(part_id) is not int or not 0 <= part_id < g.n:
+            raise GraphError(f"partition file gives vertex {name!r} no integer part_id "
+                             f"in [0, {g.n})")
+        role = entry.get("role", "core")
+        if role not in ("core", "buffer"):
+            raise GraphError(f"partition file gives vertex {name!r} the unknown role {role!r}")
+        placed.append((index[name], part_id, role))
+    k = 1 + max(part_id for _, part_id, _ in placed)
+    parts = [[] for _ in range(k)]
+    buffers = [[] for _ in range(k)]
+    for vertex, part_id, role in placed:
+        (parts if role == "core" else buffers)[part_id].append(vertex)
     return BufferedPartition.from_sets(parts, buffers, epsilon)
 
 

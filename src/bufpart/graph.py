@@ -4,11 +4,16 @@ Vertices are dense 0-based integers after ingestion; external ids from edge
 files are remapped and the dictionary kept on the graph.  Vertex weights and
 edge costs are float64 and must be strictly positive.  Buffer budgets are
 checked with exact <= (an input contract, not a numerical estimate).
+
+A graph is its edge arrays: every edge is stored once as (u < v, cost), sorted
+by (u, v), and the Laplacian, cuts and expansions are all computed from them.
+Graph.build validates and sorts edges with array operations; subgraph() goes
+through it, so every graph passes the same checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +50,13 @@ def _as_vertex_array(vertices: Iterable[int], n: int) -> np.ndarray:
     return arr
 
 
+def _incident_cost(n: int, eu: np.ndarray, ev: np.ndarray, ec: np.ndarray) -> np.ndarray:
+    inc = np.zeros(n)
+    np.add.at(inc, eu, ec)
+    np.add.at(inc, ev, ec)
+    return inc
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with vertex weights w_u > 0 and edge costs c_uv > 0."""
@@ -56,54 +68,55 @@ class Graph:
     edge_cost: np.ndarray        # (m,) float64, > 0
     labels: tuple = ()           # external ids in internal order, () when native
 
-    # CSR adjacency, built once in build()
-    adj_ptr: np.ndarray = field(repr=False, default=None)
-    adj_vert: np.ndarray = field(repr=False, default=None)
-    adj_cost: np.ndarray = field(repr=False, default=None)
-
     @staticmethod
-    def build(n: int, edges: Sequence[tuple[int, int, float]],
+    def build(n: int, edges: Sequence[tuple[int, int, float]] | np.ndarray,
               weights: Sequence[float] | None = None,
               labels: Sequence | None = None) -> "Graph":
+        """Graph on vertices 0..n-1 from rows of (u, v, cost).
+
+        On bad input the GraphError names the first bad edge in input order,
+        checked for a self-loop, then the vertex range, then the cost, then an
+        earlier edge with the same endpoints.
+        """
         if n <= 0:
             raise GraphError("graph needs at least one vertex")
-        eu, ev, ec = [], [], []
-        seen: set[tuple[int, int]] = set()
-        for u, v, c in edges:
-            u, v, c = int(u), int(v), float(c)
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) outside vertex range [0,{n})")
-            if c <= 0.0 or not np.isfinite(c):
-                raise GraphError(f"edge ({u},{v}) has nonpositive cost {c}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphError(f"duplicate edge {key}")
-            seen.add(key)
-            eu.append(key[0])
-            ev.append(key[1])
-            ec.append(c)
-        eu_a = np.asarray(eu, dtype=np.int64)
-        ev_a = np.asarray(ev, dtype=np.int64)
-        ec_a = np.asarray(ec, dtype=np.float64)
-        order = np.lexsort((ev_a, eu_a))
-        eu_a, ev_a, ec_a = eu_a[order], ev_a[order], ec_a[order]
+        rows = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+        u = rows[:, 0].astype(np.int64)
+        v = rows[:, 1].astype(np.int64)
+        cost = rows[:, 2]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        order = np.lexsort((hi, lo))            # stable: repeats keep input order
+        eu, ev, ec = lo[order], hi[order], cost[order]
 
-        incident = np.zeros(n)
+        loop = u == v
+        outside = (lo < 0) | (hi >= n)
+        bad_cost = (cost <= 0.0) | ~np.isfinite(cost)
+        repeat = np.zeros(u.size, dtype=bool)
+        repeat[order[1:]] = (eu[1:] == eu[:-1]) & (ev[1:] == ev[:-1])
+        bad = loop | outside | bad_cost | repeat
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b = int(u[i]), int(v[i])
+            if loop[i]:
+                raise GraphError(f"self-loop at vertex {a}")
+            if outside[i]:
+                raise GraphError(f"edge ({a},{b}) outside vertex range [0,{n})")
+            if bad_cost[i]:
+                raise GraphError(f"edge ({a},{b}) has nonpositive cost {float(cost[i])}")
+            raise GraphError(f"duplicate edge {(min(a, b), max(a, b))}")
+
         with np.errstate(over="ignore"):
-            np.add.at(incident, eu_a, ec_a)
-            np.add.at(incident, ev_a, ec_a)
+            incident = _incident_cost(n, eu, ev, ec)
             incident_total = incident.sum()
         if not np.isfinite(incident_total):
             raise GraphError("the total incident edge cost overflows float64; rescale the costs")
         if weights is None:
-            w = incident.copy()
+            w = incident
             if np.any(w <= 0.0):
-                bad = int(np.argmin(w))
-                raise GraphError(f"vertex {bad} is isolated; give it an explicit weight")
+                bad_vertex = int(np.argmin(w))
+                raise GraphError(f"vertex {bad_vertex} is isolated; give it an explicit weight")
         else:
-            w = np.asarray(list(weights), dtype=np.float64)
+            w = np.array(weights, dtype=np.float64)
             if w.shape != (n,):
                 raise GraphError(f"expected {n} vertex weights, got {w.shape}")
             if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
@@ -113,25 +126,8 @@ class Graph:
             if not np.isfinite(weight_total):
                 raise GraphError("the total vertex weight overflows float64; rescale the weights")
 
-        deg = np.zeros(n, dtype=np.int64)
-        np.add.at(deg, eu_a, 1)
-        np.add.at(deg, ev_a, 1)
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=ptr[1:])
-        vert = np.empty(ptr[-1], dtype=np.int64)
-        cost = np.empty(ptr[-1], dtype=np.float64)
-        cursor = ptr[:-1].copy()
-        for a, b, c in zip(eu_a, ev_a, ec_a):
-            vert[cursor[a]] = b
-            cost[cursor[a]] = c
-            cursor[a] += 1
-            vert[cursor[b]] = a
-            cost[cursor[b]] = c
-            cursor[b] += 1
-
-        return Graph(n=int(n), weights=w, edge_u=eu_a, edge_v=ev_a, edge_cost=ec_a,
-                     labels=tuple(labels) if labels is not None else (),
-                     adj_ptr=ptr, adj_vert=vert, adj_cost=cost)
+        return Graph(n=int(n), weights=w, edge_u=eu, edge_v=ev, edge_cost=ec,
+                     labels=tuple(labels) if labels is not None else ())
 
     @property
     def total_weight(self) -> float:
@@ -145,19 +141,12 @@ class Graph:
         return float(self.weights[np.asarray(vertices, dtype=np.int64)].sum())
 
     def incident_cost(self) -> np.ndarray:
-        inc = np.zeros(self.n)
-        np.add.at(inc, self.edge_u, self.edge_cost)
-        np.add.at(inc, self.edge_v, self.edge_cost)
-        return inc
+        return _incident_cost(self.n, self.edge_u, self.edge_v, self.edge_cost)
 
     def mask(self, vertices: Iterable[int]) -> np.ndarray:
         m = np.zeros(self.n, dtype=bool)
         m[_as_vertex_array(vertices, self.n)] = True
         return m
-
-    def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.adj_ptr[u], self.adj_ptr[u + 1]
-        return self.adj_vert[lo:hi], self.adj_cost[lo:hi]
 
     def subgraph(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Induced subgraph with original weights/costs; returns (graph, old ids)."""
@@ -166,9 +155,8 @@ class Graph:
         remap[keep] = np.arange(keep.size)
         inside = remap[self.edge_u] >= 0
         inside &= remap[self.edge_v] >= 0
-        edges = list(zip(remap[self.edge_u[inside]].tolist(),
-                         remap[self.edge_v[inside]].tolist(),
-                         self.edge_cost[inside].tolist()))
+        edges = np.column_stack((remap[self.edge_u[inside]], remap[self.edge_v[inside]],
+                                 self.edge_cost[inside]))
         sub = Graph.build(keep.size, edges, weights=self.weights[keep])
         return sub, keep
 
@@ -179,8 +167,7 @@ def cut_cost(g: Graph, a: Iterable[int], b: Iterable[int]) -> float:
     mb = g.mask(b)
     if np.any(ma & mb):
         raise PartitionError("cut_cost requires disjoint vertex sets")
-    crossing = (ma[g.edge_u] & mb[g.edge_v]) | (mb[g.edge_u] & ma[g.edge_v])
-    return float(g.edge_cost[crossing].sum())
+    return cut_cost_masks(g, ma, mb)
 
 
 def cut_cost_masks(g: Graph, ma: np.ndarray, mb: np.ndarray) -> float:

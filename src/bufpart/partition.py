@@ -19,8 +19,7 @@ edges, and Step 4 discards refined tuples whose buffered expansion exceeds the
 expansion-slack bound.  complete_partition() keeps the k-1 tuples of lowest
 buffered expansion as parts and folds the leftovers and the other tuples into
 the last part; partial_partition() keeps the restart whose completion has the
-lowest max expansion, the quantity the paper bounds.  merge_tail() implements
-the heavy-set merge.
+lowest max expansion, the quantity the paper bounds.
 
 Desk-scale practicality: the certified probability scale alpha of the Step-2
 separator family is astronomically small for every usable (k, delta) pairing
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +59,6 @@ __all__ = [
     "refine_and_discard",
     "partial_partition",
     "complete_partition",
-    "merge_tail",
     "buffered_k_partition",
 ]
 
@@ -183,7 +181,6 @@ class RoundRecord:
     p_tilde: np.ndarray
     b_tilde: np.ndarray
     rejected: bool
-    sigma_before: np.ndarray | None = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -225,21 +222,18 @@ def crude_partition(e: Embedding, k: int, epsilon: float, delta: float,
             rounds.append(RoundRecord(index=t, x=s.x, y=s.y, z=s.z, p_tilde=s.x,
                                       b_tilde=s.y, rejected=s.rejected))
             continue
-        # Index work on X u Y u Z only; sigma is copied only for active rounds.
+        # Index work on X u Y u Z only.
         p_tilde = s.x[~touched[s.x]]
-        snapshot = sigma.copy() if p_tilde.size else None
         sigma[p_tilde] = True
         xy = np.union1d(s.x, s.y) if s.y.size else s.x
         b_tilde = xy[~sigma[xy] & ~gamma[xy]]
-        if b_tilde.size and snapshot is None:
-            snapshot = sigma.copy()
         gamma[b_tilde] = True
         touched[s.x] = True
         touched[s.y] = True
         touched[s.z] = True
         rounds.append(RoundRecord(
             index=t, x=s.x, y=s.y, z=s.z, p_tilde=p_tilde, b_tilde=b_tilde,
-            rejected=s.rejected, sigma_before=snapshot))
+            rejected=s.rejected))
     r_p = np.flatnonzero(~touched)
     r_b = np.flatnonzero(touched & ~sigma & ~gamma)
     crude = CrudePartition(rounds=tuple(rounds), sigma=np.flatnonzero(sigma),
@@ -304,8 +298,7 @@ def eta_costs(c: CrudePartition, e: Embedding, g: Graph, epsilon: float) -> EtaC
         fresh[rec.x] = True
         fresh[rec.y] = True
         fresh[rec.z] = True
-        if rec.sigma_before is not None:
-            fresh &= ~rec.sigma_before
+        fresh &= ~((round_of_p >= 0) & (round_of_p < t))    # Sigma before round t
         slot = member_round == t
         escapes = slot & ~fresh[dv]
         eta_tilde[escapes] = e.mu[du[escapes]]
@@ -643,31 +636,6 @@ def complete_partition(pp: PartialPartition, g: Graph, k_target: int) -> Buffere
     # trip on the rounding of (w_b/w_p) * w_p.
     budget = realized * (1.0 + 1e-12) if realized > 0.0 else 0.0
     return BufferedPartition.from_sets(parts, buffers, budget)
-
-
-def merge_tail(bp: BufferedPartition, g: Graph, k_target: int) -> BufferedPartition:
-    """Merge the heaviest k'-k_target+1 parts (and their buffers) into one."""
-    k_prime = bp.k
-    if k_target < 1:
-        raise ValueError("k_target must be at least 1")
-    if k_target > k_prime:
-        raise PartitionError(f"cannot grow {k_prime} parts into {k_target}")
-    if k_target == k_prime:
-        return bp
-    order = sorted(range(k_prime), key=lambda i: (float(g.weights[bp.parts[i]].sum()), i))
-    kept = order[:k_target - 1]
-    merged = order[k_target - 1:]
-    parts = [bp.parts[i] for i in kept]
-    buffers = [bp.buffers[i] for i in kept]
-    parts.append(np.concatenate([bp.parts[i] for i in merged]))
-    buffers.append(np.concatenate([bp.buffers[i] for i in merged]) if
-                   any(bp.buffers[i].size for i in merged) else np.empty(0, dtype=np.int64))
-    before = partition_cost(g, bp).max_expansion
-    out = BufferedPartition.from_sets(parts, buffers, bp.epsilon)
-    after = partition_cost(g, out).max_expansion
-    if after > before + 1e-9:
-        raise AssertionError(f"heavy-set merge increased max expansion: {before} -> {after}")
-    return out
 
 
 def buffered_k_partition(g: Graph, k: int, epsilon: float, delta: float,

@@ -16,8 +16,13 @@ from bufpart.partition import (AlgoConstants, CrudePartition, PartialPartition,
 from bufpart.separators import sample_two_buffers
 
 
-def reference_crude_partition(e, k, epsilon, delta, rng, effective=None) -> CrudePartition:
-    """Step 2 with one sample_two_buffers call and full-length masks per round."""
+def reference_crude_partition(e, k, epsilon, delta, rng, effective=None):
+    """Step 2 with one sample_two_buffers call and full-length masks per round.
+
+    Returns (CrudePartition, snapshots), where snapshots maps each active round
+    (one with a non-empty Ptilde or Btilde) to its full-length Sigma mask from
+    before that round.
+    """
     n = e.graph.n
     eff = effective if effective is not None else resolve_step2(n, k, epsilon, delta)
     psi, mu = e.psi, e.mu
@@ -25,6 +30,7 @@ def reference_crude_partition(e, k, epsilon, delta, rng, effective=None) -> Crud
     gamma = np.zeros(n, dtype=bool)
     touched = np.zeros(n, dtype=bool)
     rounds = []
+    snapshots = {}
     rejects = 0
     for t in range(eff.rounds):
         s = sample_two_buffers(psi, mu, eff.epsilon, eff.delta_sep, eff.radius,
@@ -43,16 +49,18 @@ def reference_crude_partition(e, k, epsilon, delta, rng, effective=None) -> Crud
         b_tilde = xy & ~sigma & ~gamma
         gamma |= b_tilde
         touched |= xyz
-        keep = snapshot if (p_tilde.any() or b_tilde.any()) else None
+        if p_tilde.any() or b_tilde.any():
+            snapshots[t] = snapshot
         rounds.append(RoundRecord(
             index=t, x=s.x, y=s.y, z=s.z,
             p_tilde=np.flatnonzero(p_tilde), b_tilde=np.flatnonzero(b_tilde),
-            rejected=s.rejected, sigma_before=keep))
+            rejected=s.rejected))
     r_p = np.flatnonzero(~touched)
     r_b = np.flatnonzero(touched & ~sigma & ~gamma)
-    return CrudePartition(rounds=tuple(rounds), sigma=np.flatnonzero(sigma),
-                          gamma=np.flatnonzero(gamma), r_p=r_p, r_b=r_b,
-                          effective=eff, reject_count=rejects)
+    crude = CrudePartition(rounds=tuple(rounds), sigma=np.flatnonzero(sigma),
+                           gamma=np.flatnonzero(gamma), r_p=r_p, r_b=r_b,
+                           effective=eff, reject_count=rejects)
+    return crude, snapshots
 
 
 def reference_refine_and_discard(c, e, g, k, epsilon, delta, consts=None) -> PartialPartition:

@@ -89,9 +89,12 @@ class TestCheeger2:
 
     def test_eps_domain(self):
         g = tiny_connected(6, 11)
-        for eps in (0.0, 0.25, 0.3):
-            with pytest.raises(ValueError):
-                cheeger2_buffered(g, eps)
+        entry_points = (cheeger2_buffered, buffered_balanced_cut,
+                        lambda graph, eps: kway_balanced(graph, 1, eps))
+        for cut in entry_points:
+            for eps in (0.0, 0.25, 0.3):
+                with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1/4\)"):
+                    cut(g, eps)
 
 
 def test_threshold_gap_inequality_fuzz():

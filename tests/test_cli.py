@@ -201,6 +201,37 @@ class TestVerifyCertifyBrute:
         assert len(doc["witness"]) == 4
 
 
+class TestMalformedPartitionFile:
+    @pytest.mark.parametrize("content, reason", [
+        ({"assignment": {"0": {"role": "core"}, "1": {"part_id": 0, "role": "core"},
+                         "2": {"part_id": 1, "role": "core"}}}, "no integer part_id"),
+        ([{"part_id": 0, "role": "core"}], "no assignment object"),
+        ({"assignment": {}}, "no assignment object"),
+        ({"assignment": {"0": {"part_id": 0, "role": "core"},
+                         "1": {"part_id": -1, "role": "core"},
+                         "2": {"part_id": 1, "role": "core"}}}, "no integer part_id"),
+        ({"assignment": {"0": {"part_id": 0, "role": "core"},
+                         "1": {"part_id": 1, "role": "core"},
+                         "2": {"part_id": 1, "role": "bogus"}}}, "unknown role 'bogus'"),
+    ])
+    @pytest.mark.parametrize("command", [["verify", "--k", "2", "--eps", "0.5"],
+                                         ["certify", "--k", "2", "--eps", "0.5",
+                                          "--delta", "0.5"]])
+    def test_one_line_exit_1(self, content, reason, command, tmp_path, capsys):
+        graph = tmp_path / "triangle.txt"
+        graph.write_text("0 1 1\n1 2 1\n2 0 1\n")
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps(content))
+        out = tmp_path / "out.json"
+        code = run(command + ["--graph", str(graph), "--partition", str(part),
+                              "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bufpart: error: partition file ") and reason in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestPartitionErrorBranch:
     def test_driver_failure_writes_error_report_exit_2(self, clique_file, tmp_path,
                                                        monkeypatch):

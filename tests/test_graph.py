@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from bufpart import (BufferedPartition, Graph, GraphError, PartitionError,
                      buffered_expansion, cut_cost, load_graph, partition_cost,
                      validate_partition)
-from conftest import disjoint_cliques, k4, path, tiny_connected, triangle
+from conftest import (disjoint_cliques, k4, path, planted, tiny_connected, triangle,
+                      weighted_er)
 
 
 class TestGraphBuild:
@@ -49,6 +50,50 @@ class TestGraphBuild:
             Graph.build(3, [(0, 1, 1.0)])
         g = Graph.build(3, [(0, 1, 1.0)], weights=[1.0, 1.0, 1.0])
         assert g.n == 3
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1, 1.0), (2, 2, 1.0), (1, 0, 1.0)], "self-loop at vertex 2"),
+        ([(0, 1, 1.0), (1, 0, 1.0), (2, 2, 1.0)], "duplicate edge (0, 1)"),
+        ([(0, 1, 1.0), (0, 5, -1.0), (2, 2, 1.0)], "edge (0,5) outside vertex range [0,3)"),
+        ([(2, 1, 1.0), (0, 1, 0.0), (1, 2, 3.0)], "edge (0,1) has nonpositive cost 0.0"),
+        ([(1, 0, 1.0), (2, 1, 1.0), (0, 1, -2.0)], "edge (0,1) has nonpositive cost -2.0"),
+        ([(0, 1, 1.0), (1, 2, float("nan"))], "edge (1,2) has nonpositive cost nan"),
+        ([(1, 2, 1.0), (-1, 0, 1.0)], "edge (-1,0) outside vertex range [0,3)"),
+    ])
+    def test_error_names_first_bad_edge_in_input_order(self, edges, message):
+        with pytest.raises(GraphError) as info:
+            Graph.build(3, edges)
+        assert str(info.value) == message
+
+    def test_triples_and_array_build_equal_graphs(self):
+        triples = [(3, 0, 0.5), (1, 2, 2.0), (0, 1, 1.25), (2, 3, 4.0)]
+        from_list = Graph.build(4, triples)
+        from_array = Graph.build(4, np.array(triples))
+        for name in ("weights", "edge_u", "edge_v", "edge_cost"):
+            a, b = getattr(from_list, name), getattr(from_array, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert from_list.edge_u.tolist() == [0, 0, 1, 2]
+        assert from_list.edge_v.tolist() == [1, 3, 2, 3]
+
+    @pytest.mark.parametrize("g", [planted([30, 30, 30], 0.3, 0.05, seed=7)[0],
+                                   weighted_er(60, 0.15, 31)])
+    def test_subgraph_equals_build_on_induced_triples(self, g):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            keep = np.flatnonzero(rng.random(g.n) < rng.uniform(0.2, 0.9))
+            if keep.size == 0:
+                continue
+            new_id = {int(old): i for i, old in enumerate(keep)}
+            triples = [(new_id[u], new_id[v], c)
+                       for u, v, c in zip(g.edge_u.tolist(), g.edge_v.tolist(),
+                                          g.edge_cost.tolist())
+                       if u in new_id and v in new_id]
+            want = Graph.build(keep.size, triples, weights=g.weights[keep])
+            sub, ids = g.subgraph(keep)
+            assert np.array_equal(ids, keep)
+            for name in ("weights", "edge_u", "edge_v", "edge_cost"):
+                a, b = getattr(sub, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_subgraph_keeps_weights_and_costs(self):
         g = path([0.5, 2.0, 1.0])

@@ -1,14 +1,14 @@
-"""Crude/refined partial partitioning, completion, merging, and the driver."""
+"""Crude/refined partial partitioning, completion, and the driver."""
 
 import math
 
 import numpy as np
 import pytest
 
-from bufpart import (BufferedPartition, buffered_expansion,
+from bufpart import (buffered_expansion,
                      buffered_k_partition, complete_partition, crude_partition,
                      cut_cost, derive_stream, embed, eigenbasis, eta_costs,
-                     merge_tail, normalized_laplacian, partial_partition,
+                     normalized_laplacian, partial_partition,
                      partition_cost, refine_and_discard, validate_partition)
 from bufpart.graph import Graph, PartitionError
 from bufpart.partition import (AlgoConstants, PartialPartition, RefinedTuple,
@@ -130,9 +130,11 @@ class TestEtaCosts:
         c = crude_partition(e, 6, 0.01, 0.01, derive_stream(44, "t44"))
         costs = eta_costs(c, e, g, c.effective.epsilon)
         member_round = -np.ones(g.n, dtype=int)
+        core_round = -np.ones(g.n, dtype=int)
         for rec in c.rounds:
             member_round[rec.p_tilde] = rec.index
             member_round[rec.b_tilde] = rec.index
+            core_round[rec.p_tilde] = rec.index
         by_round = {rec.index: rec for rec in c.rounds}
         du, dv = costs.directed_u, costs.directed_v
         for i in range(du.size):
@@ -146,8 +148,7 @@ class TestEtaCosts:
             fresh[rec.x] = True
             fresh[rec.y] = True
             fresh[rec.z] = True
-            if rec.sigma_before is not None:
-                fresh &= ~rec.sigma_before
+            fresh &= ~((core_round >= 0) & (core_round < t))   # Sigma before round t
             expected = 0.0 if fresh[v] else e.mu[u]
             assert costs.eta_tilde[i] == pytest.approx(expected, rel=1e-12)
 
@@ -366,35 +367,6 @@ class TestCompletePartition:
         g, run = clique_run
         with pytest.raises(PartitionError, match="delta slack"):
             complete_partition(run.partial, g, run.partial.k_prime + 1)
-
-
-class TestMergeTail:
-    def test_identity(self):
-        g = disjoint_cliques([4, 4, 4])
-        part = BufferedPartition.from_sets(
-            [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]], [[], [], []], 0.0)
-        merged = merge_tail(part, g, 3)
-        assert merged.k == 3
-
-    def test_merge_bounds(self):
-        g = CLIQUES6
-        run = partial_partition(g, 6, 0.01, 0.01, seed=13)
-        bp = complete_partition(run.partial, g, 6)
-        merged = merge_tail(bp, g, 3)
-        assert merged.k == 3
-        before = partition_cost(g, bp)
-        after = partition_cost(g, merged)
-        assert after.max_expansion <= before.max_expansion + 1e-12
-        # weighted analogue of the merged-part weight lower bound
-        eps = bp.epsilon
-        lower = (6 - 3 + 1) / 6 * (1.0 - eps) * g.total_weight
-        assert g.weight_of(merged.parts[-1]) >= lower - 1e-9
-
-    def test_k_target_validated(self):
-        g = disjoint_cliques([4, 4])
-        part = BufferedPartition.from_sets([[0, 1, 2, 3], [4, 5, 6, 7]], [[], []], 0.0)
-        with pytest.raises(ValueError):
-            merge_tail(part, g, 0)
 
 
 class TestDriver:

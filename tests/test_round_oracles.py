@@ -41,16 +41,23 @@ def _same_array(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def assert_same_crude(got, want):
+def assert_same_crude(got, reference):
+    want, snapshots = reference
     assert got.reject_count == want.reject_count
     assert len(got.rounds) == len(want.rounds)
     for a, b in zip(got.rounds, want.rounds):
         assert a.index == b.index and a.rejected == b.rejected
         for name in ("x", "y", "z", "p_tilde", "b_tilde"):
             assert _same_array(getattr(a, name), getattr(b, name)), (a.index, name)
-        assert (a.sigma_before is None) == (b.sigma_before is None), a.index
-        if a.sigma_before is not None:
-            assert np.array_equal(a.sigma_before, b.sigma_before)
+    # eta_costs takes Sigma before round t to be the cores of the earlier rounds;
+    # that must equal the reference's full-length snapshot on every active round.
+    active = [rec.index for rec in got.rounds if rec.p_tilde.size or rec.b_tilde.size]
+    assert active and active == sorted(snapshots)
+    round_of_p = -np.ones(snapshots[active[0]].size, dtype=np.int64)
+    for rec in got.rounds:
+        round_of_p[rec.p_tilde] = rec.index
+    for t in active:
+        assert np.array_equal((round_of_p >= 0) & (round_of_p < t), snapshots[t]), t
     for name in ("sigma", "gamma", "r_p", "r_b"):
         assert _same_array(getattr(got, name), getattr(want, name)), name
 
