@@ -5,12 +5,21 @@ infinity-normalized positive or negative half of the shifted Fiedler vector,
 
     S = {u(i)^2 > t}      T = {u(i)^2 <= t/(1+eps)}      B = the band between
 
-and the random threshold of the probabilistic argument is replaced by exact
-enumeration of the break points {u(i)^2, (1+eps) u(i)^2}; among thresholds
-with w(B) <= 2 eps w(S) the one minimizing delta(S,T)/w(S) wins.  Since a
+and the random threshold of the probabilistic argument is replaced by a
+search over every break point {u(i)^2, (1+eps) u(i)^2}; among thresholds with
+w(B) <= 2 eps w(S) the one minimizing (delta(S,T)/w(S), t) wins.  Since a
 feasible threshold meeting delta(S,T) <= 2(1+1/eps) lambda_2 w(S) exists by
-the two-variable averaging argument, the enumerated winner is at least as
-good, so phi <= 4(1+2/eps) lambda_2 holds unconditionally.
+the two-variable averaging argument, the winner is at least as good, so
+phi <= 4(1+2/eps) lambda_2 holds unconditionally.
+
+The search is one sorted sweep (the sweep-cut evaluation of Chung, Spectral
+Graph Theory, and Andersen-Chung-Lang): vertex weights and edge crossing
+intervals give w(S), w(B) and delta(S,T) of every threshold from prefix sums
+in O(m log n).  Prefix sums round differently from the masked sums, so the
+sweep only prunes: a threshold is dropped when, by more than a float64 error
+bound, it breaks the buffer limit or loses to a threshold already evaluated.
+Every other threshold is evaluated with the exact masked sums, and those pick
+the winner, so the result is the same as evaluating every threshold.
 
 buffered_balanced_cut() stacks such cuts until the accumulated small sides
 reach a quarter of the total weight (each level runs at eps/2 so its buffer
@@ -94,6 +103,88 @@ def _weighted_median_shift(v: np.ndarray, w: np.ndarray) -> float:
     return float(vals[int(np.argmax(above <= half + 1e-12 * half))])
 
 
+_UNIT = np.finfo(np.float64).eps / 2.0   # float64 unit roundoff u = 2^-53
+
+
+def _two_threshold_cut(g: Graph, usq: np.ndarray, epsilon: float) -> tuple:
+    """The feasible break point t of least (delta(S,T)/w(S), t), with its sets and sums.
+
+    Returns (t, s_mask, t_mask, b_mask, cut, ws, wb) where cut, ws and wb are
+    the exact masked sums cut_cost_masks(g, S, T), w(S) and w(B).
+    """
+    w = g.weights
+    thresholds = np.unique(np.concatenate([usq, (1.0 + epsilon) * usq]))
+    tq = thresholds / (1.0 + epsilon)      # the T limit, same expression as the masks
+    count = thresholds.size
+
+    # Sweep estimates of w(S), w(B) and delta(S,T) at every threshold.
+    order = np.argsort(usq, kind="stable")
+    sorted_usq = usq[order]
+    prefix_w = np.concatenate([[0.0], np.cumsum(w[order])])
+    n_not_s = np.searchsorted(sorted_usq, thresholds, "right")   # |{usq <= t}|
+    n_t = np.searchsorted(sorted_usq, tq, "right")               # |T|
+    ws_a = prefix_w[-1] - prefix_w[n_not_s]
+    wb_a = prefix_w[n_not_s] - prefix_w[n_t]
+    # Edge (x, y) = (min, max) of its endpoints' usq crosses S-T exactly when
+    # x <= tq[i] and y > thresholds[i], i.e. for i in [lo, hi).
+    ux, uy = usq[g.edge_u], usq[g.edge_v]
+    lo = np.searchsorted(tq, np.minimum(ux, uy), "left")
+    hi = np.searchsorted(thresholds, np.maximum(ux, uy), "left")
+    crosses = lo < hi
+    c = g.edge_cost[crosses]
+    cut_a = np.cumsum(np.bincount(lo[crosses], c, count + 1)
+                      - np.bincount(hi[crosses], c, count + 1))[:count]
+
+    # Error bounds against the exact masked sums (u = 2^-53, recursive-sum
+    # bounds gamma_j <= j u (1 + small) for the prefix sums, the bincount
+    # buckets, the cumsum over `count` differences and numpy's own sums):
+    #   |ws_a - w(S)|, |wb_a - w(B)|   <= (3n + 1) u W        <= tol_w
+    #   |cut_a - delta(S,T)|           <= (3m + 2 count + 2) u C <= tol_c
+    # with W the total vertex weight and C the total edge cost.
+    tol_w = 4.0 * (g.n + 1) * _UNIT * g.total_weight
+    tol_c = 4.0 * (g.edge_cost.size + count + 1) * _UNIT * float(g.edge_cost.sum())
+    # Drop only thresholds whose S or T is empty, or whose buffer exceeds
+    # 2 eps w(S) even after both error bounds (the 1 - 4u and 1 + 4u factors
+    # absorb the rounding of this comparison itself).
+    feasible = (n_not_s < usq.size) & (n_t > 0) & ~(
+        (wb_a - tol_w) * (1.0 - 4.0 * _UNIT)
+        > 2.0 * epsilon * (ws_a + tol_w) * (1.0 + 4.0 * _UNIT))
+    cand = np.flatnonzero(feasible)
+    # phi_lb <= cut/ws in exact arithmetic for the exact sums; (1 - 8u) absorbs
+    # the rounding of these four operations, and phi >= 0 always.
+    phi_lb = np.maximum(
+        (cut_a[cand] - tol_c) / (ws_a[cand] + tol_w) * (1.0 - 8.0 * _UNIT), 0.0)
+    phi_a = np.divide(cut_a[cand], ws_a[cand], out=np.full(cand.size, np.inf),
+                      where=ws_a[cand] > 0)
+    survivors = np.lexsort((thresholds[cand], phi_a))   # ascending sweep (phi, t)
+
+    best = None
+    while survivors.size:
+        i, survivors = survivors[0], survivors[1:]
+        t = thresholds[cand[i]]
+        s_mask = usq > t
+        t_mask = usq <= t / (1.0 + epsilon)
+        b_mask = ~s_mask & ~t_mask
+        ws = float(w[s_mask].sum())
+        wb = float(w[b_mask].sum()) if b_mask.any() else 0.0
+        if wb > 2.0 * epsilon * ws:
+            continue
+        cut = cut_cost_masks(g, s_mask, t_mask)
+        key = (cut / ws, float(t))
+        if best is not None and key >= best[0]:
+            continue
+        best = (key, float(t), s_mask, t_mask, b_mask, cut, ws, wb)
+        # A later threshold loses once phi >= best phi is certain; an earlier
+        # one once phi > best phi is, i.e. phi_lb reaches the next float.
+        phi, t_best = key
+        bound = np.where(thresholds[cand[survivors]] > t_best, phi,
+                         np.nextafter(phi, np.inf))
+        survivors = survivors[phi_lb[survivors] < bound]
+    if best is None:
+        raise PartitionError("no feasible two-threshold cut found (implementation bug)")
+    return best[1:]
+
+
 def cheeger2_buffered(g: Graph, epsilon: float) -> BufferedCut:
     """Buffered two-way cut with phi <= 4(1+2/eps) lambda_2 and w(B) <= 2 eps w(S)."""
     if g.n < 2:
@@ -124,27 +215,7 @@ def cheeger2_buffered(g: Graph, epsilon: float) -> BufferedCut:
     u = u / float(u.max())
     usq = u * u
 
-    thresholds = np.unique(np.concatenate([usq, (1.0 + epsilon) * usq]))
-    best = None
-    for t in thresholds:
-        s_mask = usq > t
-        if not s_mask.any():
-            continue
-        t_mask = usq <= t / (1.0 + epsilon)
-        if not t_mask.any():
-            continue
-        b_mask = ~s_mask & ~t_mask
-        ws = float(w[s_mask].sum())
-        wb = float(w[b_mask].sum()) if b_mask.any() else 0.0
-        if wb > 2.0 * epsilon * ws:
-            continue
-        cut = cut_cost_masks(g, s_mask, t_mask)
-        key = (cut / ws, float(t))
-        if best is None or key < best[0]:
-            best = (key, float(t), s_mask, t_mask, b_mask, cut, ws, wb)
-    if best is None:
-        raise PartitionError("no feasible two-threshold cut found (implementation bug)")
-    _, t, s_mask, t_mask, b_mask, cut, ws, wb = best
+    t, s_mask, t_mask, b_mask, cut, ws, wb = _two_threshold_cut(g, usq, epsilon)
 
     wt = float(w[t_mask].sum())
     if ws > wt + 1e-9 * (ws + wt):
@@ -266,16 +337,32 @@ def kway_balanced(g: Graph, k: int, epsilon: float) -> KwayBalancedResult:
     for i, pw in enumerate(part_w):
         if pw > limit + 1e-9:
             violations.append(f"part {i} weight {pw!r} exceeds 6 w(V)/k = {limit!r}")
-    crossing = 0.0
-    for i in range(len(parts)):
-        mi = np.zeros(g.n, dtype=bool)
-        mi[parts[i]] = True
-        for j in range(i + 1, len(parts)):
-            mj = np.zeros(g.n, dtype=bool)
-            mj[parts[j]] = True
-            crossing += cut_cost_masks(g, mi, mj)
     return KwayBalancedResult(
-        parts=tuple(parts), buffer=buf_idx, crossing_cost=crossing,
+        parts=tuple(parts), buffer=buf_idx, crossing_cost=_crossing_cost(g, parts),
         max_part_weight=max(part_w) if part_w else 0.0,
         buffer_weight=g.weight_of(buf_idx),
         per_level_lambda2=tuple(lambdas), violations=tuple(violations))
+
+
+def _crossing_cost(g: Graph, parts: list) -> float:
+    """Sum of cut_cost_masks(g, P_i, P_j) over part pairs i < j, added in (i, j) order.
+
+    One labelled pass: an edge between parts i < j gets pair id i k + j, and a
+    stable sort by pair id keeps each pair's edges in edge order, so each
+    pair's slice sums the same elements in the same order as its masked sum.
+    """
+    k = len(parts)
+    label = np.full(g.n, -1, dtype=np.int64)
+    for i, p in enumerate(parts):
+        label[p] = i
+    a, b = label[g.edge_u], label[g.edge_v]
+    between = (a >= 0) & (b >= 0) & (a != b)
+    pair = (np.minimum(a, b) * k + np.maximum(a, b))[between]
+    order = np.argsort(pair, kind="stable")
+    pair, cost = pair[order], g.edge_cost[between][order]
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    ends = np.append(starts[1:], pair.size)
+    crossing = 0.0
+    for lo, hi in zip(starts, ends):
+        crossing += float(cost[lo:hi].sum())
+    return crossing

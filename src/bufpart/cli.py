@@ -356,6 +356,9 @@ def run(argv=None) -> int:
     except (PartitionError, SolverError, EmbeddingError) as exc:
         print(f"bufpart: failure: {exc}", file=sys.stderr)
         return EXIT_GUARANTEE
+    except AssertionError as exc:
+        print(f"bufpart: failure: internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_GUARANTEE
     text = write_report(doc, getattr(args, "out", None))
     if not getattr(args, "out", None):
         sys.stdout.write(text)

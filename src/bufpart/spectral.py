@@ -10,7 +10,9 @@ Two solver paths: dense symmetric eigendecomposition up to DENSE_LIMIT
 vertices, and Lanczos with full reorthogonalization and deterministic seeded
 start vectors above that (also used directly by the oracle tests).  Lanczos
 restarts with a fresh orthogonalized vector on breakdown, which is what
-recovers eigenvalue multiplicities on disconnected graphs.
+recovers eigenvalue multiplicities on disconnected graphs.  Its basis starts
+at 64 columns and doubles when full, so it holds O(n * steps) floats rather
+than n^2 (the steps taken, not k', set its size; there is no thick restart).
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def _lanczos_eigenbasis(op: LaplacianOperator, k_prime: int, tol: float,
     n = op.n
     stream = derive_stream(seed, "lanczos")
     max_matvecs = 50 * n
-    Q = np.zeros((n, n))
+    Q = np.zeros((n, min(n, 64)))   # doubled when full: memory follows the steps taken
     alphas: list[float] = []
     betas: list[float] = []      # betas[j] couples vectors j and j+1; 0.0 marks a restart
     used = 0
@@ -191,6 +193,10 @@ def _lanczos_eigenbasis(op: LaplacianOperator, k_prime: int, tol: float,
                     f"Lanczos hit the {max_matvecs}-matvec cap; best residual {best_res:.3e}",
                     best_residual=best_res)
 
+        if used == Q.shape[1]:
+            grown = np.zeros((n, min(n, 2 * used)))
+            grown[:, :used] = Q
+            Q = grown
         if beta <= 1e-12:
             betas.append(0.0)
             Q[:, used] = fresh_vector()

@@ -284,6 +284,25 @@ class TestOverflowingCosts:
         assert capsys.readouterr().err == "bufpart: failure: vertex 3 embeds to the zero vector\n"
 
 
+class TestInternalInvariant:
+    @pytest.mark.parametrize("check", ["_assert_crude_structure", "_assert_partial_structure"])
+    def test_exits_2_with_one_line(self, check, clique_file, tmp_path, monkeypatch, capsys):
+        from bufpart import partition as partition_mod
+
+        def broken(*args, **kwargs):
+            raise AssertionError("sets do not tile V (vertex 4)")
+
+        monkeypatch.setattr(partition_mod, check, broken)
+        out = tmp_path / "out.json"
+        code = run(["partition", "--graph", clique_file, "--k", "3", "--eps", "0.1",
+                    "--delta", "0.1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "bufpart: failure: internal invariant violated: sets do not tile V (vertex 4)\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSubprocessDeterminism:
     def test_byte_identical_across_thread_counts(self, tmp_path):
         lines = []

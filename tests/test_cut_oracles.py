@@ -1,0 +1,159 @@
+"""The sorted threshold sweep and the one-pass crossing cost against their reference loops.
+
+Reports stay byte-identical only if every threshold, set and sum is
+reproduced exactly, so these comparisons use exact equality throughout.
+"""
+
+import numpy as np
+import pytest
+
+from bufpart import Graph, balanced, buffered_balanced_cut, cheeger2_buffered, kway_balanced
+from conftest import cycle, disjoint_cliques, planted, random_regular, weighted_er
+from cut_oracles import reference_crossing_cost, reference_two_threshold_cut
+
+CLIQUES = disjoint_cliques([9, 10, 11, 12])
+PLANTED = planted([30, 30, 30], 0.3, 0.03, seed=41)[0]
+WEIGHTED = weighted_er(60, 0.12, 42)          # real-valued costs and weights
+CYCLE = cycle(40)                             # usq comes in tied pairs
+REGULAR = random_regular(48, 4, 43)           # every vertex weighs 4
+
+GRAPHS = {"cliques": CLIQUES, "planted": PLANTED, "weighted": WEIGHTED,
+          "cycle": CYCLE, "regular": REGULAR}
+EPSILONS = (0.01, 0.1, 0.24)
+
+
+def assert_same_cut(got, want):
+    for field in ("s", "t", "b", "side_vector"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    for field in ("phi", "buffer_ratio", "cut_value", "lambda2", "threshold"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def assert_same_threshold_cut(got, want):
+    assert got[0] == want[0]
+    for a, b in zip(got[1:4], want[1:4]):
+        assert np.array_equal(a, b)
+    assert got[4:] == want[4:]
+
+
+class CutSpy:
+    """Records every exact cut the sweep evaluates (cut_cost_masks in balanced)."""
+
+    def __init__(self, monkeypatch):
+        self.cuts = []
+        real = balanced.cut_cost_masks
+
+        def spy(g, ma, mb):
+            value = real(g, ma, mb)
+            self.cuts.append(value)
+            return value
+        monkeypatch.setattr(balanced, "cut_cost_masks", spy)
+
+
+def use_reference_loop(monkeypatch):
+    monkeypatch.setattr(balanced, "_two_threshold_cut", reference_two_threshold_cut)
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_cheeger2_matches_reference(name, eps, monkeypatch):
+    g = GRAPHS[name]
+    got = cheeger2_buffered(g, eps)
+    use_reference_loop(monkeypatch)
+    assert_same_cut(got, cheeger2_buffered(g, eps))
+
+
+def test_tied_scores_are_present():
+    # The tie cases must really have tied usq values.
+    for g in (CYCLE, REGULAR):
+        usq = cheeger2_buffered(g, 0.1).side_vector ** 2
+        assert np.unique(usq).size < g.n
+
+
+def test_sweep_prunes_most_thresholds(monkeypatch):
+    spy = CutSpy(monkeypatch)
+    cut = cheeger2_buffered(WEIGHTED, 0.1)
+    usq = cut.side_vector ** 2
+    candidates = np.unique(np.concatenate([usq, 1.1 * usq])).size
+    assert 1 <= len(spy.cuts) <= candidates // 10
+
+
+def test_exact_recheck_overrules_approximate_order(monkeypatch):
+    # In exact arithmetic thresholds 0 and 1/6 tie at phi = 1.2 (cut 4.8 over
+    # w(S) = 4, cut 3.6 over w(S) = 3).  The masked sums give 1.2000000000000002
+    # and 1.2, so 1/6 wins; the prefix sums order 0 first and put 1/6 at or
+    # above that phi.  Only the error bound keeps 1/6 for the exact re-check.
+    edges = [(0, 1, 0.9), (0, 2, 1.1), (1, 2, 0.3), (1, 3, 0.6), (1, 4, 0.2),
+             (2, 3, 0.3), (2, 5, 0.9), (3, 4, 0.9), (3, 5, 0.7), (4, 5, 1.1)]
+    g = Graph.build(6, edges, weights=[1.0, 1.0, 1.0, 1.0, 2.0, 1.0])
+    usq = np.linspace(0.0, 1.0, 7)[[6, 3, 0, 1, 0, 5]]
+    spy = CutSpy(monkeypatch)
+    got = balanced._two_threshold_cut(g, usq, 0.24)
+    assert_same_threshold_cut(got, reference_two_threshold_cut(g, usq, 0.24))
+    assert got[0] == usq[3]
+    assert spy.cuts == [1.1 + 0.3 + 0.2 + 0.3 + 0.9 + 0.9 + 1.1, 1.1 + 0.3 + 0.2 + 0.9 + 1.1]
+    assert spy.cuts[0] / 4.0 > spy.cuts[1] / 3.0
+
+
+def test_threshold_cut_fuzz():
+    # Coarse usq grids (many ties and near-ties), costs whose sums round, all
+    # three eps; the sweep must pick the reference's threshold, sets and sums.
+    rng = np.random.default_rng(44)
+    costs = np.array([0.1, 0.2, 0.3, 0.7, 1.1, 0.6, 0.4])
+    compared = 0
+    for _ in range(400):
+        n = int(rng.integers(3, 12))
+        edges = [(i, j, float(rng.choice(costs))) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.5]
+        if not edges:
+            continue
+        g = Graph.build(n, edges, weights=rng.choice([0.5, 1.0, 2.0, 3.0], size=n))
+        usq = rng.choice(np.linspace(0.0, 1.0, 6), size=n)
+        usq[rng.integers(n)] = 1.0
+        eps = float(rng.choice(EPSILONS))
+        try:
+            want = reference_two_threshold_cut(g, usq, eps)
+        except balanced.PartitionError:
+            with pytest.raises(balanced.PartitionError):
+                balanced._two_threshold_cut(g, usq, eps)
+            continue
+        assert_same_threshold_cut(balanced._two_threshold_cut(g, usq, eps), want)
+        compared += 1
+    assert compared > 300
+
+
+@pytest.mark.parametrize("name", ["planted", "weighted", "regular"])
+def test_balanced_recursions_match_reference(name, monkeypatch):
+    g = GRAPHS[name]
+    got_bc = buffered_balanced_cut(g, 0.1)
+    got_kw = kway_balanced(g, 4, 0.1)
+    use_reference_loop(monkeypatch)
+    want_bc = buffered_balanced_cut(g, 0.1)
+    want_kw = kway_balanced(g, 4, 0.1)
+    for a, b in zip(got_bc.per_level_cuts, want_bc.per_level_cuts, strict=True):
+        assert_same_cut(a, b)
+    assert got_bc.cut_value == want_bc.cut_value
+    assert np.array_equal(got_bc.buffer, want_bc.buffer)
+    assert got_kw.crossing_cost == want_kw.crossing_cost
+    for a, b in zip(got_kw.parts, want_kw.parts, strict=True):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["planted", "weighted"])
+@pytest.mark.parametrize("k", [2, 5, 8])
+def test_kway_crossing_cost_matches_pairwise_loop(name, k):
+    g = GRAPHS[name]
+    res = kway_balanced(g, k, 0.1)
+    assert res.crossing_cost == reference_crossing_cost(g, res.parts)
+
+
+def test_crossing_cost_fuzz():
+    # Random parts with a buffer, real-valued costs: bit-for-bit the pairwise sums.
+    rng = np.random.default_rng(45)
+    g = weighted_er(200, 0.3, 46)
+    for k in (1, 2, 3, 7, 16):
+        for _ in range(5):
+            label = rng.integers(-1, k, size=g.n)       # -1: buffer
+            parts = [np.flatnonzero(label == i) for i in range(k)]
+            assert balanced._crossing_cost(g, parts) == reference_crossing_cost(g, parts)

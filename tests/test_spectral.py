@@ -1,11 +1,13 @@
 """Laplacian, eigensolver (dense and Lanczos), embedding, ball measure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bufpart import (EmbeddingError, ball_measure, edge_energy, eigenbasis,
+from bufpart import (EmbeddingError, Graph, ball_measure, edge_energy, eigenbasis,
                      embed, normalized_laplacian)
-from bufpart.spectral import SpectralBasis
+from bufpart.spectral import SpectralBasis, _lanczos_eigenbasis
 from conftest import (cycle, disjoint_cliques, k4, random_regular,
                       small_solver_suite, triangle, weighted_er)
 
@@ -91,6 +93,31 @@ class TestEigenbasis:
         g = disjoint_cliques([4, 4, 4])
         basis = eigenbasis(normalized_laplacian(g), 4, method="lanczos")
         assert np.all(np.abs(basis.eigenvalues[:3]) <= 1e-9)
+
+    def test_lanczos_memory_follows_steps(self):
+        # Planted 6-block graph, n = 3000: the Krylov basis grows past its first
+        # 64 columns, yet the traced peak stays far below one n x n array.
+        rng = np.random.default_rng(47)
+        n, blocks = 3000, 6
+        u = rng.integers(0, n, size=15 * n)
+        v = np.where(rng.random(u.size) < 0.95,
+                     rng.integers(0, n // blocks, u.size) * blocks + u % blocks,
+                     rng.integers(0, n, u.size))
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = np.unique((lo * n + hi)[lo != hi])
+        g = Graph.build(n, np.column_stack([keys // n, keys % n, np.ones(keys.size)]))
+        lap = normalized_laplacian(g)
+        tracemalloc.start()
+        try:
+            vals, vecs = _lanczos_eigenbasis(lap, 4, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 // 8
+        assert peak > 64 * n * 8            # the basis did grow
+        for i in range(4):
+            assert np.linalg.norm(lap.matvec(vecs[:, i]) - vals[i] * vecs[:, i]) <= 1e-8
+        assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-10)
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
