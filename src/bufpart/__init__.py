@@ -7,9 +7,9 @@ bounds and brute-force oracles.
 
 from .balanced import (BalancedCutResult, BufferedCut, KwayBalancedResult,
                        buffered_balanced_cut, cheeger2_buffered, kway_balanced)
-from .certify import (Certificate, brute_force_h_k_eps, brute_force_many,
-                      certify_run, check_buffered_lower_bound,
-                      lower_bound_unbuffered, robust_expansion)
+from .certify import (Certificate, brute_force_h_k_eps, certify_run,
+                      check_buffered_lower_bound, lower_bound_unbuffered,
+                      robust_expansion)
 from .gaussian import gaussian_tail, gaussian_tail_inv, tail_sandwich
 from .graph import (BufferedPartition, CutReport, Graph, GraphError,
                     PartitionError, ValidationReport, buffered_expansion,

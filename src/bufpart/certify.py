@@ -1,9 +1,11 @@
-"""Certification: eigenvalue lower bounds, brute-force oracles, robust expansion.
+"""Certification: eigenvalue lower bounds, the exact oracle, robust expansion.
 
-The brute-force oracle realizes the definition of h^{k,eps} by enumerating
-every assignment of vertices to {core 1..k, buffer 1..k}, pruned by part-label
-symmetry (part indices must appear in first-encounter order).  It is the
-ground truth the algorithms are measured against on tiny instances.
+The exact oracle realizes the definition of h^{k,eps} on graphs of at most
+BRUTE_FORCE_CAP vertices.  It enumerates each assignment of vertices to
+{core 1..k, buffer 1..k} once up to renaming the parts: the part indices form
+a restricted-growth string, generated directly and in lexicographic order.
+One enumeration scores every epsilon budget it is given.  It is the ground
+truth the algorithms are measured against on tiny instances.
 """
 
 from __future__ import annotations
@@ -66,117 +68,98 @@ def check_buffered_lower_bound(g: Graph, part: BufferedPartition, k: int,
     return slack >= -tol, slack
 
 
-def _canonical_order_mask(labels: np.ndarray, k: int) -> np.ndarray:
-    """Keep assignments whose part indices first appear in increasing order."""
-    n_assign, n = labels.shape
-    parts = labels >> 1
-    seen_rank = np.full(n_assign, -1, dtype=np.int64)
-    rank = np.zeros((n_assign, k), dtype=np.int64)  # assigned rank per part, -1 if unseen
-    rank[:] = -1
-    next_rank = np.zeros(n_assign, dtype=np.int64)
-    ok = np.ones(n_assign, dtype=bool)
-    for j in range(n):
-        p = parts[:, j]
-        cur = rank[np.arange(n_assign), p]
-        new = cur == -1
-        # a newly seen part must take the next free rank == its own index order
-        rank[np.arange(n_assign)[new], p[new]] = next_rank[new]
-        ok &= ~new | (p == next_rank)
-        next_rank[new] += 1
-    return ok
+def _canonical_labels(n: int, k: int):
+    """Yield, in chunks and in ascending order, every canonical k-part label matrix row.
 
-
-def _enumerate_assignments(g: Graph, k: int):
-    """Yield (labels_chunk, core_w, buf_w, phi) over canonical valid-core assignments.
-
-    labels: vertex -> 2*i (core of part i) or 2*i+1 (buffer of part i).
-    phi is the max buffered expansion, independent of the epsilon budget.
+    Column v of a row labels vertex v with 2*i (core of part i) or 2*i+1
+    (buffer of part i).  The part indices form a restricted-growth string
+    (Knuth, TAOCP Vol. 4A, 7.2.1.5): a vertex may open at most the next unused
+    part.  A prefix is pruned once its remaining vertices cannot give every
+    part a core vertex, so each row uses all k parts and has a core in each.
+    Each prefix is extended by its labels in ascending order, so the rows come
+    out in lexicographic order.  Expansion is depth first and no block grows by
+    more than _CHUNK candidate rows at once.
     """
-    n = g.n
-    total = (2 * k) ** n
+    step = max(1, _CHUNK // (2 * k))
+
+    def expand(labels, opened, cored, lacking):
+        # per prefix: parts opened, bitmask of parts with a core, parts without one
+        j = labels.shape[1]
+        if j == n:
+            yield labels
+            return
+        for start in range(0, labels.shape[0], step):
+            stop = start + step
+            m, mask = opened[start:stop], cored[start:stop]
+            counts = 2 * np.minimum(m + 1, k)
+            parent = np.repeat(np.arange(m.size), counts)
+            label = np.arange(parent.size) - (np.cumsum(counts) - counts)[parent]
+            part = label >> 1
+            first_core = ((label & 1) == 0) & (((mask[parent] >> part) & 1) == 0)
+            need = lacking[start:stop][parent] - first_core
+            viable = need <= n - j - 1          # one vertex left per coreless part
+            parent, label, part = parent[viable], label[viable], part[viable]
+            child = np.empty((parent.size, j + 1), dtype=np.int8)
+            child[:, :j] = labels[start + parent]
+            child[:, j] = label
+            yield from expand(child, np.maximum(m[parent], part + 1),
+                              mask[parent] | (first_core[viable] << part), need[viable])
+
+    yield from expand(np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int64),
+                      np.zeros(1, dtype=np.int64), np.full(1, k, dtype=np.int64))
+
+
+def brute_force_h_k_eps(g: Graph, k: int,
+                        epsilons) -> list[tuple[float, BufferedPartition]]:
+    """Exact h^{k,eps} with an optimal witness for each budget, from one enumeration.
+
+    Returns one (optimum, witness) pair per budget, in input order.  A
+    budget's witness is its first optimal assignment in enumeration order.
+    """
+    if g.n > BRUTE_FORCE_CAP:
+        raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_CAP} (graph has {g.n})")
+    if not 1 <= k <= g.n:
+        raise ValueError(f"k must lie in [1, n={g.n}], got {k}")
+    eps_list = [float(e) for e in epsilons]
+    for e in eps_list:
+        if not 0.0 <= e < 1.0:
+            raise ValueError(f"epsilon must lie in [0,1), got {e}")
     w = g.weights
     eu, ev, ec = g.edge_u, g.edge_v, g.edge_cost
-    base = np.empty(n, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        count = min(_CHUNK, total - start)
-        codes = np.arange(start, start + count, dtype=np.int64)
-        labels = np.empty((count, n), dtype=np.int8)
-        rem = codes.copy()
-        for j in range(n - 1, -1, -1):
-            labels[:, j] = rem % (2 * k)
-            rem //= 2 * k
-        keep = _canonical_order_mask(labels, k)
-        labels = labels[keep]
-        if labels.shape[0] == 0:
-            continue
-        count = labels.shape[0]
-        core_w = np.zeros((count, k))
-        buf_w = np.zeros((count, k))
+    best_phi = [math.inf] * len(eps_list)
+    best_labels: list[np.ndarray | None] = [None] * len(eps_list)
+    for labels in _canonical_labels(g.n, k):
+        # every part has a core vertex and weights are positive, so core_w > 0
+        core_w = np.zeros((labels.shape[0], k))
+        buf_w = np.zeros((labels.shape[0], k))
         for i in range(k):
             core_w[:, i] = ((labels == 2 * i) * w[None, :]).sum(axis=1)
             buf_w[:, i] = ((labels == 2 * i + 1) * w[None, :]).sum(axis=1)
-        valid = (core_w > 0.0).all(axis=1)
-        labels = labels[valid]
-        core_w = core_w[valid]
-        buf_w = buf_w[valid]
-        if labels.shape[0] == 0:
-            continue
-        count = labels.shape[0]
-        cut = np.zeros((count, k))
+        cut = np.zeros((labels.shape[0], k))
         lu = labels[:, eu]
         lv = labels[:, ev]
+        # an edge between two parts counts toward the part of each core endpoint
+        between = (lu >> 1) != (lv >> 1)
         for i in range(k):
-            cu = lu == 2 * i
-            cv = lv == 2 * i
-            inside_u = cu | (lu == 2 * i + 1)
-            inside_v = cv | (lv == 2 * i + 1)
-            crossing = (cu & ~inside_v) | (cv & ~inside_u)
+            crossing = between & ((lu == 2 * i) | (lv == 2 * i))
             cut[:, i] = (crossing * ec[None, :]).sum(axis=1)
         phi = (cut / core_w).max(axis=1)
-        yield labels, core_w, buf_w, phi
-
-
-def brute_force_h_k_eps(g: Graph, k: int, epsilon: float,
-                        cap: int = BRUTE_FORCE_CAP) -> tuple[float, BufferedPartition]:
-    """Exact h^{k,eps} with an optimal witness, by exhaustive enumeration."""
-    if g.n > cap:
-        raise ValueError(f"brute force capped at n <= {cap} (graph has {g.n})")
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k must lie in [1, n={g.n}], got {k}")
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in [0,1), got {epsilon}")
-    best_phi = math.inf
-    best_labels: np.ndarray | None = None
-    for labels, core_w, buf_w, phi in _enumerate_assignments(g, k):
-        feasible = (buf_w <= epsilon * core_w + 0.0).all(axis=1)
-        if not feasible.any():
-            continue
-        idx = np.flatnonzero(feasible)
-        local = idx[np.argmin(phi[idx])]
-        if phi[local] < best_phi:
-            best_phi = float(phi[local])
-            best_labels = labels[local].copy()
-    if best_labels is None:
-        raise PartitionError(f"no feasible {epsilon}-buffered {k}-partition exists")
-    parts = [np.flatnonzero(best_labels == 2 * i) for i in range(k)]
-    buffers = [np.flatnonzero(best_labels == 2 * i + 1) for i in range(k)]
-    witness = BufferedPartition.from_sets(parts, buffers, epsilon)
-    return best_phi, witness
-
-
-def brute_force_many(g: Graph, k: int, epsilons,
-                     cap: int = BRUTE_FORCE_CAP) -> dict:
-    """h^{k,eps} for several budgets from one enumeration pass (no witnesses)."""
-    if g.n > cap:
-        raise ValueError(f"brute force capped at n <= {cap} (graph has {g.n})")
-    eps_list = [float(e) for e in epsilons]
-    best = {e: math.inf for e in eps_list}
-    for _, core_w, buf_w, phi in _enumerate_assignments(g, k):
-        for e in eps_list:
-            feasible = (buf_w <= e * core_w).all(axis=1)
-            if feasible.any():
-                best[e] = min(best[e], float(phi[feasible].min()))
-    return best
+        for b, e in enumerate(eps_list):
+            idx = np.flatnonzero((buf_w <= e * core_w).all(axis=1))
+            if idx.size == 0:
+                continue
+            local = idx[np.argmin(phi[idx])]
+            if phi[local] < best_phi[b]:
+                best_phi[b] = float(phi[local])
+                best_labels[b] = labels[local].copy()
+    results = []
+    for e, phi_e, lab in zip(eps_list, best_phi, best_labels):
+        if lab is None:
+            raise PartitionError(f"no feasible {e}-buffered {k}-partition exists")
+        parts = [np.flatnonzero(lab == 2 * i) for i in range(k)]
+        buffers = [np.flatnonzero(lab == 2 * i + 1) for i in range(k)]
+        results.append((phi_e, BufferedPartition.from_sets(parts, buffers, e)))
+    return results
 
 
 def robust_expansion(g: Graph, s: np.ndarray, eta: float) -> tuple[int, float]:
@@ -236,8 +219,7 @@ class Certificate:
 
 
 def certify_run(g: Graph, k: int, epsilon: float, delta: float,
-                part: BufferedPartition, basis: SpectralBasis,
-                brute_cap: int = BRUTE_FORCE_CAP) -> Certificate:
+                part: BufferedPartition, basis: SpectralBasis) -> Certificate:
     """Bundle the eigenvalue bounds and (small instances) brute-force baseline."""
     k_hat = basis.k_prime
     lam_hat = float(basis.eigenvalues[k_hat - 1])
@@ -249,8 +231,8 @@ def certify_run(g: Graph, k: int, epsilon: float, delta: float,
     else:
         ratio = 0.0 if achieved <= 0.0 else None
     brute: float | None = None
-    if g.n <= brute_cap:
-        brute = brute_force_h_k_eps(g, k, epsilon, cap=brute_cap)[0]
+    if g.n <= BRUTE_FORCE_CAP:
+        brute = brute_force_h_k_eps(g, k, [epsilon])[0][0]
     return Certificate(
         lambda_k=lam_hat, k_hat=k_hat, achieved_cost=achieved,
         lower_bound_unbuffered=lam_hat / 2.0,

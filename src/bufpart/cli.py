@@ -8,7 +8,6 @@ seed reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -70,7 +69,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--constants-file", help="JSON AlgoConstants overrides")
 
     p = sub.add_parser("cheeger2", help="two-way buffered Cheeger cut")
     common(p)
@@ -109,7 +107,6 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--cap", type=int, default=10)
     return parser
 
 
@@ -169,10 +166,10 @@ def _cmd_partition(args) -> tuple[dict, int]:
     _check_range("--delta", args.delta, 0.0, 1.0, lo_open=True)
     if args.k < 2:
         raise ParameterError(f"--k must be at least 2, got {args.k}")
-    consts = AlgoConstants.from_file(args.constants_file) if args.constants_file \
-        else AlgoConstants()
-    if args.restarts is not None:
-        consts = dataclasses.replace(consts, max_restarts=args.restarts)
+    if args.restarts is not None and args.restarts < 1:
+        raise ParameterError(f"--restarts must be at least 1, got {args.restarts}")
+    consts = AlgoConstants() if args.restarts is None else \
+        AlgoConstants(max_restarts=args.restarts)
     try:
         bp, report, info = buffered_k_partition(g, args.k, args.eps, args.delta,
                                                 consts, seed=args.seed)
@@ -320,10 +317,10 @@ def _cmd_certify(args) -> tuple[dict, int]:
 def _cmd_brute(args) -> tuple[dict, int]:
     g = _load(args)
     _check_range("--eps", args.eps, 0.0, 1.0)
-    optimum, witness = brute_force_h_k_eps(g, args.k, args.eps, cap=args.cap)
+    [(optimum, witness)] = brute_force_h_k_eps(g, args.k, [args.eps])
     doc = {
         "command": "brute",
-        "params": {"k": args.k, "eps": args.eps, "cap": args.cap},
+        "params": {"k": args.k, "eps": args.eps},
         "optimum": optimum,
         "witness": _assignment_dict(g, witness.parts, witness.buffers),
     }

@@ -32,7 +32,6 @@ survives; the fallback is recorded in the run diagnostics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -75,29 +74,12 @@ class AlgoConstants:
     c_prime: float | None = None          # buffer slack, default 192/delta
     c_double_prime: float | None = None   # expansion slack, practical default 10/delta
     max_restarts: int = 8
-    step4_mode: str = "theory"            # "theory" or "keep_best"
-    source: str = "theory-free practical defaults"
 
     def buffer_slack(self, delta: float) -> float:
         return self.c_prime if self.c_prime is not None else 192.0 / delta
 
     def expansion_slack(self, delta: float) -> float:
         return self.c_double_prime if self.c_double_prime is not None else 10.0 / delta
-
-    @staticmethod
-    def from_file(path) -> "AlgoConstants":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        allowed = {"c_prime", "c_double_prime", "max_restarts", "step4_mode", "source"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown constants fields: {sorted(unknown)}")
-        consts = AlgoConstants(**data)
-        if consts.step4_mode not in ("theory", "keep_best"):
-            raise ValueError("step4_mode must be 'theory' or 'keep_best'")
-        if consts.max_restarts < 1:
-            raise ValueError("max_restarts must be >= 1")
-        return consts
 
 
 @dataclass(frozen=True)
@@ -446,10 +428,7 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
             threshold=r, phi=phi))
         r_b_prime[members[(bt & ~b_mask)[:size]]] = True
 
-    theory_kept = [t for t in survivors if t.phi <= bound]
-    by_phi = sorted(survivors, key=lambda t: (t.phi, -float(w[t.p].sum()), t.round_index))
-    keep_best_kept = by_phi[:k]
-    kept = theory_kept if consts.step4_mode == "theory" else keep_best_kept
+    kept = [t for t in survivors if t.phi <= bound]
     kept_ids = {t.round_index for t in kept}
     by_round = {rec.index: rec for rec in c.rounds}
     for t in survivors:
@@ -494,9 +473,7 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
             "expansion_slack": c_dprime,
             "infeasible_rounds": infeasible_rounds,
             "survivors_step3": len(survivors),
-            "kept_theory": len(theory_kept),
-            "kept_keep_best": len(keep_best_kept),
-            "step4_mode": consts.step4_mode,
+            "kept_theory": len(kept),
             "reject_count": c.reject_count,
             "r_b_prime_weight": float(w[r_b_prime].sum()),
             "r_b_prime_bound": 16.0 * epsilon * float(w.sum()),

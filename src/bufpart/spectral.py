@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, GraphError
 from .rng import derive_stream
 
 __all__ = [
@@ -84,8 +84,13 @@ class LaplacianOperator:
 
 def normalized_laplacian(g: Graph) -> LaplacianOperator:
     inc = g.incident_cost()
-    off = g.edge_cost / np.sqrt(g.weights[g.edge_u] * g.weights[g.edge_v])
-    return LaplacianOperator(graph=g, n=g.n, diag=inc / g.weights, off_scale=off)
+    with np.errstate(all="ignore"):
+        diag = inc / g.weights
+        off = g.edge_cost / np.sqrt(g.weights[g.edge_u] * g.weights[g.edge_v])
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise GraphError("the edge costs and vertex weights give a normalized Laplacian "
+                         "entry that float64 cannot hold; rescale the costs or the weights")
+    return LaplacianOperator(graph=g, n=g.n, diag=diag, off_scale=off)
 
 
 @dataclass(frozen=True)

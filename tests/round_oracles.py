@@ -142,10 +142,7 @@ def reference_refine_and_discard(c, e, g, k, epsilon, delta, consts=None) -> Par
         if stray.any():
             r_b_prime |= stray
 
-    theory_kept = [t for t in survivors if t.phi <= bound]
-    by_phi = sorted(survivors, key=lambda t: (t.phi, -float(w[t.p].sum()), t.round_index))
-    keep_best_kept = by_phi[:k]
-    kept = theory_kept if consts.step4_mode == "theory" else keep_best_kept
+    kept = [t for t in survivors if t.phi <= bound]
     kept_ids = {t.round_index for t in kept}
     by_round = {rec.index: rec for rec in c.rounds}
     for t in survivors:
@@ -186,9 +183,7 @@ def reference_refine_and_discard(c, e, g, k, epsilon, delta, consts=None) -> Par
             "expansion_slack": c_dprime,
             "infeasible_rounds": infeasible_rounds,
             "survivors_step3": len(survivors),
-            "kept_theory": len(theory_kept),
-            "kept_keep_best": len(keep_best_kept),
-            "step4_mode": consts.step4_mode,
+            "kept_theory": len(kept),
             "reject_count": c.reject_count,
             "r_b_prime_weight": float(w[r_b_prime].sum()),
             "r_b_prime_bound": 16.0 * epsilon * float(w.sum()),

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
-from bufpart import (brute_force_many, buffered_balanced_cut,
+from bufpart import (brute_force_h_k_eps, buffered_balanced_cut,
                      buffered_k_partition, calibrate, cheeger2_buffered,
                      crude_partition, cut_cost, derive_stream, edge_energy,
                      eigenbasis, embed, gaussian_tail, gaussian_tail_inv,
@@ -233,7 +233,8 @@ def test_criterion_07_eigenvalue_sandwich_tiny():
     for g in graphs:
         for k in (2, 3):
             lam = float(eigenbasis(normalized_laplacian(g), k).eigenvalues[k - 1])
-            oracle = brute_force_many(g, k, [0.0, 0.25])
+            (opt0, _), (opt25, _) = brute_force_h_k_eps(g, k, [0.0, 0.25])
+            oracle = {0.0: opt0, 0.25: opt25}
             assert lam / 2.0 <= oracle[0.0] + 1e-9
             worst_lower = min(worst_lower, oracle[0.0] + 1e-9 - lam / 2.0)
             for eps in (0.0, 0.25):

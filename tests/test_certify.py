@@ -1,6 +1,7 @@
 """Oracles and lower bounds; greedy-vs-exhaustive equivalence checks."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from bufpart import (BufferedPartition, brute_force_h_k_eps, buffered_expansion,
                      check_buffered_lower_bound, cut_cost, eigenbasis,
                      lower_bound_unbuffered, normalized_laplacian, partition_cost,
                      robust_expansion, validate_partition)
-from bufpart.certify import certify_run
-from conftest import disjoint_cliques, k4, tiny_connected, tiny_connected_suite
+from bufpart import certify
+from bufpart.certify import _canonical_labels, certify_run
+from conftest import (cycle, disjoint_cliques, k4, tiny_connected, tiny_connected_suite,
+                      weighted_er)
 
 
 def exhaustive_h_k_eps(g, k, eps):
@@ -31,6 +34,77 @@ def exhaustive_h_k_eps(g, k, eps):
     return best
 
 
+def reference_canonical_rows(n, k):
+    """Every label code in [0, (2k)^n), ascending, whose parts first appear in order.
+
+    This is the library's former enumeration: decode all (2k)^n base-2k codes
+    (vertex 0 most significant) and keep those the canonical-order mask passes.
+    """
+    codes = np.arange((2 * k) ** n, dtype=np.int64)
+    labels = np.empty((codes.size, n), dtype=np.int8)
+    for j in range(n - 1, -1, -1):
+        labels[:, j] = codes % (2 * k)
+        codes //= 2 * k
+    parts = labels >> 1
+    rows = np.arange(labels.shape[0])
+    rank = np.full((labels.shape[0], k), -1, dtype=np.int64)
+    next_rank = np.zeros(labels.shape[0], dtype=np.int64)
+    ok = np.ones(labels.shape[0], dtype=bool)
+    for j in range(n):
+        p = parts[:, j]
+        new = rank[rows, p] == -1
+        rank[rows[new], p[new]] = next_rank[new]
+        ok &= ~new | (p == next_rank)
+        next_rank[new] += 1
+    return labels[ok]
+
+
+def reference_brute_force(g, k, eps):
+    """The library's former exact oracle over reference_canonical_rows, one budget."""
+    labels = reference_canonical_rows(g.n, k)
+    w = g.weights
+    core_w = np.zeros((labels.shape[0], k))
+    buf_w = np.zeros((labels.shape[0], k))
+    for i in range(k):
+        core_w[:, i] = ((labels == 2 * i) * w[None, :]).sum(axis=1)
+        buf_w[:, i] = ((labels == 2 * i + 1) * w[None, :]).sum(axis=1)
+    valid = (core_w > 0.0).all(axis=1)
+    labels, core_w, buf_w = labels[valid], core_w[valid], buf_w[valid]
+    cut = np.zeros((labels.shape[0], k))
+    lu, lv = labels[:, g.edge_u], labels[:, g.edge_v]
+    for i in range(k):
+        cu, cv = lu == 2 * i, lv == 2 * i
+        inside_u, inside_v = cu | (lu == 2 * i + 1), cv | (lv == 2 * i + 1)
+        crossing = (cu & ~inside_v) | (cv & ~inside_u)
+        cut[:, i] = (crossing * g.edge_cost[None, :]).sum(axis=1)
+    phi = (cut / core_w).max(axis=1)
+    idx = np.flatnonzero((buf_w <= eps * core_w + 0.0).all(axis=1))
+    best = labels[idx[np.argmin(phi[idx])]]
+    parts = [np.flatnonzero(best == 2 * i) for i in range(k)]
+    buffers = [np.flatnonzero(best == 2 * i + 1) for i in range(k)]
+    return float(phi[idx].min()), parts, buffers
+
+
+def stirling2(n, k):
+    row = [1] + [0] * k
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+def cored_partition_count(n, k):
+    """Buffered k-partitions of n vertices up to part renaming, every part with a core.
+
+    Choose the c core vertices, split them into k parts (S(c, k) ways), then
+    put each of the other n - c vertices in the buffer of one of the k parts.
+    """
+    return sum(math.comb(n, c) * stirling2(c, k) * k ** (n - c) for c in range(n + 1))
+
+
+def generated_rows(n, k):
+    return np.concatenate(list(_canonical_labels(n, k)))
+
+
 class TestLowerBoundUnbuffered:
     def test_components_bound_zero(self):
         g = disjoint_cliques([3, 3, 4])
@@ -40,54 +114,131 @@ class TestLowerBoundUnbuffered:
         g = k4()
         bound = lower_bound_unbuffered(g, 2)
         assert bound == pytest.approx(2.0 / 3.0, abs=1e-10)
-        opt, _ = brute_force_h_k_eps(g, 2, 0.0)
+        [(opt, _)] = brute_force_h_k_eps(g, 2, [0.0])
         assert opt == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_below_oracle_on_tiny_suite(self):
         for g in tiny_connected_suite(6, sizes=(5, 6), seed0=40):
             for k in (2, 3):
                 assert lower_bound_unbuffered(g, k) <= \
-                    brute_force_h_k_eps(g, k, 0.0)[0] + 1e-9
+                    brute_force_h_k_eps(g, k, [0.0])[0][0] + 1e-9
 
 
 class TestBruteForce:
     def test_k4_witness(self):
-        opt, witness = brute_force_h_k_eps(k4(), 2, 0.0)
+        [(opt, witness)] = brute_force_h_k_eps(k4(), 2, [0.0])
         assert opt == pytest.approx(2.0 / 3.0)
         sizes = sorted(len(p) for p in witness.parts)
         assert sizes == [2, 2]
 
     def test_components_give_zero(self):
         g = disjoint_cliques([3, 4])
-        for eps in (0.0, 0.3):
-            opt, witness = brute_force_h_k_eps(g, 2, eps)
+        for opt, witness in brute_force_h_k_eps(g, 2, [0.0, 0.3]):
             assert opt == 0.0
             assert validate_partition(g, witness).valid
 
     def test_monotone_in_eps(self):
         for seed in range(30, 36):
             g = tiny_connected(6, seed)
-            vals = [brute_force_h_k_eps(g, 2, eps)[0] for eps in (0.0, 0.25, 0.5)]
+            vals = [opt for opt, _ in brute_force_h_k_eps(g, 2, [0.0, 0.25, 0.5])]
             assert vals[0] >= vals[1] - 1e-12 >= vals[2] - 2e-12
 
     def test_matches_reference_enumerator(self):
         for seed in (50, 51):
             g = tiny_connected(5, seed)
             for k, eps in [(2, 0.0), (2, 0.5), (3, 0.25)]:
-                assert brute_force_h_k_eps(g, k, eps)[0] == pytest.approx(
+                assert brute_force_h_k_eps(g, k, [eps])[0][0] == pytest.approx(
                     exhaustive_h_k_eps(g, k, eps), abs=1e-12)
 
     def test_witness_validates(self):
         for seed in (60, 61, 62):
             g = tiny_connected(7, seed)
-            opt, witness = brute_force_h_k_eps(g, 2, 0.25)
+            [(opt, witness)] = brute_force_h_k_eps(g, 2, [0.25])
             assert validate_partition(g, witness).valid
             assert partition_cost(g, witness).max_expansion == pytest.approx(opt, abs=1e-12)
 
     def test_cap_enforced(self):
-        g = tiny_connected(8, 70)
-        with pytest.raises(ValueError, match="capped"):
-            brute_force_h_k_eps(g, 2, 0.1, cap=6)
+        with pytest.raises(ValueError, match="capped at n <= 10"):
+            brute_force_h_k_eps(cycle(11), 2, [0.1])
+
+    def test_matches_former_oracle_exactly(self):
+        eps_list = [0.0, 0.1, 0.25, 0.5]
+        # real costs and weights as well, so sums that round must round alike
+        graphs = tiny_connected_suite(6, sizes=(5, 6, 7), seed0=110) + \
+            [weighted_er(n, 0.5, 110 + n) for n in (6, 7)]
+        for g in graphs:
+            for k in (2, 3):
+                got = brute_force_h_k_eps(g, k, eps_list)
+                assert len(got) == len(eps_list)
+                for eps, (opt, witness) in zip(eps_list, got):
+                    want_opt, want_parts, want_buffers = reference_brute_force(g, k, eps)
+                    assert opt == want_opt
+                    assert witness.epsilon == eps
+                    for a, b in zip(witness.parts + witness.buffers,
+                                    want_parts + want_buffers):
+                        assert np.array_equal(a, b)
+
+    def test_many_budgets_equal_one_call_each(self):
+        eps_list = [0.5, 0.0, 0.25, 0.1, 0.25]
+        for g in tiny_connected_suite(4, sizes=(6, 7), seed0=120):
+            for k in (2, 3):
+                many = brute_force_h_k_eps(g, k, eps_list)
+                for eps, (opt, witness) in zip(eps_list, many):
+                    [(one_opt, one_witness)] = brute_force_h_k_eps(g, k, [eps])
+                    assert opt == one_opt
+                    assert witness.epsilon == one_witness.epsilon == eps
+                    for a, b in zip(witness.parts + witness.buffers,
+                                    one_witness.parts + one_witness.buffers):
+                        assert np.array_equal(a, b)
+        assert brute_force_h_k_eps(k4(), 2, []) == []
+
+    def test_small_chunks_keep_the_first_optimum(self, monkeypatch):
+        g = cycle(7)    # many tied optima, spread over many chunks below
+        monkeypatch.setattr(certify, "_CHUNK", 512)
+        for eps, (opt, witness) in zip([0.0, 0.25], brute_force_h_k_eps(g, 3, [0.0, 0.25])):
+            want_opt, want_parts, want_buffers = reference_brute_force(g, 3, eps)
+            assert opt == want_opt
+            for a, b in zip(witness.parts + witness.buffers, want_parts + want_buffers):
+                assert np.array_equal(a, b)
+
+    def test_budget_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            brute_force_h_k_eps(k4(), 2, [0.1, 1.0])
+
+
+class TestCanonicalLabels:
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 8)
+                                     for k in range(1, min(n, 3) + 1)] + [(6, 4)])
+    def test_rows_are_former_survivors_with_a_core_per_part(self, n, k):
+        rows = generated_rows(n, k)
+        ref = reference_canonical_rows(n, k)
+        ref = ref[np.all([(ref == 2 * i).any(axis=1) for i in range(k)], axis=0)]
+        assert rows.dtype == np.int8
+        assert np.array_equal(rows, ref)
+        assert rows.shape[0] == cored_partition_count(n, k)
+
+    @pytest.mark.parametrize("n,k", [(8, 3), (10, 2), (8, 4)])
+    def test_rows_canonical_unique_ascending(self, n, k):
+        rows = generated_rows(n, k).astype(np.int64)
+        assert rows.shape == (cored_partition_count(n, k), n)
+        parts = rows >> 1
+        first = np.maximum.accumulate(parts, axis=1)
+        assert (parts[:, 0] == 0).all()
+        # a vertex opens at most the next part
+        assert (parts[:, 1:] <= first[:, :-1] + 1).all()
+        for i in range(k):
+            assert (rows == 2 * i).any(axis=1).all()
+        codes = (rows * (2 * k) ** np.arange(n - 1, -1, -1)).sum(axis=1)
+        assert (np.diff(codes) > 0).all()
+
+    @pytest.mark.parametrize("n,k", [(8, 3), (10, 2), (7, 4)])
+    def test_chunks_bounded_and_equal_to_one_block(self, n, k, monkeypatch):
+        whole = generated_rows(n, k)
+        monkeypatch.setattr(certify, "_CHUNK", 512)
+        chunks = list(_canonical_labels(n, k))
+        assert len(chunks) > 1
+        assert max(c.shape[0] for c in chunks) <= 512
+        assert np.array_equal(np.concatenate(chunks), whole)
 
 
 class TestBufferedLowerBound:
@@ -242,7 +393,7 @@ class TestCertifyRun:
     def test_achieved_at_least_oracle(self):
         for seed in (90, 91):
             g = tiny_connected(6, seed)
-            opt, witness = brute_force_h_k_eps(g, 2, 0.25)
+            [(opt, witness)] = brute_force_h_k_eps(g, 2, [0.25])
             basis = eigenbasis(normalized_laplacian(g), 2)
             cert = certify_run(g, 2, 0.25, 0.5, witness, basis)
             assert cert.achieved_cost >= cert.brute_force_optimum - 1e-9

@@ -117,18 +117,28 @@ class TestPartition:
         assert run(["partition", "--graph", str(tmp_path / "nope.txt"),
                     "--k", "3", "--eps", "0.1", "--delta", "0.5"]) == 1
 
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_restarts_below_one_exits_1(self, clique_file, tmp_path, restarts, capsys):
+        out = tmp_path / "out.json"
+        assert run(["partition", "--graph", clique_file, "--k", "3", "--eps", "0.1",
+                    "--delta", "0.5", "--restarts", restarts, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"bufpart: error: --restarts must be at least 1, got {restarts}\n"
+        assert not out.exists()
+
     def test_unknown_command_exits_1(self):
         assert run(["transmogrify"]) == 1
 
-    def test_constants_file(self, clique_file, tmp_path):
+    def test_constants_file(self, clique_file, tmp_path, capsys):
         consts = tmp_path / "c.json"
-        consts.write_text('{"max_restarts": 2, "step4_mode": "keep_best"}')
-        code, doc = run_json(
-            ["partition", "--graph", clique_file, "--k", "3", "--eps", "0.1",
-             "--delta", "0.1", "--seed", "1", "--constants-file", str(consts)],
-            tmp_path)
-        assert code == 0
-        assert doc["diagnostics"]["partial_diagnostics"]["step4_mode"] == "keep_best"
+        consts.write_text('{"max_restarts": 2}')
+        out = tmp_path / "out.json"
+        code = run(["partition", "--graph", clique_file, "--k", "3", "--eps", "0.1",
+                    "--delta", "0.1", "--seed", "1", "--constants-file", str(consts),
+                    "--out", str(out)])
+        assert code == 1
+        assert "unrecognized arguments: --constants-file" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCheeger2AndBalanced:
@@ -251,24 +261,45 @@ class TestPartitionErrorBranch:
         assert "error" in doc
 
 
+def _assert_one_line_exit_1(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bufpart: error: ") and "float64" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+OVERFLOW_ARGVS = [
+    ["partition", "--k", "2", "--eps", "0.1", "--delta", "0.5"],
+    ["cheeger2", "--eps", "0.1"],
+    ["spectrum", "--k", "2"],
+]
+
+
 class TestOverflowingCosts:
-    @pytest.mark.parametrize("argv", [
-        ["partition", "--k", "2", "--eps", "0.1", "--delta", "0.5"],
-        ["cheeger2", "--eps", "0.1"],
-        ["spectrum", "--k", "2"],
-    ])
+    @pytest.mark.parametrize("argv", OVERFLOW_ARGVS)
     def test_one_line_exit_1_without_warnings(self, argv, tmp_path, capsys):
         graph = tmp_path / "big.txt"
         graph.write_text("0 1 1e308\n1 2 1e308\n2 0 1e308\n2 3 1\n")
-        out = tmp_path / "out.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run(argv + ["--graph", str(graph), "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("bufpart: error: ") and "overflows" in err
-        assert err.count("\n") == 1
-        assert not out.exists()
+        _assert_one_line_exit_1(argv + ["--graph", str(graph)], tmp_path, capsys)
+
+    @pytest.mark.parametrize("argv", OVERFLOW_ARGVS)
+    @pytest.mark.parametrize("edges, weights", [
+        ("0 1 5e-324\n1 2 5e-324\n2 0 5e-324\n", None),
+        ("0 1 1e300\n1 2 1e300\n", "0 1e-10\n1 1e-10\n2 1e-10\n"),
+    ], ids=["denormal-costs", "huge-costs-tiny-weights"])
+    def test_laplacian_out_of_float64_exits_1(self, argv, edges, weights, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text(edges)
+        argv = argv + ["--graph", str(graph)]
+        if weights is not None:
+            (tmp_path / "w.txt").write_text(weights)
+            argv += ["--weights", str(tmp_path / "w.txt")]
+        _assert_one_line_exit_1(argv, tmp_path, capsys)
 
     def test_embedding_error_exits_2_with_one_line(self, clique_file, monkeypatch, capsys):
         from bufpart import cli as cli_mod

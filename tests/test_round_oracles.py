@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from bufpart import (AlgoConstants, RandomStream, buffered_k_partition, crude_partition,
+from bufpart import (RandomStream, buffered_k_partition, crude_partition,
                      derive_stream, eigenbasis, embed, normalized_laplacian,
                      refine_and_discard)
 from bufpart import certify, partition, separators
@@ -98,18 +98,18 @@ def test_oracle_cases_include_rejections():
     assert rejects > 0
 
 
-@pytest.mark.parametrize("mode", ["theory", "keep_best"])
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_local_refinement_matches_global_mask_reference(case, mode):
+# The ids keep the name of Step 4's rule, "theory" (keep every tuple within
+# the expansion bound), which is the only rule there is.
+@pytest.mark.parametrize("case", sorted(CASES), ids=[f"{c}-theory" for c in sorted(CASES)])
+def test_local_refinement_matches_global_mask_reference(case):
     g, k, eps, delta = CASES[case]
     e = _embedding(g, k)
-    consts = AlgoConstants(step4_mode=mode)
     kept = 0
     for seed in range(4):
         c = crude_partition(e, k, eps, delta, derive_stream(seed, "refine-oracle", k))
         eff = c.effective
-        got = refine_and_discard(c, e, g, k, eff.epsilon, eff.delta, consts)
-        want = reference_refine_and_discard(c, e, g, k, eff.epsilon, eff.delta, consts)
+        got = refine_and_discard(c, e, g, k, eff.epsilon, eff.delta)
+        want = reference_refine_and_discard(c, e, g, k, eff.epsilon, eff.delta)
         assert_same_partial(got, want)
         kept += got.k_prime
     assert kept > 0
