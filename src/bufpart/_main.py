@@ -2,15 +2,13 @@
 
 Numeric kernels are pinned to one BLAS thread before numpy loads so that a
 fixed seed gives byte-identical reports regardless of the machine's thread
-count; BUFPART_THREADS is accepted for the package's own (currently
-sequential) pools and never changes results.
+count.
 """
 
 import os
 
 
 def main() -> None:
-    os.environ.setdefault("BUFPART_THREADS", "1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ[var] = "1"

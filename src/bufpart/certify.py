@@ -1,22 +1,26 @@
 """Certification: eigenvalue lower bounds, the exact oracle, robust expansion.
 
+A run's certificate holds only polynomial quantities: lambda at the lifted
+index k_hat and the buffered lower bound lambda_k <= 2 phi + eps.
+
 The exact oracle realizes the definition of h^{k,eps} on graphs of at most
 BRUTE_FORCE_CAP vertices.  It enumerates each assignment of vertices to
 {core 1..k, buffer 1..k} once up to renaming the parts: the part indices form
 a restricted-growth string, generated directly and in lexicographic order.
 One enumeration scores every epsilon budget it is given.  It is the ground
-truth the algorithms are measured against on tiny instances.
+truth the algorithms are measured against on tiny instances, reached through
+the brute command and the tests, never through a certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import (BufferedPartition, Graph, PartitionError, partition_cost,
-                    validate_partition)
+from .graph import (BufferedPartition, CutReport, Graph, PartitionError,
+                    partition_cost)
 from .spectral import SpectralBasis, eigenbasis, normalized_laplacian
 
 __all__ = [
@@ -41,20 +45,21 @@ def lower_bound_unbuffered(g: Graph, k: int) -> float:
 
 
 def check_buffered_lower_bound(g: Graph, part: BufferedPartition, k: int,
-                               tol: float = 1e-9,
-                               basis: SpectralBasis | None = None) -> tuple[bool, float]:
+                               basis: SpectralBasis | None = None,
+                               report: CutReport | None = None) -> tuple[bool, float]:
     """Evaluate lambda_k <= 2 phi(partition) + eps; returns (passed, slack).
 
     basis, when given, is a bottom-k' eigenbasis of g with k' >= k that the
-    caller already holds; otherwise the bottom-k basis is solved here.
+    caller already holds; otherwise the bottom-k basis is solved here.  report,
+    when given, is partition_cost(g, part), which the caller already holds;
+    otherwise it is computed here, raising PartitionError on an invalid part.
 
     This inequality always holds when no vertex weight falls below its
     incident edge cost (the default-weight and regular regimes), so a failure
     there means an implementation bug, not a property of the input.
     """
-    report = validate_partition(g, part)
-    if not report.valid:
-        raise PartitionError(f"invalid partition: {report.first()}")
+    if report is None:
+        report = partition_cost(g, part)
     if len(part.parts) != k:
         raise ValueError(f"partition has {len(part.parts)} parts, expected {k}")
     if basis is None:
@@ -63,9 +68,8 @@ def check_buffered_lower_bound(g: Graph, part: BufferedPartition, k: int,
         raise ValueError(f"basis of shape {basis.eigenvectors.shape} does not hold "
                          f"the bottom {k} eigenpairs of this {g.n}-vertex graph")
     lam = basis.eigenvalues[k - 1]
-    phi = partition_cost(g, part).max_expansion
-    slack = 2.0 * phi + part.epsilon - float(lam)
-    return slack >= -tol, slack
+    slack = 2.0 * report.max_expansion + part.epsilon - float(lam)
+    return slack >= -1e-9, slack
 
 
 def _canonical_labels(n: int, k: int):
@@ -203,38 +207,29 @@ class Certificate:
     lower_bound_buffered_check: bool
     lower_bound_buffered_slack: float
     approx_ratio: float | None           # achieved * eps / (lambda_khat * ln khat)
-    brute_force_optimum: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_k": self.lambda_k,
-            "k_hat": self.k_hat,
-            "achieved_cost": self.achieved_cost,
-            "lower_bound_unbuffered": self.lower_bound_unbuffered,
-            "lower_bound_buffered_check": self.lower_bound_buffered_check,
-            "lower_bound_buffered_slack": self.lower_bound_buffered_slack,
-            "approx_ratio": self.approx_ratio,
-            "brute_force_optimum": self.brute_force_optimum,
-        }
+        return asdict(self)
 
 
-def certify_run(g: Graph, k: int, epsilon: float, delta: float,
-                part: BufferedPartition, basis: SpectralBasis) -> Certificate:
-    """Bundle the eigenvalue bounds and (small instances) brute-force baseline."""
+def certify_run(g: Graph, k: int, epsilon: float, part: BufferedPartition,
+                report: CutReport, basis: SpectralBasis) -> Certificate:
+    """The eigenvalue bounds for part, whose partition_cost is report.
+
+    basis is the run's bottom-k_hat eigenbasis; the approximation ratio is taken
+    against its last eigenvalue and the buffered lower bound against lambda_k.
+    """
     k_hat = basis.k_prime
     lam_hat = float(basis.eigenvalues[k_hat - 1])
-    achieved = partition_cost(g, part).max_expansion
-    passed, slack = check_buffered_lower_bound(g, part, k, basis=basis)
+    achieved = report.max_expansion
+    passed, slack = check_buffered_lower_bound(g, part, k, basis=basis, report=report)
     denom = lam_hat * math.log(k_hat) if k_hat > 1 else 0.0
     if denom > 0.0:
         ratio: float | None = achieved * epsilon / denom
     else:
         ratio = 0.0 if achieved <= 0.0 else None
-    brute: float | None = None
-    if g.n <= BRUTE_FORCE_CAP:
-        brute = brute_force_h_k_eps(g, k, [epsilon])[0][0]
     return Certificate(
         lambda_k=lam_hat, k_hat=k_hat, achieved_cost=achieved,
         lower_bound_unbuffered=lam_hat / 2.0,
         lower_bound_buffered_check=passed, lower_bound_buffered_slack=slack,
-        approx_ratio=ratio, brute_force_optimum=brute)
+        approx_ratio=ratio)

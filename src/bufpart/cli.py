@@ -15,9 +15,9 @@ import numpy as np
 from .balanced import buffered_balanced_cut, cheeger2_buffered, kway_balanced
 from .certify import (brute_force_h_k_eps, certify_run,
                       check_buffered_lower_bound)
-from .graph import (BufferedPartition, Graph, GraphError, PartitionError,
+from .graph import (BufferedPartition, Graph, GraphError, PartitionError, _cut_report,
                     load_graph, partition_cost, validate_partition)
-from .partition import AlgoConstants, buffered_k_partition
+from .partition import RESTARTS, buffered_k_partition, lifted_k
 from .reports import write_report
 from .spectral import (EmbeddingError, SolverError, eigenbasis, embed,
                        normalized_laplacian)
@@ -41,14 +41,11 @@ class ParameterError(ValueError):
 
 
 def _check_range(name: str, value: float, lo: float, hi: float,
-                 lo_open: bool = False, hi_open: bool = True) -> float:
-    ok_lo = value > lo if lo_open else value >= lo
-    ok_hi = value < hi if hi_open else value <= hi
-    if not (ok_lo and ok_hi):
-        lo_b = "(" if lo_open else "["
-        hi_b = ")" if hi_open else "]"
-        raise ParameterError(f"{name} must lie in {lo_b}{lo}, {hi}{hi_b}, got {value}")
-    return value
+                 lo_open: bool = False) -> None:
+    """Require value in [lo, hi), or in (lo, hi) when lo_open."""
+    if not ((value > lo if lo_open else value >= lo) and value < hi):
+        raise ParameterError(f"{name} must lie in {'(' if lo_open else '['}{lo}, {hi}), "
+                             f"got {value}")
 
 
 def _build_parser() -> _Parser:
@@ -68,7 +65,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=RESTARTS)
 
     p = sub.add_parser("cheeger2", help="two-way buffered Cheeger cut")
     common(p)
@@ -166,19 +163,17 @@ def _cmd_partition(args) -> tuple[dict, int]:
     _check_range("--delta", args.delta, 0.0, 1.0, lo_open=True)
     if args.k < 2:
         raise ParameterError(f"--k must be at least 2, got {args.k}")
-    if args.restarts is not None and args.restarts < 1:
+    if args.restarts < 1:
         raise ParameterError(f"--restarts must be at least 1, got {args.restarts}")
-    consts = AlgoConstants() if args.restarts is None else \
-        AlgoConstants(max_restarts=args.restarts)
     try:
         bp, report, info = buffered_k_partition(g, args.k, args.eps, args.delta,
-                                                consts, seed=args.seed)
+                                                seed=args.seed, restarts=args.restarts)
     except PartitionError as exc:
         return {"command": "partition", "error": str(exc)}, EXIT_GUARANTEE
     doc = {
         "command": "partition",
         "params": {"k": args.k, "eps": args.eps, "delta": args.delta,
-                   "seed": args.seed, "restarts": consts.max_restarts},
+                   "seed": args.seed, "restarts": args.restarts},
         "epsilon_realized": bp.epsilon,
         "assignment": _assignment_dict(g, bp.parts, bp.buffers),
         "cut_report": report.to_dict(),
@@ -279,17 +274,18 @@ def _cmd_verify(args) -> tuple[dict, int]:
     g = _load(args)
     _check_range("--eps", args.eps, 0.0, 1.0)
     part = _read_partition_file(args.partition, g, args.eps)
-    report = validate_partition(g, part)
+    validation = validate_partition(g, part)
     doc = {
         "command": "verify",
         "params": {"k": args.k, "eps": args.eps},
-        "valid": report.valid,
-        "violations": list(report.violations),
+        "valid": validation.valid,
+        "violations": list(validation.violations),
     }
-    if not report.valid:
+    if not validation.valid:
         return doc, EXIT_GUARANTEE
-    passed, slack = check_buffered_lower_bound(g, part, args.k)
-    doc["cut_report"] = partition_cost(g, part).to_dict()
+    report = _cut_report(g, part)
+    passed, slack = check_buffered_lower_bound(g, part, args.k, report=report)
+    doc["cut_report"] = report.to_dict()
     doc["lower_bound_buffered_check"] = passed
     doc["lower_bound_buffered_slack"] = slack
     if not passed:
@@ -303,9 +299,10 @@ def _cmd_certify(args) -> tuple[dict, int]:
     _check_range("--eps", args.eps, 0.0, 1.0)
     _check_range("--delta", args.delta, 0.0, 1.0, lo_open=True)
     part = _read_partition_file(args.partition, g, args.eps)
-    k_hat = min(int((1.0 + args.delta) * args.k), g.n)
-    basis = eigenbasis(normalized_laplacian(g), max(k_hat, args.k))
-    cert = certify_run(g, args.k, args.eps, args.delta, part, basis)
+    if not 1 <= args.k <= g.n:
+        raise ParameterError(f"--k must lie in [1, n={g.n}], got {args.k}")
+    basis = eigenbasis(normalized_laplacian(g), lifted_k(args.k, args.delta, g.n))
+    cert = certify_run(g, args.k, args.eps, part, partition_cost(g, part), basis)
     doc = {
         "command": "certify",
         "params": {"k": args.k, "eps": args.eps, "delta": args.delta},

@@ -43,6 +43,11 @@ class PartitionError(ValueError):
     """Operation applied to an invalid buffered partition."""
 
 
+_TINY = np.finfo(np.float64).tiny     # smallest normal float64, 2.2e-308
+_HUGE = np.finfo(np.float64).max
+_TOTAL_LIMIT = _HUGE / 1024.0
+
+
 def _as_vertex_array(vertices: Iterable[int], n: int) -> np.ndarray:
     arr = np.unique(np.asarray(list(vertices), dtype=np.int64))
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
@@ -76,7 +81,10 @@ class Graph:
 
         On bad input the GraphError names the first bad edge in input order,
         checked for a self-loop, then the vertex range, then the cost, then an
-        earlier edge with the same endpoints.
+        earlier edge with the same endpoints.  Then the scale rule applies:
+        costs and weights must be normal float64 numbers (a subnormal one
+        keeps fewer than 53 significant bits), and every normalized Laplacian
+        entry must stay within what the solvers' float64 norms can hold.
         """
         if n <= 0:
             raise GraphError("graph needs at least one vertex")
@@ -107,9 +115,6 @@ class Graph:
 
         with np.errstate(over="ignore"):
             incident = _incident_cost(n, eu, ev, ec)
-            incident_total = incident.sum()
-        if not np.isfinite(incident_total):
-            raise GraphError("the total incident edge cost overflows float64; rescale the costs")
         if weights is None:
             w = incident
             if np.any(w <= 0.0):
@@ -121,11 +126,7 @@ class Graph:
                 raise GraphError(f"expected {n} vertex weights, got {w.shape}")
             if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
                 raise GraphError("vertex weights must be positive and finite")
-            with np.errstate(over="ignore"):
-                weight_total = w.sum()
-            if not np.isfinite(weight_total):
-                raise GraphError("the total vertex weight overflows float64; rescale the weights")
-
+        _check_scale(n, ec, w, incident)
         return Graph(n=int(n), weights=w, edge_u=eu, edge_v=ev, edge_cost=ec,
                      labels=tuple(labels) if labels is not None else ())
 
@@ -159,6 +160,44 @@ class Graph:
                                  self.edge_cost[inside]))
         sub = Graph.build(keep.size, edges, weights=self.weights[keep])
         return sub, keep
+
+
+def _check_scale(n: int, cost: np.ndarray, w: np.ndarray, incident: np.ndarray) -> None:
+    """The scale rule of Graph.build, on finite positive costs and weights.
+
+    Bounds and reports multiply the total cost and the total weight by
+    constants up to 192 (the Step-3 buffer slack c' eps), so both totals stay
+    within 2^-10 of the largest float64.  Costs and weights must be normal.
+
+    The largest normalized Laplacian entry is B = max_u inc_u / w_u: an
+    off-diagonal c_uv / sqrt(w_u w_v) is at most the geometric mean of its two
+    diagonal entries, since c_uv is at most both inc_u and inc_v.  For a unit
+    x, each entry of L x - lambda x is at most 2 n B in size (|lambda| <= n B),
+    so the residual norm, a sum of n squares, stays finite while
+    4 n^3 B^2 <= the largest float64.  B also bounds every buffered
+    expansion: cut(P, .) / w(P) <= sum_P inc_u / sum_P w_u <= B.
+    """
+    with np.errstate(over="ignore"):
+        totals = incident.sum(), w.sum()
+    for total, what, which in zip(totals, ("incident edge cost", "vertex weight"),
+                                  ("costs", "weights")):
+        if not total <= _TOTAL_LIMIT:
+            raise GraphError(f"the total {what} overflows {_TOTAL_LIMIT:.3g}, 2^-10 of the "
+                             f"largest float64, which bounds and reports need; "
+                             f"rescale the {which}")
+    if cost.size and cost.min() < _TINY:
+        raise GraphError(f"edge cost {float(cost.min())!r} is subnormal in float64; "
+                         f"rescale the costs")
+    if w.min() < _TINY:
+        raise GraphError(f"vertex weight {float(w.min())!r} is subnormal in float64; "
+                         f"rescale the weights")
+    limit = np.sqrt(_HUGE / (4.0 * float(n) ** 3))
+    with np.errstate(over="ignore"):
+        largest = float((incident / w).max())
+    if largest > limit:
+        raise GraphError(f"a vertex's incident cost over its weight is {largest!r}, above "
+                         f"{limit:.3g}, the largest normalized Laplacian entry whose float64 "
+                         f"solver norms stay finite at n = {n}; rescale the costs or the weights")
 
 
 def cut_cost(g: Graph, a: Iterable[int], b: Iterable[int]) -> float:
@@ -287,6 +326,11 @@ def partition_cost(g: Graph, part: BufferedPartition) -> CutReport:
     report = validate_partition(g, part)
     if not report.valid:
         raise PartitionError(f"invalid buffered partition: {report.first()}")
+    return _cut_report(g, part)
+
+
+def _cut_report(g: Graph, part: BufferedPartition) -> CutReport:
+    """partition_cost() of a partition that validate_partition() has passed."""
     phis = []
     ratios = []
     for p, b in zip(part.parts, part.buffers):

@@ -38,14 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import certify_run
-from .graph import BufferedPartition, Graph, PartitionError, partition_cost
+from .graph import BufferedPartition, CutReport, Graph, PartitionError, partition_cost
 from .rng import RandomStream, derive_stream
 from .separators import (CalibrationError, SeparatorParams, calibrate,
                          measured_draws, practical_params)
 from .spectral import Embedding, embed, eigenbasis, normalized_laplacian
 
 __all__ = [
-    "AlgoConstants",
     "EffectiveParams",
     "RoundRecord",
     "CrudePartition",
@@ -58,6 +57,7 @@ __all__ = [
     "refine_and_discard",
     "partial_partition",
     "complete_partition",
+    "lifted_k",
     "buffered_k_partition",
 ]
 
@@ -65,21 +65,9 @@ ALPHA_FLOOR = 1e-3         # below this a certified scale cannot fire at desk sc
 PRACTICAL_ALPHA_MIN = 1e-4
 PRACTICAL_ALPHA_MAX = 0.15865525393145707   # Phi_bar(1)
 MAX_ROUNDS = 20000
-
-
-@dataclass(frozen=True)
-class AlgoConstants:
-    """Tunable slack multipliers; None picks the per-delta defaults at use."""
-
-    c_prime: float | None = None          # buffer slack, default 192/delta
-    c_double_prime: float | None = None   # expansion slack, practical default 10/delta
-    max_restarts: int = 8
-
-    def buffer_slack(self, delta: float) -> float:
-        return self.c_prime if self.c_prime is not None else 192.0 / delta
-
-    def expansion_slack(self, delta: float) -> float:
-        return self.c_double_prime if self.c_double_prime is not None else 10.0 / delta
+BUFFER_SLACK = 192.0       # Step 3 buffer slack c' = BUFFER_SLACK / delta
+EXPANSION_SLACK = 10.0     # Step 4 expansion slack c'' = EXPANSION_SLACK / delta
+RESTARTS = 8
 
 
 @dataclass(frozen=True)
@@ -322,24 +310,19 @@ class PartialPartition:
     def max_phi(self) -> float:
         return max((t.phi for t in self.tuples), default=math.inf)
 
-    def thresholds(self) -> list[float]:
-        return [t.threshold for t in self.tuples]
-
 
 def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
-                       epsilon: float, delta: float,
-                       consts: AlgoConstants | None = None) -> PartialPartition:
+                       epsilon: float, delta: float) -> PartialPartition:
     """Steps 3 and 4: per-round threshold search, then the expansion filter.
 
     epsilon/delta are the effective Step-2 values (crude.effective carries them).
     """
-    consts = consts or AlgoConstants()
     if e.k_prime < k:
         raise ValueError("embedding has fewer eigenpairs than k")
     n = g.n
     lam_k = float(e.basis.eigenvalues[k - 1])
-    c_prime = consts.buffer_slack(delta)
-    c_dprime = consts.expansion_slack(delta)
+    c_prime = BUFFER_SLACK / delta
+    c_dprime = EXPANSION_SLACK / delta
     bound = (c_dprime / epsilon) * lam_k * math.log(k) if epsilon > 0 else math.inf
     mu = e.mu
     w = g.weights
@@ -447,8 +430,7 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
 
     # Measured leftover-cut aggregate: for each kept tuple i, the total cost
     # from all A' sets and R'_P into P_i u B_i, expressed as a multiple of
-    # (lambda_k ln k / eps) w(P_i).  Reported, never asserted: the matching
-    # slack constant is configurable.
+    # (lambda_k ln k / eps) w(P_i).  Reported, never asserted.
     leftover_ratio = 0.0
     if kept and epsilon > 0 and lam_k > 0:
         a_and_rp = r_p_prime.copy()
@@ -502,15 +484,16 @@ def _assert_partial_structure(pp: PartialPartition, n: int) -> None:
 class PartialRun:
     partial: PartialPartition
     embedding: Embedding
-    crude: CrudePartition
     restart_index: int
     buffer_mass: float
+    # complete_partition(partial, g, k_target) with its partition_cost, or the
+    # PartitionError that completing or costing it raised
+    completion: tuple[BufferedPartition, CutReport] | PartitionError
     diagnostics: dict
 
 
-def partial_partition(g: Graph, k: int, epsilon: float, delta: float,
-                      consts: AlgoConstants | None = None, seed: int = 0,
-                      k_target: int | None = None) -> PartialRun:
+def partial_partition(g: Graph, k: int, epsilon: float, delta: float, seed: int = 0,
+                      k_target: int | None = None, restarts: int = RESTARTS) -> PartialRun:
     """Steps 1-4 with restarts; returns the best accepted run.
 
     A run is accepted when w(R_B) + sum_t w(Btilde_t) <= 16 eps w(V) (the
@@ -520,7 +503,6 @@ def partial_partition(g: Graph, k: int, epsilon: float, delta: float,
     PartitionError ranks last.  The tuple count does not rank runs: singleton
     fragments raise it without lowering the expansion.
     """
-    consts = consts or AlgoConstants()
     if not 2 <= k <= g.n:
         raise ValueError(f"k must lie in [2, n={g.n}], got {k}")
     k_target = k if k_target is None else k_target
@@ -537,7 +519,7 @@ def partial_partition(g: Graph, k: int, epsilon: float, delta: float,
     best: PartialRun | None = None
     best_completed = math.inf
     attempts = []
-    for restart in range(consts.max_restarts):
+    for restart in range(restarts):
         stream = derive_stream(seed, "partition", restart)
         crude = crude_partition(e, k, epsilon, delta, stream, effective=eff)
         mass = crude.buffer_mass(g)
@@ -545,22 +527,24 @@ def partial_partition(g: Graph, k: int, epsilon: float, delta: float,
         if not accepted:
             attempts.append({"restart": restart, "accepted": False, "buffer_mass": mass})
             continue
-        pp = refine_and_discard(crude, e, g, k, eff.epsilon, eff.delta, consts)
+        pp = refine_and_discard(crude, e, g, k, eff.epsilon, eff.delta)
         try:
-            completed = partition_cost(g, complete_partition(pp, g, k_target)).max_expansion
-        except PartitionError:
-            completed = math.inf
+            bp = complete_partition(pp, g, k_target)
+            completion = (bp, partition_cost(g, bp))
+            completed = completion[1].max_expansion
+        except PartitionError as exc:
+            completion, completed = exc, math.inf
         attempts.append({"restart": restart, "accepted": True, "buffer_mass": mass,
                          "tuples": pp.k_prime, "max_phi": pp.max_phi(),
                          "completed_max_phi": completed if completed < math.inf else None})
         if best is None or completed < best_completed:
             best_completed = completed
-            best = PartialRun(partial=pp, embedding=e, crude=crude, restart_index=restart,
-                              buffer_mass=mass,
+            best = PartialRun(partial=pp, embedding=e, restart_index=restart,
+                              buffer_mass=mass, completion=completion,
                               diagnostics={"notes": notes, "attempts": attempts})
     if best is None:
         raise PartitionError(
-            f"all {consts.max_restarts} restarts failed the Step-2 acceptance check; "
+            f"all {restarts} restarts failed the Step-2 acceptance check; "
             f"attempts: {attempts}")
     target = (1.0 - 2.0 * eff.delta) * k
     best.diagnostics["tuple_target"] = target
@@ -615,20 +599,24 @@ def complete_partition(pp: PartialPartition, g: Graph, k_target: int) -> Buffere
     return BufferedPartition.from_sets(parts, buffers, budget)
 
 
-def buffered_k_partition(g: Graph, k: int, epsilon: float, delta: float,
-                         consts: AlgoConstants | None = None, seed: int = 0):
+def lifted_k(k: int, delta: float, n: int) -> int:
+    """k_hat = min(floor((1 + delta) k), n), the embedding dimension of a run."""
+    return min(math.floor((1.0 + delta) * k), n)
+
+
+def buffered_k_partition(g: Graph, k: int, epsilon: float, delta: float, seed: int = 0,
+                         restarts: int = RESTARTS):
     """End-to-end driver: partial partition at lifted parameters, then completion.
 
-    Returns (BufferedPartition, CutReport, certificate dict).
+    Returns (BufferedPartition, CutReport, info dict holding the certificate).
     """
-    consts = consts or AlgoConstants()
     if not 2 <= k <= g.n:
         raise ValueError(f"k must lie in [2, n={g.n}], got {k}")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0,1), got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    k_hat = min(math.floor((1.0 + delta) * k), g.n)
+    k_hat = lifted_k(k, delta, g.n)
     delta_hat = min((1.0 - 1.0 / math.sqrt(1.0 + delta)) / 2.0, 1.0 / 80.0)
     k_prime_guess = math.ceil((1.0 - 2.0 * delta_hat) * k_hat)
     delta_slack = (k_prime_guess - k + 1) / k_prime_guess
@@ -636,10 +624,11 @@ def buffered_k_partition(g: Graph, k: int, epsilon: float, delta: float,
         delta_slack = 1.0 / k_hat
     eps_hat = epsilon * delta_slack / 54.0
 
-    run = partial_partition(g, k_hat, eps_hat, delta_hat, consts, seed, k_target=k)
-    bp = complete_partition(run.partial, g, k)
-    report = partition_cost(g, bp)
-    cert = certify_run(g, k, epsilon, delta, bp, run.embedding.basis)
+    run = partial_partition(g, k_hat, eps_hat, delta_hat, seed, k_target=k, restarts=restarts)
+    if isinstance(run.completion, PartitionError):
+        raise run.completion
+    bp, report = run.completion
+    cert = certify_run(g, k, epsilon, bp, report, run.embedding.basis)
     info = {
         "k": k, "epsilon": epsilon, "delta": delta,
         "k_hat": k_hat, "delta_hat": delta_hat,

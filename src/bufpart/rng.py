@@ -26,17 +26,13 @@ def _tag_entropy(tag: str, indices: tuple[int, ...]) -> list[int]:
 
 
 class RandomStream:
-    """One logical stream: uniforms straight from Philox, normals via Box-Muller."""
+    """One logical stream: normals via Box-Muller over Philox uniforms."""
 
     def __init__(self, seed: int, tag: str, *indices: int):
-        self.label = f"{tag}/{seed}" + "".join(f"/{i}" for i in indices)
         ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
                                     spawn_key=tuple(_tag_entropy(tag, indices)))
         self._gen = np.random.Generator(np.random.Philox(ss))
         self._pending: float | None = None
-
-    def uniforms(self, n: int) -> np.ndarray:
-        return self._gen.random(int(n))
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals; Box-Muller pairs, leftover carried to the next call."""

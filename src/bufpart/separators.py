@@ -14,16 +14,16 @@ calibrate() picks the smallest threshold t whose exact joint-tail condition
 
 holds; that inequality is precisely what bounds the probability of two
 R-separated vectors landing in X together, so no loose tail constants enter.
-The measured variants rerun a one-buffer draw and reject it outright (empty
-sets) unless min over u in X of mu(X minus Ball(u, R)) <= delta mu(U), which
-makes their separation property hold on every returned draw by construction.
+Every draw is measured: it is rejected outright (empty sets) unless
+min over u in X of mu(X minus Ball(u, R)) <= delta mu(U), which makes the
+separation property hold on every returned draw by construction.
 
-measured_draws() evaluates a run of measured draws in blocks: it validates
-the vectors and measures once, takes each block's Gaussian directions from
-one normals() call, projects the block with project() and classifies only
-the vertices that reach X u Y u Z.  The rejection is still applied to every
-draw.  The single-draw sample_measured() and sample_two_buffers() are
-one-draw runs of the same routine, so both paths give the same bits.
+measured_draws() evaluates a run of draws in blocks: it validates the vectors
+and measures once, takes each block's Gaussian directions from one normals()
+call, projects the block with project() and classifies only the vertices that
+reach X u Y u Z.  The rejection is still applied to every draw.
+sample_two_buffers() is a one-draw run of the same routine, so it gives the
+same bits as the matching draw of a longer run.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ __all__ = [
     "CalibrationError",
     "calibrate",
     "practical_params",
-    "sample_one_buffer",
-    "sample_measured",
     "sample_two_buffers",
     "measured_draws",
     "project",
@@ -68,16 +66,9 @@ class SeparatorParams:
     m: float
     r: float
     t: float
-    alpha: float            # Phi_bar(t); may underflow for extreme t, see log_alpha
-    log_alpha: float
+    alpha: float            # Phi_bar(t); may underflow for extreme t
     eps_prime: float        # buffer width eps / (e (t + 1/t))
-    distortion_budget: float  # nominal (1/eps) log m scale, diagnostic only
     calibrated: bool        # True when the joint-tail certificate holds at (t, m, r)
-
-    def certificate_margin(self) -> float:
-        """log Phi_bar(t) - log m - log Phi_bar(rho t); >= 0 iff the certificate holds."""
-        rho = 1.0 / math.sqrt(1.0 - self.r * self.r / 4.0)
-        return log_gaussian_tail(self.t) - math.log(self.m) - log_gaussian_tail(rho * self.t)
 
 
 def _params_at(t: float, epsilon: float, m: float, r: float, calibrated: bool) -> SeparatorParams:
@@ -86,10 +77,7 @@ def _params_at(t: float, epsilon: float, m: float, r: float, calibrated: bool) -
         raise CalibrationError(f"buffer width {eps_prime} >= threshold {t}")
     return SeparatorParams(
         epsilon=float(epsilon), m=float(m), r=float(r), t=float(t),
-        alpha=gaussian_tail(t), log_alpha=log_gaussian_tail(t),
-        eps_prime=eps_prime,
-        distortion_budget=(math.log(m) / epsilon) if epsilon > 0 else math.inf,
-        calibrated=calibrated)
+        alpha=gaussian_tail(t), eps_prime=eps_prime, calibrated=calibrated)
 
 
 def calibrate(epsilon: float, m: float, r: float) -> SeparatorParams:
@@ -129,9 +117,9 @@ def practical_params(epsilon: float, m: float, r: float, alpha: float) -> Separa
     """Separator thresholds at a caller-chosen probability scale.
 
     Used when the certified scale from calibrate() is too small to ever fire
-    at the given sample budget.  The min-ball rejection in the measured
-    variants still enforces their separation condition on every draw; only
-    the tail certificate is waived (calibrated=False).
+    at the given sample budget.  The min-ball rejection still enforces the
+    separation condition on every draw; only the tail certificate is waived
+    (calibrated=False).
     """
     if not 0.0 < alpha < 0.5:
         raise CalibrationError(f"probability scale must lie in (0, 0.5), got {alpha}")
@@ -143,8 +131,7 @@ class SeparatorSample:
     x: np.ndarray           # indices into the vector list
     y: np.ndarray
     z: np.ndarray
-    gaussian_seed: str      # label of the stream that produced the draw
-    rejected: bool = False  # measured variants: True when the min-ball test emptied the draw
+    rejected: bool = False  # True when the min-ball test emptied the draw
 
     def is_empty(self) -> bool:
         return self.x.size == 0 and self.y.size == 0 and self.z.size == 0
@@ -201,16 +188,6 @@ def _reached(proj: np.ndarray, p: SeparatorParams) -> np.ndarray:
     return proj > low if low < p.t else proj >= p.t
 
 
-def sample_one_buffer(vectors: np.ndarray, p: SeparatorParams,
-                      stream: RandomStream) -> SeparatorSample:
-    """One draw of the one-buffer separator (z stays empty)."""
-    vectors = _check_unit(vectors)
-    proj = project(vectors.T, stream.normals(vectors.shape[1])[None, :])[0]
-    x, y, _ = classify(proj, p)
-    return SeparatorSample(x=np.flatnonzero(x), y=np.flatnonzero(y),
-                           z=np.empty(0, dtype=np.int64), gaussian_seed=stream.label)
-
-
 def _min_ball_leftover(vectors: np.ndarray, measures: np.ndarray,
                        x_idx: np.ndarray, r: float) -> float:
     """min over u in X of mu(X minus Ball(u, r)) in the psi metric."""
@@ -222,8 +199,7 @@ def _min_ball_leftover(vectors: np.ndarray, measures: np.ndarray,
 
 def measured_draws(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
                    delta: float, r: float, stream: RandomStream, count: int,
-                   params: SeparatorParams | None = None,
-                   two_buffers: bool = True) -> Iterator[SeparatorSample]:
+                   params: SeparatorParams | None = None) -> Iterator[SeparatorSample]:
     """count successive measured draws from stream, evaluated in blocks.
 
     The inputs are validated once.  Each block of up to
@@ -242,25 +218,22 @@ def measured_draws(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
         raise ValueError("need one measure per vector")
     p = params if params is not None else calibrate(epsilon, 2.0 / delta, r)
     return _draw_blocks(vectors, measures, delta * float(measures.sum()), r, p, stream,
-                        int(count), two_buffers)
+                        int(count))
 
 
-def _draw_blocks(vectors, measures, limit, r, p, stream, count, two_buffers):
+def _draw_blocks(vectors, measures, limit, r, p, stream, count):
     """The generator behind measured_draws(); limit is delta mu(U)."""
     count_v, dim = vectors.shape
     columns = np.ascontiguousarray(vectors.T)
     block = max(1, BLOCK_VALUES // max(count_v, 1))
     empty = np.empty(0, dtype=np.int64)
-    quiet = SeparatorSample(x=empty, y=empty, z=empty, gaussian_seed=stream.label)
-    refused = SeparatorSample(x=empty, y=empty, z=empty, gaussian_seed=stream.label,
-                              rejected=True)
+    quiet = SeparatorSample(x=empty, y=empty, z=empty)
+    refused = SeparatorSample(x=empty, y=empty, z=empty, rejected=True)
     for first in range(0, count, block):
         size = min(block, count - first)
         proj = project(columns, stream.normals(dim * size).reshape(size, dim))
         rows, cols = np.divmod(np.flatnonzero(_reached(proj, p)), count_v)
         x, y, z = classify(proj[rows, cols], p)
-        if not two_buffers:
-            z[:] = False
         bounds = np.searchsorted(rows, np.arange(size + 1)).tolist()
         for i in range(size):
             lo, hi = bounds[i], bounds[i + 1]
@@ -272,16 +245,7 @@ def _draw_blocks(vectors, measures, limit, r, p, stream, count, two_buffers):
             if x_idx.size and _min_ball_leftover(vectors, measures, x_idx, r) > limit:
                 yield refused
                 continue
-            yield SeparatorSample(x=x_idx, y=span[y[lo:hi]], z=span[z[lo:hi]],
-                                  gaussian_seed=stream.label)
-
-
-def sample_measured(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
-                    delta: float, r: float, stream: RandomStream,
-                    params: SeparatorParams | None = None) -> SeparatorSample:
-    """Measure-constrained separator: empty unless the min-ball condition holds."""
-    return next(measured_draws(vectors, measures, epsilon, delta, r, stream, 1, params,
-                               two_buffers=False))
+            yield SeparatorSample(x=x_idx, y=span[y[lo:hi]], z=span[z[lo:hi]])
 
 
 def sample_two_buffers(vectors: np.ndarray, measures: np.ndarray, epsilon: float,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .graph import Graph
 from .rng import derive_stream
 
 __all__ = [
@@ -39,12 +39,11 @@ __all__ = [
 
 DENSE_LIMIT = 2048
 DEFAULT_TOL = 1e-10
+_TINY = np.finfo(np.float64).tiny
 
 
 class SolverError(RuntimeError):
-    def __init__(self, message: str, best_residual: float | None = None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    pass
 
 
 class EmbeddingError(RuntimeError):
@@ -83,14 +82,16 @@ class LaplacianOperator:
 
 
 def normalized_laplacian(g: Graph) -> LaplacianOperator:
-    inc = g.incident_cost()
-    with np.errstate(all="ignore"):
-        diag = inc / g.weights
-        off = g.edge_cost / np.sqrt(g.weights[g.edge_u] * g.weights[g.edge_v])
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        raise GraphError("the edge costs and vertex weights give a normalized Laplacian "
-                         "entry that float64 cannot hold; rescale the costs or the weights")
-    return LaplacianOperator(graph=g, n=g.n, diag=diag, off_scale=off)
+    """The operator of L; Graph.build has bounded every entry (graph._check_scale)."""
+    wu, wv = g.weights[g.edge_u], g.weights[g.edge_v]
+    with np.errstate(over="ignore", under="ignore"):
+        prod = wu * wv
+    # sqrt(w_u) sqrt(w_v) only where w_u w_v left the normal range, so every
+    # other entry keeps the bits of c_uv / sqrt(w_u w_v)
+    normal = (prod >= _TINY) & np.isfinite(prod)
+    root = np.sqrt(prod, where=normal, out=np.sqrt(wu) * np.sqrt(wv))
+    return LaplacianOperator(graph=g, n=g.n, diag=g.incident_cost() / g.weights,
+                             off_scale=g.edge_cost / root)
 
 
 @dataclass(frozen=True)
@@ -120,18 +121,26 @@ def _residuals(op: LaplacianOperator, vals: np.ndarray, vecs: np.ndarray) -> np.
     return res
 
 
+def _eigh(matrix: np.ndarray, solver: str) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{solver} (LAPACK eigh on a {matrix.shape[0]}x{matrix.shape[0]} "
+                          f"matrix) failed: {exc}") from exc
+
+
 def _dense_eigenbasis(op: LaplacianOperator, k_prime: int) -> tuple[np.ndarray, np.ndarray]:
     L = op.dense()
     L = 0.5 * (L + L.T)
-    vals, vecs = np.linalg.eigh(L)
+    vals, vecs = _eigh(L, "dense eigensolver")
     return vals[:k_prime], vecs[:, :k_prime]
 
 
-def _lanczos_eigenbasis(op: LaplacianOperator, k_prime: int, tol: float,
-                        seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _lanczos_eigenbasis(op: LaplacianOperator, k_prime: int,
+                        tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Full-reorthogonalization Lanczos; restarts on breakdown to pick up multiplicities."""
     n = op.n
-    stream = derive_stream(seed, "lanczos")
+    stream = derive_stream(0, "lanczos")
     max_matvecs = 50 * n
     Q = np.zeros((n, min(n, 64)))   # doubled when full: memory follows the steps taken
     alphas: list[float] = []
@@ -155,7 +164,7 @@ def _lanczos_eigenbasis(op: LaplacianOperator, k_prime: int, tol: float,
         if m > 1:
             off = np.asarray(betas[: m - 1])
             T = T + np.diag(off, 1) + np.diag(off, -1)
-        tvals, tvecs = np.linalg.eigh(T)
+        tvals, tvecs = _eigh(T, "Lanczos Ritz step")
         take = min(k_prime, m)
         return tvals[:take], Q[:, :m] @ tvecs[:, :take]
 
@@ -183,8 +192,7 @@ def _lanczos_eigenbasis(op: LaplacianOperator, k_prime: int, tol: float,
             if float(res.max()) <= 1e-7:
                 return vals, vecs
             raise SolverError(
-                f"Lanczos spanned R^{n} but residual {float(res.max()):.3e} exceeds 1e-7",
-                best_residual=float(res.max()))
+                f"Lanczos spanned R^{n} but residual {float(res.max()):.3e} exceeds 1e-7")
 
         if m >= k_prime and (m % cadence == 0 or matvecs >= max_matvecs):
             vals, vecs = ritz(m)
@@ -195,8 +203,7 @@ def _lanczos_eigenbasis(op: LaplacianOperator, k_prime: int, tol: float,
                 return vals, vecs
             if matvecs >= max_matvecs:
                 raise SolverError(
-                    f"Lanczos hit the {max_matvecs}-matvec cap; best residual {best_res:.3e}",
-                    best_residual=best_res)
+                    f"Lanczos hit the {max_matvecs}-matvec cap; best residual {best_res:.3e}")
 
         if used == Q.shape[1]:
             grown = np.zeros((n, min(n, 2 * used)))
@@ -216,7 +223,7 @@ def _lanczos_eigenbasis(op: LaplacianOperator, k_prime: int, tol: float,
 
 
 def eigenbasis(op: LaplacianOperator, k_prime: int, tol: float = DEFAULT_TOL,
-               method: str = "auto", seed: int = 0) -> SpectralBasis:
+               method: str = "auto") -> SpectralBasis:
     """Bottom-k' eigenpairs of the normalized Laplacian.
 
     method: 'auto' (dense up to DENSE_LIMIT vertices, Lanczos beyond),
@@ -229,7 +236,7 @@ def eigenbasis(op: LaplacianOperator, k_prime: int, tol: float = DEFAULT_TOL,
     if method == "dense":
         vals, vecs = _dense_eigenbasis(op, k_prime)
     elif method == "lanczos":
-        vals, vecs = _lanczos_eigenbasis(op, k_prime, tol, seed=seed)
+        vals, vecs = _lanczos_eigenbasis(op, k_prime, tol)
     else:
         raise ValueError(f"unknown eigensolver method {method!r}")
     vecs = _canonical_signs(vecs)

@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 
-from bufpart.partition import (AlgoConstants, CrudePartition, PartialPartition,
-                               RefinedTuple, RoundRecord, resolve_step2)
+from bufpart.partition import (BUFFER_SLACK, EXPANSION_SLACK, CrudePartition,
+                               PartialPartition, RefinedTuple, RoundRecord,
+                               resolve_step2)
 from bufpart.separators import sample_two_buffers
 
 
@@ -63,13 +64,12 @@ def reference_crude_partition(e, k, epsilon, delta, rng, effective=None):
     return crude, snapshots
 
 
-def reference_refine_and_discard(c, e, g, k, epsilon, delta, consts=None) -> PartialPartition:
+def reference_refine_and_discard(c, e, g, k, epsilon, delta) -> PartialPartition:
     """Steps 3 and 4 with full-length vertex and edge masks for every candidate r."""
-    consts = consts or AlgoConstants()
     n = g.n
     lam_k = float(e.basis.eigenvalues[k - 1])
-    c_prime = consts.buffer_slack(delta)
-    c_dprime = consts.expansion_slack(delta)
+    c_prime = BUFFER_SLACK / delta
+    c_dprime = EXPANSION_SLACK / delta
     bound = (c_dprime / epsilon) * lam_k * math.log(k) if epsilon > 0 else math.inf
     mu = e.mu
     w = g.weights

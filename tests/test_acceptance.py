@@ -457,7 +457,7 @@ def test_criterion_14_determinism(tmp_path):
     outputs = []
     for threads in ("1", "4", "1", "4"):
         out = tmp_path / f"report_{len(outputs)}.json"
-        env = dict(os.environ, BUFPART_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "bufpart._run", "partition", "--graph",
              str(graph), "--k", "3", "--eps", "0.1", "--delta", "0.1",

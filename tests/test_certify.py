@@ -385,15 +385,16 @@ class TestCertifyRun:
         g = disjoint_cliques([3, 3])
         part = BufferedPartition.from_sets([[0, 1, 2], [3, 4, 5]], [[], []], 0.0)
         basis = eigenbasis(normalized_laplacian(g), 2)
-        cert = certify_run(g, 2, 0.1, 0.5, part, basis)
+        cert = certify_run(g, 2, 0.1, part, partition_cost(g, part), basis)
         assert cert.approx_ratio == 0.0
         assert cert.lower_bound_buffered_check
-        assert cert.brute_force_optimum == pytest.approx(0.0)
+        [(opt, _)] = brute_force_h_k_eps(g, 2, [0.1])
+        assert opt == pytest.approx(0.0)
 
     def test_achieved_at_least_oracle(self):
         for seed in (90, 91):
             g = tiny_connected(6, seed)
             [(opt, witness)] = brute_force_h_k_eps(g, 2, [0.25])
             basis = eigenbasis(normalized_laplacian(g), 2)
-            cert = certify_run(g, 2, 0.25, 0.5, witness, basis)
-            assert cert.achieved_cost >= cert.brute_force_optimum - 1e-9
+            cert = certify_run(g, 2, 0.25, witness, partition_cost(g, witness), basis)
+            assert cert.achieved_cost >= opt - 1e-9

@@ -202,6 +202,16 @@ class TestVerifyCertifyBrute:
         assert code == 0
         assert doc["certificate"]["achieved_cost"] == 0.0
 
+    @pytest.mark.parametrize("k", ["0", "5", "1" + "0" * 400])
+    def test_certify_k_out_of_range_exits_1(self, k, tiny_file, tmp_path, capsys):
+        part = _write(tmp_path, "p.json", json.dumps({"assignment": {
+            str(v): {"part_id": v % 2, "role": "core"} for v in range(4)}}))
+        out = tmp_path / "out.json"
+        assert run(["certify", "--graph", tiny_file, "--partition", part, "--k", k,
+                    "--eps", "0.1", "--delta", "0.5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"bufpart: error: --k must lie in [1, n=4], got {k}\n"
+        assert not out.exists()
+
     def test_brute(self, tiny_file, tmp_path):
         code, doc = run_json(
             ["brute", "--graph", tiny_file, "--k", "2", "--eps", "0.25"],
@@ -315,6 +325,158 @@ class TestOverflowingCosts:
         assert capsys.readouterr().err == "bufpart: failure: vertex 3 embeds to the zero vector\n"
 
 
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _run_quietly(argv, capsys):
+    """run(argv) with every Python warning turned into an error; returns (code, stderr)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    return code, capsys.readouterr().err
+
+
+class TestExtremeScales:
+    def test_triangle_costs_1e200_give_the_unit_spectrum(self, tmp_path, capsys):
+        graph = _write(tmp_path, "g.txt", "0 1 1e200\n1 2 1e200\n2 0 1e200\n")
+        out = tmp_path / "out.json"
+        code, err = _run_quietly(["spectrum", "--graph", graph, "--k", "3",
+                                  "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        doc = json.loads(out.read_text())
+        assert doc["eigenvalues"] == pytest.approx([0.0, 1.5, 1.5], abs=1e-12)
+
+    def test_cheeger2_costs_1e200_match_unit_costs(self, tmp_path, capsys):
+        docs = []
+        for cost in ("1", "1e200"):
+            graph = _write(tmp_path, f"g{cost}.txt",
+                           "".join(f"{e} {cost}\n" for e in ("a b", "b c", "a c", "c d")))
+            out = tmp_path / f"out{cost}.json"
+            code, err = _run_quietly(["cheeger2", "--graph", graph, "--eps", "0.1",
+                                      "--out", str(out)], capsys)
+            assert (code, err) == (0, "")
+            docs.append(json.loads(out.read_text()))
+        assert docs[1]["lambda2"] == pytest.approx(docs[0]["lambda2"], rel=1e-12)
+        assert docs[1]["phi"] == pytest.approx(docs[0]["phi"], rel=1e-12)
+        assert docs[1]["assignment"] == docs[0]["assignment"]
+        assert docs[0]["phi"] == 0.5
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300])
+    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    def test_scaled_costs_give_the_unit_cost_spectrum(self, scale, method, tmp_path, capsys):
+        edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (2, 3, 3.0), (3, 4, 1.0),
+                 (4, 5, 1.5), (5, 3, 0.25), (1, 4, 0.75)]
+        spectra = []
+        for factor in (1.0, scale):
+            graph = _write(tmp_path, "g.txt", "".join(f"{u} {v} {c * factor!r}\n"
+                                                      for u, v, c in edges))
+            out = tmp_path / "out.json"
+            code, err = _run_quietly(["spectrum", "--graph", graph, "--k", "6",
+                                      "--method", method, "--out", str(out)], capsys)
+            assert (code, err) == (0, "")
+            spectra.append(json.loads(out.read_text())["eigenvalues"])
+        assert spectra[1] == pytest.approx(spectra[0], abs=1e-12)
+
+    @pytest.mark.parametrize("edges, weights, argv", [
+        ("0 1\n", "0 1e300\n1 1e-300\n", ["spectrum", "--k", "2"]),
+        ("a b 1e-300\nb c 1e300\n", "a 1\nb 1\nc 1\n",
+         ["spectrum", "--method", "lanczos", "--k", "3"]),
+        ("a b\nb c\na c\n", "a 1e-320\nb 1\nc 1\n", ["brute", "--k", "2", "--eps", "0.1"]),
+        ("a b 3e-308\nb c 3e-308\na c 3e-308\n", "a 1e-320\nb 1e-320\nc 1e-320\n",
+         ["spectrum", "--k", "2"]),
+    ], ids=["weight-ratio-1e600", "cost-ratio-1e600-lanczos", "subnormal-weight-brute",
+            "subnormal-weights"])
+    def test_out_of_scale_input_exits_1(self, edges, weights, argv, tmp_path, capsys):
+        argv = argv + ["--graph", _write(tmp_path, "g.txt", edges),
+                       "--weights", _write(tmp_path, "w.txt", weights)]
+        _assert_one_line_exit_1(argv, tmp_path, capsys)
+
+    def test_verify_applies_the_scale_rule(self, tmp_path, capsys):
+        part = _write(tmp_path, "p.json", json.dumps({"assignment": {
+            "a": {"part_id": 0, "role": "core"}, "b": {"part_id": 1, "role": "core"},
+            "c": {"part_id": 1, "role": "core"}}}))
+        argv = ["verify", "--graph", _write(tmp_path, "g.txt", "a b\nb c\na c\n"),
+                "--weights", _write(tmp_path, "w.txt", "a 1e-300\nb 1\nc 1\n"),
+                "--partition", part, "--k", "2", "--eps", "0.1"]
+        _assert_one_line_exit_1(argv, tmp_path, capsys)
+
+
+class TestSolverFailure:
+    @pytest.mark.parametrize("method, solver", [("dense", "dense eigensolver"),
+                                                ("lanczos", "Lanczos Ritz step")])
+    def test_linalg_error_exits_2_naming_the_solver(self, method, solver, tiny_file,
+                                                    tmp_path, monkeypatch, capsys):
+        import numpy as np
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        out = tmp_path / "out.json"
+        code = run(["spectrum", "--graph", tiny_file, "--k", "2", "--method", method,
+                    "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bufpart: failure: {solver} (LAPACK eigh")
+        assert err.endswith("failed: Eigenvalues did not converge\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestWorkDoneOnce:
+    """Within one command no partition is completed, validated or costed twice."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        from collections import Counter
+
+        from bufpart import certify, cli, graph, partition
+        # Counted by object: different restarts may complete to equal partitions.
+        seen = {"complete": Counter(), "validate": Counter(), "cost": Counter()}
+        alive = []          # keeps every counted object, so no id is reused
+
+        def counting(kind, original, at):
+            # keyed by the object at args[at] and, for completion, the part count
+            def wrapper(*args):
+                alive.append(args[at])
+                seen[kind][(id(args[at]),) + args[2:]] += 1
+                return original(*args)
+            return wrapper
+
+        wrapped = {
+            "complete_partition": counting("complete", partition.complete_partition, 0),
+            "validate_partition": counting("validate", graph.validate_partition, 1),
+            "_cut_report": counting("cost", graph._cut_report, 1),
+        }
+        for module in (graph, partition, certify, cli):
+            for name, wrapper in wrapped.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        return seen
+
+    def test_partition_verify_certify(self, clique_file, tmp_path, monkeypatch):
+        seen = self._count(monkeypatch)
+        part = tmp_path / "part.json"
+        commands = [
+            ["partition", "--graph", clique_file, "--k", "3", "--eps", "0.1",
+             "--delta", "0.5", "--seed", "3", "--out", str(part)],
+            ["verify", "--graph", clique_file, "--partition", str(part), "--k", "3",
+             "--eps", "0.1", "--out", str(tmp_path / "verify.json")],
+            ["certify", "--graph", clique_file, "--partition", str(part), "--k", "3",
+             "--eps", "0.1", "--delta", "0.5", "--out", str(tmp_path / "cert.json")],
+        ]
+        for argv in commands:
+            for counts in seen.values():
+                counts.clear()
+            assert run(argv) == 0
+            assert seen["validate"] and seen["cost"]
+            for kind, counts in seen.items():
+                assert max(counts.values(), default=1) == 1, (argv[0], kind, counts)
+
+
 class TestInternalInvariant:
     @pytest.mark.parametrize("check", ["_assert_crude_structure", "_assert_partial_structure"])
     def test_exits_2_with_one_line(self, check, clique_file, tmp_path, monkeypatch, capsys):
@@ -348,7 +510,7 @@ class TestSubprocessDeterminism:
         outputs = []
         for threads in ("1", "4"):
             out = tmp_path / f"out_{threads}.json"
-            env = dict(os.environ, BUFPART_THREADS=threads)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "bufpart._run", "partition",
                  "--graph", str(graph), "--k", "3", "--eps", "0.1",

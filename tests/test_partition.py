@@ -11,7 +11,8 @@ from bufpart import (buffered_expansion,
                      normalized_laplacian, partial_partition,
                      partition_cost, refine_and_discard, validate_partition)
 from bufpart.graph import Graph, PartitionError
-from bufpart.partition import (AlgoConstants, PartialPartition, RefinedTuple,
+from bufpart.certify import brute_force_h_k_eps
+from bufpart.partition import (RESTARTS, PartialPartition, RefinedTuple,
                                resolve_step2)
 from bufpart.separators import practical_params
 from conftest import (clique, clique_labels, disjoint_cliques, planted,
@@ -276,7 +277,7 @@ class TestPartialPartition:
         e = embedding_for(g, k_hat)
         eff = resolve_step2(g.n, k_hat, eps_hat, delta_hat)
         failing, completing, tuples = [], {}, {}
-        for restart in range(AlgoConstants().max_restarts):
+        for restart in range(RESTARTS):
             crude = crude_partition(e, k_hat, eps_hat, delta_hat,
                                     derive_stream(16, "partition", restart), effective=eff)
             if crude.buffer_mass(g) > 16.0 * eff.epsilon * g.total_weight + 1e-12:
@@ -399,7 +400,7 @@ class TestDriver:
             g = tiny_connected(7, seed)
             bp, report, info = buffered_k_partition(g, 2, 0.25, 0.9, seed=seed)
             assert validate_partition(g, bp).valid
-            opt = info["certificate"]["brute_force_optimum"]
+            [(opt, _)] = brute_force_h_k_eps(g, 2, [0.25])
             assert report.max_expansion >= opt - 1e-9
 
     def test_epsilon_zero_supported(self):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bufpart import (CalibrationError, calibrate, derive_stream, gaussian_tail,
-                     sample_measured, sample_one_buffer, sample_two_buffers)
+                     sample_two_buffers)
 from bufpart.reports import render_json
 from bufpart.separators import classify, practical_params
 
@@ -90,15 +90,19 @@ class TestSingleDraws:
     def test_identical_vectors_move_together(self):
         p = calibrate(0.3, 3, 1.5)
         vecs = np.tile(np.array([1.0, 0.0, 0.0]), (5, 1))
+        every = {0, 1, 2, 3, 4}
         for i in range(50):
-            s = sample_one_buffer(vecs, p, derive_stream(7, "test", i))
-            in_x = set(s.x.tolist())
-            assert in_x in (set(), {0, 1, 2, 3, 4}) or set(s.y.tolist()) | in_x == {0, 1, 2, 3, 4}
+            s = sample_two_buffers(vecs, np.ones(5), 0.3, 2.0 / 3.0, 1.5,
+                                   derive_stream(7, "test", i), params=p)
+            sets = [set(s.x.tolist()), set(s.y.tolist()), set(s.z.tolist())]
+            assert all(m in (set(), every) for m in sets)
+            assert sum(m == every for m in sets) <= 1
 
     def test_non_unit_input_rejected(self):
         p = calibrate(0.3, 3, 1.5)
         with pytest.raises(ValueError, match="unit"):
-            sample_one_buffer(np.array([[1.0, 1.0]]), p, derive_stream(0, "test"))
+            sample_two_buffers(np.array([[1.0, 1.0]]), np.ones(1), 0.3, 2.0 / 3.0, 1.5,
+                               derive_stream(0, "test"), params=p)
 
     def test_interval_structure(self):
         # membership is a pure function of which interval holds the projection
@@ -123,15 +127,15 @@ class TestSingleDraws:
     def test_singleton_never_rejected(self):
         vecs = np.array([[1.0, 0.0]])
         for i in range(200):
-            s = sample_measured(vecs, np.array([1.0]), 0.3, 0.5, 0.8,
-                                derive_stream(11, "test", i))
+            s = sample_two_buffers(vecs, np.array([1.0]), 0.3, 0.5, 0.8,
+                                   derive_stream(11, "test", i))
             assert not s.rejected
 
     def test_identical_cloud_never_rejected(self):
         vecs = np.tile(np.array([0.0, 1.0, 0.0]), (8, 1))
         for i in range(100):
-            s = sample_measured(vecs, np.full(8, 0.5), 0.3, 0.1, 0.5,
-                                derive_stream(12, "test", i))
+            s = sample_two_buffers(vecs, np.full(8, 0.5), 0.3, 0.1, 0.5,
+                                   derive_stream(12, "test", i))
             assert not s.rejected
 
 
@@ -281,15 +285,15 @@ class TestMonteCarlo:
 
 
 def test_sample_measured_passthrough_rates():
-    # Pr{u in X} for the measured variant stays within [alpha/2, alpha] statistically
+    # Pr{u in X} for a measured draw stays within [alpha/2, alpha] statistically
     cloud = make_cloud(seed=9, clusters=3, per=6, loose=4)
     mu = np.full(len(cloud), 1.0)
     p = calibrate(0.3, 3.0, 1.5)
     draws = 20_000
     hits = np.zeros(len(cloud))
     for i in range(draws):
-        s = sample_measured(cloud, mu, 0.3, 2.0 / 3.0, 1.5,
-                            derive_stream(808, "mc-meas", i), params=p)
+        s = sample_two_buffers(cloud, mu, 0.3, 2.0 / 3.0, 1.5,
+                               derive_stream(808, "mc-meas", i), params=p)
         hits[s.x] += 1
     rate = hits / draws
     se = math.sqrt(p.alpha / draws)
