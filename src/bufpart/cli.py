@@ -83,8 +83,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="bottom-k eigenvalues of the normalized Laplacian")
     common(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--method", choices=["auto", "dense", "lanczos"], default="auto")
     p.add_argument("--embedding-tsv", help="also dump per-vertex embedding rows as TSV")
 
     p = sub.add_parser("verify", help="validate a buffered partition and its lower bound")
@@ -112,7 +110,7 @@ def _load(args) -> Graph:
 
 
 def _assignment_dict(g: Graph, parts, buffers) -> dict:
-    names = g.labels if g.labels else tuple(str(i) for i in range(g.n))
+    names = g.labels
     out = {}
     roles = {}
     for i, p in enumerate(parts):
@@ -135,8 +133,7 @@ def _read_partition_file(path, g: Graph, epsilon: float) -> BufferedPartition:
     assignment = data.get("assignment", data) if isinstance(data, dict) else None
     if not isinstance(assignment, dict) or not assignment:
         raise GraphError("partition file holds no assignment object of vertices")
-    names = g.labels if g.labels else tuple(str(i) for i in range(g.n))
-    index = {name: i for i, name in enumerate(names)}
+    index = {name: i for i, name in enumerate(g.labels)}
     placed = []
     for name, entry in assignment.items():
         if name not in index:
@@ -253,17 +250,16 @@ def _cmd_spectrum(args) -> tuple[dict, int]:
     g = _load(args)
     if not 1 <= args.k <= g.n:
         raise ParameterError(f"--k must lie in [1, n={g.n}], got {args.k}")
-    basis = eigenbasis(normalized_laplacian(g), args.k, tol=args.tol, method=args.method)
+    basis = eigenbasis(normalized_laplacian(g), args.k)
     if args.embedding_tsv:
         e = embed(basis, g)
-        names = g.labels if g.labels else tuple(str(i) for i in range(g.n))
         with open(args.embedding_tsv, "w", encoding="utf-8") as fh:
-            for i in range(g.n):
-                row = "\t".join("%.17g" % x for x in e.vectors[i])
-                fh.write(f"{names[i]}\t{row}\n")
+            for name, vector in zip(g.labels, e.vectors):
+                row = "\t".join("%.17g" % x for x in vector)
+                fh.write(f"{name}\t{row}\n")
     doc = {
         "command": "spectrum",
-        "params": {"k": args.k, "tol": args.tol, "method": basis.method},
+        "params": {"k": args.k, "method": basis.method},
         "eigenvalues": [float(v) for v in basis.eigenvalues],
         "residuals": [float(r) for r in basis.residuals],
     }

@@ -1,7 +1,9 @@
 """Weighted graph model, buffered partitions, and cut arithmetic.
 
-Vertices are dense 0-based integers after ingestion; external ids from edge
-files are remapped and the dictionary kept on the graph.  Vertex weights and
+Vertices are dense 0-based integers.  load_graph reads each edge line once:
+it numbers the external ids in order of first appearance as it parses, keeps
+them as the graph's labels (which name vertices in error messages), and hands
+the numbered edges to Graph.build as one (m, 3) array.  Vertex weights and
 edge costs are float64 and must be strictly positive.  Buffer budgets are
 checked with exact <= (an input contract, not a numerical estimate).
 
@@ -30,8 +32,6 @@ __all__ = [
     "partition_cost",
     "validate_partition",
     "load_graph",
-    "parse_edge_lines",
-    "parse_weight_lines",
 ]
 
 
@@ -81,7 +81,8 @@ class Graph:
 
         On bad input the GraphError names the first bad edge in input order,
         checked for a self-loop, then the vertex range, then the cost, then an
-        earlier edge with the same endpoints.  Then the scale rule applies:
+        earlier edge with the same endpoints; it names vertices by their
+        ``labels`` when the graph has them.  Then the scale rule applies:
         costs and weights must be normal float64 numbers (a subnormal one
         keeps fewer than 53 significant bits), and every normalized Laplacian
         entry must stay within what the solvers' float64 norms can hold.
@@ -102,16 +103,22 @@ class Graph:
         repeat = np.zeros(u.size, dtype=bool)
         repeat[order[1:]] = (eu[1:] == eu[:-1]) & (ev[1:] == ev[:-1])
         bad = loop | outside | bad_cost | repeat
+        labels = tuple(labels) if labels is not None else ()
         if bad.any():
             i = int(np.argmax(bad))
             a, b = int(u[i]), int(v[i])
+
+            def name(x: int) -> str:
+                return repr(labels[x]) if 0 <= x < len(labels) else str(x)
+
             if loop[i]:
-                raise GraphError(f"self-loop at vertex {a}")
+                raise GraphError(f"self-loop at vertex {name(a)}")
             if outside[i]:
                 raise GraphError(f"edge ({a},{b}) outside vertex range [0,{n})")
             if bad_cost[i]:
-                raise GraphError(f"edge ({a},{b}) has nonpositive cost {float(cost[i])}")
-            raise GraphError(f"duplicate edge {(min(a, b), max(a, b))}")
+                kind = "non-finite" if not np.isfinite(cost[i]) else "nonpositive"
+                raise GraphError(f"edge ({name(a)},{name(b)}) has {kind} cost {float(cost[i])}")
+            raise GraphError(f"duplicate edge ({name(min(a, b))}, {name(max(a, b))})")
 
         with np.errstate(over="ignore"):
             incident = _incident_cost(n, eu, ev, ec)
@@ -127,8 +134,7 @@ class Graph:
             if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
                 raise GraphError("vertex weights must be positive and finite")
         _check_scale(n, ec, w, incident)
-        return Graph(n=int(n), weights=w, edge_u=eu, edge_v=ev, edge_cost=ec,
-                     labels=tuple(labels) if labels is not None else ())
+        return Graph(n=int(n), weights=w, edge_u=eu, edge_v=ev, edge_cost=ec, labels=labels)
 
     @property
     def total_weight(self) -> float:
@@ -340,77 +346,65 @@ def _cut_report(g: Graph, part: BufferedPartition) -> CutReport:
                      buffer_ratios=tuple(ratios), valid=True, violations=())
 
 
-def parse_edge_lines(lines: Iterable[str]):
-    """Whitespace 'u v [cost]' lines; returns (edges on raw ids, id order)."""
-    edges = []
-    order: dict[str, int] = {}
+def _fields(lines: Iterable[str], kind: str, form: str, arities: tuple, number: str):
+    """(line number, fields, number) per line with fields ('#' starts a comment); the
+    number is the last field of a line of arities[-1] fields, else 1.0."""
+    most = arities[-1]
     for ln_no, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
+        fields = (raw[:raw.index("#")] if "#" in raw else raw).split()
+        count = len(fields)
+        if count == most:
+            try:
+                value = float(fields[-1])
+            except ValueError as exc:
+                raise GraphError(f"{kind} line {ln_no}: bad {number} {fields[-1]!r}") from exc
+        elif count in arities:
+            value = 1.0
+        elif not count:
             continue
-        fields = text.split()
-        if len(fields) not in (2, 3):
-            raise GraphError(f"edge line {ln_no}: expected 'u v [cost]', got {raw!r}")
-        u, v = fields[0], fields[1]
-        try:
-            cost = float(fields[2]) if len(fields) == 3 else 1.0
-        except ValueError as exc:
-            raise GraphError(f"edge line {ln_no}: bad cost {fields[2]!r}") from exc
-        for ident in (u, v):
-            if ident not in order:
-                order[ident] = len(order)
-        edges.append((u, v, cost))
-    return edges, list(order)
-
-
-def parse_weight_lines(lines: Iterable[str]) -> dict[str, float]:
-    weights: dict[str, float] = {}
-    for ln_no, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        fields = text.split()
-        if len(fields) != 2:
-            raise GraphError(f"weight line {ln_no}: expected 'u weight', got {raw!r}")
-        try:
-            value = float(fields[1])
-        except ValueError as exc:
-            raise GraphError(f"weight line {ln_no}: bad weight {fields[1]!r}") from exc
-        if fields[0] in weights:
-            raise GraphError(f"weight line {ln_no}: duplicate vertex {fields[0]!r}")
-        weights[fields[0]] = value
-    return weights
+        else:
+            raise GraphError(f"{kind} line {ln_no}: expected {form!r}, got {raw!r}")
+        yield ln_no, fields, value
 
 
 def load_graph(edge_source, weight_source=None) -> Graph:
     """Build a Graph from an edge-list text source and optional weight source.
 
-    Sources may be paths or iterables of lines.  Without a weight source every
-    w_u defaults to the total cost of edges incident on u.
+    Sources are paths or lists of lines.  Vertices are numbered in the
+    order their ids first appear in the edge lines.  Without a weight source
+    every w_u defaults to the total cost of edges incident on u.
     """
     def read(source):
-        if hasattr(source, "read"):
-            return source.read().splitlines()
         if isinstance(source, (list, tuple)):
-            return list(source)
+            return source
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read().splitlines()
 
-    raw_edges, ids = parse_edge_lines(read(edge_source))
-    if not ids:
+    index: dict[str, int] = {}
+    intern = index.setdefault
+    us, vs, costs = [], [], []
+    for _, fields, cost in _fields(read(edge_source), "edge", "u v [cost]", (2, 3), "cost"):
+        us.append(intern(fields[0], len(index)))
+        vs.append(intern(fields[1], len(index)))
+        costs.append(cost)
+    if not index:
         raise GraphError("edge source contains no edges")
-    index = {ident: i for i, ident in enumerate(ids)}
-    edges = [(index[u], index[v], c) for u, v, c in raw_edges]
 
     weights = None
     if weight_source is not None:
-        table = parse_weight_lines(read(weight_source))
+        table: dict[str, float] = {}
+        for ln_no, (ident, _), value in _fields(read(weight_source), "weight", "u weight",
+                                                (2,), "weight"):
+            if ident in table:
+                raise GraphError(f"weight line {ln_no}: duplicate vertex {ident!r}")
+            table[ident] = value
         unknown = sorted(set(table) - set(index))
         if unknown:
             raise GraphError(f"weight file names unknown vertices: {unknown[:5]}")
         missing = sorted(set(index) - set(table))
         if missing:
             raise GraphError(f"weight file is missing vertices: {missing[:5]}")
-        weights = [table[ident] for ident in ids]
+        weights = [table[ident] for ident in index]
 
-    return Graph.build(len(ids), edges, weights=weights, labels=ids)
+    return Graph.build(len(index), np.column_stack((us, vs, costs)), weights=weights,
+                       labels=tuple(index))

@@ -17,7 +17,7 @@ than n^2 (the steps taken, not k', set its size; there is no thick restart).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 2048
-DEFAULT_TOL = 1e-10
+LANCZOS_TOL = 1e-10     # Lanczos stops when every Ritz residual on L / 2^e is below it
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -136,9 +136,15 @@ def _dense_eigenbasis(op: LaplacianOperator, k_prime: int) -> tuple[np.ndarray, 
     return vals[:k_prime], vecs[:, :k_prime]
 
 
-def _lanczos_eigenbasis(op: LaplacianOperator, k_prime: int,
-                        tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Full-reorthogonalization Lanczos; restarts on breakdown to pick up multiplicities."""
+def _lanczos_eigenbasis(op: LaplacianOperator, k_prime: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-reorthogonalization Lanczos; restarts on breakdown to pick up multiplicities.
+
+    It runs on L / 2^e, 2^e the power of two nearest max(diag), so its thresholds are
+    relative to the operator's scale; the scaling and the ldexp back are exact."""
+    top = float(op.diag.max())
+    e = int(np.round(np.log2(top))) if top > 0.0 else 0
+    if e:
+        op = replace(op, diag=np.ldexp(op.diag, -e), off_scale=np.ldexp(op.off_scale, -e))
     n = op.n
     stream = derive_stream(0, "lanczos")
     max_matvecs = 50 * n
@@ -190,20 +196,20 @@ def _lanczos_eigenbasis(op: LaplacianOperator, k_prime: int,
             vals, vecs = ritz(n)
             res = _residuals(op, vals, vecs)
             if float(res.max()) <= 1e-7:
-                return vals, vecs
-            raise SolverError(
-                f"Lanczos spanned R^{n} but residual {float(res.max()):.3e} exceeds 1e-7")
+                return np.ldexp(vals, e), vecs
+            raise SolverError(f"Lanczos spanned R^{n} but relative residual "
+                              f"{float(res.max()):.3e} exceeds 1e-7")
 
         if m >= k_prime and (m % cadence == 0 or matvecs >= max_matvecs):
             vals, vecs = ritz(m)
             res = _residuals(op, vals, vecs)
             matvecs += vals.size
             best_res = min(best_res, float(res.max()))
-            if float(res.max()) <= max(tol, 1e-13):
-                return vals, vecs
+            if float(res.max()) <= LANCZOS_TOL:
+                return np.ldexp(vals, e), vecs
             if matvecs >= max_matvecs:
-                raise SolverError(
-                    f"Lanczos hit the {max_matvecs}-matvec cap; best residual {best_res:.3e}")
+                raise SolverError(f"Lanczos hit the {max_matvecs}-matvec cap; best relative "
+                                  f"residual {best_res:.3e}")
 
         if used == Q.shape[1]:
             grown = np.zeros((n, min(n, 2 * used)))
@@ -222,23 +228,20 @@ def _lanczos_eigenbasis(op: LaplacianOperator, k_prime: int,
         used += 1
 
 
-def eigenbasis(op: LaplacianOperator, k_prime: int, tol: float = DEFAULT_TOL,
-               method: str = "auto") -> SpectralBasis:
+def eigenbasis(op: LaplacianOperator, k_prime: int) -> SpectralBasis:
     """Bottom-k' eigenpairs of the normalized Laplacian.
 
-    method: 'auto' (dense up to DENSE_LIMIT vertices, Lanczos beyond),
-    'dense', or 'lanczos'.
+    The dense solver runs up to DENSE_LIMIT vertices, Lanczos beyond; the
+    basis records which one ran.
     """
     if not 1 <= k_prime <= op.n:
         raise ValueError(f"k_prime must lie in [1, n={op.n}], got {k_prime}")
-    if method == "auto":
-        method = "dense" if op.n <= DENSE_LIMIT else "lanczos"
-    if method == "dense":
+    if op.n <= DENSE_LIMIT:
+        method = "dense"
         vals, vecs = _dense_eigenbasis(op, k_prime)
-    elif method == "lanczos":
-        vals, vecs = _lanczos_eigenbasis(op, k_prime, tol)
     else:
-        raise ValueError(f"unknown eigensolver method {method!r}")
+        method = "lanczos"
+        vals, vecs = _lanczos_eigenbasis(op, k_prime)
     vecs = _canonical_signs(vecs)
     # Clip the tiny negative dust LAPACK leaves on the kernel.
     vals = np.where(np.abs(vals) < 1e-12, np.abs(vals), vals)

@@ -11,6 +11,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from bufpart import spectral
 from bufpart.cli import run
 
 
@@ -80,13 +81,14 @@ class TestSpectrum:
     def test_bad_k(self, tiny_file):
         assert run(["spectrum", "--graph", tiny_file, "--k", "9"]) == 1
 
-    def test_lanczos_method(self, tiny_file, tmp_path):
-        code, doc = run_json(["spectrum", "--graph", tiny_file, "--k", "2",
-                              "--method", "lanczos"], tmp_path)
+    def test_lanczos_method(self, tiny_file, tmp_path, monkeypatch):
+        code2, dense = run_json(["spectrum", "--graph", tiny_file, "--k", "2"],
+                                tmp_path, "dense.json")
+        assert dense["params"] == {"k": 2, "method": "dense"}
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        code, doc = run_json(["spectrum", "--graph", tiny_file, "--k", "2"], tmp_path)
         assert code == 0
         assert doc["params"]["method"] == "lanczos"
-        code2, dense = run_json(["spectrum", "--graph", tiny_file, "--k", "2",
-                                 "--method", "dense"], tmp_path, "dense.json")
         for a, b in zip(doc["eigenvalues"], dense["eigenvalues"]):
             assert a == pytest.approx(b, abs=1e-8)
 
@@ -366,7 +368,10 @@ class TestExtremeScales:
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300])
     @pytest.mark.parametrize("method", ["dense", "lanczos"])
-    def test_scaled_costs_give_the_unit_cost_spectrum(self, scale, method, tmp_path, capsys):
+    def test_scaled_costs_give_the_unit_cost_spectrum(self, scale, method, tmp_path, capsys,
+                                                      monkeypatch):
+        if method == "lanczos":
+            monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
         edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (2, 3, 3.0), (3, 4, 1.0),
                  (4, 5, 1.5), (5, 3, 0.25), (1, 4, 0.75)]
         spectra = []
@@ -375,15 +380,17 @@ class TestExtremeScales:
                                                       for u, v, c in edges))
             out = tmp_path / "out.json"
             code, err = _run_quietly(["spectrum", "--graph", graph, "--k", "6",
-                                      "--method", method, "--out", str(out)], capsys)
+                                      "--out", str(out)], capsys)
             assert (code, err) == (0, "")
-            spectra.append(json.loads(out.read_text())["eigenvalues"])
+            doc = json.loads(out.read_text())
+            assert doc["params"]["method"] == method
+            spectra.append(doc["eigenvalues"])
         assert spectra[1] == pytest.approx(spectra[0], abs=1e-12)
 
     @pytest.mark.parametrize("edges, weights, argv", [
         ("0 1\n", "0 1e300\n1 1e-300\n", ["spectrum", "--k", "2"]),
         ("a b 1e-300\nb c 1e300\n", "a 1\nb 1\nc 1\n",
-         ["spectrum", "--method", "lanczos", "--k", "3"]),
+         ["spectrum", "--k", "3"]),
         ("a b\nb c\na c\n", "a 1e-320\nb 1\nc 1\n", ["brute", "--k", "2", "--eps", "0.1"]),
         ("a b 3e-308\nb c 3e-308\na c 3e-308\n", "a 1e-320\nb 1e-320\nc 1e-320\n",
          ["spectrum", "--k", "2"]),
@@ -404,6 +411,22 @@ class TestExtremeScales:
         _assert_one_line_exit_1(argv, tmp_path, capsys)
 
 
+class TestIngestErrors:
+    @pytest.mark.parametrize("edges, message", [
+        ("a b\nc c 1\n", "self-loop at vertex 'c'"),
+        ("a b\nb c\nc b 3\n", "duplicate edge ('b', 'c')"),
+        ("a b\nb c inf\n", "edge ('b','c') has non-finite cost inf"),
+        ("a b\nc b -2\n", "edge ('c','b') has nonpositive cost -2.0"),
+        ("7 3\n3 3\n", "self-loop at vertex '3'"),
+    ], ids=["self-loop", "duplicate", "inf-cost", "negative-cost", "numeric-ids"])
+    def test_one_line_naming_the_files_ids(self, edges, message, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code, err = _run_quietly(["spectrum", "--graph", _write(tmp_path, "g.txt", edges),
+                                  "--k", "2", "--out", str(out)], capsys)
+        assert (code, err) == (1, f"bufpart: error: {message}\n")
+        assert not out.exists()
+
+
 class TestSolverFailure:
     @pytest.mark.parametrize("method, solver", [("dense", "dense eigensolver"),
                                                 ("lanczos", "Lanczos Ritz step")])
@@ -415,9 +438,10 @@ class TestSolverFailure:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        if method == "lanczos":
+            monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
         out = tmp_path / "out.json"
-        code = run(["spectrum", "--graph", tiny_file, "--k", "2", "--method", method,
-                    "--out", str(out)])
+        code = run(["spectrum", "--graph", tiny_file, "--k", "2", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"bufpart: failure: {solver} (LAPACK eigh")

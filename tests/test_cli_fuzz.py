@@ -14,11 +14,14 @@ import json
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bufpart import spectral
 from bufpart.cli import run
+from bufpart.spectral import DENSE_LIMIT
 from test_cli import VALIDATOR
 
 PLAIN = ["1", "2.5", "0.5", "3"]
@@ -49,7 +52,7 @@ def numbers(draw, count):
 
 @st.composite
 def cases(draw):
-    """(command line, edge text, weight text or None, assignment or None)."""
+    """(command line, edge text, weight text or None, assignment or None, DENSE_LIMIT)."""
     names = draw(st.sampled_from([NAMES[:8], NAMES[2:]]))
     edges = draw(st.lists(pair, min_size=1, max_size=14, unique_by=tuple))
     defect = draw(st.sampled_from(["none"] * 5 + ["empty", "duplicate", "self-loop"]))
@@ -85,8 +88,9 @@ def cases(draw):
     if name == "partition":
         argv += ["--seed", str(draw(st.integers(0, 3))),
                  "--restarts", str(draw(st.integers(1, 3)))]
-    if name == "spectrum":
-        argv += ["--method", draw(st.sampled_from(["auto", "dense", "lanczos"]))]
+    dense_limit = DENSE_LIMIT        # graphs this small take the dense solver
+    if name == "spectrum":           # a limit of 0 makes spectrum run Lanczos
+        dense_limit = draw(st.sampled_from([DENSE_LIMIT, DENSE_LIMIT, 0]))
 
     parts = None
     if name in ("verify", "certify"):
@@ -101,14 +105,14 @@ def cases(draw):
             parts["zz"] = {"part_id": 0, "role": "core"}
         elif change == "bad id" and used:
             parts[used[0]]["part_id"] = -1
-    return argv, text, weights, parts
+    return argv, text, weights, parts, dense_limit
 
 
 @settings(max_examples=600, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=cases())
 def test_every_input_ends_in_a_report_or_one_line(case):
-    argv, text, weights, parts = case
+    argv, text, weights, parts, dense_limit = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "g.txt").write_text(text)
@@ -123,7 +127,8 @@ def test_every_input_ends_in_a_report_or_one_line(case):
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = run(argv)
+            with mock.patch.object(spectral, "DENSE_LIMIT", dense_limit):
+                code = run(argv)
         assert not caught, [str(w.message) for w in caught]
         err = err.getvalue()
         assert code in (0, 1, 2)

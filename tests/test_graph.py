@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bufpart import (BufferedPartition, Graph, GraphError, PartitionError,
@@ -12,6 +12,7 @@ from bufpart import (BufferedPartition, Graph, GraphError, PartitionError,
                      validate_partition)
 from conftest import (disjoint_cliques, k4, path, planted, tiny_connected, triangle,
                       weighted_er)
+from ingest_oracle import reference_load_graph
 
 
 class TestGraphBuild:
@@ -57,8 +58,9 @@ class TestGraphBuild:
         ([(0, 1, 1.0), (0, 5, -1.0), (2, 2, 1.0)], "edge (0,5) outside vertex range [0,3)"),
         ([(2, 1, 1.0), (0, 1, 0.0), (1, 2, 3.0)], "edge (0,1) has nonpositive cost 0.0"),
         ([(1, 0, 1.0), (2, 1, 1.0), (0, 1, -2.0)], "edge (0,1) has nonpositive cost -2.0"),
-        ([(0, 1, 1.0), (1, 2, float("nan"))], "edge (1,2) has nonpositive cost nan"),
+        ([(0, 1, 1.0), (1, 2, float("nan"))], "edge (1,2) has non-finite cost nan"),
         ([(1, 2, 1.0), (-1, 0, 1.0)], "edge (-1,0) outside vertex range [0,3)"),
+        ([(2, 1, float("-inf")), (0, 0, 1.0)], "edge (2,1) has non-finite cost -inf"),
     ])
     def test_error_names_first_bad_edge_in_input_order(self, edges, message):
         with pytest.raises(GraphError) as info:
@@ -282,3 +284,72 @@ class TestLoadGraph:
         g = load_graph(str(path_))
         assert g.edge_count == 2
         assert cut_cost(g, [0], [1]) == 2.0
+
+
+IDS = ["a", "b", "0", "1", "10", "é", "节点", "Ω2", "a#b", "x_1"] + [f"v{i}" for i in range(20)]
+SEPARATORS = [" ", "\t", "  ", " \t ", "\u3000"]
+NUMBERS = st.one_of(st.sampled_from(["1", "2.5", "0.125", "1e-3", "3.0000000000000004", "7"]),
+                    st.floats(1e-3, 1e3).map(repr),
+                    st.decimals(places=3, min_value="0.001", max_value=50).map(str))
+BAD_NUMBERS = st.sampled_from(["0", "-1", "-2.5", "inf", "nan", "x", "1,5", "0x10", "1e400",
+                               "1_000", "٣", "a"])
+
+
+@st.composite
+def ingest_lines(draw, arities: tuple, records: list, clean: bool):
+    """One line per record (its ids, then a number when the line has the most
+    fields), with blank and comment lines between them.  Unless clean, some
+    lines have the wrong field count or a bad number."""
+    lines = []
+    for ids in records:
+        lines += draw(st.lists(st.sampled_from(["", "   ", "\t", "# note", "  #", "#a b 1"]),
+                               max_size=1))
+        defect = "none" if clean else draw(st.sampled_from(["none"] * 4 + ["arity", "number"]))
+        count = draw(st.sampled_from((1, 4) if defect == "arity" else arities))
+        fields = (ids + [draw(st.sampled_from(IDS)) for _ in range(4)])[:count]
+        if count == arities[-1]:
+            fields[-1] = draw(BAD_NUMBERS if defect == "number" else NUMBERS)
+        sep = draw(st.sampled_from(SEPARATORS))
+        lines.append(sep.join(fields) + draw(st.sampled_from(["", "", " # trailing", "\t"])))
+    return lines
+
+
+@st.composite
+def ingest_cases(draw):
+    """(edge lines, weight lines or None): clean or with defects, weights for every id or not."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from(IDS), st.sampled_from(IDS)), max_size=12))
+    edges = draw(ingest_lines((2, 3), [list(p) for p in pairs], draw(st.booleans())))
+    mode = draw(st.sampled_from(["none", "every id", "every id", "one repeated", "arbitrary"]))
+    if mode == "none":
+        return edges, None
+    used = list(dict.fromkeys(x for p in pairs for x in p))
+    if mode == "arbitrary":                 # unknown, missing and repeated ids
+        names = draw(st.lists(st.sampled_from(used + IDS[:3]), max_size=12))
+    else:
+        names = list(draw(st.permutations(used)))
+        if mode == "one repeated" and names:
+            names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
+    return edges, draw(ingest_lines((2,), [[x] for x in names], mode != "arbitrary"))
+
+
+def _graph_or_error(load, *sources):
+    try:
+        return load(*sources)
+    except GraphError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=ingest_cases())
+def test_load_graph_equals_the_reference_pipeline(case):
+    got = _graph_or_error(load_graph, *case)
+    want = _graph_or_error(reference_load_graph, *case)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, Graph), got
+    assert (got.n, got.labels) == (want.n, want.labels)
+    for name in ("weights", "edge_u", "edge_v", "edge_cost"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
