@@ -6,13 +6,20 @@ ubar = (x_1(u), ..., x_k'(u)) of the bottom eigenvectors, with measure
 mu(u) = ||ubar||^2, scaled vectors zhat_u = ubar/sqrt(w_u), and unit
 directions psi(u) = zhat_u/||zhat_u|| (= ubar/||ubar||, the scaling cancels).
 
-Two solver paths: dense symmetric eigendecomposition up to DENSE_LIMIT
-vertices, and Lanczos with full reorthogonalization and deterministic seeded
-start vectors above that (also used directly by the oracle tests).  Lanczos
-restarts with a fresh orthogonalized vector on breakdown, which is what
-recovers eigenvalue multiplicities on disconnected graphs.  Its basis starts
-at 64 columns and doubles when full, so it holds O(n * steps) floats rather
-than n^2 (the steps taken, not k', set its size; there is no thick restart).
+Two solver paths, picked by size.  Up to DENSE_LIMIT vertices LAPACK's dense
+symmetric eigendecomposition runs: it beats the iterative solver there wherever
+the spectrum has no gap after lambda_k' (about 35 ms at 512 vertices), and loses
+to it beyond on planted graphs.  Above DENSE_LIMIT the kernel is exact: each
+connected component C, found by hook-and-shortcut, gives the eigenvector
+D_w^{1/2} 1_C / ||.|| of eigenvalue 0, and these come first, in the order of
+the components' smallest vertices.  Block Lanczos with full
+reorthogonalization and thick restarts solves the rest on the kernel's
+orthogonal complement.  A block of b columns finds at most b copies of an
+eigenvalue, so the block starts at BLOCK columns and a solve that reports b
+equal values below a larger one is redone with twice the block.  Start and
+refill columns come from a seeded Philox stream, so results are deterministic.
+The basis holds max(BASIS, 16 b + 2 k') columns, plus the Ritz vectors a
+restart keeps: O(n k') floats, never n^2.
 """
 
 from __future__ import annotations
@@ -37,8 +44,11 @@ __all__ = [
     "edge_energy",
 ]
 
-DENSE_LIMIT = 2048
+DENSE_LIMIT = 512
 LANCZOS_TOL = 1e-10     # Lanczos stops when every Ritz residual on L / 2^e is below it
+BLOCK = 3               # first block size; a block of b columns finds b copies of a value
+BASIS = 128             # basis columns held before a thick restart (16 blocks at least)
+SAME = 1e-8             # Ritz values this close on L / 2^e count as copies of one value
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -136,103 +146,187 @@ def _dense_eigenbasis(op: LaplacianOperator, k_prime: int) -> tuple[np.ndarray, 
     return vals[:k_prime], vecs[:, :k_prime]
 
 
-def _lanczos_eigenbasis(op: LaplacianOperator, k_prime: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full-reorthogonalization Lanczos; restarts on breakdown to pick up multiplicities.
+def _components(g: Graph) -> tuple[int, np.ndarray]:
+    """(c, label): connected components numbered 0..c-1 in order of their smallest vertex.
 
-    It runs on L / 2^e, 2^e the power of two nearest max(diag), so its thresholds are
-    relative to the operator's scale; the scaling and the ldexp back are exact."""
+    Hook and shortcut: every round hooks each root that an edge joins to a smaller root
+    onto that root, then jumps pointers until every vertex points at a root."""
+    parent = np.arange(g.n)
+    while True:
+        pu, pv = parent[g.edge_u], parent[g.edge_v]
+        cross = pu != pv
+        if not cross.any():
+            break
+        parent[np.maximum(pu[cross], pv[cross])] = np.minimum(pu[cross], pv[cross])
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    roots = parent == np.arange(g.n)
+    return int(roots.sum()), (np.cumsum(roots) - 1)[parent]
+
+
+def _kernel(g: Graph, columns: int) -> tuple[int, np.ndarray]:
+    """(c, K): c components and the unit kernel vectors D_w^{1/2} 1_C of the first
+    `columns` of them, in component order, as the columns of K."""
+    c, label = _components(g)
+    root_w = np.sqrt(g.weights)
+    norm = np.sqrt(np.bincount(label, g.weights, minlength=c))
+    K = np.zeros((g.n, min(c, columns)))
+    rows = np.flatnonzero(label < K.shape[1])
+    K[rows, label[rows]] = root_w[rows] / norm[label[rows]]
+    return c, K
+
+
+def _saturated(vals: np.ndarray, b: int) -> bool:
+    """True when b Ritz values agree and a larger one follows them: a block of b columns
+    finds at most b copies of an eigenvalue, so a further copy may have been missed."""
+    run = 1
+    for gap in np.diff(vals):
+        if gap > SAME and run >= b:
+            return True
+        run = run + 1 if gap <= SAME else 1
+    return False
+
+
+def _block_lanczos(op: LaplacianOperator, K: np.ndarray, want: int, b: int, stream,
+                   matvecs: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Bottom `want` eigenpairs of L on the complement of span(K), with blocks of b columns.
+
+    Full reorthogonalization, a thick restart when the basis is full, and block columns
+    that run out of rank refilled from `stream`.  `matvecs` counts the ones spent before;
+    returns (values, vectors, matvecs spent in all)."""
+    n = op.n
+    max_matvecs = 50 * n
+    room = n - K.shape[1]              # dimension of the kernel's complement
+    b = min(b, room)
+    cap = min(room, max(BASIS, 16 * b + 2 * want))
+    keep = want + (cap - want) // 2    # Ritz vectors a thick restart keeps
+    Q = np.zeros((n, cap), order="F")
+    H = np.zeros((cap, cap))           # Q^T L Q, filled one block column at a time
+
+    def project(X: np.ndarray, used: int, lo: int = 0, full: bool = True) -> np.ndarray:
+        """Remove X's components on the kernel and Q[:, :used]; return the Q ones.
+
+        Q[:, lo:used] goes first (L Q_j meets only its neighbour blocks in exact
+        arithmetic, and W's columns already miss the rest), then the whole basis unless
+        `full` is off and nothing cancelled, again while a pass cancels over half a norm."""
+        coef = np.zeros((used, X.shape[1]))
+        start = lo
+        for _ in range(3):
+            before = np.linalg.norm(X, axis=0)
+            X -= K @ (K.T @ X)
+            part = Q[:, start:used].T @ X
+            X -= Q[:, start:used] @ part
+            coef[start:] += part
+            if (start == 0 or not full) and np.all(np.linalg.norm(X, axis=0) > 0.5 * before):
+                break
+            start = 0
+        return coef
+
+    def extend(W: np.ndarray, used: int, width: int) -> int:
+        """Append `width` orthonormal columns spanning W (orthogonal to Q[:, :used]) to Q,
+        refilling the columns W lacks rank for from the stream."""
+        col = 0
+        for j in range(W.shape[1]):
+            if col == width:
+                break
+            w = W[:, j:j + 1].copy()
+            project(w, used + col, used, full=False)
+            norm = float(np.linalg.norm(w))
+            if norm > 1e-12:
+                Q[:, used + col] = w[:, 0] / norm
+                col += 1
+        while col < width:
+            w = stream.normals(n)[:, None]
+            project(w, used + col)
+            norm = float(np.linalg.norm(w))
+            if norm <= 1e-8:
+                raise SolverError("could not extend the block Lanczos basis with a fresh vector")
+            Q[:, used + col] = w[:, 0] / norm
+            col += 1
+        return used + width
+
+    used = extend(np.zeros((n, 0)), 0, b)
+    done = lo = 0
+    check = matvecs + b                # matvec count of the next Rayleigh-Ritz step
+    last = (matvecs, np.inf)           # (matvecs, least worst residual) at the last one
+    while True:
+        block = slice(done, used)
+        W = np.empty((n, used - done), order="F")
+        for j in range(done, used):
+            W[:, j - done] = op.matvec(Q[:, j])
+        matvecs += used - done
+        C = project(W, used, lo)
+        H[:used, block] = C
+        H[block, :used] = C.T
+        done = used
+        width = min(b, room - done)
+        if matvecs < check and width and done + width <= cap:
+            lo = block.start
+            used = extend(W, done, width)
+            continue
+        vals, S = _eigh(H[:done, :done], "block Lanczos, Rayleigh-Ritz step")
+        # L Q = Q H + W E^T, so ||L y - theta y|| = ||W s_last|| for the Ritz vector y = Q s
+        worst = float(np.linalg.norm(W @ S[block, :want], axis=0).max())
+        if done >= want and worst <= (LANCZOS_TOL if width else 1e-7):
+            return vals[:want], Q[:, :done] @ S[:, :want], matvecs
+        if not width:
+            raise SolverError(f"block Lanczos spanned the {room}-dimensional complement of "
+                              f"the kernel but relative residual {worst:.3e} exceeds 1e-7")
+        if matvecs >= max_matvecs:
+            raise SolverError(f"block Lanczos hit the {max_matvecs}-matvec cap; best relative "
+                              f"residual {min(worst, last[1]):.3e}")
+        # the next check comes after half the matvecs the residual's last rate still
+        # needs, or after twice the last interval while it does not fall
+        gap = matvecs - last[0]
+        ahead = 2 * gap
+        if 0.0 < worst < last[1] < np.inf:
+            ahead = np.log(LANCZOS_TOL / worst) / np.log(worst / last[1]) * gap / 2
+        check = matvecs + int(min(max(ahead, b), 16 * b))
+        last = (matvecs, min(worst, last[1]))
+        if done + width > cap:
+            # thick restart: the lowest Ritz vectors stay, the rest of the basis goes
+            Q[:, :keep] = Q[:, :done] @ S[:, :keep]
+            H[:done, :done] = 0.0
+            H[:keep, :keep] = np.diag(vals[:keep])
+            done = keep
+        lo = block.start if done == block.stop else 0
+        used = extend(W, done, width)
+
+
+def _block_lanczos_eigenbasis(op: LaplacianOperator, k_prime: int
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom-k' eigenpairs: the exact kernel first, then block Lanczos on its complement.
+
+    The block starts at BLOCK columns and doubles, with a fresh solve, while a value
+    the block may hold too few copies of is reported.  It runs on L / 2^e, 2^e the power
+    of two nearest max(diag), so its thresholds are relative to the operator's scale;
+    the scaling and the ldexp back are exact."""
     top = float(op.diag.max())
     e = int(np.round(np.log2(top))) if top > 0.0 else 0
     if e:
         op = replace(op, diag=np.ldexp(op.diag, -e), off_scale=np.ldexp(op.off_scale, -e))
-    n = op.n
+    c, K = _kernel(op.graph, k_prime)
+    want = k_prime - c
+    if want <= 0:
+        return np.zeros(k_prime), K
     stream = derive_stream(0, "lanczos")
-    max_matvecs = 50 * n
-    Q = np.zeros((n, min(n, 64)))   # doubled when full: memory follows the steps taken
-    alphas: list[float] = []
-    betas: list[float] = []      # betas[j] couples vectors j and j+1; 0.0 marks a restart
-    used = 0
+    b = min(BLOCK, want)
     matvecs = 0
-    best_res = np.inf
-
-    def fresh_vector() -> np.ndarray:
-        for _ in range(16):
-            v = stream.normals(n)
-            v -= Q[:, :used] @ (Q[:, :used].T @ v)
-            v -= Q[:, :used] @ (Q[:, :used].T @ v)
-            norm = float(np.linalg.norm(v))
-            if norm > 1e-8:
-                return v / norm
-        raise SolverError("could not extend the Lanczos basis with a fresh vector")
-
-    def ritz(m: int) -> tuple[np.ndarray, np.ndarray]:
-        T = np.diag(np.asarray(alphas[:m]))
-        if m > 1:
-            off = np.asarray(betas[: m - 1])
-            T = T + np.diag(off, 1) + np.diag(off, -1)
-        tvals, tvecs = _eigh(T, "Lanczos Ritz step")
-        take = min(k_prime, m)
-        return tvals[:take], Q[:, :m] @ tvecs[:, :take]
-
-    Q[:, 0] = fresh_vector()
-    used = 1
-    beta_prev = 0.0
-    q_prev = np.zeros(n)
-    cadence = max(k_prime, 16)
-
     while True:
-        q = Q[:, used - 1]
-        w = op.matvec(q)
-        matvecs += 1
-        alphas.append(float(q @ w))
-        w = w - alphas[-1] * q - beta_prev * q_prev
-        # Full reorthogonalization, applied twice.
-        w -= Q[:, :used] @ (Q[:, :used].T @ w)
-        w -= Q[:, :used] @ (Q[:, :used].T @ w)
-        beta = float(np.linalg.norm(w))
-        m = used                      # alphas has m entries, betas has m-1
-
-        if m == n:
-            vals, vecs = ritz(n)
-            res = _residuals(op, vals, vecs)
-            if float(res.max()) <= 1e-7:
-                return np.ldexp(vals, e), vecs
-            raise SolverError(f"Lanczos spanned R^{n} but relative residual "
-                              f"{float(res.max()):.3e} exceeds 1e-7")
-
-        if m >= k_prime and (m % cadence == 0 or matvecs >= max_matvecs):
-            vals, vecs = ritz(m)
-            res = _residuals(op, vals, vecs)
-            matvecs += vals.size
-            best_res = min(best_res, float(res.max()))
-            if float(res.max()) <= LANCZOS_TOL:
-                return np.ldexp(vals, e), vecs
-            if matvecs >= max_matvecs:
-                raise SolverError(f"Lanczos hit the {max_matvecs}-matvec cap; best relative "
-                                  f"residual {best_res:.3e}")
-
-        if used == Q.shape[1]:
-            grown = np.zeros((n, min(n, 2 * used)))
-            grown[:, :used] = Q
-            Q = grown
-        if beta <= 1e-12:
-            betas.append(0.0)
-            Q[:, used] = fresh_vector()
-            beta_prev = 0.0
-            q_prev = np.zeros(n)
-        else:
-            betas.append(beta)
-            Q[:, used] = w / beta
-            beta_prev = beta
-            q_prev = q
-        used += 1
+        vals, vecs, matvecs = _block_lanczos(op, K, want, b, stream, matvecs)
+        if b == want or not _saturated(vals, b):
+            return np.ldexp(np.concatenate([np.zeros(c), vals]), e), np.hstack([K, vecs])
+        b = min(2 * b, want)
 
 
 def eigenbasis(op: LaplacianOperator, k_prime: int) -> SpectralBasis:
     """Bottom-k' eigenpairs of the normalized Laplacian.
 
-    The dense solver runs up to DENSE_LIMIT vertices, Lanczos beyond; the
-    basis records which one ran.
+    The dense solver runs up to DENSE_LIMIT vertices, block Lanczos beyond; the
+    basis records which one ran ("dense" or "lanczos").
     """
     if not 1 <= k_prime <= op.n:
         raise ValueError(f"k_prime must lie in [1, n={op.n}], got {k_prime}")
@@ -241,7 +335,7 @@ def eigenbasis(op: LaplacianOperator, k_prime: int) -> SpectralBasis:
         vals, vecs = _dense_eigenbasis(op, k_prime)
     else:
         method = "lanczos"
-        vals, vecs = _lanczos_eigenbasis(op, k_prime)
+        vals, vecs = _block_lanczos_eigenbasis(op, k_prime)
     vecs = _canonical_signs(vecs)
     # Clip the tiny negative dust LAPACK leaves on the kernel.
     vals = np.where(np.abs(vals) < 1e-12, np.abs(vals), vals)

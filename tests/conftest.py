@@ -144,6 +144,57 @@ def tiny_connected_suite(count: int, sizes=(5, 6, 7, 8), seed0: int = 100):
     return graphs
 
 
+def ring_with_chords(n: int, seed: int) -> np.ndarray:
+    """(m, 3) unit-cost edges of one connected graph: a ring plus 3n random chords."""
+    rng = np.random.default_rng(seed)
+    u = np.concatenate([np.arange(n), rng.integers(0, n, 3 * n)])
+    v = np.concatenate([(np.arange(n) + 1) % n, rng.integers(0, n, 3 * n)])
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = np.unique((lo * n + hi)[lo != hi])
+    return np.column_stack([keys // n, keys % n, np.ones(keys.size)])
+
+
+def four_component_union() -> tuple[np.ndarray, np.ndarray]:
+    """Two copies of a 2-component 1200-vertex graph, ids shuffled: (edges, component).
+
+    Each 600-vertex component is two ring-plus-chords halves joined by six edges, so
+    its Fiedler value (~0.004) sits well below the rest of its spectrum.  Components
+    are numbered 0-3 in the order they were built, not by smallest vertex id."""
+    def component(seed):
+        bridges = np.column_stack([np.arange(0, 300, 50), np.arange(300, 600, 50),
+                                   np.ones(6)])
+        return np.vstack([ring_with_chords(300, seed),
+                          ring_with_chords(300, seed + 1) + [300, 300, 0.0], bridges])
+
+    pair = np.vstack([component(21), component(23) + [600, 600, 0.0]])
+    both = np.vstack([pair, pair + [1200, 1200, 0.0]])
+    ids = np.random.default_rng(8).permutation(2400)
+    edges = np.column_stack([ids[both[:, 0].astype(np.int64)],
+                             ids[both[:, 1].astype(np.int64)], both[:, 2]])
+    component_of = np.empty(2400, dtype=np.int64)
+    component_of[ids] = np.arange(2400) // 600
+    return edges, component_of
+
+
+def planted_blocks(n: int, blocks: int, seed: int, pairs: int = 15,
+                   weighted: bool = False) -> Graph:
+    """Planted graph on the residue classes mod `blocks`: pairs*n random pairs, 95% of
+    them inside a class.  Weighted: costs in [0.5, 2), weights 1-2x the incident cost."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, n, size=pairs * n)
+    v = np.where(rng.random(u.size) < 0.95,
+                 rng.integers(0, n // blocks, u.size) * blocks + u % blocks,
+                 rng.integers(0, n, u.size))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = np.unique((lo * n + hi)[lo != hi])
+    cost = rng.uniform(0.5, 2.0, keys.size) if weighted else np.ones(keys.size)
+    edges = np.column_stack([keys // n, keys % n, cost])
+    g = Graph.build(n, edges)
+    if weighted:
+        g = Graph.build(n, edges, weights=g.incident_cost() * rng.uniform(1.0, 2.0, n))
+    return g
+
+
 def small_solver_suite():
     """Graphs with n <= 64 used for the eigensolver oracle comparison."""
     suite = [

@@ -24,7 +24,7 @@ from bufpart import (brute_force_h_k_eps, buffered_balanced_cut,
                      validate_partition)
 from bufpart.graph import PartitionError
 from bufpart.partition import resolve_step2
-from bufpart.spectral import _dense_eigenbasis, _lanczos_eigenbasis
+from bufpart.spectral import _block_lanczos_eigenbasis, _dense_eigenbasis
 from conftest import (ACCEPTANCE_LINES, disjoint_cliques, planted,
                       random_regular, small_solver_suite, tiny_connected_suite,
                       weighted_er)
@@ -92,7 +92,7 @@ def test_criterion_03_eigensolver_oracle():
         lap = normalized_laplacian(g)
         k = min(6, g.n)
         dense, _ = _dense_eigenbasis(lap, k)
-        lanczos, _ = _lanczos_eigenbasis(lap, k)
+        lanczos, _ = _block_lanczos_eigenbasis(lap, k)
         err = float(np.abs(dense - lanczos).max())
         worst = max(worst, err)
         assert err <= 1e-8, name

@@ -13,6 +13,7 @@ from referencing import Registry, Resource
 
 from bufpart import spectral
 from bufpart.cli import run
+from conftest import four_component_union
 
 
 def _schema_dir() -> Path:
@@ -91,6 +92,15 @@ class TestSpectrum:
         assert doc["params"]["method"] == "lanczos"
         for a, b in zip(doc["eigenvalues"], dense["eigenvalues"]):
             assert a == pytest.approx(b, abs=1e-8)
+
+    def test_four_component_union_reports_four_zeros(self, tmp_path):
+        edges, _ = four_component_union()          # n = 2400, four components
+        graph = tmp_path / "union.txt"
+        graph.write_text("".join(f"{int(u)} {int(v)}\n" for u, v, _ in edges.tolist()))
+        code, doc = run_json(["spectrum", "--graph", str(graph), "--k", "4"], tmp_path)
+        assert code == 0
+        assert doc["params"]["method"] == "lanczos"
+        assert doc["eigenvalues"] == [0.0, 0.0, 0.0, 0.0]
 
 
 class TestPartition:
@@ -429,7 +439,7 @@ class TestIngestErrors:
 
 class TestSolverFailure:
     @pytest.mark.parametrize("method, solver", [("dense", "dense eigensolver"),
-                                                ("lanczos", "Lanczos Ritz step")])
+                                                ("lanczos", "block Lanczos, Rayleigh-Ritz step")])
     def test_linalg_error_exits_2_naming_the_solver(self, method, solver, tiny_file,
                                                     tmp_path, monkeypatch, capsys):
         import numpy as np

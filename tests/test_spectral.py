@@ -1,16 +1,32 @@
-"""Laplacian, eigensolver (dense and Lanczos), embedding, ball measure."""
+"""Laplacian, eigensolver (dense and block Lanczos), embedding, ball measure."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bufpart import (EmbeddingError, Graph, ball_measure, edge_energy, eigenbasis,
-                     embed, normalized_laplacian)
-from bufpart.spectral import (DENSE_LIMIT, SpectralBasis, _dense_eigenbasis,
-                              _lanczos_eigenbasis)
-from conftest import (cycle, disjoint_cliques, k4, random_regular,
-                      small_solver_suite, triangle, weighted_er)
+from bufpart import (EmbeddingError, Graph, ball_measure, cheeger2_buffered, edge_energy,
+                     eigenbasis, embed, lower_bound_unbuffered, normalized_laplacian)
+from bufpart.spectral import (DENSE_LIMIT, SpectralBasis, _block_lanczos_eigenbasis,
+                              _dense_eigenbasis)
+from conftest import (cycle, disjoint_cliques, four_component_union, k4, planted_blocks,
+                      random_regular, ring_with_chords, small_solver_suite, triangle,
+                      weighted_er)
+
+
+def eigsh_bottom(g: Graph, k: int) -> np.ndarray:
+    """Test-only oracle: scipy's ARPACK in shift-invert mode about -0.01."""
+    from scipy import sparse
+    from scipy.sparse.linalg import eigsh
+
+    lap = normalized_laplacian(g)
+    rows = np.concatenate([g.edge_u, g.edge_v, np.arange(g.n)])
+    cols = np.concatenate([g.edge_v, g.edge_u, np.arange(g.n)])
+    vals = np.concatenate([-lap.off_scale, -lap.off_scale, lap.diag])
+    L = sparse.csc_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+    found = eigsh(L, k=k, sigma=-0.01, which="LM", tol=1e-14, v0=np.ones(g.n),
+                  return_eigenvectors=False)
+    return np.sort(found)
 
 
 class TestLaplacianOperator:
@@ -86,13 +102,13 @@ class TestEigenbasis:
             lap = normalized_laplacian(g)
             k = min(6, g.n)
             dense, _ = _dense_eigenbasis(lap, k)
-            lanczos, _ = _lanczos_eigenbasis(lap, k)
+            lanczos, _ = _block_lanczos_eigenbasis(lap, k)
             assert np.abs(dense - lanczos).max() <= 1e-8, name
 
     def test_lanczos_kernel_multiplicity(self):
-        # breakdown restarts must find all three kernel vectors
+        # the exact kernel holds all three zero eigenvalues, even below the block size
         g = disjoint_cliques([4, 4, 4])
-        vals, _ = _lanczos_eigenbasis(normalized_laplacian(g), 4)
+        vals, _ = _block_lanczos_eigenbasis(normalized_laplacian(g), 4)
         assert np.all(np.abs(vals[:3]) <= 1e-9)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e100])
@@ -110,7 +126,7 @@ class TestEigenbasis:
             g = Graph.build(40, edges * [1.0, 1.0, factor], weights=np.ones(40))
             lap = normalized_laplacian(g)
             dense, _ = _dense_eigenbasis(lap, 4)
-            lanczos, vecs = _lanczos_eigenbasis(lap, 4)
+            lanczos, vecs = _block_lanczos_eigenbasis(lap, 4)
             assert np.abs(lanczos - dense).max() <= 1e-8 * factor
             for i in range(4):
                 assert (np.linalg.norm(lap.matvec(vecs[:, i]) - lanczos[i] * vecs[:, i])
@@ -118,59 +134,128 @@ class TestEigenbasis:
             spectra.append(lanczos / factor)
         assert np.abs(spectra[1] - spectra[0]).max() <= 1e-8
 
-    def test_lanczos_memory_follows_steps(self):
-        # Planted 6-block graph, n = 3000: the Krylov basis grows past its first
-        # 64 columns, yet the traced peak stays far below one n x n array.
-        rng = np.random.default_rng(47)
-        n, blocks = 3000, 6
-        u = rng.integers(0, n, size=15 * n)
-        v = np.where(rng.random(u.size) < 0.95,
-                     rng.integers(0, n // blocks, u.size) * blocks + u % blocks,
-                     rng.integers(0, n, u.size))
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keys = np.unique((lo * n + hi)[lo != hi])
-        g = Graph.build(n, np.column_stack([keys // n, keys % n, np.ones(keys.size)]))
+    def test_block_lanczos_memory_is_linear_in_n_k(self):
+        # Planted 6-block graph, n = 3000, k' = 4: the basis holds max(128, 16 b + 2 want)
+        # columns (b <= want = 3 here), 32 n k' floats, and a thick restart forms its
+        # 65 kept Ritz vectors beside it: at most 48 n k' floats, nothing of size n x n.
+        n, k = 3000, 4
+        g = planted_blocks(n, 6, 47)
         lap = normalized_laplacian(g)
         tracemalloc.start()
         try:
-            vals, vecs = _lanczos_eigenbasis(lap, 4)
+            vals, vecs = _block_lanczos_eigenbasis(lap, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * n * 8 // 8
-        assert peak > 64 * n * 8            # the basis did grow
-        for i in range(4):
+        assert peak <= 48 * n * k * 8
+        for i in range(k):
             assert np.linalg.norm(lap.matvec(vecs[:, i]) - vals[i] * vecs[:, i]) <= 1e-8
-        assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-10)
+        assert np.allclose(vecs.T @ vecs, np.eye(k), atol=1e-10)
 
-    @pytest.mark.xfail(strict=True, reason="Lanczos misses repeated eigenvalues above "
-                       "DENSE_LIMIT (ROADMAP item 1)")
+    def test_20k_weighted_graph_solves_within_100_mb(self):
+        g = planted_blocks(20000, 8, 5, pairs=9, weighted=True)
+        tracemalloc.start()
+        try:
+            basis = eigenbasis(normalized_laplacian(g), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.method == "lanczos"
+        assert peak < 100 * 2**20
+        assert basis.residuals.max() <= 1e-8
+
     @pytest.mark.parametrize("copies", [2, 4])
     def test_disjoint_copies_repeat_the_one_copy_spectrum(self, copies):
         # One connected 1100-vertex graph (a ring plus random chords), solved
         # dense; c disjoint copies take n above DENSE_LIMIT, and their spectrum
         # is the one-copy spectrum with each value repeated c times.
         n = 1100
-        rng = np.random.default_rng(3)
-        u = np.concatenate([np.arange(n), rng.integers(0, n, 3 * n)])
-        v = np.concatenate([(np.arange(n) + 1) % n, rng.integers(0, n, 3 * n)])
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keys = np.unique((lo * n + hi)[lo != hi])
-        one = np.column_stack([keys // n, keys % n, np.ones(keys.size)])
-        single = eigenbasis(normalized_laplacian(Graph.build(n, one)), 2)
-        assert single.method == "dense" and single.eigenvalues[1] > 0.1
+        one = ring_with_chords(n, 3)
+        single, _ = _dense_eigenbasis(normalized_laplacian(Graph.build(n, one)), 2)
+        assert single[1] > 0.1
         union = Graph.build(copies * n, np.vstack([one + [c * n, c * n, 0.0]
                                                    for c in range(copies)]))
         assert union.n > DENSE_LIMIT
         basis = eigenbasis(normalized_laplacian(union), 2 * copies)
-        want = np.repeat(single.eigenvalues, copies)
+        want = np.repeat(single, copies)
         assert np.abs(basis.eigenvalues - want).max() <= 1e-8
+
+    @pytest.mark.parametrize("n", [2100, 3000])
+    def test_cycle_spectrum_comes_in_pairs(self, n):
+        # 1 - cos(2 pi j / n) for j = 0, 1, 1, 2, 2: each nonzero value twice
+        basis = eigenbasis(normalized_laplacian(cycle(n)), 5)
+        assert basis.method == "lanczos"
+        want = 1.0 - np.cos(2.0 * np.pi * np.array([0, 1, 1, 2, 2]) / n)
+        assert np.abs(basis.eigenvalues - want).max() <= 1e-10
+
+    @pytest.mark.parametrize("n, blocks, k, weighted", [
+        (2100, 4, 2, False), (2500, 2, 4, True), (3000, 6, 5, False),
+        (4000, 8, 8, True), (5000, 5, 3, False), (5000, 8, 6, True)])
+    def test_block_lanczos_matches_eigsh_on_planted_graphs(self, n, blocks, k, weighted):
+        g = planted_blocks(n, blocks, n + k, pairs=6, weighted=weighted)
+        vals, _ = _block_lanczos_eigenbasis(normalized_laplacian(g), k)
+        assert np.abs(vals - eigsh_bottom(g, k)).max() <= 1e-8
+
+    def test_block_lanczos_matches_eigsh_on_two_identical_blocks(self):
+        # two copies of one weighted planted graph: every nonzero value repeats
+        one = planted_blocks(1100, 4, 9, pairs=6, weighted=True)
+        edges = np.column_stack([one.edge_u, one.edge_v, one.edge_cost])
+        union = Graph.build(2 * one.n, np.vstack([edges, edges + [one.n, one.n, 0.0]]),
+                            weights=np.tile(one.weights, 2))
+        vals, _ = _block_lanczos_eigenbasis(normalized_laplacian(union), 8)
+        assert np.abs(vals[2::2] - vals[3::2]).max() <= 1e-10 and vals[2] > 1e-3
+        assert np.abs(vals - eigsh_bottom(union, 8)).max() <= 1e-8
+
+    @pytest.mark.parametrize("n", [DENSE_LIMIT, DENSE_LIMIT + 1])
+    def test_both_solvers_match_eigsh_at_the_dense_limit(self, n):
+        g = planted_blocks(n, 4, 13, pairs=6, weighted=True)
+        lap = normalized_laplacian(g)
+        truth = eigsh_bottom(g, 6)
+        basis = eigenbasis(lap, 6)
+        assert basis.method == ("dense" if n <= DENSE_LIMIT else "lanczos")
+        assert np.abs(basis.eigenvalues - truth).max() <= 1e-8
+        assert np.abs(_dense_eigenbasis(lap, 6)[0] - truth).max() <= 1e-8
+        assert np.abs(_block_lanczos_eigenbasis(lap, 6)[0] - truth).max() <= 1e-8
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
             eigenbasis(normalized_laplacian(k4()), 5)
         with pytest.raises(ValueError):
             eigenbasis(normalized_laplacian(k4()), 0)
+
+
+class TestFourComponentUnion:
+    """conftest.four_component_union: n = 2400 > DENSE_LIMIT and four components, so
+    lambda_1..4 = 0 and the four components are a partition that cuts nothing."""
+
+    @pytest.fixture(scope="class")
+    def union(self):
+        edges, component = four_component_union()
+        return Graph.build(component.size, edges), component
+
+    def test_lower_bound_is_zero(self, union):
+        g, _ = union
+        assert g.n > DENSE_LIMIT
+        assert lower_bound_unbuffered(g, 4) <= 1e-12
+
+    def test_cheeger2_finds_the_zero_cut(self, union):
+        cut = cheeger2_buffered(union[0], 0.1)
+        assert abs(cut.lambda2) <= 1e-12
+        assert cut.phi == 0.0
+
+    def test_kernel_columns_come_first_in_component_order(self, union):
+        g, component = union
+        basis = eigenbasis(normalized_laplacian(g), 6)
+        assert basis.method == "lanczos"
+        assert np.all(basis.eigenvalues[:4] == 0.0) and basis.eigenvalues[4] > 1e-3
+        # components numbered by their smallest vertex id
+        firsts = [int(np.flatnonzero(component == c).min()) for c in range(4)]
+        order = np.argsort(firsts)
+        for col, c in enumerate(order):
+            inside = component == c
+            want = np.where(inside, np.sqrt(g.weights), 0.0)
+            want /= np.linalg.norm(want)
+            assert np.abs(basis.eigenvectors[:, col] - want).max() <= 1e-12
 
 
 class TestEmbedding:
