@@ -11,15 +11,18 @@ and keeps the bookkeeping
 The draws come from separators.measured_draws(), which evaluates them in
 blocks; each round's bookkeeping touches only the indices of X u Y u Z.
 
-Step 3 refines each round by an exhaustive threshold search over the member
-measures (a strictly stronger replacement for the probabilistic-method
-existence argument: it finds a feasible threshold whenever one exists),
-evaluated on arrays restricted to the round's members and their incident
-edges, and Step 4 discards refined tuples whose buffered expansion exceeds the
-expansion-slack bound.  complete_partition() keeps the k-1 tuples of lowest
-buffered expansion as parts and folds the leftovers and the other tuples into
-the last part; partial_partition() keeps the restart whose completion has the
-lowest max expansion, the quantity the paper bounds.
+Step 3 refines each round by a threshold search over the member measures (a
+strictly stronger replacement for the probabilistic-method existence argument:
+it finds a feasible threshold whenever one exists), on arrays restricted to
+the round's members and their incident edges.  One sorted sweep gives every
+candidate's weights and cuts from prefix sums and prunes with a stated float
+error bound; the exact masked sums evaluate the survivors in ascending order
+of a phi lower bound and alone pick the threshold, so the result is that of
+the exhaustive search.  Step 4 discards refined tuples whose buffered
+expansion exceeds the expansion-slack bound.  complete_partition() keeps the
+k-1 tuples of lowest buffered expansion as parts and folds the leftovers and
+the other tuples into the last part; partial_partition() keeps the restart
+whose completion has the lowest max expansion, the quantity the paper bounds.
 
 Desk-scale practicality: the certified probability scale alpha of the Step-2
 separator family is astronomically small for every usable (k, delta) pairing
@@ -68,6 +71,7 @@ MAX_ROUNDS = 20000
 BUFFER_SLACK = 192.0       # Step 3 buffer slack c' = BUFFER_SLACK / delta
 EXPANSION_SLACK = 10.0     # Step 4 expansion slack c'' = EXPANSION_SLACK / delta
 RESTARTS = 8
+_UNIT = np.finfo(np.float64).eps / 2.0   # float64 unit roundoff u = 2^-53
 
 
 @dataclass(frozen=True)
@@ -311,6 +315,122 @@ class PartialPartition:
         return max((t.phi for t in self.tuples), default=math.inf)
 
 
+def _round_threshold(mu_l, w_l, pt, bt, lu, lv, ec_l, out_u, out_v,
+                     epsilon: float, c_prime: float, bound: float):
+    """Step 3 on one round: the feasible threshold r of least (phi, -w(P), r).
+
+    The arguments are the round's local view built by refine_and_discard();
+    returns (key, r, p_mask, b_mask, a1_mask, a2_mask, phi), or None when no
+    threshold is feasible.
+
+    The candidates are the members' unique mu in ascending order, and
+    lo = r/(1+eps), lo2 = lo/(1+eps) are nondecreasing in r.  Membership is
+    monotone in r: a Ptilde slot is in P while r <= mu, a member is in
+    P u B while lo <= mu, a Ptilde slot is in A'' while lo2 < mu < lo and in
+    A' once mu < lo and mu <= lo2.  So each set holds a slot on one interval
+    of candidate indices, each filtered cut counts an edge on at most two
+    disjoint intervals, and bincount plus cumsum give w(P), w(B), w(A''), the
+    a1, out and phi cuts of every candidate at once.  Those sweep sums round
+    differently from the masked sums; with u = 2^-53, W the members' weight,
+    C the cost of their E incident edges and count the candidates:
+
+        |w(P)~ - w(P)|, |w(A'')~ - w(A'')|   <= 4 (size + count + 1) u W = tol_w
+        |w(B)~ - w(B)|                       <= 2 tol_w
+        |cut~ - cut|, for each of the cuts   <= 12 (E + count + 1) u C = tol_c
+
+    So the sweep only prunes.  A candidate is dropped when its P is empty or
+    it breaks a filter by more than these bounds (the 1 -/+ 4u factors absorb
+    the rounding of the comparison).  The rest are visited by ascending phi
+    lower bound and evaluated with the exact masked sums, which alone decide
+    feasibility, phi and the key.  The visit stops once the next lower bound
+    is strictly above the best exact phi, so candidates tied on phi are still
+    evaluated and the result is that of evaluating every candidate.
+    """
+    size = mu_l.size - 1
+    cands = np.unique(mu_l[:size])
+    count = cands.size
+    los = cands / (1.0 + epsilon)        # the same expressions as the masks below
+    lo2s = los / (1.0 + epsilon)
+    # Slot s is in P for i < p_end[s], in P u B for i < pb_end[s], in A'' for
+    # pb_end[s] <= i < a2_end[s] and in A' for i >= a1_start[s].  The sentinel
+    # slot is in none of them.
+    p_end = np.where(pt, np.searchsorted(cands, mu_l, "right"), 0)
+    pb_end = np.where(pt | bt, np.searchsorted(los, mu_l, "right"), 0)
+    a2_end = np.where(pt, np.searchsorted(lo2s, mu_l, "left"), 0)
+    a1_start = np.where(pt, np.maximum(pb_end, a2_end), count)
+
+    def sweep(start, end, values):
+        """values[j] summed over the j with start[j] <= i < end[j], for each i."""
+        keep = start < end
+        v = values[keep]
+        return np.cumsum(np.bincount(start[keep], v, count + 1)
+                         - np.bincount(end[keep], v, count + 1))[:count]
+
+    def cut_sweep(first, last, cost_v, cost_u):
+        """Per edge: cost_v on [first[v], last[u]) plus cost_u on [first[u], last[v])."""
+        return sweep(np.concatenate([first[lv], first[lu]]),
+                     np.concatenate([last[lu], last[lv]]), np.concatenate([cost_v, cost_u]))
+
+    wp_a = sweep(np.zeros_like(p_end), p_end, w_l)
+    wb_a = sweep(np.zeros_like(pb_end), pb_end, w_l) - wp_a
+    wa2_a = sweep(pb_end, a2_end, w_l)
+    tol_w = 4.0 * (size + count + 1) * _UNIT * float(w_l.sum())
+    tol_c = 12.0 * (ec_l.size + count + 1) * _UNIT * float(ec_l.sum())
+    wp_hi = (wp_a + tol_w) * (1.0 + 4.0 * _UNIT)
+    lower = 1.0 - 4.0 * _UNIT
+    feasible = (np.arange(count) < p_end.max()) & ~(
+        (wb_a - 2.0 * tol_w) * lower > c_prime * epsilon * wp_hi) & ~(
+        (wa2_a - tol_w) * lower > 10.0 * epsilon * wp_hi)
+    if math.isfinite(bound):
+        zero = np.zeros_like(ec_l)
+        a1_a = cut_sweep(a1_start, pb_end, ec_l, ec_l)
+        out_a = cut_sweep(pb_end, pb_end, np.where(out_v, ec_l, zero),
+                          np.where(out_u, ec_l, zero))
+        with np.errstate(over="ignore"):     # to inf, as bound * wp may below
+            limit = bound * wp_hi
+        feasible &= ~((a1_a - tol_c) * lower > limit) & ~((out_a - tol_c) * lower > limit)
+    cand = np.flatnonzero(feasible)
+    # phi_lb <= the exact phi; (1 - 8u) absorbs the rounding of these four
+    # operations and of the exact division, and phi >= 0 always.
+    phi_lb = np.maximum((cut_sweep(pb_end, p_end, ec_l, ec_l)[cand] - tol_c)
+                        / (wp_a[cand] + tol_w) * (1.0 - 8.0 * _UNIT), 0.0)
+    order = np.argsort(phi_lb, kind="stable")
+
+    best = None
+    for lb, i in zip(phi_lb[order].tolist(), cand[order].tolist()):
+        if best is not None and lb > best[-1]:
+            break
+        r = cands[i]
+        p_mask = pt & (mu_l >= r)
+        lo = r / (1.0 + epsilon)
+        b_mask = (bt & (mu_l >= lo)) | (pt & (mu_l >= lo) & (mu_l < r))
+        a2_mask = pt & (mu_l > lo / (1.0 + epsilon)) & (mu_l < lo)
+        # A' is the untouched remainder of Ptilde; for eps > 0 this is
+        # exactly {mu <= r/(1+eps)^2}, and it keeps the bands tiling when
+        # eps = 0 collapses the interval endpoints.
+        a1_mask = pt & ~p_mask & ~b_mask & ~a2_mask
+        wp = float(w_l[p_mask].sum())
+        if float(w_l[b_mask].sum()) > c_prime * epsilon * wp:
+            continue
+        if float(w_l[a2_mask].sum()) > 10.0 * epsilon * wp:
+            continue
+        pb = p_mask | b_mask
+        pb_u, pb_v = pb[lu], pb[lv]
+        if math.isfinite(bound):
+            a1_cut = float(ec_l[(a1_mask[lu] & pb_v) | (a1_mask[lv] & pb_u)].sum())
+            if a1_cut > bound * wp:
+                continue
+            out_cut = float(ec_l[(pb_u & out_v & ~pb_v) | (pb_v & out_u & ~pb_u)].sum())
+            if out_cut > bound * wp:
+                continue
+        phi_cut = float(ec_l[(p_mask[lu] & ~pb_v) | (p_mask[lv] & ~pb_u)].sum())
+        phi = phi_cut / wp
+        key = (phi, -wp, float(r))
+        if best is None or key < best[0]:
+            best = (key, float(r), p_mask, b_mask, a1_mask, a2_mask, phi)
+    return best
+
+
 def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
                        epsilon: float, delta: float) -> PartialPartition:
     """Steps 3 and 4: per-round threshold search, then the expansion filter.
@@ -348,8 +468,9 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
         # Local view of the round: its members in index order plus a sentinel
         # slot at the end (never selected) that non-member endpoints reach as
         # index -1, and the member-incident edges in global edge order.  The
-        # masked sums below select the same elements in the same order as
-        # global masks would, so phi, thresholds and tie-breaks are unchanged.
+        # masked sums of _round_threshold() select the same elements in the
+        # same order as global masks would, so phi, thresholds and tie-breaks
+        # are unchanged.
         members = np.union1d(rec.p_tilde, rec.b_tilde)
         size = members.size
         pt = np.zeros(size + 1, dtype=bool)
@@ -366,38 +487,8 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
         out_v = sigma_rp[ev[incident]] & ~pt[lv]
         local[members] = -1
 
-        best = None
-        for r in np.unique(mu_l[:size]):
-            p_mask = pt & (mu_l >= r)
-            if not p_mask.any():
-                continue
-            lo = r / (1.0 + epsilon)
-            b_mask = (bt & (mu_l >= lo)) | (pt & (mu_l >= lo) & (mu_l < r))
-            a2_mask = pt & (mu_l > lo / (1.0 + epsilon)) & (mu_l < lo)
-            # A' is the untouched remainder of Ptilde; for eps > 0 this is
-            # exactly {mu <= r/(1+eps)^2}, and it keeps the bands tiling when
-            # eps = 0 collapses the interval endpoints.
-            a1_mask = pt & ~p_mask & ~b_mask & ~a2_mask
-            wp = float(w_l[p_mask].sum())
-            if float(w_l[b_mask].sum()) > c_prime * epsilon * wp:
-                continue
-            if float(w_l[a2_mask].sum()) > 10.0 * epsilon * wp:
-                continue
-            pb = p_mask | b_mask
-            pb_u, pb_v = pb[lu], pb[lv]
-            if math.isfinite(bound):
-                a1_cut = float(ec_l[(a1_mask[lu] & pb_v) | (a1_mask[lv] & pb_u)].sum())
-                if a1_cut > bound * wp:
-                    continue
-                out_cut = float(ec_l[(pb_u & out_v & ~pb_v) | (pb_v & out_u & ~pb_u)].sum())
-                if out_cut > bound * wp:
-                    continue
-            phi_cut = float(ec_l[(p_mask[lu] & ~pb_v) | (p_mask[lv] & ~pb_u)].sum())
-            phi = phi_cut / wp
-            key = (phi, -wp, float(r))
-            if best is None or key < best[0]:
-                best = (key, float(r), p_mask, b_mask, a1_mask, a2_mask, phi)
-
+        best = _round_threshold(mu_l, w_l, pt, bt, lu, lv, ec_l, out_u, out_v,
+                                epsilon, c_prime, bound)
         if best is None:
             infeasible_rounds += 1
             r_p_prime[rec.p_tilde] = True

@@ -19,9 +19,22 @@ min over u in X of mu(X minus Ball(u, R)) <= delta mu(U), which makes the
 separation property hold on every returned draw by construction.
 
 measured_draws() evaluates a run of draws in blocks: it validates the vectors
-and measures once, takes each block's Gaussian directions from one normals()
-call, projects the block with project() and classifies only the vertices that
-reach X u Y u Z.  The rejection is still applied to every draw.
+and measures once and takes each block's Gaussian directions from one normals()
+call.  Fast float arithmetic only discards what provably cannot matter, and
+the exact formulas decide the rest:
+
+  * a BLAS product of the block with the vectors keeps the entries whose
+    value is at least floor - margin, floor = min(t - 2 eps', t) and
+    margin = 4 (dim + 2) u (||g||_1 + |floor|) with u = 2^-53, which bounds
+    how far the BLAS sum can be from the exact one; only those entries are
+    recomputed with the fixed-order per-entry sum that defines a projection,
+    and classified from it (_draw_blocks);
+  * the min-ball rejection reads squared distances d2 off a Gram matrix and
+    re-decides, with the norm of the difference, only the pairs with
+    |d2 - R^2| <= 16 (dim + 4) u (1 + R^2) (_min_ball_leftover).
+
+So X, Y, Z and every rejection are the same bits for any BLAS build, thread
+count and block size.  The rejection is still applied to every draw.
 sample_two_buffers() is a one-draw run of the same routine, so it gives the
 same bits as the matching draw of a longer run.
 """
@@ -45,13 +58,12 @@ __all__ = [
     "practical_params",
     "sample_two_buffers",
     "measured_draws",
-    "project",
     "classify",
 ]
 
 T_MAX = 40.0
 BLOCK_VALUES = 2 ** 18      # projections evaluated per block of measured draws
-CHUNK_VALUES = 2 ** 16      # projections summed per cache-sized chunk of a block
+_UNIT = np.finfo(np.float64).eps / 2.0   # float64 unit roundoff u = 2^-53
 
 
 class CalibrationError(RuntimeError):
@@ -148,30 +160,6 @@ def _check_unit(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def project(columns: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Projections of every vector onto each row of g, shape (draws, count).
-
-    columns is the (dim, count) transpose of the vector list.  Each entry is
-    summed over the coordinates in a fixed order, one elementwise pass each,
-    so a draw's projections are the same bits whether it is projected alone
-    or in a block (a BLAS product may regroup the sum by batch size).  Rows
-    are processed in chunks of about CHUNK_VALUES entries so the passes stay
-    in cache; that does not change any entry's arithmetic.
-    """
-    draws, count = g.shape[0], columns.shape[1]
-    proj = np.empty((draws, count))
-    rows = max(1, CHUNK_VALUES // max(count, 1))
-    term = np.empty((min(rows, draws), count))
-    for lo in range(0, draws, rows):
-        out, gs = proj[lo:lo + rows], g[lo:lo + rows]
-        t = term[:out.shape[0]]
-        np.multiply(gs[:, 0, None], columns[0], out=out)
-        for j in range(1, columns.shape[0]):
-            np.multiply(gs[:, j, None], columns[j], out=t)
-            out += t
-    return proj
-
-
 def classify(proj: np.ndarray, p: SeparatorParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interval membership for one draw of projections."""
     x = proj >= p.t
@@ -190,11 +178,32 @@ def _reached(proj: np.ndarray, p: SeparatorParams) -> np.ndarray:
 
 def _min_ball_leftover(vectors: np.ndarray, measures: np.ndarray,
                        x_idx: np.ndarray, r: float) -> float:
-    """min over u in X of mu(X minus Ball(u, r)) in the psi metric."""
+    """min over u in X of mu(X minus Ball(u, r)) in the psi metric.
+
+    v lies outside Ball(u, r) when np.linalg.norm(psi(u) - psi(v)) > r; that
+    rule alone decides.  The Gram form d2 = |p|^2 + |q|^2 - 2 <p, q> (one BLAS
+    product for all pairs) only settles the pairs it provably puts on the same
+    side.  For vectors of norm at most 1 + 1e-9 (checked by _check_unit) and
+    gamma = (dim + 4) u, u = 2^-53:
+
+        |d2 - |p - q|^2|                <= 4.1 gamma
+        rule value = |p - q| (1 + theta),  |theta| <= gamma
+
+    so a pair with |d2 - r^2| > 16 gamma (1 + r^2), at least twice both
+    errors together, is outside exactly when d2 > r^2; every other pair is
+    re-decided by the rule.  The leftover sums the same 0/mu matrix as the
+    all-pairs rule, so the value is the same bits.
+    """
     pts = vectors[x_idx]
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    outside = (d > r) * measures[x_idx][None, :]
-    return float(outside.sum(axis=1).min())
+    sq = np.einsum("ij,ij->i", pts, pts)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+    r2 = r * r
+    far = d2 > r2
+    unsure = np.abs(d2 - r2) <= 16.0 * (pts.shape[1] + 4) * _UNIT * (1.0 + r2)
+    if unsure.any():
+        i, j = np.nonzero(unsure)
+        far[i, j] = np.linalg.norm(pts[i] - pts[j], axis=1) > r
+    return float((far * measures[x_idx]).sum(axis=1).min())
 
 
 def measured_draws(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
@@ -221,19 +230,55 @@ def measured_draws(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
                         int(count))
 
 
+def _projections(gs: np.ndarray, columns: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray) -> np.ndarray:
+    """The projection of vector cols[i] onto direction gs[rows[i]], for each i.
+
+    The only definition of a projection value: the products g_j v_j summed in
+    coordinate order, one elementwise pass per coordinate, so an entry's bits
+    do not depend on which other entries are evaluated with it.
+    """
+    g = gs[rows]
+    proj = g[:, 0] * columns[0, cols]
+    for j in range(1, columns.shape[0]):
+        proj += g[:, j] * columns[j, cols]
+    return proj
+
+
 def _draw_blocks(vectors, measures, limit, r, p, stream, count):
-    """The generator behind measured_draws(); limit is delta mu(U)."""
+    """The generator behind measured_draws(); limit is delta mu(U).
+
+    A block's BLAS product gs @ columns only prunes: it may group the sums
+    differently by batch size, thread count or BLAS build, but for vectors of
+    norm at most 1 + 1e-9 both it and _projections() are within
+    gamma_dim (1 + 1e-9) ||g||_1 of the real-number sum (gamma_dim ~ dim u,
+    u = 2^-53), so they differ by less than 2 gamma_dim (1 + 1e-9) ||g||_1,
+    and by less than
+
+        margin = 4 (dim + 2) u (||g||_1 + |floor|)
+
+    together with the rounding of floor - margin.  An entry whose BLAS value
+    is below floor - margin cannot reach X u Y u Z; every other entry is
+    recomputed by _projections() and classified from that value alone, so X,
+    Y and Z are the same bits for any BLAS and any block size.
+    """
     count_v, dim = vectors.shape
     columns = np.ascontiguousarray(vectors.T)
     block = max(1, BLOCK_VALUES // max(count_v, 1))
+    floor = min(p.t - 2.0 * p.eps_prime, p.t)     # no entry below it is reached
     empty = np.empty(0, dtype=np.int64)
     quiet = SeparatorSample(x=empty, y=empty, z=empty)
     refused = SeparatorSample(x=empty, y=empty, z=empty, rejected=True)
     for first in range(0, count, block):
         size = min(block, count - first)
-        proj = project(columns, stream.normals(dim * size).reshape(size, dim))
-        rows, cols = np.divmod(np.flatnonzero(_reached(proj, p)), count_v)
-        x, y, z = classify(proj[rows, cols], p)
+        gs = stream.normals(dim * size).reshape(size, dim)
+        margin = 4.0 * (dim + 2) * _UNIT * (np.abs(gs).sum(axis=1) + abs(floor))
+        rows, cols = np.divmod(np.flatnonzero(gs @ columns >= (floor - margin)[:, None]),
+                               count_v)
+        proj = _projections(gs, columns, rows, cols)
+        hit = _reached(proj, p)
+        rows, cols = rows[hit], cols[hit]
+        x, y, z = classify(proj[hit], p)
         bounds = np.searchsorted(rows, np.arange(size + 1)).tolist()
         for i in range(size):
             lo, hi = bounds[i], bounds[i + 1]

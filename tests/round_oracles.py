@@ -1,24 +1,79 @@
 """Reference implementations of the Step-2 round loop and the Step-3/4 refinement.
 
 These are the straightforward per-draw and global-mask versions the library
-replaced with block evaluation and per-round local arrays.  The oracle tests
-require the library to reproduce them exactly.
+replaced with block evaluation, float pruning and per-round sweeps.  They
+share no code with the library's draw and refinement paths: every draw is
+projected with the fixed-order per-coordinate sum and measured with the
+all-pairs distance matrix, and every refinement threshold is evaluated with
+full-length masks.  The oracle tests require the library to reproduce them
+exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from bufpart.partition import (BUFFER_SLACK, EXPANSION_SLACK, CrudePartition,
                                PartialPartition, RefinedTuple, RoundRecord,
                                resolve_step2)
-from bufpart.separators import sample_two_buffers
+
+CHUNK_VALUES = 2 ** 16      # projections summed per cache-sized chunk
+
+
+def reference_project(columns: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Projections of every vector onto each row of g, shape (draws, count).
+
+    columns is the (dim, count) transpose of the vector list.  Each entry is
+    summed over the coordinates in a fixed order, one elementwise pass each,
+    so a draw's projections are the same bits whether it is projected alone
+    or with others.  Rows are processed in chunks of about CHUNK_VALUES
+    entries, which does not change any entry's arithmetic.
+    """
+    draws, count = g.shape[0], columns.shape[1]
+    proj = np.empty((draws, count))
+    rows = max(1, CHUNK_VALUES // max(count, 1))
+    term = np.empty((min(rows, draws), count))
+    for lo in range(0, draws, rows):
+        out, gs = proj[lo:lo + rows], g[lo:lo + rows]
+        t = term[:out.shape[0]]
+        np.multiply(gs[:, 0, None], columns[0], out=out)
+        for j in range(1, columns.shape[0]):
+            np.multiply(gs[:, j, None], columns[j], out=t)
+            out += t
+    return proj
+
+
+def reference_min_ball_leftover(vectors, measures, x_idx, r) -> float:
+    """min over u in X of mu(X minus Ball(u, r)) from the all-pairs distance matrix."""
+    pts = vectors[x_idx]
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    outside = (d > r) * measures[x_idx][None, :]
+    return float(outside.sum(axis=1).min())
+
+
+def reference_draw(vectors, measures, limit, r, p, rng):
+    """One measured two-buffer draw: (x, y, z, rejected).
+
+    Takes one normals(dim) direction from rng, classifies every vector by its
+    projection and rejects (all sets empty) when the min-ball leftover of X
+    exceeds limit = delta mu(U).
+    """
+    columns = np.ascontiguousarray(vectors.T)
+    proj = reference_project(columns, rng.normals(vectors.shape[1]).reshape(1, -1))[0]
+    x = np.flatnonzero(proj >= p.t)
+    y = np.flatnonzero((proj > p.t - p.eps_prime) & (proj < p.t))
+    z = np.flatnonzero((proj > p.t - 2.0 * p.eps_prime) & (proj <= p.t - p.eps_prime))
+    if x.size and reference_min_ball_leftover(vectors, measures, x, r) > limit:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, True
+    return x, y, z, False
 
 
 def reference_crude_partition(e, k, epsilon, delta, rng, effective=None):
-    """Step 2 with one sample_two_buffers call and full-length masks per round.
+    """Step 2 with one reference_draw call and full-length masks per round.
 
     Returns (CrudePartition, snapshots), where snapshots maps each active round
     (one with a non-empty Ptilde or Btilde) to its full-length Sigma mask from
@@ -27,6 +82,7 @@ def reference_crude_partition(e, k, epsilon, delta, rng, effective=None):
     n = e.graph.n
     eff = effective if effective is not None else resolve_step2(n, k, epsilon, delta)
     psi, mu = e.psi, e.mu
+    limit = eff.delta_sep * float(mu.sum())
     sigma = np.zeros(n, dtype=bool)
     gamma = np.zeros(n, dtype=bool)
     touched = np.zeros(n, dtype=bool)
@@ -34,16 +90,15 @@ def reference_crude_partition(e, k, epsilon, delta, rng, effective=None):
     snapshots = {}
     rejects = 0
     for t in range(eff.rounds):
-        s = sample_two_buffers(psi, mu, eff.epsilon, eff.delta_sep, eff.radius,
-                               rng, params=eff.params)
-        if s.rejected:
+        sx, sy, sz, rejected = reference_draw(psi, mu, limit, eff.radius, eff.params, rng)
+        if rejected:
             rejects += 1
         x = np.zeros(n, dtype=bool)
-        x[s.x] = True
+        x[sx] = True
         xy = x.copy()
-        xy[s.y] = True
+        xy[sy] = True
         xyz = xy.copy()
-        xyz[s.z] = True
+        xyz[sz] = True
         snapshot = sigma.copy()
         p_tilde = x & ~touched
         sigma |= p_tilde
@@ -53,9 +108,9 @@ def reference_crude_partition(e, k, epsilon, delta, rng, effective=None):
         if p_tilde.any() or b_tilde.any():
             snapshots[t] = snapshot
         rounds.append(RoundRecord(
-            index=t, x=s.x, y=s.y, z=s.z,
+            index=t, x=sx, y=sy, z=sz,
             p_tilde=np.flatnonzero(p_tilde), b_tilde=np.flatnonzero(b_tilde),
-            rejected=s.rejected))
+            rejected=rejected))
     r_p = np.flatnonzero(~touched)
     r_b = np.flatnonzero(touched & ~sigma & ~gamma)
     crude = CrudePartition(rounds=tuple(rounds), sigma=np.flatnonzero(sigma),
@@ -64,8 +119,16 @@ def reference_crude_partition(e, k, epsilon, delta, rng, effective=None):
     return crude, snapshots
 
 
-def reference_refine_and_discard(c, e, g, k, epsilon, delta) -> PartialPartition:
-    """Steps 3 and 4 with full-length vertex and edge masks for every candidate r."""
+def reference_refine_and_discard(c, e, g, k, epsilon, delta,
+                                 tally: Counter | None = None) -> PartialPartition:
+    """Steps 3 and 4 with full-length vertex and edge masks for every candidate r.
+
+    When tally is given it counts, per Step-3 filter ("buffer", "a_double",
+    "a1_cut", "out_cut"), the candidates that filter rejects, and under
+    "buffer_on_limit" and "a_double_on_limit" the candidates whose w(B) or
+    w(A'') equals its limit exactly (and so passes).
+    """
+    tally = Counter() if tally is None else tally
     n = g.n
     lam_k = float(e.basis.eigenvalues[k - 1])
     c_prime = BUFFER_SLACK / delta
@@ -108,18 +171,26 @@ def reference_refine_and_discard(c, e, g, k, epsilon, delta) -> PartialPartition
             a2_mask = pt & (mu > lo / (1.0 + epsilon)) & (mu < lo)
             a1_mask = pt & ~p_mask & ~b_mask & ~a2_mask
             wp = float(w[p_mask].sum())
-            if float(w[b_mask].sum()) > c_prime * epsilon * wp:
+            wb, wb_limit = float(w[b_mask].sum()), c_prime * epsilon * wp
+            tally["buffer_on_limit"] += wb == wb_limit
+            if wb > wb_limit:
+                tally["buffer"] += 1
                 continue
-            if float(w[a2_mask].sum()) > 10.0 * epsilon * wp:
+            wa2, wa2_limit = float(w[a2_mask].sum()), 10.0 * epsilon * wp
+            tally["a_double_on_limit"] += wa2 == wa2_limit
+            if wa2 > wa2_limit:
+                tally["a_double"] += 1
                 continue
             pb = p_mask | b_mask
             if math.isfinite(bound):
                 a1_cut = float(ec[(a1_mask[eu] & pb[ev]) | (a1_mask[ev] & pb[eu])].sum())
                 if a1_cut > bound * wp:
+                    tally["a1_cut"] += 1
                     continue
                 out_cut = float(ec[(pb[eu] & outside_pt[ev] & ~pb[ev]) |
                                    (pb[ev] & outside_pt[eu] & ~pb[eu])].sum())
                 if out_cut > bound * wp:
+                    tally["out_cut"] += 1
                     continue
             phi_cut = float(ec[(p_mask[eu] & ~pb[ev]) | (p_mask[ev] & ~pb[eu])].sum())
             phi = phi_cut / wp

@@ -24,7 +24,7 @@ from bufpart import (brute_force_h_k_eps, buffered_balanced_cut,
                      validate_partition)
 from bufpart.graph import PartitionError
 from bufpart.partition import resolve_step2
-from bufpart.spectral import _block_lanczos_eigenbasis, _dense_eigenbasis
+from bufpart.spectral import DENSE_LIMIT, _block_lanczos_eigenbasis, _dense_eigenbasis
 from conftest import (ACCEPTANCE_LINES, disjoint_cliques, planted,
                       random_regular, small_solver_suite, tiny_connected_suite,
                       weighted_er)
@@ -445,6 +445,9 @@ def _exhaustive_robust(g, s, eta):
     return len(outside)
 
 
+LIBRARY_ENTRY = "import sys; from bufpart.cli import run; raise SystemExit(run(sys.argv[1:]))"
+
+
 def test_criterion_14_determinism(tmp_path):
     lines = []
     start = 0
@@ -466,6 +469,29 @@ def test_criterion_14_determinism(tmp_path):
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
-    identical = all(o == outputs[0] for o in outputs)
+    # The console entry above pins BLAS to one thread before numpy loads, so
+    # its thread counts never take effect.  The library entry leaves the BLAS
+    # variables alone, and on a graph above DENSE_LIMIT the eigensolve is
+    # block Lanczos and the separator draws and min-ball tests run BLAS
+    # products.
+    g, _ = planted([150] * 4, 0.1, 0.004, seed=14)
+    assert g.n > DENSE_LIMIT
+    big = tmp_path / "acc14_planted.txt"
+    big.write_text("".join(f"{u} {v} 1.0\n" for u, v in zip(g.edge_u.tolist(),
+                                                             g.edge_v.tolist())))
+    library = {}
+    for rerun, threads in enumerate(("1", "4", "1", "4")):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        for args in (["partition", "--k", "4", "--eps", "0.05", "--delta", "0.2",
+                      "--seed", "7"], ["spectrum", "--k", "6"]):
+            out = tmp_path / f"library_{args[0]}_{rerun}.json"
+            proc = subprocess.run(
+                [sys.executable, "-c", LIBRARY_ENTRY, *args, "--graph", str(big),
+                 "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            library.setdefault(args[0], []).append(out.read_bytes())
+    identical = all(o == outputs[0] for o in outputs) and all(
+        len(set(runs)) == 1 for runs in library.values())
+    compared = len(outputs) + sum(len(runs) for runs in library.values())
     record(14, "byte-identical reports across reruns and thread counts {1,4}",
-           identical, f"{len(outputs)} runs compared")
+           identical, f"{compared} runs compared")

@@ -5,17 +5,23 @@ reproduced exactly, so these comparisons use exact equality throughout.
 """
 
 import math
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bufpart import (RandomStream, buffered_k_partition, crude_partition,
+from bufpart import (Graph, RandomStream, buffered_k_partition, crude_partition,
                      derive_stream, eigenbasis, embed, normalized_laplacian,
                      refine_and_discard)
 from bufpart import certify, partition, separators
-from bufpart.partition import resolve_step2
+from bufpart.partition import CrudePartition, RoundRecord, resolve_step2
 from conftest import disjoint_cliques, planted, weighted_er
-from round_oracles import reference_crude_partition, reference_refine_and_discard
+from round_oracles import (reference_crude_partition, reference_draw,
+                           reference_min_ball_leftover, reference_project,
+                           reference_refine_and_discard)
 
 CLIQUES6 = disjoint_cliques([34, 34, 33, 33, 33, 33])
 WEIGHTED = weighted_er(60, 0.15, 31)
@@ -115,6 +121,89 @@ def test_local_refinement_matches_global_mask_reference(case):
     assert kept > 0
 
 
+# (delta, epsilon, mu of each vertex): c' eps = 256 / 256 = 1 with mu inside
+# the narrow bands; 10 eps = 1; and mu = 1.5^j with eps = 0.5, which puts
+# members exactly on r/(1+eps) and r/(1+eps)^2.
+REFINEMENT_KINDS = [
+    (0.75, 1.0 / 256.0, lambda rng, n: 1.0 + 0.003 * rng.integers(0, 6, n)),
+    (0.5, 0.1, lambda rng, n: 1.0 + 0.08 * rng.integers(0, 6, n)),
+    (0.5, 0.5, lambda rng, n: 1.5 ** rng.integers(0, 5, n)),
+]
+
+
+def _synthetic_refinement(seed):
+    """A graph, an embedding stand-in and a hand-made crude partition.
+
+    Built so that every Step-3 filter fires: mu takes a few values (ties among
+    a round's members, non-empty A''), weights and costs are small integers
+    with some heavy vertices, so sums land exactly on limits of 1 w(P), and
+    lambda_k sets a finite expansion bound near the rounds' cut ratios.
+    Returns (crude, embedding, graph, k, epsilon, delta).
+    """
+    rng = np.random.default_rng(seed)
+    n, k, rounds = 40, 2, 4
+    delta, eps, mu_of = REFINEMENT_KINDS[seed % len(REFINEMENT_KINDS)]
+    pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(110)}
+    rows = [(u, v, float(rng.integers(1, 4))) for u, v in sorted(pairs)]
+    g = Graph.build(n, rows, weights=rng.choice([1.0, 2.0, 3.0, 24.0], n))
+    # Label 2t: Ptilde of round t; 2t + 1: its Btilde; then R_P and R_B.
+    label = rng.integers(0, 2 * rounds + 2, n)
+    records = []
+    for t in range(rounds):
+        p_tilde = np.flatnonzero(label == 2 * t)
+        b_tilde = np.flatnonzero(label == 2 * t + 1)
+        records.append(RoundRecord(index=t, x=p_tilde, y=b_tilde, z=np.empty(0, np.int64),
+                                   p_tilde=p_tilde, b_tilde=b_tilde, rejected=False))
+    crude = CrudePartition(
+        rounds=tuple(records), sigma=np.flatnonzero((label % 2 == 0) & (label < 2 * rounds)),
+        gamma=np.flatnonzero((label % 2 == 1) & (label < 2 * rounds)),
+        r_p=np.flatnonzero(label == 2 * rounds), r_b=np.flatnonzero(label == 2 * rounds + 1),
+        effective=None, reject_count=0)
+    target = float(rng.choice([0.5, 2.0, 5.0, 50.0]))      # the expansion bound
+    lam = target * eps * delta / (partition.EXPANSION_SLACK * math.log(k))
+    e = SimpleNamespace(k_prime=k, mu=mu_of(rng, n),
+                        basis=SimpleNamespace(eigenvalues=np.array([0.0, lam])))
+    return crude, e, g, k, eps, delta
+
+
+def test_refinement_oracle_cases_fire_every_filter():
+    tally = Counter()
+    ties = 0
+    for seed in range(48):
+        c, e, g, k, eps, delta = _synthetic_refinement(seed)
+        got = refine_and_discard(c, e, g, k, eps, delta)
+        assert_same_partial(got, reference_refine_and_discard(c, e, g, k, eps, delta, tally))
+        for rec in c.rounds:
+            members = np.union1d(rec.p_tilde, rec.b_tilde)
+            ties += np.unique(e.mu[members]).size < members.size
+    for name in ("buffer", "a_double", "a1_cut", "out_cut",
+                 "buffer_on_limit", "a_double_on_limit"):
+        assert tally[name] > 0, (name, tally)
+    assert ties > 0
+
+
+def test_refinement_members_exactly_on_the_band_edges():
+    # eps = 0.5 and r = 2.25 give lo = 1.5 and lo/(1 + eps) = 1.0 exactly.
+    # Vertex 1 (mu = 1.0, heavy) is then in A', not A'', and vertex 3
+    # (mu = 1.5, in Btilde) is in B; r = 2.25 wins with phi = 1 over r = 1.0
+    # with phi = 100/25.  A sweep that put either vertex on the wrong side of
+    # its band edge would drop r = 2.25 or rank it behind r = 1.0.
+    g = Graph.build(4, [(0, 1, 1.0), (1, 2, 100.0), (0, 3, 5.0)],
+                    weights=[1.0, 24.0, 1.0, 1.0])
+    rec = RoundRecord(index=0, x=np.array([0, 1]), y=np.array([3]), z=np.array([2]),
+                      p_tilde=np.array([0, 1]), b_tilde=np.array([3]), rejected=False)
+    c = CrudePartition(rounds=(rec,), sigma=np.array([0, 1]), gamma=np.array([3]),
+                       r_p=np.array([2]), r_b=np.empty(0, np.int64), effective=None,
+                       reject_count=0)
+    e = SimpleNamespace(k_prime=2, mu=np.array([2.25, 1.0, 1.0, 1.5]),
+                        basis=SimpleNamespace(eigenvalues=np.array([0.0, 1.0])))
+    got = refine_and_discard(c, e, g, 2, 0.5, 0.5)
+    assert_same_partial(got, reference_refine_and_discard(c, e, g, 2, 0.5, 0.5))
+    (t,) = got.tuples
+    assert (t.threshold, t.phi) == (2.25, 1.0)
+    assert t.a_prime.tolist() == [1] and t.a_double.size == 0 and t.b.tolist() == [3]
+
+
 def test_refinement_oracle_with_zero_epsilon():
     g = CLIQUES6
     e = _embedding(g, 6)
@@ -125,6 +214,143 @@ def test_refinement_oracle_with_zero_epsilon():
     got = refine_and_discard(c, e, g, 6, 0.0, eff.delta)
     assert_same_partial(got, reference_refine_and_discard(c, e, g, 6, 0.0, eff.delta))
     assert got.k_prime > 0
+
+
+class ScriptedStream:
+    """Stands in for RandomStream: normals() hands out fixed values in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64).ravel()
+        self.used = 0
+
+    def normals(self, count):
+        out = self.values[self.used:self.used + count].copy()
+        self.used += count
+        assert out.size == count
+        return out
+
+
+def _unit_rows(rng, count, dim):
+    v = rng.standard_normal((count, dim))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+# Where the target entry's exact projection lands, and the set it must join.
+BOUNDARIES = {"t": "x", "t-eps'": "z", "t-2eps'": None, "ulp above t-2eps'": "z",
+              "eps'=0 at t": "x"}
+
+
+@pytest.mark.parametrize("block_values", [None, 3 * 60 + 1])
+@pytest.mark.parametrize("where", sorted(BOUNDARIES))
+def test_draws_on_interval_boundaries_match_reference(where, block_values, monkeypatch):
+    if block_values is not None:
+        monkeypatch.setattr(separators, "BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(17)
+    vectors = _unit_rows(rng, 60, 5)
+    vectors[7] = vectors[3]                 # duplicate psi rows
+    measures = rng.random(60) + 0.5
+    gs = rng.standard_normal((40, 5))
+    columns = np.ascontiguousarray(vectors.T)
+    exact = reference_project(columns, gs)
+    # Prefer an entry whose BLAS value rounds below the exact one: pruning on
+    # the BLAS value without a margin loses such an entry at the floor.
+    inside = (exact >= 0.5) & (exact < 0.875)
+    picks = np.argwhere(inside & (gs @ columns < exact))
+    d, c = (picks if len(picks) else np.argwhere(inside))[0]
+    value = float(exact[d, c])
+    if where == "t":
+        t, eps_prime = value, 0.05
+    elif where == "t-eps'":
+        t = value + 0.05
+        eps_prime = t - value               # exact: t and value within a factor 2
+        assert t - eps_prime == value
+    elif where == "t-2eps'":
+        eps_prime = 2.0 ** -5
+        t = value + 2.0 * eps_prime
+        assert t - 2.0 * eps_prime == value
+    elif where == "ulp above t-2eps'":
+        eps_prime = 2.0 ** -5
+        t = float(np.nextafter(value, 0.0)) + 2.0 * eps_prime
+        assert t - 2.0 * eps_prime == np.nextafter(value, 0.0)
+    else:
+        t, eps_prime = value, 0.0
+    p = separators.SeparatorParams(epsilon=0.1, m=3.0, r=0.5, t=t, alpha=0.1,
+                                   eps_prime=eps_prime, calibrated=False)
+    delta, r = 2.0 / 3.0, 0.5
+    got = list(separators.measured_draws(vectors, measures, 0.1, delta, r,
+                                         ScriptedStream(gs), len(gs), params=p))
+    stream = ScriptedStream(gs)
+    want = [reference_draw(vectors, measures, delta * float(measures.sum()), r, p, stream)
+            for _ in range(len(gs))]
+    for a, (x, y, z, rejected) in zip(got, want):
+        assert a.rejected == rejected
+        for name, arr in (("x", x), ("y", y), ("z", z)):
+            assert _same_array(getattr(a, name), arr), name
+    joined = [name for name in ("x", "y", "z") if c in getattr(got[d], name)]
+    assert not got[d].rejected
+    assert joined == ([BOUNDARIES[where]] if BOUNDARIES[where] else [])
+
+
+def _oracle_distance(vectors, i, j):
+    """The distance the all-pairs rule compares with r."""
+    pts = vectors[[i, j]]
+    return float(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)[0, 1])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_min_ball_pairs_at_radius_and_one_ulp_either_side(dim):
+    rng = np.random.default_rng(23 + dim)
+    vectors = _unit_rows(rng, 30, dim)
+    vectors[5] = vectors[4]                 # duplicate psi rows, distance 0
+    mu = rng.random(30) + 0.1
+    moved = apart = 0
+    pairs = [(4, 5)] + [tuple(rng.choice(30, 2, replace=False)) for _ in range(25)]
+    for i, j in pairs:
+        radius = _oracle_distance(vectors, i, j)
+        radii = [np.nextafter(radius, 0.0), radius, np.nextafter(radius, 4.0)]
+        if radius == 0.0:
+            radii = [5e-324, 1e-300, 1e-12]
+        for r in map(float, radii):
+            for x_idx in (np.array([i, j]), np.arange(30)):
+                got = separators._min_ball_leftover(vectors, mu, x_idx, r)
+                assert got == reference_min_ball_leftover(vectors, mu, x_idx, r), (i, j, r)
+        # On the pair alone the leftover is min(mu_i, mu_j) just below the
+        # distance and 0 at it, so the rule itself is what is tested.
+        below, at = (reference_min_ball_leftover(vectors, mu, np.array([i, j]), float(r))
+                     for r in radii[:2])
+        moved += below > 0.0 and at == 0.0
+        apart += radius > 0.0
+    assert moved == apart >= 10
+
+
+@st.composite
+def min_ball_cases(draw):
+    dim = draw(st.integers(1, 7))
+    count = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vectors = _unit_rows(rng, count, dim)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, count - 1),
+                                        st.integers(0, count - 1)), max_size=4)):
+        vectors[a] = vectors[b]
+    mu = rng.random(count) * (rng.random(count) < 0.9)
+    x_idx = np.flatnonzero(rng.random(count) < draw(st.floats(0.2, 1.0)))
+    if x_idx.size == 0:
+        x_idx = np.array([0])
+    i, j = draw(st.integers(0, count - 1)), draw(st.integers(0, count - 1))
+    r = draw(st.one_of(
+        st.floats(1e-12, 2.5),
+        st.integers(-2, 2).map(lambda ulps: float(
+            np.nextafter(_oracle_distance(vectors, i, j), math.copysign(4.0, ulps))
+            if ulps else _oracle_distance(vectors, i, j)))).filter(lambda r: r > 0.0))
+    return vectors, mu, x_idx, r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(min_ball_cases())
+def test_min_ball_leftover_equals_broadcast_oracle(case):
+    vectors, mu, x_idx, r = case
+    got = separators._min_ball_leftover(vectors, mu, x_idx, r)
+    assert got == reference_min_ball_leftover(vectors, mu, x_idx, r)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 6])
