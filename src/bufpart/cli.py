@@ -16,7 +16,7 @@ from .balanced import buffered_balanced_cut, cheeger2_buffered, kway_balanced
 from .certify import (brute_force_h_k_eps, certify_run,
                       check_buffered_lower_bound)
 from .graph import (BufferedPartition, Graph, GraphError, PartitionError, _cut_report,
-                    load_graph, partition_cost, validate_partition)
+                    _read_text, load_graph, partition_cost, validate_partition)
 from .partition import RESTARTS, buffered_k_partition, lifted_k
 from .reports import write_report
 from .spectral import (EmbeddingError, SolverError, eigenbasis, embed,
@@ -128,8 +128,10 @@ def _assignment_dict(g: Graph, parts, buffers) -> dict:
 def _read_partition_file(path, g: Graph, epsilon: float) -> BufferedPartition:
     """Parse an assignment file of {vertex: {"part_id": int, "role": "core"|"buffer"}}."""
     import json
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        data = json.loads(_read_text(path, "partition"))
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"partition file {str(path)!r}: {exc}") from exc
     assignment = data.get("assignment", data) if isinstance(data, dict) else None
     if not isinstance(assignment, dict) or not assignment:
         raise GraphError("partition file holds no assignment object of vertices")

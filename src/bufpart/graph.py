@@ -346,9 +346,15 @@ def _cut_report(g: Graph, part: BufferedPartition) -> CutReport:
                      buffer_ratios=tuple(ratios), valid=True, violations=())
 
 
-def _fields(lines: Iterable[str], kind: str, form: str, arities: tuple, number: str):
+def _fields(source, kind: str, form: str, arities: tuple, number: str):
     """(line number, fields, number) per line with fields ('#' starts a comment); the
-    number is the last field of a line of arities[-1] fields, else 1.0."""
+    number is the last field of a line of arities[-1] fields, else 1.0.
+
+    source is a list of lines or a file path.  A file's lines end at newlines
+    only, so the line numbers are the file's own; the other Unicode line
+    breaks (U+2028 and the like) are whitespace between fields.
+    """
+    lines = source if isinstance(source, (list, tuple)) else _read_text(source, kind).split("\n")
     most = arities[-1]
     for ln_no, raw in enumerate(lines, start=1):
         fields = (raw[:raw.index("#")] if "#" in raw else raw).split()
@@ -367,6 +373,18 @@ def _fields(lines: Iterable[str], kind: str, form: str, arities: tuple, number: 
         yield ln_no, fields, value
 
 
+def _read_text(path, kind: str) -> str:
+    """A UTF-8 file's text with universal newlines; bytes that do not decode
+    raise GraphError naming the file and the line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:     # exc.object holds the whole file's bytes
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise GraphError(f"{kind} file {str(path)!r} line {line}: not UTF-8 text "
+                         f"({exc.reason})") from exc
+
+
 def load_graph(edge_source, weight_source=None) -> Graph:
     """Build a Graph from an edge-list text source and optional weight source.
 
@@ -374,16 +392,10 @@ def load_graph(edge_source, weight_source=None) -> Graph:
     order their ids first appear in the edge lines.  Without a weight source
     every w_u defaults to the total cost of edges incident on u.
     """
-    def read(source):
-        if isinstance(source, (list, tuple)):
-            return source
-        with open(source, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
-
     index: dict[str, int] = {}
     intern = index.setdefault
     us, vs, costs = [], [], []
-    for _, fields, cost in _fields(read(edge_source), "edge", "u v [cost]", (2, 3), "cost"):
+    for _, fields, cost in _fields(edge_source, "edge", "u v [cost]", (2, 3), "cost"):
         us.append(intern(fields[0], len(index)))
         vs.append(intern(fields[1], len(index)))
         costs.append(cost)
@@ -393,7 +405,7 @@ def load_graph(edge_source, weight_source=None) -> Graph:
     weights = None
     if weight_source is not None:
         table: dict[str, float] = {}
-        for ln_no, (ident, _), value in _fields(read(weight_source), "weight", "u weight",
+        for ln_no, (ident, _), value in _fields(weight_source, "weight", "u weight",
                                                 (2,), "weight"):
             if ident in table:
                 raise GraphError(f"weight line {ln_no}: duplicate vertex {ident!r}")

@@ -9,7 +9,11 @@ and keeps the bookkeeping
     R_P      = never touched        R_B = touched but unassigned
 
 The draws come from separators.measured_draws(), which evaluates them in
-blocks; each round's bookkeeping touches only the indices of X u Y u Z.
+blocks and yields only the draws that reach a vector; a draw that reaches
+nothing changes no set.  Each reached draw's bookkeeping touches only the
+indices of X u Y u Z, and a RoundRecord is kept only for a round whose
+Ptilde or Btilde is non-empty, under its draw index.  Steps 3 and 4 read
+nothing else, so the records of the other draws would change no result.
 
 Step 3 refines each round by a threshold search over the member measures (a
 strictly stronger replacement for the probabilistic-method existence argument:
@@ -51,12 +55,10 @@ __all__ = [
     "EffectiveParams",
     "RoundRecord",
     "CrudePartition",
-    "EtaCosts",
     "RefinedTuple",
     "PartialPartition",
     "resolve_step2",
     "crude_partition",
-    "eta_costs",
     "refine_and_discard",
     "partial_partition",
     "complete_partition",
@@ -148,18 +150,14 @@ def resolve_step2(n_vectors: int, k: int, epsilon: float, delta: float) -> Effec
 
 @dataclass(frozen=True)
 class RoundRecord:
-    index: int
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+    index: int              # the draw index t of the round
     p_tilde: np.ndarray
     b_tilde: np.ndarray
-    rejected: bool
 
 
 @dataclass(frozen=True)
 class CrudePartition:
-    rounds: tuple
+    rounds: tuple           # RoundRecord of each round with a non-empty Ptilde or Btilde
     sigma: np.ndarray
     gamma: np.ndarray
     r_p: np.ndarray
@@ -179,7 +177,7 @@ class CrudePartition:
 def crude_partition(e: Embedding, k: int, epsilon: float, delta: float,
                     rng: RandomStream,
                     effective: EffectiveParams | None = None) -> CrudePartition:
-    """Step 2: T separator rounds with the crude-partition bookkeeping."""
+    """Step 2: T separator draws with the crude-partition bookkeeping."""
     n = e.graph.n
     eff = effective if effective is not None else resolve_step2(n, k, epsilon, delta)
     sigma = np.zeros(n, dtype=bool)
@@ -189,13 +187,8 @@ def crude_partition(e: Embedding, k: int, epsilon: float, delta: float,
     rejects = 0
     draws = measured_draws(e.psi, e.mu, eff.epsilon, eff.delta_sep, eff.radius, rng,
                            eff.rounds, params=eff.params)
-    for t, s in enumerate(draws):
-        if s.rejected:
-            rejects += 1
-        if s.is_empty():        # the draw reached nothing: no state changes
-            rounds.append(RoundRecord(index=t, x=s.x, y=s.y, z=s.z, p_tilde=s.x,
-                                      b_tilde=s.y, rejected=s.rejected))
-            continue
+    for t, s in draws:          # a rejected draw has empty sets and changes nothing
+        rejects += s.rejected
         # Index work on X u Y u Z only.
         p_tilde = s.x[~touched[s.x]]
         sigma[p_tilde] = True
@@ -204,10 +197,9 @@ def crude_partition(e: Embedding, k: int, epsilon: float, delta: float,
         gamma[b_tilde] = True
         touched[s.x] = True
         touched[s.y] = True
-        touched[s.z] = True
-        rounds.append(RoundRecord(
-            index=t, x=s.x, y=s.y, z=s.z, p_tilde=p_tilde, b_tilde=b_tilde,
-            rejected=s.rejected))
+        touched[s.z] = True     # a draw that only adds Z still moves it from R_P to R_B
+        if p_tilde.size or b_tilde.size:
+            rounds.append(RoundRecord(index=t, p_tilde=p_tilde, b_tilde=b_tilde))
     r_p = np.flatnonzero(~touched)
     r_b = np.flatnonzero(touched & ~sigma & ~gamma)
     crude = CrudePartition(rounds=tuple(rounds), sigma=np.flatnonzero(sigma),
@@ -222,69 +214,6 @@ def _assert_crude_structure(c: CrudePartition, n: int) -> None:
     coverage = np.bincount(np.concatenate(sets + [c.r_p, c.r_b]), minlength=n)
     if np.any(coverage != 1):
         raise AssertionError("crude partition bookkeeping violated Sigma u Gamma u R_P u R_B = V")
-
-
-@dataclass(frozen=True)
-class EtaCosts:
-    """Edge-boundary estimates eta / eta-tilde for the realized random sets.
-
-    Directed slots: entry i covers the ordered pair (directed_u[i], directed_v[i]);
-    both orders of every edge appear.
-    """
-
-    directed_u: np.ndarray
-    directed_v: np.ndarray
-    eta: np.ndarray
-    eta_tilde: np.ndarray
-    per_round_eta: dict
-    per_round_eta_tilde: dict
-
-
-def eta_costs(c: CrudePartition, e: Embedding, g: Graph, epsilon: float) -> EtaCosts:
-    """Exact eta and eta-tilde evaluation over both directed slots of every edge."""
-    n = g.n
-    round_of_p = -np.ones(n, dtype=np.int64)
-    round_of_b = -np.ones(n, dtype=np.int64)
-    for rec in c.rounds:
-        round_of_p[rec.p_tilde] = rec.index
-        round_of_b[rec.b_tilde] = rec.index
-    du = np.concatenate([g.edge_u, g.edge_v])
-    dv = np.concatenate([g.edge_v, g.edge_u])
-    dist2 = ((e.zhat[du] - e.zhat[dv]) ** 2).sum(axis=1)
-    inv_eps = (1.0 / epsilon) if epsilon > 0 else math.inf
-
-    eta = np.zeros(du.size)
-    in_p = round_of_p[du] >= 0
-    same = in_p & ((round_of_p[dv] == round_of_p[du]) | (round_of_b[dv] == round_of_p[du]))
-    esc = in_p & ~same
-    eta[esc] = e.mu[du[esc]]
-    if math.isfinite(inv_eps):
-        eta[same] = inv_eps * dist2[same]
-    else:
-        eta[same] = np.where(dist2[same] > 0.0, math.inf, 0.0)
-
-    eta_tilde = np.zeros(du.size)
-    member_round = np.where(round_of_p[du] >= 0, round_of_p[du], round_of_b[du])
-    by_round = {rec.index: rec for rec in c.rounds}
-    for t in sorted(set(member_round[member_round >= 0].tolist())):
-        rec = by_round[t]
-        fresh = np.zeros(n, dtype=bool)
-        fresh[rec.x] = True
-        fresh[rec.y] = True
-        fresh[rec.z] = True
-        fresh &= ~((round_of_p >= 0) & (round_of_p < t))    # Sigma before round t
-        slot = member_round == t
-        escapes = slot & ~fresh[dv]
-        eta_tilde[escapes] = e.mu[du[escapes]]
-
-    per_round_eta: dict[int, float] = {}
-    per_round_eta_tilde: dict[int, float] = {}
-    for rec in c.rounds:
-        if rec.p_tilde.size or rec.b_tilde.size:
-            per_round_eta[rec.index] = float(eta[round_of_p[du] == rec.index].sum())
-            per_round_eta_tilde[rec.index] = float(eta_tilde[member_round == rec.index].sum())
-    return EtaCosts(directed_u=du, directed_v=dv, eta=eta, eta_tilde=eta_tilde,
-                    per_round_eta=per_round_eta, per_round_eta_tilde=per_round_eta_tilde)
 
 
 @dataclass(frozen=True)
@@ -462,8 +391,7 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
     infeasible_rounds = 0
     for rec in c.rounds:
         if rec.p_tilde.size == 0:
-            if rec.b_tilde.size:
-                r_b_prime[rec.b_tilde] = True
+            r_b_prime[rec.b_tilde] = True
             continue
         # Local view of the round: its members in index order plus a sentinel
         # slot at the end (never selected) that non-member endpoints reach as

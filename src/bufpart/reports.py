@@ -2,7 +2,10 @@
 
 Floats are rendered with 17 significant digits (%.17g), which round-trips
 float64 exactly; dict insertion order is preserved.  Non-finite values would
-not be valid JSON and are emitted as null.
+not be valid JSON and are emitted as null.  Numpy scalars and arrays are
+rendered as the Python values they hold.  Strings escape the quote, the
+backslash and every control character U+0000-U+001F (RFC 8259 section 7):
+newline, carriage return and tab by their short forms, the others as \\u00XX.
 """
 
 from __future__ import annotations
@@ -11,40 +14,16 @@ import math
 
 import numpy as np
 
-__all__ = ["render_json", "write_report", "normalize"]
+__all__ = ["render_json", "write_report"]
 
-
-def normalize(obj):
-    """Coerce numpy scalars/arrays and dataclass-ish content to plain python."""
-    if isinstance(obj, dict):
-        return {str(k): normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [normalize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [normalize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+_ESCAPES = {code: "\\u%04x" % code for code in range(0x20)}
+_ESCAPES.update({ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t",
+                 ord('"'): '\\"', ord("\\"): "\\\\"})
 
 
 def _render(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append("%.17g" % obj if math.isfinite(obj) else "null")
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t") + '"')
+    if isinstance(obj, str):
+        out.append('"' + obj.translate(_ESCAPES) + '"')
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -54,6 +33,12 @@ def _render(obj, out: list) -> None:
             out.append(":")
             _render(v, out)
         out.append("}")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append("%.17g" % obj if math.isfinite(obj) else "null")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
@@ -61,13 +46,17 @@ def _render(obj, out: list) -> None:
                 out.append(",")
             _render(v, out)
         out.append("]")
+    elif isinstance(obj, np.ndarray):
+        _render(obj.tolist(), out)
+    elif obj is None:
+        out.append("null")
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def render_json(obj) -> str:
     out: list[str] = []
-    _render(normalize(obj), out)
+    _render(obj, out)
     return "".join(out) + "\n"
 
 

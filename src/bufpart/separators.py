@@ -14,7 +14,7 @@ calibrate() picks the smallest threshold t whose exact joint-tail condition
 
 holds; that inequality is precisely what bounds the probability of two
 R-separated vectors landing in X together, so no loose tail constants enter.
-Every draw is measured: it is rejected outright (empty sets) unless
+Every draw that reaches a vector is measured: it is rejected (empty sets) unless
 min over u in X of mu(X minus Ball(u, R)) <= delta mu(U), which makes the
 separation property hold on every returned draw by construction.
 
@@ -34,9 +34,12 @@ the exact formulas decide the rest:
     |d2 - R^2| <= 16 (dim + 4) u (1 + R^2) (_min_ball_leftover).
 
 So X, Y, Z and every rejection are the same bits for any BLAS build, thread
-count and block size.  The rejection is still applied to every draw.
-sample_two_buffers() is a one-draw run of the same routine, so it gives the
-same bits as the matching draw of a longer run.
+count and block size.  Only the draws that reach a vector are visited: one
+np.diff over the sorted rows of a block's reached entries finds them, and
+measured_draws() yields each as (draw index, sample), rejected or not.  A
+draw that reaches nothing consumes its direction from the stream and yields
+nothing.  sample_two_buffers() is a one-draw run of the same routine, so it
+gives the same bits as the matching draw of a longer run.
 """
 
 from __future__ import annotations
@@ -145,9 +148,6 @@ class SeparatorSample:
     z: np.ndarray
     rejected: bool = False  # True when the min-ball test emptied the draw
 
-    def is_empty(self) -> bool:
-        return self.x.size == 0 and self.y.size == 0 and self.z.size == 0
-
 
 def _check_unit(vectors: np.ndarray) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -208,14 +208,17 @@ def _min_ball_leftover(vectors: np.ndarray, measures: np.ndarray,
 
 def measured_draws(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
                    delta: float, r: float, stream: RandomStream, count: int,
-                   params: SeparatorParams | None = None) -> Iterator[SeparatorSample]:
-    """count successive measured draws from stream, evaluated in blocks.
+                   params: SeparatorParams | None = None
+                   ) -> Iterator[tuple[int, SeparatorSample]]:
+    """(index, sample) for each of count successive draws that reaches a vector.
 
     The inputs are validated once.  Each block of up to
     max(1, BLOCK_VALUES // len(vectors)) draws takes its Gaussian directions
     from one normals() call, which consumes the stream exactly as one call
-    per draw would, so the draws do not depend on the block size.  Every
-    draw is checked by the min-ball rejection.
+    per draw would, so the draws do not depend on the block size.  A draw
+    whose X u Y u Z is empty is consumed but not yielded; every other draw
+    is checked by the min-ball rejection and yielded, rejected or not, with
+    its index in 0..count-1.
     """
     if delta <= 0.0 or delta > 2.0 / 3.0:
         raise ValueError(f"measured separators need delta in (0, 2/3], got {delta}")
@@ -267,7 +270,6 @@ def _draw_blocks(vectors, measures, limit, r, p, stream, count):
     block = max(1, BLOCK_VALUES // max(count_v, 1))
     floor = min(p.t - 2.0 * p.eps_prime, p.t)     # no entry below it is reached
     empty = np.empty(0, dtype=np.int64)
-    quiet = SeparatorSample(x=empty, y=empty, z=empty)
     refused = SeparatorSample(x=empty, y=empty, z=empty, rejected=True)
     for first in range(0, count, block):
         size = min(block, count - first)
@@ -279,22 +281,26 @@ def _draw_blocks(vectors, measures, limit, r, p, stream, count):
         hit = _reached(proj, p)
         rows, cols = rows[hit], cols[hit]
         x, y, z = classify(proj[hit], p)
-        bounds = np.searchsorted(rows, np.arange(size + 1)).tolist()
-        for i in range(size):
-            lo, hi = bounds[i], bounds[i + 1]
-            if lo == hi:
-                yield quiet
-                continue
+        # rows is sorted, so each reached draw is one run of equal rows.
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [rows.size]):
+            index = first + int(rows[lo])
             span = cols[lo:hi]
             x_idx = span[x[lo:hi]]
             if x_idx.size and _min_ball_leftover(vectors, measures, x_idx, r) > limit:
-                yield refused
+                yield index, refused
                 continue
-            yield SeparatorSample(x=x_idx, y=span[y[lo:hi]], z=span[z[lo:hi]])
+            yield index, SeparatorSample(x=x_idx, y=span[y[lo:hi]], z=span[z[lo:hi]])
 
 
 def sample_two_buffers(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
                        delta: float, r: float, stream: RandomStream,
                        params: SeparatorParams | None = None) -> SeparatorSample:
-    """Measure-constrained separator with both buffer layers Y and Z."""
-    return next(measured_draws(vectors, measures, epsilon, delta, r, stream, 1, params))
+    """Measure-constrained separator with both buffer layers Y and Z.
+
+    One draw; its sets are all empty when it reaches no vector.
+    """
+    for _, sample in measured_draws(vectors, measures, epsilon, delta, r, stream, 1, params):
+        return sample
+    empty = np.empty(0, dtype=np.int64)
+    return SeparatorSample(x=empty, y=empty, z=empty)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from bufpart.partition import (BUFFER_SLACK, EXPANSION_SLACK, CrudePartition,
-                               PartialPartition, RefinedTuple, RoundRecord,
-                               resolve_step2)
+from bufpart.partition import (BUFFER_SLACK, EXPANSION_SLACK, PartialPartition,
+                               RefinedTuple, resolve_step2)
 
 CHUNK_VALUES = 2 ** 16      # projections summed per cache-sized chunk
 
@@ -72,13 +72,26 @@ def reference_draw(vectors, measures, limit, r, p, rng):
     return x, y, z, False
 
 
-def reference_crude_partition(e, k, epsilon, delta, rng, effective=None):
-    """Step 2 with one reference_draw call and full-length masks per round.
+@dataclass(frozen=True)
+class ReferenceCrude:
+    """Step 2 as the reference loop records it."""
 
-    Returns (CrudePartition, snapshots), where snapshots maps each active round
-    (one with a non-empty Ptilde or Btilde) to its full-length Sigma mask from
-    before that round.
-    """
+    draws: tuple            # (x, y, z, rejected) of every draw, in draw order
+    active: tuple           # (index, Ptilde, Btilde) of each draw that set either
+    sigma: np.ndarray
+    gamma: np.ndarray
+    r_p: np.ndarray
+    r_b: np.ndarray
+    reject_count: int
+
+
+def reached(draws):
+    """(index, draw) of each (x, y, z, rejected) draw that reached a vector."""
+    return [(t, d) for t, d in enumerate(draws) if d[3] or d[0].size or d[1].size or d[2].size]
+
+
+def reference_crude_partition(e, k, epsilon, delta, rng, effective=None) -> ReferenceCrude:
+    """Step 2 with one reference_draw call and full-length masks per draw."""
     n = e.graph.n
     eff = effective if effective is not None else resolve_step2(n, k, epsilon, delta)
     psi, mu = e.psi, e.mu
@@ -86,37 +99,30 @@ def reference_crude_partition(e, k, epsilon, delta, rng, effective=None):
     sigma = np.zeros(n, dtype=bool)
     gamma = np.zeros(n, dtype=bool)
     touched = np.zeros(n, dtype=bool)
-    rounds = []
-    snapshots = {}
-    rejects = 0
+    draws = []
+    active = []
     for t in range(eff.rounds):
-        sx, sy, sz, rejected = reference_draw(psi, mu, limit, eff.radius, eff.params, rng)
-        if rejected:
-            rejects += 1
+        draw = reference_draw(psi, mu, limit, eff.radius, eff.params, rng)
+        draws.append(draw)
+        sx, sy, sz, _ = draw
         x = np.zeros(n, dtype=bool)
         x[sx] = True
         xy = x.copy()
         xy[sy] = True
         xyz = xy.copy()
         xyz[sz] = True
-        snapshot = sigma.copy()
         p_tilde = x & ~touched
         sigma |= p_tilde
         b_tilde = xy & ~sigma & ~gamma
         gamma |= b_tilde
         touched |= xyz
         if p_tilde.any() or b_tilde.any():
-            snapshots[t] = snapshot
-        rounds.append(RoundRecord(
-            index=t, x=sx, y=sy, z=sz,
-            p_tilde=np.flatnonzero(p_tilde), b_tilde=np.flatnonzero(b_tilde),
-            rejected=rejected))
-    r_p = np.flatnonzero(~touched)
-    r_b = np.flatnonzero(touched & ~sigma & ~gamma)
-    crude = CrudePartition(rounds=tuple(rounds), sigma=np.flatnonzero(sigma),
-                           gamma=np.flatnonzero(gamma), r_p=r_p, r_b=r_b,
-                           effective=eff, reject_count=rejects)
-    return crude, snapshots
+            active.append((t, np.flatnonzero(p_tilde), np.flatnonzero(b_tilde)))
+    return ReferenceCrude(
+        draws=tuple(draws), active=tuple(active), sigma=np.flatnonzero(sigma),
+        gamma=np.flatnonzero(gamma), r_p=np.flatnonzero(~touched),
+        r_b=np.flatnonzero(touched & ~sigma & ~gamma),
+        reject_count=sum(d[3] for d in draws))
 
 
 def reference_refine_and_discard(c, e, g, k, epsilon, delta,

@@ -263,6 +263,19 @@ class TestMalformedPartitionFile:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"assignment": {"0": 1', ": Expecting ',' delimiter: line 1 column 23 (char 22)"),
+        (b'{"assignment":\n {"\xff": 1}}', " line 2: not UTF-8 text (invalid start byte)"),
+    ], ids=["truncated-json", "bad-utf8"])
+    def test_unreadable_file_is_named(self, content, reason, tiny_file, tmp_path, capsys):
+        part = tmp_path / "part.json"
+        part.write_bytes(content)
+        out = tmp_path / "out.json"
+        code, err = _run_quietly(["verify", "--graph", tiny_file, "--partition", str(part),
+                                  "--k", "2", "--eps", "0.1", "--out", str(out)], capsys)
+        assert (code, err) == (1, f"bufpart: error: partition file {str(part)!r}{reason}\n")
+        assert not out.exists()
+
 
 class TestPartitionErrorBranch:
     def test_driver_failure_writes_error_report_exit_2(self, clique_file, tmp_path,
@@ -435,6 +448,43 @@ class TestIngestErrors:
                                   "--k", "2", "--out", str(out)], capsys)
         assert (code, err) == (1, f"bufpart: error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["edge", "weight"])
+    def test_undecodable_bytes_name_the_file(self, which, tmp_path, capsys):
+        edges, weights = b"a b 1\nb c 1\n", b"a 1\nb 1\nc 1\n"
+        bad = tmp_path / f"{which}.txt"
+        paths = {"edge": tmp_path / "edge.txt", "weight": tmp_path / "weight.txt"}
+        paths["edge"].write_bytes(edges)
+        paths["weight"].write_bytes(weights)
+        bad.write_bytes(bad.read_bytes().replace(b"b 1\n", b"\xffb 1\n", 1))
+        code, err = _run_quietly(["spectrum", "--graph", str(paths["edge"]), "--weights",
+                                  str(paths["weight"]), "--k", "2"], capsys)
+        line = 1 if which == "edge" else 2
+        assert (code, err) == (1, f"bufpart: error: {which} file {str(bad)!r} line {line}: "
+                               f"not UTF-8 text (invalid start byte)\n")
+
+    def test_unicode_line_separator_is_not_a_line_break(self, tmp_path, capsys):
+        # wc -l counts 2 lines; splitlines() would read 3 and load edges a-b,
+        # c-"1" and b-c.  Split at newlines only, line 1 has four fields.
+        graph = _write(tmp_path, "g.txt", "a b\u2028c 1\nb c 2\n")
+        code, err = _run_quietly(["spectrum", "--graph", graph, "--k", "2"], capsys)
+        assert (code, err) == (
+            1, "bufpart: error: edge line 1: expected 'u v [cost]', got 'a b\\u2028c 1'\n")
+
+    def test_control_character_id_round_trips_through_verify(self, tmp_path):
+        # A 30-vertex graph of three 10-cliques, one vertex named x<U+0001>y.
+        names = ["x\x01y"] + [f"v{i}" for i in range(1, 30)]
+        lines = [f"{names[10 * c + u]} {names[10 * c + v]} 1\n"
+                 for c in range(3) for u in range(10) for v in range(u + 1, 10)]
+        graph = _write(tmp_path, "g.txt", "".join(lines))
+        part = tmp_path / "part.json"
+        assert run(["partition", "--graph", graph, "--k", "3", "--eps", "0.1",
+                    "--delta", "0.1", "--seed", "1", "--out", str(part)]) == 0
+        assert '"x\\u0001y"' in part.read_text(encoding="utf-8")
+        assert "x\x01y" in json.loads(part.read_text(encoding="utf-8"))["assignment"]
+        code, doc = run_json(["verify", "--graph", graph, "--partition", str(part),
+                              "--k", "3", "--eps", "0.1"], tmp_path, "verify.json")
+        assert code == 0 and doc["valid"] is True
 
 
 class TestSolverFailure:

@@ -5,7 +5,11 @@ list, an optional weight file, an optional partition file and one command
 line.  The files mix well-formed input with the defects the CLI must reject
 in one line: empty files, self-loops, duplicate edges and weight lines,
 unknown or missing vertices, and nonpositive, non-finite, subnormal and
-near-overflow numbers, alone or beside ordinary ones.
+near-overflow numbers, alone or beside ordinary ones.  Some vertex ids hold a
+control character, which a report must escape, or a line break of
+str.splitlines() other than \n and \r, which must not end a line.  Every
+report must be strict JSON, and a partition report must read back through
+verify --partition.
 """
 
 import contextlib
@@ -28,6 +32,10 @@ PLAIN = ["1", "2.5", "0.5", "3"]
 EXTREME = ["1e-300", "2.3e-308", "5e-324", "1e-320", "1e200", "1e300", "1.7e308"]
 INVALID = ["0", "-1", "inf", "nan", "x"]
 NAMES = ["0", "1", "2", "3", "4", "5", "6", "7", "a", "b"]
+# Controls that str.split() keeps inside a field, and the str.splitlines()
+# breaks besides \n and \r, which str.split() takes for whitespace.
+CONTROLS = [chr(c) for c in range(0x20) if not chr(c).isspace()] + ["\x7f"]
+BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 COMMANDS = ["partition", "cheeger2", "balanced-cut", "kbalanced", "spectrum", "verify",
             "certify", "brute"]
 
@@ -53,7 +61,9 @@ def numbers(draw, count):
 @st.composite
 def cases(draw):
     """(command line, edge text, weight text or None, assignment or None, DENSE_LIMIT)."""
-    names = draw(st.sampled_from([NAMES[:8], NAMES[2:]]))
+    names = list(draw(st.sampled_from([NAMES[:8], NAMES[2:]])))
+    for i in draw(st.lists(st.integers(0, 7), max_size=3)):
+        names[i] += draw(st.sampled_from(CONTROLS + BREAKS)) + "z"
     edges = draw(st.lists(pair, min_size=1, max_size=14, unique_by=tuple))
     defect = draw(st.sampled_from(["none"] * 5 + ["empty", "duplicate", "self-loop"]))
     if defect == "empty":
@@ -108,6 +118,31 @@ def cases(draw):
     return argv, text, weights, parts, dense_limit
 
 
+def _run(argv, dense_limit):
+    """(exit code, stderr) of run(argv); no Python warning may be raised."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        with mock.patch.object(spectral, "DENSE_LIMIT", dense_limit):
+            code = run(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return code, err.getvalue()
+
+
+def _report(path, code, err):
+    """The report at path, which must be strict JSON (no raw control characters)
+    and match the schema; None when run() wrote none and said why in one line."""
+    assert code in (0, 1, 2)
+    if not path.exists():
+        assert code in (1, 2)
+        assert err.count("\n") == 1 and err.startswith("bufpart: "), err
+        return None
+    assert code in (0, 2) and err == ""
+    doc = json.loads(path.read_bytes())
+    VALIDATOR.validate(doc)
+    return doc
+
+
 @settings(max_examples=600, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=cases())
@@ -115,26 +150,23 @@ def test_every_input_ends_in_a_report_or_one_line(case):
     argv, text, weights, parts, dense_limit = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "g.txt").write_text(text)
-        argv = argv + ["--graph", str(tmp / "g.txt"), "--out", str(tmp / "out.json")]
+        (tmp / "g.txt").write_text(text, encoding="utf-8")
+        graph = ["--graph", str(tmp / "g.txt")]
         if weights is not None:
-            (tmp / "w.txt").write_text(weights)
-            argv += ["--weights", str(tmp / "w.txt")]
+            (tmp / "w.txt").write_text(weights, encoding="utf-8")
+            graph += ["--weights", str(tmp / "w.txt")]
+        out = tmp / "out.json"
+        argv = argv + graph + ["--out", str(out)]
         if parts is not None:
             (tmp / "p.json").write_text(json.dumps({"assignment": parts}))
             argv += ["--partition", str(tmp / "p.json")]
-
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            with mock.patch.object(spectral, "DENSE_LIMIT", dense_limit):
-                code = run(argv)
-        assert not caught, [str(w.message) for w in caught]
-        err = err.getvalue()
-        assert code in (0, 1, 2)
-        if (tmp / "out.json").exists():
-            assert code in (0, 2) and err == ""
-            VALIDATOR.validate(json.loads((tmp / "out.json").read_text()))
-        else:
-            assert code in (1, 2)
-            assert err.count("\n") == 1 and err.startswith("bufpart: "), err
+        doc = _report(out, *_run(argv, dense_limit))
+        if argv[0] == "partition" and doc is not None and "assignment" in doc:
+            # The partition reads back on the same graph at its realized budget.
+            check = tmp / "verify.json"
+            code, err = _run(["verify", *graph, "--partition", str(out),
+                              "--k", argv[argv.index("--k") + 1],
+                              "--eps", repr(doc["epsilon_realized"]),
+                              "--out", str(check)], dense_limit)
+            assert (code, err) == (0, "")
+            assert _report(check, code, err)["valid"] is True

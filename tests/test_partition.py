@@ -7,7 +7,7 @@ import pytest
 
 from bufpart import (buffered_expansion,
                      buffered_k_partition, complete_partition, crude_partition,
-                     cut_cost, derive_stream, embed, eigenbasis, eta_costs,
+                     cut_cost, derive_stream, embed, eigenbasis,
                      normalized_laplacian, partial_partition,
                      partition_cost, refine_and_discard, validate_partition)
 from bufpart.graph import Graph, PartitionError
@@ -83,7 +83,7 @@ class TestCrudePartition:
                              radius=eff.radius, delta_sep=eff.delta_sep, m=eff.m,
                              rounds=50, params=dead, notes=eff.notes)
         c = crude_partition(e, 6, 0.01, 0.01, derive_stream(1, "t"), effective=eff_dead)
-        assert all(rec.p_tilde.size == 0 for rec in c.rounds)
+        assert c.rounds == ()
         assert c.r_p.size == g.n
 
     def test_part_measure_bounded(self):
@@ -100,75 +100,6 @@ class TestCrudePartition:
         e = embedding_for(g, 6)
         c = crude_partition(e, 6, 0.01, 0.01, derive_stream(3, "t3"))
         assert e.mu_of(c.sigma) >= (1.0 - 5.0 * c.effective.delta) * 6
-
-
-class TestEtaCosts:
-    def test_eta_cases(self):
-        g = CLIQUES6
-        e = embedding_for(g, 6)
-        c = crude_partition(e, 6, 0.01, 0.01, derive_stream(4, "t4"))
-        costs = eta_costs(c, e, g, c.effective.epsilon)
-        round_of_p = -np.ones(g.n, dtype=int)
-        round_of_b = -np.ones(g.n, dtype=int)
-        for rec in c.rounds:
-            round_of_p[rec.p_tilde] = rec.index
-            round_of_b[rec.b_tilde] = rec.index
-        du, dv = costs.directed_u, costs.directed_v
-        for i in range(du.size):
-            u, v = du[i], dv[i]
-            if round_of_p[u] < 0:
-                assert costs.eta[i] == 0.0
-            elif round_of_p[v] == round_of_p[u] or round_of_b[v] == round_of_p[u]:
-                expected = (1.0 / c.effective.epsilon) * \
-                    float(((e.zhat[u] - e.zhat[v]) ** 2).sum())
-                assert costs.eta[i] == pytest.approx(expected, rel=1e-12)
-            else:
-                assert costs.eta[i] == pytest.approx(e.mu[u], rel=1e-12)
-
-    def test_eta_tilde_cases(self):
-        g = CLIQUES6
-        e = embedding_for(g, 6)
-        c = crude_partition(e, 6, 0.01, 0.01, derive_stream(44, "t44"))
-        costs = eta_costs(c, e, g, c.effective.epsilon)
-        member_round = -np.ones(g.n, dtype=int)
-        core_round = -np.ones(g.n, dtype=int)
-        for rec in c.rounds:
-            member_round[rec.p_tilde] = rec.index
-            member_round[rec.b_tilde] = rec.index
-            core_round[rec.p_tilde] = rec.index
-        by_round = {rec.index: rec for rec in c.rounds}
-        du, dv = costs.directed_u, costs.directed_v
-        for i in range(du.size):
-            u, v = du[i], dv[i]
-            t = member_round[u]
-            if t < 0:
-                assert costs.eta_tilde[i] == 0.0
-                continue
-            rec = by_round[t]
-            fresh = np.zeros(g.n, dtype=bool)
-            fresh[rec.x] = True
-            fresh[rec.y] = True
-            fresh[rec.z] = True
-            fresh &= ~((core_round >= 0) & (core_round < t))   # Sigma before round t
-            expected = 0.0 if fresh[v] else e.mu[u]
-            assert costs.eta_tilde[i] == pytest.approx(expected, rel=1e-12)
-
-    def test_mean_eta_scales_with_lambda(self):
-        # loose Monte Carlo analogue of the eta aggregate bound; the constant
-        # is fitted, not asserted from any closed form
-        g = weighted_er(60, 0.15, 31)
-        k = 4
-        e = embedding_for(g, k)
-        lam = float(e.basis.eigenvalues[k - 1])
-        d_equiv = float(g.incident_cost().max())
-        totals = []
-        for seed in range(20):
-            c = crude_partition(e, k, 0.05, 0.05, derive_stream(seed, "eta"))
-            costs = eta_costs(c, e, g, c.effective.epsilon)
-            totals.append(sum(costs.per_round_eta.values()) / k)
-        mean = float(np.mean(totals))
-        cap = 400.0 / c.effective.epsilon * lam * d_equiv * math.log(k)
-        assert mean <= cap
 
 
 class TestRefineAndDiscard:

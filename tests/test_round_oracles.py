@@ -19,7 +19,7 @@ from bufpart import (Graph, RandomStream, buffered_k_partition, crude_partition,
 from bufpart import certify, partition, separators
 from bufpart.partition import CrudePartition, RoundRecord, resolve_step2
 from conftest import disjoint_cliques, planted, weighted_er
-from round_oracles import (reference_crude_partition, reference_draw,
+from round_oracles import (reached, reference_crude_partition, reference_draw,
                            reference_min_ball_leftover, reference_project,
                            reference_refine_and_discard)
 
@@ -47,25 +47,25 @@ def _same_array(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def assert_same_crude(got, reference):
-    want, snapshots = reference
+def assert_same_crude(got, want):
+    """The library keeps exactly the reference's active rounds, under their draw index."""
     assert got.reject_count == want.reject_count
-    assert len(got.rounds) == len(want.rounds)
-    for a, b in zip(got.rounds, want.rounds):
-        assert a.index == b.index and a.rejected == b.rejected
-        for name in ("x", "y", "z", "p_tilde", "b_tilde"):
-            assert _same_array(getattr(a, name), getattr(b, name)), (a.index, name)
-    # eta_costs takes Sigma before round t to be the cores of the earlier rounds;
-    # that must equal the reference's full-length snapshot on every active round.
-    active = [rec.index for rec in got.rounds if rec.p_tilde.size or rec.b_tilde.size]
-    assert active and active == sorted(snapshots)
-    round_of_p = -np.ones(snapshots[active[0]].size, dtype=np.int64)
-    for rec in got.rounds:
-        round_of_p[rec.p_tilde] = rec.index
-    for t in active:
-        assert np.array_equal((round_of_p >= 0) & (round_of_p < t), snapshots[t]), t
+    assert got.rounds and len(got.rounds) == len(want.active)
+    for rec, (index, p_tilde, b_tilde) in zip(got.rounds, want.active):
+        assert rec.index == index
+        assert _same_array(rec.p_tilde, p_tilde), (index, "p_tilde")
+        assert _same_array(rec.b_tilde, b_tilde), (index, "b_tilde")
     for name in ("sigma", "gamma", "r_p", "r_b"):
         assert _same_array(getattr(got, name), getattr(want, name)), name
+
+
+def assert_same_draws(got, want):
+    """measured_draws() pairs against the reference's reached (index, draw) pairs."""
+    assert [index for index, _ in got] == [index for index, _ in want]
+    for (index, a), (_, (x, y, z, rejected)) in zip(got, want):
+        assert a.rejected == rejected, index
+        for name, arr in (("x", x), ("y", y), ("z", z)):
+            assert _same_array(getattr(a, name), arr), (index, name)
 
 
 def assert_same_partial(got, want):
@@ -94,6 +94,11 @@ def test_block_rounds_match_per_draw_reference(case, block_values, monkeypatch):
         got = crude_partition(e, k, eps, delta, derive_stream(seed, "oracle", k))
         want = reference_crude_partition(e, k, eps, delta, derive_stream(seed, "oracle", k))
         assert_same_crude(got, want)
+        eff = got.effective
+        draws = separators.measured_draws(e.psi, e.mu, eff.epsilon, eff.delta_sep, eff.radius,
+                                          derive_stream(seed, "oracle", k), eff.rounds,
+                                          params=eff.params)
+        assert_same_draws(list(draws), reached(want.draws))
 
 
 def test_oracle_cases_include_rejections():
@@ -152,8 +157,7 @@ def _synthetic_refinement(seed):
     for t in range(rounds):
         p_tilde = np.flatnonzero(label == 2 * t)
         b_tilde = np.flatnonzero(label == 2 * t + 1)
-        records.append(RoundRecord(index=t, x=p_tilde, y=b_tilde, z=np.empty(0, np.int64),
-                                   p_tilde=p_tilde, b_tilde=b_tilde, rejected=False))
+        records.append(RoundRecord(index=t, p_tilde=p_tilde, b_tilde=b_tilde))
     crude = CrudePartition(
         rounds=tuple(records), sigma=np.flatnonzero((label % 2 == 0) & (label < 2 * rounds)),
         gamma=np.flatnonzero((label % 2 == 1) & (label < 2 * rounds)),
@@ -190,8 +194,7 @@ def test_refinement_members_exactly_on_the_band_edges():
     # its band edge would drop r = 2.25 or rank it behind r = 1.0.
     g = Graph.build(4, [(0, 1, 1.0), (1, 2, 100.0), (0, 3, 5.0)],
                     weights=[1.0, 24.0, 1.0, 1.0])
-    rec = RoundRecord(index=0, x=np.array([0, 1]), y=np.array([3]), z=np.array([2]),
-                      p_tilde=np.array([0, 1]), b_tilde=np.array([3]), rejected=False)
+    rec = RoundRecord(index=0, p_tilde=np.array([0, 1]), b_tilde=np.array([3]))
     c = CrudePartition(rounds=(rec,), sigma=np.array([0, 1]), gamma=np.array([3]),
                        r_p=np.array([2]), r_b=np.empty(0, np.int64), effective=None,
                        reject_count=0)
@@ -282,12 +285,11 @@ def test_draws_on_interval_boundaries_match_reference(where, block_values, monke
     stream = ScriptedStream(gs)
     want = [reference_draw(vectors, measures, delta * float(measures.sum()), r, p, stream)
             for _ in range(len(gs))]
-    for a, (x, y, z, rejected) in zip(got, want):
-        assert a.rejected == rejected
-        for name, arr in (("x", x), ("y", y), ("z", z)):
-            assert _same_array(getattr(a, name), arr), name
-    joined = [name for name in ("x", "y", "z") if c in getattr(got[d], name)]
-    assert not got[d].rejected
+    assert_same_draws(got, reached(want))
+    empty = np.empty(0, dtype=np.int64)
+    target = dict(got).get(d, separators.SeparatorSample(x=empty, y=empty, z=empty))
+    joined = [name for name in ("x", "y", "z") if c in getattr(target, name)]
+    assert not target.rejected
     assert joined == ([BOUNDARIES[where]] if BOUNDARIES[where] else [])
 
 
@@ -383,8 +385,8 @@ def test_crude_partition_normals_calls(monkeypatch):
         calls.clear()
         c = crude_partition(e, k, eps, delta, derive_stream(0, "count"))
         block = max(1, block_values // g.n)
-        assert len(calls) == math.ceil(len(c.rounds) / block)
-        assert sum(calls) == k * len(c.rounds)
+        assert len(calls) == math.ceil(c.effective.rounds / block)
+        assert sum(calls) == k * c.effective.rounds
 
 
 def test_driver_solves_one_eigenbasis(monkeypatch):
