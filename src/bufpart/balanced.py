@@ -12,14 +12,11 @@ feasible threshold meeting delta(S,T) <= 2(1+1/eps) lambda_2 w(S) exists by
 the two-variable averaging argument, the winner is at least as good, so
 phi <= 4(1+2/eps) lambda_2 holds unconditionally.
 
-The search is one sorted sweep (the sweep-cut evaluation of Chung, Spectral
-Graph Theory, and Andersen-Chung-Lang): vertex weights and edge crossing
-intervals give w(S), w(B) and delta(S,T) of every threshold from prefix sums
-in O(m log n).  Prefix sums round differently from the masked sums, so the
-sweep only prunes: a threshold is dropped when, by more than a float64 error
-bound, it breaks the buffer limit or loses to a threshold already evaluated.
-Every other threshold is evaluated with the exact masked sums, and those pick
-the winner, so the result is the same as evaluating every threshold.
+The search is the shared one of graph.py (the sweep-cut evaluation of Chung,
+Spectral Graph Theory, and Andersen-Chung-Lang): S, B and the S-T crossing of
+each edge hold on one interval of sorted thresholds, so graph.interval_sums
+scores every threshold and prunes; graph.least_exact visits the rest by
+ascending sweep (phi, t) and the exact masked sums pick the winner.
 
 buffered_balanced_cut() stacks such cuts until the accumulated small sides
 reach a quarter of the total weight (each level runs at eps/2 so its buffer
@@ -34,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, PartitionError, cut_cost_masks
+from .graph import UNIT, Graph, PartitionError, cut_cost_masks, interval_sums, least_exact
 from .spectral import eigenbasis, normalized_laplacian
 
 __all__ = [
@@ -103,9 +100,6 @@ def _weighted_median_shift(v: np.ndarray, w: np.ndarray) -> float:
     return float(vals[int(np.argmax(above <= half + 1e-12 * half))])
 
 
-_UNIT = np.finfo(np.float64).eps / 2.0   # float64 unit roundoff u = 2^-53
-
-
 def _two_threshold_cut(g: Graph, usq: np.ndarray, epsilon: float) -> tuple:
     """The feasible break point t of least (delta(S,T)/w(S), t), with its sets and sums.
 
@@ -116,73 +110,48 @@ def _two_threshold_cut(g: Graph, usq: np.ndarray, epsilon: float) -> tuple:
     thresholds = np.unique(np.concatenate([usq, (1.0 + epsilon) * usq]))
     tq = thresholds / (1.0 + epsilon)      # the T limit, same expression as the masks
     count = thresholds.size
-
-    # Sweep estimates of w(S), w(B) and delta(S,T) at every threshold.
-    order = np.argsort(usq, kind="stable")
-    sorted_usq = usq[order]
-    prefix_w = np.concatenate([[0.0], np.cumsum(w[order])])
-    n_not_s = np.searchsorted(sorted_usq, thresholds, "right")   # |{usq <= t}|
-    n_t = np.searchsorted(sorted_usq, tq, "right")               # |T|
-    ws_a = prefix_w[-1] - prefix_w[n_not_s]
-    wb_a = prefix_w[n_not_s] - prefix_w[n_t]
-    # Edge (x, y) = (min, max) of its endpoints' usq crosses S-T exactly when
-    # x <= tq[i] and y > thresholds[i], i.e. for i in [lo, hi).
+    # Vertex i is in S at the thresholds j < s_end[i], in T at j >= t_start[i]
+    # and in B between.  Edge (x, y) = (min, max) of its endpoints' usq crosses
+    # S-T exactly when x <= tq[j] and y > thresholds[j], i.e. for j in [lo, hi).
+    s_end = np.searchsorted(thresholds, usq, "left")
+    t_start = np.searchsorted(tq, usq, "left")
     ux, uy = usq[g.edge_u], usq[g.edge_v]
     lo = np.searchsorted(tq, np.minimum(ux, uy), "left")
     hi = np.searchsorted(thresholds, np.maximum(ux, uy), "left")
-    crosses = lo < hi
-    c = g.edge_cost[crosses]
-    cut_a = np.cumsum(np.bincount(lo[crosses], c, count + 1)
-                      - np.bincount(hi[crosses], c, count + 1))[:count]
-
-    # Error bounds against the exact masked sums (u = 2^-53, recursive-sum
-    # bounds gamma_j <= j u (1 + small) for the prefix sums, the bincount
-    # buckets, the cumsum over `count` differences and numpy's own sums):
-    #   |ws_a - w(S)|, |wb_a - w(B)|   <= (3n + 1) u W        <= tol_w
-    #   |cut_a - delta(S,T)|           <= (3m + 2 count + 2) u C <= tol_c
-    # with W the total vertex weight and C the total edge cost.
-    tol_w = 4.0 * (g.n + 1) * _UNIT * g.total_weight
-    tol_c = 4.0 * (g.edge_cost.size + count + 1) * _UNIT * float(g.edge_cost.sum())
+    ws_a, tol_s = interval_sums(np.zeros_like(s_end), s_end, w, count)
+    wb_a, tol_b = interval_sums(s_end, t_start, w, count)
+    cut_a, tol_c = interval_sums(lo, hi, g.edge_cost, count)
     # Drop only thresholds whose S or T is empty, or whose buffer exceeds
     # 2 eps w(S) even after both error bounds (the 1 - 4u and 1 + 4u factors
     # absorb the rounding of this comparison itself).
-    feasible = (n_not_s < usq.size) & (n_t > 0) & ~(
-        (wb_a - tol_w) * (1.0 - 4.0 * _UNIT)
-        > 2.0 * epsilon * (ws_a + tol_w) * (1.0 + 4.0 * _UNIT))
+    j = np.arange(count)
+    feasible = (j < s_end.max()) & (j >= t_start.min()) & ~(
+        (wb_a - tol_b) * (1.0 - 4.0 * UNIT)
+        > 2.0 * epsilon * (ws_a + tol_s) * (1.0 + 4.0 * UNIT))
     cand = np.flatnonzero(feasible)
     # phi_lb <= cut/ws in exact arithmetic for the exact sums; (1 - 8u) absorbs
     # the rounding of these four operations, and phi >= 0 always.
     phi_lb = np.maximum(
-        (cut_a[cand] - tol_c) / (ws_a[cand] + tol_w) * (1.0 - 8.0 * _UNIT), 0.0)
+        (cut_a[cand] - tol_c) / (ws_a[cand] + tol_s) * (1.0 - 8.0 * UNIT), 0.0)
     phi_a = np.divide(cut_a[cand], ws_a[cand], out=np.full(cand.size, np.inf),
                       where=ws_a[cand] > 0)
-    survivors = np.lexsort((thresholds[cand], phi_a))   # ascending sweep (phi, t)
 
-    best = None
-    while survivors.size:
-        i, survivors = survivors[0], survivors[1:]
-        t = thresholds[cand[i]]
+    def evaluate(i: int):
+        t = float(thresholds[cand[i]])
         s_mask = usq > t
         t_mask = usq <= t / (1.0 + epsilon)
         b_mask = ~s_mask & ~t_mask
         ws = float(w[s_mask].sum())
         wb = float(w[b_mask].sum()) if b_mask.any() else 0.0
         if wb > 2.0 * epsilon * ws:
-            continue
+            return None
         cut = cut_cost_masks(g, s_mask, t_mask)
-        key = (cut / ws, float(t))
-        if best is not None and key >= best[0]:
-            continue
-        best = (key, float(t), s_mask, t_mask, b_mask, cut, ws, wb)
-        # A later threshold loses once phi >= best phi is certain; an earlier
-        # one once phi > best phi is, i.e. phi_lb reaches the next float.
-        phi, t_best = key
-        bound = np.where(thresholds[cand[survivors]] > t_best, phi,
-                         np.nextafter(phi, np.inf))
-        survivors = survivors[phi_lb[survivors] < bound]
+        return (cut / ws, t), (t, s_mask, t_mask, b_mask, cut, ws, wb)
+
+    best = least_exact(np.lexsort((thresholds[cand], phi_a)), phi_lb, evaluate)
     if best is None:
         raise PartitionError("no feasible two-threshold cut found (implementation bug)")
-    return best[1:]
+    return best
 
 
 def cheeger2_buffered(g: Graph, epsilon: float) -> BufferedCut:
@@ -263,8 +232,8 @@ def buffered_balanced_cut(g: Graph, epsilon: float) -> BalancedCutResult:
         active = lifted.t
         if left_weight >= BALANCE_FRACTION * total:
             break
-    left_idx = np.concatenate(left) if left else np.empty(0, dtype=np.int64)
-    buf_idx = np.concatenate(buf) if buf else np.empty(0, dtype=np.int64)
+    left_idx = np.concatenate(left)      # n >= 2 gives at least one level
+    buf_idx = np.concatenate(buf)
     left_mask = np.zeros(g.n, dtype=bool)
     left_mask[left_idx] = True
     buf_mask = np.zeros(g.n, dtype=bool)

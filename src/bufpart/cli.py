@@ -19,7 +19,7 @@ from .graph import (BufferedPartition, Graph, GraphError, PartitionError, _cut_r
                     _read_text, load_graph, partition_cost, validate_partition)
 from .partition import RESTARTS, buffered_k_partition, lifted_k
 from .reports import write_report
-from .spectral import (EmbeddingError, SolverError, eigenbasis, embed,
+from .spectral import (EmbeddingError, SolverError, eigenbasis,
                        normalized_laplacian)
 
 __all__ = ["main", "run"]
@@ -254,9 +254,8 @@ def _cmd_spectrum(args) -> tuple[dict, int]:
         raise ParameterError(f"--k must lie in [1, n={g.n}], got {args.k}")
     basis = eigenbasis(normalized_laplacian(g), args.k)
     if args.embedding_tsv:
-        e = embed(basis, g)
         with open(args.embedding_tsv, "w", encoding="utf-8") as fh:
-            for name, vector in zip(g.labels, e.vectors):
+            for name, vector in zip(g.labels, basis.eigenvectors):
                 row = "\t".join("%.17g" % x for x in vector)
                 fh.write(f"{name}\t{row}\n")
     doc = {

@@ -11,6 +11,10 @@ A graph is its edge arrays: every edge is stored once as (u < v, cost), sorted
 by (u, v), and the Laplacian, cuts and expansions are all computed from them.
 Graph.build validates and sorts edges with array operations; subgraph() goes
 through it, so every graph passes the same checks.
+
+The threshold searches of cheeger2 and Step 3 share interval_sums(), which
+scores every candidate threshold at once under one stated float error bound,
+and least_exact(), which lets only the exact masked sums pick the winner.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ __all__ = [
     "GraphError",
     "PartitionError",
     "cut_cost",
+    "interval_sums",
+    "least_exact",
     "buffered_expansion",
     "partition_cost",
     "validate_partition",
@@ -43,6 +49,7 @@ class PartitionError(ValueError):
     """Operation applied to an invalid buffered partition."""
 
 
+UNIT = np.finfo(np.float64).eps / 2.0  # float64 unit roundoff u = 2^-53
 _TINY = np.finfo(np.float64).tiny     # smallest normal float64, 2.2e-308
 _HUGE = np.finfo(np.float64).max
 _TOTAL_LIMIT = _HUGE / 1024.0
@@ -220,6 +227,46 @@ def cut_cost_masks(g: Graph, ma: np.ndarray, mb: np.ndarray) -> float:
     return float(g.edge_cost[crossing].sum())
 
 
+def interval_sums(start: np.ndarray, end: np.ndarray, values: np.ndarray,
+                  count: int) -> tuple[np.ndarray, float]:
+    """(sums, tol): for each i in [0, count), the sum of the values[j] >= 0
+    with start[j] <= i < end[j] (indices in [0, count]), and its error bound.
+
+    A set's weight or a cut at every candidate threshold: two bincounts add
+    each value at start[j] and take it back at end[j], one cumsum sums them.
+    The bound, stated once: with u = UNIT, N values with start < end and V
+    their total, a sum here is within 2 (N + count + 1) u V (1 + small) of
+    the exact one, and numpy's .sum() of any subset of them within
+    (N - 1) u V (1 + small) of its own; so for N + count < 2^40 the gap to
+    the masked .sum() of the same set is at most tol = 4 (N + count + 1) u V.
+    """
+    keep = start < end
+    v = values[keep]
+    sums = np.cumsum(np.bincount(start[keep], v, count + 1)
+                     - np.bincount(end[keep], v, count + 1))[:count]
+    return sums, 4.0 * (v.size + count + 1) * UNIT * float(v.sum())
+
+
+def least_exact(order: np.ndarray, lower: np.ndarray, evaluate):
+    """The result of the least exact key over the candidates, or None.
+
+    Visits the candidates in `order`; evaluate(i) returns (key, result) from
+    exact masked sums, key[0] being phi >= lower[i], or None if i is
+    infeasible.  Once there is a best key, candidates with lower > its phi
+    are dropped unevaluated; lower == phi is kept, so ties on phi go to the
+    rest of the key and the result is that of evaluating every candidate.
+    """
+    best_key = best = None
+    rest = np.asarray(order)
+    while rest.size:
+        i, rest = rest[0], rest[1:]
+        found = evaluate(int(i))
+        if found is not None and (best_key is None or found[0] < best_key):
+            best_key, best = found
+            rest = rest[lower[rest] <= best_key[0]]
+    return best
+
+
 def buffered_expansion(g: Graph, p: Iterable[int], b: Iterable[int]) -> float:
     """phi_G(P || B) = delta_G(P, V minus (P u B)) / w(P); edges into B are free."""
     mp = g.mask(p)
@@ -279,7 +326,6 @@ class CutReport:
     per_part_expansion: tuple
     max_expansion: float
     buffer_ratios: tuple
-    valid: bool
     violations: tuple
 
     def to_dict(self) -> dict:
@@ -343,7 +389,7 @@ def _cut_report(g: Graph, part: BufferedPartition) -> CutReport:
         phis.append(buffered_expansion(g, p, b))
         ratios.append((g.weight_of(b) if b.size else 0.0) / g.weight_of(p))
     return CutReport(per_part_expansion=tuple(phis), max_expansion=max(phis),
-                     buffer_ratios=tuple(ratios), valid=True, violations=())
+                     buffer_ratios=tuple(ratios), violations=())
 
 
 def _fields(source, kind: str, form: str, arities: tuple, number: str):

@@ -18,15 +18,18 @@ nothing else, so the records of the other draws would change no result.
 Step 3 refines each round by a threshold search over the member measures (a
 strictly stronger replacement for the probabilistic-method existence argument:
 it finds a feasible threshold whenever one exists), on arrays restricted to
-the round's members and their incident edges.  One sorted sweep gives every
-candidate's weights and cuts from prefix sums and prunes with a stated float
-error bound; the exact masked sums evaluate the survivors in ascending order
-of a phi lower bound and alone pick the threshold, so the result is that of
-the exhaustive search.  Step 4 discards refined tuples whose buffered
-expansion exceeds the expansion-slack bound.  complete_partition() keeps the
-k-1 tuples of lowest buffered expansion as parts and folds the leftovers and
-the other tuples into the last part; partial_partition() keeps the restart
-whose completion has the lowest max expansion, the quantity the paper bounds.
+the round's members and their incident edges.  It is the shared threshold
+search of graph.py: graph.interval_sums gives every candidate's weights and
+cuts with one stated float error bound and prunes; graph.least_exact
+evaluates the survivors with the exact masked sums in ascending order of a
+phi lower bound, and those alone pick the threshold, so the result is that of
+the exhaustive search.  Step 4 runs in the same pass: a refined tuple whose
+buffered expansion exceeds the expansion-slack bound goes back to the
+leftovers, like a round with no feasible threshold.  complete_partition()
+keeps the k-1 tuples of lowest buffered expansion as parts and folds the
+leftovers and the other tuples into the last part; partial_partition() keeps
+the restart whose completion has the lowest max expansion, the quantity the
+paper bounds.
 
 Desk-scale practicality: the certified probability scale alpha of the Step-2
 separator family is astronomically small for every usable (k, delta) pairing
@@ -45,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import certify_run
-from .graph import BufferedPartition, CutReport, Graph, PartitionError, partition_cost
+from .graph import (UNIT, BufferedPartition, CutReport, Graph, PartitionError, interval_sums,
+                    least_exact, partition_cost)
 from .rng import RandomStream, derive_stream
 from .separators import (CalibrationError, SeparatorParams, calibrate,
                          measured_draws, practical_params)
@@ -73,7 +77,6 @@ MAX_ROUNDS = 20000
 BUFFER_SLACK = 192.0       # Step 3 buffer slack c' = BUFFER_SLACK / delta
 EXPANSION_SLACK = 10.0     # Step 4 expansion slack c'' = EXPANSION_SLACK / delta
 RESTARTS = 8
-_UNIT = np.finfo(np.float64).eps / 2.0   # float64 unit roundoff u = 2^-53
 
 
 @dataclass(frozen=True)
@@ -249,7 +252,7 @@ def _round_threshold(mu_l, w_l, pt, bt, lu, lv, ec_l, out_u, out_v,
     """Step 3 on one round: the feasible threshold r of least (phi, -w(P), r).
 
     The arguments are the round's local view built by refine_and_discard();
-    returns (key, r, p_mask, b_mask, a1_mask, a2_mask, phi), or None when no
+    returns (r, p_mask, b_mask, a1_mask, a2_mask, phi), or None when no
     threshold is feasible.
 
     The candidates are the members' unique mu in ascending order, and
@@ -258,78 +261,55 @@ def _round_threshold(mu_l, w_l, pt, bt, lu, lv, ec_l, out_u, out_v,
     P u B while lo <= mu, a Ptilde slot is in A'' while lo2 < mu < lo and in
     A' once mu < lo and mu <= lo2.  So each set holds a slot on one interval
     of candidate indices, each filtered cut counts an edge on at most two
-    disjoint intervals, and bincount plus cumsum give w(P), w(B), w(A''), the
-    a1, out and phi cuts of every candidate at once.  Those sweep sums round
-    differently from the masked sums; with u = 2^-53, W the members' weight,
-    C the cost of their E incident edges and count the candidates:
-
-        |w(P)~ - w(P)|, |w(A'')~ - w(A'')|   <= 4 (size + count + 1) u W = tol_w
-        |w(B)~ - w(B)|                       <= 2 tol_w
-        |cut~ - cut|, for each of the cuts   <= 12 (E + count + 1) u C = tol_c
-
-    So the sweep only prunes.  A candidate is dropped when its P is empty or
-    it breaks a filter by more than these bounds (the 1 -/+ 4u factors absorb
-    the rounding of the comparison).  The rest are visited by ascending phi
-    lower bound and evaluated with the exact masked sums, which alone decide
-    feasibility, phi and the key.  The visit stops once the next lower bound
-    is strictly above the best exact phi, so candidates tied on phi are still
-    evaluated and the result is that of evaluating every candidate.
+    disjoint intervals, and graph.interval_sums gives w(P), w(B), w(A''), the
+    a1, out and phi cuts of every candidate with its error bound.  A
+    candidate is dropped when its P is empty or it breaks a filter by more
+    than those bounds (the 1 -/+ 4u factors absorb the rounding of the
+    comparison); graph.least_exact visits the rest by ascending phi lower
+    bound, and the exact masked sums alone decide feasibility, phi and the key.
     """
-    size = mu_l.size - 1
-    cands = np.unique(mu_l[:size])
+    cands = np.unique(mu_l[:-1])
     count = cands.size
     los = cands / (1.0 + epsilon)        # the same expressions as the masks below
     lo2s = los / (1.0 + epsilon)
-    # Slot s is in P for i < p_end[s], in P u B for i < pb_end[s], in A'' for
-    # pb_end[s] <= i < a2_end[s] and in A' for i >= a1_start[s].  The sentinel
-    # slot is in none of them.
+    # Slot s is in P for i < p_end[s], in B for p_end[s] <= i < pb_end[s], in
+    # A'' for pb_end[s] <= i < a2_end[s] and in A' for i >= a1_start[s].  The
+    # sentinel slot is in none of them.
     p_end = np.where(pt, np.searchsorted(cands, mu_l, "right"), 0)
     pb_end = np.where(pt | bt, np.searchsorted(los, mu_l, "right"), 0)
     a2_end = np.where(pt, np.searchsorted(lo2s, mu_l, "left"), 0)
     a1_start = np.where(pt, np.maximum(pb_end, a2_end), count)
 
-    def sweep(start, end, values):
-        """values[j] summed over the j with start[j] <= i < end[j], for each i."""
-        keep = start < end
-        v = values[keep]
-        return np.cumsum(np.bincount(start[keep], v, count + 1)
-                         - np.bincount(end[keep], v, count + 1))[:count]
-
     def cut_sweep(first, last, cost_v, cost_u):
         """Per edge: cost_v on [first[v], last[u]) plus cost_u on [first[u], last[v])."""
-        return sweep(np.concatenate([first[lv], first[lu]]),
-                     np.concatenate([last[lu], last[lv]]), np.concatenate([cost_v, cost_u]))
+        return interval_sums(np.concatenate([first[lv], first[lu]]),
+                             np.concatenate([last[lu], last[lv]]),
+                             np.concatenate([cost_v, cost_u]), count)
 
-    wp_a = sweep(np.zeros_like(p_end), p_end, w_l)
-    wb_a = sweep(np.zeros_like(pb_end), pb_end, w_l) - wp_a
-    wa2_a = sweep(pb_end, a2_end, w_l)
-    tol_w = 4.0 * (size + count + 1) * _UNIT * float(w_l.sum())
-    tol_c = 12.0 * (ec_l.size + count + 1) * _UNIT * float(ec_l.sum())
-    wp_hi = (wp_a + tol_w) * (1.0 + 4.0 * _UNIT)
-    lower = 1.0 - 4.0 * _UNIT
+    wp_a, tol_p = interval_sums(np.zeros_like(p_end), p_end, w_l, count)
+    wb_a, tol_b = interval_sums(p_end, pb_end, w_l, count)
+    wa2_a, tol_a2 = interval_sums(pb_end, a2_end, w_l, count)
+    wp_hi = (wp_a + tol_p) * (1.0 + 4.0 * UNIT)
+    lower = 1.0 - 4.0 * UNIT
     feasible = (np.arange(count) < p_end.max()) & ~(
-        (wb_a - 2.0 * tol_w) * lower > c_prime * epsilon * wp_hi) & ~(
-        (wa2_a - tol_w) * lower > 10.0 * epsilon * wp_hi)
+        (wb_a - tol_b) * lower > c_prime * epsilon * wp_hi) & ~(
+        (wa2_a - tol_a2) * lower > 10.0 * epsilon * wp_hi)
     if math.isfinite(bound):
-        zero = np.zeros_like(ec_l)
-        a1_a = cut_sweep(a1_start, pb_end, ec_l, ec_l)
-        out_a = cut_sweep(pb_end, pb_end, np.where(out_v, ec_l, zero),
-                          np.where(out_u, ec_l, zero))
+        a1_a, tol_a1 = cut_sweep(a1_start, pb_end, ec_l, ec_l)
+        out_a, tol_out = cut_sweep(pb_end, pb_end, np.where(out_v, ec_l, 0.0),
+                                   np.where(out_u, ec_l, 0.0))
         with np.errstate(over="ignore"):     # to inf, as bound * wp may below
             limit = bound * wp_hi
-        feasible &= ~((a1_a - tol_c) * lower > limit) & ~((out_a - tol_c) * lower > limit)
+        feasible &= ~((a1_a - tol_a1) * lower > limit) & ~((out_a - tol_out) * lower > limit)
     cand = np.flatnonzero(feasible)
+    phi_a, tol_phi = cut_sweep(pb_end, p_end, ec_l, ec_l)
     # phi_lb <= the exact phi; (1 - 8u) absorbs the rounding of these four
     # operations and of the exact division, and phi >= 0 always.
-    phi_lb = np.maximum((cut_sweep(pb_end, p_end, ec_l, ec_l)[cand] - tol_c)
-                        / (wp_a[cand] + tol_w) * (1.0 - 8.0 * _UNIT), 0.0)
-    order = np.argsort(phi_lb, kind="stable")
+    phi_lb = np.maximum((phi_a[cand] - tol_phi) / (wp_a[cand] + tol_p) * (1.0 - 8.0 * UNIT),
+                        0.0)
 
-    best = None
-    for lb, i in zip(phi_lb[order].tolist(), cand[order].tolist()):
-        if best is not None and lb > best[-1]:
-            break
-        r = cands[i]
+    def evaluate(i: int):
+        r = float(cands[cand[i]])
         p_mask = pt & (mu_l >= r)
         lo = r / (1.0 + epsilon)
         b_mask = (bt & (mu_l >= lo)) | (pt & (mu_l >= lo) & (mu_l < r))
@@ -340,24 +320,23 @@ def _round_threshold(mu_l, w_l, pt, bt, lu, lv, ec_l, out_u, out_v,
         a1_mask = pt & ~p_mask & ~b_mask & ~a2_mask
         wp = float(w_l[p_mask].sum())
         if float(w_l[b_mask].sum()) > c_prime * epsilon * wp:
-            continue
+            return None
         if float(w_l[a2_mask].sum()) > 10.0 * epsilon * wp:
-            continue
+            return None
         pb = p_mask | b_mask
         pb_u, pb_v = pb[lu], pb[lv]
         if math.isfinite(bound):
             a1_cut = float(ec_l[(a1_mask[lu] & pb_v) | (a1_mask[lv] & pb_u)].sum())
             if a1_cut > bound * wp:
-                continue
+                return None
             out_cut = float(ec_l[(pb_u & out_v & ~pb_v) | (pb_v & out_u & ~pb_u)].sum())
             if out_cut > bound * wp:
-                continue
+                return None
         phi_cut = float(ec_l[(p_mask[lu] & ~pb_v) | (p_mask[lv] & ~pb_u)].sum())
         phi = phi_cut / wp
-        key = (phi, -wp, float(r))
-        if best is None or key < best[0]:
-            best = (key, float(r), p_mask, b_mask, a1_mask, a2_mask, phi)
-    return best
+        return (phi, -wp, r), (r, p_mask, b_mask, a1_mask, a2_mask, phi)
+
+    return least_exact(np.argsort(phi_lb, kind="stable"), phi_lb, evaluate)
 
 
 def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
@@ -387,8 +366,8 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
     r_b_prime[c.r_b] = True
 
     local = np.full(n, -1, dtype=np.int64)    # vertex -> index in the current round
-    survivors: list[RefinedTuple] = []
-    infeasible_rounds = 0
+    kept: list[RefinedTuple] = []    # in draw order, as c.rounds is
+    refined = infeasible_rounds = 0
     for rec in c.rounds:
         if rec.p_tilde.size == 0:
             r_b_prime[rec.b_tilde] = True
@@ -417,35 +396,20 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
 
         best = _round_threshold(mu_l, w_l, pt, bt, lu, lv, ec_l, out_u, out_v,
                                 epsilon, c_prime, bound)
-        if best is None:
-            infeasible_rounds += 1
+        refined += best is not None
+        infeasible_rounds += best is None
+        # Step 4 in the same pass: a refined tuple above the expansion bound
+        # returns its round to the leftovers like an infeasible round.
+        if best is None or best[-1] > bound:
             r_p_prime[rec.p_tilde] = True
-            if rec.b_tilde.size:
-                r_b_prime[rec.b_tilde] = True
+            r_b_prime[rec.b_tilde] = True
             continue
-        _, r, p_mask, b_mask, a1_mask, a2_mask, phi = best
-        survivors.append(RefinedTuple(
+        r, p_mask, b_mask, a1_mask, a2_mask, phi = best
+        kept.append(RefinedTuple(
             round_index=rec.index, p=members[p_mask[:size]], b=members[b_mask[:size]],
             a_prime=members[a1_mask[:size]], a_double=members[a2_mask[:size]],
             threshold=r, phi=phi))
         r_b_prime[members[(bt & ~b_mask)[:size]]] = True
-
-    kept = [t for t in survivors if t.phi <= bound]
-    kept_ids = {t.round_index for t in kept}
-    by_round = {rec.index: rec for rec in c.rounds}
-    for t in survivors:
-        if t.round_index not in kept_ids:
-            rec = by_round[t.round_index]
-            r_p_prime[rec.p_tilde] = True
-            if rec.b_tilde.size:
-                r_b_prime[rec.b_tilde] = True
-
-    owned = np.zeros(n, dtype=bool)
-    for t in kept:
-        for arr in (t.p, t.b, t.a_prime, t.a_double):
-            owned[arr] = True
-    r_p_prime &= ~owned
-    r_b_prime &= ~owned
 
     # Measured leftover-cut aggregate: for each kept tuple i, the total cost
     # from all A' sets and R'_P into P_i u B_i, expressed as a multiple of
@@ -453,9 +417,8 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
     leftover_ratio = 0.0
     if kept and epsilon > 0 and lam_k > 0:
         a_and_rp = r_p_prime.copy()
-        for t in survivors:
-            if t.round_index in kept_ids:
-                a_and_rp[t.a_prime] = True
+        for t in kept:
+            a_and_rp[t.a_prime] = True
         unit = lam_k * math.log(k) / epsilon
         for t in kept:
             pb = np.zeros(n, dtype=bool)
@@ -465,7 +428,7 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
             leftover_ratio = max(leftover_ratio, agg / (unit * float(w[t.p].sum())))
 
     pp = PartialPartition(
-        tuples=tuple(sorted(kept, key=lambda t: t.round_index)),
+        tuples=tuple(kept),
         r_p_prime=np.flatnonzero(r_p_prime), r_b_prime=np.flatnonzero(r_b_prime),
         effective=c.effective, lambda_k=lam_k,
         diagnostics={
@@ -473,7 +436,7 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
             "buffer_slack": c_prime,
             "expansion_slack": c_dprime,
             "infeasible_rounds": infeasible_rounds,
-            "survivors_step3": len(survivors),
+            "survivors_step3": refined,
             "kept_theory": len(kept),
             "reject_count": c.reject_count,
             "r_b_prime_weight": float(w[r_b_prime].sum()),
@@ -568,7 +531,6 @@ def partial_partition(g: Graph, k: int, epsilon: float, delta: float, seed: int 
     target = (1.0 - 2.0 * eff.delta) * k
     best.diagnostics["tuple_target"] = target
     best.diagnostics["tuple_target_met"] = best.partial.k_prime >= target
-    best.diagnostics["attempts"] = attempts
     return best
 
 
@@ -599,8 +561,8 @@ def complete_partition(pp: PartialPartition, g: Graph, k_target: int) -> Buffere
                 [pp.tuples[i].p for i in merged]
     last_buf = [pp.r_b_prime] + [pp.tuples[i].a_double for i in range(k_prime)] + \
                [pp.tuples[i].b for i in merged]
-    parts.append(np.concatenate(last_part) if last_part else np.empty(0, dtype=np.int64))
-    buffers.append(np.concatenate(last_buf) if last_buf else np.empty(0, dtype=np.int64))
+    parts.append(np.concatenate(last_part))
+    buffers.append(np.concatenate(last_buf))
 
     ratios = []
     for p, b in zip(parts, buffers):

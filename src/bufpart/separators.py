@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import gaussian_tail, gaussian_tail_inv, log_gaussian_tail
+from .graph import UNIT
 from .rng import RandomStream
 
 __all__ = [
@@ -66,7 +67,6 @@ __all__ = [
 
 T_MAX = 40.0
 BLOCK_VALUES = 2 ** 18      # projections evaluated per block of measured draws
-_UNIT = np.finfo(np.float64).eps / 2.0   # float64 unit roundoff u = 2^-53
 
 
 class CalibrationError(RuntimeError):
@@ -199,7 +199,7 @@ def _min_ball_leftover(vectors: np.ndarray, measures: np.ndarray,
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     r2 = r * r
     far = d2 > r2
-    unsure = np.abs(d2 - r2) <= 16.0 * (pts.shape[1] + 4) * _UNIT * (1.0 + r2)
+    unsure = np.abs(d2 - r2) <= 16.0 * (pts.shape[1] + 4) * UNIT * (1.0 + r2)
     if unsure.any():
         i, j = np.nonzero(unsure)
         far[i, j] = np.linalg.norm(pts[i] - pts[j], axis=1) > r
@@ -274,7 +274,7 @@ def _draw_blocks(vectors, measures, limit, r, p, stream, count):
     for first in range(0, count, block):
         size = min(block, count - first)
         gs = stream.normals(dim * size).reshape(size, dim)
-        margin = 4.0 * (dim + 2) * _UNIT * (np.abs(gs).sum(axis=1) + abs(floor))
+        margin = 4.0 * (dim + 2) * UNIT * (np.abs(gs).sum(axis=1) + abs(floor))
         rows, cols = np.divmod(np.flatnonzero(gs @ columns >= (floor - margin)[:, None]),
                                count_v)
         proj = _projections(gs, columns, rows, cols)

@@ -369,10 +369,14 @@ def embed(basis: SpectralBasis, g: Graph) -> Embedding:
     U = basis.eigenvectors
     mu = (U * U).sum(axis=1)
     if np.any(mu <= 0.0):
+        # A component's kernel vector is nonzero on all of it, so a zero row
+        # means that some component has no kernel vector among the k' columns.
         bad = int(np.argmin(mu))
-        raise EmbeddingError(
-            f"vertex {bad} embeds to the zero vector; re-randomize the eigenbasis "
-            f"(degenerate sign cancellation)")
+        name = repr(g.labels[bad]) if g.labels else str(bad)
+        c, _ = _components(g)
+        why = (f": the graph has {c} connected components, more than the "
+               f"{basis.k_prime} eigenvectors of the embedding" if c > basis.k_prime else "")
+        raise EmbeddingError(f"vertex {name} embeds to the zero vector{why}")
     zhat = U / np.sqrt(g.weights)[:, None]
     psi = U / np.sqrt(mu)[:, None]
     return Embedding(graph=g, basis=basis, vectors=U, zhat=zhat, mu=mu, psi=psi)

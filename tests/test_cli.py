@@ -350,6 +350,34 @@ class TestOverflowingCosts:
         assert capsys.readouterr().err == "bufpart: failure: vertex 3 embeds to the zero vector\n"
 
 
+class TestMoreComponentsThanEigenvectors:
+    """Three disjoint edges: k' = 2 eigenvectors leave the third component at zero."""
+
+    @pytest.fixture()
+    def three_edges(self, tmp_path):
+        path = tmp_path / "three.txt"
+        path.write_text("a b\nc d\ne f\n")
+        return str(path)
+
+    def test_partition_names_the_vertex_and_the_components(self, three_edges, capsys):
+        code = run(["partition", "--graph", three_edges, "--k", "2", "--eps", "0.1",
+                    "--delta", "0.2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "bufpart: failure: vertex 'e' embeds to the zero vector: the graph has 3 "
+            "connected components, more than the 2 eigenvectors of the embedding\n")
+
+    def test_spectrum_writes_the_zero_rows(self, three_edges, tmp_path):
+        tsv = tmp_path / "emb.tsv"
+        code = run(["spectrum", "--graph", three_edges, "--k", "2",
+                    "--embedding-tsv", str(tsv), "--out", str(tmp_path / "r.json")])
+        assert code == 0
+        rows = [line.split("\t") for line in tsv.read_text().splitlines()]
+        assert [row[0] for row in rows] == list("abcdef")
+        assert rows[4][1:] == rows[5][1:] == ["0", "0"]
+        assert all(sum(x != "0" for x in row[1:]) == 1 for row in rows[:4])
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)

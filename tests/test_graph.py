@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bufpart import (BufferedPartition, Graph, GraphError, PartitionError,
                      buffered_expansion, cut_cost, load_graph, partition_cost,
                      validate_partition)
+from bufpart.graph import interval_sums, least_exact
 from conftest import (disjoint_cliques, k4, path, planted, tiny_connected, triangle,
                       weighted_er)
 from ingest_oracle import reference_load_graph
@@ -353,3 +354,80 @@ def test_load_graph_equals_the_reference_pipeline(case):
     for name in ("weights", "edge_u", "edge_v", "edge_cost"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestIntervalSums:
+    """graph.interval_sums against a per-index loop over the intervals."""
+
+    @staticmethod
+    def loop(start, end, values, count):
+        return np.array([sum(float(x) for s, e, x in zip(start, end, values) if s <= i < e)
+                         for i in range(count)])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        count, size = int(rng.integers(1, 12)), int(rng.integers(0, 30))
+        start = rng.integers(0, count + 1, size)
+        end = rng.integers(0, count + 1, size)       # start >= end for about half
+        values = rng.choice([0.0, 0.1, 0.3, 1.0, 2.5], size)
+        sums, tol = interval_sums(start, end, values, count)
+        assert sums.shape == (count,)
+        want = self.loop(start, end, values, count)
+        assert np.all(np.abs(sums - want) <= tol)
+
+    def test_empty_full_and_zero_length(self):
+        values = np.array([1.0, 2.0, 4.0])
+        # start >= end: no value is anywhere.
+        sums, tol = interval_sums(np.array([3, 2, 1]), np.array([3, 1, 0]), values, 3)
+        assert np.array_equal(sums, np.zeros(3)) and tol == 0.0
+        # [0, count): every value everywhere, exactly.
+        sums, _ = interval_sums(np.zeros(3, dtype=np.int64), np.full(3, 3), values, 3)
+        assert np.array_equal(sums, np.full(3, 7.0))
+        # No values at all.
+        empty = np.empty(0, dtype=np.int64)
+        sums, tol = interval_sums(empty, empty, np.empty(0), 4)
+        assert np.array_equal(sums, np.zeros(4)) and tol == 0.0
+
+
+class TestLeastExact:
+    """graph.least_exact on scripted candidates: (key or None, lower bound <= key[0])."""
+
+    @staticmethod
+    def search(script, order=None):
+        calls = []
+
+        def evaluate(i):
+            calls.append(i)
+            key = script[i][0]
+            return None if key is None else (key, f"c{i}")
+        lower = np.array([lb for _, lb in script])
+        order = np.arange(len(script)) if order is None else np.asarray(order)
+        return least_exact(order, lower, evaluate), calls
+
+    def test_tie_on_phi_is_evaluated_and_wins_on_key(self):
+        # c1's lower bound equals the best phi; its tie-break is smaller.
+        script = [((0.5, 2.0), 0.4), ((0.5, 1.0), 0.5), ((0.7, 0.0), 0.6)]
+        best, calls = self.search(script)
+        assert best == "c1" and calls == [0, 1]
+
+    def test_candidates_above_the_bound_are_never_evaluated(self):
+        script = [((0.9, 0.0), 0.1), ((0.3, 0.0), 0.2), ((0.4, 0.0), 0.35),
+                  ((0.32, 0.0), 0.31), ((0.25, 0.0), 0.3)]
+        best, calls = self.search(script)
+        assert best == "c4" and calls == [0, 1, 4]
+
+    def test_order_is_the_callers(self):
+        script = [((0.2, 1.0), 0.2), ((0.2, 0.0), 0.2), ((0.1, 0.0), 0.05)]
+        best, calls = self.search(script, order=[2, 1, 0])
+        assert best == "c2" and calls == [2]
+
+    def test_infeasible_candidates_are_skipped(self):
+        script = [(None, 0.0), ((0.4, 0.0), 0.1), (None, 0.2), ((0.3, 0.0), 0.3)]
+        best, calls = self.search(script)
+        assert best == "c3" and calls == [0, 1, 2, 3]
+
+    def test_all_infeasible_returns_none(self):
+        best, calls = self.search([(None, 0.0), (None, 1.0)])
+        assert best is None and calls == [0, 1]
+        assert self.search([])[0] is None

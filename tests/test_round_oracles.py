@@ -219,6 +219,25 @@ def test_refinement_oracle_with_zero_epsilon():
     assert got.k_prime > 0
 
 
+def test_step3_search_prunes_most_thresholds(monkeypatch):
+    # The Step-3 counterpart of the cheeger2 sweep guard: the interval sums
+    # must leave only a few candidates for graph.least_exact to evaluate.
+    candidates, evaluated = [], []
+    real = partition.least_exact
+
+    def spy(order, lower, evaluate):
+        candidates.append(len(order))
+
+        def counted(i):
+            evaluated.append(i)
+            return evaluate(i)
+        return real(order, lower, counted)
+
+    monkeypatch.setattr(partition, "least_exact", spy)
+    buffered_k_partition(planted([100] * 4, 0.3, 0.01, 7)[0], 4, 0.05, 0.2, seed=1)
+    assert 1 <= len(evaluated) <= sum(candidates) // 10
+
+
 class ScriptedStream:
     """Stands in for RandomStream: normals() hands out fixed values in order."""
 

@@ -304,8 +304,21 @@ class TestEmbedding:
         broken = SpectralBasis(k_prime=2, eigenvalues=basis.eigenvalues,
                                eigenvectors=vecs, residuals=basis.residuals,
                                method="dense")
-        with pytest.raises(EmbeddingError, match="re-randomize"):
+        with pytest.raises(EmbeddingError, match="^vertex 0 embeds to the zero vector$"):
             embed(broken, g)
+
+    def test_zero_row_names_the_missing_components(self):
+        # Three disjoint 200-cycles at k' = 2 (the Lanczos path): the third
+        # component has no kernel vector in the basis, so its rows are zero.
+        g = Graph.build(600, [(200 * c + i, 200 * c + (i + 1) % 200, 1.0)
+                              for c in range(3) for i in range(200)],
+                        labels=[f"v{i}" for i in range(600)])
+        basis = eigenbasis(normalized_laplacian(g), 2)
+        assert basis.method == "lanczos"
+        with pytest.raises(EmbeddingError, match="^vertex 'v400' embeds to the zero vector: "
+                           "the graph has 3 connected components, more than the 2 "
+                           "eigenvectors of the embedding$"):
+            embed(basis, g)
 
 
 class TestBallMeasure:
