@@ -8,22 +8,25 @@ and keeps the bookkeeping
     Btilde_t = (X_t u Y_t) minus (Sigma_t u Gamma_{t-1})
     R_P      = never touched        R_B = touched but unassigned
 
-The draws come from separators.measured_draws(), which evaluates them in
-blocks and yields only the draws that reach a vector; a draw that reaches
-nothing changes no set.  Each reached draw's bookkeeping touches only the
-indices of X u Y u Z, and a RoundRecord is kept only for a round whose
-Ptilde or Btilde is non-empty, under its draw index.  Steps 3 and 4 read
-nothing else, so the records of the other draws would change no result.
+The draws come from separators.measured_draws(), which evaluates a whole
+restart's draws at once and returns only the draws that reach a vector; a
+draw that reaches nothing changes no set.  Each reached draw's bookkeeping
+touches only the indices of X u Y u Z, and a RoundRecord is kept only for a
+round whose Ptilde or Btilde is non-empty, under its draw index.  Steps 3 and
+4 read nothing else, so the records of the other draws would change no result.
 
 Step 3 refines each round by a threshold search over the member measures (a
 strictly stronger replacement for the probabilistic-method existence argument:
-it finds a feasible threshold whenever one exists), on arrays restricted to
-the round's members and their incident edges.  It is the shared threshold
-search of graph.py: graph.interval_sums gives every candidate's weights and
-cuts with one stated float error bound and prunes; graph.least_exact
-evaluates the survivors with the exact masked sums in ascending order of a
-phi lower bound, and those alone pick the threshold, so the result is that of
-the exhaustive search.  Step 4 runs in the same pass: a refined tuple whose
+it finds a feasible threshold whenever one exists).  The rounds have disjoint
+members and read only the crude state, so one sweep serves all of them: their
+members share one slot axis, their candidate thresholds one candidate axis and
+their incident edges one list (_step3_rounds).  It is the shared threshold
+search of graph.py: one graph.interval_sums call per quantity gives every
+candidate's weights and cuts with one stated float error bound and prunes;
+per round, graph.least_exact evaluates the survivors with the exact masked
+sums of the round's own members and edges in ascending order of a phi lower
+bound, and those alone pick the threshold, so the result is that of the
+exhaustive search.  Step 4 runs in the same pass: a refined tuple whose
 buffered expansion exceeds the expansion-slack bound goes back to the
 leftovers, like a round with no feasible threshold.  complete_partition()
 keeps the k-1 tuples of lowest buffered expansion as parts and folds the
@@ -247,101 +250,172 @@ class PartialPartition:
         return max((t.phi for t in self.tuples), default=math.inf)
 
 
-def _round_threshold(mu_l, w_l, pt, bt, lu, lv, ec_l, out_u, out_v,
-                     epsilon: float, c_prime: float, bound: float):
-    """Step 3 on one round: the feasible threshold r of least (phi, -w(P), r).
+def _ranks(values, groups, queries, q_groups, side: str) -> np.ndarray:
+    """For each query, np.searchsorted(values of its group, query, side) plus the
+    group's offset in values, which is sorted by (group, value): one exact
+    lexsort of both counts the values that sort before each query."""
+    count = values.size
+    tie = np.concatenate([np.full(count, side == "left"), np.full(queries.size, side == "right")])
+    order = np.lexsort((tie, np.concatenate([values, queries]),
+                        np.concatenate([groups, q_groups])))
+    asked = order >= count
+    out = np.empty(queries.size, dtype=np.int64)
+    out[order[asked] - count] = np.cumsum(~asked)[asked]
+    return out
 
-    The arguments are the round's local view built by refine_and_discard();
-    returns (r, p_mask, b_mask, a1_mask, a2_mask, phi), or None when no
-    threshold is feasible.
 
-    The candidates are the members' unique mu in ascending order, and
-    lo = r/(1+eps), lo2 = lo/(1+eps) are nondecreasing in r.  Membership is
-    monotone in r: a Ptilde slot is in P while r <= mu, a member is in
-    P u B while lo <= mu, a Ptilde slot is in A'' while lo2 < mu < lo and in
-    A' once mu < lo and mu <= lo2.  So each set holds a slot on one interval
-    of candidate indices, each filtered cut counts an edge on at most two
-    disjoint intervals, and graph.interval_sums gives w(P), w(B), w(A''), the
-    a1, out and phi cuts of every candidate with its error bound.  A
-    candidate is dropped when its P is empty or it breaks a filter by more
-    than those bounds (the 1 -/+ 4u factors absorb the rounding of the
-    comparison); graph.least_exact visits the rest by ascending phi lower
-    bound, and the exact masked sums alone decide feasibility, phi and the key.
+def _step3_rounds(rounds, g: Graph, mu: np.ndarray, sigma_rp: np.ndarray, epsilon: float,
+                  c_prime: float, bound: float):
+    """Step 3 of the rounds (each with a non-empty Ptilde) as one threshold sweep.
+
+    Yields per round, in order: its members in index order, its Btilde mask,
+    its incident edges (eu, ev, slot of eu, slot of ev, cost) in global edge
+    order, and the feasible threshold r of least (phi, -w(P), r) as
+    (r, p_mask, b_mask, a1_mask, a2_mask, phi), or None.  The masks cover the
+    members and a sentinel slot (never selected) that the edges' non-member
+    ends point to.
+
+    A round's candidates are its members' unique mu; lo = r/(1+eps) and
+    lo2 = lo/(1+eps) are nondecreasing in r.  A Ptilde slot is in P while
+    r <= mu, a member is in P u B while lo <= mu, a Ptilde slot is in A''
+    while lo2 < mu < lo and in A' once mu < lo and mu <= lo2: each set holds a
+    slot on one interval of candidates, each filtered cut an edge on at most
+    two, and one graph.interval_sums call per quantity scores every candidate
+    of every round.  A candidate is dropped when its P is empty or it breaks a
+    filter by more than the error bound (the 1 -/+ 4u factors absorb the
+    rounding of the comparison); the bound is that of the whole axis, so
+    looser pruning costs exact evaluations, never another result.  Per round,
+    graph.least_exact visits the rest by ascending phi lower bound, and the
+    exact masked sums over the round's own slice decide alone; they select
+    the same elements in the same order as global masks would.
     """
-    cands = np.unique(mu_l[:-1])
-    count = cands.size
-    los = cands / (1.0 + epsilon)        # the same expressions as the masks below
+    n, count = g.n, len(rounds)
+    if not count:
+        return
+    p_all = np.concatenate([rec.p_tilde for rec in rounds])
+    b_all = np.concatenate([rec.b_tilde for rec in rounds])
+    round_of = np.full(n, -1, dtype=np.int64)
+    round_of[p_all] = np.repeat(np.arange(count), [rec.p_tilde.size for rec in rounds])
+    round_of[b_all] = np.repeat(np.arange(count), [rec.b_tilde.size for rec in rounds])
+
+    # Slots: each round's members in index order, then its sentinel (vertex n).
+    verts = np.flatnonzero(round_of >= 0)
+    vertex = np.concatenate([verts, np.full(count, n)])
+    slot_round = np.concatenate([round_of[verts], np.arange(count)])
+    order = np.lexsort((vertex, slot_round))
+    vertex, slot_round = vertex[order], slot_round[order]
+    member = vertex < n
+    in_pt = np.zeros(n + 1, dtype=bool)
+    in_pt[p_all] = True
+    pt, bt = in_pt[vertex], member & ~in_pt[vertex]
+    mu_s, w_s = np.append(mu, 0.0)[vertex], np.append(g.weights, 0.0)[vertex]
+    sentinel = np.flatnonzero(~member)
+    first_slot = np.append(0, sentinel[:-1] + 1)
+    local = np.empty(n + 1, dtype=np.int64)
+    local[vertex] = np.arange(vertex.size)
+
+    # Candidates: each round's unique mu, ascending, rounds in order.
+    cands = np.unique(np.column_stack([slot_round[member], mu_s[member]]), axis=0)
+    cand_round, cands = cands[:, 0].astype(np.int64), cands[:, 1]
+    total = cands.size
+    cand_start = np.searchsorted(cand_round, np.arange(count + 1))
+    los = cands / (1.0 + epsilon)        # the same expressions as evaluate()'s masks
     lo2s = los / (1.0 + epsilon)
-    # Slot s is in P for i < p_end[s], in B for p_end[s] <= i < pb_end[s], in
-    # A'' for pb_end[s] <= i < a2_end[s] and in A' for i >= a1_start[s].  The
-    # sentinel slot is in none of them.
-    p_end = np.where(pt, np.searchsorted(cands, mu_l, "right"), 0)
-    pb_end = np.where(pt | bt, np.searchsorted(los, mu_l, "right"), 0)
-    a2_end = np.where(pt, np.searchsorted(lo2s, mu_l, "left"), 0)
-    a1_start = np.where(pt, np.maximum(pb_end, a2_end), count)
+    # Slot s is in P for off <= i < p_end[s], in B for p_end[s] <= i < pb_end[s],
+    # in A'' for pb_end[s] <= i < a2_end[s] and in A' for a1_start[s] <= i < end,
+    # [off, end) being its round's candidates.  A sentinel is in none.
+    off, end = cand_start[slot_round], cand_start[slot_round + 1]
+    p_end = np.where(pt, _ranks(cands, cand_round, mu_s, slot_round, "right"), off)
+    pb_end = np.where(member, _ranks(los, cand_round, mu_s, slot_round, "right"), off)
+    a2_end = np.where(pt, _ranks(lo2s, cand_round, mu_s, slot_round, "left"), off)
+    a1_start = np.where(pt, np.maximum(pb_end, a2_end), end)
+
+    # Edges with an end in a round; an edge between two rounds is in both.
+    eu, ev = g.edge_u, g.edge_v
+    ru, rv = round_of[eu], round_of[ev]
+    second = (rv >= 0) & (rv != ru)
+    edge = np.concatenate([np.flatnonzero(ru >= 0), np.flatnonzero(second)])
+    e_round = np.concatenate([ru[ru >= 0], rv[second]])
+    order = np.lexsort((edge, e_round))
+    edge, e_round = edge[order], e_round[order]
+    ends_u, ends_v, ec = eu[edge], ev[edge], g.edge_cost[edge]
+    lu = np.where(round_of[ends_u] == e_round, local[ends_u], sentinel[e_round])
+    lv = np.where(round_of[ends_v] == e_round, local[ends_v], sentinel[e_round])
+    out_u = sigma_rp[ends_u] & ~pt[lu]
+    out_v = sigma_rp[ends_v] & ~pt[lv]
+    edge_start = np.searchsorted(e_round, np.arange(count + 1))
 
     def cut_sweep(first, last, cost_v, cost_u):
         """Per edge: cost_v on [first[v], last[u]) plus cost_u on [first[u], last[v])."""
         return interval_sums(np.concatenate([first[lv], first[lu]]),
                              np.concatenate([last[lu], last[lv]]),
-                             np.concatenate([cost_v, cost_u]), count)
+                             np.concatenate([cost_v, cost_u]), total)
 
-    wp_a, tol_p = interval_sums(np.zeros_like(p_end), p_end, w_l, count)
-    wb_a, tol_b = interval_sums(p_end, pb_end, w_l, count)
-    wa2_a, tol_a2 = interval_sums(pb_end, a2_end, w_l, count)
+    wp_a, tol_p = interval_sums(off, p_end, w_s, total)
+    wb_a, tol_b = interval_sums(p_end, pb_end, w_s, total)
+    wa2_a, tol_a2 = interval_sums(pb_end, a2_end, w_s, total)
     wp_hi = (wp_a + tol_p) * (1.0 + 4.0 * UNIT)
     lower = 1.0 - 4.0 * UNIT
-    feasible = (np.arange(count) < p_end.max()) & ~(
+    feasible = (np.arange(total) < np.maximum.reduceat(p_end, first_slot)[cand_round]) & ~(
         (wb_a - tol_b) * lower > c_prime * epsilon * wp_hi) & ~(
         (wa2_a - tol_a2) * lower > 10.0 * epsilon * wp_hi)
     if math.isfinite(bound):
-        a1_a, tol_a1 = cut_sweep(a1_start, pb_end, ec_l, ec_l)
-        out_a, tol_out = cut_sweep(pb_end, pb_end, np.where(out_v, ec_l, 0.0),
-                                   np.where(out_u, ec_l, 0.0))
+        a1_a, tol_a1 = cut_sweep(a1_start, pb_end, ec, ec)
+        out_a, tol_out = cut_sweep(pb_end, pb_end, np.where(out_v, ec, 0.0),
+                                   np.where(out_u, ec, 0.0))
         with np.errstate(over="ignore"):     # to inf, as bound * wp may below
             limit = bound * wp_hi
         feasible &= ~((a1_a - tol_a1) * lower > limit) & ~((out_a - tol_out) * lower > limit)
     cand = np.flatnonzero(feasible)
-    phi_a, tol_phi = cut_sweep(pb_end, p_end, ec_l, ec_l)
+    phi_a, tol_phi = cut_sweep(pb_end, p_end, ec, ec)
     # phi_lb <= the exact phi; (1 - 8u) absorbs the rounding of these four
     # operations and of the exact division, and phi >= 0 always.
     phi_lb = np.maximum((phi_a[cand] - tol_phi) / (wp_a[cand] + tol_p) * (1.0 - 8.0 * UNIT),
                         0.0)
+    visit = np.lexsort((phi_lb, cand_round[cand]))     # by round, then phi_lb
+    visit_start = np.searchsorted(cand, cand_start)
 
-    def evaluate(i: int):
-        r = float(cands[cand[i]])
-        p_mask = pt & (mu_l >= r)
-        lo = r / (1.0 + epsilon)
-        b_mask = (bt & (mu_l >= lo)) | (pt & (mu_l >= lo) & (mu_l < r))
-        a2_mask = pt & (mu_l > lo / (1.0 + epsilon)) & (mu_l < lo)
-        # A' is the untouched remainder of Ptilde; for eps > 0 this is
-        # exactly {mu <= r/(1+eps)^2}, and it keeps the bands tiling when
-        # eps = 0 collapses the interval endpoints.
-        a1_mask = pt & ~p_mask & ~b_mask & ~a2_mask
-        wp = float(w_l[p_mask].sum())
-        if float(w_l[b_mask].sum()) > c_prime * epsilon * wp:
-            return None
-        if float(w_l[a2_mask].sum()) > 10.0 * epsilon * wp:
-            return None
-        pb = p_mask | b_mask
-        pb_u, pb_v = pb[lu], pb[lv]
-        if math.isfinite(bound):
-            a1_cut = float(ec_l[(a1_mask[lu] & pb_v) | (a1_mask[lv] & pb_u)].sum())
-            if a1_cut > bound * wp:
-                return None
-            out_cut = float(ec_l[(pb_u & out_v & ~pb_v) | (pb_v & out_u & ~pb_u)].sum())
-            if out_cut > bound * wp:
-                return None
-        phi_cut = float(ec_l[(p_mask[lu] & ~pb_v) | (p_mask[lv] & ~pb_u)].sum())
-        phi = phi_cut / wp
-        return (phi, -wp, r), (r, p_mask, b_mask, a1_mask, a2_mask, phi)
+    for j in range(count):
+        ss = slice(first_slot[j], sentinel[j] + 1)
+        es = slice(edge_start[j], edge_start[j + 1])
+        mu_l, w_l, pt_l, bt_l = mu_s[ss], w_s[ss], pt[ss], bt[ss]
+        lu_l, lv_l = lu[es] - first_slot[j], lv[es] - first_slot[j]
+        ec_l, out_u_l, out_v_l = ec[es], out_u[es], out_v[es]
 
-    return least_exact(np.argsort(phi_lb, kind="stable"), phi_lb, evaluate)
+        def evaluate(i: int):
+            r = float(cands[cand[i]])
+            p_mask = pt_l & (mu_l >= r)
+            lo = r / (1.0 + epsilon)
+            b_mask = (bt_l & (mu_l >= lo)) | (pt_l & (mu_l >= lo) & (mu_l < r))
+            a2_mask = pt_l & (mu_l > lo / (1.0 + epsilon)) & (mu_l < lo)
+            # A' is the untouched remainder of Ptilde; for eps > 0 this is
+            # exactly {mu <= r/(1+eps)^2}, and it keeps the bands tiling when
+            # eps = 0 collapses the interval endpoints.
+            a1_mask = pt_l & ~p_mask & ~b_mask & ~a2_mask
+            wp = float(w_l[p_mask].sum())
+            if float(w_l[b_mask].sum()) > c_prime * epsilon * wp:
+                return None
+            if float(w_l[a2_mask].sum()) > 10.0 * epsilon * wp:
+                return None
+            pb = p_mask | b_mask
+            pb_u, pb_v = pb[lu_l], pb[lv_l]
+            if math.isfinite(bound):
+                a1_cut = float(ec_l[(a1_mask[lu_l] & pb_v) | (a1_mask[lv_l] & pb_u)].sum())
+                if a1_cut > bound * wp:
+                    return None
+                out_cut = float(ec_l[(pb_u & out_v_l & ~pb_v) | (pb_v & out_u_l & ~pb_u)].sum())
+                if out_cut > bound * wp:
+                    return None
+            phi = float(ec_l[(p_mask[lu_l] & ~pb_v) | (p_mask[lv_l] & ~pb_u)].sum()) / wp
+            return (phi, -wp, r), (r, p_mask, b_mask, a1_mask, a2_mask, phi)
+
+        best = least_exact(visit[visit_start[j]:visit_start[j + 1]], phi_lb, evaluate)
+        yield vertex[ss][:-1], bt_l, (ends_u[es], ends_v[es], lu_l, lv_l, ec_l), best
 
 
 def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
                        epsilon: float, delta: float) -> PartialPartition:
-    """Steps 3 and 4: per-round threshold search, then the expansion filter.
+    """Steps 3 and 4: one threshold sweep over the rounds, then the expansion filter.
 
     epsilon/delta are the effective Step-2 values (crude.effective carries them).
     """
@@ -352,9 +426,7 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
     c_prime = BUFFER_SLACK / delta
     c_dprime = EXPANSION_SLACK / delta
     bound = (c_dprime / epsilon) * lam_k * math.log(k) if epsilon > 0 else math.inf
-    mu = e.mu
     w = g.weights
-    eu, ev, ec = g.edge_u, g.edge_v, g.edge_cost
 
     sigma_rp = np.zeros(n, dtype=bool)
     sigma_rp[c.sigma] = True
@@ -365,37 +437,17 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
     r_p_prime[c.r_p] = True
     r_b_prime[c.r_b] = True
 
-    local = np.full(n, -1, dtype=np.int64)    # vertex -> index in the current round
-    kept: list[RefinedTuple] = []    # in draw order, as c.rounds is
-    refined = infeasible_rounds = 0
+    refinable = []
     for rec in c.rounds:
-        if rec.p_tilde.size == 0:
+        if rec.p_tilde.size:
+            refinable.append(rec)
+        else:
             r_b_prime[rec.b_tilde] = True
-            continue
-        # Local view of the round: its members in index order plus a sentinel
-        # slot at the end (never selected) that non-member endpoints reach as
-        # index -1, and the member-incident edges in global edge order.  The
-        # masked sums of _round_threshold() select the same elements in the
-        # same order as global masks would, so phi, thresholds and tie-breaks
-        # are unchanged.
-        members = np.union1d(rec.p_tilde, rec.b_tilde)
-        size = members.size
-        pt = np.zeros(size + 1, dtype=bool)
-        pt[np.searchsorted(members, rec.p_tilde)] = True
-        bt = np.zeros(size + 1, dtype=bool)
-        bt[:size] = ~pt[:size]
-        mu_l = np.append(mu[members], 0.0)
-        w_l = np.append(w[members], 0.0)
-        local[members] = np.arange(size)
-        incident = np.flatnonzero((local[eu] >= 0) | (local[ev] >= 0))
-        lu, lv = local[eu[incident]], local[ev[incident]]
-        ec_l = ec[incident]
-        out_u = sigma_rp[eu[incident]] & ~pt[lu]
-        out_v = sigma_rp[ev[incident]] & ~pt[lv]
-        local[members] = -1
-
-        best = _round_threshold(mu_l, w_l, pt, bt, lu, lv, ec_l, out_u, out_v,
-                                epsilon, c_prime, bound)
+    kept: list[RefinedTuple] = []    # in draw order, as c.rounds is
+    kept_edges = []                  # (edges, P u B mask) of each kept tuple
+    refined = infeasible_rounds = 0
+    sweep = _step3_rounds(refinable, g, e.mu, sigma_rp, epsilon, c_prime, bound)
+    for rec, (members, bt, edges, best) in zip(refinable, sweep):
         refined += best is not None
         infeasible_rounds += best is None
         # Step 4 in the same pass: a refined tuple above the expansion bound
@@ -406,25 +458,25 @@ def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
             continue
         r, p_mask, b_mask, a1_mask, a2_mask, phi = best
         kept.append(RefinedTuple(
-            round_index=rec.index, p=members[p_mask[:size]], b=members[b_mask[:size]],
-            a_prime=members[a1_mask[:size]], a_double=members[a2_mask[:size]],
+            round_index=rec.index, p=members[p_mask[:-1]], b=members[b_mask[:-1]],
+            a_prime=members[a1_mask[:-1]], a_double=members[a2_mask[:-1]],
             threshold=r, phi=phi))
-        r_b_prime[members[(bt & ~b_mask)[:size]]] = True
+        kept_edges.append((edges, p_mask | b_mask))
+        r_b_prime[members[(bt & ~b_mask)[:-1]]] = True
 
     # Measured leftover-cut aggregate: for each kept tuple i, the total cost
     # from all A' sets and R'_P into P_i u B_i, expressed as a multiple of
-    # (lambda_k ln k / eps) w(P_i).  Reported, never asserted.
+    # (lambda_k ln k / eps) w(P_i).  Reported, never asserted.  Every edge it
+    # counts touches P_i u B_i, so the round's own edge list holds them, in
+    # global edge order.
     leftover_ratio = 0.0
     if kept and epsilon > 0 and lam_k > 0:
         a_and_rp = r_p_prime.copy()
         for t in kept:
             a_and_rp[t.a_prime] = True
         unit = lam_k * math.log(k) / epsilon
-        for t in kept:
-            pb = np.zeros(n, dtype=bool)
-            pb[t.p] = True
-            pb[t.b] = True
-            agg = float(ec[(a_and_rp[eu] & pb[ev]) | (a_and_rp[ev] & pb[eu])].sum())
+        for t, ((eu, ev, lu, lv, ec), pb) in zip(kept, kept_edges):
+            agg = float(ec[(a_and_rp[eu] & pb[lv]) | (a_and_rp[ev] & pb[lu])].sum())
             leftover_ratio = max(leftover_ratio, agg / (unit * float(w[t.p].sum())))
 
     pp = PartialPartition(

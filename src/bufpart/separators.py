@@ -18,34 +18,38 @@ Every draw that reaches a vector is measured: it is rejected (empty sets) unless
 min over u in X of mu(X minus Ball(u, R)) <= delta mu(U), which makes the
 separation property hold on every returned draw by construction.
 
-measured_draws() evaluates a run of draws in blocks: it validates the vectors
-and measures once and takes each block's Gaussian directions from one normals()
-call.  Fast float arithmetic only discards what provably cannot matter, and
-the exact formulas decide the rest:
+measured_draws() evaluates a run of draws at once: it validates the vectors
+and measures once and takes each block's Gaussian directions from one
+normals() call.  Fast float arithmetic only discards what provably cannot
+matter, and the exact formulas decide the rest:
 
-  * a BLAS product of the block with the vectors keeps the entries whose
-    value is at least floor - margin, floor = min(t - 2 eps', t) and
-    margin = 4 (dim + 2) u (||g||_1 + |floor|) with u = 2^-53, which bounds
-    how far the BLAS sum can be from the exact one; only those entries are
-    recomputed with the fixed-order per-entry sum that defines a projection,
-    and classified from it (_draw_blocks);
-  * the min-ball rejection reads squared distances d2 off a Gram matrix and
-    re-decides, with the norm of the difference, only the pairs with
-    |d2 - R^2| <= 16 (dim + 4) u (1 + R^2) (_min_ball_leftover).
+  * a direction whose norm, widened by its rounding and the unit-norm
+    tolerance, is below floor - margin reaches nothing (g . psi(u) <=
+    ||g|| ||psi(u)||), so only the other directions of a block enter the
+    BLAS product with the vectors (_aimed);
+  * that product keeps the entries whose value is at least floor - margin,
+    floor = min(t - 2 eps', t) and margin = 4 (dim + 2) u (||g||_1 + |floor|)
+    with u = 2^-53, which bounds how far the BLAS sum can be from the exact
+    one; only those entries are recomputed with the fixed-order per-entry sum
+    that defines a projection, and classified from it (_draw_blocks);
+  * the min-ball test decides, it does not measure: one vectorized pass over
+    the X sets of every reached draw of the run accepts by mass or by the
+    row of a pivot member and rejects by triangle-inequality bounds through
+    that pivot, each with a stated float margin; only the draws it leaves
+    open are scored exactly, on the rows of the centers the bound kept
+    (_min_ball_accepted).
 
 So X, Y, Z and every rejection are the same bits for any BLAS build, thread
-count and block size.  Only the draws that reach a vector are visited: one
-np.diff over the sorted rows of a block's reached entries finds them, and
-measured_draws() yields each as (draw index, sample), rejected or not.  A
-draw that reaches nothing consumes its direction from the stream and yields
-nothing.  sample_two_buffers() is a one-draw run of the same routine, so it
-gives the same bits as the matching draw of a longer run.
+count and block size.  Only the draws that reach a vector are returned, as
+(draw index, sample), rejected or not.  A draw that reaches nothing consumes
+its direction from the stream and returns nothing.  sample_two_buffers() is
+a one-draw run of the same routine, so it gives the same bits as the
+matching draw of a longer run.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,49 +180,103 @@ def _reached(proj: np.ndarray, p: SeparatorParams) -> np.ndarray:
     return proj > low if low < p.t else proj >= p.t
 
 
-def _min_ball_leftover(vectors: np.ndarray, measures: np.ndarray,
-                       x_idx: np.ndarray, r: float) -> float:
-    """min over u in X of mu(X minus Ball(u, r)) in the psi metric.
+def _leftover_rows(vectors: np.ndarray, measures: np.ndarray, x_idx: np.ndarray,
+                   centres: np.ndarray, r: float) -> np.ndarray:
+    """mu(X minus Ball(u, r)) in the psi metric for each center u = x_idx[c], c in centres.
 
     v lies outside Ball(u, r) when np.linalg.norm(psi(u) - psi(v)) > r; that
     rule alone decides.  The Gram form d2 = |p|^2 + |q|^2 - 2 <p, q> (one BLAS
-    product for all pairs) only settles the pairs it provably puts on the same
-    side.  For vectors of norm at most 1 + 1e-9 (checked by _check_unit) and
-    gamma = (dim + 4) u, u = 2^-53:
+    product for the centers' rows) only settles the pairs it provably puts on
+    the same side.  For vectors of norm at most 1 + 1e-9 (checked by
+    _check_unit) and gamma = (dim + 4) u, u = 2^-53:
 
         |d2 - |p - q|^2|                <= 4.1 gamma
         rule value = |p - q| (1 + theta),  |theta| <= gamma
 
     so a pair with |d2 - r^2| > 16 gamma (1 + r^2), at least twice both
     errors together, is outside exactly when d2 > r^2; every other pair is
-    re-decided by the rule.  The leftover sums the same 0/mu matrix as the
-    all-pairs rule, so the value is the same bits.
+    re-decided by the rule.  Each row sums the same 0/mu vector as that row of
+    the all-pairs matrix, so it is the same bits.
     """
     pts = vectors[x_idx]
     sq = np.einsum("ij,ij->i", pts, pts)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+    d2 = sq[centres, None] + sq[None, :] - 2.0 * (pts[centres] @ pts.T)
     r2 = r * r
     far = d2 > r2
     unsure = np.abs(d2 - r2) <= 16.0 * (pts.shape[1] + 4) * UNIT * (1.0 + r2)
     if unsure.any():
         i, j = np.nonzero(unsure)
-        far[i, j] = np.linalg.norm(pts[i] - pts[j], axis=1) > r
-    return float((far * measures[x_idx]).sum(axis=1).min())
+        far[i, j] = np.linalg.norm(pts[centres[i]] - pts[j], axis=1) > r
+    return (far * measures[x_idx]).sum(axis=1)
+
+
+def _min_ball_accepted(vectors: np.ndarray, measures: np.ndarray, members: np.ndarray,
+                       starts: np.ndarray, limit: float, r: float) -> np.ndarray:
+    """Whether min over u in X of mu(X minus Ball(u, r)) <= limit, for each set
+    X = members[starts[i]:starts[i + 1]] (the last one ends with members; none
+    is empty), as the all-pairs rule of _leftover_rows() decides it.
+
+    One pass settles most sets through a pivot p per set, its member of largest
+    psi(p) . sum_v mu_v psi(v), and the rule distances d(v, p).  Those are
+    within gamma = (dim + 4) u of the real ones (u = 2^-53, norms at most
+    1 + 1e-9) and the keys 16 i + d of set i round by at most 16 (S + 1) u for
+    S sets, which slack = 8 gamma + 64 (S + 1) u covers; for N members of total
+    measure V the sums here are within tol = 8 (N + 1) u V of the rule's.  So:
+
+      * accept when the pivot's row, counting every v with d(v, p) > r - slack
+        as outside, plus tol is at most limit (this covers mu(X) <= limit);
+      * exclude a center u when mu(X) minus the mass in its window
+        |d(u, p) - d(v, p)| <= r + slack, minus tol, is above limit: every v
+        outside the window is outside Ball(u, r) by the triangle inequality
+        (one sorted sweep and a cumsum give every window); reject when every
+        center is excluded.
+
+    The other sets are decided on the exact rows of the centers kept.
+    """
+    count = starts.size
+    if not count:
+        return np.zeros(0, dtype=bool)
+    ends = np.append(starts[1:], members.size)
+    seg = np.repeat(np.arange(count), ends - starts)
+    pts = vectors[members]
+    mu = measures[members]
+    tol = 8.0 * (members.size + 1) * UNIT * float(mu.sum())
+    slack = (8.0 * (vectors.shape[1] + 4) + 64.0 * (count + 1)) * UNIT
+    pull = np.add.reduceat(mu[:, None] * pts, starts)
+    pivot = np.lexsort((-np.einsum("ij,ij->i", pts, pull[seg]), seg))[starts]
+    dist = np.linalg.norm(pts - pts[pivot][seg], axis=1)
+    row = np.add.reduceat(np.where(dist > r - slack, mu, 0.0), starts)
+    accepted = row + tol <= limit
+    # Set i's distances sit at 16 i + d; a window of half-width at most 4
+    # never reaches another set, and no two distances differ by 4.
+    width = min(r + slack, 4.0)
+    key = 16.0 * seg + dist
+    order = np.lexsort((dist, seg))
+    ranked = key[order]
+    cum = np.append(0.0, np.cumsum(mu[order]))
+    near = (cum[np.searchsorted(ranked, key + width, "right")]
+            - cum[np.searchsorted(ranked, key - width, "left")])
+    kept = np.add.reduceat(mu, starts)[seg] - near - tol <= limit
+    for i in np.flatnonzero(~accepted & np.logical_or.reduceat(kept, starts)).tolist():
+        lo, hi = starts[i], ends[i]
+        rows = _leftover_rows(vectors, measures, members[lo:hi], np.flatnonzero(kept[lo:hi]), r)
+        accepted[i] = rows.min() <= limit
+    return accepted
 
 
 def measured_draws(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
                    delta: float, r: float, stream: RandomStream, count: int,
                    params: SeparatorParams | None = None
-                   ) -> Iterator[tuple[int, SeparatorSample]]:
+                   ) -> list[tuple[int, SeparatorSample]]:
     """(index, sample) for each of count successive draws that reaches a vector.
 
     The inputs are validated once.  Each block of up to
     max(1, BLOCK_VALUES // len(vectors)) draws takes its Gaussian directions
     from one normals() call, which consumes the stream exactly as one call
     per draw would, so the draws do not depend on the block size.  A draw
-    whose X u Y u Z is empty is consumed but not yielded; every other draw
-    is checked by the min-ball rejection and yielded, rejected or not, with
-    its index in 0..count-1.
+    whose X u Y u Z is empty is consumed but not returned; every other draw
+    is checked by the min-ball rejection and returned, rejected or not, with
+    its index in 0..count-1, in draw order.
     """
     if delta <= 0.0 or delta > 2.0 / 3.0:
         raise ValueError(f"measured separators need delta in (0, 2/3], got {delta}")
@@ -248,49 +306,71 @@ def _projections(gs: np.ndarray, columns: np.ndarray, rows: np.ndarray,
     return proj
 
 
-def _draw_blocks(vectors, measures, limit, r, p, stream, count):
-    """The generator behind measured_draws(); limit is delta mu(U).
+def _aimed(gs: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of gs that may reach a vector, and their margins (see _draw_blocks).
 
-    A block's BLAS product gs @ columns only prunes: it may group the sums
-    differently by batch size, thread count or BLAS build, but for vectors of
-    norm at most 1 + 1e-9 both it and _projections() are within
-    gamma_dim (1 + 1e-9) ||g||_1 of the real-number sum (gamma_dim ~ dim u,
-    u = 2^-53), so they differ by less than 2 gamma_dim (1 + 1e-9) ||g||_1,
-    and by less than
+    For vectors of norm at most 1 + 1e-9, g . psi(u) <= ||g||_2 (1 + 1e-9).
+    The computed norm is within (dim + 2) u of ||g||_2, below 1e-9 for any
+    dim under 10^6, so a row whose norm times (1 + 2e-9) is below
+    floor - margin has no projection, exact or computed, at floor or above.
+    """
+    margin = 4.0 * (gs.shape[1] + 2) * UNIT * (np.abs(gs).sum(axis=1) + abs(floor))
+    rows = np.flatnonzero(np.linalg.norm(gs, axis=1) * (1.0 + 2e-9) >= floor - margin)
+    return rows, margin[rows]
+
+
+def _draw_blocks(vectors, measures, limit, r, p, stream, count):
+    """measured_draws() after its checks; limit is delta mu(U).
+
+    A block's BLAS product only prunes: it may group the sums differently by
+    batch size, thread count or BLAS build, but for vectors of norm at most
+    1 + 1e-9 both it and _projections() are within gamma_dim (1 + 1e-9)
+    ||g||_1 of the real-number sum (gamma_dim ~ dim u, u = 2^-53), so they
+    differ by less than 2 gamma_dim (1 + 1e-9) ||g||_1, and by less than
 
         margin = 4 (dim + 2) u (||g||_1 + |floor|)
 
     together with the rounding of floor - margin.  An entry whose BLAS value
     is below floor - margin cannot reach X u Y u Z; every other entry is
     recomputed by _projections() and classified from that value alone, so X,
-    Y and Z are the same bits for any BLAS and any block size.
+    Y and Z are the same bits for any BLAS and any block size.  The X sets of
+    the whole run then go through one _min_ball_accepted() call.
     """
     count_v, dim = vectors.shape
     columns = np.ascontiguousarray(vectors.T)
     block = max(1, BLOCK_VALUES // max(count_v, 1))
     floor = min(p.t - 2.0 * p.eps_prime, p.t)     # no entry below it is reached
-    empty = np.empty(0, dtype=np.int64)
-    refused = SeparatorSample(x=empty, y=empty, z=empty, rejected=True)
+    found = []
     for first in range(0, count, block):
         size = min(block, count - first)
         gs = stream.normals(dim * size).reshape(size, dim)
-        margin = 4.0 * (dim + 2) * UNIT * (np.abs(gs).sum(axis=1) + abs(floor))
-        rows, cols = np.divmod(np.flatnonzero(gs @ columns >= (floor - margin)[:, None]),
+        aimed, margin = _aimed(gs, floor)
+        rows, cols = np.divmod(np.flatnonzero(gs[aimed] @ columns >= (floor - margin)[:, None]),
                                count_v)
+        rows = aimed[rows]
         proj = _projections(gs, columns, rows, cols)
         hit = _reached(proj, p)
-        rows, cols = rows[hit], cols[hit]
-        x, y, z = classify(proj[hit], p)
-        # rows is sorted, so each reached draw is one run of equal rows.
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [rows.size]):
-            index = first + int(rows[lo])
-            span = cols[lo:hi]
-            x_idx = span[x[lo:hi]]
-            if x_idx.size and _min_ball_leftover(vectors, measures, x_idx, r) > limit:
-                yield index, refused
-                continue
-            yield index, SeparatorSample(x=x_idx, y=span[y[lo:hi]], z=span[z[lo:hi]])
+        found.append((first + rows[hit], cols[hit], proj[hit]))
+    if not found:
+        return []
+    draw, cols, proj = (np.concatenate(parts) for parts in zip(*found))
+    x, y, z = classify(proj, p)
+    # draw is sorted, so each reached draw is one run of equal entries and
+    # its X set one run of the X entries.
+    starts = np.flatnonzero(np.diff(draw, prepend=-1))
+    x_draw = draw[x]
+    x_starts = np.flatnonzero(np.diff(x_draw, prepend=-1))
+    passed = _min_ball_accepted(vectors, measures, cols[x], x_starts, limit, r)
+    refused_draws = np.isin(draw[starts], x_draw[x_starts[~passed]]).tolist()
+    empty = np.empty(0, dtype=np.int64)
+    refused = SeparatorSample(x=empty, y=empty, z=empty, rejected=True)
+    out = []
+    for lo, hi, index, no in zip(starts.tolist(), starts[1:].tolist() + [draw.size],
+                                 draw[starts].tolist(), refused_draws):
+        span = cols[lo:hi]
+        out.append((index, refused if no else
+                    SeparatorSample(x=span[x[lo:hi]], y=span[y[lo:hi]], z=span[z[lo:hi]])))
+    return out
 
 
 def sample_two_buffers(vectors: np.ndarray, measures: np.ndarray, epsilon: float,

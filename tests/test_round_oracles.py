@@ -238,6 +238,65 @@ def test_step3_search_prunes_most_thresholds(monkeypatch):
     assert 1 <= len(evaluated) <= sum(candidates) // 10
 
 
+# Hand-made crude partitions for the one-sweep Step 3: each is the rounds as
+# (Ptilde, Btilde) over a 24-vertex graph, with every other vertex in R_P
+# except 22 and 23, which are in R_B.
+STEP3_CASES = {
+    "no-rounds": [],
+    "no-refinable-round": [([], [0, 1, 2]), ([], [5, 6])],
+    "one-round": [(list(range(8)), [8, 9, 10])],
+    "single-member-round": [([3], []), ([0, 1, 2, 4], [5, 6]), ([7, 8], [9])],
+    "empty-ptilde-between": [([0, 1, 2, 3], [4]), ([], [5, 6, 7]), ([8, 9, 10, 11], [12])],
+    "edges-across-rounds": [([0, 1, 2, 3, 4, 5], [6, 7]), ([8, 9, 10, 11, 12, 13], [14])],
+    "equal-mu": [([0, 1, 2, 3, 4], [5, 6]), ([8, 9, 10], [11])],
+    "eps-zero": [([0, 1, 2, 3], [4]), ([], [5, 6, 7]), ([8, 9, 10, 11], [12])],
+}
+
+
+def _step3_case(name):
+    """(crude, embedding stand-in, graph, k, epsilon, delta) of STEP3_CASES[name]."""
+    rng = np.random.default_rng(61)
+    n, k, delta = 24, 2, 0.5
+    eps = 0.0 if name == "eps-zero" else 0.1
+    pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(70)}
+    pairs |= {(0, 8), (3, 9), (6, 14), (7, 12), (2, 11)}       # between rounds
+    g = Graph.build(n, [(u, v, float(rng.integers(1, 4))) for u, v in sorted(pairs)],
+                    weights=rng.choice([1.0, 2.0, 3.0], n))
+    mu = 1.0 + 0.1 * rng.integers(0, 6, n)
+    rounds = STEP3_CASES[name]
+    if name == "equal-mu":
+        mu[:7] = 1.3
+    records = tuple(RoundRecord(index=3 * t, p_tilde=np.array(p, dtype=np.int64),
+                                b_tilde=np.array(b, dtype=np.int64))
+                    for t, (p, b) in enumerate(rounds))
+    sigma = np.array(sorted(v for p, _ in rounds for v in p), dtype=np.int64)
+    gamma = np.array(sorted(v for _, b in rounds for v in b), dtype=np.int64)
+    r_b = np.array([22, 23])
+    r_p = np.setdiff1d(np.arange(n), np.concatenate([sigma, gamma, r_b]))
+    crude = CrudePartition(rounds=records, sigma=sigma, gamma=gamma, r_p=r_p, r_b=r_b,
+                           effective=None, reject_count=0)
+    lam = 50.0 * 0.1 * delta / (partition.EXPANSION_SLACK * math.log(k))   # bound 50
+    e = SimpleNamespace(k_prime=k, mu=mu,
+                        basis=SimpleNamespace(eigenvalues=np.array([0.0, lam])))
+    return crude, e, g, k, eps, delta
+
+
+@pytest.mark.parametrize("name", sorted(STEP3_CASES))
+def test_one_step3_sweep_matches_global_mask_reference(name):
+    c, e, g, k, eps, delta = _step3_case(name)
+    got = refine_and_discard(c, e, g, k, eps, delta)
+    assert_same_partial(got, reference_refine_and_discard(c, e, g, k, eps, delta))
+    refinable = sum(rec.p_tilde.size > 0 for rec in c.rounds)
+    assert got.diagnostics["survivors_step3"] + got.diagnostics["infeasible_rounds"] == refinable
+    if refinable:
+        assert got.k_prime > 0
+    if name == "edges-across-rounds":
+        (a, _), (b, _) = STEP3_CASES[name]
+        assert any(u in a and v in b for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()))
+    if name == "single-member-round":
+        assert got.tuples[0].p.tolist() == [3]
+
+
 class ScriptedStream:
     """Stands in for RandomStream: normals() hands out fixed values in order."""
 
@@ -312,10 +371,75 @@ def test_draws_on_interval_boundaries_match_reference(where, block_values, monke
     assert joined == ([BOUNDARIES[where]] if BOUNDARIES[where] else [])
 
 
+@pytest.mark.parametrize("stretch", [1.0, 1.0 + 5e-10])
+@pytest.mark.parametrize("eps_prime", [0.0, 2.0 ** -5])
+def test_norm_prune_keeps_a_direction_at_the_floor(eps_prime, stretch):
+    # Vector 11 is parallel to direction 3 and may be longer than 1 by up to
+    # _check_unit's 1e-9, so it projects to ||g|| times its own norm; the
+    # floor t - 2 eps' sits at that projection (eps' = 0) or 1 ulp below it,
+    # so ||g|| is within one margin of the floor, or below it by the stretch.
+    # The direction must still enter the product and reach the vector.
+    rng = np.random.default_rng(29)
+    vectors = _unit_rows(rng, 40, 4)
+    gs = rng.standard_normal((6, 4))
+    gs[3] *= 1.5 / np.linalg.norm(gs[3])
+    vectors[11] = gs[3] / np.linalg.norm(gs[3]) * stretch
+    value = float(reference_project(np.ascontiguousarray(vectors.T), gs)[3, 11])
+    floor = value if eps_prime == 0.0 else float(np.nextafter(value, 0.0))
+    t = floor + 2.0 * eps_prime
+    assert t - 2.0 * eps_prime == floor
+    p = separators.SeparatorParams(epsilon=0.1, m=3.0, r=0.5, t=t, alpha=0.1,
+                                   eps_prime=eps_prime, calibrated=False)
+    delta, r = 2.0 / 3.0, 0.5
+    got = separators.measured_draws(vectors, np.ones(40), 0.1, delta, r, ScriptedStream(gs),
+                                    len(gs), params=p)
+    stream = ScriptedStream(gs)
+    want = [reference_draw(vectors, np.ones(40), delta * 40.0, r, p, stream)
+            for _ in range(len(gs))]
+    assert_same_draws(got, reached(want))
+    sample = dict(got)[3]
+    assert 11 in (sample.z if eps_prime else sample.x)
+
+
+def test_norm_prune_leaves_few_draws_for_the_blas_product(monkeypatch):
+    # At n = 4000 and k_hat = 4 a restart runs at the practical scale
+    # alpha = 1/n, t ~ 3.48, and a 4-dim normal g has ||g|| >= t with
+    # probability about 0.017: fewer than 1 in 10 of its 19,880 draws may
+    # enter gs @ columns.  The count depends only on the directions.
+    drawn, aimed = [], []
+    real = separators._aimed
+
+    def spy(gs, floor):
+        rows, margin = real(gs, floor)
+        drawn.append(gs.shape[0])
+        aimed.append(rows.size)
+        return rows, margin
+
+    monkeypatch.setattr(separators, "_aimed", spy)
+    eff = resolve_step2(4000, 4, 0.001, 1.0 / 80.0)
+    vectors = _unit_rows(np.random.default_rng(41), 4000, 4)
+    draws = separators.measured_draws(vectors, np.ones(4000), eff.epsilon, eff.delta_sep,
+                                      eff.radius, derive_stream(0, "norm-prune"), eff.rounds,
+                                      params=eff.params)
+    assert sum(drawn) == eff.rounds == 19880
+    assert len(draws) <= sum(aimed) < eff.rounds / 10
+
+
 def _oracle_distance(vectors, i, j):
     """The distance the all-pairs rule compares with r."""
     pts = vectors[[i, j]]
     return float(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)[0, 1])
+
+
+def _decisions(vectors, mu, sets, limit, r):
+    """separators._min_ball_accepted on the index arrays `sets` as one run."""
+    starts = np.cumsum([0] + [x.size for x in sets[:-1]])
+    return separators._min_ball_accepted(vectors, mu, np.concatenate(sets), starts, limit, r)
+
+
+def _around(value):
+    """value and the floats one ulp either side of it."""
+    return [float(np.nextafter(value, -np.inf)), float(value), float(np.nextafter(value, np.inf))]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
@@ -328,16 +452,19 @@ def test_min_ball_pairs_at_radius_and_one_ulp_either_side(dim):
     pairs = [(4, 5)] + [tuple(rng.choice(30, 2, replace=False)) for _ in range(25)]
     for i, j in pairs:
         radius = _oracle_distance(vectors, i, j)
-        radii = [np.nextafter(radius, 0.0), radius, np.nextafter(radius, 4.0)]
+        radii = _around(radius)
         if radius == 0.0:
             radii = [5e-324, 1e-300, 1e-12]
-        for r in map(float, radii):
+        for r in radii:
             for x_idx in (np.array([i, j]), np.arange(30)):
-                got = separators._min_ball_leftover(vectors, mu, x_idx, r)
-                assert got == reference_min_ball_leftover(vectors, mu, x_idx, r), (i, j, r)
+                # The decision at the oracle's own leftover and one ulp either side.
+                leftover = reference_min_ball_leftover(vectors, mu, x_idx, r)
+                for limit in _around(leftover):
+                    got = _decisions(vectors, mu, [x_idx], limit, r)[0]
+                    assert got == (leftover <= limit), (i, j, r, limit)
         # On the pair alone the leftover is min(mu_i, mu_j) just below the
         # distance and 0 at it, so the rule itself is what is tested.
-        below, at = (reference_min_ball_leftover(vectors, mu, np.array([i, j]), float(r))
+        below, at = (reference_min_ball_leftover(vectors, mu, np.array([i, j]), r)
                      for r in radii[:2])
         moved += below > 0.0 and at == 0.0
         apart += radius > 0.0
@@ -370,8 +497,87 @@ def min_ball_cases(draw):
 @given(min_ball_cases())
 def test_min_ball_leftover_equals_broadcast_oracle(case):
     vectors, mu, x_idx, r = case
-    got = separators._min_ball_leftover(vectors, mu, x_idx, r)
-    assert got == reference_min_ball_leftover(vectors, mu, x_idx, r)
+    leftover = reference_min_ball_leftover(vectors, mu, x_idx, r)
+    for limit in _around(leftover):
+        assert _decisions(vectors, mu, [x_idx], limit, r)[0] == (leftover <= limit)
+
+
+def _arc(rng, positions, dim):
+    """Unit vectors at the given positions along a random great circle; on a
+    short arc they are near-collinear."""
+    base, step = np.linalg.qr(rng.standard_normal((dim, 2)))[0].T
+    rows = base + np.outer(positions, step)
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+@st.composite
+def min_ball_runs(draw):
+    """A run of X sets over up to 300 vectors: spread vectors, tight clusters,
+    short arcs and collinear triples, each group one set, and random subsets
+    of all of them, with duplicate rows.  r is random or the rule distance of
+    two members of one set within 1 ulp, and the limit is that set's oracle
+    leftover within 1 ulp.  A triple is two light points on a short arc with
+    a heavy one beyond them; the triples of a run share their spacing, so
+    their light pairs all lie within rounding of one distance.  The heavy
+    point is the pivot, and the pivot bound of the middle point is tight to
+    the rounding of the distances and of their offset keys."""
+    dim = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # Long enough for the heavy point to be the pivot, short enough for the
+    # triangle inequality through it to be tight.
+    spacing = 10.0 ** draw(st.floats(-7.0, -5.0)) * np.array([0.0, 1.0, 1.0 + draw(
+        st.floats(0.2, 0.8))])
+    groups, pairs, heavy = [], [], []
+    for kind in draw(st.lists(st.sampled_from(["spread", "cluster", "arc", "triple"]),
+                              min_size=1, max_size=6)):
+        size = 3 if kind == "triple" else draw(st.one_of(st.integers(1, 5),
+                                                         st.integers(1, 120)))
+        if kind == "spread":
+            rows = _unit_rows(rng, size, dim)
+        elif kind == "cluster":
+            rows = _unit_rows(rng, 1, dim) + 0.05 * rng.standard_normal((size, dim))
+            rows /= np.linalg.norm(rows, axis=1)[:, None]
+        elif kind == "arc":
+            rows = _arc(rng, 10.0 ** draw(st.integers(-9, -1)) * rng.random(size), dim)
+        else:
+            rows = _arc(rng, spacing, dim)
+        first = sum(len(g) for g in groups)
+        if kind == "triple":
+            pairs.append((first, first + 1))
+            heavy.append(first + 2)
+        else:
+            pairs.append(tuple(first + rng.integers(size, size=2)))
+        groups.append(rows)
+    vectors = np.concatenate(groups)[:300]
+    count = vectors.shape[0]
+    for a, b in draw(st.lists(st.tuples(st.integers(0, count - 1),
+                                        st.integers(0, count - 1)), max_size=3)):
+        vectors[a] = vectors[b]
+    mu = rng.random(count) ** 3 + 1e-3 * (rng.random(count) < 0.5)
+    mu[[h for h in heavy if h < count]] += 100.0
+    bounds = np.cumsum([0] + [len(rows) for rows in groups])
+    sets = [np.arange(lo, min(hi, count)) for lo, hi in zip(bounds, bounds[1:]) if lo < count]
+    for _ in range(draw(st.integers(0, 2))):
+        x_idx = np.flatnonzero(rng.random(count) < draw(st.floats(0.05, 1.0)))
+        sets.append(x_idx if x_idx.size else np.array([int(rng.integers(count))]))
+    triples = [at for at in range(len(sets)) if at < len(pairs) and pairs[at][0] + 2 in heavy]
+    at = draw(st.one_of(st.sampled_from(triples), st.integers(0, len(sets) - 1))
+              if triples else st.integers(0, len(sets) - 1))
+    i, j = pairs[at] if at < len(pairs) and max(pairs[at]) < count else rng.choice(sets[at], 2)
+    r = draw(st.one_of(
+        st.sampled_from([1, 0, 2]).map(lambda side: _around(_oracle_distance(vectors, i, j))[side]),
+        st.floats(1e-12, 2.5)).filter(lambda r: r > 0.0))
+    leftover = reference_min_ball_leftover(vectors, mu, sets[at], r)
+    limit = _around(leftover)[draw(st.sampled_from([1, 2, 0]))]
+    return vectors, mu, sets, limit, r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(min_ball_runs())
+def test_min_ball_decision_equals_all_pairs_oracle(case):
+    vectors, mu, sets, limit, r = case
+    want = [reference_min_ball_leftover(vectors, mu, x_idx, r) <= limit for x_idx in sets]
+    assert _decisions(vectors, mu, sets, limit, r).tolist() == want
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 6])
