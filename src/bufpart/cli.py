@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parameter or I/O error, 2 validation or guarantee
-failure (a report is still written).  Reports are deterministic JSON; a fixed
-seed reproduces them byte for byte.
+failure.  A failed check writes its report, as does a `partition` whose driver
+gives up (the report names the error); a solver, embedding or invariant failure,
+or a partition error elsewhere, writes none and prints one `bufpart: failure:`
+line.  Reports are deterministic JSON; a fixed seed reproduces them byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -52,12 +55,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bufpart", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, weights=True, out=True):
+    def common(p):
         p.add_argument("--graph", required=True, help="edge-list file: 'u v [cost]' per line")
-        if weights:
-            p.add_argument("--weights", help="vertex-weight file: 'u weight' per line")
-        if out:
-            p.add_argument("--out", help="write the JSON report here (default stdout)")
+        p.add_argument("--weights", help="vertex-weight file: 'u weight' per line")
+        p.add_argument("--out", help="write the JSON report here (default stdout)")
 
     p = sub.add_parser("partition", help="epsilon-buffered k-way partition")
     common(p)
@@ -106,7 +107,7 @@ def _build_parser() -> _Parser:
 
 
 def _load(args) -> Graph:
-    return load_graph(args.graph, getattr(args, "weights", None))
+    return load_graph(args.graph, args.weights)
 
 
 def _assignment_dict(g: Graph, parts, buffers) -> dict:
@@ -127,7 +128,6 @@ def _assignment_dict(g: Graph, parts, buffers) -> dict:
 
 def _read_partition_file(path, g: Graph, epsilon: float) -> BufferedPartition:
     """Parse an assignment file of {vertex: {"part_id": int, "role": "core"|"buffer"}}."""
-    import json
     try:
         data = json.loads(_read_text(path, "partition"))
     except json.JSONDecodeError as exc:
@@ -260,7 +260,7 @@ def _cmd_spectrum(args) -> tuple[dict, int]:
                 fh.write(f"{name}\t{row}\n")
     doc = {
         "command": "spectrum",
-        "params": {"k": args.k, "method": basis.method},
+        "params": {"k": args.k},
         "eigenvalues": [float(v) for v in basis.eigenvalues],
         "residuals": [float(r) for r in basis.residuals],
     }
@@ -350,8 +350,8 @@ def run(argv=None) -> int:
     except AssertionError as exc:
         print(f"bufpart: failure: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_GUARANTEE
-    text = write_report(doc, getattr(args, "out", None))
-    if not getattr(args, "out", None):
+    text = write_report(doc, args.out)
+    if not args.out:
         sys.stdout.write(text)
     return code
 

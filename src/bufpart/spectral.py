@@ -6,20 +6,16 @@ ubar = (x_1(u), ..., x_k'(u)) of the bottom eigenvectors, with measure
 mu(u) = ||ubar||^2, scaled vectors zhat_u = ubar/sqrt(w_u), and unit
 directions psi(u) = zhat_u/||zhat_u|| (= ubar/||ubar||, the scaling cancels).
 
-Two solver paths, picked by size.  Up to DENSE_LIMIT vertices LAPACK's dense
-symmetric eigendecomposition runs: it beats the iterative solver there wherever
-the spectrum has no gap after lambda_k' (about 35 ms at 512 vertices), and loses
-to it beyond on planted graphs.  Above DENSE_LIMIT the kernel is exact: each
-connected component C, found by hook-and-shortcut, gives the eigenvector
-D_w^{1/2} 1_C / ||.|| of eigenvalue 0, and these come first, in the order of
-the components' smallest vertices.  Block Lanczos with full
-reorthogonalization and thick restarts solves the rest on the kernel's
-orthogonal complement.  A block of b columns finds at most b copies of an
-eigenvalue, so the block starts at BLOCK columns and a solve that reports b
-equal values below a larger one is redone with twice the block.  Start and
-refill columns come from a seeded Philox stream, so results are deterministic.
-The basis holds max(BASIS, 16 b + 2 k') columns, plus the Ritz vectors a
-restart keeps: O(n k') floats, never n^2.
+One solver path for every size.  The kernel is exact: each connected component
+C, found by hook-and-shortcut, gives the eigenvector D_w^{1/2} 1_C / ||.|| of
+eigenvalue 0, and these come first, in the order of the components' smallest
+vertices.  Block Lanczos with full reorthogonalization and thick restarts solves
+the rest on the kernel's orthogonal complement.  A block of b columns finds at
+most b copies of an eigenvalue, so the block starts at BLOCK columns and a solve
+that reports b equal values below a larger one is redone with twice the block.
+Start and refill columns come from a seeded Philox stream, so results are
+deterministic.  The basis holds max(BASIS, 16 b + 2 k') columns, plus the Ritz
+vectors a restart keeps: O(n k') floats, never n^2.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ __all__ = [
     "edge_energy",
 ]
 
-DENSE_LIMIT = 512
 LANCZOS_TOL = 1e-10     # Lanczos stops when every Ritz residual on L / 2^e is below it
 BLOCK = 3               # first block size; a block of b columns finds b copies of a value
 BASIS = 128             # basis columns held before a thick restart (16 blocks at least)
@@ -82,14 +77,6 @@ class LaplacianOperator:
         d = z[g.edge_u] * s[g.edge_u] - z[g.edge_v] * s[g.edge_v]
         return float((g.edge_cost * d * d).sum())
 
-    def dense(self) -> np.ndarray:
-        g = self.graph
-        L = np.zeros((self.n, self.n))
-        L[np.arange(self.n), np.arange(self.n)] = self.diag
-        L[g.edge_u, g.edge_v] = -self.off_scale
-        L[g.edge_v, g.edge_u] = -self.off_scale
-        return L
-
 
 def normalized_laplacian(g: Graph) -> LaplacianOperator:
     """The operator of L; Graph.build has bounded every entry (graph._check_scale)."""
@@ -110,7 +97,8 @@ class SpectralBasis:
     eigenvalues: np.ndarray    # nondecreasing, length k'
     eigenvectors: np.ndarray   # (n, k'), orthonormal columns
     residuals: np.ndarray      # ||L x_i - lambda_i x_i||
-    method: str
+
+    method = "lanczos"         # not a field: bench/layers.py counts solves by it
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
@@ -129,21 +117,6 @@ def _residuals(op: LaplacianOperator, vals: np.ndarray, vecs: np.ndarray) -> np.
     for i in range(vals.size):
         res[i] = np.linalg.norm(op.matvec(vecs[:, i]) - vals[i] * vecs[:, i])
     return res
-
-
-def _eigh(matrix: np.ndarray, solver: str) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"{solver} (LAPACK eigh on a {matrix.shape[0]}x{matrix.shape[0]} "
-                          f"matrix) failed: {exc}") from exc
-
-
-def _dense_eigenbasis(op: LaplacianOperator, k_prime: int) -> tuple[np.ndarray, np.ndarray]:
-    L = op.dense()
-    L = 0.5 * (L + L.T)
-    vals, vecs = _eigh(L, "dense eigensolver")
-    return vals[:k_prime], vecs[:, :k_prime]
 
 
 def _components(g: Graph) -> tuple[int, np.ndarray]:
@@ -267,7 +240,11 @@ def _block_lanczos(op: LaplacianOperator, K: np.ndarray, want: int, b: int, stre
             lo = block.start
             used = extend(W, done, width)
             continue
-        vals, S = _eigh(H[:done, :done], "block Lanczos, Rayleigh-Ritz step")
+        try:
+            vals, S = np.linalg.eigh(H[:done, :done])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"block Lanczos, Rayleigh-Ritz step (LAPACK eigh on a "
+                              f"{done}x{done} matrix) failed: {exc}") from exc
         # L Q = Q H + W E^T, so ||L y - theta y|| = ||W s_last|| for the Ritz vector y = Q s
         worst = float(np.linalg.norm(W @ S[block, :want], axis=0).max())
         if done >= want and worst <= (LANCZOS_TOL if width else 1e-7):
@@ -323,27 +300,20 @@ def _block_lanczos_eigenbasis(op: LaplacianOperator, k_prime: int
 
 
 def eigenbasis(op: LaplacianOperator, k_prime: int) -> SpectralBasis:
-    """Bottom-k' eigenpairs of the normalized Laplacian.
-
-    The dense solver runs up to DENSE_LIMIT vertices, block Lanczos beyond; the
-    basis records which one ran ("dense" or "lanczos").
-    """
+    """Bottom-k' eigenpairs of the normalized Laplacian: the exact kernel, then block
+    Lanczos, with canonical signs and residuals checked by separate matvecs."""
     if not 1 <= k_prime <= op.n:
         raise ValueError(f"k_prime must lie in [1, n={op.n}], got {k_prime}")
-    if op.n <= DENSE_LIMIT:
-        method = "dense"
-        vals, vecs = _dense_eigenbasis(op, k_prime)
-    else:
-        method = "lanczos"
-        vals, vecs = _block_lanczos_eigenbasis(op, k_prime)
+    vals, vecs = _block_lanczos_eigenbasis(op, k_prime)
     vecs = _canonical_signs(vecs)
-    # Clip the tiny negative dust LAPACK leaves on the kernel.
+    # A Ritz value of an eigenvalue near 0 can land a rounding error below it;
+    # reflect such values to nonnegative ones, which the sort then reorders.
     vals = np.where(np.abs(vals) < 1e-12, np.abs(vals), vals)
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
     return SpectralBasis(k_prime=int(k_prime), eigenvalues=vals, eigenvectors=vecs,
-                         residuals=_residuals(op, vals, vecs), method=method)
+                         residuals=_residuals(op, vals, vecs))
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,21 @@ def planted_blocks(n: int, blocks: int, seed: int, pairs: int = 15,
     return g
 
 
+def laplacian_matrix(g: Graph) -> np.ndarray:
+    """Test-only oracle: the n x n normalized Laplacian D_w^{-1/2} (D_c - C) D_w^{-1/2},
+    built from the edge arrays alone."""
+    C = np.zeros((g.n, g.n))
+    C[g.edge_u, g.edge_v] = g.edge_cost
+    C[g.edge_v, g.edge_u] = g.edge_cost
+    s = 1.0 / np.sqrt(g.weights)
+    return s[:, None] * (np.diag(C.sum(axis=1)) - C) * s[None, :]
+
+
+def lapack_spectrum(g: Graph, k: int) -> np.ndarray:
+    """The bottom k eigenvalues of laplacian_matrix(g), by LAPACK's dense eigh."""
+    return np.linalg.eigh(laplacian_matrix(g))[0][:k]
+
+
 def small_solver_suite():
     """Graphs with n <= 64 used for the eigensolver oracle comparison."""
     suite = [

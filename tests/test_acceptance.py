@@ -24,8 +24,8 @@ from bufpart import (brute_force_h_k_eps, buffered_balanced_cut,
                      validate_partition)
 from bufpart.graph import PartitionError
 from bufpart.partition import resolve_step2
-from bufpart.spectral import DENSE_LIMIT, _block_lanczos_eigenbasis, _dense_eigenbasis
-from conftest import (ACCEPTANCE_LINES, disjoint_cliques, planted,
+from bufpart.spectral import _block_lanczos_eigenbasis
+from conftest import (ACCEPTANCE_LINES, disjoint_cliques, lapack_spectrum, planted,
                       random_regular, small_solver_suite, tiny_connected_suite,
                       weighted_er)
 
@@ -91,9 +91,8 @@ def test_criterion_03_eigensolver_oracle():
         assert g.n <= 64
         lap = normalized_laplacian(g)
         k = min(6, g.n)
-        dense, _ = _dense_eigenbasis(lap, k)
         lanczos, _ = _block_lanczos_eigenbasis(lap, k)
-        err = float(np.abs(dense - lanczos).max())
+        err = float(np.abs(lapack_spectrum(g, k) - lanczos).max())
         worst = max(worst, err)
         assert err <= 1e-8, name
     record(3, "Lanczos matches dense decomposition (n <= 64)",
@@ -471,11 +470,9 @@ def test_criterion_14_determinism(tmp_path):
         outputs.append(out.read_bytes())
     # The console entry above pins BLAS to one thread before numpy loads, so
     # its thread counts never take effect.  The library entry leaves the BLAS
-    # variables alone, and on a graph above DENSE_LIMIT the eigensolve is
-    # block Lanczos and the separator draws and min-ball tests run BLAS
-    # products.
+    # variables alone, and on this 600-vertex graph block Lanczos, the
+    # separator draws and the min-ball tests run BLAS products.
     g, _ = planted([150] * 4, 0.1, 0.004, seed=14)
-    assert g.n > DENSE_LIMIT
     big = tmp_path / "acc14_planted.txt"
     big.write_text("".join(f"{u} {v} 1.0\n" for u, v in zip(g.edge_u.tolist(),
                                                              g.edge_v.tolist())))

@@ -7,13 +7,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from bufpart import spectral
 from bufpart.cli import run
-from conftest import four_component_union
+from bufpart.graph import load_graph
+from conftest import four_component_union, lapack_spectrum
 
 
 def _schema_dir() -> Path:
@@ -82,16 +83,13 @@ class TestSpectrum:
     def test_bad_k(self, tiny_file):
         assert run(["spectrum", "--graph", tiny_file, "--k", "9"]) == 1
 
-    def test_lanczos_method(self, tiny_file, tmp_path, monkeypatch):
-        code2, dense = run_json(["spectrum", "--graph", tiny_file, "--k", "2"],
-                                tmp_path, "dense.json")
-        assert dense["params"] == {"k": 2, "method": "dense"}
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
-        code, doc = run_json(["spectrum", "--graph", tiny_file, "--k", "2"], tmp_path)
+    def test_lanczos_method(self, tiny_file, tmp_path):
+        # four vertices take the exact kernel plus block Lanczos, as every graph does
+        code, doc = run_json(["spectrum", "--graph", tiny_file, "--k", "4"], tmp_path)
         assert code == 0
-        assert doc["params"]["method"] == "lanczos"
-        for a, b in zip(doc["eigenvalues"], dense["eigenvalues"]):
-            assert a == pytest.approx(b, abs=1e-8)
+        assert doc["params"] == {"k": 4}
+        truth = lapack_spectrum(load_graph(tiny_file), 4)
+        assert np.abs(np.array(doc["eigenvalues"]) - truth).max() <= 1e-10
 
     def test_four_component_union_reports_four_zeros(self, tmp_path):
         edges, _ = four_component_union()          # n = 2400, four components
@@ -99,7 +97,6 @@ class TestSpectrum:
         graph.write_text("".join(f"{int(u)} {int(v)}\n" for u, v, _ in edges.tolist()))
         code, doc = run_json(["spectrum", "--graph", str(graph), "--k", "4"], tmp_path)
         assert code == 0
-        assert doc["params"]["method"] == "lanczos"
         assert doc["eigenvalues"] == [0.0, 0.0, 0.0, 0.0]
 
 
@@ -359,13 +356,16 @@ class TestMoreComponentsThanEigenvectors:
         path.write_text("a b\nc d\ne f\n")
         return str(path)
 
-    def test_partition_names_the_vertex_and_the_components(self, three_edges, capsys):
+    def test_partition_names_the_vertex_and_the_components(self, three_edges, tmp_path,
+                                                           capsys):
+        out = tmp_path / "out.json"
         code = run(["partition", "--graph", three_edges, "--k", "2", "--eps", "0.1",
-                    "--delta", "0.2"])
+                    "--delta", "0.2", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == (
             "bufpart: failure: vertex 'e' embeds to the zero vector: the graph has 3 "
             "connected components, more than the 2 eigenvectors of the embedding\n")
+        assert not out.exists()      # an embedding failure writes no report
 
     def test_spectrum_writes_the_zero_rows(self, three_edges, tmp_path):
         tsv = tmp_path / "emb.tsv"
@@ -418,25 +418,27 @@ class TestExtremeScales:
         assert docs[0]["phi"] == 0.5
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300])
-    @pytest.mark.parametrize("method", ["dense", "lanczos"])
-    def test_scaled_costs_give_the_unit_cost_spectrum(self, scale, method, tmp_path, capsys,
-                                                      monkeypatch):
-        if method == "lanczos":
-            monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+    @pytest.mark.parametrize("reference", ["dense", "lanczos"])
+    def test_scaled_costs_give_the_unit_cost_spectrum(self, scale, reference, tmp_path,
+                                                      capsys):
+        """Costs scaled by `scale` give the unit-cost spectrum: the dense reference is
+        LAPACK's eigh of the test-built unit-cost Laplacian, the lanczos one the
+        command's own solve at unit costs."""
         edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (2, 3, 3.0), (3, 4, 1.0),
                  (4, 5, 1.5), (5, 3, 0.25), (1, 4, 0.75)]
-        spectra = []
+        graphs, spectra = [], []
         for factor in (1.0, scale):
-            graph = _write(tmp_path, "g.txt", "".join(f"{u} {v} {c * factor!r}\n"
-                                                      for u, v, c in edges))
+            graph = _write(tmp_path, f"g{len(graphs)}.txt",
+                           "".join(f"{u} {v} {c * factor!r}\n" for u, v, c in edges))
             out = tmp_path / "out.json"
             code, err = _run_quietly(["spectrum", "--graph", graph, "--k", "6",
                                       "--out", str(out)], capsys)
             assert (code, err) == (0, "")
-            doc = json.loads(out.read_text())
-            assert doc["params"]["method"] == method
-            spectra.append(doc["eigenvalues"])
-        assert spectra[1] == pytest.approx(spectra[0], abs=1e-12)
+            graphs.append(graph)
+            spectra.append(json.loads(out.read_text())["eigenvalues"])
+        unit = (lapack_spectrum(load_graph(graphs[0]), 6) if reference == "dense"
+                else np.array(spectra[0]))
+        assert np.abs(np.array(spectra[1]) - unit).max() <= 1e-12
 
     @pytest.mark.parametrize("edges, weights, argv", [
         ("0 1\n", "0 1e300\n1 1e-300\n", ["spectrum", "--k", "2"]),
@@ -516,23 +518,23 @@ class TestIngestErrors:
 
 
 class TestSolverFailure:
-    @pytest.mark.parametrize("method, solver", [("dense", "dense eigensolver"),
-                                                ("lanczos", "block Lanczos, Rayleigh-Ritz step")])
-    def test_linalg_error_exits_2_naming_the_solver(self, method, solver, tiny_file,
-                                                    tmp_path, monkeypatch, capsys):
-        import numpy as np
-
+    # Every size fails in the Rayleigh-Ritz step of block Lanczos.  The ids name the
+    # solver each size took while graphs of up to 512 vertices were solved densely.
+    @pytest.mark.parametrize("n", [4, 600], ids=["dense-dense eigensolver",
+                                                 "lanczos-block Lanczos, Rayleigh-Ritz step"])
+    def test_linalg_error_exits_2_naming_the_solver(self, n, tiny_file, tmp_path,
+                                                    monkeypatch, capsys):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        graph = tiny_file if n == 4 else _write(
+            tmp_path, "cycle.txt", "".join(f"{u} {(u + 1) % n}\n" for u in range(n)))
         monkeypatch.setattr(np.linalg, "eigh", no_convergence)
-        if method == "lanczos":
-            monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
         out = tmp_path / "out.json"
-        code = run(["spectrum", "--graph", tiny_file, "--k", "2", "--out", str(out)])
+        code = run(["spectrum", "--graph", graph, "--k", "2", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"bufpart: failure: {solver} (LAPACK eigh")
+        assert err.startswith("bufpart: failure: block Lanczos, Rayleigh-Ritz step (LAPACK eigh")
         assert err.endswith("failed: Eigenvalues did not converge\n")
         assert err.count("\n") == 1
         assert not out.exists()

@@ -18,14 +18,11 @@ import json
 import tempfile
 import warnings
 from pathlib import Path
-from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bufpart import spectral
 from bufpart.cli import run
-from bufpart.spectral import DENSE_LIMIT
 from test_cli import VALIDATOR
 
 PLAIN = ["1", "2.5", "0.5", "3"]
@@ -60,7 +57,7 @@ def numbers(draw, count):
 
 @st.composite
 def cases(draw):
-    """(command line, edge text, weight text or None, assignment or None, DENSE_LIMIT)."""
+    """(command line, edge text, weight text or None, assignment or None)."""
     names = list(draw(st.sampled_from([NAMES[:8], NAMES[2:]])))
     for i in draw(st.lists(st.integers(0, 7), max_size=3)):
         names[i] += draw(st.sampled_from(CONTROLS + BREAKS)) + "z"
@@ -98,9 +95,6 @@ def cases(draw):
     if name == "partition":
         argv += ["--seed", str(draw(st.integers(0, 3))),
                  "--restarts", str(draw(st.integers(1, 3)))]
-    dense_limit = DENSE_LIMIT        # graphs this small take the dense solver
-    if name == "spectrum":           # a limit of 0 makes spectrum run Lanczos
-        dense_limit = draw(st.sampled_from([DENSE_LIMIT, DENSE_LIMIT, 0]))
 
     parts = None
     if name in ("verify", "certify"):
@@ -115,16 +109,15 @@ def cases(draw):
             parts["zz"] = {"part_id": 0, "role": "core"}
         elif change == "bad id" and used:
             parts[used[0]]["part_id"] = -1
-    return argv, text, weights, parts, dense_limit
+    return argv, text, weights, parts
 
 
-def _run(argv, dense_limit):
+def _run(argv):
     """(exit code, stderr) of run(argv); no Python warning may be raised."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        with mock.patch.object(spectral, "DENSE_LIMIT", dense_limit):
-            code = run(argv)
+        code = run(argv)
     assert not caught, [str(w.message) for w in caught]
     return code, err.getvalue()
 
@@ -147,7 +140,7 @@ def _report(path, code, err):
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=cases())
 def test_every_input_ends_in_a_report_or_one_line(case):
-    argv, text, weights, parts, dense_limit = case
+    argv, text, weights, parts = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "g.txt").write_text(text, encoding="utf-8")
@@ -160,13 +153,13 @@ def test_every_input_ends_in_a_report_or_one_line(case):
         if parts is not None:
             (tmp / "p.json").write_text(json.dumps({"assignment": parts}))
             argv += ["--partition", str(tmp / "p.json")]
-        doc = _report(out, *_run(argv, dense_limit))
+        doc = _report(out, *_run(argv))
         if argv[0] == "partition" and doc is not None and "assignment" in doc:
             # The partition reads back on the same graph at its realized budget.
             check = tmp / "verify.json"
             code, err = _run(["verify", *graph, "--partition", str(out),
                               "--k", argv[argv.index("--k") + 1],
                               "--eps", repr(doc["epsilon_realized"]),
-                              "--out", str(check)], dense_limit)
+                              "--out", str(check)])
             assert (code, err) == (0, "")
             assert _report(check, code, err)["valid"] is True

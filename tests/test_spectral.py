@@ -1,4 +1,4 @@
-"""Laplacian, eigensolver (dense and block Lanczos), embedding, ball measure."""
+"""Laplacian, eigensolver (exact kernel plus block Lanczos), embedding, ball measure."""
 
 import tracemalloc
 
@@ -7,11 +7,10 @@ import pytest
 
 from bufpart import (EmbeddingError, Graph, ball_measure, cheeger2_buffered, edge_energy,
                      eigenbasis, embed, lower_bound_unbuffered, normalized_laplacian)
-from bufpart.spectral import (DENSE_LIMIT, SpectralBasis, _block_lanczos_eigenbasis,
-                              _dense_eigenbasis)
-from conftest import (cycle, disjoint_cliques, four_component_union, k4, planted_blocks,
-                      random_regular, ring_with_chords, small_solver_suite, triangle,
-                      weighted_er)
+from bufpart.spectral import SpectralBasis, _block_lanczos_eigenbasis
+from conftest import (cycle, disjoint_cliques, four_component_union, k4, lapack_spectrum,
+                      laplacian_matrix, path, planted_blocks, random_regular,
+                      ring_with_chords, small_solver_suite, triangle, weighted_er)
 
 
 def eigsh_bottom(g: Graph, k: int) -> np.ndarray:
@@ -55,7 +54,7 @@ class TestLaplacianOperator:
     def test_matvec_matches_dense(self):
         g = weighted_er(12, 0.5, 3)
         lap = normalized_laplacian(g)
-        L = lap.dense()
+        L = laplacian_matrix(g)
         rng = np.random.default_rng(1)
         for _ in range(10):
             z = rng.normal(size=g.n)
@@ -101,9 +100,8 @@ class TestEigenbasis:
         for name, g in small_solver_suite():
             lap = normalized_laplacian(g)
             k = min(6, g.n)
-            dense, _ = _dense_eigenbasis(lap, k)
             lanczos, _ = _block_lanczos_eigenbasis(lap, k)
-            assert np.abs(dense - lanczos).max() <= 1e-8, name
+            assert np.abs(lapack_spectrum(g, k) - lanczos).max() <= 1e-8, name
 
     def test_lanczos_kernel_multiplicity(self):
         # the exact kernel holds all three zero eigenvalues, even below the block size
@@ -125,7 +123,7 @@ class TestEigenbasis:
         for factor in (1.0, scale):
             g = Graph.build(40, edges * [1.0, 1.0, factor], weights=np.ones(40))
             lap = normalized_laplacian(g)
-            dense, _ = _dense_eigenbasis(lap, 4)
+            dense = lapack_spectrum(g, 4)
             lanczos, vecs = _block_lanczos_eigenbasis(lap, 4)
             assert np.abs(lanczos - dense).max() <= 1e-8 * factor
             for i in range(4):
@@ -160,22 +158,20 @@ class TestEigenbasis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert basis.method == "lanczos"
         assert peak < 100 * 2**20
         assert basis.residuals.max() <= 1e-8
 
     @pytest.mark.parametrize("copies", [2, 4])
     def test_disjoint_copies_repeat_the_one_copy_spectrum(self, copies):
-        # One connected 1100-vertex graph (a ring plus random chords), solved
-        # dense; c disjoint copies take n above DENSE_LIMIT, and their spectrum
-        # is the one-copy spectrum with each value repeated c times.
+        # One connected 1100-vertex graph (a ring plus random chords), solved by
+        # LAPACK; c disjoint copies have the one-copy spectrum with each value
+        # repeated c times.
         n = 1100
         one = ring_with_chords(n, 3)
-        single, _ = _dense_eigenbasis(normalized_laplacian(Graph.build(n, one)), 2)
+        single = lapack_spectrum(Graph.build(n, one), 2)
         assert single[1] > 0.1
         union = Graph.build(copies * n, np.vstack([one + [c * n, c * n, 0.0]
                                                    for c in range(copies)]))
-        assert union.n > DENSE_LIMIT
         basis = eigenbasis(normalized_laplacian(union), 2 * copies)
         want = np.repeat(single, copies)
         assert np.abs(basis.eigenvalues - want).max() <= 1e-8
@@ -184,12 +180,11 @@ class TestEigenbasis:
     def test_cycle_spectrum_comes_in_pairs(self, n):
         # 1 - cos(2 pi j / n) for j = 0, 1, 1, 2, 2: each nonzero value twice
         basis = eigenbasis(normalized_laplacian(cycle(n)), 5)
-        assert basis.method == "lanczos"
         want = 1.0 - np.cos(2.0 * np.pi * np.array([0, 1, 1, 2, 2]) / n)
         assert np.abs(basis.eigenvalues - want).max() <= 1e-10
 
     @pytest.mark.parametrize("n, blocks, k, weighted", [
-        (2100, 4, 2, False), (2500, 2, 4, True), (3000, 6, 5, False),
+        (512, 4, 6, True), (2100, 4, 2, False), (2500, 2, 4, True), (3000, 6, 5, False),
         (4000, 8, 8, True), (5000, 5, 3, False), (5000, 8, 6, True)])
     def test_block_lanczos_matches_eigsh_on_planted_graphs(self, n, blocks, k, weighted):
         g = planted_blocks(n, blocks, n + k, pairs=6, weighted=weighted)
@@ -206,17 +201,6 @@ class TestEigenbasis:
         assert np.abs(vals[2::2] - vals[3::2]).max() <= 1e-10 and vals[2] > 1e-3
         assert np.abs(vals - eigsh_bottom(union, 8)).max() <= 1e-8
 
-    @pytest.mark.parametrize("n", [DENSE_LIMIT, DENSE_LIMIT + 1])
-    def test_both_solvers_match_eigsh_at_the_dense_limit(self, n):
-        g = planted_blocks(n, 4, 13, pairs=6, weighted=True)
-        lap = normalized_laplacian(g)
-        truth = eigsh_bottom(g, 6)
-        basis = eigenbasis(lap, 6)
-        assert basis.method == ("dense" if n <= DENSE_LIMIT else "lanczos")
-        assert np.abs(basis.eigenvalues - truth).max() <= 1e-8
-        assert np.abs(_dense_eigenbasis(lap, 6)[0] - truth).max() <= 1e-8
-        assert np.abs(_block_lanczos_eigenbasis(lap, 6)[0] - truth).max() <= 1e-8
-
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
             eigenbasis(normalized_laplacian(k4()), 5)
@@ -224,8 +208,30 @@ class TestEigenbasis:
             eigenbasis(normalized_laplacian(k4()), 0)
 
 
+def tiny_graphs():
+    graphs = [("edge", path([1.0])), ("triangle", triangle()), ("k4", k4())]
+    graphs += [(f"path{m}", path([1.0] * m)) for m in range(2, 8)]
+    graphs += [("two_triangles", disjoint_cliques([3, 3])),
+               ("weighted8", weighted_er(8, 0.5, 21))]
+    return [pytest.param(g, id=name) for name, g in graphs]
+
+
+class TestTinyGraphs:
+    """Every k' from 1 to n, so the basis also spans the kernel's whole complement."""
+
+    @pytest.mark.parametrize("g", tiny_graphs())
+    def test_every_k_prime_matches_lapack(self, g):
+        lap = normalized_laplacian(g)
+        for k in range(1, g.n + 1):
+            basis = eigenbasis(lap, k)
+            assert np.abs(basis.eigenvalues - lapack_spectrum(g, k)).max() <= 1e-10, k
+            gram = basis.eigenvectors.T @ basis.eigenvectors
+            assert np.abs(gram - np.eye(k)).max() <= 1e-10, k
+            assert basis.residuals.max() <= 1e-8, k
+
+
 class TestFourComponentUnion:
-    """conftest.four_component_union: n = 2400 > DENSE_LIMIT and four components, so
+    """conftest.four_component_union: n = 2400 and four components, so
     lambda_1..4 = 0 and the four components are a partition that cuts nothing."""
 
     @pytest.fixture(scope="class")
@@ -235,7 +241,6 @@ class TestFourComponentUnion:
 
     def test_lower_bound_is_zero(self, union):
         g, _ = union
-        assert g.n > DENSE_LIMIT
         assert lower_bound_unbuffered(g, 4) <= 1e-12
 
     def test_cheeger2_finds_the_zero_cut(self, union):
@@ -246,7 +251,6 @@ class TestFourComponentUnion:
     def test_kernel_columns_come_first_in_component_order(self, union):
         g, component = union
         basis = eigenbasis(normalized_laplacian(g), 6)
-        assert basis.method == "lanczos"
         assert np.all(basis.eigenvalues[:4] == 0.0) and basis.eigenvalues[4] > 1e-3
         # components numbered by their smallest vertex id
         firsts = [int(np.flatnonzero(component == c).min()) for c in range(4)]
@@ -302,19 +306,17 @@ class TestEmbedding:
         vecs = basis.eigenvectors.copy()
         vecs[0, :] = 0.0
         broken = SpectralBasis(k_prime=2, eigenvalues=basis.eigenvalues,
-                               eigenvectors=vecs, residuals=basis.residuals,
-                               method="dense")
+                               eigenvectors=vecs, residuals=basis.residuals)
         with pytest.raises(EmbeddingError, match="^vertex 0 embeds to the zero vector$"):
             embed(broken, g)
 
     def test_zero_row_names_the_missing_components(self):
-        # Three disjoint 200-cycles at k' = 2 (the Lanczos path): the third
-        # component has no kernel vector in the basis, so its rows are zero.
+        # Three disjoint 200-cycles at k' = 2: the third component has no
+        # kernel vector in the basis, so its rows are zero.
         g = Graph.build(600, [(200 * c + i, 200 * c + (i + 1) % 200, 1.0)
                               for c in range(3) for i in range(200)],
                         labels=[f"v{i}" for i in range(600)])
         basis = eigenbasis(normalized_laplacian(g), 2)
-        assert basis.method == "lanczos"
         with pytest.raises(EmbeddingError, match="^vertex 'v400' embeds to the zero vector: "
                            "the graph has 3 connected components, more than the 2 "
                            "eigenvectors of the embedding$"):
