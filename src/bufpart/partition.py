@@ -34,13 +34,14 @@ leftovers and the other tuples into the last part; partial_partition() keeps
 the restart whose completion has the lowest max expansion, the quantity the
 paper bounds.
 
-Desk-scale practicality: the certified probability scale alpha of the Step-2
-separator family is astronomically small for every usable (k, delta) pairing
-(threshold t in the dozens, alpha below 1e-300), so runs fall back to a
-practical scale alpha = min(Phi_bar(1), 1/n) unless the certified scale is
-itself usable.  The min-ball rejection enforces the separator's separation
+Desk-scale practicality: Step 2 always runs at the practical scale
+alpha = min(Phi_bar(1), max(1/n, 1e-4)) with T = ceil((2/alpha) ln(1/delta))
+draws per restart.  The certified scale of calibrate() cannot fire at a
+desk-scale sample budget: every admissible input has m = 4k/delta >= 8 and
+R = sqrt(delta/6) < 0.41, which put its threshold t above 9.7 (alpha about
+1e-22 at most).  The min-ball rejection enforces the separator's separation
 condition on every draw regardless of alpha, so every structural guarantee
-survives; the fallback is recorded in the run diagnostics.
+survives; the notes of the run record the certified scale it replaces.
 """
 
 from __future__ import annotations
@@ -73,10 +74,8 @@ __all__ = [
     "buffered_k_partition",
 ]
 
-ALPHA_FLOOR = 1e-3         # below this a certified scale cannot fire at desk scale
 PRACTICAL_ALPHA_MIN = 1e-4
 PRACTICAL_ALPHA_MAX = 0.15865525393145707   # Phi_bar(1)
-MAX_ROUNDS = 20000
 BUFFER_SLACK = 192.0       # Step 3 buffer slack c' = BUFFER_SLACK / delta
 EXPANSION_SLACK = 10.0     # Step 4 expansion slack c'' = EXPANSION_SLACK / delta
 RESTARTS = 8
@@ -107,7 +106,11 @@ class EffectiveParams:
 
 
 def resolve_step2(n_vectors: int, k: int, epsilon: float, delta: float) -> EffectiveParams:
-    """Apply the epsilon/delta adjustments and fix the separator scale and round count."""
+    """Apply the epsilon/delta adjustments and fix the separator family and round count.
+
+    The only place that sets them: the practical scale of the module
+    docstring, and T = ceil((2/alpha) ln(1/delta)) rounds.
+    """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if not 0.0 < delta < 1.0:
@@ -130,25 +133,16 @@ def resolve_step2(n_vectors: int, k: int, epsilon: float, delta: float) -> Effec
     delta_sep = delta_eff / (2.0 * k)
     m = 2.0 / delta_sep
 
-    params: SeparatorParams | None = None
     try:
         cand = calibrate(eps_eff, m, radius)
-        if cand.alpha >= ALPHA_FLOOR:
-            params = cand
-        else:
-            notes.append(
-                f"certified scale alpha={cand.alpha!r} (t={cand.t!r}) cannot fire "
-                f"at this sample budget; using the practical scale")
+        notes.append(
+            f"certified scale alpha={cand.alpha!r} (t={cand.t!r}) cannot fire "
+            f"at this sample budget; using the practical scale")
     except CalibrationError as exc:
         notes.append(f"calibration infeasible ({exc}); using the practical scale")
-    if params is None:
-        alpha = min(PRACTICAL_ALPHA_MAX, max(1.0 / n_vectors, PRACTICAL_ALPHA_MIN))
-        params = practical_params(eps_eff, m, radius, alpha)
-
+    alpha = min(PRACTICAL_ALPHA_MAX, max(1.0 / n_vectors, PRACTICAL_ALPHA_MIN))
+    params = practical_params(eps_eff, m, radius, alpha)
     rounds = math.ceil(2.0 / params.alpha * math.log(1.0 / delta_eff))
-    if rounds > MAX_ROUNDS:
-        rounds = MAX_ROUNDS
-        notes.append(f"round count capped at {MAX_ROUNDS}")
     return EffectiveParams(k=k, epsilon=eps_eff, delta=delta_eff, radius=radius,
                            delta_sep=delta_sep, m=m, rounds=rounds, params=params,
                            notes=tuple(notes))
@@ -180,19 +174,17 @@ class CrudePartition:
         return mass
 
 
-def crude_partition(e: Embedding, k: int, epsilon: float, delta: float,
-                    rng: RandomStream,
-                    effective: EffectiveParams | None = None) -> CrudePartition:
-    """Step 2: T separator draws with the crude-partition bookkeeping."""
+def crude_partition(e: Embedding, eff: EffectiveParams, rng: RandomStream) -> CrudePartition:
+    """Step 2: the eff.rounds separator draws of eff.params, with the
+    crude-partition bookkeeping; a draw is rejected when its min-ball leftover
+    exceeds eff.delta_sep mu(U)."""
     n = e.graph.n
-    eff = effective if effective is not None else resolve_step2(n, k, epsilon, delta)
     sigma = np.zeros(n, dtype=bool)
     gamma = np.zeros(n, dtype=bool)
     touched = np.zeros(n, dtype=bool)
     rounds: list[RoundRecord] = []
     rejects = 0
-    draws = measured_draws(e.psi, e.mu, eff.epsilon, eff.delta_sep, eff.radius, rng,
-                           eff.rounds, params=eff.params)
+    draws = measured_draws(e.psi, e.mu, eff.delta_sep, eff.params, rng, eff.rounds)
     for t, s in draws:          # a rejected draw has empty sets and changes nothing
         rejects += s.rejected
         # Index work on X u Y u Z only.
@@ -413,14 +405,15 @@ def _step3_rounds(rounds, g: Graph, mu: np.ndarray, sigma_rp: np.ndarray, epsilo
         yield vertex[ss][:-1], bt_l, (ends_u[es], ends_v[es], lu_l, lv_l, ec_l), best
 
 
-def refine_and_discard(c: CrudePartition, e: Embedding, g: Graph, k: int,
-                       epsilon: float, delta: float) -> PartialPartition:
+def refine_and_discard(c: CrudePartition, e: Embedding) -> PartialPartition:
     """Steps 3 and 4: one threshold sweep over the rounds, then the expansion filter.
 
-    epsilon/delta are the effective Step-2 values (crude.effective carries them).
+    k, epsilon and delta are the effective Step-2 values of c.effective.
     """
+    k, epsilon, delta = c.effective.k, c.effective.epsilon, c.effective.delta
     if e.k_prime < k:
         raise ValueError("embedding has fewer eigenpairs than k")
+    g = e.graph
     n = g.n
     lam_k = float(e.basis.eigenvalues[k - 1])
     c_prime = BUFFER_SLACK / delta
@@ -555,13 +548,13 @@ def partial_partition(g: Graph, k: int, epsilon: float, delta: float, seed: int 
     attempts = []
     for restart in range(restarts):
         stream = derive_stream(seed, "partition", restart)
-        crude = crude_partition(e, k, epsilon, delta, stream, effective=eff)
+        crude = crude_partition(e, eff, stream)
         mass = crude.buffer_mass(g)
         accepted = mass <= 16.0 * eff.epsilon * g.total_weight + 1e-12
         if not accepted:
             attempts.append({"restart": restart, "accepted": False, "buffer_mass": mass})
             continue
-        pp = refine_and_discard(crude, e, g, k, eff.epsilon, eff.delta)
+        pp = refine_and_discard(crude, e)
         try:
             bp = complete_partition(pp, g, k_target)
             completion = (bp, partition_cost(g, bp))

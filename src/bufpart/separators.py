@@ -135,10 +135,10 @@ def calibrate(epsilon: float, m: float, r: float) -> SeparatorParams:
 def practical_params(epsilon: float, m: float, r: float, alpha: float) -> SeparatorParams:
     """Separator thresholds at a caller-chosen probability scale.
 
-    Used when the certified scale from calibrate() is too small to ever fire
-    at the given sample budget.  The min-ball rejection still enforces the
-    separation condition on every draw; only the tail certificate is waived
-    (calibrated=False).
+    Step 2 of partition uses it because the certified scale from calibrate()
+    is too small to ever fire at its sample budget.  The min-ball rejection
+    still enforces the separation condition on every draw; only the tail
+    certificate is waived (calibrated=False).
     """
     if not 0.0 < alpha < 0.5:
         raise CalibrationError(f"probability scale must lie in (0, 0.5), got {alpha}")
@@ -170,14 +170,6 @@ def classify(proj: np.ndarray, p: SeparatorParams) -> tuple[np.ndarray, np.ndarr
     y = (proj > p.t - p.eps_prime) & (proj < p.t)
     z = (proj > p.t - 2.0 * p.eps_prime) & (proj <= p.t - p.eps_prime)
     return x, y, z
-
-
-def _reached(proj: np.ndarray, p: SeparatorParams) -> np.ndarray:
-    """X u Y u Z of classify() in one comparison."""
-    low = p.t - 2.0 * p.eps_prime
-    # With eps' > 0 the three intervals tile (t - 2 eps', inf); when eps' is
-    # zero or lost to rounding, Y and Z are empty and only X = [t, inf) is left.
-    return proj > low if low < p.t else proj >= p.t
 
 
 def _leftover_rows(vectors: np.ndarray, measures: np.ndarray, x_idx: np.ndarray,
@@ -264,13 +256,14 @@ def _min_ball_accepted(vectors: np.ndarray, measures: np.ndarray, members: np.nd
     return accepted
 
 
-def measured_draws(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
-                   delta: float, r: float, stream: RandomStream, count: int,
-                   params: SeparatorParams | None = None
+def measured_draws(vectors: np.ndarray, measures: np.ndarray, delta: float,
+                   params: SeparatorParams, stream: RandomStream, count: int
                    ) -> list[tuple[int, SeparatorSample]]:
     """(index, sample) for each of count successive draws that reaches a vector.
 
-    The inputs are validated once.  Each block of up to
+    params fixes the thresholds and the min-ball radius params.r; a draw is
+    rejected when its min-ball leftover exceeds delta mu(U).  The inputs are
+    validated once.  Each block of up to
     max(1, BLOCK_VALUES // len(vectors)) draws takes its Gaussian directions
     from one normals() call, which consumes the stream exactly as one call
     per draw would, so the draws do not depend on the block size.  A draw
@@ -286,8 +279,7 @@ def measured_draws(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
     vectors = _check_unit(vectors)
     if measures.shape[0] != vectors.shape[0]:
         raise ValueError("need one measure per vector")
-    p = params if params is not None else calibrate(epsilon, 2.0 / delta, r)
-    return _draw_blocks(vectors, measures, delta * float(measures.sum()), r, p, stream,
+    return _draw_blocks(vectors, measures, delta * float(measures.sum()), params, stream,
                         int(count))
 
 
@@ -319,7 +311,7 @@ def _aimed(gs: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
     return rows, margin[rows]
 
 
-def _draw_blocks(vectors, measures, limit, r, p, stream, count):
+def _draw_blocks(vectors, measures, limit, p, stream, count):
     """measured_draws() after its checks; limit is delta mu(U).
 
     A block's BLAS product only prunes: it may group the sums differently by
@@ -348,19 +340,18 @@ def _draw_blocks(vectors, measures, limit, r, p, stream, count):
         rows, cols = np.divmod(np.flatnonzero(gs[aimed] @ columns >= (floor - margin)[:, None]),
                                count_v)
         rows = aimed[rows]
-        proj = _projections(gs, columns, rows, cols)
-        hit = _reached(proj, p)
-        found.append((first + rows[hit], cols[hit], proj[hit]))
+        x, y, z = classify(_projections(gs, columns, rows, cols), p)
+        hit = x | y | z
+        found.append((first + rows[hit], cols[hit], x[hit], y[hit], z[hit]))
     if not found:
         return []
-    draw, cols, proj = (np.concatenate(parts) for parts in zip(*found))
-    x, y, z = classify(proj, p)
+    draw, cols, x, y, z = (np.concatenate(parts) for parts in zip(*found))
     # draw is sorted, so each reached draw is one run of equal entries and
     # its X set one run of the X entries.
     starts = np.flatnonzero(np.diff(draw, prepend=-1))
     x_draw = draw[x]
     x_starts = np.flatnonzero(np.diff(x_draw, prepend=-1))
-    passed = _min_ball_accepted(vectors, measures, cols[x], x_starts, limit, r)
+    passed = _min_ball_accepted(vectors, measures, cols[x], x_starts, limit, p.r)
     refused_draws = np.isin(draw[starts], x_draw[x_starts[~passed]]).tolist()
     empty = np.empty(0, dtype=np.int64)
     refused = SeparatorSample(x=empty, y=empty, z=empty, rejected=True)
@@ -378,9 +369,12 @@ def sample_two_buffers(vectors: np.ndarray, measures: np.ndarray, epsilon: float
                        params: SeparatorParams | None = None) -> SeparatorSample:
     """Measure-constrained separator with both buffer layers Y and Z.
 
-    One draw; its sets are all empty when it reaches no vector.
+    One draw of measured_draws(); its sets are all empty when it reaches no
+    vector.  Without params the family is calibrate(epsilon, 2/delta, r);
+    with params, epsilon and r are those of params.
     """
-    for _, sample in measured_draws(vectors, measures, epsilon, delta, r, stream, 1, params):
+    p = params if params is not None else calibrate(epsilon, 2.0 / delta, r)
+    for _, sample in measured_draws(vectors, measures, delta, p, stream, 1):
         return sample
     empty = np.empty(0, dtype=np.int64)
     return SeparatorSample(x=empty, y=empty, z=empty)

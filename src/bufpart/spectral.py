@@ -71,12 +71,6 @@ class LaplacianOperator:
         np.add.at(out, g.edge_v, -self.off_scale * z[g.edge_u])
         return out
 
-    def quadratic_form(self, z: np.ndarray) -> float:
-        g = self.graph
-        s = 1.0 / np.sqrt(g.weights)
-        d = z[g.edge_u] * s[g.edge_u] - z[g.edge_v] * s[g.edge_v]
-        return float((g.edge_cost * d * d).sum())
-
 
 def normalized_laplacian(g: Graph) -> LaplacianOperator:
     """The operator of L; Graph.build has bounded every entry (graph._check_scale)."""

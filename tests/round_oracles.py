@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bufpart.partition import (BUFFER_SLACK, EXPANSION_SLACK, PartialPartition,
-                               RefinedTuple, resolve_step2)
+                               RefinedTuple)
 
 CHUNK_VALUES = 2 ** 16      # projections summed per cache-sized chunk
 
@@ -90,10 +90,9 @@ def reached(draws):
     return [(t, d) for t, d in enumerate(draws) if d[3] or d[0].size or d[1].size or d[2].size]
 
 
-def reference_crude_partition(e, k, epsilon, delta, rng, effective=None) -> ReferenceCrude:
+def reference_crude_partition(e, eff, rng) -> ReferenceCrude:
     """Step 2 with one reference_draw call and full-length masks per draw."""
     n = e.graph.n
-    eff = effective if effective is not None else resolve_step2(n, k, epsilon, delta)
     psi, mu = e.psi, e.mu
     limit = eff.delta_sep * float(mu.sum())
     sigma = np.zeros(n, dtype=bool)
@@ -125,9 +124,10 @@ def reference_crude_partition(e, k, epsilon, delta, rng, effective=None) -> Refe
         reject_count=sum(d[3] for d in draws))
 
 
-def reference_refine_and_discard(c, e, g, k, epsilon, delta,
-                                 tally: Counter | None = None) -> PartialPartition:
+def reference_refine_and_discard(c, e, tally: Counter | None = None) -> PartialPartition:
     """Steps 3 and 4 with full-length vertex and edge masks for every candidate r.
+
+    k, epsilon and delta are those of c.effective and the graph is e.graph.
 
     When tally is given it counts, per Step-3 filter ("buffer", "a_double",
     "a1_cut", "out_cut"), the candidates that filter rejects, and under
@@ -135,6 +135,8 @@ def reference_refine_and_discard(c, e, g, k, epsilon, delta,
     w(A'') equals its limit exactly (and so passes).
     """
     tally = Counter() if tally is None else tally
+    k, epsilon, delta = c.effective.k, c.effective.epsilon, c.effective.delta
+    g = e.graph
     n = g.n
     lam_k = float(e.basis.eigenvalues[k - 1])
     c_prime = BUFFER_SLACK / delta

@@ -390,8 +390,7 @@ def test_criterion_12_step2_statistics():
     coverages, gammas = [], []
     max_part_mu = 0.0
     for seed in range(runs):
-        c = crude_partition(e, 6, 0.01, 0.01, derive_stream(seed, "acc12"),
-                            effective=eff)
+        c = crude_partition(e, eff, derive_stream(seed, "acc12"))
         for rec in c.rounds:
             if rec.p_tilde.size:
                 mu_p = e.mu_of(rec.p_tilde)

@@ -38,3 +38,4 @@ def test_tracer_installs_and_counts_a_partition_run(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0
     assert result["metrics"]["partition.crude_calls"] >= 1
+    assert result["metrics"]["partition.refine_calls"] >= 1

@@ -25,6 +25,17 @@ def embedding_for(g, k):
 
 CLIQUES6 = disjoint_cliques([34, 34, 33, 33, 33, 33])
 
+# (n, k, delta, epsilon) of resolve_step2: a grid at n = 1000, a 200-vertex
+# point, and n = 8000, where T = ceil(2 n ln 12) = 39,759 rounds run in full.
+DESK_SCALE_POINTS = [(1000, k, delta, epsilon) for k in (2, 4, 8, 64)
+                     for delta in (0.001, 1.0 / 80.0, 0.5, 0.999)
+                     for epsilon in (0.0, 0.05)] + [(200, 6, 0.01, 0.01),
+                                                    (8000, 4, 1.0 / 80.0, 0.05)]
+
+
+def crude_for(e, k, epsilon, delta, rng):
+    return crude_partition(e, resolve_step2(e.graph.n, k, epsilon, delta), rng)
+
 
 class TestResolveStep2:
     def test_radius_formula(self):
@@ -45,11 +56,16 @@ class TestResolveStep2:
         eff = resolve_step2(100, 6, 0.01, 0.06)
         assert any("regime" in n for n in eff.notes)
 
-    def test_desk_scale_uses_practical_alpha(self):
-        eff = resolve_step2(200, 6, 0.01, 0.01)
+    @pytest.mark.parametrize("n, k, delta, epsilon", DESK_SCALE_POINTS,
+                             ids=[f"n{n}-k{k}-d{d:g}-e{e:g}" for n, k, d, e in DESK_SCALE_POINTS])
+    def test_desk_scale_uses_practical_alpha(self, n, k, delta, epsilon):
+        eff = resolve_step2(n, k, epsilon, delta)
         assert not eff.params.calibrated
-        assert eff.params.alpha == pytest.approx(1.0 / 200.0)
-        assert eff.rounds == math.ceil(2.0 * 200 * math.log(18.0))
+        assert eff.params.alpha == pytest.approx(1.0 / n)
+        assert eff.rounds == math.ceil(2.0 / eff.params.alpha * math.log(1.0 / eff.delta))
+        assert not any("capped" in note for note in eff.notes)
+        if n == 8000:
+            assert eff.rounds == 39759
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -64,7 +80,7 @@ class TestCrudePartition:
     def test_structure_tiles_v(self):
         g = CLIQUES6
         e = embedding_for(g, 6)
-        c = crude_partition(e, 6, 0.01, 0.01, derive_stream(0, "t"))
+        c = crude_for(e, 6, 0.01, 0.01, derive_stream(0, "t"))
         cover = np.zeros(g.n, dtype=int)
         for rec in c.rounds:
             cover[rec.p_tilde] += 1
@@ -82,7 +98,7 @@ class TestCrudePartition:
         eff_dead = type(eff)(k=eff.k, epsilon=eff.epsilon, delta=eff.delta,
                              radius=eff.radius, delta_sep=eff.delta_sep, m=eff.m,
                              rounds=50, params=dead, notes=eff.notes)
-        c = crude_partition(e, 6, 0.01, 0.01, derive_stream(1, "t"), effective=eff_dead)
+        c = crude_partition(e, eff_dead, derive_stream(1, "t"))
         assert c.rounds == ()
         assert c.r_p.size == g.n
 
@@ -90,7 +106,7 @@ class TestCrudePartition:
         g = CLIQUES6
         e = embedding_for(g, 6)
         for seed in range(10):
-            c = crude_partition(e, 6, 0.01, 0.01, derive_stream(seed, "t2"))
+            c = crude_for(e, 6, 0.01, 0.01, derive_stream(seed, "t2"))
             for rec in c.rounds:
                 if rec.p_tilde.size:
                     assert e.mu_of(rec.p_tilde) <= 1.0 + c.effective.delta + 1e-9
@@ -98,7 +114,7 @@ class TestCrudePartition:
     def test_cliques_fully_covered(self):
         g = CLIQUES6
         e = embedding_for(g, 6)
-        c = crude_partition(e, 6, 0.01, 0.01, derive_stream(3, "t3"))
+        c = crude_for(e, 6, 0.01, 0.01, derive_stream(3, "t3"))
         assert e.mu_of(c.sigma) >= (1.0 - 5.0 * c.effective.delta) * 6
 
 
@@ -106,8 +122,8 @@ class TestRefineAndDiscard:
     def test_threshold_semantics_reconstruct(self):
         g = CLIQUES6
         e = embedding_for(g, 6)
-        c = crude_partition(e, 6, 0.01, 0.01, derive_stream(5, "t5"))
-        pp = refine_and_discard(c, e, g, 6, c.effective.epsilon, c.effective.delta)
+        c = crude_for(e, 6, 0.01, 0.01, derive_stream(5, "t5"))
+        pp = refine_and_discard(c, e)
         by_round = {rec.index: rec for rec in c.rounds}
         eps = c.effective.epsilon
         for t in pp.tuples:
@@ -124,8 +140,8 @@ class TestRefineAndDiscard:
     def test_kept_tuples_satisfy_constraints(self):
         g = CLIQUES6
         e = embedding_for(g, 6)
-        c = crude_partition(e, 6, 0.01, 0.01, derive_stream(6, "t6"))
-        pp = refine_and_discard(c, e, g, 6, c.effective.epsilon, c.effective.delta)
+        c = crude_for(e, 6, 0.01, 0.01, derive_stream(6, "t6"))
+        pp = refine_and_discard(c, e)
         bound = pp.diagnostics["expansion_bound"]
         c_prime = pp.diagnostics["buffer_slack"]
         eps = c.effective.epsilon
@@ -149,8 +165,8 @@ class TestRefineAndDiscard:
     def test_cliques_keep_whole_parts(self):
         g = CLIQUES6
         e = embedding_for(g, 6)
-        c = crude_partition(e, 6, 0.01, 0.01, derive_stream(7, "t7"))
-        pp = refine_and_discard(c, e, g, 6, c.effective.epsilon, c.effective.delta)
+        c = crude_for(e, 6, 0.01, 0.01, derive_stream(7, "t7"))
+        pp = refine_and_discard(c, e)
         labels = clique_labels([34, 34, 33, 33, 33, 33])
         for t in pp.tuples:
             assert len(set(labels[t.p].tolist())) == 1
@@ -209,11 +225,10 @@ class TestPartialPartition:
         eff = resolve_step2(g.n, k_hat, eps_hat, delta_hat)
         failing, completing, tuples = [], {}, {}
         for restart in range(RESTARTS):
-            crude = crude_partition(e, k_hat, eps_hat, delta_hat,
-                                    derive_stream(16, "partition", restart), effective=eff)
+            crude = crude_partition(e, eff, derive_stream(16, "partition", restart))
             if crude.buffer_mass(g) > 16.0 * eff.epsilon * g.total_weight + 1e-12:
                 continue
-            pp = refine_and_discard(crude, e, g, k_hat, eff.epsilon, eff.delta)
+            pp = refine_and_discard(crude, e)
             tuples[restart] = pp.k_prime
             try:
                 done = complete_partition(pp, g, 4)

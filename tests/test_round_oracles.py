@@ -90,14 +90,13 @@ def test_block_rounds_match_per_draw_reference(case, block_values, monkeypatch):
         monkeypatch.setattr(separators, "BLOCK_VALUES", block_values)
     g, k, eps, delta = CASES[case]
     e = _embedding(g, k)
+    eff = resolve_step2(g.n, k, eps, delta)
     for seed in range(3):
-        got = crude_partition(e, k, eps, delta, derive_stream(seed, "oracle", k))
-        want = reference_crude_partition(e, k, eps, delta, derive_stream(seed, "oracle", k))
+        got = crude_partition(e, eff, derive_stream(seed, "oracle", k))
+        want = reference_crude_partition(e, eff, derive_stream(seed, "oracle", k))
         assert_same_crude(got, want)
-        eff = got.effective
-        draws = separators.measured_draws(e.psi, e.mu, eff.epsilon, eff.delta_sep, eff.radius,
-                                          derive_stream(seed, "oracle", k), eff.rounds,
-                                          params=eff.params)
+        draws = separators.measured_draws(e.psi, e.mu, eff.delta_sep, eff.params,
+                                          derive_stream(seed, "oracle", k), eff.rounds)
         assert_same_draws(list(draws), reached(want.draws))
 
 
@@ -105,7 +104,8 @@ def test_oracle_cases_include_rejections():
     rejects = 0
     for g, k, eps, delta in CASES.values():
         e = _embedding(g, k)
-        rejects += crude_partition(e, k, eps, delta, derive_stream(0, "oracle", k)).reject_count
+        eff = resolve_step2(g.n, k, eps, delta)
+        rejects += crude_partition(e, eff, derive_stream(0, "oracle", k)).reject_count
     assert rejects > 0
 
 
@@ -115,12 +115,12 @@ def test_oracle_cases_include_rejections():
 def test_local_refinement_matches_global_mask_reference(case):
     g, k, eps, delta = CASES[case]
     e = _embedding(g, k)
+    eff = resolve_step2(g.n, k, eps, delta)
     kept = 0
     for seed in range(4):
-        c = crude_partition(e, k, eps, delta, derive_stream(seed, "refine-oracle", k))
-        eff = c.effective
-        got = refine_and_discard(c, e, g, k, eff.epsilon, eff.delta)
-        want = reference_refine_and_discard(c, e, g, k, eff.epsilon, eff.delta)
+        c = crude_partition(e, eff, derive_stream(seed, "refine-oracle", k))
+        got = refine_and_discard(c, e)
+        want = reference_refine_and_discard(c, e)
         assert_same_partial(got, want)
         kept += got.k_prime
     assert kept > 0
@@ -137,13 +137,13 @@ REFINEMENT_KINDS = [
 
 
 def _synthetic_refinement(seed):
-    """A graph, an embedding stand-in and a hand-made crude partition.
+    """A hand-made crude partition and an embedding stand-in over a graph.
 
     Built so that every Step-3 filter fires: mu takes a few values (ties among
     a round's members, non-empty A''), weights and costs are small integers
     with some heavy vertices, so sums land exactly on limits of 1 w(P), and
     lambda_k sets a finite expansion bound near the rounds' cut ratios.
-    Returns (crude, embedding, graph, k, epsilon, delta).
+    Returns (crude, embedding).
     """
     rng = np.random.default_rng(seed)
     n, k, rounds = 40, 2, 4
@@ -162,21 +162,21 @@ def _synthetic_refinement(seed):
         rounds=tuple(records), sigma=np.flatnonzero((label % 2 == 0) & (label < 2 * rounds)),
         gamma=np.flatnonzero((label % 2 == 1) & (label < 2 * rounds)),
         r_p=np.flatnonzero(label == 2 * rounds), r_b=np.flatnonzero(label == 2 * rounds + 1),
-        effective=None, reject_count=0)
+        effective=SimpleNamespace(k=k, epsilon=eps, delta=delta), reject_count=0)
     target = float(rng.choice([0.5, 2.0, 5.0, 50.0]))      # the expansion bound
     lam = target * eps * delta / (partition.EXPANSION_SLACK * math.log(k))
-    e = SimpleNamespace(k_prime=k, mu=mu_of(rng, n),
+    e = SimpleNamespace(graph=g, k_prime=k, mu=mu_of(rng, n),
                         basis=SimpleNamespace(eigenvalues=np.array([0.0, lam])))
-    return crude, e, g, k, eps, delta
+    return crude, e
 
 
 def test_refinement_oracle_cases_fire_every_filter():
     tally = Counter()
     ties = 0
     for seed in range(48):
-        c, e, g, k, eps, delta = _synthetic_refinement(seed)
-        got = refine_and_discard(c, e, g, k, eps, delta)
-        assert_same_partial(got, reference_refine_and_discard(c, e, g, k, eps, delta, tally))
+        c, e = _synthetic_refinement(seed)
+        got = refine_and_discard(c, e)
+        assert_same_partial(got, reference_refine_and_discard(c, e, tally))
         for rec in c.rounds:
             members = np.union1d(rec.p_tilde, rec.b_tilde)
             ties += np.unique(e.mu[members]).size < members.size
@@ -196,12 +196,12 @@ def test_refinement_members_exactly_on_the_band_edges():
                     weights=[1.0, 24.0, 1.0, 1.0])
     rec = RoundRecord(index=0, p_tilde=np.array([0, 1]), b_tilde=np.array([3]))
     c = CrudePartition(rounds=(rec,), sigma=np.array([0, 1]), gamma=np.array([3]),
-                       r_p=np.array([2]), r_b=np.empty(0, np.int64), effective=None,
-                       reject_count=0)
-    e = SimpleNamespace(k_prime=2, mu=np.array([2.25, 1.0, 1.0, 1.5]),
+                       r_p=np.array([2]), r_b=np.empty(0, np.int64),
+                       effective=SimpleNamespace(k=2, epsilon=0.5, delta=0.5), reject_count=0)
+    e = SimpleNamespace(graph=g, k_prime=2, mu=np.array([2.25, 1.0, 1.0, 1.5]),
                         basis=SimpleNamespace(eigenvalues=np.array([0.0, 1.0])))
-    got = refine_and_discard(c, e, g, 2, 0.5, 0.5)
-    assert_same_partial(got, reference_refine_and_discard(c, e, g, 2, 0.5, 0.5))
+    got = refine_and_discard(c, e)
+    assert_same_partial(got, reference_refine_and_discard(c, e))
     (t,) = got.tuples
     assert (t.threshold, t.phi) == (2.25, 1.0)
     assert t.a_prime.tolist() == [1] and t.a_double.size == 0 and t.b.tolist() == [3]
@@ -212,10 +212,10 @@ def test_refinement_oracle_with_zero_epsilon():
     e = _embedding(g, 6)
     eff = resolve_step2(g.n, 6, 0.0, 0.01)
     assert eff.epsilon == 0.0 and eff.params.eps_prime == 0.0
-    c = crude_partition(e, 6, 0.0, 0.01, derive_stream(2, "eps0"))
-    assert_same_crude(c, reference_crude_partition(e, 6, 0.0, 0.01, derive_stream(2, "eps0")))
-    got = refine_and_discard(c, e, g, 6, 0.0, eff.delta)
-    assert_same_partial(got, reference_refine_and_discard(c, e, g, 6, 0.0, eff.delta))
+    c = crude_partition(e, eff, derive_stream(2, "eps0"))
+    assert_same_crude(c, reference_crude_partition(e, eff, derive_stream(2, "eps0")))
+    got = refine_and_discard(c, e)
+    assert_same_partial(got, reference_refine_and_discard(c, e))
     assert got.k_prime > 0
 
 
@@ -254,7 +254,7 @@ STEP3_CASES = {
 
 
 def _step3_case(name):
-    """(crude, embedding stand-in, graph, k, epsilon, delta) of STEP3_CASES[name]."""
+    """(crude, embedding stand-in) of STEP3_CASES[name]."""
     rng = np.random.default_rng(61)
     n, k, delta = 24, 2, 0.5
     eps = 0.0 if name == "eps-zero" else 0.1
@@ -274,24 +274,26 @@ def _step3_case(name):
     r_b = np.array([22, 23])
     r_p = np.setdiff1d(np.arange(n), np.concatenate([sigma, gamma, r_b]))
     crude = CrudePartition(rounds=records, sigma=sigma, gamma=gamma, r_p=r_p, r_b=r_b,
-                           effective=None, reject_count=0)
+                           effective=SimpleNamespace(k=k, epsilon=eps, delta=delta),
+                           reject_count=0)
     lam = 50.0 * 0.1 * delta / (partition.EXPANSION_SLACK * math.log(k))   # bound 50
-    e = SimpleNamespace(k_prime=k, mu=mu,
+    e = SimpleNamespace(graph=g, k_prime=k, mu=mu,
                         basis=SimpleNamespace(eigenvalues=np.array([0.0, lam])))
-    return crude, e, g, k, eps, delta
+    return crude, e
 
 
 @pytest.mark.parametrize("name", sorted(STEP3_CASES))
 def test_one_step3_sweep_matches_global_mask_reference(name):
-    c, e, g, k, eps, delta = _step3_case(name)
-    got = refine_and_discard(c, e, g, k, eps, delta)
-    assert_same_partial(got, reference_refine_and_discard(c, e, g, k, eps, delta))
+    c, e = _step3_case(name)
+    got = refine_and_discard(c, e)
+    assert_same_partial(got, reference_refine_and_discard(c, e))
     refinable = sum(rec.p_tilde.size > 0 for rec in c.rounds)
     assert got.diagnostics["survivors_step3"] + got.diagnostics["infeasible_rounds"] == refinable
     if refinable:
         assert got.k_prime > 0
     if name == "edges-across-rounds":
         (a, _), (b, _) = STEP3_CASES[name]
+        g = e.graph
         assert any(u in a and v in b for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()))
     if name == "single-member-round":
         assert got.tuples[0].p.tolist() == [3]
@@ -357,9 +359,9 @@ def test_draws_on_interval_boundaries_match_reference(where, block_values, monke
         t, eps_prime = value, 0.0
     p = separators.SeparatorParams(epsilon=0.1, m=3.0, r=0.5, t=t, alpha=0.1,
                                    eps_prime=eps_prime, calibrated=False)
-    delta, r = 2.0 / 3.0, 0.5
-    got = list(separators.measured_draws(vectors, measures, 0.1, delta, r,
-                                         ScriptedStream(gs), len(gs), params=p))
+    delta, r = 2.0 / 3.0, p.r
+    got = list(separators.measured_draws(vectors, measures, delta, p, ScriptedStream(gs),
+                                         len(gs)))
     stream = ScriptedStream(gs)
     want = [reference_draw(vectors, measures, delta * float(measures.sum()), r, p, stream)
             for _ in range(len(gs))]
@@ -390,9 +392,9 @@ def test_norm_prune_keeps_a_direction_at_the_floor(eps_prime, stretch):
     assert t - 2.0 * eps_prime == floor
     p = separators.SeparatorParams(epsilon=0.1, m=3.0, r=0.5, t=t, alpha=0.1,
                                    eps_prime=eps_prime, calibrated=False)
-    delta, r = 2.0 / 3.0, 0.5
-    got = separators.measured_draws(vectors, np.ones(40), 0.1, delta, r, ScriptedStream(gs),
-                                    len(gs), params=p)
+    delta, r = 2.0 / 3.0, p.r
+    got = separators.measured_draws(vectors, np.ones(40), delta, p, ScriptedStream(gs),
+                                    len(gs))
     stream = ScriptedStream(gs)
     want = [reference_draw(vectors, np.ones(40), delta * 40.0, r, p, stream)
             for _ in range(len(gs))]
@@ -418,9 +420,8 @@ def test_norm_prune_leaves_few_draws_for_the_blas_product(monkeypatch):
     monkeypatch.setattr(separators, "_aimed", spy)
     eff = resolve_step2(4000, 4, 0.001, 1.0 / 80.0)
     vectors = _unit_rows(np.random.default_rng(41), 4000, 4)
-    draws = separators.measured_draws(vectors, np.ones(4000), eff.epsilon, eff.delta_sep,
-                                      eff.radius, derive_stream(0, "norm-prune"), eff.rounds,
-                                      params=eff.params)
+    draws = separators.measured_draws(vectors, np.ones(4000), eff.delta_sep, eff.params,
+                                      derive_stream(0, "norm-prune"), eff.rounds)
     assert sum(drawn) == eff.rounds == 19880
     assert len(draws) <= sum(aimed) < eff.rounds / 10
 
@@ -608,7 +609,7 @@ def test_crude_partition_normals_calls(monkeypatch):
     for block_values in (separators.BLOCK_VALUES, 50 * g.n):
         monkeypatch.setattr(separators, "BLOCK_VALUES", block_values)
         calls.clear()
-        c = crude_partition(e, k, eps, delta, derive_stream(0, "count"))
+        c = crude_partition(e, resolve_step2(g.n, k, eps, delta), derive_stream(0, "count"))
         block = max(1, block_values // g.n)
         assert len(calls) == math.ceil(c.effective.rounds / block)
         assert sum(calls) == k * c.effective.rounds
