@@ -21,7 +21,7 @@ from .certify import (brute_force_h_k_eps, certify_run,
 from .graph import (BufferedPartition, Graph, GraphError, PartitionError, _cut_report,
                     _read_text, load_graph, partition_cost, validate_partition)
 from .partition import RESTARTS, buffered_k_partition, lifted_k
-from .reports import write_report
+from .reports import Verbatim, json_string, write_report
 from .spectral import (EmbeddingError, SolverError, eigenbasis,
                        normalized_laplacian)
 
@@ -110,20 +110,23 @@ def _load(args) -> Graph:
     return load_graph(args.graph, args.weights)
 
 
-def _assignment_dict(g: Graph, parts, buffers) -> dict:
-    names = g.labels
-    out = {}
-    roles = {}
+def _assignment_json(g: Graph, parts, buffers) -> Verbatim:
+    """The object {name: {"part_id": i, "role": "core"|"buffer"}} as JSON text,
+    in (len(name), name) order.  A vertex listed twice takes its last part, and
+    a buffer over a core."""
+    part = np.full(g.n, -1, dtype=np.int64)
+    buffered = np.zeros(g.n, dtype=bool)
     for i, p in enumerate(parts):
-        for v in np.asarray(p).tolist():
-            out[names[v]] = i
-            roles[names[v]] = "core"
+        part[np.asarray(p, dtype=np.int64)] = i
     for i, b in enumerate(buffers):
-        for v in np.asarray(b).tolist():
-            out[names[v]] = i
-            roles[names[v]] = "buffer"
-    return {name: {"part_id": out[name], "role": roles[name]}
-            for name in sorted(out, key=lambda s: (len(s), s))}
+        b = np.asarray(b, dtype=np.int64)
+        part[b] = i
+        buffered[b] = True
+    names = g.labels
+    placed = sorted(np.flatnonzero(part >= 0).tolist(), key=lambda v: (len(names[v]), names[v]))
+    part_ids, flags, roles = part.tolist(), buffered.tolist(), ("core", "buffer")
+    return Verbatim("{" + ",".join(f'{json_string(names[v])}:{{"part_id":{part_ids[v]},'
+                                   f'"role":"{roles[flags[v]]}"}}' for v in placed) + "}")
 
 
 def _read_partition_file(path, g: Graph, epsilon: float) -> BufferedPartition:
@@ -174,7 +177,7 @@ def _cmd_partition(args) -> tuple[dict, int]:
         "params": {"k": args.k, "eps": args.eps, "delta": args.delta,
                    "seed": args.seed, "restarts": args.restarts},
         "epsilon_realized": bp.epsilon,
-        "assignment": _assignment_dict(g, bp.parts, bp.buffers),
+        "assignment": _assignment_json(g, bp.parts, bp.buffers),
         "cut_report": report.to_dict(),
         "certificate": info["certificate"],
         "diagnostics": {k: v for k, v in info.items() if k != "certificate"},
@@ -190,7 +193,7 @@ def _cmd_cheeger2(args) -> tuple[dict, int]:
     doc = {
         "command": "cheeger2",
         "params": {"eps": args.eps},
-        "assignment": _assignment_dict(g, [cut.s, cut.t], [cut.b, []]),
+        "assignment": _assignment_json(g, [cut.s, cut.t], [cut.b, []]),
         "phi": cut.phi,
         "cut_value": cut.cut_value,
         "buffer_ratio": cut.buffer_ratio,
@@ -209,7 +212,7 @@ def _cmd_balanced_cut(args) -> tuple[dict, int]:
     doc = {
         "command": "balanced-cut",
         "params": {"eps": args.eps},
-        "assignment": _assignment_dict(g, [res.left, res.right], [res.buffer, []]),
+        "assignment": _assignment_json(g, [res.left, res.right], [res.buffer, []]),
         "cut_value": res.cut_value,
         "balance": {"left": g.weight_of(res.left), "right": g.weight_of(res.right),
                     "total": g.total_weight},
@@ -233,7 +236,7 @@ def _cmd_kbalanced(args) -> tuple[dict, int]:
     doc = {
         "command": "kbalanced",
         "params": {"k": args.k, "eps": args.eps},
-        "assignment": _assignment_dict(g, res.parts, [res.buffer] + [[]] * (len(res.parts) - 1)
+        "assignment": _assignment_json(g, res.parts, [res.buffer] + [[]] * (len(res.parts) - 1)
                                        if len(res.parts) else [res.buffer]),
         "part_weights": [g.weight_of(p) for p in res.parts],
         "max_part_weight": res.max_part_weight,
@@ -316,7 +319,7 @@ def _cmd_brute(args) -> tuple[dict, int]:
         "command": "brute",
         "params": {"k": args.k, "eps": args.eps},
         "optimum": optimum,
-        "witness": _assignment_dict(g, witness.parts, witness.buffers),
+        "witness": _assignment_json(g, witness.parts, witness.buffers),
     }
     return doc, EXIT_OK
 

@@ -9,8 +9,11 @@ checked with exact <= (an input contract, not a numerical estimate).
 
 A graph is its edge arrays: every edge is stored once as (u < v, cost), sorted
 by (u, v), and the Laplacian, cuts and expansions are all computed from them.
-Graph.build validates and sorts edges with array operations; subgraph() goes
-through it, so every graph passes the same checks.
+Graph.build validates and sorts edges with array operations.  subgraph() does
+not need to: it renumbers the kept vertices in increasing order, so the
+parent's edges between them keep u < v and their (u, v) order, and a subset
+of valid, distinct, loop-free edges with positive costs is still one.  It
+only re-applies the scale rule, which depends on n and the incident costs.
 
 The threshold searches of cheeger2 and Step 3 share interval_sums(), which
 scores every candidate threshold at once under one stated float error bound,
@@ -55,8 +58,15 @@ _HUGE = np.finfo(np.float64).max
 _TOTAL_LIMIT = _HUGE / 1024.0
 
 
+def _vertex_set(vertices: Iterable[int]) -> np.ndarray:
+    """Sorted distinct int64 ids; only a non-array iterable is listed first."""
+    if not isinstance(vertices, np.ndarray):
+        vertices = list(vertices)
+    return np.unique(np.asarray(vertices, dtype=np.int64))
+
+
 def _as_vertex_array(vertices: Iterable[int], n: int) -> np.ndarray:
-    arr = np.unique(np.asarray(list(vertices), dtype=np.int64))
+    arr = _vertex_set(vertices)
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
         raise GraphError(f"vertex id out of range [0, {n}): {arr[arr < 0] if arr[0] < 0 else arr[-1]}")
     return arr
@@ -163,16 +173,22 @@ class Graph:
         return m
 
     def subgraph(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
-        """Induced subgraph with original weights/costs; returns (graph, old ids)."""
+        """Induced subgraph with original weights/costs; returns (graph, old ids).
+
+        Its edges are the parent's, renumbered in order (valid and sorted, as
+        the module docstring says); only the scale rule is checked again.
+        The subgraph has no labels.
+        """
         keep = _as_vertex_array(vertices, self.n)
+        if not keep.size:
+            raise GraphError("graph needs at least one vertex")
         remap = -np.ones(self.n, dtype=np.int64)
         remap[keep] = np.arange(keep.size)
-        inside = remap[self.edge_u] >= 0
-        inside &= remap[self.edge_v] >= 0
-        edges = np.column_stack((remap[self.edge_u[inside]], remap[self.edge_v[inside]],
-                                 self.edge_cost[inside]))
-        sub = Graph.build(keep.size, edges, weights=self.weights[keep])
-        return sub, keep
+        ru, rv = remap[self.edge_u], remap[self.edge_v]
+        inside = (ru >= 0) & (rv >= 0)
+        eu, ev, ec, w = ru[inside], rv[inside], self.edge_cost[inside], self.weights[keep]
+        _check_scale(keep.size, ec, w, _incident_cost(keep.size, eu, ev, ec))
+        return Graph(n=int(keep.size), weights=w, edge_u=eu, edge_v=ev, edge_cost=ec), keep
 
 
 def _check_scale(n: int, cost: np.ndarray, w: np.ndarray, incident: np.ndarray) -> None:
@@ -290,8 +306,8 @@ class BufferedPartition:
     @staticmethod
     def from_sets(parts: Sequence[Iterable[int]], buffers: Sequence[Iterable[int]],
                   epsilon: float) -> "BufferedPartition":
-        ps = tuple(np.unique(np.asarray(list(p), dtype=np.int64)) for p in parts)
-        bs = tuple(np.unique(np.asarray(list(b), dtype=np.int64)) for b in buffers)
+        ps = tuple(_vertex_set(p) for p in parts)
+        bs = tuple(_vertex_set(b) for b in buffers)
         if len(ps) != len(bs):
             raise PartitionError("need one buffer per part (may be empty)")
         return BufferedPartition(parts=ps, buffers=bs, epsilon=float(epsilon))

@@ -6,24 +6,41 @@ not be valid JSON and are emitted as null.  Numpy scalars and arrays are
 rendered as the Python values they hold.  Strings escape the quote, the
 backslash and every control character U+0000-U+001F (RFC 8259 section 7):
 newline, carriage return and tab by their short forms, the others as \\u00XX.
+A Verbatim value is JSON text rendered elsewhere (the CLI's n-entry
+assignment object, joined in one pass) and is emitted unchanged.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["render_json", "write_report"]
+__all__ = ["Verbatim", "json_string", "render_json", "write_report"]
 
 _ESCAPES = {code: "\\u%04x" % code for code in range(0x20)}
 _ESCAPES.update({ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t",
                  ord('"'): '\\"', ord("\\"): "\\\\"})
 
 
+@dataclass(frozen=True)
+class Verbatim:
+    """A JSON value already rendered as text; render_json copies it as is."""
+
+    text: str
+
+
+def json_string(s: str) -> str:
+    """s as a JSON string literal, quotes included."""
+    return '"' + s.translate(_ESCAPES) + '"'
+
+
 def _render(obj, out: list) -> None:
     if isinstance(obj, str):
-        out.append('"' + obj.translate(_ESCAPES) + '"')
+        out.append(json_string(obj))
+    elif isinstance(obj, Verbatim):
+        out.append(obj.text)
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):

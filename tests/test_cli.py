@@ -9,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from bufpart.cli import run
-from bufpart.graph import load_graph
+from bufpart.cli import _assignment_json, _read_partition_file, run
+from bufpart.graph import Graph, load_graph
+from bufpart.reports import render_json
 from conftest import four_component_union, lapack_spectrum
 
 
@@ -228,6 +231,81 @@ class TestVerifyCertifyBrute:
         assert code == 0
         assert doc["optimum"] >= 0.0
         assert len(doc["witness"]) == 4
+
+
+def _assignment_dict(g, parts, buffers) -> dict:
+    """Oracle: the assignment as the per-vertex dict that render_json walks."""
+    names = g.labels
+    out = {}
+    roles = {}
+    for i, p in enumerate(parts):
+        for v in np.asarray(p).tolist():
+            out[names[v]] = i
+            roles[names[v]] = "core"
+    for i, b in enumerate(buffers):
+        for v in np.asarray(b).tolist():
+            out[names[v]] = i
+            roles[names[v]] = "buffer"
+    return {name: {"part_id": out[name], "role": roles[name]}
+            for name in sorted(out, key=lambda s: (len(s), s))}
+
+
+_NASTY = ['"', "\\", "\u2028", "\u00e9", "\u96ea", "\U0001f600", "a", "Z", "~"] + \
+    [chr(c) for c in range(0x20)]
+_LABEL = st.one_of(st.text(st.sampled_from(_NASTY), min_size=1, max_size=5),
+                   st.integers(0, 10 ** 7).map(str),
+                   st.text(min_size=1, max_size=4))
+
+
+@st.composite
+def _assignments(draw):
+    labels = draw(st.lists(_LABEL, min_size=1, max_size=14, unique=True))
+    n = len(labels)
+    vertex_lists = st.lists(st.lists(st.integers(0, n - 1), max_size=n), max_size=4)
+    as_arrays = draw(st.booleans())
+    parts, buffers = draw(vertex_lists), draw(vertex_lists)
+    if as_arrays:
+        parts = [np.array(p, dtype=np.int64) for p in parts]
+    return Graph.build(n, [], weights=np.ones(n), labels=labels), parts, buffers
+
+
+class TestAssignmentText:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(case=_assignments())
+    def test_joined_text_equals_rendered_dict(self, case):
+        g, parts, buffers = case
+        got = render_json({"assignment": _assignment_json(g, parts, buffers)})
+        assert got == render_json({"assignment": _assignment_dict(g, parts, buffers)})
+        assert json.loads(got)["assignment"] == _assignment_dict(g, parts, buffers)
+
+    def test_overlapping_sets_keep_the_last_part_and_buffers_over_cores(self):
+        g = Graph.build(4, [], weights=np.ones(4), labels=("b", "a", "10", "9"))
+        parts, buffers = [[0, 1], [1, 2]], [[2, 3], [3]]
+        text = render_json(_assignment_json(g, parts, buffers))
+        assert text == render_json(_assignment_dict(g, parts, buffers))
+        assert json.loads(text) == {"9": {"part_id": 1, "role": "buffer"},
+                                    "a": {"part_id": 1, "role": "core"},
+                                    "b": {"part_id": 0, "role": "core"},
+                                    "10": {"part_id": 0, "role": "buffer"}}
+
+    @pytest.mark.parametrize("command", [["cheeger2"], ["balanced-cut"],
+                                         ["kbalanced", "--k", "3"],
+                                         ["partition", "--k", "2", "--delta", "0.5"]])
+    def test_report_with_escaped_labels_loads_back(self, command, tmp_path):
+        names = ['q"1', "b\\s", "c\x01", "\u00e9t\u00e9", "\x1b", "7", "42", "\x00z"]
+        lines = [f"{names[i]} {names[j]} {1.0 if (i < 4) == (j < 4) else 0.1}"
+                 for i in range(8) for j in range(i + 1, 8)]
+        graph = tmp_path / "g.edges"
+        graph.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, doc = run_json([command[0], "--graph", str(graph), *command[1:],
+                              "--eps", "0.1"], tmp_path, "report.json")
+        assert code == 0 and sorted(doc["assignment"]) == sorted(names)
+        g = load_graph(str(graph))
+        bp = _read_partition_file(tmp_path / "report.json", g, 0.1)
+        for i, (p, b) in enumerate(zip(bp.parts, bp.buffers)):
+            for v, role in [(v, "core") for v in p.tolist()] + [(v, "buffer") for v in b.tolist()]:
+                assert doc["assignment"][g.labels[v]] == {"part_id": i, "role": role}
+        assert sum(p.size + b.size for p, b in zip(bp.parts, bp.buffers)) == len(names)
 
 
 class TestMalformedPartitionFile:

@@ -16,6 +16,22 @@ from conftest import (disjoint_cliques, k4, path, planted, tiny_connected, trian
 from ingest_oracle import reference_load_graph
 
 
+def _induced_by_build(g, keep):
+    """Graph.build of the edges of g between the vertices keep, renumbered."""
+    new_id = {int(old): i for i, old in enumerate(keep)}
+    triples = [(new_id[u], new_id[v], c)
+               for u, v, c in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_cost.tolist())
+               if u in new_id and v in new_id]
+    return Graph.build(len(keep), triples, weights=g.weights[np.asarray(keep)])
+
+
+def _assert_same_graph(got, want):
+    assert got.n == want.n
+    for name in ("weights", "edge_u", "edge_v", "edge_cost"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestGraphBuild:
     def test_default_weights_are_incident_cost(self):
         g = triangle()
@@ -86,17 +102,56 @@ class TestGraphBuild:
             keep = np.flatnonzero(rng.random(g.n) < rng.uniform(0.2, 0.9))
             if keep.size == 0:
                 continue
-            new_id = {int(old): i for i, old in enumerate(keep)}
-            triples = [(new_id[u], new_id[v], c)
-                       for u, v, c in zip(g.edge_u.tolist(), g.edge_v.tolist(),
-                                          g.edge_cost.tolist())
-                       if u in new_id and v in new_id]
-            want = Graph.build(keep.size, triples, weights=g.weights[keep])
             sub, ids = g.subgraph(keep)
             assert np.array_equal(ids, keep)
-            for name in ("weights", "edge_u", "edge_v", "edge_cost"):
-                a, b = getattr(sub, name), getattr(want, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            _assert_same_graph(sub, _induced_by_build(g, keep))
+
+    @pytest.mark.parametrize("keep", [
+        range(60),                          # every vertex, as a range
+        [41, 3, 17, 3, 59, 0],              # unsorted with a repeat, as a list
+        {5, 6, 7, 30, 31},
+        np.array([58, 2, 9, 44], dtype=np.int32),
+    ])
+    def test_weighted_subgraph_is_bit_equal_to_build(self, keep):
+        g = weighted_er(60, 0.15, 31)
+        sub, ids = g.subgraph(keep)
+        want_ids = np.unique(np.fromiter(keep, dtype=np.int64))
+        assert ids.dtype == np.int64 and np.array_equal(ids, want_ids)
+        _assert_same_graph(sub, _induced_by_build(g, want_ids))
+
+    def test_whole_vertex_set_gives_the_parent_graph(self):
+        g = weighted_er(40, 0.2, 5)
+        sub, ids = g.subgraph(np.arange(g.n))
+        assert np.array_equal(ids, np.arange(g.n))
+        _assert_same_graph(sub, g)
+
+    def test_set_without_inner_edges(self):
+        g = path([0.5, 2.0, 1.0, 4.0])
+        sub, ids = g.subgraph([0, 2, 4])
+        assert ids.tolist() == [0, 2, 4]
+        assert sub.n == 3 and sub.edge_count == 0
+        assert sub.weights.tolist() == g.weights[[0, 2, 4]].tolist()
+        _assert_same_graph(sub, Graph.build(3, [], weights=g.weights[[0, 2, 4]]))
+
+    def test_single_vertex(self):
+        g = triangle()
+        sub, ids = g.subgraph([2])
+        assert ids.tolist() == [2] and sub.n == 1 and sub.edge_count == 0
+        _assert_same_graph(sub, Graph.build(1, [], weights=[2.0]))
+
+    @pytest.mark.parametrize("empty", [[], np.array([], dtype=np.int64), set()])
+    def test_empty_set_is_rejected(self, empty):
+        with pytest.raises(GraphError) as info:
+            triangle().subgraph(empty)
+        assert str(info.value) == "graph needs at least one vertex"
+
+    def test_labelled_parent_gives_unlabelled_subgraph(self):
+        g = load_graph(["x y 1", "y z 2", "z w 3", "w x 4"])
+        assert g.labels == ("x", "y", "z", "w")
+        sub, ids = g.subgraph([1, 2, 3])
+        assert sub.labels == ()
+        assert ids.tolist() == [1, 2, 3]
+        _assert_same_graph(sub, _induced_by_build(g, ids))
 
     def test_subgraph_keeps_weights_and_costs(self):
         g = path([0.5, 2.0, 1.0])
