@@ -100,6 +100,21 @@ def _weighted_median_shift(v: np.ndarray, w: np.ndarray) -> float:
     return float(vals[int(np.argmax(above <= half + 1e-12 * half))])
 
 
+def _break_points(g: Graph, usq: np.ndarray, thresholds: np.ndarray, tq: np.ndarray) -> tuple:
+    """(s_end, t_start, lo, hi): vertex i is in S at the thresholds j < s_end[i],
+    in T at j >= t_start[i] and in B between; edge e crosses S-T at j in [lo[e], hi[e]).
+
+    Edge (x, y) = (min, max) of its endpoints' usq crosses exactly when
+    x <= tq[j] and y > thresholds[j].  Both searches are monotone in the
+    value, so its break points are gathered from its endpoints' own.
+    """
+    s_end = np.searchsorted(thresholds, usq, "left")
+    t_start = np.searchsorted(tq, usq, "left")
+    lo = np.minimum(t_start[g.edge_u], t_start[g.edge_v])
+    hi = np.maximum(s_end[g.edge_u], s_end[g.edge_v])
+    return s_end, t_start, lo, hi
+
+
 def _two_threshold_cut(g: Graph, usq: np.ndarray, epsilon: float) -> tuple:
     """The feasible break point t of least (delta(S,T)/w(S), t), with its sets and sums.
 
@@ -110,14 +125,7 @@ def _two_threshold_cut(g: Graph, usq: np.ndarray, epsilon: float) -> tuple:
     thresholds = np.unique(np.concatenate([usq, (1.0 + epsilon) * usq]))
     tq = thresholds / (1.0 + epsilon)      # the T limit, same expression as the masks
     count = thresholds.size
-    # Vertex i is in S at the thresholds j < s_end[i], in T at j >= t_start[i]
-    # and in B between.  Edge (x, y) = (min, max) of its endpoints' usq crosses
-    # S-T exactly when x <= tq[j] and y > thresholds[j], i.e. for j in [lo, hi).
-    s_end = np.searchsorted(thresholds, usq, "left")
-    t_start = np.searchsorted(tq, usq, "left")
-    ux, uy = usq[g.edge_u], usq[g.edge_v]
-    lo = np.searchsorted(tq, np.minimum(ux, uy), "left")
-    hi = np.searchsorted(thresholds, np.maximum(ux, uy), "left")
+    s_end, t_start, lo, hi = _break_points(g, usq, thresholds, tq)
     ws_a, tol_s = interval_sums(np.zeros_like(s_end), s_end, w, count)
     wb_a, tol_b = interval_sums(s_end, t_start, w, count)
     cut_a, tol_c = interval_sums(lo, hi, g.edge_cost, count)

@@ -1,19 +1,23 @@
 """Weighted graph model, buffered partitions, and cut arithmetic.
 
-Vertices are dense 0-based integers.  load_graph reads each edge line once:
-it numbers the external ids in order of first appearance as it parses, keeps
-them as the graph's labels (which name vertices in error messages), and hands
-the numbered edges to Graph.build as one (m, 3) array.  Vertex weights and
-edge costs are float64 and must be strictly positive.  Buffer budgets are
-checked with exact <= (an input contract, not a numerical estimate).
+Vertices are dense 0-based integers.  load_graph tokenizes the edge and
+weight sources with one reader, _records: array passes over each piece of
+the text find the comments, the field starts and each line's field count,
+and one str.split() per piece gives the fields.  It numbers the external ids
+in order of first appearance, keeps them as the graph's labels (which name
+vertices in error messages), and hands the numbered edges to Graph.build as
+one (m, 3) array.  Vertex weights and edge costs are float64 and must be
+strictly positive.  Buffer budgets are checked with exact <= (an input
+contract, not a numerical estimate).
 
 A graph is its edge arrays: every edge is stored once as (u < v, cost), sorted
 by (u, v), and the Laplacian, cuts and expansions are all computed from them.
-Graph.build validates and sorts edges with array operations.  subgraph() does
-not need to: it renumbers the kept vertices in increasing order, so the
-parent's edges between them keep u < v and their (u, v) order, and a subset
-of valid, distinct, loop-free edges with positive costs is still one.  It
-only re-applies the scale rule, which depends on n and the incident costs.
+Graph.build validates edges with array operations and sorts them by a stable
+radix sort of 16-bit digits, in np.lexsort's order.  subgraph() does not need
+to: it renumbers the kept vertices in increasing order, so the parent's edges
+between them keep u < v and their (u, v) order, and a subset of valid,
+distinct, loop-free edges with positive costs is still one.  It only
+re-applies the scale rule, which depends on n and the incident costs.
 
 The threshold searches of cheeger2 and Step 3 share interval_sums(), which
 scores every candidate threshold at once under one stated float error bound,
@@ -23,6 +27,7 @@ and least_exact(), which lets only the exact masked sums pick the winner.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -111,7 +116,7 @@ class Graph:
         v = rows[:, 1].astype(np.int64)
         cost = rows[:, 2]
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        order = np.lexsort((hi, lo))            # stable: repeats keep input order
+        order = _radix_order(hi, lo)            # stable: repeats keep input order
         eu, ev, ec = lo[order], hi[order], cost[order]
 
         loop = u == v
@@ -189,6 +194,24 @@ class Graph:
         eu, ev, ec, w = ru[inside], rv[inside], self.edge_cost[inside], self.weights[keep]
         _check_scale(keep.size, ec, w, _incident_cost(keep.size, eu, ev, ec))
         return Graph(n=int(keep.size), weights=w, edge_u=eu, edge_v=ev, edge_cost=ec), keep
+
+
+def _radix_order(*keys: np.ndarray) -> np.ndarray:
+    """The permutation np.lexsort(keys) gives (the last key primary), for int64 keys.
+
+    LSD radix sort: one stable argsort of uint16 digits per 16 bits of each
+    key, least significant key and digit first.  Flipping the sign bit and
+    subtracting the least key maps int64 to uint64 in order, so negative and
+    large keys sort exactly and small ones need few digits.
+    """
+    order = np.arange(keys[0].size)
+    for key in keys:
+        k = key.view(np.uint64) ^ np.uint64(1 << 63)
+        k -= k.min(initial=np.iinfo(np.uint64).max)
+        for shift in range(0, int(k.max(initial=0)).bit_length(), 16):
+            digit = (k[order] >> np.uint64(shift)).astype(np.uint16)
+            order = order[np.argsort(digit, kind="stable")]
+    return order
 
 
 def _check_scale(n: int, cost: np.ndarray, w: np.ndarray, incident: np.ndarray) -> None:
@@ -408,31 +431,98 @@ def _cut_report(g: Graph, part: BufferedPartition) -> CutReport:
                      buffer_ratios=tuple(ratios), violations=())
 
 
-def _fields(source, kind: str, form: str, arities: tuple, number: str):
-    """(line number, fields, number) per line with fields ('#' starts a comment); the
-    number is the last field of a line of arities[-1] fields, else 1.0.
+# The code points str.isspace() accepts, which are those str.split() splits at.
+_WHITESPACE = (*range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680,
+               *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
+_SPACE = np.zeros(0x3002, dtype=bool)   # by code point; the last entry stands for all above
+_SPACE[list(_WHITESPACE)] = True
+_PIECE = 1 << 14    # characters tokenized at a time; bounds the fields held as str
 
-    source is a list of lines or a file path.  A file's lines end at newlines
-    only, so the line numbers are the file's own; the other Unicode line
-    breaks (U+2028 and the like) are whitespace between fields.
+
+def _records(source, kind: str, form: str, arities: tuple, number: str):
+    """(ids, numbers, line numbers) of the records of a line source, per piece.
+
+    A record is a line with fields ('#' starts a comment).  Its ids are its
+    first arities[-1] - 1 fields; its number is the last field of a line of
+    arities[-1] fields, else 1.0.  source is a list of lines or a file path.
+    A file's lines end at newlines only, so the line numbers are the file's
+    own; the other Unicode line breaks (U+2028 and the like) are whitespace
+    between fields, and so is a newline inside a listed line.
+
+    The text goes in pieces of about _PIECE characters that end at line ends.
+    Array passes over a piece's code points find where its fields start and
+    each line's field count, and one str.split() gives the fields.  At the
+    first line with a wrong field count or a bad number, the records before
+    it are yielded and the next step raises its GraphError, so a consumer's
+    checks of earlier lines come first.
     """
-    lines = source if isinstance(source, (list, tuple)) else _read_text(source, kind).split("\n")
-    most = arities[-1]
-    for ln_no, raw in enumerate(lines, start=1):
-        fields = (raw[:raw.index("#")] if "#" in raw else raw).split()
-        count = len(fields)
-        if count == most:
-            try:
-                value = float(fields[-1])
-            except ValueError as exc:
-                raise GraphError(f"{kind} line {ln_no}: bad {number} {fields[-1]!r}") from exc
-        elif count in arities:
-            value = 1.0
-        elif not count:
-            continue
-        else:
-            raise GraphError(f"{kind} line {ln_no}: expected {form!r}, got {raw!r}")
-        yield ln_no, fields, value
+    listed = isinstance(source, (list, tuple))
+    if listed:
+        text = "\n".join(source)
+        if text.count("\n") >= len(source):       # a listed line holds a newline
+            text = "\n".join(line.replace("\n", " ") for line in source)
+    else:
+        text = _read_text(source, kind)
+    most, line0, start = arities[-1], 1, 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE) + 1 or len(text)
+        piece, start = text[start:end], end
+        encoding, width = ("ascii", np.uint8) if piece.isascii() else ("utf-32-le", np.uint32)
+        codes = np.frombuffer(piece.encode(encoding, "surrogatepass"), width)
+        space = _SPACE.take(np.minimum(codes, _SPACE.size - 1) if width is np.uint32 else codes)
+        newline = np.flatnonzero(codes == 10)
+        hashes = np.flatnonzero(codes == 35)
+        if hashes.size:        # blank each line from its first '#' to its end
+            line = np.searchsorted(newline, hashes)
+            first = np.flatnonzero(np.diff(line, prepend=-1))
+            mark = np.zeros(codes.size + 1, dtype=np.int8)
+            mark[hashes[first]] = 1
+            mark[np.append(newline, codes.size)[line[first]]] = -1
+            comment = np.cumsum(mark[:-1], dtype=np.int8).astype(bool)
+            space |= comment
+            codes = codes.copy()
+            codes[comment] = 32
+            piece = codes.tobytes().decode(encoding, "surrogatepass")
+        starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
+        count = np.diff(np.searchsorted(starts, newline), prepend=0, append=starts.size)  # per line
+        fields = piece.split()
+
+        lines = np.flatnonzero(count)
+        sizes = count[lines]
+        bad = np.flatnonzero((sizes != arities[0]) & (sizes != most))
+        stop = int(bad[0]) if bad.size else lines.size     # records before a bad line
+        numbered = np.flatnonzero(sizes[:stop] == most)
+        last = (np.cumsum(sizes) - 1)[numbered]       # where in fields each number is
+        numbers = [fields[i] for i in last.tolist()]
+        values = np.ones(stop)
+        error = None
+        try:
+            values[numbered] = np.fromiter(map(float, numbers), np.float64, len(numbers))
+        except ValueError:
+            j = next(j for j, field in enumerate(numbers) if not _is_float(field))
+            stop = int(numbered[j])
+            error = GraphError(f"{kind} line {line0 + lines[stop]}: bad {number} {numbers[j]!r}")
+        if error is None and stop < lines.size:
+            ln_no = int(line0 + lines[stop])
+            raw = (source if listed else text.split("\n"))[ln_no - 1]
+            error = GraphError(f"{kind} line {ln_no}: expected {form!r}, got {raw!r}")
+        ids = fields[:int(sizes[:stop].sum())]
+        if numbered.size:       # the fields but the numbers
+            is_id = np.ones(len(fields), dtype=bool)
+            is_id[last] = False
+            ids = list(compress(ids, is_id.tolist()))
+        yield ids, values[:stop], line0 + lines[:stop]
+        if error is not None:
+            raise error
+        line0 += newline.size
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _read_text(path, kind: str) -> str:
@@ -447,6 +537,14 @@ def _read_text(path, kind: str) -> str:
                          f"({exc.reason})") from exc
 
 
+class _Numbering(dict):
+    """Ids numbered 0, 1, ... in order of first lookup."""
+
+    def __missing__(self, ident: str) -> int:
+        self[ident] = number = len(self)
+        return number
+
+
 def load_graph(edge_source, weight_source=None) -> Graph:
     """Build a Graph from an edge-list text source and optional weight source.
 
@@ -454,12 +552,10 @@ def load_graph(edge_source, weight_source=None) -> Graph:
     order their ids first appear in the edge lines.  Without a weight source
     every w_u defaults to the total cost of edges incident on u.
     """
-    index: dict[str, int] = {}
-    intern = index.setdefault
-    us, vs, costs = [], [], []
-    for _, fields, cost in _fields(edge_source, "edge", "u v [cost]", (2, 3), "cost"):
-        us.append(intern(fields[0], len(index)))
-        vs.append(intern(fields[1], len(index)))
+    index = _Numbering()
+    ends, costs = [], []
+    for ids, cost, _ in _records(edge_source, "edge", "u v [cost]", (2, 3), "cost"):
+        ends.append(np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)))
         costs.append(cost)
     if not index:
         raise GraphError("edge source contains no edges")
@@ -467,11 +563,15 @@ def load_graph(edge_source, weight_source=None) -> Graph:
     weights = None
     if weight_source is not None:
         table: dict[str, float] = {}
-        for ln_no, (ident, _), value in _fields(weight_source, "weight", "u weight",
-                                                (2,), "weight"):
-            if ident in table:
-                raise GraphError(f"weight line {ln_no}: duplicate vertex {ident!r}")
-            table[ident] = value
+        for ids, values, lines in _records(weight_source, "weight", "u weight", (2,), "weight"):
+            named = dict(zip(ids, values.tolist()))
+            if len(named) < len(ids) or not table.keys().isdisjoint(named):
+                seen = set(table)
+                for ident, ln_no in zip(ids, lines.tolist()):
+                    if ident in seen:
+                        raise GraphError(f"weight line {ln_no}: duplicate vertex {ident!r}")
+                    seen.add(ident)
+            table.update(named)
         unknown = sorted(set(table) - set(index))
         if unknown:
             raise GraphError(f"weight file names unknown vertices: {unknown[:5]}")
@@ -480,5 +580,6 @@ def load_graph(edge_source, weight_source=None) -> Graph:
             raise GraphError(f"weight file is missing vertices: {missing[:5]}")
         weights = [table[ident] for ident in index]
 
-    return Graph.build(len(index), np.column_stack((us, vs, costs)), weights=weights,
-                       labels=tuple(index))
+    uv = np.concatenate(ends).reshape(-1, 2)
+    return Graph.build(len(index), np.column_stack((uv, np.concatenate(costs))),
+                       weights=weights, labels=tuple(index))

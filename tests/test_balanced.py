@@ -7,6 +7,7 @@ import pytest
 
 from bufpart import (Graph, buffered_balanced_cut, cheeger2_buffered, cut_cost,
                      kway_balanced)
+from bufpart.balanced import _break_points
 from conftest import clique, disjoint_cliques, planted, tiny_connected, weighted_er
 
 
@@ -106,6 +107,24 @@ def test_threshold_gap_inequality_fuzz():
     lhs = a * a - (1.0 + eps) * b * b
     rhs = (1.0 + 1.0 / eps) * (a - b) ** 2
     assert np.all(lhs <= rhs + 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_edge_break_points_equal_the_searches_of_their_endpoints(seed):
+    # usq values repeat, and with eps = 1 a value doubled is often another
+    # value, so break points of T and S coincide.
+    rng = np.random.default_rng(seed)
+    g = weighted_er(40, 0.2, seed)
+    eps = 1.0 if seed % 2 else 0.1
+    usq = rng.choice([0.0, 0.25, 0.5, 1.0, 1.1, 2.0, 4.0], g.n)
+    thresholds = np.unique(np.concatenate([usq, (1.0 + eps) * usq]))
+    tq = thresholds / (1.0 + eps)
+    s_end, t_start, lo, hi = _break_points(g, usq, thresholds, tq)
+    ux, uy = usq[g.edge_u], usq[g.edge_v]
+    assert np.array_equal(s_end, np.searchsorted(thresholds, usq, "left"))
+    assert np.array_equal(t_start, np.searchsorted(tq, usq, "left"))
+    assert np.array_equal(lo, np.searchsorted(tq, np.minimum(ux, uy), "left"))
+    assert np.array_equal(hi, np.searchsorted(thresholds, np.maximum(ux, uy), "left"))
 
 
 class TestBalancedCut:

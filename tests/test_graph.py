@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from bufpart import (BufferedPartition, Graph, GraphError, PartitionError,
                      buffered_expansion, cut_cost, load_graph, partition_cost,
                      validate_partition)
-from bufpart.graph import interval_sums, least_exact
+from bufpart import graph as graph_module
+from bufpart.graph import _WHITESPACE, _radix_order, interval_sums, least_exact
 from conftest import (disjoint_cliques, k4, path, planted, tiny_connected, triangle,
                       weighted_er)
 from ingest_oracle import reference_load_graph
@@ -78,11 +79,36 @@ class TestGraphBuild:
         ([(0, 1, 1.0), (1, 2, float("nan"))], "edge (1,2) has non-finite cost nan"),
         ([(1, 2, 1.0), (-1, 0, 1.0)], "edge (-1,0) outside vertex range [0,3)"),
         ([(2, 1, float("-inf")), (0, 0, 1.0)], "edge (2,1) has non-finite cost -inf"),
+        ([(0, 1, 1.0), (0, 2, -1.0), (1, 0, 1.0)], "edge (0,2) has nonpositive cost -1.0"),
+        ([(0, 1, 1.0), (-1, 2, 1.0), (1, 0, 1.0), (2, -1, 1.0)],
+         "edge (-1,2) outside vertex range [0,3)"),
+        ([(2, 1, 1.0), (1, 2, 1.0), (0, 9, 1.0), (9, 0, 1.0)], "duplicate edge (1, 2)"),
+        ([(0, 70000, 1.0), (70000, 0, 1.0), (1, 2, 1.0)],
+         "edge (0,70000) outside vertex range [0,3)"),
+        ([(-5, -5, 1.0), (1, -(2 ** 40), 1.0), (-(2 ** 40), 1, 1.0)], "self-loop at vertex -5"),
+        ([(1, 2, 1.0), (2, 1, 1.0), (-(2 ** 40), 2 ** 33, 1.0), (2 ** 33, -(2 ** 40), 1.0)],
+         "duplicate edge (1, 2)"),
+        ([(0, 2, 1.0), (2 ** 33, 1, 1.0), (2, 0, 1.0), (-(2 ** 33), 0, 1.0)],
+         "edge (8589934592,1) outside vertex range [0,3)"),
     ])
     def test_error_names_first_bad_edge_in_input_order(self, edges, message):
         with pytest.raises(GraphError) as info:
             Graph.build(3, edges)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_radix_order_is_the_lexsort_permutation(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(0, 300))
+        limits = [(-8, 8), (0, 2 ** 16 + 8), (-(2 ** 33), 2 ** 33), (-(2 ** 63), 2 ** 63 - 1)]
+        keys = []
+        for low, high in (limits[seed % 4], limits[(seed // 4) % 4]):
+            key = rng.integers(low, high, m, endpoint=True)
+            if m:       # repeats of one key, and of the extremes
+                key[rng.integers(0, m, m // 3)] = key[0]
+                key[rng.integers(0, m, 2)] = (low, high)
+            keys.append(key)
+        assert np.array_equal(_radix_order(*keys), np.lexsort(keys))
 
     def test_triples_and_array_build_equal_graphs(self):
         triples = [(3, 0, 0.5), (1, 2, 2.0), (0, 1, 1.25), (2, 3, 4.0)]
@@ -343,7 +369,7 @@ class TestLoadGraph:
 
 
 IDS = ["a", "b", "0", "1", "10", "é", "节点", "Ω2", "a#b", "x_1"] + [f"v{i}" for i in range(20)]
-SEPARATORS = [" ", "\t", "  ", " \t ", "\u3000"]
+SEPARATORS = [" ", "\t", "  ", " \t ", "\u3000", "\u2028", "\x85", "\x1c", "\x0b"]
 NUMBERS = st.one_of(st.sampled_from(["1", "2.5", "0.125", "1e-3", "3.0000000000000004", "7"]),
                     st.floats(1e-3, 1e3).map(repr),
                     st.decimals(places=3, min_value="0.001", max_value=50).map(str))
@@ -395,10 +421,7 @@ def _graph_or_error(load, *sources):
         return str(exc)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(case=ingest_cases())
-def test_load_graph_equals_the_reference_pipeline(case):
+def _assert_same_outcome(case):
     got = _graph_or_error(load_graph, *case)
     want = _graph_or_error(reference_load_graph, *case)
     if isinstance(want, str):
@@ -406,9 +429,64 @@ def test_load_graph_equals_the_reference_pipeline(case):
         return
     assert isinstance(got, Graph), got
     assert (got.n, got.labels) == (want.n, want.labels)
-    for name in ("weights", "edge_u", "edge_v", "edge_cost"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    _assert_same_graph(got, want)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=ingest_cases())
+def test_load_graph_equals_the_reference_pipeline(case):
+    _assert_same_outcome(case)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=ingest_cases(), piece=st.integers(1, 40))
+def test_load_graph_in_small_pieces_equals_the_reference_pipeline(case, piece):
+    saved = graph_module._PIECE
+    graph_module._PIECE = piece
+    try:
+        _assert_same_outcome(case)
+    finally:
+        graph_module._PIECE = saved
+
+
+def test_whitespace_is_what_str_isspace_accepts():
+    assert set(_WHITESPACE) == {c for c in range(0x110000) if chr(c).isspace()}
+
+
+EDGES = ["a b 1", "# a comment line", "b c 2.5", "", "c d", "d é 0.5 # trailing", "é a"]
+WEIGHTS = ["a 1", "b 2", "c 3", "d 4", "é 5"]
+
+
+@pytest.mark.parametrize("piece", [1, 5, 12, 1 << 15])
+@pytest.mark.parametrize("case", [
+    (EDGES, None),
+    (EDGES, WEIGHTS),
+    (EDGES[:5] + ["d é x", "é"], None),                     # bad cost in a later piece
+    (EDGES[:5] + ["d é 1 2", "é a x"], None),               # wrong arity before a bad cost
+    (EDGES[:4] + ["c d # é e f g", "d é"], None),           # comment hides extra fields
+    (EDGES, WEIGHTS[:4] + ["b 7", "é x"]),                  # duplicate before a bad weight
+    (EDGES, WEIGHTS[:4] + ["é x", "b 7"]),                  # bad weight before a duplicate
+    (EDGES, WEIGHTS[:2] + ["c 3 # note", "d", "a 1"]),      # wrong arity before a duplicate
+    (["a b\nc", "b c"], None),                              # a listed line holds a newline
+    (["a b\nc d", "b c"], None),
+    (["a b # x\ny z", "b c"], ["a 1", "b\n2", "c 3"]),
+])
+def test_load_graph_in_pieces_equals_the_reference_pipeline(monkeypatch, piece, case):
+    monkeypatch.setattr(graph_module, "_PIECE", piece)
+    _assert_same_outcome(case)
+
+
+def test_file_in_pieces_names_the_file_lines(monkeypatch, tmp_path):
+    monkeypatch.setattr(graph_module, "_PIECE", 4)
+    path_ = tmp_path / "g.txt"
+    path_.write_text("a b\r\nb c # x y z\n\u2028\nc d\u2028e 1\n", encoding="utf-8")
+    with pytest.raises(GraphError) as info:
+        load_graph(str(path_))
+    assert str(info.value) == "edge line 4: expected 'u v [cost]', got 'c d\\u2028e 1'"
+    path_.write_text("a b\r\nb c # x y z\n\u2028\nc d\n")
+    assert load_graph(str(path_)).labels == ("a", "b", "c", "d")
 
 
 class TestIntervalSums:
