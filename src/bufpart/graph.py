@@ -458,18 +458,15 @@ def _records(source, kind: str, form: str, arities: tuple, number: str):
     """
     listed = isinstance(source, (list, tuple))
     if listed:
-        text = "\n".join(source)
-        if text.count("\n") >= len(source):       # a listed line holds a newline
-            text = "\n".join(line.replace("\n", " ") for line in source)
+        text = "\n".join(line.replace("\n", " ") for line in source)
     else:
         text = _read_text(source, kind)
     most, line0, start = arities[-1], 1, 0
     while start < len(text):
         end = text.find("\n", start + _PIECE) + 1 or len(text)
         piece, start = text[start:end], end
-        encoding, width = ("ascii", np.uint8) if piece.isascii() else ("utf-32-le", np.uint32)
-        codes = np.frombuffer(piece.encode(encoding, "surrogatepass"), width)
-        space = _SPACE.take(np.minimum(codes, _SPACE.size - 1) if width is np.uint32 else codes)
+        codes = np.frombuffer(piece.encode("utf-32-le", "surrogatepass"), np.uint32)
+        space = _SPACE.take(np.minimum(codes, _SPACE.size - 1))
         newline = np.flatnonzero(codes == 10)
         hashes = np.flatnonzero(codes == 35)
         if hashes.size:        # blank each line from its first '#' to its end
@@ -482,7 +479,7 @@ def _records(source, kind: str, form: str, arities: tuple, number: str):
             space |= comment
             codes = codes.copy()
             codes[comment] = 32
-            piece = codes.tobytes().decode(encoding, "surrogatepass")
+            piece = codes.tobytes().decode("utf-32-le", "surrogatepass")
         starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
         count = np.diff(np.searchsorted(starts, newline), prepend=0, append=starts.size)  # per line
         fields = piece.split()
@@ -500,6 +497,7 @@ def _records(source, kind: str, form: str, arities: tuple, number: str):
             values[numbered] = np.fromiter(map(float, numbers), np.float64, len(numbers))
         except ValueError:
             j = next(j for j, field in enumerate(numbers) if not _is_float(field))
+            values[numbered[:j]] = np.fromiter(map(float, numbers[:j]), np.float64, j)
             stop = int(numbered[j])
             error = GraphError(f"{kind} line {line0 + lines[stop]}: bad {number} {numbers[j]!r}")
         if error is None and stop < lines.size:

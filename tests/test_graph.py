@@ -11,7 +11,7 @@ from bufpart import (BufferedPartition, Graph, GraphError, PartitionError,
                      buffered_expansion, cut_cost, load_graph, partition_cost,
                      validate_partition)
 from bufpart import graph as graph_module
-from bufpart.graph import _WHITESPACE, _radix_order, interval_sums, least_exact
+from bufpart.graph import _WHITESPACE, _radix_order, _records, interval_sums, least_exact
 from conftest import (disjoint_cliques, k4, path, planted, tiny_connected, triangle,
                       weighted_er)
 from ingest_oracle import reference_load_graph
@@ -476,6 +476,17 @@ WEIGHTS = ["a 1", "b 2", "c 3", "d 4", "é 5"]
 def test_load_graph_in_pieces_equals_the_reference_pipeline(monkeypatch, piece, case):
     monkeypatch.setattr(graph_module, "_PIECE", piece)
     _assert_same_outcome(case)
+
+
+def test_records_before_a_bad_number_carry_their_numbers():
+    lines = ["a b 2", "b c", "# note", "c d 3.5", "d e x", "e f 4"]
+    records = _records(lines, "edge", "u v [cost]", (2, 3), "cost")
+    ids, values, line_numbers = next(records)
+    assert ids == ["a", "b", "b", "c", "c", "d"]
+    assert values.tolist() == [2.0, 1.0, 3.5]
+    assert line_numbers.tolist() == [1, 2, 4]
+    with pytest.raises(GraphError, match="^edge line 5: bad cost 'x'$"):
+        next(records)
 
 
 def test_file_in_pieces_names_the_file_lines(monkeypatch, tmp_path):
