@@ -102,9 +102,10 @@ class Graph:
         """Graph on vertices 0..n-1 from rows of (u, v, cost).
 
         On bad input the GraphError names the first bad edge in input order,
-        checked for a self-loop, then the vertex range, then the cost, then an
-        earlier edge with the same endpoints; it names vertices by their
-        ``labels`` when the graph has them.  Then the scale rule applies:
+        checked for a vertex id that is not an int64, then a self-loop, then
+        the vertex range, then the cost, then an earlier edge with the same
+        endpoints; it names vertices as given, or by their ``labels`` when the
+        graph has them.  Then the scale rule applies:
         costs and weights must be normal float64 numbers (a subnormal one
         keeps fewer than 53 significant bits), and every normalized Laplacian
         entry must stay within what the solvers' float64 norms can hold.
@@ -112,31 +113,39 @@ class Graph:
         if n <= 0:
             raise GraphError("graph needs at least one vertex")
         rows = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
-        u = rows[:, 0].astype(np.int64)
-        v = rows[:, 1].astype(np.int64)
+        with np.errstate(invalid="ignore"):     # an id that is no int64 becomes bad_id
+            u = rows[:, 0].astype(np.int64)
+            v = rows[:, 1].astype(np.int64)
         cost = rows[:, 2]
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         order = _radix_order(hi, lo)            # stable: repeats keep input order
         eu, ev, ec = lo[order], hi[order], cost[order]
 
+        bad_id = (u != rows[:, 0]) | (v != rows[:, 1])
         loop = u == v
         outside = (lo < 0) | (hi >= n)
         bad_cost = (cost <= 0.0) | ~np.isfinite(cost)
         repeat = np.zeros(u.size, dtype=bool)
         repeat[order[1:]] = (eu[1:] == eu[:-1]) & (ev[1:] == ev[:-1])
-        bad = loop | outside | bad_cost | repeat
+        bad = bad_id | loop | outside | bad_cost | repeat
         labels = tuple(labels) if labels is not None else ()
         if bad.any():
             i = int(np.argmax(bad))
-            a, b = int(u[i]), int(v[i])
+            a, b = float(rows[i, 0]), float(rows[i, 1])
 
-            def name(x: int) -> str:
-                return repr(labels[x]) if 0 <= x < len(labels) else str(x)
+            def given(x: float) -> str:
+                return str(int(x)) if x.is_integer() else str(x)
 
+            def name(x: float) -> str:
+                return repr(labels[int(x)]) if 0 <= x < len(labels) else given(x)
+
+            if bad_id[i]:
+                raise GraphError(f"edge ({given(a)},{given(b)}) has a vertex id that is not "
+                                 f"an int64")
             if loop[i]:
                 raise GraphError(f"self-loop at vertex {name(a)}")
             if outside[i]:
-                raise GraphError(f"edge ({a},{b}) outside vertex range [0,{n})")
+                raise GraphError(f"edge ({given(a)},{given(b)}) outside vertex range [0,{n})")
             if bad_cost[i]:
                 kind = "non-finite" if not np.isfinite(cost[i]) else "nonpositive"
                 raise GraphError(f"edge ({name(a)},{name(b)}) has {kind} cost {float(cost[i])}")

@@ -34,6 +34,10 @@ leftovers and the other tuples into the last part; partial_partition() keeps
 the restart whose completion has the lowest max expansion, the quantity the
 paper bounds.
 
+Each parameter is derived once: buffered_k_partition() lifts (k, eps, delta)
+to (k_hat, delta_hat, delta_slack, eps_hat), resolve_step2() turns those into
+the Step-2 record, and partial_partition() runs one rung from that record.
+
 Desk-scale practicality: Step 2 always runs at the practical scale
 alpha = min(Phi_bar(1), max(1/n, 1e-4)) with T = ceil((2/alpha) ln(1/delta))
 draws per restart.  The certified scale of calibrate() cannot fire at a
@@ -88,17 +92,15 @@ class EffectiveParams:
     k: int
     epsilon: float          # clamped to min(epsilon, delta)
     delta: float            # raised to max(delta, 1/(3k))
-    radius: float           # sqrt(delta/6)
     delta_sep: float        # delta/(2k), the separator's measure slack
-    m: float                # 2/delta_sep
     rounds: int
-    params: SeparatorParams
+    params: SeparatorParams  # radius params.r = sqrt(delta/6), params.m = 2/delta_sep
     notes: tuple
 
     def to_dict(self) -> dict:
         return {
             "k": self.k, "epsilon": self.epsilon, "delta": self.delta,
-            "radius": self.radius, "delta_sep": self.delta_sep, "m": self.m,
+            "radius": self.params.r, "delta_sep": self.delta_sep, "m": self.params.m,
             "rounds": self.rounds, "threshold": self.params.t,
             "alpha": self.params.alpha, "calibrated": self.params.calibrated,
             "notes": list(self.notes),
@@ -143,9 +145,8 @@ def resolve_step2(n_vectors: int, k: int, epsilon: float, delta: float) -> Effec
     alpha = min(PRACTICAL_ALPHA_MAX, max(1.0 / n_vectors, PRACTICAL_ALPHA_MIN))
     params = practical_params(eps_eff, m, radius, alpha)
     rounds = math.ceil(2.0 / params.alpha * math.log(1.0 / delta_eff))
-    return EffectiveParams(k=k, epsilon=eps_eff, delta=delta_eff, radius=radius,
-                           delta_sep=delta_sep, m=m, rounds=rounds, params=params,
-                           notes=tuple(notes))
+    return EffectiveParams(k=k, epsilon=eps_eff, delta=delta_eff, delta_sep=delta_sep,
+                           rounds=rounds, params=params, notes=tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -231,15 +232,11 @@ class PartialPartition:
     r_p_prime: np.ndarray
     r_b_prime: np.ndarray
     effective: EffectiveParams
-    lambda_k: float
     diagnostics: dict
 
     @property
     def k_prime(self) -> int:
         return len(self.tuples)
-
-    def max_phi(self) -> float:
-        return max((t.phi for t in self.tuples), default=math.inf)
 
 
 def _ranks(values, groups, queries, q_groups, side: str) -> np.ndarray:
@@ -475,7 +472,7 @@ def refine_and_discard(c: CrudePartition, e: Embedding) -> PartialPartition:
     pp = PartialPartition(
         tuples=tuple(kept),
         r_p_prime=np.flatnonzero(r_p_prime), r_b_prime=np.flatnonzero(r_b_prime),
-        effective=c.effective, lambda_k=lam_k,
+        effective=c.effective,
         diagnostics={
             "expansion_bound": bound,
             "buffer_slack": c_prime,
@@ -513,69 +510,56 @@ class PartialRun:
     embedding: Embedding
     restart_index: int
     buffer_mass: float
-    # complete_partition(partial, g, k_target) with its partition_cost, or the
+    # complete_partition(partial, g, k) with its partition_cost, or the
     # PartitionError that completing or costing it raised
     completion: tuple[BufferedPartition, CutReport] | PartitionError
-    diagnostics: dict
+    notes: tuple            # the Step-2 notes, then the max-weight note
 
 
-def partial_partition(g: Graph, k: int, epsilon: float, delta: float, seed: int = 0,
-                      k_target: int | None = None, restarts: int = RESTARTS) -> PartialRun:
-    """Steps 1-4 with restarts; returns the best accepted run.
+def partial_partition(g: Graph, eff: EffectiveParams, k: int, seed: int = 0,
+                      restarts: int = RESTARTS) -> PartialRun:
+    """Steps 1-4 of one rung from its Step-2 record eff; returns the best restart.
 
-    A run is accepted when w(R_B) + sum_t w(Btilde_t) <= 16 eps w(V) (the
-    Step-2 acceptance event).  Accepted runs rank by the max buffered
-    expansion of their complete_partition() into k_target parts (default k),
-    ties going to the lower restart index; a run whose completion raises
-    PartitionError ranks last.  The tuple count does not rank runs: singleton
-    fragments raise it without lowering the expansion.
+    eff comes from resolve_step2: nothing here validates or derives a
+    parameter.  A run is accepted when w(R_B) + sum_t w(Btilde_t) <= 16 eps w(V)
+    (the Step-2 acceptance event).  Accepted runs rank by the max buffered
+    expansion of their complete_partition() into k parts, ties going to the
+    lower restart index; a run whose completion raises PartitionError ranks
+    last.  The tuple count does not rank runs: singleton fragments raise it
+    without lowering the expansion.
     """
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k must lie in [2, n={g.n}], got {k}")
-    k_target = k if k_target is None else k_target
-    basis = eigenbasis(normalized_laplacian(g), k)
-    e = embed(basis, g)
-    eff = resolve_step2(g.n, k, epsilon, delta)
-    notes = list(eff.notes)
-    w_cap = eff.epsilon * g.total_weight / (3.0 * k)
-    if eff.epsilon > 0 and float(g.weights.max()) > w_cap:
-        notes.append(
-            f"max vertex weight {float(g.weights.max())!r} exceeds eps*w(V)/(3k) = {w_cap!r}; "
-            f"the weighted guarantee is not in force")
+    e = embed(eigenbasis(normalized_laplacian(g), eff.k), g)
+    notes = eff.notes
+    w_max = float(g.weights.max())
+    w_cap = eff.epsilon * g.total_weight / (3.0 * eff.k)
+    if eff.epsilon > 0 and w_max > w_cap:
+        notes += (f"max vertex weight {w_max!r} exceeds eps*w(V)/(3k) = {w_cap!r}; "
+                  f"the weighted guarantee is not in force",)
 
     best: PartialRun | None = None
     best_completed = math.inf
-    attempts = []
+    rejected = []
     for restart in range(restarts):
-        stream = derive_stream(seed, "partition", restart)
-        crude = crude_partition(e, eff, stream)
+        crude = crude_partition(e, eff, derive_stream(seed, "partition", restart))
         mass = crude.buffer_mass(g)
-        accepted = mass <= 16.0 * eff.epsilon * g.total_weight + 1e-12
-        if not accepted:
-            attempts.append({"restart": restart, "accepted": False, "buffer_mass": mass})
+        if not mass <= 16.0 * eff.epsilon * g.total_weight + 1e-12:
+            rejected.append({"restart": restart, "accepted": False, "buffer_mass": mass})
             continue
         pp = refine_and_discard(crude, e)
         try:
-            bp = complete_partition(pp, g, k_target)
+            bp = complete_partition(pp, g, k)
             completion = (bp, partition_cost(g, bp))
             completed = completion[1].max_expansion
         except PartitionError as exc:
             completion, completed = exc, math.inf
-        attempts.append({"restart": restart, "accepted": True, "buffer_mass": mass,
-                         "tuples": pp.k_prime, "max_phi": pp.max_phi(),
-                         "completed_max_phi": completed if completed < math.inf else None})
         if best is None or completed < best_completed:
             best_completed = completed
             best = PartialRun(partial=pp, embedding=e, restart_index=restart,
-                              buffer_mass=mass, completion=completion,
-                              diagnostics={"notes": notes, "attempts": attempts})
+                              buffer_mass=mass, completion=completion, notes=notes)
     if best is None:
         raise PartitionError(
             f"all {restarts} restarts failed the Step-2 acceptance check; "
-            f"attempts: {attempts}")
-    target = (1.0 - 2.0 * eff.delta) * k
-    best.diagnostics["tuple_target"] = target
-    best.diagnostics["tuple_target_met"] = best.partial.k_prime >= target
+            f"attempts: {rejected}")
     return best
 
 
@@ -634,7 +618,9 @@ def buffered_k_partition(g: Graph, k: int, epsilon: float, delta: float, seed: i
                          restarts: int = RESTARTS):
     """End-to-end driver: partial partition at lifted parameters, then completion.
 
-    Returns (BufferedPartition, CutReport, info dict holding the certificate).
+    Validates (k, epsilon, delta) and derives the Step-2 record of the run
+    once (module docstring).  Returns (BufferedPartition, CutReport, info dict
+    holding the certificate).
     """
     if not 2 <= k <= g.n:
         raise ValueError(f"k must lie in [2, n={g.n}], got {k}")
@@ -643,14 +629,17 @@ def buffered_k_partition(g: Graph, k: int, epsilon: float, delta: float, seed: i
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     k_hat = lifted_k(k, delta, g.n)
-    delta_hat = min((1.0 - 1.0 / math.sqrt(1.0 + delta)) / 2.0, 1.0 / 80.0)
+    # (1 - 1/sqrt(1 + delta))/2 without its cancellation, which gives 0 for delta <= 2e-16
+    s = math.sqrt(1.0 + delta)
+    delta_hat = min(delta / (2.0 * s * (1.0 + s)), 1.0 / 80.0)
     k_prime_guess = math.ceil((1.0 - 2.0 * delta_hat) * k_hat)
     delta_slack = (k_prime_guess - k + 1) / k_prime_guess
     if delta_slack <= 0:
         delta_slack = 1.0 / k_hat
     eps_hat = epsilon * delta_slack / 54.0
 
-    run = partial_partition(g, k_hat, eps_hat, delta_hat, seed, k_target=k, restarts=restarts)
+    eff = resolve_step2(g.n, k_hat, eps_hat, delta_hat)
+    run = partial_partition(g, eff, k, seed, restarts)
     if isinstance(run.completion, PartitionError):
         raise run.completion
     bp, report = run.completion
@@ -660,11 +649,11 @@ def buffered_k_partition(g: Graph, k: int, epsilon: float, delta: float, seed: i
         "k_hat": k_hat, "delta_hat": delta_hat,
         "delta_slack": delta_slack, "eps_hat": eps_hat,
         "tuples": run.partial.k_prime,
-        "effective": run.partial.effective.to_dict(),
+        "effective": eff.to_dict(),
         "restart_index": run.restart_index,
         "partial_diagnostics": run.partial.diagnostics,
-        "run_notes": run.diagnostics.get("notes", []),
-        "tuple_target_met": run.diagnostics.get("tuple_target_met"),
+        "run_notes": list(run.notes),
+        "tuple_target_met": run.partial.k_prime >= (1.0 - 2.0 * eff.delta) * eff.k,
         "certificate": cert.to_dict(),
     }
     return bp, report, info

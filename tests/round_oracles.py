@@ -101,7 +101,7 @@ def reference_crude_partition(e, eff, rng) -> ReferenceCrude:
     draws = []
     active = []
     for t in range(eff.rounds):
-        draw = reference_draw(psi, mu, limit, eff.radius, eff.params, rng)
+        draw = reference_draw(psi, mu, limit, eff.params.r, eff.params, rng)
         draws.append(draw)
         sx, sy, sz, _ = draw
         x = np.zeros(n, dtype=bool)
@@ -255,7 +255,7 @@ def reference_refine_and_discard(c, e, tally: Counter | None = None) -> PartialP
     return PartialPartition(
         tuples=tuple(sorted(kept, key=lambda t: t.round_index)),
         r_p_prime=np.flatnonzero(r_p_prime), r_b_prime=np.flatnonzero(r_b_prime),
-        effective=c.effective, lambda_k=lam_k,
+        effective=c.effective,
         diagnostics={
             "expansion_bound": bound,
             "buffer_slack": c_prime,

@@ -363,7 +363,7 @@ def test_criterion_11_planted_recovery():
         e = embed(eigenbasis(normalized_laplacian(g), k), g)
         limit = eff.delta_sep * float(e.mu.sum())
         for c in range(k):
-            leftover = _min_ball_leftover(e, np.flatnonzero(labels == c), eff.radius)
+            leftover = _min_ball_leftover(e, np.flatnonzero(labels == c), eff.params.r)
             assert leftover <= limit, (seed, c, leftover, limit)
         try:
             bp, report, info = buffered_k_partition(g, k, 0.1, 0.2, seed=seed)
@@ -371,7 +371,7 @@ def test_criterion_11_planted_recovery():
             score = 0.0
         else:
             assert info["k_hat"] == k
-            assert info["effective"]["radius"] == eff.radius
+            assert info["effective"]["radius"] == eff.params.r
             assert info["effective"]["delta_sep"] == eff.delta_sep
             score = _recovery_score(g, bp, labels, k)
         scores.append(score)

@@ -39,3 +39,5 @@ def test_tracer_installs_and_counts_a_partition_run(tmp_path):
     assert result["code"] == 0
     assert result["metrics"]["partition.crude_calls"] >= 1
     assert result["metrics"]["partition.refine_calls"] >= 1
+    assert result["metrics"]["partition.partial_s"] > 0
+    assert result["metrics"]["partition.complete_s"] > 0

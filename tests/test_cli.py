@@ -352,6 +352,16 @@ class TestMalformedPartitionFile:
         assert not out.exists()
 
 
+class TestPartitionTinyDelta:
+    @pytest.mark.parametrize("delta", ["1e-16", "1e-300"])
+    def test_report_with_positive_delta_hat(self, delta, clique_file, tmp_path):
+        # (1 - 1/sqrt(1+delta))/2 cancels to 0.0 here, which the Step-2 range check rejects
+        code, doc = run_json(["partition", "--graph", clique_file, "--k", "3", "--eps", "0.1",
+                              "--delta", delta, "--seed", "1"], tmp_path)
+        assert code == 0
+        assert doc["diagnostics"]["delta_hat"] > 0
+
+
 class TestPartitionErrorBranch:
     def test_driver_failure_writes_error_report_exit_2(self, clique_file, tmp_path,
                                                        monkeypatch):
@@ -369,6 +379,18 @@ class TestPartitionErrorBranch:
         doc = json.loads(out.read_text())
         VALIDATOR.validate(doc)
         assert "error" in doc
+
+    def test_all_restarts_rejected_writes_error_report_exit_2(self, clique_file, tmp_path,
+                                                              monkeypatch):
+        from bufpart.partition import CrudePartition
+
+        monkeypatch.setattr(CrudePartition, "buffer_mass", lambda self, g: float("inf"))
+        code, doc = run_json(["partition", "--graph", clique_file, "--k", "3", "--eps", "0.1",
+                              "--delta", "0.1", "--restarts", "2"], tmp_path)
+        assert code == 2
+        assert set(doc) == {"command", "error"}     # the partition_error branch
+        assert doc["error"].startswith(
+            "all 2 restarts failed the Step-2 acceptance check; attempts: [{'restart': 0, ")
 
 
 def _assert_one_line_exit_1(argv, tmp_path, capsys):

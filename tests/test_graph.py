@@ -1,6 +1,7 @@
 """Graph model, cut arithmetic, validation, and the edge-list loader."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,28 @@ class TestGraphBuild:
         with pytest.raises(GraphError) as info:
             Graph.build(3, edges)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad, shown", [
+        (1.5, "1.5"), (-0.5, "-0.5"), (float("nan"), "nan"), (float("inf"), "inf"),
+        (1e20, "100000000000000000000")])
+    def test_vertex_id_not_an_int64_is_rejected(self, bad, shown):
+        # The first rule: the cast to int64 would cut 1.5 to 1 and give nan,
+        # inf or 1e20 as -2**63 with a RuntimeWarning.
+        for cost in (1.0, -1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(GraphError) as info:
+                    Graph.build(3, [(0, 2, 1.0), (0, bad, cost), (2, 2, 1.0), (7, 0, 1.0)])
+            assert str(info.value) == f"edge (0,{shown}) has a vertex id that is not an int64"
+
+    def test_integral_float_ids_build(self):
+        g = Graph.build(3, np.array([(0.0, 1.0, 1.0), (2.0, 1.0, 1.0)]))
+        assert g.edge_u.tolist() == [0, 1] and g.edge_v.tolist() == [1, 2]
+
+    def test_least_int64_id_falls_to_the_range_rule(self):
+        with pytest.raises(GraphError) as info:
+            Graph.build(3, [(0, 1, 1.0), (2, -(2 ** 63), 1.0), (1e20, 1, 1.0)])
+        assert str(info.value) == "edge (2,-9223372036854775808) outside vertex range [0,3)"
 
     @pytest.mark.parametrize("seed", range(12))
     def test_radix_order_is_the_lexsort_permutation(self, seed):

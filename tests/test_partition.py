@@ -1,7 +1,9 @@
 """Crude/refined partial partitioning, completion, and the driver."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ from bufpart import (buffered_expansion,
                      partition_cost, refine_and_discard, validate_partition)
 from bufpart.graph import Graph, PartitionError
 from bufpart.certify import brute_force_h_k_eps
-from bufpart.partition import (RESTARTS, PartialPartition, RefinedTuple,
+from bufpart.partition import (RESTARTS, CrudePartition, PartialPartition, RefinedTuple,
                                resolve_step2)
 from bufpart.separators import practical_params
-from conftest import (clique, clique_labels, disjoint_cliques, planted,
+from conftest import (clique, clique_labels, disjoint_cliques, planted, planted_blocks,
                       tiny_connected, weighted_er)
 
 
@@ -40,7 +42,7 @@ def crude_for(e, k, epsilon, delta, rng):
 class TestResolveStep2:
     def test_radius_formula(self):
         eff = resolve_step2(100, 6, 0.01, 0.06)
-        assert eff.radius == pytest.approx(0.1, abs=1e-12)
+        assert eff.params.r == pytest.approx(0.1, abs=1e-12)
 
     def test_delta_raised_to_one_third_k(self):
         eff = resolve_step2(100, 6, 0.01, 0.01)
@@ -94,10 +96,8 @@ class TestCrudePartition:
         e = embedding_for(g, 6)
         eff = resolve_step2(g.n, 6, 0.01, 0.01)
         # threshold far above any projection: every draw returns empty sets
-        dead = practical_params(eff.epsilon, eff.m, eff.radius, 1e-4)
-        eff_dead = type(eff)(k=eff.k, epsilon=eff.epsilon, delta=eff.delta,
-                             radius=eff.radius, delta_sep=eff.delta_sep, m=eff.m,
-                             rounds=50, params=dead, notes=eff.notes)
+        dead = practical_params(eff.epsilon, eff.params.m, eff.params.r, 1e-4)
+        eff_dead = dataclasses.replace(eff, rounds=50, params=dead)
         c = crude_partition(e, eff_dead, derive_stream(1, "t"))
         assert c.rounds == ()
         assert c.r_p.size == g.n
@@ -188,25 +188,26 @@ class TestNormalizedDirectionProduct:
 class TestPartialPartition:
     def test_cliques_recovered(self):
         g = CLIQUES6
-        run = partial_partition(g, 6, 0.01, 0.01, seed=0)
+        run = partial_partition(g, resolve_step2(g.n, 6, 0.01, 0.01), 6, seed=0)
         pp = run.partial
         assert pp.k_prime == 6
-        assert pp.max_phi() == 0.0
+        assert max(t.phi for t in pp.tuples) == 0.0
         labels = clique_labels([34, 34, 33, 33, 33, 33])
         for t in pp.tuples:
             assert len(set(labels[t.p].tolist())) == 1
 
     def test_buffer_mass_bound_on_accepted_runs(self):
         g = CLIQUES6
-        run = partial_partition(g, 6, 0.01, 0.01, seed=1)
+        run = partial_partition(g, resolve_step2(g.n, 6, 0.01, 0.01), 6, seed=1)
         eps = run.partial.effective.epsilon
         assert run.buffer_mass <= 16.0 * eps * g.total_weight + 1e-9
         assert g.weight_of(run.partial.r_b_prime) <= 16.0 * eps * g.total_weight + 1e-9
 
     def test_determinism(self):
         g = disjoint_cliques([10, 10, 10])
-        a = partial_partition(g, 3, 0.05, 0.05, seed=7)
-        b = partial_partition(g, 3, 0.05, 0.05, seed=7)
+        eff = resolve_step2(g.n, 3, 0.05, 0.05)
+        a = partial_partition(g, eff, 3, seed=7)
+        b = partial_partition(g, eff, 3, seed=7)
         assert a.partial.k_prime == b.partial.k_prime
         for ta, tb in zip(a.partial.tuples, b.partial.tuples):
             assert np.array_equal(ta.p, tb.p)
@@ -245,7 +246,7 @@ class TestPartialPartition:
 
     def test_tiny_graph_singleton_mode_still_tiles(self):
         g = tiny_connected(8, 42)
-        run = partial_partition(g, 3, 0.2, 0.5, seed=3)
+        run = partial_partition(g, resolve_step2(g.n, 3, 0.2, 0.5), 3, seed=3)
         cover = np.zeros(g.n, dtype=int)
         for t in run.partial.tuples:
             for arr in (t.p, t.b, t.a_prime, t.a_double):
@@ -258,7 +259,7 @@ class TestPartialPartition:
 @pytest.fixture(scope="module")
 def clique_run():
     g = CLIQUES6
-    return g, partial_partition(g, 6, 0.01, 0.01, seed=11)
+    return g, partial_partition(g, resolve_step2(g.n, 6, 0.01, 0.01), 6, seed=11)
 
 
 class TestCompletePartition:
@@ -303,7 +304,7 @@ class TestCompletePartition:
                                     phi=buffered_expansion(g, p, empty))
                        for i, p in enumerate(cores))
         pp = PartialPartition(tuples=tuples, r_p_prime=empty, r_b_prime=empty,
-                              effective=None, lambda_k=0.0, diagnostics={})
+                              effective=None, diagnostics={})
         bp = complete_partition(pp, g, 4)
         for got, label in zip(bp.parts, [3, 1, 2, 0]):
             assert np.array_equal(got, cores[label])
@@ -314,6 +315,23 @@ class TestCompletePartition:
         g, run = clique_run
         with pytest.raises(PartitionError, match="delta slack"):
             complete_partition(run.partial, g, run.partial.k_prime + 1)
+
+
+def assert_parameter_chain(g, info):
+    """The driver's Step-2 record is resolve_step2 at its lifted parameters, its
+    notes open the run notes, and the tuple target is (1 - 2 delta_eff) k_hat."""
+    eff = info["effective"]
+    assert eff == resolve_step2(g.n, info["k_hat"], info["eps_hat"],
+                                info["delta_hat"]).to_dict()
+    notes = info["run_notes"]
+    assert notes[:len(eff["notes"])] == eff["notes"]
+    cap = eff["epsilon"] * g.total_weight / (3.0 * info["k_hat"])
+    heavy = eff["epsilon"] > 0 and float(g.weights.max()) > cap
+    assert notes[len(eff["notes"]):] == (
+        [f"max vertex weight {float(g.weights.max())!r} exceeds eps*w(V)/(3k) = {cap!r}; "
+         f"the weighted guarantee is not in force"] if heavy else [])
+    assert info["tuple_target_met"] == (
+        info["tuples"] >= (1.0 - 2.0 * eff["delta"]) * info["k_hat"])
 
 
 class TestDriver:
@@ -328,10 +346,12 @@ class TestDriver:
         assert validate_partition(g, bp).valid
 
     def test_output_validates_with_reported_epsilon(self):
-        g = CLIQUES6
-        bp, report, info = buffered_k_partition(g, 4, 0.1, 0.5, seed=2)
-        assert validate_partition(g, bp).valid
-        assert bp.k == 4
+        for g in (CLIQUES6, planted_blocks(120, 4, 3, weighted=True)):
+            bp, report, info = buffered_k_partition(g, 4, 0.1, 0.5, seed=2)
+            assert validate_partition(g, bp).valid
+            assert bp.k == 4
+            assert any(note.startswith("max vertex weight") for note in info["run_notes"])
+            assert_parameter_chain(g, info)
 
     def test_determinism(self):
         g = disjoint_cliques([8, 8, 8])
@@ -354,6 +374,23 @@ class TestDriver:
         bp, report, info = buffered_k_partition(g, 2, 0.0, 0.9, seed=1)
         assert all(b.size == 0 for b in bp.buffers)
         assert validate_partition(g, bp).valid
+        assert_parameter_chain(g, info)
+
+    @pytest.mark.parametrize("delta", [1e-300, 1e-15, 1e-6, 0.01, 0.05])
+    def test_delta_hat_without_cancellation(self, delta):
+        # (1 - 1/sqrt(1+delta))/2 cancels: 0.0 below delta = 2.3e-16, 2.22e-16 at 1e-15
+        _, _, info = buffered_k_partition(disjoint_cliques([6, 6, 6]), 3, 0.1, delta, seed=0)
+        with mpmath.workdps(350):      # 1 + 1e-300 needs 300 digits
+            want = (1 - 1 / mpmath.sqrt(1 + mpmath.mpf(delta))) / 2
+            assert abs(info["delta_hat"] - want) <= 8 * 2.0 ** -53 * want
+
+    def test_all_restarts_rejected(self, monkeypatch):
+        monkeypatch.setattr(CrudePartition, "buffer_mass", lambda self, g: math.inf)
+        attempts = [{"restart": r, "accepted": False, "buffer_mass": math.inf} for r in (0, 1)]
+        with pytest.raises(PartitionError) as caught:
+            buffered_k_partition(CLIQUES6, 4, 0.1, 0.5, seed=2, restarts=2)
+        assert str(caught.value) == (
+            f"all 2 restarts failed the Step-2 acceptance check; attempts: {attempts}")
 
     def test_minimal_graph(self):
         g = disjoint_cliques([2, 2])
