@@ -9,13 +9,25 @@ directions psi(u) = zhat_u/||zhat_u|| (= ubar/||ubar||, the scaling cancels).
 One solver path for every size.  The kernel is exact: each connected component
 C, found by hook-and-shortcut, gives the eigenvector D_w^{1/2} 1_C / ||.|| of
 eigenvalue 0, and these come first, in the order of the components' smallest
-vertices.  Block Lanczos with full reorthogonalization and thick restarts solves
-the rest on the kernel's orthogonal complement.  A block of b columns finds at
-most b copies of an eigenvalue, so the block starts at BLOCK columns and a solve
-that reports b equal values below a larger one is redone with twice the block.
-Start and refill columns come from a seeded Philox stream, so results are
-deterministic.  The basis holds max(BASIS, 16 b + 2 k') columns, plus the Ritz
-vectors a restart keeps: O(n k') floats, never n^2.
+vertices.  Block Lanczos with thick restarts solves the rest on the kernel's
+orthogonal complement.  A block of b columns finds at most b copies of an
+eigenvalue, so the block starts at BLOCK columns and a solve that reports b equal
+values below a larger one is redone with twice the block.  Start and refill
+columns come from a seeded Philox stream, so results are deterministic.  The
+basis holds max(BASIS, 16 b + 2 k') columns, plus the Ritz vectors a restart
+keeps: O(n k') floats, never n^2.
+
+Each block step applies L to the whole block in one matvec call (two bincounts
+per column, no temporary longer than the edge list) and orthogonalizes the result
+against the kernel and the two newest blocks.  The pass against the whole basis
+runs only when it is due, after the step that follows a thick restart, and when
+the short pass nearly cancels a column.  It is due by a periodic reorthogonalization
+schedule in the spirit of Simon (Math. Comp. 42, 1984).  Each full pass measures
+the loss of orthogonality the short passes let through: the largest coefficient
+on the older columns, relative to the block's norm.  The next pass comes after
+the most steps, at most 8, over which that loss stays below 1e-12 if it keeps
+growing at the largest rate measured since the last restart.  The new block is
+orthonormalized by one reduced QR, or column by column when it loses rank.
 """
 
 from __future__ import annotations
@@ -65,11 +77,16 @@ class LaplacianOperator:
     off_scale: np.ndarray   # c_uv / sqrt(w_u w_v), aligned with edge arrays
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
-        g = self.graph
-        out = self.diag * z
-        np.add.at(out, g.edge_u, -self.off_scale * z[g.edge_v])
-        np.add.at(out, g.edge_v, -self.off_scale * z[g.edge_u])
-        return out
+        """L z for a vector z, or for an (n, b) block z one column at a time."""
+        g, scale = self.graph, self.off_scale
+        Z = z if z.ndim == 2 else z[:, None]
+        out = np.empty(Z.shape, order="F")
+        for j in range(Z.shape[1]):
+            col = Z[:, j]
+            out[:, j] = (self.diag * col
+                         - np.bincount(g.edge_u, scale * col[g.edge_v], minlength=self.n)
+                         - np.bincount(g.edge_v, scale * col[g.edge_u], minlength=self.n))
+        return out.reshape(z.shape)
 
 
 def normalized_laplacian(g: Graph) -> LaplacianOperator:
@@ -107,10 +124,7 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _residuals(op: LaplacianOperator, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    res = np.empty(vals.size)
-    for i in range(vals.size):
-        res[i] = np.linalg.norm(op.matvec(vecs[:, i]) - vals[i] * vecs[:, i])
-    return res
+    return np.linalg.norm(op.matvec(vecs) - vecs * vals, axis=0)
 
 
 def _components(g: Graph) -> tuple[int, np.ndarray]:
@@ -157,13 +171,50 @@ def _saturated(vals: np.ndarray, b: int) -> bool:
     return False
 
 
+def _full_pass(X: np.ndarray, K: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Remove X's components on the kernel and on span(Q), and again while a pass
+    cancels over half a column's norm (three passes at most); return the Q ones."""
+    coef = np.zeros((Q.shape[1], X.shape[1]))
+    for _ in range(3):
+        before = np.linalg.norm(X, axis=0)
+        X -= K @ (K.T @ X)
+        part = Q.T @ X
+        X -= Q @ part
+        coef += part
+        if np.all(np.linalg.norm(X, axis=0) > 0.5 * before):
+            break
+    return coef
+
+
+def _steps_to_full(last: tuple[int, float, float] | None, step: int, loss: float
+                   ) -> tuple[int, float]:
+    """(s, growth): block steps from the full pass at `step`, which measured `loss`, to the
+    next one, and the largest growth per step measured since the last restart.
+
+    The loss of orthogonality grows about geometrically between full passes (Simon 1984).
+    `last` = (step, loss, growth) is the measurement before, None after a restart.  The
+    pass falls due after the most steps s <= 8 with loss g^s < 1e-12, g the largest
+    growth measured (at least 2), or 10 before a growth is measured.  The largest, not
+    the last: a pass that cleans the loss makes the last growth fall below 1."""
+    growth = 0.0 if last is None else last[2]
+    if last is not None and last[1] > 0.0:
+        growth = max(growth, (loss / last[1]) ** (1.0 / (step - last[0])))
+    g = max(2.0, growth) if growth else 10.0
+    s, grown = 1, loss * g * g
+    while s < 8 and grown < 1e-12:
+        s, grown = s + 1, grown * g
+    return s, growth
+
+
 def _block_lanczos(op: LaplacianOperator, K: np.ndarray, want: int, b: int, stream,
                    matvecs: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Bottom `want` eigenpairs of L on the complement of span(K), with blocks of b columns.
 
-    Full reorthogonalization, a thick restart when the basis is full, and block columns
-    that run out of rank refilled from `stream`.  `matvecs` counts the ones spent before;
-    returns (values, vectors, matvecs spent in all)."""
+    Each block step orthogonalizes L's new block against the kernel and the two newest
+    blocks, and against the whole basis when a full pass is due (_steps_to_full) or the
+    short pass nearly cancelled a column; a thick restart when the basis is full, and
+    block columns that run out of rank refilled from `stream`.  `matvecs` counts the
+    ones spent before; returns (values, vectors, matvecs spent in all)."""
     n = op.n
     max_matvecs = 50 * n
     room = n - K.shape[1]              # dimension of the kernel's complement
@@ -173,41 +224,30 @@ def _block_lanczos(op: LaplacianOperator, K: np.ndarray, want: int, b: int, stre
     Q = np.zeros((n, cap), order="F")
     H = np.zeros((cap, cap))           # Q^T L Q, filled one block column at a time
 
-    def project(X: np.ndarray, used: int, lo: int = 0, full: bool = True) -> np.ndarray:
-        """Remove X's components on the kernel and Q[:, :used]; return the Q ones.
-
-        Q[:, lo:used] goes first (L Q_j meets only its neighbour blocks in exact
-        arithmetic, and W's columns already miss the rest), then the whole basis unless
-        `full` is off and nothing cancelled, again while a pass cancels over half a norm."""
-        coef = np.zeros((used, X.shape[1]))
-        start = lo
-        for _ in range(3):
-            before = np.linalg.norm(X, axis=0)
-            X -= K @ (K.T @ X)
-            part = Q[:, start:used].T @ X
-            X -= Q[:, start:used] @ part
-            coef[start:] += part
-            if (start == 0 or not full) and np.all(np.linalg.norm(X, axis=0) > 0.5 * before):
-                break
-            start = 0
-        return coef
-
     def extend(W: np.ndarray, used: int, width: int) -> int:
-        """Append `width` orthonormal columns spanning W (orthogonal to Q[:, :used]) to Q,
-        refilling the columns W lacks rank for from the stream."""
+        """Append `width` orthonormal columns spanning W (orthogonal to Q[:, :used]) to Q.
+
+        One reduced QR when W's first `width` columns each keep over half their norm;
+        else column by column, refilling the columns W lacks rank for from the stream."""
+        if W.shape[1] >= width:
+            Y, R = np.linalg.qr(W[:, :width])
+            if np.all(np.abs(np.diag(R)) > np.maximum(
+                    0.5 * np.linalg.norm(W[:, :width], axis=0), 1e-12)):
+                Q[:, used:used + width] = Y
+                return used + width
         col = 0
         for j in range(W.shape[1]):
             if col == width:
                 break
             w = W[:, j:j + 1].copy()
-            project(w, used + col, used, full=False)
+            _full_pass(w, K, Q[:, :used + col])
             norm = float(np.linalg.norm(w))
             if norm > 1e-12:
                 Q[:, used + col] = w[:, 0] / norm
                 col += 1
         while col < width:
             w = stream.normals(n)[:, None]
-            project(w, used + col)
+            _full_pass(w, K, Q[:, :used + col])
             norm = float(np.linalg.norm(w))
             if norm <= 1e-8:
                 raise SolverError("could not extend the block Lanczos basis with a fresh vector")
@@ -215,17 +255,37 @@ def _block_lanczos(op: LaplacianOperator, K: np.ndarray, want: int, b: int, stre
             col += 1
         return used + width
 
-    used = extend(np.zeros((n, 0)), 0, b)
+    start = stream.normals(n * b).reshape(b, n).T      # b columns, in stream order
+    start -= K @ (K.T @ start)
+    used = extend(start, 0, b)
     done = lo = 0
+    step = due = 0                     # block steps taken; the step a full pass is due
+    measured = None                    # (step, loss, growth) of the last full pass
     check = matvecs + b                # matvec count of the next Rayleigh-Ritz step
     last = (matvecs, np.inf)           # (matvecs, least worst residual) at the last one
     while True:
         block = slice(done, used)
-        W = np.empty((n, used - done), order="F")
-        for j in range(done, used):
-            W[:, j - done] = op.matvec(Q[:, j])
+        W = op.matvec(Q[:, block])
         matvecs += used - done
-        C = project(W, used, lo)
+        step += 1
+        C = np.zeros((used, used - done))
+        if lo:
+            # the short pass: L Q_j meets only its neighbour blocks in exact arithmetic,
+            # and W's columns already miss the rest
+            before = np.linalg.norm(W, axis=0)
+            W -= K @ (K.T @ W)
+            C[lo:] = Q[:, lo:used].T @ W
+            W -= Q[:, lo:used] @ C[lo:]
+            after = np.linalg.norm(W, axis=0)
+        # a column the short pass leaves under a tenth of its norm would carry the loss
+        # the schedule allows magnified over tenfold (near breakdown), so it passes too
+        if not lo or step >= due or np.any(after <= 0.1 * before):
+            C += _full_pass(W, K, Q[:, :used])
+            if lo:
+                # the loss of orthogonality: what the short pass left on Q[:, :lo]
+                loss = float((np.abs(C[:lo]) / np.maximum(after, _TINY)).max())
+                s, growth = _steps_to_full(measured, step, loss)
+                due, measured = step + s, (step, loss, growth)
         H[:used, block] = C
         H[block, :used] = C.T
         done = used
@@ -258,11 +318,13 @@ def _block_lanczos(op: LaplacianOperator, K: np.ndarray, want: int, b: int, stre
         check = matvecs + int(min(max(ahead, b), 16 * b))
         last = (matvecs, min(worst, last[1]))
         if done + width > cap:
-            # thick restart: the lowest Ritz vectors stay, the rest of the basis goes
+            # thick restart: the lowest Ritz vectors stay, the rest of the basis goes; the
+            # next step passes over the whole basis (lo = 0), the one after measures afresh
             Q[:, :keep] = Q[:, :done] @ S[:, :keep]
             H[:done, :done] = 0.0
             H[:keep, :keep] = np.diag(vals[:keep])
             done = keep
+            due, measured = 0, None
         lo = block.start if done == block.stop else 0
         used = extend(W, done, width)
 

@@ -7,7 +7,8 @@ import pytest
 
 from bufpart import (EmbeddingError, Graph, ball_measure, cheeger2_buffered, edge_energy,
                      eigenbasis, embed, lower_bound_unbuffered, normalized_laplacian)
-from bufpart.spectral import SpectralBasis, _block_lanczos_eigenbasis
+from bufpart import spectral
+from bufpart.spectral import LaplacianOperator, SpectralBasis, _block_lanczos_eigenbasis
 from conftest import (cycle, disjoint_cliques, four_component_union, k4, lapack_spectrum,
                       laplacian_matrix, path, planted_blocks, random_regular,
                       ring_with_chords, small_solver_suite, triangle, weighted_er)
@@ -26,6 +27,24 @@ def eigsh_bottom(g: Graph, k: int) -> np.ndarray:
     found = eigsh(L, k=k, sigma=-0.01, which="LM", tol=1e-14, v0=np.ones(g.n),
                   return_eigenvectors=False)
     return np.sort(found)
+
+
+def grid(rows: int, cols: int) -> Graph:
+    """The rows x cols grid graph, unit costs: its spectrum has doubled values."""
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    pairs = np.vstack([np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),
+                       np.column_stack([ids[:-1].ravel(), ids[1:].ravel()])])
+    return Graph.build(rows * cols, np.column_stack([pairs, np.ones(len(pairs))]))
+
+
+def joined_halves(n: int = 500) -> Graph:
+    """Two copies of one random n-vertex graph (5n random pairs) joined by one edge."""
+    rng = np.random.default_rng(1)
+    u, v = rng.integers(0, n, 5 * n), rng.integers(0, n, 5 * n)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = np.unique((lo * n + hi)[lo != hi])
+    one = np.column_stack([keys // n, keys % n, np.ones(keys.size)])
+    return Graph.build(2 * n, np.vstack([one, one + [n, n, 0.0], [[0, n, 1.0]]]))
 
 
 class TestLaplacianOperator:
@@ -200,6 +219,54 @@ class TestEigenbasis:
         vals, _ = _block_lanczos_eigenbasis(normalized_laplacian(union), 8)
         assert np.abs(vals[2::2] - vals[3::2]).max() <= 1e-10 and vals[2] > 1e-3
         assert np.abs(vals - eigsh_bottom(union, 8)).max() <= 1e-8
+
+    @pytest.mark.parametrize("make, k", [
+        # doubled eigenvalues: 0, 7.03e-4 twice, 1.42e-3, 2.81e-3 twice, 3.54e-3 twice
+        pytest.param(lambda: grid(60, 60), 8, id="grid60x60"),
+        # no gap after lambda_5, so the basis fills and restarts thick
+        pytest.param(lambda: cycle(1024), 5, id="cycle1024"),
+        # lambda_2 = 2.3e-4, then six values in [0.405, 0.418], two of them 1e-9 apart
+        pytest.param(joined_halves, 8, id="joined_halves"),
+    ])
+    def test_block_lanczos_matches_lapack_on_hard_spectra(self, make, k):
+        # the full reorthogonalization pass is skipped on most steps; skipping must
+        # neither move an eigenvalue nor let the returned vectors lose orthogonality
+        g = make()
+        vals, vecs = _block_lanczos_eigenbasis(normalized_laplacian(g), k)
+        assert np.abs(vals - np.linalg.eigvalsh(laplacian_matrix(g))[:k]).max() <= 1e-10
+        assert np.abs(vecs.T @ vecs - np.eye(k)).max() <= 1e-10
+
+    def test_full_reorthogonalization_is_skipped_but_follows_every_restart(self, monkeypatch):
+        # Record each block step (the basis columns L is applied to) and each full pass
+        # (the columns it orthogonalizes and the basis width it covers).
+        events = []
+        full_pass, matvec = spectral._full_pass, LaplacianOperator.matvec
+
+        def record_full_pass(X, K, Q):
+            events.append(("full", X.shape[1], Q.shape[1]))
+            return full_pass(X, K, Q)
+
+        def record_matvec(op, z):
+            start = (z.__array_interface__["data"][0]
+                     - z.base.__array_interface__["data"][0]) // z.strides[1]
+            events.append(("step", start, z.shape[1]))
+            return matvec(op, z)
+
+        monkeypatch.setattr(spectral, "_full_pass", record_full_pass)
+        monkeypatch.setattr(LaplacianOperator, "matvec", record_matvec)
+        g = planted_blocks(600, 4, 608, pairs=6)
+        vals, _ = _block_lanczos_eigenbasis(normalized_laplacian(g), 8)
+        assert np.abs(vals - lapack_spectrum(g, 8)).max() <= 1e-10
+        steps = [i for i, e in enumerate(events) if e[0] == "step"] + [len(events)]
+        assert sum(e[0] == "full" for e in events) < len(steps) - 1
+        # a thick restart: the next block starts at a lower basis column than the last
+        restarts = [(i, j) for h, i, j in zip(steps, steps[1:], steps[2:])
+                    if events[i][1] < events[h][1]]
+        assert restarts
+        for i, j in restarts:
+            _, start, width = events[i]
+            # that step's own pass covers the kept Ritz vectors and the new block
+            assert ("full", width, start + width) in events[i + 1:j]
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
