@@ -21,13 +21,15 @@ ascending sweep (phi, t) and the exact masked sums pick the winner.
 buffered_balanced_cut() stacks such cuts until the accumulated small sides
 reach a quarter of the total weight (each level runs at eps/2 so its buffer
 obeys w(B_t) <= eps w(L_t)); kway_balanced() recursively bisects, giving the
-heavier side the larger half of the part budget.
+heavier side the larger half of the part budget.  Each level cuts the subgraph
+the previous level's T induces, and each split branch the subgraph its side
+induces in its parent branch; level 1 and the root branch cut g itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -210,38 +212,20 @@ def buffered_balanced_cut(g: Graph, epsilon: float) -> BalancedCutResult:
     if g.n < 2:
         raise PartitionError("balanced cut needs at least two vertices")
     total = g.total_weight
-    active = np.arange(g.n)
-    left: list[np.ndarray] = []
-    buf: list[np.ndarray] = []
-    lambdas: list[float] = []
-    phis: list[float] = []
-    levels: list[BufferedCut] = []
-    violations: list[str] = []
+    sub, ids = g, np.arange(g.n)       # this level's graph; ids[i] is its vertex i in g
+    levels: list[BufferedCut] = []     # each level's cut, in g's ids
     left_weight = 0.0
     while True:
-        if active.size < 2:
-            violations.append(
-                f"recursion bottomed out with {active.size} active vertices before "
-                f"reaching the balance target")
-            break
-        sub, ids = g.subgraph(active)
         # eps/2 per level: the enumerated cut guarantees w(B_t) <= 2(eps/2) w(L_t).
         cut = cheeger2_buffered(sub, epsilon / 2.0)
-        lifted = BufferedCut(
-            s=ids[cut.s], t=ids[cut.t], b=ids[cut.b], phi=cut.phi,
-            buffer_ratio=cut.buffer_ratio, cut_value=cut.cut_value,
-            lambda2=cut.lambda2, threshold=cut.threshold, side_vector=cut.side_vector)
-        levels.append(lifted)
-        lambdas.append(cut.lambda2)
-        phis.append(cut.phi)
-        left.append(lifted.s)
-        buf.append(lifted.b)
-        left_weight += g.weight_of(lifted.s)
-        active = lifted.t
-        if left_weight >= BALANCE_FRACTION * total:
+        levels.append(replace(cut, s=ids[cut.s], t=ids[cut.t], b=ids[cut.b]))
+        left_weight += g.weight_of(levels[-1].s)
+        if left_weight >= BALANCE_FRACTION * total or cut.t.size < 2:
             break
-    left_idx = np.concatenate(left)      # n >= 2 gives at least one level
-    buf_idx = np.concatenate(buf)
+        sub, keep = sub.subgraph(cut.t)
+        ids = ids[keep]
+    left_idx = np.concatenate([c.s for c in levels])
+    buf_idx = np.concatenate([c.b for c in levels])
     left_mask = np.zeros(g.n, dtype=bool)
     left_mask[left_idx] = True
     buf_mask = np.zeros(g.n, dtype=bool)
@@ -251,24 +235,23 @@ def buffered_balanced_cut(g: Graph, epsilon: float) -> BalancedCutResult:
     wl, wr = g.weight_of(left_idx), g.weight_of(right_idx)
     wb = g.weight_of(buf_idx)
     cut_lr = cut_cost_masks(g, left_mask, right_mask)
-    balanced = True
+    violations: list[str] = []
     lo, hi = BALANCE_FRACTION * total, (1.0 - BALANCE_FRACTION) * total
     if not (lo - 1e-9 <= wl <= hi + 1e-9):
-        balanced = False
         violations.append(f"w(L)={wl!r} outside [{lo!r}, {hi!r}]")
     if not (lo - 1e-9 <= wr <= hi + 1e-9):
-        balanced = False
         violations.append(f"w(R)={wr!r} outside [{lo!r}, {hi!r}]")
     if wl > 0 and wr > 0 and wb > 3.0 * epsilon * min(wl, wr) + 1e-12:
-        balanced = False
         violations.append(f"w(B)={wb!r} exceeds 3 eps min(w(L), w(R))")
-    if balanced:
-        violations = [v for v in violations if "bottomed out" not in v]
+    balanced = not violations
+    if not balanced and left_weight < BALANCE_FRACTION * total:
+        violations.insert(0, f"recursion bottomed out with {levels[-1].t.size} active "
+                             f"vertices before reaching the balance target")
     return BalancedCutResult(
         left=left_idx, right=right_idx, buffer=buf_idx, cut_value=cut_lr,
         balanced=balanced, violations=tuple(violations),
-        per_level_lambda2=tuple(lambdas), per_level_phi=tuple(phis),
-        per_level_cuts=tuple(levels))
+        per_level_lambda2=tuple(c.lambda2 for c in levels),
+        per_level_phi=tuple(c.phi for c in levels), per_level_cuts=tuple(levels))
 
 
 def kway_balanced(g: Graph, k: int, epsilon: float) -> KwayBalancedResult:
@@ -282,32 +265,34 @@ def kway_balanced(g: Graph, k: int, epsilon: float) -> KwayBalancedResult:
     lambdas: list[float] = []
     violations: list[str] = []
 
-    def recurse(vertices: np.ndarray, k_here: int) -> None:
-        if k_here <= 1 or vertices.size < 2:
+    def recurse(sub: Graph, ids: np.ndarray, side: np.ndarray, k_here: int) -> None:
+        """Split side, vertices of sub (ids[i] is vertex i in g), into k_here parts.
+
+        A leaf keeps side's order; a split cuts the subgraph side induces in sub
+        (sub itself at the root), whose ids come back sorted.
+        """
+        if k_here <= 1 or side.size < 2:
             if k_here > 1:
                 violations.append(
-                    f"branch with {vertices.size} vertices could not host {k_here} parts")
-            parts.append(vertices)
+                    f"branch with {side.size} vertices could not host {k_here} parts")
+            parts.append(ids[side])
             return
-        sub, ids = g.subgraph(vertices)
+        if side.size < sub.n:
+            sub, keep = sub.subgraph(side)
+            ids = ids[keep]
         res = buffered_balanced_cut(sub, epsilon)
         lambdas.extend(res.per_level_lambda2)
-        if res.left.size == 0 or res.right.size == 0:
-            violations.append("degenerate split; keeping branch whole")
-            parts.append(vertices)
-            return
         buffer.append(ids[res.buffer])
-        side_l, side_r = ids[res.left], ids[res.right]
-        wl, wr = g.weight_of(side_l), g.weight_of(side_r)
-        big, small = (side_l, side_r) if wl >= wr else (side_r, side_l)
+        wl, wr = g.weight_of(ids[res.left]), g.weight_of(ids[res.right])
+        big, small = (res.left, res.right) if wl >= wr else (res.right, res.left)
         # Part budget proportional to realized side weights, heavier side
         # rounding up (equal weights reduce to ceil(k/2) / floor(k/2)).
         ratio = max(wl, wr) / (wl + wr)
         k_big = min(max(math.floor(k_here * ratio + 0.5), 1), k_here - 1)
-        recurse(big, k_big)
-        recurse(small, k_here - k_big)
+        recurse(sub, ids, big, k_big)
+        recurse(sub, ids, small, k_here - k_big)
 
-    recurse(np.arange(g.n), k)
+    recurse(g, np.arange(g.n), np.arange(g.n), k)
     buf_idx = np.concatenate(buffer) if buffer else np.empty(0, dtype=np.int64)
     part_w = [g.weight_of(p) for p in parts]
     limit = PART_WEIGHT_FACTOR * total / k

@@ -15,7 +15,8 @@ import sys
 
 import numpy as np
 
-from .balanced import buffered_balanced_cut, cheeger2_buffered, kway_balanced
+from .balanced import (PART_WEIGHT_FACTOR, buffered_balanced_cut, cheeger2_buffered,
+                       kway_balanced)
 from .certify import (brute_force_h_k_eps, certify_run,
                       check_buffered_lower_bound)
 from .graph import (BufferedPartition, Graph, GraphError, PartitionError, _cut_report,
@@ -131,9 +132,10 @@ def _assignment_json(g: Graph, parts, buffers) -> Verbatim:
 
 def _read_partition_file(path, g: Graph, epsilon: float) -> BufferedPartition:
     """Parse an assignment file of {vertex: {"part_id": int, "role": "core"|"buffer"}}."""
+    text = _read_text(path, "partition")
     try:
-        data = json.loads(_read_text(path, "partition"))
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:    # bad JSON, huge ints, deep nesting
         raise GraphError(f"partition file {str(path)!r}: {exc}") from exc
     assignment = data.get("assignment", data) if isinstance(data, dict) else None
     if not isinstance(assignment, dict) or not assignment:
@@ -240,7 +242,7 @@ def _cmd_kbalanced(args) -> tuple[dict, int]:
                                        if len(res.parts) else [res.buffer]),
         "part_weights": [g.weight_of(p) for p in res.parts],
         "max_part_weight": res.max_part_weight,
-        "weight_limit": 6.0 * g.total_weight / args.k,
+        "weight_limit": PART_WEIGHT_FACTOR * g.total_weight / args.k,
         "buffer_weight": res.buffer_weight,
         "buffer_constant": (res.buffer_weight / (args.eps * g.total_weight)
                             if args.eps > 0 else None),

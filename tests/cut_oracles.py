@@ -1,16 +1,26 @@
-"""Reference implementations of the two-threshold search and the k-way crossing cost.
+"""Reference implementations of the two-threshold search, the k-way crossing
+cost and the two recursions that stack and bisect buffered cuts.
 
-These are the straightforward per-threshold and per-pair loops the library
-replaced with one sorted sweep and one labelled pass: every candidate
+The first two are the straightforward per-threshold and per-pair loops the
+library replaced with one sorted sweep and one labelled pass: every candidate
 threshold and every part pair scans all edges with ``cut_cost_masks``.  The
 oracle tests require the library to reproduce them exactly; patched in for
 ``balanced._two_threshold_cut``, the first gives the old ``cheeger2_buffered``.
+
+The recursions rebuild every level and branch from the root graph with
+``g.subgraph`` and lift each level's cut field by field, where the library
+cuts the subgraph of the graph its parent already holds.  Both call the
+library's ``cheeger2_buffered``, so they check only the recursion.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from bufpart import balanced
+from bufpart.balanced import BALANCE_FRACTION, PART_WEIGHT_FACTOR, BufferedCut
 from bufpart.graph import Graph, PartitionError, cut_cost_masks
 
 
@@ -51,3 +61,109 @@ def reference_crossing_cost(g: Graph, parts) -> float:
             mj[parts[j]] = True
             crossing += cut_cost_masks(g, mi, mj)
     return crossing
+
+
+def reference_balanced_cut(g: Graph, epsilon: float) -> balanced.BalancedCutResult:
+    """buffered_balanced_cut with every level cut from g.subgraph(active vertices)."""
+    balanced._check_epsilon(epsilon)
+    if g.n < 2:
+        raise PartitionError("balanced cut needs at least two vertices")
+    total = g.total_weight
+    active = np.arange(g.n)
+    left, buf, lambdas, phis, levels, violations = [], [], [], [], [], []
+    left_weight = 0.0
+    while True:
+        if active.size < 2:
+            violations.append(
+                f"recursion bottomed out with {active.size} active vertices before "
+                f"reaching the balance target")
+            break
+        sub, ids = g.subgraph(active)
+        cut = balanced.cheeger2_buffered(sub, epsilon / 2.0)
+        lifted = BufferedCut(
+            s=ids[cut.s], t=ids[cut.t], b=ids[cut.b], phi=cut.phi,
+            buffer_ratio=cut.buffer_ratio, cut_value=cut.cut_value,
+            lambda2=cut.lambda2, threshold=cut.threshold, side_vector=cut.side_vector)
+        levels.append(lifted)
+        lambdas.append(cut.lambda2)
+        phis.append(cut.phi)
+        left.append(lifted.s)
+        buf.append(lifted.b)
+        left_weight += g.weight_of(lifted.s)
+        active = lifted.t
+        if left_weight >= BALANCE_FRACTION * total:
+            break
+    left_idx = np.concatenate(left)
+    buf_idx = np.concatenate(buf)
+    left_mask = np.zeros(g.n, dtype=bool)
+    left_mask[left_idx] = True
+    buf_mask = np.zeros(g.n, dtype=bool)
+    buf_mask[buf_idx] = True
+    right_mask = ~left_mask & ~buf_mask
+    right_idx = np.flatnonzero(right_mask)
+    wl, wr = g.weight_of(left_idx), g.weight_of(right_idx)
+    wb = g.weight_of(buf_idx)
+    cut_lr = cut_cost_masks(g, left_mask, right_mask)
+    is_balanced = True
+    lo, hi = BALANCE_FRACTION * total, (1.0 - BALANCE_FRACTION) * total
+    if not (lo - 1e-9 <= wl <= hi + 1e-9):
+        is_balanced = False
+        violations.append(f"w(L)={wl!r} outside [{lo!r}, {hi!r}]")
+    if not (lo - 1e-9 <= wr <= hi + 1e-9):
+        is_balanced = False
+        violations.append(f"w(R)={wr!r} outside [{lo!r}, {hi!r}]")
+    if wl > 0 and wr > 0 and wb > 3.0 * epsilon * min(wl, wr) + 1e-12:
+        is_balanced = False
+        violations.append(f"w(B)={wb!r} exceeds 3 eps min(w(L), w(R))")
+    if is_balanced:
+        violations = [v for v in violations if "bottomed out" not in v]
+    return balanced.BalancedCutResult(
+        left=left_idx, right=right_idx, buffer=buf_idx, cut_value=cut_lr,
+        balanced=is_balanced, violations=tuple(violations),
+        per_level_lambda2=tuple(lambdas), per_level_phi=tuple(phis),
+        per_level_cuts=tuple(levels))
+
+
+def reference_kway(g: Graph, k: int, epsilon: float) -> balanced.KwayBalancedResult:
+    """kway_balanced with every branch cut from g.subgraph(its vertices)."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    balanced._check_epsilon(epsilon)
+    total = g.total_weight
+    parts, buffer, lambdas, violations = [], [], [], []
+
+    def recurse(vertices: np.ndarray, k_here: int) -> None:
+        if k_here <= 1 or vertices.size < 2:
+            if k_here > 1:
+                violations.append(
+                    f"branch with {vertices.size} vertices could not host {k_here} parts")
+            parts.append(vertices)
+            return
+        sub, ids = g.subgraph(vertices)
+        res = reference_balanced_cut(sub, epsilon)
+        lambdas.extend(res.per_level_lambda2)
+        if res.left.size == 0 or res.right.size == 0:
+            violations.append("degenerate split; keeping branch whole")
+            parts.append(vertices)
+            return
+        buffer.append(ids[res.buffer])
+        side_l, side_r = ids[res.left], ids[res.right]
+        wl, wr = g.weight_of(side_l), g.weight_of(side_r)
+        big, small = (side_l, side_r) if wl >= wr else (side_r, side_l)
+        ratio = max(wl, wr) / (wl + wr)
+        k_big = min(max(math.floor(k_here * ratio + 0.5), 1), k_here - 1)
+        recurse(big, k_big)
+        recurse(small, k_here - k_big)
+
+    recurse(np.arange(g.n), k)
+    buf_idx = np.concatenate(buffer) if buffer else np.empty(0, dtype=np.int64)
+    part_w = [g.weight_of(p) for p in parts]
+    limit = PART_WEIGHT_FACTOR * total / k
+    for i, pw in enumerate(part_w):
+        if pw > limit + 1e-9:
+            violations.append(f"part {i} weight {pw!r} exceeds 6 w(V)/k = {limit!r}")
+    return balanced.KwayBalancedResult(
+        parts=tuple(parts), buffer=buf_idx, crossing_cost=reference_crossing_cost(g, parts),
+        max_part_weight=max(part_w) if part_w else 0.0,
+        buffer_weight=g.weight_of(buf_idx),
+        per_level_lambda2=tuple(lambdas), violations=tuple(violations))

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bufpart import (Graph, buffered_balanced_cut, cheeger2_buffered, cut_cost,
+from bufpart import (Graph, balanced, buffered_balanced_cut, cheeger2_buffered, cut_cost,
                      kway_balanced)
 from bufpart.balanced import _break_points
 from conftest import clique, disjoint_cliques, planted, tiny_connected, weighted_er
@@ -171,15 +171,26 @@ class TestBalancedCut:
         assert hits >= 4
 
 
+def heavy_vertex_path() -> Graph:
+    # one vertex holds 90% of the weight: no cut can balance
+    return Graph.build(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
+                       weights=[90.0, 1.0, 1.0, 1.0])
+
+
 class TestBalancedCutDegenerate:
     def test_heavy_vertex_reports_best_effort(self):
-        # one vertex holds 90% of the weight: no cut can balance, and the
-        # result must say so instead of raising
-        g = Graph.build(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
-                        weights=[90.0, 1.0, 1.0, 1.0])
-        res = buffered_balanced_cut(g, 0.2)
+        # the result must say so instead of raising, bottoming out first
+        res = buffered_balanced_cut(heavy_vertex_path(), 0.2)
         assert not res.balanced
-        assert res.violations
+        assert res.violations == (
+            "recursion bottomed out with 1 active vertices before reaching the balance target",
+            "w(L)=3.0 outside [23.25, 69.75]",
+            "w(R)=90.0 outside [23.25, 69.75]")
+
+    def test_heavy_vertex_kway_keeps_the_unsplittable_branch(self):
+        res = kway_balanced(heavy_vertex_path(), 3, 0.2)
+        assert res.violations == ("branch with 1 vertices could not host 2 parts",)
+        assert [p.tolist() for p in res.parts] == [[0], [1, 2, 3]]
 
 
 class TestKwayBalanced:
@@ -210,3 +221,42 @@ class TestKwayBalanced:
         res = kway_balanced(g, 4, 0.15)
         combined = np.concatenate([res.buffer] + [p for p in res.parts])
         assert np.array_equal(np.sort(combined), np.arange(g.n))
+
+
+def test_kway_subgraphs_are_cut_from_the_caller_graph(monkeypatch):
+    # Each Graph.subgraph call keeps fewer vertices than its graph has (no
+    # identity copies) and is made on the graph its caller cut: a level's
+    # graph keeping that level's T, or a branch's graph keeping one of its
+    # sides (so a grandchild branch is not cut from the root).
+    g, _ = planted([3, 5, 24, 24, 10], 0.5, 0.02, seed=22)    # small blocks: 2+ levels
+    calls, levels, branches = [], [], []
+    real_subgraph = Graph.subgraph
+    real_cut, real_balanced = balanced.cheeger2_buffered, balanced.buffered_balanced_cut
+
+    def subgraph(self, vertices):
+        child, keep = real_subgraph(self, vertices)
+        calls.append((self, keep))
+        return child, keep
+
+    def cut(sub, eps):
+        levels.append((sub, real_cut(sub, eps)))
+        return levels[-1][1]
+
+    def balanced_cut(sub, eps):
+        branches.append((sub, real_balanced(sub, eps)))
+        return branches[-1][1]
+
+    monkeypatch.setattr(Graph, "subgraph", subgraph)
+    monkeypatch.setattr(balanced, "cheeger2_buffered", cut)
+    monkeypatch.setattr(balanced, "buffered_balanced_cut", balanced_cut)
+    res = kway_balanced(g, 5, 0.1)
+    assert len(res.parts) == 5
+    for parent, keep in calls:
+        assert keep.size < parent.n
+        assert (any(sub is parent and np.array_equal(c.t, keep) for sub, c in levels)
+                or any(sub is parent and (np.array_equal(np.sort(r.left), keep)
+                                          or np.array_equal(r.right, keep))
+                       for sub, r in branches))
+    # one call per branch below the root and per level below a branch's first
+    assert len(calls) == len(levels) - 1
+    assert len(levels) > len(branches) >= 4

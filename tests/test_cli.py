@@ -351,6 +351,25 @@ class TestMalformedPartitionFile:
         assert (code, err) == (1, f"bufpart: error: partition file {str(part)!r}{reason}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("content, reason", [
+        ("[" * 200_000, "maximum recursion depth exceeded"),
+        ('{"0": {"part_id": ' + "1" * 5001 + "}}", "Exceeds the limit (4300 digits)"),
+    ], ids=["deep-nesting", "huge-int"])
+    @pytest.mark.parametrize("command", [["verify", "--k", "2", "--eps", "0.1"],
+                                         ["certify", "--k", "2", "--eps", "0.1",
+                                          "--delta", "0.5"]])
+    def test_json_the_decoder_refuses_is_named(self, content, reason, command, tiny_file,
+                                               tmp_path, capsys):
+        part = tmp_path / "part.json"
+        part.write_text(content)
+        out = tmp_path / "out.json"
+        code, err = _run_quietly(command + ["--graph", tiny_file, "--partition", str(part),
+                                            "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith(f"bufpart: error: partition file {str(part)!r}: {reason}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestPartitionTinyDelta:
     @pytest.mark.parametrize("delta", ["1e-16", "1e-300"])

@@ -1,15 +1,19 @@
-"""The sorted threshold sweep and the one-pass crossing cost against their reference loops.
+"""The sorted threshold sweep and the one-pass crossing cost against their reference loops,
+and the balanced-cut and k-way recursions against their root-subgraph references.
 
 Reports stay byte-identical only if every threshold, set and sum is
 reproduced exactly, so these comparisons use exact equality throughout.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from bufpart import Graph, balanced, buffered_balanced_cut, cheeger2_buffered, kway_balanced
 from conftest import cycle, disjoint_cliques, planted, random_regular, weighted_er
-from cut_oracles import reference_crossing_cost, reference_two_threshold_cut
+from cut_oracles import (reference_balanced_cut, reference_crossing_cost, reference_kway,
+                         reference_two_threshold_cut)
 
 CLIQUES = disjoint_cliques([9, 10, 11, 12])
 PLANTED = planted([30, 30, 30], 0.3, 0.03, seed=41)[0]
@@ -157,3 +161,61 @@ def test_crossing_cost_fuzz():
             label = rng.integers(-1, k, size=g.n)       # -1: buffer
             parts = [np.flatnonzero(label == i) for i in range(k)]
             assert balanced._crossing_cost(g, parts) == reference_crossing_cost(g, parts)
+
+
+def assert_same_result(got, want):
+    """Every field of two BalancedCutResults or KwayBalancedResults, bit for bit."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "per_level_cuts":
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert_same_cut(x, y)
+        elif isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        elif field.name == "parts":
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+def random_weighted_graph(rng) -> Graph:
+    n = int(rng.integers(2, 31))
+    p = float(rng.choice([0.1, 0.3, 0.7]))
+    edges = [(u, v, float(rng.choice([1.0, 5.0, 50.0])))
+             for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph.build(n, edges, weights=rng.choice([1.0, 5.0, 50.0], size=n))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:        # the reference must raise the same
+        return None, (type(exc), str(exc))
+
+
+def test_recursions_match_root_subgraph_reference_fuzz():
+    # Multi-level stacks, bottomed-out recursions (a heavy vertex, few
+    # vertices) and unsorted left sides feeding k-way branches all occur.
+    rng = np.random.default_rng(47)
+    multi_level = bottomed = compared = 0
+    for _ in range(300):
+        g = random_weighted_graph(rng)
+        eps = float(rng.choice([0.05, 0.1, 0.2]))
+        k = int(rng.integers(1, 7))
+        got, err = outcome(buffered_balanced_cut, g, eps)
+        want, want_err = outcome(reference_balanced_cut, g, eps)
+        assert err == want_err
+        if want is not None:
+            assert_same_result(got, want)
+            multi_level += len(want.per_level_cuts) >= 2
+            bottomed += any("bottomed out" in v for v in want.violations)
+        got, err = outcome(kway_balanced, g, k, eps)
+        want, want_err = outcome(reference_kway, g, k, eps)
+        assert err == want_err
+        if want is not None:
+            assert_same_result(got, want)
+            compared += 1
+    assert multi_level >= 50 and bottomed >= 10 and compared >= 250
