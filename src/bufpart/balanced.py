@@ -33,7 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import UNIT, Graph, PartitionError, cut_cost_masks, interval_sums, least_exact
+from .graph import (UNIT, Graph, PartitionError, _group_sums, cut_cost_masks, interval_sums,
+                    least_exact)
 from .spectral import eigenbasis, normalized_laplacian
 
 __all__ = [
@@ -309,9 +310,8 @@ def kway_balanced(g: Graph, k: int, epsilon: float) -> KwayBalancedResult:
 def _crossing_cost(g: Graph, parts: list) -> float:
     """Sum of cut_cost_masks(g, P_i, P_j) over part pairs i < j, added in (i, j) order.
 
-    One labelled pass: an edge between parts i < j gets pair id i k + j, and a
-    stable sort by pair id keeps each pair's edges in edge order, so each
-    pair's slice sums the same elements in the same order as its masked sum.
+    One labelled pass: an edge between parts i < j gets pair id i k + j, and
+    graph._group_sums sums each pair's edges in edge order, as its masked sum does.
     """
     k = len(parts)
     label = np.full(g.n, -1, dtype=np.int64)
@@ -319,12 +319,8 @@ def _crossing_cost(g: Graph, parts: list) -> float:
         label[p] = i
     a, b = label[g.edge_u], label[g.edge_v]
     between = (a >= 0) & (b >= 0) & (a != b)
-    pair = (np.minimum(a, b) * k + np.maximum(a, b))[between]
-    order = np.argsort(pair, kind="stable")
-    pair, cost = pair[order], g.edge_cost[between][order]
-    starts = np.flatnonzero(np.diff(pair, prepend=-1))
-    ends = np.append(starts[1:], pair.size)
     crossing = 0.0
-    for lo, hi in zip(starts, ends):
-        crossing += float(cost[lo:hi].sum())
+    for pair in _group_sums((np.minimum(a, b) * k + np.maximum(a, b))[between],
+                            g.edge_cost[between], k * k):
+        crossing += pair
     return crossing

@@ -60,8 +60,8 @@ def check_buffered_lower_bound(g: Graph, part: BufferedPartition, k: int,
     """
     if report is None:
         report = partition_cost(g, part)
-    if len(part.parts) != k:
-        raise ValueError(f"partition has {len(part.parts)} parts, expected {k}")
+    if part.k != k:
+        raise ValueError(f"partition has {part.k} parts, expected {k}")
     if basis is None:
         basis = eigenbasis(normalized_laplacian(g), k)
     elif basis.eigenvectors.shape[0] != g.n or basis.k_prime < k:
@@ -118,7 +118,7 @@ def brute_force_h_k_eps(g: Graph, k: int,
     """Exact h^{k,eps} with an optimal witness for each budget, from one enumeration.
 
     Returns one (optimum, witness) pair per budget, in input order.  A
-    budget's witness is its first optimal assignment in enumeration order.
+    budget's witness is its first optimal label row in enumeration order.
     """
     if g.n > BRUTE_FORCE_CAP:
         raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_CAP} (graph has {g.n})")
@@ -134,19 +134,14 @@ def brute_force_h_k_eps(g: Graph, k: int,
     best_labels: list[np.ndarray | None] = [None] * len(eps_list)
     for labels in _canonical_labels(g.n, k):
         # every part has a core vertex and weights are positive, so core_w > 0
-        core_w = np.zeros((labels.shape[0], k))
-        buf_w = np.zeros((labels.shape[0], k))
-        for i in range(k):
-            core_w[:, i] = ((labels == 2 * i) * w[None, :]).sum(axis=1)
-            buf_w[:, i] = ((labels == 2 * i + 1) * w[None, :]).sum(axis=1)
-        cut = np.zeros((labels.shape[0], k))
+        label_w = np.stack([((labels == j) * w[None, :]).sum(axis=1) for j in range(2 * k)], 1)
+        core_w, buf_w = label_w[:, ::2], label_w[:, 1::2]
         lu = labels[:, eu]
         lv = labels[:, ev]
         # an edge between two parts counts toward the part of each core endpoint
         between = (lu >> 1) != (lv >> 1)
-        for i in range(k):
-            crossing = between & ((lu == 2 * i) | (lv == 2 * i))
-            cut[:, i] = (crossing * ec[None, :]).sum(axis=1)
+        cut = np.stack([((between & ((lu == 2 * i) | (lv == 2 * i))) * ec[None, :]).sum(axis=1)
+                        for i in range(k)], 1)
         phi = (cut / core_w).max(axis=1)
         for b, e in enumerate(eps_list):
             idx = np.flatnonzero((buf_w <= e * core_w).all(axis=1))
@@ -155,14 +150,12 @@ def brute_force_h_k_eps(g: Graph, k: int,
             local = idx[np.argmin(phi[idx])]
             if phi[local] < best_phi[b]:
                 best_phi[b] = float(phi[local])
-                best_labels[b] = labels[local].copy()
+                best_labels[b] = labels[local].astype(np.int64)
     results = []
     for e, phi_e, lab in zip(eps_list, best_phi, best_labels):
         if lab is None:
             raise PartitionError(f"no feasible {e}-buffered {k}-partition exists")
-        parts = [np.flatnonzero(lab == 2 * i) for i in range(k)]
-        buffers = [np.flatnonzero(lab == 2 * i + 1) for i in range(k)]
-        results.append((phi_e, BufferedPartition.from_sets(parts, buffers, e)))
+        results.append((phi_e, BufferedPartition(label=lab, k=k, epsilon=e)))
     return results
 
 

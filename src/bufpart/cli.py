@@ -111,23 +111,14 @@ def _load(args) -> Graph:
     return load_graph(args.graph, args.weights)
 
 
-def _assignment_json(g: Graph, parts, buffers) -> Verbatim:
-    """The object {name: {"part_id": i, "role": "core"|"buffer"}} as JSON text,
-    in (len(name), name) order.  A vertex listed twice takes its last part, and
-    a buffer over a core."""
-    part = np.full(g.n, -1, dtype=np.int64)
-    buffered = np.zeros(g.n, dtype=bool)
-    for i, p in enumerate(parts):
-        part[np.asarray(p, dtype=np.int64)] = i
-    for i, b in enumerate(buffers):
-        b = np.asarray(b, dtype=np.int64)
-        part[b] = i
-        buffered[b] = True
-    names = g.labels
-    placed = sorted(np.flatnonzero(part >= 0).tolist(), key=lambda v: (len(names[v]), names[v]))
-    part_ids, flags, roles = part.tolist(), buffered.tolist(), ("core", "buffer")
-    return Verbatim("{" + ",".join(f'{json_string(names[v])}:{{"part_id":{part_ids[v]},'
-                                   f'"role":"{roles[flags[v]]}"}}' for v in placed) + "}")
+def _assignment_json(g: Graph, part: BufferedPartition) -> Verbatim:
+    """The object {name: {"part_id": i, "role": "core"|"buffer"}} of part's labelled
+    vertices as JSON text, in (len(name), name) order."""
+    names, label, roles = g.labels, part.label.tolist(), ("core", "buffer")
+    placed = sorted(np.flatnonzero(part.label >= 0).tolist(),
+                    key=lambda v: (len(names[v]), names[v]))
+    return Verbatim("{" + ",".join(f'{json_string(names[v])}:{{"part_id":{label[v] >> 1},'
+                                   f'"role":"{roles[label[v] & 1]}"}}' for v in placed) + "}")
 
 
 def _read_partition_file(path, g: Graph, epsilon: float) -> BufferedPartition:
@@ -141,7 +132,7 @@ def _read_partition_file(path, g: Graph, epsilon: float) -> BufferedPartition:
     if not isinstance(assignment, dict) or not assignment:
         raise GraphError("partition file holds no assignment object of vertices")
     index = {name: i for i, name in enumerate(g.labels)}
-    placed = []
+    label = np.full(g.n, -1, dtype=np.int64)
     for name, entry in assignment.items():
         if name not in index:
             raise GraphError(f"partition file names unknown vertex {name!r}")
@@ -152,13 +143,8 @@ def _read_partition_file(path, g: Graph, epsilon: float) -> BufferedPartition:
         role = entry.get("role", "core")
         if role not in ("core", "buffer"):
             raise GraphError(f"partition file gives vertex {name!r} the unknown role {role!r}")
-        placed.append((index[name], part_id, role))
-    k = 1 + max(part_id for _, part_id, _ in placed)
-    parts = [[] for _ in range(k)]
-    buffers = [[] for _ in range(k)]
-    for vertex, part_id, role in placed:
-        (parts if role == "core" else buffers)[part_id].append(vertex)
-    return BufferedPartition.from_sets(parts, buffers, epsilon)
+        label[index[name]] = 2 * part_id + (role == "buffer")
+    return BufferedPartition(label=label, k=1 + int(label.max()) // 2, epsilon=epsilon)
 
 
 def _cmd_partition(args) -> tuple[dict, int]:
@@ -179,7 +165,7 @@ def _cmd_partition(args) -> tuple[dict, int]:
         "params": {"k": args.k, "eps": args.eps, "delta": args.delta,
                    "seed": args.seed, "restarts": args.restarts},
         "epsilon_realized": bp.epsilon,
-        "assignment": _assignment_json(g, bp.parts, bp.buffers),
+        "assignment": _assignment_json(g, bp),
         "cut_report": report.to_dict(),
         "certificate": info["certificate"],
         "diagnostics": {k: v for k, v in info.items() if k != "certificate"},
@@ -195,7 +181,8 @@ def _cmd_cheeger2(args) -> tuple[dict, int]:
     doc = {
         "command": "cheeger2",
         "params": {"eps": args.eps},
-        "assignment": _assignment_json(g, [cut.s, cut.t], [cut.b, []]),
+        "assignment": _assignment_json(
+            g, BufferedPartition.from_sets([cut.s, cut.t], [cut.b, []], args.eps)),
         "phi": cut.phi,
         "cut_value": cut.cut_value,
         "buffer_ratio": cut.buffer_ratio,
@@ -214,7 +201,8 @@ def _cmd_balanced_cut(args) -> tuple[dict, int]:
     doc = {
         "command": "balanced-cut",
         "params": {"eps": args.eps},
-        "assignment": _assignment_json(g, [res.left, res.right], [res.buffer, []]),
+        "assignment": _assignment_json(
+            g, BufferedPartition.from_sets([res.left, res.right], [res.buffer, []], args.eps)),
         "cut_value": res.cut_value,
         "balance": {"left": g.weight_of(res.left), "right": g.weight_of(res.right),
                     "total": g.total_weight},
@@ -238,8 +226,8 @@ def _cmd_kbalanced(args) -> tuple[dict, int]:
     doc = {
         "command": "kbalanced",
         "params": {"k": args.k, "eps": args.eps},
-        "assignment": _assignment_json(g, res.parts, [res.buffer] + [[]] * (len(res.parts) - 1)
-                                       if len(res.parts) else [res.buffer]),
+        "assignment": _assignment_json(g, BufferedPartition.from_sets(
+            res.parts, [res.buffer] + [[]] * (len(res.parts) - 1), args.eps)),
         "part_weights": [g.weight_of(p) for p in res.parts],
         "max_part_weight": res.max_part_weight,
         "weight_limit": PART_WEIGHT_FACTOR * g.total_weight / args.k,
@@ -321,7 +309,7 @@ def _cmd_brute(args) -> tuple[dict, int]:
         "command": "brute",
         "params": {"k": args.k, "eps": args.eps},
         "optimum": optimum,
-        "witness": _assignment_json(g, witness.parts, witness.buffers),
+        "witness": _assignment_json(g, witness),
     }
     return doc, EXIT_OK
 

@@ -19,6 +19,12 @@ between them keep u < v and their (u, v) order, and a subset of valid,
 distinct, loop-free edges with positive costs is still one.  It only
 re-applies the scale rule, which depends on n and the incident costs.
 
+A buffered partition is one int64 label per vertex: 2i for a core vertex of
+part i, 2i+1 for a buffer vertex of part i, -1 for a vertex in no set.
+Validation and costing read the labels with bincounts and one edge pass: a core
+vertex of part i pays for an edge exactly when the other end's label >> 1 is not
+i, and _group_sums adds each part's costs in edge order, as its masked .sum() would.
+
 The threshold searches of cheeger2 and Step 3 share interval_sums(), which
 scores every candidate threshold at once under one stated float error bound,
 and least_exact(), which lets only the exact masked sums pick the winner.
@@ -63,15 +69,11 @@ _HUGE = np.finfo(np.float64).max
 _TOTAL_LIMIT = _HUGE / 1024.0
 
 
-def _vertex_set(vertices: Iterable[int]) -> np.ndarray:
-    """Sorted distinct int64 ids; only a non-array iterable is listed first."""
+def _as_vertex_array(vertices: Iterable[int], n: int) -> np.ndarray:
+    """Sorted distinct int64 ids in [0, n); only a non-array iterable is listed first."""
     if not isinstance(vertices, np.ndarray):
         vertices = list(vertices)
-    return np.unique(np.asarray(vertices, dtype=np.int64))
-
-
-def _as_vertex_array(vertices: Iterable[int], n: int) -> np.ndarray:
-    arr = _vertex_set(vertices)
+    arr = np.unique(np.asarray(vertices, dtype=np.int64))
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
         raise GraphError(f"vertex id out of range [0, {n}): {arr[arr < 0] if arr[0] < 0 else arr[-1]}")
     return arr
@@ -329,44 +331,53 @@ def buffered_expansion(g: Graph, p: Iterable[int], b: Iterable[int]) -> float:
 
 @dataclass(frozen=True)
 class BufferedPartition:
-    """Parts P_1..P_k with per-part buffers B_1..B_k and budget epsilon."""
+    """Parts P_0..P_{k-1}, buffers B_0..B_{k-1} and budget epsilon as vertex labels."""
 
-    parts: tuple            # tuple of sorted int64 arrays
-    buffers: tuple
+    label: np.ndarray       # int64; from_sets makes it 1 + the largest listed id long
+    k: int
     epsilon: float
 
     @staticmethod
     def from_sets(parts: Sequence[Iterable[int]], buffers: Sequence[Iterable[int]],
                   epsilon: float) -> "BufferedPartition":
-        ps = tuple(_vertex_set(p) for p in parts)
-        bs = tuple(_vertex_set(b) for b in buffers)
-        if len(ps) != len(bs):
+        """The labels of vertex sets; a label holds one set per vertex, so sets that
+        share a vertex raise (condition 1), as do negative ids."""
+        if len(parts) != len(buffers):
             raise PartitionError("need one buffer per part (may be empty)")
-        return BufferedPartition(parts=ps, buffers=bs, epsilon=float(epsilon))
+        sets = [np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64)
+                for pair in zip(parts, buffers) for s in pair]
+        ids = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
+        owner = np.repeat(np.arange(len(sets)), [s.size for s in sets])
+        if ids.size and ids.min() < 0:
+            raise PartitionError(f"negative vertex id {int(ids.min())}")
+        label = np.full(int(ids.max(initial=-1)) + 1, -1, dtype=np.int64)
+        label[ids] = owner
+        shared = ids[label[ids] != owner]
+        if shared.size:
+            raise PartitionError(f"condition 1 violated: sets are not pairwise disjoint "
+                                 f"(vertex {int(shared.min())})")
+        return BufferedPartition(label=label, k=len(parts), epsilon=float(epsilon))
 
     @property
-    def k(self) -> int:
-        return len(self.parts)
+    def parts(self) -> tuple:
+        """P_0..P_{k-1} as sorted vertex arrays."""
+        return tuple(np.flatnonzero(self.label == 2 * i) for i in range(self.k))
+
+    @property
+    def buffers(self) -> tuple:
+        return tuple(np.flatnonzero(self.label == 2 * i + 1) for i in range(self.k))
 
     def assignment(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(part index, role) per vertex; role 0 = core, 1 = buffer, -1 = unassigned."""
-        part = -np.ones(n, dtype=np.int64)
-        role = -np.ones(n, dtype=np.int64)
-        for i, (p, b) in enumerate(zip(self.parts, self.buffers)):
-            part[p] = i
-            role[p] = 0
-            part[b] = i
-            role[b] = 1
-        return part, role
+        label = np.full(n, -1, dtype=np.int64)
+        label[:self.label.size] = self.label[:n]
+        return label >> 1, np.where(label >= 0, label & 1, -1)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
     violations: tuple
-
-    def first(self) -> str:
-        return self.violations[0] if self.violations else ""
 
 
 @dataclass(frozen=True)
@@ -386,36 +397,25 @@ class CutReport:
 
 
 def validate_partition(g: Graph, part: BufferedPartition) -> ValidationReport:
-    """Check the four buffered-partition conditions; report every violation."""
+    """Check the four buffered-partition conditions; report every violation.
+
+    Condition 1 holds by construction: a label puts each vertex in one set."""
     violations: list[str] = []
-    coverage = np.zeros(g.n, dtype=np.int64)
-    for i, p in enumerate(part.parts):
-        if p.size and (p[0] < 0 or p[-1] >= g.n):
-            violations.append(f"part {i} has out-of-range vertices")
-            continue
-        coverage[p] += 1
-    for i, b in enumerate(part.buffers):
-        if b.size and (b[0] < 0 or b[-1] >= g.n):
-            violations.append(f"buffer {i} has out-of-range vertices")
-            continue
-        coverage[b] += 1
-    if np.any(coverage > 1):
-        dup = int(np.argmax(coverage > 1))
-        violations.append(f"condition 1 violated: sets are not pairwise disjoint (vertex {dup})")
-    if np.any(coverage == 0):
-        missing = int(np.argmax(coverage == 0))
+    outside = np.bincount(part.label[g.n:] + 1, minlength=2 * part.k + 1)[1:] > 0
+    violations += [f"part {i} has out-of-range vertices" for i in np.flatnonzero(outside[::2])]
+    violations += [f"buffer {i} has out-of-range vertices" for i in np.flatnonzero(outside[1::2])]
+    label = np.full(g.n, -1, dtype=np.int64)
+    label[:part.label.size] = part.label[:g.n]
+    if np.any(label < 0):
+        missing = int(np.argmax(label < 0))
         violations.append(f"condition 2 violated: union does not cover V (vertex {missing})")
-    for i, p in enumerate(part.parts):
-        if p.size == 0:
-            violations.append(f"condition 3 violated: part {i} is empty")
+    cores = np.bincount(part.label[part.label >= 0], minlength=2 * part.k)[:2 * part.k:2]
+    violations += [f"condition 3 violated: part {i} is empty" for i in np.flatnonzero(cores == 0)]
     if not (0.0 <= part.epsilon < 1.0):
         violations.append(f"epsilon {part.epsilon} outside [0,1)")
-    for i, (p, b) in enumerate(zip(part.parts, part.buffers)):
-        if p.size == 0:
-            continue
-        wb = g.weight_of(b) if b.size else 0.0
-        wp = g.weight_of(p)
-        if wb > part.epsilon * wp:
+    sums = _group_sums(label, g.weights, 2 * part.k)
+    for i, (wp, wb) in enumerate(zip(sums[::2], sums[1::2])):
+        if cores[i] and wb > part.epsilon * wp:
             violations.append(
                 f"condition 4 violated: w(B_{i})={wb!r} > eps*w(P_{i})={part.epsilon * wp!r}")
     return ValidationReport(valid=not violations, violations=tuple(violations))
@@ -425,19 +425,37 @@ def partition_cost(g: Graph, part: BufferedPartition) -> CutReport:
     """Per-part buffered expansions and their maximum (the partition's cost)."""
     report = validate_partition(g, part)
     if not report.valid:
-        raise PartitionError(f"invalid buffered partition: {report.first()}")
+        raise PartitionError(f"invalid buffered partition: {report.violations[0]}")
     return _cut_report(g, part)
 
 
 def _cut_report(g: Graph, part: BufferedPartition) -> CutReport:
-    """partition_cost() of a partition that validate_partition() has passed."""
-    phis = []
-    ratios = []
-    for p, b in zip(part.parts, part.buffers):
-        phis.append(buffered_expansion(g, p, b))
-        ratios.append((g.weight_of(b) if b.size else 0.0) / g.weight_of(p))
+    """partition_cost() of a partition that validate_partition() has passed.
+
+    One edge pass (module docstring): a core end u of part i pays for (u, v) when
+    label[v] >> 1 != i.  Each edge gets a key per end, the paying part or -1."""
+    label = part.label
+    ends = np.column_stack([label[g.edge_u], label[g.edge_v]])
+    pays = ((ends & 1) == 0) & (ends >= 0) & ((ends >> 1) != (ends >> 1)[:, ::-1])
+    cuts = _group_sums(np.where(pays, ends >> 1, -1).ravel(), np.repeat(g.edge_cost, 2),
+                       part.k)
+    weights = _group_sums(label, g.weights, 2 * part.k)
+    phis = [cut / wp for cut, wp in zip(cuts, weights[::2])]
     return CutReport(per_part_expansion=tuple(phis), max_expansion=max(phis),
-                     buffer_ratios=tuple(ratios), violations=())
+                     buffer_ratios=tuple(wb / wp for wb, wp in zip(weights[1::2], weights[::2])),
+                     violations=())
+
+
+def _group_sums(key: np.ndarray, values: np.ndarray, groups: int) -> list:
+    """[float(values[key == j].sum()) for j in range(groups)], bit for bit.
+
+    One stable sort by key keeps each group's values in input order, so each
+    group's slice holds the elements of its masked array in the same order and
+    numpy's pairwise .sum() adds them alike.  Keys outside [0, groups) are dropped."""
+    order = np.argsort(key, kind="stable")
+    vals = values[order]
+    ends = np.searchsorted(key[order], np.arange(groups + 1)).tolist()
+    return [float(vals[lo:hi].sum()) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
 # The code points str.isspace() accepts, which are those str.split() splits at.

@@ -606,7 +606,11 @@ def complete_partition(pp: PartialPartition, g: Graph, k_target: int) -> Buffere
     # Nudge the reported budget up a hair so the exact <= re-check cannot
     # trip on the rounding of (w_b/w_p) * w_p.
     budget = realized * (1.0 + 1e-12) if realized > 0.0 else 0.0
-    return BufferedPartition.from_sets(parts, buffers, budget)
+    label = np.full(g.n, -1, dtype=np.int64)     # pp tiles V: every vertex gets one
+    for i, (p, b) in enumerate(zip(parts, buffers)):
+        label[p] = 2 * i
+        label[b] = 2 * i + 1
+    return BufferedPartition(label=label, k=k_target, epsilon=budget)
 
 
 def lifted_k(k: int, delta: float, n: int) -> int:

@@ -28,6 +28,9 @@ on the older columns, relative to the block's norm.  The next pass comes after
 the most steps, at most 8, over which that loss stays below 1e-12 if it keeps
 growing at the largest rate measured since the last restart.  The new block is
 orthonormalized by one reduced QR, or column by column when it loses rank.
+
+eigenbasis checks each answer by its residuals on L itself, and solves again with the
+full pass at every step when they are too large.
 """
 
 from __future__ import annotations
@@ -207,14 +210,15 @@ def _steps_to_full(last: tuple[int, float, float] | None, step: int, loss: float
 
 
 def _block_lanczos(op: LaplacianOperator, K: np.ndarray, want: int, b: int, stream,
-                   matvecs: int) -> tuple[np.ndarray, np.ndarray, int]:
+                   matvecs: int, full: bool) -> tuple[np.ndarray, np.ndarray, int]:
     """Bottom `want` eigenpairs of L on the complement of span(K), with blocks of b columns.
 
     Each block step orthogonalizes L's new block against the kernel and the two newest
-    blocks, and against the whole basis when a full pass is due (_steps_to_full) or the
-    short pass nearly cancelled a column; a thick restart when the basis is full, and
-    block columns that run out of rank refilled from `stream`.  `matvecs` counts the
-    ones spent before; returns (values, vectors, matvecs spent in all)."""
+    blocks, and against the whole basis when a full pass is due (_steps_to_full), the
+    short pass nearly cancelled a column, or `full` asks for it at every step; a thick
+    restart when the basis is full, and block columns that run out of rank refilled
+    from `stream`.  `matvecs` counts the ones spent before; returns (values, vectors,
+    matvecs spent in all)."""
     n = op.n
     max_matvecs = 50 * n
     room = n - K.shape[1]              # dimension of the kernel's complement
@@ -279,7 +283,7 @@ def _block_lanczos(op: LaplacianOperator, K: np.ndarray, want: int, b: int, stre
             after = np.linalg.norm(W, axis=0)
         # a column the short pass leaves under a tenth of its norm would carry the loss
         # the schedule allows magnified over tenfold (near breakdown), so it passes too
-        if not lo or step >= due or np.any(after <= 0.1 * before):
+        if full or not lo or step >= due or np.any(after <= 0.1 * before):
             C += _full_pass(W, K, Q[:, :used])
             if lo:
                 # the loss of orthogonality: what the short pass left on Q[:, :lo]
@@ -329,14 +333,15 @@ def _block_lanczos(op: LaplacianOperator, K: np.ndarray, want: int, b: int, stre
         used = extend(W, done, width)
 
 
-def _block_lanczos_eigenbasis(op: LaplacianOperator, k_prime: int
+def _block_lanczos_eigenbasis(op: LaplacianOperator, k_prime: int, full: bool = False
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Bottom-k' eigenpairs: the exact kernel first, then block Lanczos on its complement.
 
     The block starts at BLOCK columns and doubles, with a fresh solve, while a value
     the block may hold too few copies of is reported.  It runs on L / 2^e, 2^e the power
     of two nearest max(diag), so its thresholds are relative to the operator's scale;
-    the scaling and the ldexp back are exact."""
+    the scaling and the ldexp back are exact.  `full` runs the full reorthogonalization
+    pass at every block step; only eigenbasis's retry sets it."""
     top = float(op.diag.max())
     e = int(np.round(np.log2(top))) if top > 0.0 else 0
     if e:
@@ -349,7 +354,7 @@ def _block_lanczos_eigenbasis(op: LaplacianOperator, k_prime: int
     b = min(BLOCK, want)
     matvecs = 0
     while True:
-        vals, vecs, matvecs = _block_lanczos(op, K, want, b, stream, matvecs)
+        vals, vecs, matvecs = _block_lanczos(op, K, want, b, stream, matvecs, full)
         if b == want or not _saturated(vals, b):
             return np.ldexp(np.concatenate([np.zeros(c), vals]), e), np.hstack([K, vecs])
         b = min(2 * b, want)
@@ -357,19 +362,38 @@ def _block_lanczos_eigenbasis(op: LaplacianOperator, k_prime: int
 
 def eigenbasis(op: LaplacianOperator, k_prime: int) -> SpectralBasis:
     """Bottom-k' eigenpairs of the normalized Laplacian: the exact kernel, then block
-    Lanczos, with canonical signs and residuals checked by separate matvecs."""
+    Lanczos, with canonical signs and the residuals ||L x - lambda x|| of one more matvec.
+
+    The answer stands when its largest residual is at most 1e-8 on L / 2^e, i.e.
+    1e-8 2^e on L (2^e as in _block_lanczos_eigenbasis): the solver's convergence test
+    reads the Ritz residual that the Lanczos relation predicts, which a loss of
+    orthogonality can make small for a wrong spectrum.  Else, or when the solver raises
+    SolverError, the solve is redone with the full reorthogonalization pass at every
+    block step, and a second failure raises SolverError."""
     if not 1 <= k_prime <= op.n:
         raise ValueError(f"k_prime must lie in [1, n={op.n}], got {k_prime}")
-    vals, vecs = _block_lanczos_eigenbasis(op, k_prime)
-    vecs = _canonical_signs(vecs)
-    # A Ritz value of an eigenvalue near 0 can land a rounding error below it;
-    # reflect such values to nonnegative ones, which the sort then reorders.
-    vals = np.where(np.abs(vals) < 1e-12, np.abs(vals), vals)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    return SpectralBasis(k_prime=int(k_prime), eigenvalues=vals, eigenvectors=vecs,
-                         residuals=_residuals(op, vals, vecs))
+    top = float(op.diag.max())
+    limit = 1e-8 * (np.ldexp(1.0, int(np.round(np.log2(top)))) if top > 0.0 else 1.0)
+    for full in (False, True):
+        try:
+            vals, vecs = _block_lanczos_eigenbasis(op, k_prime, full)
+        except SolverError:
+            if full:
+                raise
+            continue
+        vecs = _canonical_signs(vecs)
+        # A Ritz value of an eigenvalue near 0 can land a rounding error below it;
+        # reflect such values to nonnegative ones, which the sort then reorders.
+        vals = np.where(np.abs(vals) < 1e-12, np.abs(vals), vals)
+        order = np.argsort(vals, kind="stable")
+        vals = vals[order]
+        vecs = vecs[:, order]
+        residuals = _residuals(op, vals, vecs)
+        if float(residuals.max()) <= limit:
+            return SpectralBasis(k_prime=int(k_prime), eigenvalues=vals, eigenvectors=vecs,
+                                 residuals=residuals)
+    raise SolverError(f"block Lanczos with full reorthogonalization left a residual of "
+                      f"{float(residuals.max()):.3e}, above {limit:.3e} (1e-8 on L / 2^e)")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ threshold and every part pair scans all edges with ``cut_cost_masks``.  The
 oracle tests require the library to reproduce them exactly; patched in for
 ``balanced._two_threshold_cut``, the first gives the old ``cheeger2_buffered``.
 
+The partition checks are the per-part loops the library replaced with one
+label pass: validate_partition and partition_cost as two masks per part,
+each part's expansion from buffered_expansion, and weights from g.weight_of.
+
 The recursions rebuild every level and branch from the root graph with
 ``g.subgraph`` and lift each level's cut field by field, where the library
 cuts the subgraph of the graph its parent already holds.  Both call the
@@ -21,7 +25,8 @@ import numpy as np
 
 from bufpart import balanced
 from bufpart.balanced import BALANCE_FRACTION, PART_WEIGHT_FACTOR, BufferedCut
-from bufpart.graph import Graph, PartitionError, cut_cost_masks
+from bufpart.graph import (BufferedPartition, CutReport, Graph, PartitionError,
+                           buffered_expansion, cut_cost_masks)
 
 
 def reference_two_threshold_cut(g: Graph, usq: np.ndarray, epsilon: float) -> tuple:
@@ -61,6 +66,49 @@ def reference_crossing_cost(g: Graph, parts) -> float:
             mj[parts[j]] = True
             crossing += cut_cost_masks(g, mi, mj)
     return crossing
+
+
+def reference_violations(g: Graph, part: BufferedPartition) -> tuple:
+    """validate_partition(g, part).violations, one pass over each set in turn."""
+    violations: list[str] = []
+    coverage = np.zeros(g.n, dtype=np.int64)
+    for kind, sets in (("part", part.parts), ("buffer", part.buffers)):
+        for i, s in enumerate(sets):
+            if s.size and (s[0] < 0 or s[-1] >= g.n):
+                violations.append(f"{kind} {i} has out-of-range vertices")
+                continue
+            coverage[s] += 1
+    if np.any(coverage > 1):
+        dup = int(np.argmax(coverage > 1))
+        violations.append(f"condition 1 violated: sets are not pairwise disjoint (vertex {dup})")
+    if np.any(coverage == 0):
+        missing = int(np.argmax(coverage == 0))
+        violations.append(f"condition 2 violated: union does not cover V (vertex {missing})")
+    for i, p in enumerate(part.parts):
+        if p.size == 0:
+            violations.append(f"condition 3 violated: part {i} is empty")
+    if not (0.0 <= part.epsilon < 1.0):
+        violations.append(f"epsilon {part.epsilon} outside [0,1)")
+    for i, (p, b) in enumerate(zip(part.parts, part.buffers)):
+        if p.size == 0:
+            continue
+        wb = g.weight_of(b) if b.size else 0.0
+        wp = g.weight_of(p)
+        if wb > part.epsilon * wp:
+            violations.append(
+                f"condition 4 violated: w(B_{i})={wb!r} > eps*w(P_{i})={part.epsilon * wp!r}")
+    return tuple(violations)
+
+
+def reference_cut_report(g: Graph, part: BufferedPartition) -> CutReport:
+    """graph._cut_report(g, part) for a partition whose parts are non-empty, part by part."""
+    phis = []
+    ratios = []
+    for p, b in zip(part.parts, part.buffers):
+        phis.append(buffered_expansion(g, p, b))
+        ratios.append((g.weight_of(b) if b.size else 0.0) / g.weight_of(p))
+    return CutReport(per_part_expansion=tuple(phis), max_expansion=max(phis),
+                     buffer_ratios=tuple(ratios), violations=())
 
 
 def reference_balanced_cut(g: Graph, epsilon: float) -> balanced.BalancedCutResult:

@@ -15,7 +15,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from bufpart.cli import _assignment_json, _read_partition_file, run
-from bufpart.graph import Graph, load_graph
+from bufpart.graph import BufferedPartition, Graph, PartitionError, load_graph
 from bufpart.reports import render_json
 from conftest import four_component_union, lapack_spectrum
 
@@ -233,21 +233,12 @@ class TestVerifyCertifyBrute:
         assert len(doc["witness"]) == 4
 
 
-def _assignment_dict(g, parts, buffers) -> dict:
+def _assignment_dict(g, label) -> dict:
     """Oracle: the assignment as the per-vertex dict that render_json walks."""
     names = g.labels
-    out = {}
-    roles = {}
-    for i, p in enumerate(parts):
-        for v in np.asarray(p).tolist():
-            out[names[v]] = i
-            roles[names[v]] = "core"
-    for i, b in enumerate(buffers):
-        for v in np.asarray(b).tolist():
-            out[names[v]] = i
-            roles[names[v]] = "buffer"
-    return {name: {"part_id": out[name], "role": roles[name]}
-            for name in sorted(out, key=lambda s: (len(s), s))}
+    placed = {names[v]: {"part_id": x // 2, "role": ("core", "buffer")[x % 2]}
+              for v, x in enumerate(label.tolist()) if x >= 0}
+    return {name: placed[name] for name in sorted(placed, key=lambda s: (len(s), s))}
 
 
 _NASTY = ['"', "\\", "\u2028", "\u00e9", "\u96ea", "\U0001f600", "a", "Z", "~"] + \
@@ -261,32 +252,24 @@ _LABEL = st.one_of(st.text(st.sampled_from(_NASTY), min_size=1, max_size=5),
 def _assignments(draw):
     labels = draw(st.lists(_LABEL, min_size=1, max_size=14, unique=True))
     n = len(labels)
-    vertex_lists = st.lists(st.lists(st.integers(0, n - 1), max_size=n), max_size=4)
-    as_arrays = draw(st.booleans())
-    parts, buffers = draw(vertex_lists), draw(vertex_lists)
-    if as_arrays:
-        parts = [np.array(p, dtype=np.int64) for p in parts]
-    return Graph.build(n, [], weights=np.ones(n), labels=labels), parts, buffers
+    label = np.array(draw(st.lists(st.integers(-1, 7), min_size=n, max_size=n)), dtype=np.int64)
+    return Graph.build(n, [], weights=np.ones(n), labels=labels), label
 
 
 class TestAssignmentText:
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(case=_assignments())
     def test_joined_text_equals_rendered_dict(self, case):
-        g, parts, buffers = case
-        got = render_json({"assignment": _assignment_json(g, parts, buffers)})
-        assert got == render_json({"assignment": _assignment_dict(g, parts, buffers)})
-        assert json.loads(got)["assignment"] == _assignment_dict(g, parts, buffers)
+        g, label = case
+        part = BufferedPartition(label=label, k=4, epsilon=0.0)
+        got = render_json({"assignment": _assignment_json(g, part)})
+        assert got == render_json({"assignment": _assignment_dict(g, label)})
+        assert json.loads(got)["assignment"] == _assignment_dict(g, label)
 
-    def test_overlapping_sets_keep_the_last_part_and_buffers_over_cores(self):
-        g = Graph.build(4, [], weights=np.ones(4), labels=("b", "a", "10", "9"))
-        parts, buffers = [[0, 1], [1, 2]], [[2, 3], [3]]
-        text = render_json(_assignment_json(g, parts, buffers))
-        assert text == render_json(_assignment_dict(g, parts, buffers))
-        assert json.loads(text) == {"9": {"part_id": 1, "role": "buffer"},
-                                    "a": {"part_id": 1, "role": "core"},
-                                    "b": {"part_id": 0, "role": "core"},
-                                    "10": {"part_id": 0, "role": "buffer"}}
+    def test_overlapping_sets_are_rejected(self):
+        with pytest.raises(PartitionError, match=r"^condition 1 violated: sets are not "
+                                                 r"pairwise disjoint \(vertex 1\)$"):
+            BufferedPartition.from_sets([[0, 1], [1, 2]], [[2, 3], [3]], 0.0)
 
     @pytest.mark.parametrize("command", [["cheeger2"], ["balanced-cut"],
                                          ["kbalanced", "--k", "3"],

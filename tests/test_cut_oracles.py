@@ -1,5 +1,6 @@
-"""The sorted threshold sweep and the one-pass crossing cost against their reference loops,
-and the balanced-cut and k-way recursions against their root-subgraph references.
+"""The sorted threshold sweep, the one-pass crossing cost and the label pass of partition
+validation and costing against their reference loops, and the balanced-cut and k-way
+recursions against their root-subgraph references.
 
 Reports stay byte-identical only if every threshold, set and sum is
 reproduced exactly, so these comparisons use exact equality throughout.
@@ -10,10 +11,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bufpart import Graph, balanced, buffered_balanced_cut, cheeger2_buffered, kway_balanced
+from bufpart import (BufferedPartition, Graph, balanced, buffered_balanced_cut,
+                     cheeger2_buffered, kway_balanced, validate_partition)
+from bufpart.graph import _cut_report
 from conftest import cycle, disjoint_cliques, planted, random_regular, weighted_er
-from cut_oracles import (reference_balanced_cut, reference_crossing_cost, reference_kway,
-                         reference_two_threshold_cut)
+from cut_oracles import (reference_balanced_cut, reference_crossing_cost, reference_cut_report,
+                         reference_kway, reference_two_threshold_cut, reference_violations)
 
 CLIQUES = disjoint_cliques([9, 10, 11, 12])
 PLANTED = planted([30, 30, 30], 0.3, 0.03, seed=41)[0]
@@ -219,3 +222,44 @@ def test_recursions_match_root_subgraph_reference_fuzz():
             assert_same_result(got, want)
             compared += 1
     assert multi_level >= 50 and bottomed >= 10 and compared >= 250
+
+
+def random_labelled_partition(rng):
+    """(graph, label, k, eps): n up to 3,000, so that a part's sums cross numpy's
+    128-element pairwise block, with uncovered vertices and empty buffers."""
+    n = int(rng.integers(200, 3001)) if rng.random() < 0.2 else int(rng.integers(2, 120))
+    m = int(rng.integers(n, 5 * n))
+    u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    keys = keys[keys // n != keys % n]
+    edges = np.column_stack([keys // n, keys % n, rng.uniform(0.1, 3.0, keys.size)])
+    g = Graph.build(n, edges, weights=rng.uniform(0.1, 5.0, n))
+    k = int(rng.integers(1, min(12, n) + 1))
+    label = 2 * rng.integers(0, k, n)
+    if rng.random() < 0.7:
+        label[rng.permutation(n)[:k]] = 2 * np.arange(k)      # every part has a core
+    label += rng.random(n) < rng.choice([0.0, 0.02, 0.3])       # buffers, or none
+    label[rng.random(n) < rng.choice([0.0, 0.0, 0.01, 0.2])] = -1   # uncovered
+    return g, label, k, float(rng.choice([0.0, 0.3, 0.9, 5.0]))
+
+
+def test_partition_label_pass_matches_per_part_loops_fuzz():
+    # Violation texts equal, and each part's phi, buffer ratio and the max by bytes.
+    rng = np.random.default_rng(48)
+    valid = costed = big = 0
+    for _ in range(320):
+        g, label, k, eps = random_labelled_partition(rng)
+        sets = [rng.permutation(np.flatnonzero(label == j)) for j in range(2 * k)]
+        part = BufferedPartition.from_sets(sets[::2], sets[1::2], eps)
+        got = validate_partition(g, part).violations
+        assert got == reference_violations(g, part)
+        valid += not got
+        whole = BufferedPartition(label=label, k=k, epsilon=eps)
+        if all(p.size for p in whole.parts):
+            have, want = _cut_report(g, whole), reference_cut_report(g, whole)
+            for field in ("per_part_expansion", "buffer_ratios", "max_expansion"):
+                a, b = np.array(getattr(have, field)), np.array(getattr(want, field))
+                assert a.tobytes() == b.tobytes(), field
+            costed += 1
+            big += g.n > 1000
+    assert valid >= 50 and costed >= 200 and big >= 20

@@ -277,6 +277,32 @@ class TestBufferedExpansion:
                 assert with_buf < without
 
 
+class TestBufferedPartitionLabels:
+    def test_from_sets_labels_each_vertex_once(self):
+        part = BufferedPartition.from_sets([np.array([3, 0]), [2, 2]], [[5], ()], 0.25)
+        assert part.label.tolist() == [0, -1, 2, 0, -1, 1]
+        assert (part.k, part.epsilon) == (2, 0.25)
+        assert [p.tolist() for p in part.parts] == [[0, 3], [2]]
+        assert [b.tolist() for b in part.buffers] == [[5], []]
+        index, role = part.assignment(7)
+        assert index.tolist() == [0, -1, 1, 0, -1, 0, -1]
+        assert role.tolist() == [0, -1, 0, 0, -1, 1, -1]
+
+    def test_from_sets_rejects_negative_ids_and_unpaired_buffers(self):
+        with pytest.raises(PartitionError, match="negative vertex id -2"):
+            BufferedPartition.from_sets([[0, -2]], [[]], 0.0)
+        with pytest.raises(PartitionError, match="one buffer per part"):
+            BufferedPartition.from_sets([[0], [1]], [[]], 0.0)
+
+    def test_from_sets_does_not_sort(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("from_sets sorted")
+        for name in ("unique", "sort", "argsort", "lexsort"):
+            monkeypatch.setattr(np, name, refuse)
+        part = BufferedPartition.from_sets([np.arange(50, 0, -1)], [[0]], 0.1)
+        assert part.label.tolist() == [1] + [0] * 50
+
+
 class TestValidatePartition:
     def test_boundary_budget_is_inclusive(self):
         g = Graph.build(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
@@ -286,10 +312,9 @@ class TestValidatePartition:
         assert validate_partition(g, part).valid
 
     def test_overlap_names_condition_1(self):
-        part = BufferedPartition.from_sets([[0, 1], [2]], [[], [1]], 0.9)
-        report = validate_partition(k4(), part)
-        assert not report.valid
-        assert any("condition 1" in v for v in report.violations)
+        with pytest.raises(PartitionError, match=r"^condition 1 violated: sets are not "
+                                                 r"pairwise disjoint \(vertex 1\)$"):
+            BufferedPartition.from_sets([[0, 1], [2]], [[], [1]], 0.9)
 
     def test_empty_part_names_condition_3(self):
         part = BufferedPartition.from_sets([[0, 1, 2, 3], []], [[], []], 0.5)
@@ -303,9 +328,16 @@ class TestValidatePartition:
         assert any("condition 2" in v for v in report.violations)
 
     def test_reports_every_violation(self):
-        part = BufferedPartition.from_sets([[0], []], [[0], []], 0.5)
-        report = validate_partition(k4(), part)
-        assert len(report.violations) >= 3
+        part = BufferedPartition.from_sets([[0], []], [[1], []], 0.5)
+        assert validate_partition(k4(), part).violations == (
+            "condition 2 violated: union does not cover V (vertex 2)",
+            "condition 3 violated: part 1 is empty",
+            "condition 4 violated: w(B_0)=3.0 > eps*w(P_0)=1.5")
+
+    def test_out_of_range_ids_are_named_per_set(self):
+        part = BufferedPartition.from_sets([[0, 5], [1, 2]], [[], [3, 4]], 0.9)
+        assert validate_partition(k4(), part).violations == (
+            "part 0 has out-of-range vertices", "buffer 1 has out-of-range vertices")
 
     def test_against_reference_enumerator(self):
         # every (core/buffer) assignment on small graphs: validity must

@@ -1,5 +1,6 @@
 """Laplacian, eigensolver (exact kernel plus block Lanczos), embedding, ball measure."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from bufpart import (EmbeddingError, Graph, ball_measure, cheeger2_buffered, edge_energy,
                      eigenbasis, embed, lower_bound_unbuffered, normalized_laplacian)
-from bufpart import spectral
+from bufpart import load_graph, spectral
+from bufpart.cli import run
 from bufpart.spectral import LaplacianOperator, SpectralBasis, _block_lanczos_eigenbasis
 from conftest import (cycle, disjoint_cliques, four_component_union, k4, lapack_spectrum,
                       laplacian_matrix, path, planted_blocks, random_regular,
@@ -295,6 +297,71 @@ class TestTinyGraphs:
             gram = basis.eigenvectors.T @ basis.eigenvectors
             assert np.abs(gram - np.eye(k)).max() <= 1e-10, k
             assert basis.residuals.max() <= 1e-8, k
+
+
+def wide_spectrum_draws(seed: int, stop: int):
+    """(t, edge lines, weight lines) of the draws t < stop that have an edge.
+
+    Draw t: n in [8, 30], each upper-triangle pair kept with probability
+    (0.1, 0.3, 0.7)[t % 3], the kept pairs shuffled and each flipped with
+    probability 1/2, costs and weights from {1, 5, 50}; a weight line for each
+    vertex an edge names.  lambda_max reaches 100 and more, and such spectra
+    broke the block solver's convergence test."""
+    rng = np.random.default_rng(seed)
+    for t in range(stop):
+        n = int(rng.integers(8, 31))
+        keep = rng.random(n * (n - 1) // 2) < (0.1, 0.3, 0.7)[t % 3]
+        a, b = (ends[keep] for ends in np.triu_indices(n, 1))
+        order = rng.permutation(a.size)
+        a, b = a[order], b[order]
+        flip = rng.random(a.size) < 0.5
+        a, b = np.where(flip, b, a), np.where(flip, a, b)
+        cost = rng.choice([1, 5, 50], a.size)
+        weight = rng.choice([1, 5, 50], n)
+        if a.size:
+            yield (t, [f"v{x} v{y} {c}" for x, y, c in zip(a, b, cost)],
+                   [f"v{v} {weight[v]}" for v in np.unique(np.concatenate([a, b]))])
+
+
+def assert_bottom_spectrum(g: Graph, vals: np.ndarray) -> None:
+    truth = np.linalg.eigvalsh(laplacian_matrix(g))
+    assert np.abs(vals - truth[:vals.size]).max() <= 1e-8 * max(1.0, truth[-1])
+
+
+class TestWideSpectrumDraws:
+    """The solver checks its answer's residuals on L and solves again with full
+    reorthogonalization when they are large.  Without that check, seed 7 draw 1212
+    gave lambda_1 = -0.1016 (residual 0.251) where the true value is 0, draw 1990
+    raised SolverError, and seed 11 draw 1074 gave a wrong spectrum."""
+
+    @pytest.mark.parametrize("seed, t", [(7, 1212), (7, 1990), (11, 1074)])
+    def test_pinned_draws_match_eigvalsh(self, seed, t):
+        *_, (drawn, edges, weights) = wide_spectrum_draws(seed, t + 1)
+        assert drawn == t
+        g = load_graph(edges, weights)
+        lap = normalized_laplacian(g)
+        basis = eigenbasis(lap, 3)
+        assert_bottom_spectrum(g, basis.eigenvalues)
+        assert basis.residuals.max() <= 1e-8 * 2.0 * lap.diag.max()
+
+    def test_first_600_draws_of_seed_11_match_eigvalsh(self):
+        count = 0
+        for _, edges, weights in wide_spectrum_draws(11, 600):
+            g = load_graph(edges, weights)
+            assert_bottom_spectrum(g, eigenbasis(normalized_laplacian(g), min(3, g.n)).eigenvalues)
+            count += 1
+        assert count >= 550
+
+    def test_spectrum_command_on_draw_1212(self, tmp_path):
+        *_, (_, edges, weights) = wide_spectrum_draws(7, 1213)
+        (tmp_path / "g.edges").write_text("\n".join(edges) + "\n")
+        (tmp_path / "g.weights").write_text("\n".join(weights) + "\n")
+        out = tmp_path / "spectrum.json"
+        code = run(["spectrum", "--graph", str(tmp_path / "g.edges"), "--weights",
+                    str(tmp_path / "g.weights"), "--k", "3", "--out", str(out)])
+        assert code == 0
+        g = load_graph(edges, weights)
+        assert_bottom_spectrum(g, np.array(json.loads(out.read_text())["eigenvalues"]))
 
 
 class TestFourComponentUnion:
