@@ -238,11 +238,12 @@ def buffered_balanced_cut(g: Graph, epsilon: float) -> BalancedCutResult:
     cut_lr = cut_cost_masks(g, left_mask, right_mask)
     violations: list[str] = []
     lo, hi = BALANCE_FRACTION * total, (1.0 - BALANCE_FRACTION) * total
-    if not (lo - 1e-9 <= wl <= hi + 1e-9):
+    slack = 1e-9 * total        # rounding slack, relative to w(V) like the bounds
+    if not (lo - slack <= wl <= hi + slack):
         violations.append(f"w(L)={wl!r} outside [{lo!r}, {hi!r}]")
-    if not (lo - 1e-9 <= wr <= hi + 1e-9):
+    if not (lo - slack <= wr <= hi + slack):
         violations.append(f"w(R)={wr!r} outside [{lo!r}, {hi!r}]")
-    if wl > 0 and wr > 0 and wb > 3.0 * epsilon * min(wl, wr) + 1e-12:
+    if wl > 0 and wr > 0 and wb > 3.0 * epsilon * min(wl, wr) + 1e-12 * total:
         violations.append(f"w(B)={wb!r} exceeds 3 eps min(w(L), w(R))")
     balanced = not violations
     if not balanced and left_weight < BALANCE_FRACTION * total:
@@ -298,7 +299,7 @@ def kway_balanced(g: Graph, k: int, epsilon: float) -> KwayBalancedResult:
     part_w = [g.weight_of(p) for p in parts]
     limit = PART_WEIGHT_FACTOR * total / k
     for i, pw in enumerate(part_w):
-        if pw > limit + 1e-9:
+        if pw > limit + 1e-9 * total:
             violations.append(f"part {i} weight {pw!r} exceeds 6 w(V)/k = {limit!r}")
     return KwayBalancedResult(
         parts=tuple(parts), buffer=buf_idx, crossing_cost=_crossing_cost(g, parts),

@@ -446,16 +446,19 @@ def _cut_report(g: Graph, part: BufferedPartition) -> CutReport:
                      violations=())
 
 
-def _group_sums(key: np.ndarray, values: np.ndarray, groups: int) -> list:
-    """[float(values[key == j].sum()) for j in range(groups)], bit for bit.
-
-    One stable sort by key keeps each group's values in input order, so each
-    group's slice holds the elements of its masked array in the same order and
-    numpy's pairwise .sum() adds them alike.  Keys outside [0, groups) are dropped."""
+def _groups(key: np.ndarray, groups: int) -> list:
+    """[np.flatnonzero(key == j) for j in range(groups)] from one stable sort by
+    key, which keeps each group's indices ascending.  Other keys are dropped."""
     order = np.argsort(key, kind="stable")
-    vals = values[order]
     ends = np.searchsorted(key[order], np.arange(groups + 1)).tolist()
-    return [float(vals[lo:hi].sum()) for lo, hi in zip(ends[:-1], ends[1:])]
+    return [order[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
+
+
+def _group_sums(key: np.ndarray, values: np.ndarray, groups: int) -> list:
+    """[float(values[key == j].sum()) for j in range(groups)], bit for bit: each
+    group's values come in input order, as in its masked array, so numpy's
+    pairwise .sum() adds them alike."""
+    return [float(values[members].sum()) for members in _groups(key, groups)]
 
 
 # The code points str.isspace() accepts, which are those str.split() splits at.

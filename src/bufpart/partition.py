@@ -8,12 +8,19 @@ and keeps the bookkeeping
     Btilde_t = (X_t u Y_t) minus (Sigma_t u Gamma_{t-1})
     R_P      = never touched        R_B = touched but unassigned
 
+Each step hands on one int64 label per vertex, so its sets tile V by
+construction.  Step 2's CrudePartition has 2j on Ptilde and 2j+1 on Btilde of
+recorded round j, -1 on R_P and -2 on R_B; Steps 3-4's PartialPartition has
+4i + role on kept tuple i (role 0 P, 1 B, 2 A', 3 A''), -1 on R'_P and -2 on
+R'_B; completion's graph.BufferedPartition has 2i and 2i+1.  The set views
+(rounds, sigma, tuples, r_p_prime, ...) are derived from the labels, the
+per-round and per-tuple sets by one stable sort.
+
 The draws come from separators.measured_draws(), which evaluates a whole
 restart's draws at once and returns only the draws that reach a vector; a
 draw that reaches nothing changes no set.  Each reached draw's bookkeeping
-touches only the indices of X u Y u Z, and a RoundRecord is kept only for a
-round whose Ptilde or Btilde is non-empty, under its draw index.  Steps 3 and
-4 read nothing else, so the records of the other draws would change no result.
+touches only the labels of X u Y u Z, and a round gets a number j (with its
+draw index in draws[j]) only when its Ptilde or Btilde is non-empty.
 
 Step 3 refines each round by a threshold search over the member measures (a
 strictly stronger replacement for the probabilistic-method existence argument:
@@ -30,9 +37,9 @@ exhaustive search.  Step 4 runs in the same pass: a refined tuple whose
 buffered expansion exceeds the expansion-slack bound goes back to the
 leftovers, like a round with no feasible threshold.  complete_partition()
 keeps the k-1 tuples of lowest buffered expansion as parts and folds the
-leftovers and the other tuples into the last part; partial_partition() keeps
-the restart whose completion has the lowest max expansion, the quantity the
-paper bounds.
+leftovers and the other tuples into the last part, through one table from
+partial label to final label; partial_partition() keeps the restart whose
+completion has the lowest max expansion, the quantity the paper bounds.
 
 Each parameter is derived once: buffered_k_partition() lifts (k, eps, delta)
 to (k_hat, delta_hat, delta_slack, eps_hat), resolve_step2() turns those into
@@ -51,13 +58,14 @@ survives; the notes of the run record the certified scale it replaces.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certify import certify_run
-from .graph import (UNIT, BufferedPartition, CutReport, Graph, PartitionError, interval_sums,
-                    least_exact, partition_cost)
+from .graph import (UNIT, BufferedPartition, CutReport, Graph, PartitionError, _group_sums,
+                    _groups, interval_sums, least_exact, partition_cost)
 from .rng import RandomStream, derive_stream
 from .separators import (CalibrationError, SeparatorParams, calibrate,
                          measured_draws, practical_params)
@@ -149,29 +157,49 @@ def resolve_step2(n_vectors: int, k: int, epsilon: float, delta: float) -> Effec
                            rounds=rounds, params=params, notes=tuple(notes))
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    index: int              # the draw index t of the round
-    p_tilde: np.ndarray
-    b_tilde: np.ndarray
+# The records of the rounds and tuples views; index and round_index are draw indices.
+RoundRecord = namedtuple("RoundRecord", "index p_tilde b_tilde")
+RefinedTuple = namedtuple("RefinedTuple", "round_index p b a_prime a_double threshold phi")
 
 
 @dataclass(frozen=True)
 class CrudePartition:
-    rounds: tuple           # RoundRecord of each round with a non-empty Ptilde or Btilde
-    sigma: np.ndarray
-    gamma: np.ndarray
-    r_p: np.ndarray
-    r_b: np.ndarray
+    """Step 2's sets as one label per vertex (module docstring)."""
+
+    label: np.ndarray       # int64: 2j / 2j+1 on Ptilde / Btilde of round j, -1 R_P, -2 R_B
+    draws: np.ndarray       # int64: the draw index of each recorded round
     effective: EffectiveParams
     reject_count: int
 
+    @property
+    def rounds(self) -> tuple:
+        """RoundRecord of each recorded round, in draw order."""
+        sets = _groups(self.label, 2 * self.draws.size)
+        return tuple(RoundRecord(t, sets[2 * j], sets[2 * j + 1])
+                     for j, t in enumerate(self.draws.tolist()))
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return np.flatnonzero((self.label >= 0) & (self.label % 2 == 0))
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return np.flatnonzero((self.label >= 0) & (self.label % 2 == 1))
+
+    @property
+    def r_p(self) -> np.ndarray:
+        return np.flatnonzero(self.label == -1)
+
+    @property
+    def r_b(self) -> np.ndarray:
+        return np.flatnonzero(self.label == -2)
+
     def buffer_mass(self, g: Graph) -> float:
         """w(R_B) + sum_t w(Btilde_t), the Step-2 acceptance quantity."""
-        mass = g.weight_of(self.r_b)
-        for rec in self.rounds:
-            if rec.b_tilde.size:
-                mass += g.weight_of(rec.b_tilde)
+        sums = _group_sums(self.label + 2, g.weights, 2 * self.draws.size + 2)
+        mass = sums[0]
+        for wb in sums[3::2]:
+            mass += wb
         return mass
 
 
@@ -179,64 +207,55 @@ def crude_partition(e: Embedding, eff: EffectiveParams, rng: RandomStream) -> Cr
     """Step 2: the eff.rounds separator draws of eff.params, with the
     crude-partition bookkeeping; a draw is rejected when its min-ball leftover
     exceeds eff.delta_sep mu(U)."""
-    n = e.graph.n
-    sigma = np.zeros(n, dtype=bool)
-    gamma = np.zeros(n, dtype=bool)
-    touched = np.zeros(n, dtype=bool)
-    rounds: list[RoundRecord] = []
+    label = np.full(e.graph.n, -1, dtype=np.int64)      # R_P until touched
+    draws: list[int] = []
     rejects = 0
-    draws = measured_draws(e.psi, e.mu, eff.delta_sep, eff.params, rng, eff.rounds)
-    for t, s in draws:          # a rejected draw has empty sets and changes nothing
-        rejects += s.rejected
-        # Index work on X u Y u Z only.
-        p_tilde = s.x[~touched[s.x]]
-        sigma[p_tilde] = True
+    for t, s in measured_draws(e.psi, e.mu, eff.delta_sep, eff.params, rng, eff.rounds):
+        rejects += s.rejected   # a rejected draw has empty sets and changes nothing
+        # Index work on X u Y u Z only; the round is recorded as j if it sets anything.
+        j = len(draws)
+        p_tilde = s.x[label[s.x] == -1]
+        label[p_tilde] = 2 * j
         xy = np.union1d(s.x, s.y) if s.y.size else s.x
-        b_tilde = xy[~sigma[xy] & ~gamma[xy]]
-        gamma[b_tilde] = True
-        touched[s.x] = True
-        touched[s.y] = True
-        touched[s.z] = True     # a draw that only adds Z still moves it from R_P to R_B
+        b_tilde = xy[label[xy] < 0]
+        label[b_tilde] = 2 * j + 1
+        label[s.z[label[s.z] == -1]] = -2   # a draw that only adds Z still moves it to R_B
         if p_tilde.size or b_tilde.size:
-            rounds.append(RoundRecord(index=t, p_tilde=p_tilde, b_tilde=b_tilde))
-    r_p = np.flatnonzero(~touched)
-    r_b = np.flatnonzero(touched & ~sigma & ~gamma)
-    crude = CrudePartition(rounds=tuple(rounds), sigma=np.flatnonzero(sigma),
-                           gamma=np.flatnonzero(gamma), r_p=r_p, r_b=r_b,
-                           effective=eff, reject_count=rejects)
-    _assert_crude_structure(crude, n)
-    return crude
-
-
-def _assert_crude_structure(c: CrudePartition, n: int) -> None:
-    sets = [arr for rec in c.rounds for arr in (rec.p_tilde, rec.b_tilde) if arr.size]
-    coverage = np.bincount(np.concatenate(sets + [c.r_p, c.r_b]), minlength=n)
-    if np.any(coverage != 1):
-        raise AssertionError("crude partition bookkeeping violated Sigma u Gamma u R_P u R_B = V")
-
-
-@dataclass(frozen=True)
-class RefinedTuple:
-    round_index: int
-    p: np.ndarray
-    b: np.ndarray
-    a_prime: np.ndarray
-    a_double: np.ndarray
-    threshold: float
-    phi: float
+            draws.append(t)
+    return CrudePartition(label=label, draws=np.array(draws, dtype=np.int64), effective=eff,
+                          reject_count=rejects)
 
 
 @dataclass(frozen=True)
 class PartialPartition:
-    tuples: tuple
-    r_p_prime: np.ndarray
-    r_b_prime: np.ndarray
+    """Steps 3-4's sets as one label per vertex (module docstring), with the
+    phi, threshold and round's draw index of each kept tuple."""
+
+    label: np.ndarray       # int64: 4i + role on kept tuple i, -1 R'_P, -2 R'_B
+    phi: tuple
+    threshold: tuple
+    round_index: tuple
     effective: EffectiveParams
     diagnostics: dict
 
     @property
     def k_prime(self) -> int:
-        return len(self.tuples)
+        return len(self.phi)
+
+    @property
+    def tuples(self) -> tuple:
+        """RefinedTuple of each kept tuple, in draw order."""
+        sets = _groups(self.label, 4 * self.k_prime)
+        return tuple(RefinedTuple(t, *sets[4 * i:4 * i + 4], r, phi) for i, (t, r, phi)
+                     in enumerate(zip(self.round_index, self.threshold, self.phi)))
+
+    @property
+    def r_p_prime(self) -> np.ndarray:
+        return np.flatnonzero(self.label == -1)
+
+    @property
+    def r_b_prime(self) -> np.ndarray:
+        return np.flatnonzero(self.label == -2)
 
 
 def _ranks(values, groups, queries, q_groups, side: str) -> np.ndarray:
@@ -253,16 +272,15 @@ def _ranks(values, groups, queries, q_groups, side: str) -> np.ndarray:
     return out
 
 
-def _step3_rounds(rounds, g: Graph, mu: np.ndarray, sigma_rp: np.ndarray, epsilon: float,
-                  c_prime: float, bound: float):
-    """Step 3 of the rounds (each with a non-empty Ptilde) as one threshold sweep.
+def _step3_rounds(label, refinable, g: Graph, mu: np.ndarray, sigma_rp: np.ndarray,
+                  epsilon: float, c_prime: float, bound: float):
+    """Step 3 of the crude label's rounds with refinable[j] set (those with a
+    non-empty Ptilde) as one threshold sweep.
 
-    Yields per round, in order: its members in index order, its Btilde mask,
-    its incident edges (eu, ev, slot of eu, slot of ev, cost) in global edge
-    order, and the feasible threshold r of least (phi, -w(P), r) as
-    (r, p_mask, b_mask, a1_mask, a2_mask, phi), or None.  The masks cover the
-    members and a sentinel slot (never selected) that the edges' non-member
-    ends point to.
+    Yields per round, in order: its members in index order and the feasible
+    threshold r of least (phi, -w(P), r) as (r, p_mask, b_mask, a1_mask,
+    a2_mask, phi), or None.  The masks cover the members and a sentinel slot
+    (never selected) that the edges' non-member ends point to.
 
     A round's candidates are its members' unique mu; lo = r/(1+eps) and
     lo2 = lo/(1+eps) are nondecreasing in r.  A Ptilde slot is in P while
@@ -278,14 +296,12 @@ def _step3_rounds(rounds, g: Graph, mu: np.ndarray, sigma_rp: np.ndarray, epsilo
     exact masked sums over the round's own slice decide alone; they select
     the same elements in the same order as global masks would.
     """
-    n, count = g.n, len(rounds)
+    n, count = g.n, int(refinable.sum())
     if not count:
         return
-    p_all = np.concatenate([rec.p_tilde for rec in rounds])
-    b_all = np.concatenate([rec.b_tilde for rec in rounds])
-    round_of = np.full(n, -1, dtype=np.int64)
-    round_of[p_all] = np.repeat(np.arange(count), [rec.p_tilde.size for rec in rounds])
-    round_of[b_all] = np.repeat(np.arange(count), [rec.b_tilde.size for rec in rounds])
+    # The refinable rounds renumbered 0..count-1; label >> 1 is -1 on R_P and R_B.
+    renumber = np.append(np.where(refinable, np.cumsum(refinable) - 1, -1), -1)
+    round_of = renumber[label >> 1]
 
     # Slots: each round's members in index order, then its sentinel (vertex n).
     verts = np.flatnonzero(round_of >= 0)
@@ -294,9 +310,8 @@ def _step3_rounds(rounds, g: Graph, mu: np.ndarray, sigma_rp: np.ndarray, epsilo
     order = np.lexsort((vertex, slot_round))
     vertex, slot_round = vertex[order], slot_round[order]
     member = vertex < n
-    in_pt = np.zeros(n + 1, dtype=bool)
-    in_pt[p_all] = True
-    pt, bt = in_pt[vertex], member & ~in_pt[vertex]
+    pt = np.append(label, -1)[vertex] % 2 == 0      # a sentinel's -1 is odd
+    bt = member & ~pt
     mu_s, w_s = np.append(mu, 0.0)[vertex], np.append(g.weights, 0.0)[vertex]
     sentinel = np.flatnonzero(~member)
     first_slot = np.append(0, sentinel[:-1] + 1)
@@ -304,8 +319,11 @@ def _step3_rounds(rounds, g: Graph, mu: np.ndarray, sigma_rp: np.ndarray, epsilo
     local[vertex] = np.arange(vertex.size)
 
     # Candidates: each round's unique mu, ascending, rounds in order.
-    cands = np.unique(np.column_stack([slot_round[member], mu_s[member]]), axis=0)
-    cand_round, cands = cands[:, 0].astype(np.int64), cands[:, 1]
+    cand_round, cands = slot_round[member], mu_s[member]
+    order = np.lexsort((cands, cand_round))
+    cand_round, cands = cand_round[order], cands[order]
+    first = np.append(True, (cand_round[1:] != cand_round[:-1]) | (cands[1:] != cands[:-1]))
+    cand_round, cands = cand_round[first], cands[first]
     total = cands.size
     cand_start = np.searchsorted(cand_round, np.arange(count + 1))
     los = cands / (1.0 + epsilon)        # the same expressions as evaluate()'s masks
@@ -399,79 +417,65 @@ def _step3_rounds(rounds, g: Graph, mu: np.ndarray, sigma_rp: np.ndarray, epsilo
             return (phi, -wp, r), (r, p_mask, b_mask, a1_mask, a2_mask, phi)
 
         best = least_exact(visit[visit_start[j]:visit_start[j + 1]], phi_lb, evaluate)
-        yield vertex[ss][:-1], bt_l, (ends_u[es], ends_v[es], lu_l, lv_l, ec_l), best
+        yield vertex[ss][:-1], best
 
 
 def refine_and_discard(c: CrudePartition, e: Embedding) -> PartialPartition:
     """Steps 3 and 4: one threshold sweep over the rounds, then the expansion filter.
 
-    k, epsilon and delta are the effective Step-2 values of c.effective.
+    k, epsilon and delta are the effective Step-2 values of c.effective.  Every
+    vertex starts in R'_P (Sigma u R_P) or R'_B (Gamma u R_B); a kept tuple
+    relabels the members of its round.
     """
     k, epsilon, delta = c.effective.k, c.effective.epsilon, c.effective.delta
     if e.k_prime < k:
         raise ValueError("embedding has fewer eigenpairs than k")
     g = e.graph
-    n = g.n
     lam_k = float(e.basis.eigenvalues[k - 1])
     c_prime = BUFFER_SLACK / delta
     c_dprime = EXPANSION_SLACK / delta
     bound = (c_dprime / epsilon) * lam_k * math.log(k) if epsilon > 0 else math.inf
     w = g.weights
 
-    sigma_rp = np.zeros(n, dtype=bool)
-    sigma_rp[c.sigma] = True
-    sigma_rp[c.r_p] = True
-
-    r_p_prime = np.zeros(n, dtype=bool)
-    r_b_prime = np.zeros(n, dtype=bool)
-    r_p_prime[c.r_p] = True
-    r_b_prime[c.r_b] = True
-
-    refinable = []
-    for rec in c.rounds:
-        if rec.p_tilde.size:
-            refinable.append(rec)
-        else:
-            r_b_prime[rec.b_tilde] = True
-    kept: list[RefinedTuple] = []    # in draw order, as c.rounds is
-    kept_edges = []                  # (edges, P u B mask) of each kept tuple
+    sigma_rp = (c.label == -1) | ((c.label >= 0) & (c.label % 2 == 0))
+    label = np.where(sigma_rp, -1, -2)
+    refinable = np.bincount(c.label[sigma_rp & (c.label >= 0)] >> 1,
+                            minlength=c.draws.size) > 0
+    phis, thresholds, round_index = [], [], []
     refined = infeasible_rounds = 0
-    sweep = _step3_rounds(refinable, g, e.mu, sigma_rp, epsilon, c_prime, bound)
-    for rec, (members, bt, edges, best) in zip(refinable, sweep):
+    sweep = _step3_rounds(c.label, refinable, g, e.mu, sigma_rp, epsilon, c_prime, bound)
+    for j, (members, best) in zip(np.flatnonzero(refinable).tolist(), sweep):
         refined += best is not None
         infeasible_rounds += best is None
         # Step 4 in the same pass: a refined tuple above the expansion bound
-        # returns its round to the leftovers like an infeasible round.
+        # leaves its round in the leftovers like an infeasible round.
         if best is None or best[-1] > bound:
-            r_p_prime[rec.p_tilde] = True
-            r_b_prime[rec.b_tilde] = True
             continue
-        r, p_mask, b_mask, a1_mask, a2_mask, phi = best
-        kept.append(RefinedTuple(
-            round_index=rec.index, p=members[p_mask[:-1]], b=members[b_mask[:-1]],
-            a_prime=members[a1_mask[:-1]], a_double=members[a2_mask[:-1]],
-            threshold=r, phi=phi))
-        kept_edges.append((edges, p_mask | b_mask))
-        r_b_prime[members[(bt & ~b_mask)[:-1]]] = True
+        r, *masks, phi = best
+        if not masks[0].any():
+            raise AssertionError("kept tuple with an empty core")
+        for role, mask in enumerate(masks):         # P, B, A', A''
+            label[members[mask[:-1]]] = 4 * len(phis) + role
+        phis.append(phi)
+        thresholds.append(r)
+        round_index.append(int(c.draws[j]))
 
     # Measured leftover-cut aggregate: for each kept tuple i, the total cost
     # from all A' sets and R'_P into P_i u B_i, expressed as a multiple of
-    # (lambda_k ln k / eps) w(P_i).  Reported, never asserted.  Every edge it
-    # counts touches P_i u B_i, so the round's own edge list holds them, in
-    # global edge order.
+    # (lambda_k ln k / eps) w(P_i).  Reported, never asserted.  An edge counts
+    # for the tuple of its P or B end when its other end is in A' or R'_P.
     leftover_ratio = 0.0
-    if kept and epsilon > 0 and lam_k > 0:
-        a_and_rp = r_p_prime.copy()
-        for t in kept:
-            a_and_rp[t.a_prime] = True
+    if phis and epsilon > 0 and lam_k > 0:
+        ends = np.column_stack([label[g.edge_u], label[g.edge_v]])
+        source = (ends == -1) | ((ends >= 0) & (ends % 4 == 2))
+        pays = source[:, ::-1] & (ends >= 0) & (ends % 4 < 2)
+        aggs = _group_sums(ends[pays] >> 2, np.repeat(g.edge_cost, 2)[pays.ravel()], len(phis))
         unit = lam_k * math.log(k) / epsilon
-        for t, ((eu, ev, lu, lv, ec), pb) in zip(kept, kept_edges):
-            agg = float(ec[(a_and_rp[eu] & pb[lv]) | (a_and_rp[ev] & pb[lu])].sum())
-            leftover_ratio = max(leftover_ratio, agg / (unit * float(w[t.p].sum())))
+        for agg, wp in zip(aggs, _group_sums(label, w, 4 * len(phis))[::4]):
+            leftover_ratio = max(leftover_ratio, agg / (unit * wp))
 
-    pp = PartialPartition(
-        tuples=tuple(kept),
-        r_p_prime=np.flatnonzero(r_p_prime), r_b_prime=np.flatnonzero(r_b_prime),
+    return PartialPartition(
+        label=label, phi=tuple(phis), threshold=tuple(thresholds), round_index=tuple(round_index),
         effective=c.effective,
         diagnostics={
             "expansion_bound": bound,
@@ -479,29 +483,12 @@ def refine_and_discard(c: CrudePartition, e: Embedding) -> PartialPartition:
             "expansion_slack": c_dprime,
             "infeasible_rounds": infeasible_rounds,
             "survivors_step3": refined,
-            "kept_theory": len(kept),
+            "kept_theory": len(phis),
             "reject_count": c.reject_count,
-            "r_b_prime_weight": float(w[r_b_prime].sum()),
+            "r_b_prime_weight": float(w[label == -2].sum()),
             "r_b_prime_bound": 16.0 * epsilon * float(w.sum()),
             "leftover_cut_ratio": leftover_ratio,
         })
-    _assert_partial_structure(pp, n)
-    return pp
-
-
-def _assert_partial_structure(pp: PartialPartition, n: int) -> None:
-    coverage = np.zeros(n, dtype=np.int64)
-    for t in pp.tuples:
-        for arr in (t.p, t.b, t.a_prime, t.a_double):
-            coverage[arr] += 1
-    coverage[pp.r_p_prime] += 1
-    coverage[pp.r_b_prime] += 1
-    if np.any(coverage != 1):
-        bad = int(np.argmax(coverage != 1))
-        raise AssertionError(f"partial partition sets do not tile V (vertex {bad})")
-    for t in pp.tuples:
-        if t.p.size == 0:
-            raise AssertionError("kept tuple with an empty core")
 
 
 @dataclass(frozen=True)
@@ -522,16 +509,17 @@ def partial_partition(g: Graph, eff: EffectiveParams, k: int, seed: int = 0,
 
     eff comes from resolve_step2: nothing here validates or derives a
     parameter.  A run is accepted when w(R_B) + sum_t w(Btilde_t) <= 16 eps w(V)
-    (the Step-2 acceptance event).  Accepted runs rank by the max buffered
-    expansion of their complete_partition() into k parts, ties going to the
-    lower restart index; a run whose completion raises PartitionError ranks
-    last.  The tuple count does not rank runs: singleton fragments raise it
-    without lowering the expansion.
+    (the Step-2 acceptance event), up to a rounding slack of 1e-12 w(V).
+    Accepted runs rank by the max buffered expansion of their
+    complete_partition() into k parts, ties going to the lower restart index;
+    a run whose completion raises PartitionError ranks last.  The tuple count
+    does not rank runs: singleton fragments raise it without lowering the
+    expansion.
     """
     e = embed(eigenbasis(normalized_laplacian(g), eff.k), g)
     notes = eff.notes
-    w_max = float(g.weights.max())
-    w_cap = eff.epsilon * g.total_weight / (3.0 * eff.k)
+    w_max, total = float(g.weights.max()), g.total_weight
+    w_cap = eff.epsilon * total / (3.0 * eff.k)
     if eff.epsilon > 0 and w_max > w_cap:
         notes += (f"max vertex weight {w_max!r} exceeds eps*w(V)/(3k) = {w_cap!r}; "
                   f"the weighted guarantee is not in force",)
@@ -542,7 +530,7 @@ def partial_partition(g: Graph, eff: EffectiveParams, k: int, seed: int = 0,
     for restart in range(restarts):
         crude = crude_partition(e, eff, derive_stream(seed, "partition", restart))
         mass = crude.buffer_mass(g)
-        if not mass <= 16.0 * eff.epsilon * g.total_weight + 1e-12:
+        if not mass <= (16.0 * eff.epsilon + 1e-12) * total:
             rejected.append({"restart": restart, "accepted": False, "buffer_mass": mass})
             continue
         pp = refine_and_discard(crude, e)
@@ -570,8 +558,9 @@ def complete_partition(pp: PartialPartition, g: Graph, k_target: int) -> Buffere
     then the heavier core, then the earlier tuple.  The first k_target-1
     survive as-is, in that order, and the final part takes R'_P, every A',
     and the remaining cores, with R'_B, every A'', and the remaining buffers
-    as its buffer.  Raises PartitionError when fewer than k_target tuples
-    exist or a part's buffer is not lighter than its core.
+    as its buffer: one table maps each partial label to its final one.
+    Raises PartitionError when fewer than k_target tuples exist or a part's
+    buffer is not lighter than its core.
     """
     k_prime = pp.k_prime
     if k_target < 1:
@@ -580,25 +569,17 @@ def complete_partition(pp: PartialPartition, g: Graph, k_target: int) -> Buffere
         raise PartitionError(
             f"partial partition has only {k_prime} tuples but {k_target} parts were "
             f"requested; rerun with a larger delta slack")
-    order = sorted(range(k_prime),
-                   key=lambda i: (pp.tuples[i].phi, -float(g.weights[pp.tuples[i].p].sum()), i))
-    kept = order[:k_target - 1]
-    merged = order[k_target - 1:]
-    parts = [pp.tuples[i].p for i in kept]
-    buffers = [pp.tuples[i].b for i in kept]
-    last_part = [pp.r_p_prime] + [pp.tuples[i].a_prime for i in range(k_prime)] + \
-                [pp.tuples[i].p for i in merged]
-    last_buf = [pp.r_b_prime] + [pp.tuples[i].a_double for i in range(k_prime)] + \
-               [pp.tuples[i].b for i in merged]
-    parts.append(np.concatenate(last_part))
-    buffers.append(np.concatenate(last_buf))
+    core_weight = _group_sums(pp.label, g.weights, 4 * k_prime)[::4]
+    order = sorted(range(k_prime), key=lambda i: (pp.phi[i], -core_weight[i], i))
+    # Indexed by partial label + 2: R'_B, R'_P, then P, B, A', A'' of each tuple.
+    last = 2 * (k_target - 1)
+    table = np.array([last + 1, last] + [last, last + 1] * (2 * k_prime), dtype=np.int64)
+    for rank, i in enumerate(order[:k_target - 1]):
+        table[2 + 4 * i:4 + 4 * i] = 2 * rank, 2 * rank + 1
+    label = table[pp.label + 2]
 
-    ratios = []
-    for p, b in zip(parts, buffers):
-        wp = float(g.weights[p].sum())
-        wb = float(g.weights[b].sum()) if b.size else 0.0
-        ratios.append(wb / wp)
-    realized = max(ratios)
+    sums = _group_sums(label, g.weights, 2 * k_target)
+    realized = max(wb / wp for wp, wb in zip(sums[::2], sums[1::2]))
     if realized >= 1.0:
         raise PartitionError(
             f"completion produced a buffer ratio {realized!r} >= 1; the output is not "
@@ -606,10 +587,6 @@ def complete_partition(pp: PartialPartition, g: Graph, k_target: int) -> Buffere
     # Nudge the reported budget up a hair so the exact <= re-check cannot
     # trip on the rounding of (w_b/w_p) * w_p.
     budget = realized * (1.0 + 1e-12) if realized > 0.0 else 0.0
-    label = np.full(g.n, -1, dtype=np.int64)     # pp tiles V: every vertex gets one
-    for i, (p, b) in enumerate(zip(parts, buffers)):
-        label[p] = 2 * i
-        label[b] = 2 * i + 1
     return BufferedPartition(label=label, k=k_target, epsilon=budget)
 
 

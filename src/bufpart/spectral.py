@@ -333,17 +333,22 @@ def _block_lanczos(op: LaplacianOperator, K: np.ndarray, want: int, b: int, stre
         used = extend(W, done, width)
 
 
-def _block_lanczos_eigenbasis(op: LaplacianOperator, k_prime: int, full: bool = False
-                              ) -> tuple[np.ndarray, np.ndarray]:
+def _scale_exponent(op: LaplacianOperator) -> int:
+    """e of 2^e, the power of two nearest max(diag), or 0 on a zero diagonal."""
+    top = float(op.diag.max())
+    return int(np.round(np.log2(top))) if top > 0.0 else 0
+
+
+def _block_lanczos_eigenbasis(op: LaplacianOperator, k_prime: int, full: bool = False,
+                              e: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Bottom-k' eigenpairs: the exact kernel first, then block Lanczos on its complement.
 
     The block starts at BLOCK columns and doubles, with a fresh solve, while a value
-    the block may hold too few copies of is reported.  It runs on L / 2^e, 2^e the power
-    of two nearest max(diag), so its thresholds are relative to the operator's scale;
-    the scaling and the ldexp back are exact.  `full` runs the full reorthogonalization
-    pass at every block step; only eigenbasis's retry sets it."""
-    top = float(op.diag.max())
-    e = int(np.round(np.log2(top))) if top > 0.0 else 0
+    the block may hold too few copies of is reported.  It runs on L / 2^e, e being
+    _scale_exponent(op) unless given, so its thresholds are relative to the operator's
+    scale; the scaling and the ldexp back are exact.  `full` runs the full
+    reorthogonalization pass at every block step; only eigenbasis's retry sets it."""
+    e = _scale_exponent(op) if e is None else e
     if e:
         op = replace(op, diag=np.ldexp(op.diag, -e), off_scale=np.ldexp(op.off_scale, -e))
     c, K = _kernel(op.graph, k_prime)
@@ -365,18 +370,18 @@ def eigenbasis(op: LaplacianOperator, k_prime: int) -> SpectralBasis:
     Lanczos, with canonical signs and the residuals ||L x - lambda x|| of one more matvec.
 
     The answer stands when its largest residual is at most 1e-8 on L / 2^e, i.e.
-    1e-8 2^e on L (2^e as in _block_lanczos_eigenbasis): the solver's convergence test
+    1e-8 2^e on L (e = _scale_exponent(op)): the solver's convergence test
     reads the Ritz residual that the Lanczos relation predicts, which a loss of
     orthogonality can make small for a wrong spectrum.  Else, or when the solver raises
     SolverError, the solve is redone with the full reorthogonalization pass at every
     block step, and a second failure raises SolverError."""
     if not 1 <= k_prime <= op.n:
         raise ValueError(f"k_prime must lie in [1, n={op.n}], got {k_prime}")
-    top = float(op.diag.max())
-    limit = 1e-8 * (np.ldexp(1.0, int(np.round(np.log2(top)))) if top > 0.0 else 1.0)
+    e = _scale_exponent(op)
+    limit = 1e-8 * np.ldexp(1.0, e)
     for full in (False, True):
         try:
-            vals, vecs = _block_lanczos_eigenbasis(op, k_prime, full)
+            vals, vecs = _block_lanczos_eigenbasis(op, k_prime, full, e)
         except SolverError:
             if full:
                 raise

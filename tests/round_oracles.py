@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bufpart.partition import (BUFFER_SLACK, EXPANSION_SLACK, PartialPartition,
-                               RefinedTuple)
+from bufpart.partition import BUFFER_SLACK, EXPANSION_SLACK, CrudePartition
 
 CHUNK_VALUES = 2 ** 16      # projections summed per cache-sized chunk
 
@@ -124,7 +123,40 @@ def reference_crude_partition(e, eff, rng) -> ReferenceCrude:
         reject_count=sum(d[3] for d in draws))
 
 
-def reference_refine_and_discard(c, e, tally: Counter | None = None) -> PartialPartition:
+@dataclass(frozen=True)
+class ReferenceTuple:
+    round_index: int
+    p: np.ndarray
+    b: np.ndarray
+    a_prime: np.ndarray
+    a_double: np.ndarray
+    threshold: float
+    phi: float
+
+
+@dataclass(frozen=True)
+class ReferencePartial:
+    """Steps 3 and 4 as the reference records them."""
+
+    tuples: tuple           # ReferenceTuple of each kept tuple, in round order
+    r_p_prime: np.ndarray
+    r_b_prime: np.ndarray
+    diagnostics: dict
+
+
+def crude_of_rounds(n, rounds, r_b, effective) -> CrudePartition:
+    """A crude partition over n vertices from (draw index, Ptilde, Btilde) rounds:
+    R_B is r_b and R_P every other vertex."""
+    label = np.full(n, -1, dtype=np.int64)
+    label[np.asarray(r_b, dtype=np.int64)] = -2
+    for j, (_, p_tilde, b_tilde) in enumerate(rounds):
+        label[np.asarray(p_tilde, dtype=np.int64)] = 2 * j
+        label[np.asarray(b_tilde, dtype=np.int64)] = 2 * j + 1
+    return CrudePartition(label=label, draws=np.array([t for t, _, _ in rounds], dtype=np.int64),
+                          effective=effective, reject_count=0)
+
+
+def reference_refine_and_discard(c, e, tally: Counter | None = None) -> ReferencePartial:
     """Steps 3 and 4 with full-length vertex and edge masks for every candidate r.
 
     k, epsilon and delta are those of c.effective and the graph is e.graph.
@@ -213,7 +245,7 @@ def reference_refine_and_discard(c, e, tally: Counter | None = None) -> PartialP
                 r_b_prime[rec.b_tilde] = True
             continue
         _, r, p_mask, b_mask, a1_mask, a2_mask, phi = best
-        survivors.append(RefinedTuple(
+        survivors.append(ReferenceTuple(
             round_index=rec.index, p=np.flatnonzero(p_mask), b=np.flatnonzero(b_mask),
             a_prime=np.flatnonzero(a1_mask), a_double=np.flatnonzero(a2_mask),
             threshold=r, phi=phi))
@@ -252,10 +284,9 @@ def reference_refine_and_discard(c, e, tally: Counter | None = None) -> PartialP
             agg = float(ec[(a_and_rp[eu] & pb[ev]) | (a_and_rp[ev] & pb[eu])].sum())
             leftover_ratio = max(leftover_ratio, agg / (unit * float(w[t.p].sum())))
 
-    return PartialPartition(
+    return ReferencePartial(
         tuples=tuple(sorted(kept, key=lambda t: t.round_index)),
         r_p_prime=np.flatnonzero(r_p_prime), r_b_prime=np.flatnonzero(r_b_prime),
-        effective=c.effective,
         diagnostics={
             "expansion_bound": bound,
             "buffer_slack": c_prime,

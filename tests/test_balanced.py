@@ -171,10 +171,10 @@ class TestBalancedCut:
         assert hits >= 4
 
 
-def heavy_vertex_path() -> Graph:
+def heavy_vertex_path(scale: float = 1.0) -> Graph:
     # one vertex holds 90% of the weight: no cut can balance
-    return Graph.build(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
-                       weights=[90.0, 1.0, 1.0, 1.0])
+    return Graph.build(4, [(0, 1, scale), (1, 2, scale), (2, 3, scale)],
+                       weights=[90.0 * scale, scale, scale, scale])
 
 
 class TestBalancedCutDegenerate:
@@ -186,6 +186,13 @@ class TestBalancedCutDegenerate:
             "recursion bottomed out with 1 active vertices before reaching the balance target",
             "w(L)=3.0 outside [23.25, 69.75]",
             "w(R)=90.0 outside [23.25, 69.75]")
+
+    def test_heavy_vertex_fails_at_any_weight_scale(self):
+        # The balance slacks are relative to w(V): at w(V) = 9.3e-11 an absolute
+        # 1e-9 slack would pass both sides and report the cut balanced.
+        res = buffered_balanced_cut(heavy_vertex_path(1e-12), 0.2)
+        assert not res.balanced
+        assert len(res.violations) == 3
 
     def test_heavy_vertex_kway_keeps_the_unsplittable_branch(self):
         res = kway_balanced(heavy_vertex_path(), 3, 0.2)

@@ -41,3 +41,6 @@ def test_tracer_installs_and_counts_a_partition_run(tmp_path):
     assert result["metrics"]["partition.refine_calls"] >= 1
     assert result["metrics"]["partition.partial_s"] > 0
     assert result["metrics"]["partition.complete_s"] > 0
+    # Every round the crude partition's rounds view lists set Ptilde or Btilde.
+    assert result["metrics"]["partition.active_round_ratio"] == 1.0
+    assert result["metrics"]["partition.accept_ratio"] > 0

@@ -166,6 +166,16 @@ class TestCheeger2AndBalanced:
         assert code == 0
         assert doc["balanced"] is True
 
+    def test_unbalanced_cut_at_small_weight_scale_exits_2(self, tmp_path):
+        # The heavy-vertex path of test_balanced.py with costs and weights times 1e-12.
+        edges, weights = tmp_path / "path.txt", tmp_path / "path.w"
+        edges.write_text("a b 1e-12\nb c 1e-12\nc d 1e-12\n")
+        weights.write_text("a 9e-11\nb 1e-12\nc 1e-12\nd 1e-12\n")
+        code, doc = run_json(["balanced-cut", "--graph", str(edges), "--weights", str(weights),
+                              "--eps", "0.2"], tmp_path)
+        assert code == 2
+        assert doc["balanced"] is False and len(doc["violations"]) == 3
+
     def test_kbalanced(self, clique_file, tmp_path):
         code, doc = run_json(
             ["kbalanced", "--graph", clique_file, "--k", "3", "--eps", "0.1"],
@@ -694,7 +704,8 @@ class TestWorkDoneOnce:
 
 
 class TestInternalInvariant:
-    @pytest.mark.parametrize("check", ["_assert_crude_structure", "_assert_partial_structure"])
+    # Step 2 and Steps 3-4 stand in for any step whose invariant check fails.
+    @pytest.mark.parametrize("check", ["crude_partition", "refine_and_discard"])
     def test_exits_2_with_one_line(self, check, clique_file, tmp_path, monkeypatch, capsys):
         from bufpart import partition as partition_mod
 

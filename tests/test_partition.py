@@ -14,8 +14,7 @@ from bufpart import (buffered_expansion,
                      partition_cost, refine_and_discard, validate_partition)
 from bufpart.graph import Graph, PartitionError
 from bufpart.certify import brute_force_h_k_eps
-from bufpart.partition import (RESTARTS, CrudePartition, PartialPartition, RefinedTuple,
-                               resolve_step2)
+from bufpart.partition import RESTARTS, CrudePartition, PartialPartition, resolve_step2
 from bufpart.separators import practical_params
 from conftest import (clique, clique_labels, disjoint_cliques, planted, planted_blocks,
                       tiny_connected, weighted_er)
@@ -227,7 +226,7 @@ class TestPartialPartition:
         failing, completing, tuples = [], {}, {}
         for restart in range(RESTARTS):
             crude = crude_partition(e, eff, derive_stream(16, "partition", restart))
-            if crude.buffer_mass(g) > 16.0 * eff.epsilon * g.total_weight + 1e-12:
+            if crude.buffer_mass(g) > (16.0 * eff.epsilon + 1e-12) * g.total_weight:
                 continue
             pp = refine_and_discard(crude, e)
             tuples[restart] = pp.k_prime
@@ -297,13 +296,10 @@ class TestCompletePartition:
         labels = clique_labels(sizes)
         g = Graph.build(19, clique(4) + clique(4, 4) + clique(6, 8) + clique(5, 14) +
                         [(0, 8, 1.0)])
-        empty = np.empty(0, dtype=np.int64)
         cores = [np.flatnonzero(labels == c) for c in range(4)]
-        tuples = tuple(RefinedTuple(round_index=i, p=p, b=empty, a_prime=empty,
-                                    a_double=empty, threshold=0.0,
-                                    phi=buffered_expansion(g, p, empty))
-                       for i, p in enumerate(cores))
-        pp = PartialPartition(tuples=tuples, r_p_prime=empty, r_b_prime=empty,
+        pp = PartialPartition(label=4 * labels, phi=tuple(buffered_expansion(g, p, [])
+                                                          for p in cores),
+                              threshold=(0.0,) * 4, round_index=(0, 1, 2, 3),
                               effective=None, diagnostics={})
         bp = complete_partition(pp, g, 4)
         for got, label in zip(bp.parts, [3, 1, 2, 0]):
@@ -391,6 +387,18 @@ class TestDriver:
             buffered_k_partition(CLIQUES6, 4, 0.1, 0.5, seed=2, restarts=2)
         assert str(caught.value) == (
             f"all 2 restarts failed the Step-2 acceptance check; attempts: {attempts}")
+
+    def test_restart_acceptance_slack_scales_with_weight(self, monkeypatch):
+        # At w(V) = 2e-12 a buffer mass of twice 16 eps w(V) is below an absolute
+        # 1e-12 slack; the slack is relative to w(V), so every restart fails.
+        c = CLIQUES6
+        g = Graph.build(c.n, np.column_stack([c.edge_u, c.edge_v, c.edge_cost * 1e-14]),
+                        weights=np.full(c.n, 1e-14))
+        eff = resolve_step2(g.n, 6, 0.01, 0.01)
+        monkeypatch.setattr(CrudePartition, "buffer_mass",
+                            lambda self, g: 2.0 * 16.0 * self.effective.epsilon * g.total_weight)
+        with pytest.raises(PartitionError, match="all 2 restarts failed"):
+            partial_partition(g, eff, 6, seed=0, restarts=2)
 
     def test_minimal_graph(self):
         g = disjoint_cliques([2, 2])

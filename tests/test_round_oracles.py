@@ -17,9 +17,9 @@ from bufpart import (Graph, RandomStream, buffered_k_partition, crude_partition,
                      derive_stream, eigenbasis, embed, normalized_laplacian,
                      refine_and_discard)
 from bufpart import certify, partition, separators
-from bufpart.partition import CrudePartition, RoundRecord, resolve_step2
+from bufpart.partition import resolve_step2
 from conftest import disjoint_cliques, planted, weighted_er
-from round_oracles import (reached, reference_crude_partition, reference_draw,
+from round_oracles import (crude_of_rounds, reached, reference_crude_partition, reference_draw,
                            reference_min_ball_leftover, reference_project,
                            reference_refine_and_discard)
 
@@ -152,16 +152,10 @@ def _synthetic_refinement(seed):
     g = Graph.build(n, rows, weights=rng.choice([1.0, 2.0, 3.0, 24.0], n))
     # Label 2t: Ptilde of round t; 2t + 1: its Btilde; then R_P and R_B.
     label = rng.integers(0, 2 * rounds + 2, n)
-    records = []
-    for t in range(rounds):
-        p_tilde = np.flatnonzero(label == 2 * t)
-        b_tilde = np.flatnonzero(label == 2 * t + 1)
-        records.append(RoundRecord(index=t, p_tilde=p_tilde, b_tilde=b_tilde))
-    crude = CrudePartition(
-        rounds=tuple(records), sigma=np.flatnonzero((label % 2 == 0) & (label < 2 * rounds)),
-        gamma=np.flatnonzero((label % 2 == 1) & (label < 2 * rounds)),
-        r_p=np.flatnonzero(label == 2 * rounds), r_b=np.flatnonzero(label == 2 * rounds + 1),
-        effective=SimpleNamespace(k=k, epsilon=eps, delta=delta), reject_count=0)
+    crude = crude_of_rounds(
+        n, [(t, np.flatnonzero(label == 2 * t), np.flatnonzero(label == 2 * t + 1))
+            for t in range(rounds)], np.flatnonzero(label == 2 * rounds + 1),
+        SimpleNamespace(k=k, epsilon=eps, delta=delta))
     target = float(rng.choice([0.5, 2.0, 5.0, 50.0]))      # the expansion bound
     lam = target * eps * delta / (partition.EXPANSION_SLACK * math.log(k))
     e = SimpleNamespace(graph=g, k_prime=k, mu=mu_of(rng, n),
@@ -193,10 +187,7 @@ def test_refinement_members_exactly_on_the_band_edges():
     # its band edge would drop r = 2.25 or rank it behind r = 1.0.
     g = Graph.build(4, [(0, 1, 1.0), (1, 2, 100.0), (0, 3, 5.0)],
                     weights=[1.0, 24.0, 1.0, 1.0])
-    rec = RoundRecord(index=0, p_tilde=np.array([0, 1]), b_tilde=np.array([3]))
-    c = CrudePartition(rounds=(rec,), sigma=np.array([0, 1]), gamma=np.array([3]),
-                       r_p=np.array([2]), r_b=np.empty(0, np.int64),
-                       effective=SimpleNamespace(k=2, epsilon=0.5, delta=0.5), reject_count=0)
+    c = crude_of_rounds(4, [(0, [0, 1], [3])], [], SimpleNamespace(k=2, epsilon=0.5, delta=0.5))
     e = SimpleNamespace(graph=g, k_prime=2, mu=np.array([2.25, 1.0, 1.0, 1.5]),
                         basis=SimpleNamespace(eigenvalues=np.array([0.0, 1.0])))
     got = refine_and_discard(c, e)
@@ -265,16 +256,8 @@ def _step3_case(name):
     rounds = STEP3_CASES[name]
     if name == "equal-mu":
         mu[:7] = 1.3
-    records = tuple(RoundRecord(index=3 * t, p_tilde=np.array(p, dtype=np.int64),
-                                b_tilde=np.array(b, dtype=np.int64))
-                    for t, (p, b) in enumerate(rounds))
-    sigma = np.array(sorted(v for p, _ in rounds for v in p), dtype=np.int64)
-    gamma = np.array(sorted(v for _, b in rounds for v in b), dtype=np.int64)
-    r_b = np.array([22, 23])
-    r_p = np.setdiff1d(np.arange(n), np.concatenate([sigma, gamma, r_b]))
-    crude = CrudePartition(rounds=records, sigma=sigma, gamma=gamma, r_p=r_p, r_b=r_b,
-                           effective=SimpleNamespace(k=k, epsilon=eps, delta=delta),
-                           reject_count=0)
+    crude = crude_of_rounds(n, [(3 * t, p, b) for t, (p, b) in enumerate(rounds)], [22, 23],
+                            SimpleNamespace(k=k, epsilon=eps, delta=delta))
     lam = 50.0 * 0.1 * delta / (partition.EXPANSION_SLACK * math.log(k))   # bound 50
     e = SimpleNamespace(graph=g, k_prime=k, mu=mu,
                         basis=SimpleNamespace(eigenvalues=np.array([0.0, lam])))
