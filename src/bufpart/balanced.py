@@ -189,8 +189,7 @@ def cheeger2_buffered(g: Graph, epsilon: float) -> BufferedCut:
 
     candidates = [u for u in (v_plus, v_minus) if float(np.abs(u).max()) > 0]
     quotients = [rayleigh(u) for u in candidates]
-    good = [i for i, q in enumerate(quotients) if q <= lam * (1.0 + 1e-9) + 1e-12]
-    pick = min(good, key=lambda i: quotients[i]) if good else int(np.argmin(quotients))
+    pick = int(np.argmin(quotients))
     u = np.abs(candidates[pick])
     u = u / float(u.max())
     usq = u * u

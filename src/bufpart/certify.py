@@ -1,7 +1,7 @@
 """Certification: eigenvalue lower bounds, the exact oracle, robust expansion.
 
 A run's certificate holds only polynomial quantities: lambda at the lifted
-index k_hat and the buffered lower bound lambda_k <= 2 phi + eps.
+index k_hat and the buffered lower bound in force for the input.
 
 The exact oracle realizes the definition of h^{k,eps} on graphs of at most
 BRUTE_FORCE_CAP vertices.  It enumerates each assignment of vertices to
@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import (BufferedPartition, CutReport, Graph, PartitionError,
+from .graph import (BufferedPartition, CutReport, Graph, PartitionError, _cut_report,
                     partition_cost)
 from .spectral import SpectralBasis, eigenbasis, normalized_laplacian
 
@@ -47,16 +47,16 @@ def lower_bound_unbuffered(g: Graph, k: int) -> float:
 def check_buffered_lower_bound(g: Graph, part: BufferedPartition, k: int,
                                basis: SpectralBasis | None = None,
                                report: CutReport | None = None) -> tuple[bool, float]:
-    """Evaluate lambda_k <= 2 phi(partition) + eps; returns (passed, slack).
+    """Evaluate the buffered lower bound on lambda_k; returns (passed, bound - lambda_k).
 
     basis, when given, is a bottom-k' eigenbasis of g with k' >= k that the
     caller already holds; otherwise the bottom-k basis is solved here.  report,
     when given, is partition_cost(g, part), which the caller already holds;
     otherwise it is computed here, raising PartitionError on an invalid part.
 
-    This inequality always holds when no vertex weight falls below its
-    incident edge cost (the default-weight and regular regimes), so a failure
-    there means an implementation bug, not a property of the input.
+    The bound is 2 phi + eps when every w_u >= inc_u, else 2 max_i phi(P_i u B_i),
+    phi(S) = delta(S, V - S) / w(S), by Courant-Fischer on the k disjoint indicators:
+    a theorem either way, so a failure means an implementation bug.
     """
     if report is None:
         report = partition_cost(g, part)
@@ -67,8 +67,12 @@ def check_buffered_lower_bound(g: Graph, part: BufferedPartition, k: int,
     elif basis.eigenvectors.shape[0] != g.n or basis.k_prime < k:
         raise ValueError(f"basis of shape {basis.eigenvectors.shape} does not hold "
                          f"the bottom {k} eigenpairs of this {g.n}-vertex graph")
-    lam = basis.eigenvalues[k - 1]
-    slack = 2.0 * report.max_expansion + part.epsilon - float(lam)
+    if np.all(g.weights >= g.incident_cost()):
+        bound = 2.0 * report.max_expansion + part.epsilon
+    else:       # P_i u B_i as the core of part i with no buffer: phi is phi(P_i u B_i)
+        merged = BufferedPartition(label=part.label[:g.n] & ~1, k=k, epsilon=part.epsilon)
+        bound = 2.0 * _cut_report(g, merged).max_expansion
+    slack = bound - float(basis.eigenvalues[k - 1])
     return slack >= -1e-9, slack
 
 
@@ -183,12 +187,9 @@ def robust_expansion(g: Graph, s: np.ndarray, eta: float) -> tuple[int, float]:
         return 0, 0.0
     outside = np.flatnonzero(~ms)
     order = outside[np.lexsort((outside, -contrib[outside]))]
-    acc = 0.0
-    for count, v in enumerate(order, start=1):
-        acc += contrib[v]
-        if acc >= target - 1e-12 * max(1.0, total):
-            return count, count / float(ms.sum())
-    return int(order.size), float(order.size) / float(ms.sum())
+    reached = np.cumsum(contrib[order]) >= target - 1e-12 * max(1.0, total)  # sums in order
+    count = int(np.argmax(reached)) + 1 if reached.any() else int(order.size)
+    return count, count / float(ms.sum())
 
 
 @dataclass(frozen=True)

@@ -279,8 +279,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
     doc["lower_bound_buffered_check"] = passed
     doc["lower_bound_buffered_slack"] = slack
     if not passed:
-        doc["note"] = ("the buffered lower bound always holds in the weight-dominated "
-                       "regime; its failure indicates an implementation bug")
+        doc["note"] = ("the bound in force always holds; its failure indicates an "
+                       "implementation bug")
     return doc, EXIT_OK if passed else EXIT_GUARANTEE
 
 

@@ -6,9 +6,9 @@ the text find the comments, the field starts and each line's field count,
 and one str.split() per piece gives the fields.  It numbers the external ids
 in order of first appearance, keeps them as the graph's labels (which name
 vertices in error messages), and hands the numbered edges to Graph.build as
-one (m, 3) array.  Vertex weights and edge costs are float64 and must be
-strictly positive.  Buffer budgets are checked with exact <= (an input
-contract, not a numerical estimate).
+typed columns: int64 ids u and v and float64 costs.  Vertex weights and edge
+costs are float64 and must be strictly positive.  Buffer budgets are checked
+with exact <= (an input contract, not a numerical estimate).
 
 A graph is its edge arrays: every edge is stored once as (u < v, cost), sorted
 by (u, v), and the Laplacian, cuts and expansions are all computed from them.
@@ -67,6 +67,7 @@ UNIT = np.finfo(np.float64).eps / 2.0  # float64 unit roundoff u = 2^-53
 _TINY = np.finfo(np.float64).tiny     # smallest normal float64, 2.2e-308
 _HUGE = np.finfo(np.float64).max
 _TOTAL_LIMIT = _HUGE / 1024.0
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _as_vertex_array(vertices: Iterable[int], n: int) -> np.ndarray:
@@ -98,56 +99,52 @@ class Graph:
     labels: tuple = ()           # external ids in internal order, () when native
 
     @staticmethod
-    def build(n: int, edges: Sequence[tuple[int, int, float]] | np.ndarray,
-              weights: Sequence[float] | None = None,
+    def build(n: int, u: Sequence[int] | np.ndarray, v: Sequence[int] | np.ndarray,
+              cost: Sequence[float] | np.ndarray, weights: Sequence[float] | None = None,
               labels: Sequence | None = None) -> "Graph":
-        """Graph on vertices 0..n-1 from rows of (u, v, cost).
+        """Graph on vertices 0..n-1 with edges (u[i], v[i]) of cost cost[i].
 
-        On bad input the GraphError names the first bad edge in input order,
-        checked for a vertex id that is not an int64, then a self-loop, then
-        the vertex range, then the cost, then an earlier edge with the same
-        endpoints; it names vertices as given, or by their ``labels`` when the
-        graph has them.  Then the scale rule applies:
+        u and v are integer columns within int64 and cost a float column, all of
+        one length.  On bad input the GraphError names the first bad edge in input
+        order, checked for a self-loop, then the vertex range, then the cost, then
+        an earlier edge with the same endpoints; it names vertices as given, or by
+        their ``labels`` when the graph has them.  Then the scale rule applies:
         costs and weights must be normal float64 numbers (a subnormal one
         keeps fewer than 53 significant bits), and every normalized Laplacian
         entry must stay within what the solvers' float64 norms can hold.
         """
         if n <= 0:
             raise GraphError("graph needs at least one vertex")
-        rows = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
-        with np.errstate(invalid="ignore"):     # an id that is no int64 becomes bad_id
-            u = rows[:, 0].astype(np.int64)
-            v = rows[:, 1].astype(np.int64)
-        cost = rows[:, 2]
+        u, v, cost = np.asarray(u), np.asarray(v), np.asarray(cost, dtype=np.float64)
+        if not u.shape == v.shape == cost.shape == (cost.size,):
+            raise GraphError("edge columns u, v and cost must be 1-d and of one length")
+        for ids in (u, v) if cost.size else ():     # empty columns may have any dtype
+            if not (np.issubdtype(ids.dtype, np.integer) and ids.max() <= _INT64_MAX):
+                raise GraphError(f"vertex id columns must hold integers within int64; "
+                                 f"this one has dtype {ids.dtype}")
+        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         order = _radix_order(hi, lo)            # stable: repeats keep input order
         eu, ev, ec = lo[order], hi[order], cost[order]
 
-        bad_id = (u != rows[:, 0]) | (v != rows[:, 1])
         loop = u == v
         outside = (lo < 0) | (hi >= n)
         bad_cost = (cost <= 0.0) | ~np.isfinite(cost)
         repeat = np.zeros(u.size, dtype=bool)
         repeat[order[1:]] = (eu[1:] == eu[:-1]) & (ev[1:] == ev[:-1])
-        bad = bad_id | loop | outside | bad_cost | repeat
+        bad = loop | outside | bad_cost | repeat
         labels = tuple(labels) if labels is not None else ()
         if bad.any():
             i = int(np.argmax(bad))
-            a, b = float(rows[i, 0]), float(rows[i, 1])
+            a, b = int(u[i]), int(v[i])
 
-            def given(x: float) -> str:
-                return str(int(x)) if x.is_integer() else str(x)
+            def name(x: int) -> str:
+                return repr(labels[x]) if 0 <= x < len(labels) else str(x)
 
-            def name(x: float) -> str:
-                return repr(labels[int(x)]) if 0 <= x < len(labels) else given(x)
-
-            if bad_id[i]:
-                raise GraphError(f"edge ({given(a)},{given(b)}) has a vertex id that is not "
-                                 f"an int64")
             if loop[i]:
                 raise GraphError(f"self-loop at vertex {name(a)}")
             if outside[i]:
-                raise GraphError(f"edge ({given(a)},{given(b)}) outside vertex range [0,{n})")
+                raise GraphError(f"edge ({a},{b}) outside vertex range [0,{n})")
             if bad_cost[i]:
                 kind = "non-finite" if not np.isfinite(cost[i]) else "nonpositive"
                 raise GraphError(f"edge ({name(a)},{name(b)}) has {kind} cost {float(cost[i])}")
@@ -608,6 +605,6 @@ def load_graph(edge_source, weight_source=None) -> Graph:
             raise GraphError(f"weight file is missing vertices: {missing[:5]}")
         weights = [table[ident] for ident in index]
 
-    uv = np.concatenate(ends).reshape(-1, 2)
-    return Graph.build(len(index), np.column_stack((uv, np.concatenate(costs))),
+    ends, costs = np.concatenate(ends).reshape(-1, 2), np.concatenate(costs)  # frees the pieces
+    return Graph.build(len(index), ends[:, 0], ends[:, 1], costs,
                        weights=weights, labels=tuple(index))

@@ -8,23 +8,31 @@ import pytest
 from bufpart import Graph
 
 
+def columns(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (u, v, cost) columns of Graph.build from (u, v, cost) rows: tuples, or
+    an (m, 3) float array with integral ids."""
+    table = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    table = table.reshape(-1, 3)
+    return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2].astype(float)
+
+
 def triangle() -> Graph:
-    return Graph.build(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    return Graph.build(3, [0, 1, 0], [1, 2, 2], [1.0, 1.0, 1.0])
 
 
 def k4() -> Graph:
     edges = [(u, v, 1.0) for u in range(4) for v in range(u + 1, 4)]
-    return Graph.build(4, edges)
+    return Graph.build(4, *columns(edges))
 
 
 def path(costs) -> Graph:
     edges = [(i, i + 1, c) for i, c in enumerate(costs)]
-    return Graph.build(len(costs) + 1, edges)
+    return Graph.build(len(costs) + 1, *columns(edges))
 
 
 def cycle(n: int) -> Graph:
     edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
-    return Graph.build(n, edges)
+    return Graph.build(n, *columns(edges))
 
 
 def clique(n: int, offset: int = 0, cost: float = 1.0):
@@ -37,7 +45,7 @@ def disjoint_cliques(sizes) -> Graph:
     for s in sizes:
         edges.extend(clique(s, start))
         start += s
-    return Graph.build(start, edges)
+    return Graph.build(start, *columns(edges))
 
 
 def clique_labels(sizes) -> np.ndarray:
@@ -60,7 +68,7 @@ def planted(sizes, p_in: float, p_out: float, seed: int,
                     edges.append((u, v, 1.0))
                     touched[u] = touched[v] = True
         if touched.all():
-            return Graph.build(n, edges, weights=weights), labels
+            return Graph.build(n, *columns(edges), weights=weights), labels
     raise RuntimeError("could not build a planted graph without isolated vertices")
 
 
@@ -88,7 +96,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         edges.add(new1)
         edges.add(new2)
         edge_list[i], edge_list[j] = new1, new2
-    return Graph.build(n, [(u, v, 1.0) for u, v in sorted(edges)])
+    return Graph.build(n, *columns([(u, v, 1.0) for u, v in sorted(edges)]))
 
 
 def weighted_er(n: int, p: float, seed: int) -> Graph:
@@ -104,7 +112,7 @@ def weighted_er(n: int, p: float, seed: int) -> Graph:
                     touched[u] = touched[v] = True
         if touched.all():
             weights = rng.uniform(0.5, 3.0, size=n)
-            return Graph.build(n, edges, weights=weights)
+            return Graph.build(n, *columns(edges), weights=weights)
     raise RuntimeError("could not build a weighted ER graph without isolated vertices")
 
 
@@ -131,7 +139,7 @@ def tiny_connected(n: int, seed: int, default_weights: bool = True) -> Graph:
         edges = [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < 0.45]
         if edges and _connected(n, edges):
-            return Graph.build(n, edges)
+            return Graph.build(n, *columns(edges))
 
 
 def tiny_connected_suite(count: int, sizes=(5, 6, 7, 8), seed0: int = 100):
@@ -188,10 +196,10 @@ def planted_blocks(n: int, blocks: int, seed: int, pairs: int = 15,
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     keys = np.unique((lo * n + hi)[lo != hi])
     cost = rng.uniform(0.5, 2.0, keys.size) if weighted else np.ones(keys.size)
-    edges = np.column_stack([keys // n, keys % n, cost])
-    g = Graph.build(n, edges)
+    g = Graph.build(n, keys // n, keys % n, cost)
     if weighted:
-        g = Graph.build(n, edges, weights=g.incident_cost() * rng.uniform(1.0, 2.0, n))
+        g = Graph.build(n, keys // n, keys % n, cost,
+                        weights=g.incident_cost() * rng.uniform(1.0, 2.0, n))
     return g
 
 
@@ -228,6 +236,30 @@ def small_solver_suite():
         ("tiny7", tiny_connected(7, 8)),
     ]
     return suite
+
+
+def wide_spectrum_draws(seed: int, stop: int):
+    """(t, edge lines, weight lines) of the draws t < stop that have an edge.
+
+    Draw t: n in [8, 30], each upper-triangle pair kept with probability
+    (0.1, 0.3, 0.7)[t % 3], the kept pairs shuffled and each flipped with
+    probability 1/2, costs and weights from {1, 5, 50}; a weight line for each
+    vertex an edge names.  lambda_max reaches 100 and more, and such spectra
+    broke the block solver's convergence test."""
+    rng = np.random.default_rng(seed)
+    for t in range(stop):
+        n = int(rng.integers(8, 31))
+        keep = rng.random(n * (n - 1) // 2) < (0.1, 0.3, 0.7)[t % 3]
+        a, b = (ends[keep] for ends in np.triu_indices(n, 1))
+        order = rng.permutation(a.size)
+        a, b = a[order], b[order]
+        flip = rng.random(a.size) < 0.5
+        a, b = np.where(flip, b, a), np.where(flip, a, b)
+        cost = rng.choice([1, 5, 50], a.size)
+        weight = rng.choice([1, 5, 50], n)
+        if a.size:
+            yield (t, [f"v{x} v{y} {c}" for x, y, c in zip(a, b, cost)],
+                   [f"v{v} {weight[v]}" for v in np.unique(np.concatenate([a, b]))])
 
 
 @pytest.fixture(scope="session")

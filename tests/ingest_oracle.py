@@ -2,7 +2,7 @@
 
 This is the three-pass pipeline load_graph replaced (raw-id edge tuples, a
 second id -> index dict with a remap of every tuple, then Graph.build on the
-tuples).  tests/test_graph.py requires load_graph to give the same Graph, or
+tuples' columns).  tests/test_graph.py requires load_graph to give the same Graph, or
 the same first GraphError text, on generated inputs.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from bufpart.graph import Graph, GraphError
+from conftest import columns
 
 
 def parse_edge_lines(lines: Iterable[str]):
@@ -73,4 +74,4 @@ def reference_load_graph(edge_lines: list, weight_lines: list | None = None) -> 
             raise GraphError(f"weight file is missing vertices: {missing[:5]}")
         weights = [table[ident] for ident in ids]
 
-    return Graph.build(len(ids), edges, weights=weights, labels=ids)
+    return Graph.build(len(ids), *columns(edges), weights=weights, labels=ids)

@@ -8,12 +8,12 @@ import pytest
 from bufpart import (Graph, balanced, buffered_balanced_cut, cheeger2_buffered, cut_cost,
                      kway_balanced)
 from bufpart.balanced import _break_points
-from conftest import clique, disjoint_cliques, planted, tiny_connected, weighted_er
+from conftest import clique, columns, disjoint_cliques, planted, tiny_connected, weighted_er
 
 
 def two_triangles_bridge() -> Graph:
     edges = clique(3) + clique(3, offset=3) + [(2, 3, 1.0)]
-    return Graph.build(6, edges)
+    return Graph.build(6, *columns(edges))
 
 
 def brute_tripartition(g: Graph, eps: float) -> float:
@@ -86,7 +86,7 @@ class TestCheeger2:
 
     def test_tiny_graph_rejected(self):
         with pytest.raises(Exception):
-            cheeger2_buffered(Graph.build(1, [], weights=[1.0]), 0.1)
+            cheeger2_buffered(Graph.build(1, [], [], [], weights=[1.0]), 0.1)
 
     def test_eps_domain(self):
         g = tiny_connected(6, 11)
@@ -173,7 +173,7 @@ class TestBalancedCut:
 
 def heavy_vertex_path(scale: float = 1.0) -> Graph:
     # one vertex holds 90% of the weight: no cut can balance
-    return Graph.build(4, [(0, 1, scale), (1, 2, scale), (2, 3, scale)],
+    return Graph.build(4, [0, 1, 2], [1, 2, 3], [scale] * 3,
                        weights=[90.0 * scale, scale, scale, scale])
 
 

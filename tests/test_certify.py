@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bufpart import (BufferedPartition, brute_force_h_k_eps, buffered_expansion,
+from bufpart import (BufferedPartition, Graph, brute_force_h_k_eps, buffered_expansion,
                      check_buffered_lower_bound, cut_cost, eigenbasis,
                      lower_bound_unbuffered, normalized_laplacian, partition_cost,
                      robust_expansion, validate_partition)
@@ -271,6 +271,33 @@ class TestBufferedLowerBound:
             assert passed, f"lower bound violated: slack {slack}"
             cases += 1
 
+    def test_light_weights_check_the_disjoint_support_bound(self):
+        # Some w_u < inc_u: the bound is lambda_k <= 2 max_i phi(P_i u B_i), whatever
+        # the weights, costs and buffers.  Random partitions of such graphs pass it.
+        rng = np.random.default_rng(17)
+        cases = 0
+        while cases < 300:
+            n = int(rng.integers(4, 10))
+            g = tiny_connected(n, int(rng.integers(0, 10_000)))
+            g = Graph.build(n, g.edge_u, g.edge_v, rng.choice([1.0, 5.0, 50.0], g.edge_count),
+                            weights=rng.choice([1.0, 5.0, 50.0], n))
+            k = int(rng.integers(2, 4))
+            assign = rng.integers(0, 2 * k, size=n)
+            parts = [np.flatnonzero(assign == 2 * i) for i in range(k)]
+            buffers = [np.flatnonzero(assign == 2 * i + 1) for i in range(k)]
+            if any(p.size == 0 for p in parts) or np.all(g.weights >= g.incident_cost()):
+                continue
+            part = BufferedPartition.from_sets(parts, buffers, 0.999999)
+            if not validate_partition(g, part).valid:
+                continue
+            passed, slack = check_buffered_lower_bound(g, part, k)
+            sets = [np.union1d(p, b) for p, b in zip(parts, buffers)]
+            phis = [cut_cost(g, s, np.setdiff1d(np.arange(n), s)) / g.weight_of(s) for s in sets]
+            lam = eigenbasis(normalized_laplacian(g), k).eigenvalues[k - 1]
+            assert passed, f"lower bound violated: slack {slack}"
+            assert slack == pytest.approx(2.0 * max(phis) - lam, rel=1e-12, abs=1e-12)
+            cases += 1
+
     def test_given_basis_matches_own_solve(self):
         # A given basis supplies lambda_k as is; a k' = 4 solve and the k = 2 one
         # agree on lambda_2 to rounding, not to the bit.
@@ -321,6 +348,35 @@ class TestRobustExpansion:
                     n_greedy, _ = robust_expansion(g, np.array(s), eta)
                     n_exh = exhaustive_robust(g, s, eta)
                     assert n_greedy == n_exh, (seed, s, eta)
+
+    def test_count_matches_the_sequential_loop(self):
+        # The count is the first prefix of the ordered contributions whose running
+        # sum reaches the target; np.cumsum adds them in this loop's order.
+        def loop_count(g, s, eta):
+            ms = g.mask(s)
+            contrib = np.zeros(g.n)
+            out_v, out_u = ms[g.edge_u] & ~ms[g.edge_v], ms[g.edge_v] & ~ms[g.edge_u]
+            np.add.at(contrib, g.edge_v[out_v], g.edge_cost[out_v])
+            np.add.at(contrib, g.edge_u[out_u], g.edge_cost[out_u])
+            total = float(contrib.sum())
+            if (1.0 - eta) * total <= 0.0:
+                return 0
+            outside = np.flatnonzero(~ms)
+            acc = 0.0
+            for count, v in enumerate(outside[np.lexsort((outside, -contrib[outside]))], 1):
+                acc += contrib[v]
+                if acc >= (1.0 - eta) * total - 1e-12 * max(1.0, total):
+                    return count
+            return int(outside.size)
+
+        rng = np.random.default_rng(13)
+        for seed in range(6):
+            g = weighted_er(40, 0.15, seed)
+            for _ in range(40):
+                s = np.flatnonzero(rng.random(g.n) < rng.uniform(0.05, 0.6))
+                if 0 < s.size < g.n:
+                    eta = float(rng.choice([0.01, 0.1, 1.0 / 3.0, 0.5, 0.9]))
+                    assert robust_expansion(g, s, eta)[0] == loop_count(g, s, eta)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, schemas, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,7 +18,8 @@ from referencing import Registry, Resource
 from bufpart.cli import _assignment_json, _read_partition_file, run
 from bufpart.graph import BufferedPartition, Graph, PartitionError, load_graph
 from bufpart.reports import render_json
-from conftest import four_component_union, lapack_spectrum
+from bufpart import certify
+from conftest import four_component_union, lapack_spectrum, wide_spectrum_draws
 
 
 def _schema_dir() -> Path:
@@ -243,6 +245,63 @@ class TestVerifyCertifyBrute:
         assert len(doc["witness"]) == 4
 
 
+BOUND_NOTE = "the bound in force always holds; its failure indicates an implementation bug"
+
+
+class TestLowerBoundInForce:
+    """partition, certify and verify check the buffered lower bound that is a
+    theorem for the input, so exit 2 means a broken guarantee."""
+
+    @staticmethod
+    def _light_draw(tmp_path, t):
+        """Draw t of wide_spectrum_draws(7, .) as files; some weight is below its
+        vertex's incident cost, so lambda_k <= 2 phi + eps is no theorem there."""
+        *_, (drawn, edges, weights) = wide_spectrum_draws(7, t + 1)
+        assert drawn == t
+        g = load_graph(edges, weights)
+        assert np.any(g.weights < g.incident_cost())
+        return ["--graph", _write(tmp_path, "g.edges", "\n".join(edges) + "\n"),
+                "--weights", _write(tmp_path, "g.weights", "\n".join(weights) + "\n")]
+
+    @pytest.mark.parametrize("t", [43, 128])
+    def test_light_weight_draws_exit_0(self, t, tmp_path):
+        ga = self._light_draw(tmp_path, t)
+        code, doc = run_json(["partition", *ga, "--k", "2", "--eps", "0.1", "--delta", "0.5"],
+                             tmp_path, "part.json")
+        assert code == 0
+        cert = doc["certificate"]
+        assert cert["lower_bound_buffered_check"] and cert["lower_bound_buffered_slack"] >= 0.0
+        part = str(tmp_path / "part.json")
+        code, doc = run_json(["verify", *ga, "--partition", part, "--k", "2", "--eps", "0.1"],
+                             tmp_path, "verify.json")
+        assert code == 0 and doc["lower_bound_buffered_check"] and "note" not in doc
+        code, _ = run_json(["certify", *ga, "--partition", part, "--k", "2", "--eps", "0.1",
+                            "--delta", "0.5"], tmp_path, "cert.json")
+        assert code == 0
+
+    @pytest.mark.parametrize("light", [False, True])
+    def test_eigenvalue_above_the_bound_exits_2_with_the_note(self, light, clique_file,
+                                                              tmp_path, monkeypatch):
+        if light:
+            ga, k = self._light_draw(tmp_path, 43), "2"
+        else:
+            ga, k = ["--graph", clique_file], "3"
+        assert run_json(["partition", *ga, "--k", k, "--eps", "0.1", "--delta", "0.5"],
+                        tmp_path, "part.json")[0] == 0
+        solve = certify.eigenbasis
+
+        def raised(op, k_prime):
+            basis = solve(op, k_prime)
+            return dataclasses.replace(basis, eigenvalues=basis.eigenvalues + 1e6)
+        monkeypatch.setattr(certify, "eigenbasis", raised)
+        code, doc = run_json(["verify", *ga, "--partition", str(tmp_path / "part.json"),
+                              "--k", k, "--eps", "0.1"], tmp_path, "verify.json")
+        assert code == 2
+        assert doc["valid"] is True and doc["lower_bound_buffered_check"] is False
+        assert doc["lower_bound_buffered_slack"] < -1e5
+        assert doc["note"] == BOUND_NOTE
+
+
 def _assignment_dict(g, label) -> dict:
     """Oracle: the assignment as the per-vertex dict that render_json walks."""
     names = g.labels
@@ -263,7 +322,7 @@ def _assignments(draw):
     labels = draw(st.lists(_LABEL, min_size=1, max_size=14, unique=True))
     n = len(labels)
     label = np.array(draw(st.lists(st.integers(-1, 7), min_size=n, max_size=n)), dtype=np.int64)
-    return Graph.build(n, [], weights=np.ones(n), labels=labels), label
+    return Graph.build(n, [], [], [], weights=np.ones(n), labels=labels), label
 
 
 class TestAssignmentText:

@@ -14,7 +14,7 @@ import pytest
 from bufpart import (BufferedPartition, Graph, balanced, buffered_balanced_cut,
                      cheeger2_buffered, kway_balanced, validate_partition)
 from bufpart.graph import _cut_report
-from conftest import cycle, disjoint_cliques, planted, random_regular, weighted_er
+from conftest import columns, cycle, disjoint_cliques, planted, random_regular, weighted_er
 from cut_oracles import (reference_balanced_cut, reference_crossing_cost, reference_cut_report,
                          reference_kway, reference_two_threshold_cut, reference_violations)
 
@@ -93,7 +93,7 @@ def test_exact_recheck_overrules_approximate_order(monkeypatch):
     # above that phi.  Only the error bound keeps 1/6 for the exact re-check.
     edges = [(0, 1, 0.9), (0, 2, 1.1), (1, 2, 0.3), (1, 3, 0.6), (1, 4, 0.2),
              (2, 3, 0.3), (2, 5, 0.9), (3, 4, 0.9), (3, 5, 0.7), (4, 5, 1.1)]
-    g = Graph.build(6, edges, weights=[1.0, 1.0, 1.0, 1.0, 2.0, 1.0])
+    g = Graph.build(6, *columns(edges), weights=[1.0, 1.0, 1.0, 1.0, 2.0, 1.0])
     usq = np.linspace(0.0, 1.0, 7)[[6, 3, 0, 1, 0, 5]]
     spy = CutSpy(monkeypatch)
     got = balanced._two_threshold_cut(g, usq, 0.24)
@@ -115,7 +115,7 @@ def test_threshold_cut_fuzz():
                  if rng.random() < 0.5]
         if not edges:
             continue
-        g = Graph.build(n, edges, weights=rng.choice([0.5, 1.0, 2.0, 3.0], size=n))
+        g = Graph.build(n, *columns(edges), weights=rng.choice([0.5, 1.0, 2.0, 3.0], size=n))
         usq = rng.choice(np.linspace(0.0, 1.0, 6), size=n)
         usq[rng.integers(n)] = 1.0
         eps = float(rng.choice(EPSILONS))
@@ -189,7 +189,7 @@ def random_weighted_graph(rng) -> Graph:
     p = float(rng.choice([0.1, 0.3, 0.7]))
     edges = [(u, v, float(rng.choice([1.0, 5.0, 50.0])))
              for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.build(n, edges, weights=rng.choice([1.0, 5.0, 50.0], size=n))
+    return Graph.build(n, *columns(edges), weights=rng.choice([1.0, 5.0, 50.0], size=n))
 
 
 def outcome(fn, *args):
@@ -232,8 +232,8 @@ def random_labelled_partition(rng):
     u, v = rng.integers(0, n, m), rng.integers(0, n, m)
     keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
     keys = keys[keys // n != keys % n]
-    edges = np.column_stack([keys // n, keys % n, rng.uniform(0.1, 3.0, keys.size)])
-    g = Graph.build(n, edges, weights=rng.uniform(0.1, 5.0, n))
+    g = Graph.build(n, keys // n, keys % n, rng.uniform(0.1, 3.0, keys.size),
+                    weights=rng.uniform(0.1, 5.0, n))
     k = int(rng.integers(1, min(12, n) + 1))
     label = 2 * rng.integers(0, k, n)
     if rng.random() < 0.7:

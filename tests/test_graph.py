@@ -13,7 +13,7 @@ from bufpart import (BufferedPartition, Graph, GraphError, PartitionError,
                      validate_partition)
 from bufpart import graph as graph_module
 from bufpart.graph import _WHITESPACE, _radix_order, _records, interval_sums, least_exact
-from conftest import (disjoint_cliques, k4, path, planted, tiny_connected, triangle,
+from conftest import (columns, disjoint_cliques, k4, path, planted, tiny_connected, triangle,
                       weighted_er)
 from ingest_oracle import reference_load_graph
 
@@ -24,7 +24,7 @@ def _induced_by_build(g, keep):
     triples = [(new_id[u], new_id[v], c)
                for u, v, c in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_cost.tolist())
                if u in new_id and v in new_id]
-    return Graph.build(len(keep), triples, weights=g.weights[np.asarray(keep)])
+    return Graph.build(len(keep), *columns(triples), weights=g.weights[np.asarray(keep)])
 
 
 def _assert_same_graph(got, want):
@@ -40,35 +40,35 @@ class TestGraphBuild:
         assert np.allclose(g.weights, [2.0, 2.0, 2.0])
 
     def test_explicit_weights(self):
-        g = Graph.build(3, [(0, 1, 1.0), (1, 2, 1.0)], weights=[5.0, 1.0, 2.5])
+        g = Graph.build(3, [0, 1], [1, 2], [1.0, 1.0], weights=[5.0, 1.0, 2.5])
         assert np.allclose(g.weights, [5.0, 1.0, 2.5])
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError, match="self-loop"):
-            Graph.build(2, [(1, 1, 1.0)])
+            Graph.build(2, [1], [1], [1.0])
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):
-            Graph.build(3, [(0, 1, 1.0), (1, 0, 2.0)])
+            Graph.build(3, [0, 1], [1, 0], [1.0, 2.0])
 
     def test_nonpositive_cost_rejected(self):
         with pytest.raises(GraphError, match="cost"):
-            Graph.build(2, [(0, 1, 0.0)])
+            Graph.build(2, [0], [1], [0.0])
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(GraphError, match="weight"):
-            Graph.build(2, [(0, 1, 1.0)], weights=[1.0, -2.0])
+            Graph.build(2, [0], [1], [1.0], weights=[1.0, -2.0])
 
     def test_overflowing_totals_rejected(self):
         with pytest.raises(GraphError, match="incident edge cost overflows"):
-            Graph.build(3, [(0, 1, 1e308), (1, 2, 1e308)])
+            Graph.build(3, [0, 1], [1, 2], [1e308, 1e308])
         with pytest.raises(GraphError, match="vertex weight overflows"):
-            Graph.build(2, [(0, 1, 1.0)], weights=[1e308, 1e308])
+            Graph.build(2, [0], [1], [1.0], weights=[1e308, 1e308])
 
     def test_isolated_vertex_needs_weight(self):
         with pytest.raises(GraphError, match="isolated"):
-            Graph.build(3, [(0, 1, 1.0)])
-        g = Graph.build(3, [(0, 1, 1.0)], weights=[1.0, 1.0, 1.0])
+            Graph.build(3, [0], [1], [1.0])
+        g = Graph.build(3, [0], [1], [1.0], weights=[1.0, 1.0, 1.0])
         assert g.n == 3
 
     @pytest.mark.parametrize("edges, message", [
@@ -94,30 +94,58 @@ class TestGraphBuild:
     ])
     def test_error_names_first_bad_edge_in_input_order(self, edges, message):
         with pytest.raises(GraphError) as info:
-            Graph.build(3, edges)
+            Graph.build(3, *columns(edges))
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("bad, shown", [
-        (1.5, "1.5"), (-0.5, "-0.5"), (float("nan"), "nan"), (float("inf"), "inf"),
-        (1e20, "100000000000000000000")])
-    def test_vertex_id_not_an_int64_is_rejected(self, bad, shown):
-        # The first rule: the cast to int64 would cut 1.5 to 1 and give nan,
-        # inf or 1e20 as -2**63 with a RuntimeWarning.
-        for cost in (1.0, -1.0):
+    @pytest.mark.parametrize("column, dtype", [
+        ([0, 1.5], "float64"), ([0, -0.5], "float64"), ([0, float("nan")], "float64"),
+        ([0, float("inf")], "float64"), ([0, 1e20], "float64"), ([0.0, 2.0], "float64"),
+        (np.array([0, 2], dtype=object), "object"), ([0, 2 ** 64], "object"),
+        ([0, -(2 ** 63) - 1], "object"), ([0, 2 ** 63], "float64"),
+        (np.array([0, 2 ** 63], dtype=np.uint64), "uint64"), ([False, True], "bool"),
+    ], ids=["1.5", "-0.5", "nan", "inf", "1e20", "2.0", "object", "2**64", "-2**63-1",
+            "list-2**63", "uint64-2**63", "bool"])
+    def test_id_column_not_int64_is_rejected(self, column, dtype):
+        # Either column: no id is cut to an integer or wrapped into int64.  numpy
+        # reads the Python ints 0 and 2**63 as float64, and 2**64 as objects.
+        want = f"vertex id columns must hold integers within int64; this one has dtype {dtype}"
+        for u, v in ((column, [2, 0]), ([2, 0], column)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(GraphError) as info:
-                    Graph.build(3, [(0, 2, 1.0), (0, bad, cost), (2, 2, 1.0), (7, 0, 1.0)])
-            assert str(info.value) == f"edge (0,{shown}) has a vertex id that is not an int64"
+                    Graph.build(3, u, v, [1.0, -1.0])
+            assert str(info.value) == want
 
-    def test_integral_float_ids_build(self):
-        g = Graph.build(3, np.array([(0.0, 1.0, 1.0), (2.0, 1.0, 1.0)]))
-        assert g.edge_u.tolist() == [0, 1] and g.edge_v.tolist() == [1, 2]
+    def test_integer_columns_of_any_width_build(self):
+        want = Graph.build(3, [0, 2], [1, 1], [1.0, 1.0])
+        for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+            got = Graph.build(3, np.array([0, 2], dtype=dtype), np.array([1, 1], dtype=dtype),
+                              np.array([1, 1], dtype=np.int32))
+            _assert_same_graph(got, want)
 
     def test_least_int64_id_falls_to_the_range_rule(self):
         with pytest.raises(GraphError) as info:
-            Graph.build(3, [(0, 1, 1.0), (2, -(2 ** 63), 1.0), (1e20, 1, 1.0)])
+            Graph.build(3, [0, 2, 2 ** 62], [1, -(2 ** 63), 1], [1.0, 1.0, 1.0])
         assert str(info.value) == "edge (2,-9223372036854775808) outside vertex range [0,3)"
+
+    @pytest.mark.parametrize("big", [2 ** 53 + 1, 2 ** 63 - 1])
+    def test_error_names_an_id_above_2_53_exactly(self, big):
+        with pytest.raises(GraphError) as info:
+            Graph.build(3, [big], [0], [1.0])
+        assert str(info.value) == f"edge ({big},0) outside vertex range [0,3)"
+        with pytest.raises(GraphError) as info:
+            Graph.build(3, [0, big], [1, big], [1.0, 1.0])
+        assert str(info.value) == f"self-loop at vertex {big}"
+
+    def test_columns_of_unequal_length_are_rejected(self):
+        with pytest.raises(GraphError) as info:
+            Graph.build(3, [0, 1], [1, 2], [1.0])
+        assert str(info.value) == "edge columns u, v and cost must be 1-d and of one length"
+
+    def test_empty_columns_of_any_dtype_build(self):
+        for empty in ([], np.array([]), np.array([], dtype=object)):
+            g = Graph.build(2, empty, empty, empty, weights=[1.0, 2.0])
+            assert g.edge_count == 0 and g.edge_u.dtype == np.int64
 
     @pytest.mark.parametrize("seed", range(12))
     def test_radix_order_is_the_lexsort_permutation(self, seed):
@@ -133,10 +161,10 @@ class TestGraphBuild:
             keys.append(key)
         assert np.array_equal(_radix_order(*keys), np.lexsort(keys))
 
-    def test_triples_and_array_build_equal_graphs(self):
-        triples = [(3, 0, 0.5), (1, 2, 2.0), (0, 1, 1.25), (2, 3, 4.0)]
-        from_list = Graph.build(4, triples)
-        from_array = Graph.build(4, np.array(triples))
+    def test_list_and_array_columns_build_equal_graphs(self):
+        u, v, cost = [3, 1, 0, 2], [0, 2, 1, 3], [0.5, 2.0, 1.25, 4.0]
+        from_list = Graph.build(4, u, v, cost)
+        from_array = Graph.build(4, np.array(u), np.array(v), np.array(cost))
         for name in ("weights", "edge_u", "edge_v", "edge_cost"):
             a, b = getattr(from_list, name), getattr(from_array, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -180,13 +208,13 @@ class TestGraphBuild:
         assert ids.tolist() == [0, 2, 4]
         assert sub.n == 3 and sub.edge_count == 0
         assert sub.weights.tolist() == g.weights[[0, 2, 4]].tolist()
-        _assert_same_graph(sub, Graph.build(3, [], weights=g.weights[[0, 2, 4]]))
+        _assert_same_graph(sub, Graph.build(3, [], [], [], weights=g.weights[[0, 2, 4]]))
 
     def test_single_vertex(self):
         g = triangle()
         sub, ids = g.subgraph([2])
         assert ids.tolist() == [2] and sub.n == 1 and sub.edge_count == 0
-        _assert_same_graph(sub, Graph.build(1, [], weights=[2.0]))
+        _assert_same_graph(sub, Graph.build(1, [], [], [], weights=[2.0]))
 
     @pytest.mark.parametrize("empty", [[], np.array([], dtype=np.int64), set()])
     def test_empty_set_is_rejected(self, empty):
@@ -305,7 +333,7 @@ class TestBufferedPartitionLabels:
 
 class TestValidatePartition:
     def test_boundary_budget_is_inclusive(self):
-        g = Graph.build(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
+        g = Graph.build(4, [0, 1, 2], [1, 2, 3], [1.0, 1.0, 1.0],
                         weights=[2.0, 1.0, 2.0, 1.0])
         # w(B_1) = 1 = 0.5 * w(P_1) exactly
         part = BufferedPartition.from_sets([[0], [2]], [[1], [3]], 0.5)

@@ -16,7 +16,7 @@ from bufpart.graph import Graph, PartitionError
 from bufpart.certify import brute_force_h_k_eps
 from bufpart.partition import RESTARTS, CrudePartition, PartialPartition, resolve_step2
 from bufpart.separators import practical_params
-from conftest import (clique, clique_labels, disjoint_cliques, planted, planted_blocks,
+from conftest import (clique, columns, clique_labels, disjoint_cliques, planted, planted_blocks,
                       tiny_connected, weighted_er)
 
 
@@ -294,8 +294,8 @@ class TestCompletePartition:
         # would be B, A, D, C.
         sizes = [4, 4, 6, 5]
         labels = clique_labels(sizes)
-        g = Graph.build(19, clique(4) + clique(4, 4) + clique(6, 8) + clique(5, 14) +
-                        [(0, 8, 1.0)])
+        g = Graph.build(19, *columns(clique(4) + clique(4, 4) + clique(6, 8) + clique(5, 14) +
+                                     [(0, 8, 1.0)]))
         cores = [np.flatnonzero(labels == c) for c in range(4)]
         pp = PartialPartition(label=4 * labels, phi=tuple(buffered_expansion(g, p, [])
                                                           for p in cores),
@@ -392,7 +392,7 @@ class TestDriver:
         # At w(V) = 2e-12 a buffer mass of twice 16 eps w(V) is below an absolute
         # 1e-12 slack; the slack is relative to w(V), so every restart fails.
         c = CLIQUES6
-        g = Graph.build(c.n, np.column_stack([c.edge_u, c.edge_v, c.edge_cost * 1e-14]),
+        g = Graph.build(c.n, c.edge_u, c.edge_v, c.edge_cost * 1e-14,
                         weights=np.full(c.n, 1e-14))
         eff = resolve_step2(g.n, 6, 0.01, 0.01)
         monkeypatch.setattr(CrudePartition, "buffer_mass",

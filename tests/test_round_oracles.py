@@ -18,7 +18,7 @@ from bufpart import (Graph, RandomStream, buffered_k_partition, crude_partition,
                      refine_and_discard)
 from bufpart import certify, partition, separators
 from bufpart.partition import resolve_step2
-from conftest import disjoint_cliques, planted, weighted_er
+from conftest import columns, disjoint_cliques, planted, weighted_er
 from round_oracles import (crude_of_rounds, reached, reference_crude_partition, reference_draw,
                            reference_min_ball_leftover, reference_project,
                            reference_refine_and_discard)
@@ -149,7 +149,7 @@ def _synthetic_refinement(seed):
     delta, eps, mu_of = REFINEMENT_KINDS[seed % len(REFINEMENT_KINDS)]
     pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(110)}
     rows = [(u, v, float(rng.integers(1, 4))) for u, v in sorted(pairs)]
-    g = Graph.build(n, rows, weights=rng.choice([1.0, 2.0, 3.0, 24.0], n))
+    g = Graph.build(n, *columns(rows), weights=rng.choice([1.0, 2.0, 3.0, 24.0], n))
     # Label 2t: Ptilde of round t; 2t + 1: its Btilde; then R_P and R_B.
     label = rng.integers(0, 2 * rounds + 2, n)
     crude = crude_of_rounds(
@@ -185,7 +185,7 @@ def test_refinement_members_exactly_on_the_band_edges():
     # (mu = 1.5, in Btilde) is in B; r = 2.25 wins with phi = 1 over r = 1.0
     # with phi = 100/25.  A sweep that put either vertex on the wrong side of
     # its band edge would drop r = 2.25 or rank it behind r = 1.0.
-    g = Graph.build(4, [(0, 1, 1.0), (1, 2, 100.0), (0, 3, 5.0)],
+    g = Graph.build(4, [0, 1, 0], [1, 2, 3], [1.0, 100.0, 5.0],
                     weights=[1.0, 24.0, 1.0, 1.0])
     c = crude_of_rounds(4, [(0, [0, 1], [3])], [], SimpleNamespace(k=2, epsilon=0.5, delta=0.5))
     e = SimpleNamespace(graph=g, k_prime=2, mu=np.array([2.25, 1.0, 1.0, 1.5]),
@@ -250,7 +250,7 @@ def _step3_case(name):
     eps = 0.0 if name == "eps-zero" else 0.1
     pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(70)}
     pairs |= {(0, 8), (3, 9), (6, 14), (7, 12), (2, 11)}       # between rounds
-    g = Graph.build(n, [(u, v, float(rng.integers(1, 4))) for u, v in sorted(pairs)],
+    g = Graph.build(n, *columns([(u, v, float(rng.integers(1, 4))) for u, v in sorted(pairs)]),
                     weights=rng.choice([1.0, 2.0, 3.0], n))
     mu = 1.0 + 0.1 * rng.integers(0, 6, n)
     rounds = STEP3_CASES[name]

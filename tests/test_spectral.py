@@ -11,9 +11,10 @@ from bufpart import (EmbeddingError, Graph, ball_measure, cheeger2_buffered, edg
 from bufpart import load_graph, spectral
 from bufpart.cli import run
 from bufpart.spectral import LaplacianOperator, SpectralBasis, _block_lanczos_eigenbasis
-from conftest import (cycle, disjoint_cliques, four_component_union, k4, lapack_spectrum,
-                      laplacian_matrix, path, planted_blocks, random_regular,
-                      ring_with_chords, small_solver_suite, triangle, weighted_er)
+from conftest import (columns, cycle, disjoint_cliques, four_component_union, k4,
+                      lapack_spectrum, laplacian_matrix, path, planted_blocks, random_regular,
+                      ring_with_chords, small_solver_suite, triangle, weighted_er,
+                      wide_spectrum_draws)
 
 
 def eigsh_bottom(g: Graph, k: int) -> np.ndarray:
@@ -36,7 +37,7 @@ def grid(rows: int, cols: int) -> Graph:
     ids = np.arange(rows * cols).reshape(rows, cols)
     pairs = np.vstack([np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),
                        np.column_stack([ids[:-1].ravel(), ids[1:].ravel()])])
-    return Graph.build(rows * cols, np.column_stack([pairs, np.ones(len(pairs))]))
+    return Graph.build(rows * cols, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)))
 
 
 def joined_halves(n: int = 500) -> Graph:
@@ -46,7 +47,7 @@ def joined_halves(n: int = 500) -> Graph:
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     keys = np.unique((lo * n + hi)[lo != hi])
     one = np.column_stack([keys // n, keys % n, np.ones(keys.size)])
-    return Graph.build(2 * n, np.vstack([one, one + [n, n, 0.0], [[0, n, 1.0]]]))
+    return Graph.build(2 * n, *columns(np.vstack([one, one + [n, n, 0.0], [[0, n, 1.0]]])))
 
 
 class TestLaplacianOperator:
@@ -142,7 +143,7 @@ class TestEigenbasis:
         edges = np.array([(a, b, 1.0) for a, b in sorted(pairs)])
         spectra = []
         for factor in (1.0, scale):
-            g = Graph.build(40, edges * [1.0, 1.0, factor], weights=np.ones(40))
+            g = Graph.build(40, *columns(edges * [1.0, 1.0, factor]), weights=np.ones(40))
             lap = normalized_laplacian(g)
             dense = lapack_spectrum(g, 4)
             lanczos, vecs = _block_lanczos_eigenbasis(lap, 4)
@@ -189,10 +190,10 @@ class TestEigenbasis:
         # repeated c times.
         n = 1100
         one = ring_with_chords(n, 3)
-        single = lapack_spectrum(Graph.build(n, one), 2)
+        single = lapack_spectrum(Graph.build(n, *columns(one)), 2)
         assert single[1] > 0.1
-        union = Graph.build(copies * n, np.vstack([one + [c * n, c * n, 0.0]
-                                                   for c in range(copies)]))
+        union = Graph.build(copies * n, *columns(np.vstack([one + [c * n, c * n, 0.0]
+                                                            for c in range(copies)])))
         basis = eigenbasis(normalized_laplacian(union), 2 * copies)
         want = np.repeat(single, copies)
         assert np.abs(basis.eigenvalues - want).max() <= 1e-8
@@ -215,9 +216,9 @@ class TestEigenbasis:
     def test_block_lanczos_matches_eigsh_on_two_identical_blocks(self):
         # two copies of one weighted planted graph: every nonzero value repeats
         one = planted_blocks(1100, 4, 9, pairs=6, weighted=True)
-        edges = np.column_stack([one.edge_u, one.edge_v, one.edge_cost])
-        union = Graph.build(2 * one.n, np.vstack([edges, edges + [one.n, one.n, 0.0]]),
-                            weights=np.tile(one.weights, 2))
+        union = Graph.build(2 * one.n, np.concatenate([one.edge_u, one.edge_u + one.n]),
+                            np.concatenate([one.edge_v, one.edge_v + one.n]),
+                            np.tile(one.edge_cost, 2), weights=np.tile(one.weights, 2))
         vals, _ = _block_lanczos_eigenbasis(normalized_laplacian(union), 8)
         assert np.abs(vals[2::2] - vals[3::2]).max() <= 1e-10 and vals[2] > 1e-3
         assert np.abs(vals - eigsh_bottom(union, 8)).max() <= 1e-8
@@ -299,30 +300,6 @@ class TestTinyGraphs:
             assert basis.residuals.max() <= 1e-8, k
 
 
-def wide_spectrum_draws(seed: int, stop: int):
-    """(t, edge lines, weight lines) of the draws t < stop that have an edge.
-
-    Draw t: n in [8, 30], each upper-triangle pair kept with probability
-    (0.1, 0.3, 0.7)[t % 3], the kept pairs shuffled and each flipped with
-    probability 1/2, costs and weights from {1, 5, 50}; a weight line for each
-    vertex an edge names.  lambda_max reaches 100 and more, and such spectra
-    broke the block solver's convergence test."""
-    rng = np.random.default_rng(seed)
-    for t in range(stop):
-        n = int(rng.integers(8, 31))
-        keep = rng.random(n * (n - 1) // 2) < (0.1, 0.3, 0.7)[t % 3]
-        a, b = (ends[keep] for ends in np.triu_indices(n, 1))
-        order = rng.permutation(a.size)
-        a, b = a[order], b[order]
-        flip = rng.random(a.size) < 0.5
-        a, b = np.where(flip, b, a), np.where(flip, a, b)
-        cost = rng.choice([1, 5, 50], a.size)
-        weight = rng.choice([1, 5, 50], n)
-        if a.size:
-            yield (t, [f"v{x} v{y} {c}" for x, y, c in zip(a, b, cost)],
-                   [f"v{v} {weight[v]}" for v in np.unique(np.concatenate([a, b]))])
-
-
 def assert_bottom_spectrum(g: Graph, vals: np.ndarray) -> None:
     truth = np.linalg.eigvalsh(laplacian_matrix(g))
     assert np.abs(vals - truth[:vals.size]).max() <= 1e-8 * max(1.0, truth[-1])
@@ -371,7 +348,7 @@ class TestFourComponentUnion:
     @pytest.fixture(scope="class")
     def union(self):
         edges, component = four_component_union()
-        return Graph.build(component.size, edges), component
+        return Graph.build(component.size, *columns(edges)), component
 
     def test_lower_bound_is_zero(self, union):
         g, _ = union
@@ -447,8 +424,8 @@ class TestEmbedding:
     def test_zero_row_names_the_missing_components(self):
         # Three disjoint 200-cycles at k' = 2: the third component has no
         # kernel vector in the basis, so its rows are zero.
-        g = Graph.build(600, [(200 * c + i, 200 * c + (i + 1) % 200, 1.0)
-                              for c in range(3) for i in range(200)],
+        g = Graph.build(600, *columns([(200 * c + i, 200 * c + (i + 1) % 200, 1.0)
+                                       for c in range(3) for i in range(200)]),
                         labels=[f"v{i}" for i in range(600)])
         basis = eigenbasis(normalized_laplacian(g), 2)
         with pytest.raises(EmbeddingError, match="^vertex 'v400' embeds to the zero vector: "
