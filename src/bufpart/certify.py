@@ -70,7 +70,7 @@ def check_buffered_lower_bound(g: Graph, part: BufferedPartition, k: int,
     if np.all(g.weights >= g.incident_cost()):
         bound = 2.0 * report.max_expansion + part.epsilon
     else:       # P_i u B_i as the core of part i with no buffer: phi is phi(P_i u B_i)
-        merged = BufferedPartition(label=part.label[:g.n] & ~1, k=k, epsilon=part.epsilon)
+        merged = BufferedPartition(label=part.label[:g.n] & ~1, k=part.k, epsilon=part.epsilon)
         bound = 2.0 * _cut_report(g, merged).max_expansion
     slack = bound - float(basis.eigenvalues[k - 1])
     return slack >= -1e-9, slack
@@ -187,9 +187,12 @@ def robust_expansion(g: Graph, s: np.ndarray, eta: float) -> tuple[int, float]:
         return 0, 0.0
     outside = np.flatnonzero(~ms)
     order = outside[np.lexsort((outside, -contrib[outside]))]
-    reached = np.cumsum(contrib[order]) >= target - 1e-12 * max(1.0, total)  # sums in order
-    count = int(np.argmax(reached)) + 1 if reached.any() else int(order.size)
-    return count, count / float(ms.sum())
+    acc = 0.0
+    for count, v in enumerate(order, start=1):
+        acc += contrib[v]
+        if acc >= target - 1e-12 * max(1.0, total):
+            return count, count / float(ms.sum())
+    return int(order.size), float(order.size) / float(ms.sum())
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,6 @@ UNIT = np.finfo(np.float64).eps / 2.0  # float64 unit roundoff u = 2^-53
 _TINY = np.finfo(np.float64).tiny     # smallest normal float64, 2.2e-308
 _HUGE = np.finfo(np.float64).max
 _TOTAL_LIMIT = _HUGE / 1024.0
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _as_vertex_array(vertices: Iterable[int], n: int) -> np.ndarray:
@@ -119,7 +118,7 @@ class Graph:
         if not u.shape == v.shape == cost.shape == (cost.size,):
             raise GraphError("edge columns u, v and cost must be 1-d and of one length")
         for ids in (u, v) if cost.size else ():     # empty columns may have any dtype
-            if not (np.issubdtype(ids.dtype, np.integer) and ids.max() <= _INT64_MAX):
+            if not (np.issubdtype(ids.dtype, np.integer) and ids.max() <= np.iinfo(np.int64).max):
                 raise GraphError(f"vertex id columns must hold integers within int64; "
                                  f"this one has dtype {ids.dtype}")
         u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)

@@ -349,35 +349,6 @@ class TestRobustExpansion:
                     n_exh = exhaustive_robust(g, s, eta)
                     assert n_greedy == n_exh, (seed, s, eta)
 
-    def test_count_matches_the_sequential_loop(self):
-        # The count is the first prefix of the ordered contributions whose running
-        # sum reaches the target; np.cumsum adds them in this loop's order.
-        def loop_count(g, s, eta):
-            ms = g.mask(s)
-            contrib = np.zeros(g.n)
-            out_v, out_u = ms[g.edge_u] & ~ms[g.edge_v], ms[g.edge_v] & ~ms[g.edge_u]
-            np.add.at(contrib, g.edge_v[out_v], g.edge_cost[out_v])
-            np.add.at(contrib, g.edge_u[out_u], g.edge_cost[out_u])
-            total = float(contrib.sum())
-            if (1.0 - eta) * total <= 0.0:
-                return 0
-            outside = np.flatnonzero(~ms)
-            acc = 0.0
-            for count, v in enumerate(outside[np.lexsort((outside, -contrib[outside]))], 1):
-                acc += contrib[v]
-                if acc >= (1.0 - eta) * total - 1e-12 * max(1.0, total):
-                    return count
-            return int(outside.size)
-
-        rng = np.random.default_rng(13)
-        for seed in range(6):
-            g = weighted_er(40, 0.15, seed)
-            for _ in range(40):
-                s = np.flatnonzero(rng.random(g.n) < rng.uniform(0.05, 0.6))
-                if 0 < s.size < g.n:
-                    eta = float(rng.choice([0.01, 0.1, 1.0 / 3.0, 0.5, 0.9]))
-                    assert robust_expansion(g, s, eta)[0] == loop_count(g, s, eta)
-
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             robust_expansion(k4(), np.array([0]), 0.0)

@@ -279,6 +279,18 @@ class TestLowerBoundInForce:
                             "--delta", "0.5"], tmp_path, "cert.json")
         assert code == 0
 
+    def test_more_parts_asked_than_the_file_holds_exit_1(self, tmp_path, capsys):
+        # No bound over fewer than k disjoint sets bounds lambda_k: the part count
+        # of the file must equal --k, whichever bound is in force.
+        ga = self._light_draw(tmp_path, 43)
+        assert run_json(["partition", *ga, "--k", "2", "--eps", "0.1", "--delta", "0.5"],
+                        tmp_path, "part.json")[0] == 0
+        part = str(tmp_path / "part.json")
+        assert run(["verify", *ga, "--partition", part, "--k", "3", "--eps", "0.1"]) == 1
+        assert run(["certify", *ga, "--partition", part, "--k", "3", "--eps", "0.1",
+                    "--delta", "0.5"]) == 1
+        assert capsys.readouterr().err.count("partition has 2 parts, expected 3") == 2
+
     @pytest.mark.parametrize("light", [False, True])
     def test_eigenvalue_above_the_bound_exits_2_with_the_note(self, light, clique_file,
                                                               tmp_path, monkeypatch):

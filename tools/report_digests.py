@@ -38,11 +38,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=seed_range, default=seed_range("401-410"),
                         help="a seed or an inclusive range A-B (default 401-410)")
-    parser.add_argument("--workload", action="append", choices=sorted(bench.WORKLOADS),
-                        help="repeat to select; default every workload")
     args = parser.parse_args(argv)
     for seed in args.seeds:
-        for name in args.workload or bench.WORKLOADS:
+        for name in bench.WORKLOADS:
             with tempfile.TemporaryDirectory(prefix=f"{name}-{seed}-") as tmp:
                 workload = bench.WORKLOADS[name](Path(tmp), np.random.default_rng(seed), seed)
                 for cmd in workload.commands:
