@@ -15,11 +15,11 @@ from .graph import (BufferedPartition, CutReport, Graph, GraphError,
 from .partition import (CrudePartition, PartialPartition, buffered_k_partition,
                         complete_partition, crude_partition, partial_partition,
                         refine_and_discard)
-from .rng import RandomStream, derive_stream
+from .rng import RandomStream
 from .separators import (CalibrationError, SeparatorParams, calibrate,
                          practical_params, sample_two_buffers)
 from .spectral import (EmbeddingError, LaplacianOperator, SolverError,
-                       SpectralBasis, ball_measure, edge_energy, eigenbasis,
-                       embed, normalized_laplacian)
+                       SpectralBasis, edge_energy, eigenbasis, embed,
+                       normalized_laplacian)
 
 __version__ = "0.1.0"

@@ -66,7 +66,7 @@ class BufferedCut:
     cut_value: float        # delta(S,T)
     lambda2: float
     threshold: float
-    side_vector: np.ndarray  # the normalized thresholding vector u
+    side_vector: np.ndarray  # the normalized thresholding vector u; bench/layers.py reads it
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class BalancedCutResult:
     cut_value: float
     balanced: bool
     violations: tuple
-    per_level_lambda2: tuple
+    per_level_lambda2: tuple  # bench/layers.py counts the levels by it
     per_level_phi: tuple
     per_level_cuts: tuple   # BufferedCut per recursion level, in global ids
 

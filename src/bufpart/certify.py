@@ -1,7 +1,8 @@
 """Certification: eigenvalue lower bounds, the exact oracle, robust expansion.
 
 A run's certificate holds only polynomial quantities: lambda at the lifted
-index k_hat and the buffered lower bound in force for the input.
+index k_hat, the unbuffered bound lambda_k / 2 and the buffered lower bound in
+force for the input.
 
 The exact oracle realizes the definition of h^{k,eps} on graphs of at most
 BRUTE_FORCE_CAP vertices.  It enumerates each assignment of vertices to
@@ -197,11 +198,11 @@ def robust_expansion(g: Graph, s: np.ndarray, eta: float) -> tuple[int, float]:
 
 @dataclass(frozen=True)
 class Certificate:
-    lambda_k: float                      # eigenvalue the run is certified against
+    lambda_k: float                      # lambda at k_hat, which approx_ratio reads
     k_hat: int                           # its index (embedding dimension of the run)
     achieved_cost: float
-    lower_bound_unbuffered: float        # lambda_k / 2
-    lower_bound_buffered_check: bool
+    lower_bound_unbuffered: float        # lambda at k / 2, over unbuffered k-partitions
+    lower_bound_buffered_check: bool     # the buffered bound checked against lambda at k
     lower_bound_buffered_slack: float
     approx_ratio: float | None           # achieved * eps / (lambda_khat * ln khat)
 
@@ -214,7 +215,8 @@ def certify_run(g: Graph, k: int, epsilon: float, part: BufferedPartition,
     """The eigenvalue bounds for part, whose partition_cost is report.
 
     basis is the run's bottom-k_hat eigenbasis; the approximation ratio is taken
-    against its last eigenvalue and the buffered lower bound against lambda_k.
+    against its last eigenvalue, the unbuffered and buffered lower bounds against
+    lambda_k.
     """
     k_hat = basis.k_prime
     lam_hat = float(basis.eigenvalues[k_hat - 1])
@@ -227,6 +229,6 @@ def certify_run(g: Graph, k: int, epsilon: float, part: BufferedPartition,
         ratio = 0.0 if achieved <= 0.0 else None
     return Certificate(
         lambda_k=lam_hat, k_hat=k_hat, achieved_cost=achieved,
-        lower_bound_unbuffered=lam_hat / 2.0,
+        lower_bound_unbuffered=float(basis.eigenvalues[k - 1]) / 2.0,
         lower_bound_buffered_check=passed, lower_bound_buffered_slack=slack,
         approx_ratio=ratio)

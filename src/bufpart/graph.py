@@ -169,10 +169,6 @@ class Graph:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    @property
-    def edge_count(self) -> int:
-        return int(self.edge_cost.size)
-
     def weight_of(self, vertices: np.ndarray) -> float:
         return float(self.weights[np.asarray(vertices, dtype=np.int64)].sum())
 
@@ -362,12 +358,6 @@ class BufferedPartition:
     @property
     def buffers(self) -> tuple:
         return tuple(np.flatnonzero(self.label == 2 * i + 1) for i in range(self.k))
-
-    def assignment(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(part index, role) per vertex; role 0 = core, 1 = buffer, -1 = unassigned."""
-        label = np.full(n, -1, dtype=np.int64)
-        label[:self.label.size] = self.label[:n]
-        return label >> 1, np.where(label >= 0, label & 1, -1)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ Each step hands on one int64 label per vertex, so its sets tile V by
 construction.  Step 2's CrudePartition has 2j on Ptilde and 2j+1 on Btilde of
 recorded round j, -1 on R_P and -2 on R_B; Steps 3-4's PartialPartition has
 4i + role on kept tuple i (role 0 P, 1 B, 2 A', 3 A''), -1 on R'_P and -2 on
-R'_B; completion's graph.BufferedPartition has 2i and 2i+1.  The set views
-(rounds, sigma, tuples, r_p_prime, ...) are derived from the labels, the
-per-round and per-tuple sets by one stable sort.
+R'_B; completion's graph.BufferedPartition has 2i and 2i+1.  Each step
+reads the sets it needs off the labels; the one set view, CrudePartition.rounds,
+is there for bench/layers.py.
 
 The draws come from separators.measured_draws(), which evaluates a whole
 restart's draws at once and returns only the draws that reach a vector; a
@@ -66,7 +66,7 @@ import numpy as np
 from .certify import certify_run
 from .graph import (UNIT, BufferedPartition, CutReport, Graph, PartitionError, _group_sums,
                     _groups, interval_sums, least_exact, partition_cost)
-from .rng import RandomStream, derive_stream
+from .rng import RandomStream
 from .separators import (CalibrationError, SeparatorParams, calibrate,
                          measured_draws, practical_params)
 from .spectral import Embedding, embed, eigenbasis, normalized_laplacian
@@ -75,7 +75,6 @@ __all__ = [
     "EffectiveParams",
     "RoundRecord",
     "CrudePartition",
-    "RefinedTuple",
     "PartialPartition",
     "resolve_step2",
     "crude_partition",
@@ -157,9 +156,8 @@ def resolve_step2(n_vectors: int, k: int, epsilon: float, delta: float) -> Effec
                            rounds=rounds, params=params, notes=tuple(notes))
 
 
-# The records of the rounds and tuples views; index and round_index are draw indices.
+# The record of the rounds view, which bench/layers.py reads; index is a draw index.
 RoundRecord = namedtuple("RoundRecord", "index p_tilde b_tilde")
-RefinedTuple = namedtuple("RefinedTuple", "round_index p b a_prime a_double threshold phi")
 
 
 @dataclass(frozen=True)
@@ -173,26 +171,10 @@ class CrudePartition:
 
     @property
     def rounds(self) -> tuple:
-        """RoundRecord of each recorded round, in draw order."""
+        """RoundRecord of each recorded round, in draw order (bench/layers.py reads it)."""
         sets = _groups(self.label, 2 * self.draws.size)
         return tuple(RoundRecord(t, sets[2 * j], sets[2 * j + 1])
                      for j, t in enumerate(self.draws.tolist()))
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.flatnonzero((self.label >= 0) & (self.label % 2 == 0))
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return np.flatnonzero((self.label >= 0) & (self.label % 2 == 1))
-
-    @property
-    def r_p(self) -> np.ndarray:
-        return np.flatnonzero(self.label == -1)
-
-    @property
-    def r_b(self) -> np.ndarray:
-        return np.flatnonzero(self.label == -2)
 
     def buffer_mass(self, g: Graph) -> float:
         """w(R_B) + sum_t w(Btilde_t), the Step-2 acceptance quantity."""
@@ -241,21 +223,6 @@ class PartialPartition:
     @property
     def k_prime(self) -> int:
         return len(self.phi)
-
-    @property
-    def tuples(self) -> tuple:
-        """RefinedTuple of each kept tuple, in draw order."""
-        sets = _groups(self.label, 4 * self.k_prime)
-        return tuple(RefinedTuple(t, *sets[4 * i:4 * i + 4], r, phi) for i, (t, r, phi)
-                     in enumerate(zip(self.round_index, self.threshold, self.phi)))
-
-    @property
-    def r_p_prime(self) -> np.ndarray:
-        return np.flatnonzero(self.label == -1)
-
-    @property
-    def r_b_prime(self) -> np.ndarray:
-        return np.flatnonzero(self.label == -2)
 
 
 def _ranks(values, groups, queries, q_groups, side: str) -> np.ndarray:
@@ -528,7 +495,7 @@ def partial_partition(g: Graph, eff: EffectiveParams, k: int, seed: int = 0,
     best_completed = math.inf
     rejected = []
     for restart in range(restarts):
-        crude = crude_partition(e, eff, derive_stream(seed, "partition", restart))
+        crude = crude_partition(e, eff, RandomStream(seed, "partition", restart))
         mass = crude.buffer_mass(g)
         if not mass <= (16.0 * eff.epsilon + 1e-12) * total:
             rejected.append({"restart": restart, "accepted": False, "buffer_mass": mass})

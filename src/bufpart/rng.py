@@ -14,7 +14,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["RandomStream", "derive_stream"]
+__all__ = ["RandomStream"]
 
 _TWO_PI = 2.0 * np.pi
 
@@ -26,7 +26,8 @@ def _tag_entropy(tag: str, indices: tuple[int, ...]) -> list[int]:
 
 
 class RandomStream:
-    """One logical stream: normals via Box-Muller over Philox uniforms."""
+    """The stream of (seed, tag, *indices): normals via Box-Muller over Philox
+    uniforms.  Disjoint tuples give independent streams."""
 
     def __init__(self, seed: int, tag: str, *indices: int):
         ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
@@ -56,8 +57,3 @@ class RandomStream:
             if need % 2 == 1:
                 self._pending = float(g[need])
         return out
-
-
-def derive_stream(seed: int, tag: str, *indices: int) -> RandomStream:
-    """Stream for (seed, tag, indices); disjoint tuples give independent streams."""
-    return RandomStream(seed, tag, *indices)

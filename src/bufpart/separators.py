@@ -371,7 +371,8 @@ def sample_two_buffers(vectors: np.ndarray, measures: np.ndarray, epsilon: float
 
     One draw of measured_draws(); its sets are all empty when it reaches no
     vector.  Without params the family is calibrate(epsilon, 2/delta, r);
-    with params, epsilon and r are those of params.
+    with params, epsilon and r are those of params.  bench/layers.py wraps it
+    by name, and its install() raises without it.
     """
     p = params if params is not None else calibrate(epsilon, 2.0 / delta, r)
     for _, sample in measured_draws(vectors, measures, delta, p, stream, 1):

@@ -3,8 +3,8 @@
 L = D_w^{-1/2} Ltilde D_w^{-1/2} where Ltilde is the edge-cost Laplacian and
 D_w the vertex-weight diagonal.  The embedding maps u to the row
 ubar = (x_1(u), ..., x_k'(u)) of the bottom eigenvectors, with measure
-mu(u) = ||ubar||^2, scaled vectors zhat_u = ubar/sqrt(w_u), and unit
-directions psi(u) = zhat_u/||zhat_u|| (= ubar/||ubar||, the scaling cancels).
+mu(u) = ||ubar||^2 and unit direction psi(u) = ubar/||ubar||, which is also
+zhat_u/||zhat_u|| for the scaled vectors zhat_u = ubar/sqrt(w_u) of edge_energy.
 
 One solver path for every size.  The kernel is exact: each connected component
 C, found by hook-and-shortcut, gives the eigenvector D_w^{1/2} 1_C / ||.|| of
@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import Graph
-from .rng import derive_stream
+from .rng import RandomStream
 
 __all__ = [
     "LaplacianOperator",
@@ -51,7 +51,6 @@ __all__ = [
     "normalized_laplacian",
     "eigenbasis",
     "embed",
-    "ball_measure",
     "edge_energy",
 ]
 
@@ -355,7 +354,7 @@ def _block_lanczos_eigenbasis(op: LaplacianOperator, k_prime: int, full: bool = 
     want = k_prime - c
     if want <= 0:
         return np.zeros(k_prime), K
-    stream = derive_stream(0, "lanczos")
+    stream = RandomStream(0, "lanczos")
     b = min(BLOCK, want)
     matvecs = 0
     while True:
@@ -404,18 +403,13 @@ def eigenbasis(op: LaplacianOperator, k_prime: int) -> SpectralBasis:
 @dataclass(frozen=True)
 class Embedding:
     graph: Graph
-    basis: SpectralBasis
-    vectors: np.ndarray     # (n, k') rows ubar
-    zhat: np.ndarray        # rows ubar / sqrt(w_u)
+    basis: SpectralBasis    # ubar is row u of basis.eigenvectors
     mu: np.ndarray          # ||ubar||^2
     psi: np.ndarray         # unit rows zhat/||zhat|| = ubar/||ubar||
 
     @property
     def k_prime(self) -> int:
         return self.basis.k_prime
-
-    def mu_of(self, vertices: np.ndarray) -> float:
-        return float(self.mu[np.asarray(vertices, dtype=np.int64)].sum())
 
 
 def embed(basis: SpectralBasis, g: Graph) -> Embedding:
@@ -432,21 +426,13 @@ def embed(basis: SpectralBasis, g: Graph) -> Embedding:
         why = (f": the graph has {c} connected components, more than the "
                f"{basis.k_prime} eigenvectors of the embedding" if c > basis.k_prime else "")
         raise EmbeddingError(f"vertex {name} embeds to the zero vector{why}")
-    zhat = U / np.sqrt(g.weights)[:, None]
     psi = U / np.sqrt(mu)[:, None]
-    return Embedding(graph=g, basis=basis, vectors=U, zhat=zhat, mu=mu, psi=psi)
-
-
-def ball_measure(e: Embedding, u: int, r: float) -> float:
-    """mu of the ball {v : ||psi(u) - psi(v)|| <= r}."""
-    if not 0.0 <= r <= 2.0:
-        raise ValueError("ball radius must lie in [0, 2]")
-    d = np.linalg.norm(e.psi - e.psi[int(u)], axis=1)
-    return float(e.mu[d <= r].sum())
+    return Embedding(graph=g, basis=basis, mu=mu, psi=psi)
 
 
 def edge_energy(e: Embedding) -> float:
     """sum over edges of c_uv ||zhat_u - zhat_v||^2 (equals sum of the eigenvalues)."""
     g = e.graph
-    d = e.zhat[g.edge_u] - e.zhat[g.edge_v]
+    zhat = e.basis.eigenvectors / np.sqrt(g.weights)[:, None]
+    d = zhat[g.edge_u] - zhat[g.edge_v]
     return float((g.edge_cost * (d * d).sum(axis=1)).sum())

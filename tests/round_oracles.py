@@ -134,6 +134,22 @@ class ReferenceTuple:
     phi: float
 
 
+def crude_sets(c) -> tuple:
+    """(Sigma, Gamma, R_P, R_B) of a CrudePartition, read off its labels."""
+    label = c.label
+    return (np.flatnonzero((label >= 0) & (label % 2 == 0)),
+            np.flatnonzero((label >= 0) & (label % 2 == 1)),
+            np.flatnonzero(label == -1), np.flatnonzero(label == -2))
+
+
+def refined_tuples(pp) -> tuple:
+    """ReferenceTuple of each kept tuple of a PartialPartition, in draw order:
+    its sets read off pp.label (4i + role), with pp's round_index, threshold and phi."""
+    return tuple(ReferenceTuple(t, *(np.flatnonzero(pp.label == 4 * i + role) for role in range(4)),
+                                r, phi)
+                 for i, (t, r, phi) in enumerate(zip(pp.round_index, pp.threshold, pp.phi)))
+
+
 @dataclass(frozen=True)
 class ReferencePartial:
     """Steps 3 and 4 as the reference records them."""
@@ -178,14 +194,15 @@ def reference_refine_and_discard(c, e, tally: Counter | None = None) -> Referenc
     w = g.weights
     eu, ev, ec = g.edge_u, g.edge_v, g.edge_cost
 
+    sigma, _, r_p, r_b = crude_sets(c)
     sigma_rp = np.zeros(n, dtype=bool)
-    sigma_rp[c.sigma] = True
-    sigma_rp[c.r_p] = True
+    sigma_rp[sigma] = True
+    sigma_rp[r_p] = True
 
     r_p_prime = np.zeros(n, dtype=bool)
     r_b_prime = np.zeros(n, dtype=bool)
-    r_p_prime[c.r_p] = True
-    r_b_prime[c.r_b] = True
+    r_p_prime[r_p] = True
+    r_b_prime[r_b] = True
 
     survivors = []
     infeasible_rounds = 0

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import conftest
-from bufpart import (brute_force_h_k_eps, buffered_balanced_cut,
+from bufpart import (RandomStream, brute_force_h_k_eps, buffered_balanced_cut,
                      buffered_k_partition, calibrate, cheeger2_buffered,
-                     crude_partition, cut_cost, derive_stream, edge_energy,
+                     crude_partition, cut_cost, edge_energy,
                      eigenbasis, embed, gaussian_tail, gaussian_tail_inv,
                      kway_balanced, normalized_laplacian,
                      robust_expansion, sample_two_buffers, tail_sandwich,
@@ -28,6 +28,7 @@ from bufpart.spectral import _block_lanczos_eigenbasis
 from conftest import (ACCEPTANCE_LINES, disjoint_cliques, lapack_spectrum, planted,
                       random_regular, small_solver_suite, tiny_connected_suite,
                       weighted_er)
+from round_oracles import crude_sets
 
 
 def record(num: int, label: str, passed: bool, extra: str = ""):
@@ -138,7 +139,7 @@ def test_criterion_05_separator_monte_carlo():
     cloud = _acceptance_cloud()
     assert cloud.shape[0] == 50
     p = calibrate(0.2, 16.0, 0.5)
-    stream = derive_stream(9090, "acceptance-mc")
+    stream = RandomStream(9090, "acceptance-mc")
     g = stream.normals(draws * 8).reshape(draws, 8)
     proj = g @ cloud.T
     x = proj >= p.t
@@ -167,7 +168,7 @@ def test_criterion_05_separator_monte_carlo():
     violations = 0
     for i in range(2000):
         s = sample_two_buffers(cloud, mu, 0.2, 0.5, 0.5,
-                               derive_stream(9091, "acceptance-ball", i), params=p)
+                               RandomStream(9091, "acceptance-ball", i), params=p)
         if s.x.size:
             pts = cloud[s.x]
             dm = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
@@ -312,8 +313,7 @@ def test_criterion_10_kway_balance():
 
 
 def _recovery_score(g, bp, labels, k):
-    part, role = bp.assignment(g.n)
-    core = role == 0
+    part, core = bp.label >> 1, (bp.label >= 0) & (bp.label % 2 == 0)
     best = 0
     for perm in itertools.permutations(range(k)):
         mapped = np.array([perm[p] if p >= 0 else -1 for p in part])
@@ -390,15 +390,16 @@ def test_criterion_12_step2_statistics():
     coverages, gammas = [], []
     max_part_mu = 0.0
     for seed in range(runs):
-        c = crude_partition(e, eff, derive_stream(seed, "acc12"))
+        c = crude_partition(e, eff, RandomStream(seed, "acc12"))
         for rec in c.rounds:
             if rec.p_tilde.size:
-                mu_p = e.mu_of(rec.p_tilde)
+                mu_p = e.mu[rec.p_tilde].sum()
                 max_part_mu = max(max_part_mu, mu_p)
                 # stricter of the raw and adjusted budgets
                 assert mu_p <= 1.0 + 0.01 + 1e-9
-        coverages.append(e.mu_of(c.sigma))
-        gammas.append(e.mu_of(c.gamma))
+        sigma, gamma, _, _ = crude_sets(c)
+        coverages.append(e.mu[sigma].sum())
+        gammas.append(e.mu[gamma].sum())
     cov = np.asarray(coverages)
     gam = np.asarray(gammas)
     cov_target = (1.0 - 5.0 * delta_eff) * 6.0

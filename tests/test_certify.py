@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from bufpart import (BufferedPartition, Graph, brute_force_h_k_eps, buffered_expansion,
-                     check_buffered_lower_bound, cut_cost, eigenbasis,
+                     buffered_k_partition, check_buffered_lower_bound, cut_cost, eigenbasis,
                      lower_bound_unbuffered, normalized_laplacian, partition_cost,
                      robust_expansion, validate_partition)
 from bufpart import certify
 from bufpart.certify import _canonical_labels, certify_run
-from conftest import (cycle, disjoint_cliques, k4, tiny_connected, tiny_connected_suite,
-                      weighted_er)
+from conftest import (cycle, disjoint_cliques, k4, planted, tiny_connected,
+                      tiny_connected_suite, weighted_er)
 
 
 def exhaustive_h_k_eps(g, k, eps):
@@ -279,7 +279,7 @@ class TestBufferedLowerBound:
         while cases < 300:
             n = int(rng.integers(4, 10))
             g = tiny_connected(n, int(rng.integers(0, 10_000)))
-            g = Graph.build(n, g.edge_u, g.edge_v, rng.choice([1.0, 5.0, 50.0], g.edge_count),
+            g = Graph.build(n, g.edge_u, g.edge_v, rng.choice([1.0, 5.0, 50.0], g.edge_cost.size),
                             weights=rng.choice([1.0, 5.0, 50.0], n))
             k = int(rng.integers(2, 4))
             assign = rng.integers(0, 2 * k, size=n)
@@ -430,3 +430,15 @@ class TestCertifyRun:
             basis = eigenbasis(normalized_laplacian(g), 2)
             cert = certify_run(g, 2, 0.25, witness, partition_cost(g, witness), basis)
             assert cert.achieved_cost >= opt - 1e-9
+
+    def test_unbuffered_bound_reads_lambda_k_not_lambda_k_hat(self):
+        # delta = 0.5 lifts k = 4 to k_hat = 6, and lambda_6 / 2 exceeds the
+        # planted unbuffered 4-partition's max phi, so it bounds nothing.
+        g, labels = planted([15] * 4, 0.6, 0.02, 7)
+        _, _, info = buffered_k_partition(g, 4, 0.1, 0.5, seed=1)
+        assert info["k_hat"] == 6
+        basis = eigenbasis(normalized_laplacian(g), 6)
+        bound = info["certificate"]["lower_bound_unbuffered"]
+        assert bound == float(basis.eigenvalues[3]) / 2.0
+        planted_part = BufferedPartition(label=2 * labels, k=4, epsilon=0.0)
+        assert bound <= partition_cost(g, planted_part).max_expansion

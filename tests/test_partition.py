@@ -7,9 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from bufpart import (buffered_expansion,
+from bufpart import (RandomStream, buffered_expansion,
                      buffered_k_partition, complete_partition, crude_partition,
-                     cut_cost, derive_stream, embed, eigenbasis,
+                     cut_cost, embed, eigenbasis,
                      normalized_laplacian, partial_partition,
                      partition_cost, refine_and_discard, validate_partition)
 from bufpart.graph import Graph, PartitionError
@@ -18,6 +18,7 @@ from bufpart.partition import RESTARTS, CrudePartition, PartialPartition, resolv
 from bufpart.separators import practical_params
 from conftest import (clique, columns, clique_labels, disjoint_cliques, planted, planted_blocks,
                       tiny_connected, weighted_er)
+from round_oracles import crude_sets, refined_tuples
 
 
 def embedding_for(g, k):
@@ -81,13 +82,14 @@ class TestCrudePartition:
     def test_structure_tiles_v(self):
         g = CLIQUES6
         e = embedding_for(g, 6)
-        c = crude_for(e, 6, 0.01, 0.01, derive_stream(0, "t"))
+        c = crude_for(e, 6, 0.01, 0.01, RandomStream(0, "t"))
         cover = np.zeros(g.n, dtype=int)
         for rec in c.rounds:
             cover[rec.p_tilde] += 1
             cover[rec.b_tilde] += 1
-        cover[c.r_p] += 1
-        cover[c.r_b] += 1
+        _, _, r_p, r_b = crude_sets(c)
+        cover[r_p] += 1
+        cover[r_b] += 1
         assert np.all(cover == 1)
 
     def test_all_empty_draws_leave_everything_in_r_p(self):
@@ -97,35 +99,35 @@ class TestCrudePartition:
         # threshold far above any projection: every draw returns empty sets
         dead = practical_params(eff.epsilon, eff.params.m, eff.params.r, 1e-4)
         eff_dead = dataclasses.replace(eff, rounds=50, params=dead)
-        c = crude_partition(e, eff_dead, derive_stream(1, "t"))
+        c = crude_partition(e, eff_dead, RandomStream(1, "t"))
         assert c.rounds == ()
-        assert c.r_p.size == g.n
+        assert crude_sets(c)[2].size == g.n
 
     def test_part_measure_bounded(self):
         g = CLIQUES6
         e = embedding_for(g, 6)
         for seed in range(10):
-            c = crude_for(e, 6, 0.01, 0.01, derive_stream(seed, "t2"))
+            c = crude_for(e, 6, 0.01, 0.01, RandomStream(seed, "t2"))
             for rec in c.rounds:
                 if rec.p_tilde.size:
-                    assert e.mu_of(rec.p_tilde) <= 1.0 + c.effective.delta + 1e-9
+                    assert e.mu[rec.p_tilde].sum() <= 1.0 + c.effective.delta + 1e-9
 
     def test_cliques_fully_covered(self):
         g = CLIQUES6
         e = embedding_for(g, 6)
-        c = crude_for(e, 6, 0.01, 0.01, derive_stream(3, "t3"))
-        assert e.mu_of(c.sigma) >= (1.0 - 5.0 * c.effective.delta) * 6
+        c = crude_for(e, 6, 0.01, 0.01, RandomStream(3, "t3"))
+        assert e.mu[crude_sets(c)[0]].sum() >= (1.0 - 5.0 * c.effective.delta) * 6
 
 
 class TestRefineAndDiscard:
     def test_threshold_semantics_reconstruct(self):
         g = CLIQUES6
         e = embedding_for(g, 6)
-        c = crude_for(e, 6, 0.01, 0.01, derive_stream(5, "t5"))
+        c = crude_for(e, 6, 0.01, 0.01, RandomStream(5, "t5"))
         pp = refine_and_discard(c, e)
         by_round = {rec.index: rec for rec in c.rounds}
         eps = c.effective.epsilon
-        for t in pp.tuples:
+        for t in refined_tuples(pp):
             rec = by_round[t.round_index]
             pt = set(rec.p_tilde.tolist())
             bt = set(rec.b_tilde.tolist())
@@ -139,16 +141,17 @@ class TestRefineAndDiscard:
     def test_kept_tuples_satisfy_constraints(self):
         g = CLIQUES6
         e = embedding_for(g, 6)
-        c = crude_for(e, 6, 0.01, 0.01, derive_stream(6, "t6"))
+        c = crude_for(e, 6, 0.01, 0.01, RandomStream(6, "t6"))
         pp = refine_and_discard(c, e)
         bound = pp.diagnostics["expansion_bound"]
         c_prime = pp.diagnostics["buffer_slack"]
         eps = c.effective.epsilon
+        sigma, _, r_p, _ = crude_sets(c)
         sigma_rp = np.zeros(g.n, dtype=bool)
-        sigma_rp[c.sigma] = True
-        sigma_rp[c.r_p] = True
+        sigma_rp[sigma] = True
+        sigma_rp[r_p] = True
         by_round = {rec.index: rec for rec in c.rounds}
-        for t in pp.tuples:
+        for t in refined_tuples(pp):
             wp = g.weight_of(t.p)
             assert g.weight_of(t.b) <= c_prime * eps * wp + 1e-12
             assert g.weight_of(t.a_double) <= 10.0 * eps * wp + 1e-12
@@ -164,10 +167,10 @@ class TestRefineAndDiscard:
     def test_cliques_keep_whole_parts(self):
         g = CLIQUES6
         e = embedding_for(g, 6)
-        c = crude_for(e, 6, 0.01, 0.01, derive_stream(7, "t7"))
+        c = crude_for(e, 6, 0.01, 0.01, RandomStream(7, "t7"))
         pp = refine_and_discard(c, e)
         labels = clique_labels([34, 34, 33, 33, 33, 33])
-        for t in pp.tuples:
+        for t in refined_tuples(pp):
             assert len(set(labels[t.p].tolist())) == 1
             assert t.phi == 0.0
             assert t.a_prime.size == 0 and t.a_double.size == 0
@@ -177,8 +180,9 @@ class TestNormalizedDirectionProduct:
     def test_edge_pairs(self):
         for g, k in ((CLIQUES6, 6), (weighted_er(40, 0.2, 33), 5)):
             e = embedding_for(g, k)
-            zu = e.zhat[g.edge_u]
-            zv = e.zhat[g.edge_v]
+            zhat = e.basis.eigenvectors / np.sqrt(g.weights)[:, None]
+            zu = zhat[g.edge_u]
+            zv = zhat[g.edge_v]
             lhs = (zu ** 2).sum(axis=1) * ((e.psi[g.edge_u] - e.psi[g.edge_v]) ** 2).sum(axis=1)
             rhs = 4.0 * ((zu - zv) ** 2).sum(axis=1)
             assert np.all(lhs <= rhs + 1e-12)
@@ -190,9 +194,9 @@ class TestPartialPartition:
         run = partial_partition(g, resolve_step2(g.n, 6, 0.01, 0.01), 6, seed=0)
         pp = run.partial
         assert pp.k_prime == 6
-        assert max(t.phi for t in pp.tuples) == 0.0
+        assert max(pp.phi) == 0.0
         labels = clique_labels([34, 34, 33, 33, 33, 33])
-        for t in pp.tuples:
+        for t in refined_tuples(pp):
             assert len(set(labels[t.p].tolist())) == 1
 
     def test_buffer_mass_bound_on_accepted_runs(self):
@@ -200,7 +204,8 @@ class TestPartialPartition:
         run = partial_partition(g, resolve_step2(g.n, 6, 0.01, 0.01), 6, seed=1)
         eps = run.partial.effective.epsilon
         assert run.buffer_mass <= 16.0 * eps * g.total_weight + 1e-9
-        assert g.weight_of(run.partial.r_b_prime) <= 16.0 * eps * g.total_weight + 1e-9
+        r_b_prime = np.flatnonzero(run.partial.label == -2)
+        assert g.weight_of(r_b_prime) <= 16.0 * eps * g.total_weight + 1e-9
 
     def test_determinism(self):
         g = disjoint_cliques([10, 10, 10])
@@ -208,7 +213,7 @@ class TestPartialPartition:
         a = partial_partition(g, eff, 3, seed=7)
         b = partial_partition(g, eff, 3, seed=7)
         assert a.partial.k_prime == b.partial.k_prime
-        for ta, tb in zip(a.partial.tuples, b.partial.tuples):
+        for ta, tb in zip(refined_tuples(a.partial), refined_tuples(b.partial)):
             assert np.array_equal(ta.p, tb.p)
             assert np.array_equal(ta.b, tb.b)
             assert ta.threshold == tb.threshold
@@ -225,7 +230,7 @@ class TestPartialPartition:
         eff = resolve_step2(g.n, k_hat, eps_hat, delta_hat)
         failing, completing, tuples = [], {}, {}
         for restart in range(RESTARTS):
-            crude = crude_partition(e, eff, derive_stream(16, "partition", restart))
+            crude = crude_partition(e, eff, RandomStream(16, "partition", restart))
             if crude.buffer_mass(g) > (16.0 * eff.epsilon + 1e-12) * g.total_weight:
                 continue
             pp = refine_and_discard(crude, e)
@@ -247,11 +252,11 @@ class TestPartialPartition:
         g = tiny_connected(8, 42)
         run = partial_partition(g, resolve_step2(g.n, 3, 0.2, 0.5), 3, seed=3)
         cover = np.zeros(g.n, dtype=int)
-        for t in run.partial.tuples:
+        for t in refined_tuples(run.partial):
             for arr in (t.p, t.b, t.a_prime, t.a_double):
                 cover[arr] += 1
-        cover[run.partial.r_p_prime] += 1
-        cover[run.partial.r_b_prime] += 1
+        cover[run.partial.label == -1] += 1
+        cover[run.partial.label == -2] += 1
         assert np.all(cover == 1)
 
 
@@ -280,11 +285,12 @@ class TestCompletePartition:
         g, run = clique_run
         pp = run.partial
         bp = complete_partition(pp, g, 4)
+        tuples = refined_tuples(pp)
         order = sorted(range(pp.k_prime),
-                       key=lambda i: (pp.tuples[i].phi, -g.weight_of(pp.tuples[i].p), i))
+                       key=lambda i: (tuples[i].phi, -g.weight_of(tuples[i].p), i))
         for rank, i in enumerate(order[:3]):
-            assert np.array_equal(bp.parts[rank], pp.tuples[i].p)
-            expect = pp.tuples[i].phi
+            assert np.array_equal(bp.parts[rank], tuples[i].p)
+            expect = tuples[i].phi
             got = buffered_expansion(g, bp.parts[rank], bp.buffers[rank])
             assert got == pytest.approx(expect, abs=1e-12)
 

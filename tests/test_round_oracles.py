@@ -14,14 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bufpart import (Graph, RandomStream, buffered_k_partition, crude_partition,
-                     derive_stream, eigenbasis, embed, normalized_laplacian,
-                     refine_and_discard)
+                     eigenbasis, embed, normalized_laplacian, refine_and_discard)
 from bufpart import certify, partition, separators
 from bufpart.partition import resolve_step2
 from conftest import columns, disjoint_cliques, planted, weighted_er
-from round_oracles import (crude_of_rounds, reached, reference_crude_partition, reference_draw,
-                           reference_min_ball_leftover, reference_project,
-                           reference_refine_and_discard)
+from round_oracles import (crude_of_rounds, crude_sets, reached, reference_crude_partition,
+                           reference_draw, reference_min_ball_leftover, reference_project,
+                           reference_refine_and_discard, refined_tuples)
 
 CLIQUES6 = disjoint_cliques([34, 34, 33, 33, 33, 33])
 WEIGHTED = weighted_er(60, 0.15, 31)
@@ -55,8 +54,8 @@ def assert_same_crude(got, want):
         assert rec.index == index
         assert _same_array(rec.p_tilde, p_tilde), (index, "p_tilde")
         assert _same_array(rec.b_tilde, b_tilde), (index, "b_tilde")
-    for name in ("sigma", "gamma", "r_p", "r_b"):
-        assert _same_array(getattr(got, name), getattr(want, name)), name
+    for name, arr in zip(("sigma", "gamma", "r_p", "r_b"), crude_sets(got)):
+        assert _same_array(arr, getattr(want, name)), name
 
 
 def assert_same_draws(got, want):
@@ -69,15 +68,16 @@ def assert_same_draws(got, want):
 
 
 def assert_same_partial(got, want):
-    assert len(got.tuples) == len(want.tuples)
-    for a, b in zip(got.tuples, want.tuples):
+    tuples = refined_tuples(got)
+    assert len(tuples) == len(want.tuples)
+    for a, b in zip(tuples, want.tuples):
         assert a.round_index == b.round_index
         assert a.threshold == b.threshold
         assert a.phi == b.phi
         for name in ("p", "b", "a_prime", "a_double"):
             assert _same_array(getattr(a, name), getattr(b, name)), name
-    assert _same_array(got.r_p_prime, want.r_p_prime)
-    assert _same_array(got.r_b_prime, want.r_b_prime)
+    assert _same_array(np.flatnonzero(got.label == -1), want.r_p_prime)
+    assert _same_array(np.flatnonzero(got.label == -2), want.r_b_prime)
     assert got.diagnostics == want.diagnostics
 
 
@@ -91,11 +91,11 @@ def test_block_rounds_match_per_draw_reference(case, block_values, monkeypatch):
     e = _embedding(g, k)
     eff = resolve_step2(g.n, k, eps, delta)
     for seed in range(3):
-        got = crude_partition(e, eff, derive_stream(seed, "oracle", k))
-        want = reference_crude_partition(e, eff, derive_stream(seed, "oracle", k))
+        got = crude_partition(e, eff, RandomStream(seed, "oracle", k))
+        want = reference_crude_partition(e, eff, RandomStream(seed, "oracle", k))
         assert_same_crude(got, want)
         draws = separators.measured_draws(e.psi, e.mu, eff.delta_sep, eff.params,
-                                          derive_stream(seed, "oracle", k), eff.rounds)
+                                          RandomStream(seed, "oracle", k), eff.rounds)
         assert_same_draws(list(draws), reached(want.draws))
 
 
@@ -104,7 +104,7 @@ def test_oracle_cases_include_rejections():
     for g, k, eps, delta in CASES.values():
         e = _embedding(g, k)
         eff = resolve_step2(g.n, k, eps, delta)
-        rejects += crude_partition(e, eff, derive_stream(0, "oracle", k)).reject_count
+        rejects += crude_partition(e, eff, RandomStream(0, "oracle", k)).reject_count
     assert rejects > 0
 
 
@@ -117,7 +117,7 @@ def test_local_refinement_matches_global_mask_reference(case):
     eff = resolve_step2(g.n, k, eps, delta)
     kept = 0
     for seed in range(4):
-        c = crude_partition(e, eff, derive_stream(seed, "refine-oracle", k))
+        c = crude_partition(e, eff, RandomStream(seed, "refine-oracle", k))
         got = refine_and_discard(c, e)
         want = reference_refine_and_discard(c, e)
         assert_same_partial(got, want)
@@ -192,7 +192,7 @@ def test_refinement_members_exactly_on_the_band_edges():
                         basis=SimpleNamespace(eigenvalues=np.array([0.0, 1.0])))
     got = refine_and_discard(c, e)
     assert_same_partial(got, reference_refine_and_discard(c, e))
-    (t,) = got.tuples
+    (t,) = refined_tuples(got)
     assert (t.threshold, t.phi) == (2.25, 1.0)
     assert t.a_prime.tolist() == [1] and t.a_double.size == 0 and t.b.tolist() == [3]
 
@@ -202,8 +202,8 @@ def test_refinement_oracle_with_zero_epsilon():
     e = _embedding(g, 6)
     eff = resolve_step2(g.n, 6, 0.0, 0.01)
     assert eff.epsilon == 0.0 and eff.params.eps_prime == 0.0
-    c = crude_partition(e, eff, derive_stream(2, "eps0"))
-    assert_same_crude(c, reference_crude_partition(e, eff, derive_stream(2, "eps0")))
+    c = crude_partition(e, eff, RandomStream(2, "eps0"))
+    assert_same_crude(c, reference_crude_partition(e, eff, RandomStream(2, "eps0")))
     got = refine_and_discard(c, e)
     assert_same_partial(got, reference_refine_and_discard(c, e))
     assert got.k_prime > 0
@@ -278,7 +278,7 @@ def test_one_step3_sweep_matches_global_mask_reference(name):
         g = e.graph
         assert any(u in a and v in b for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()))
     if name == "single-member-round":
-        assert got.tuples[0].p.tolist() == [3]
+        assert refined_tuples(got)[0].p.tolist() == [3]
 
 
 class ScriptedStream:
@@ -403,7 +403,7 @@ def test_norm_prune_leaves_few_draws_for_the_blas_product(monkeypatch):
     eff = resolve_step2(4000, 4, 0.001, 1.0 / 80.0)
     vectors = _unit_rows(np.random.default_rng(41), 4000, 4)
     draws = separators.measured_draws(vectors, np.ones(4000), eff.delta_sep, eff.params,
-                                      derive_stream(0, "norm-prune"), eff.rounds)
+                                      RandomStream(0, "norm-prune"), eff.rounds)
     assert sum(drawn) == eff.rounds == 19880
     assert len(draws) <= sum(aimed) < eff.rounds / 10
 
@@ -591,7 +591,7 @@ def test_crude_partition_normals_calls(monkeypatch):
     for block_values in (separators.BLOCK_VALUES, 50 * g.n):
         monkeypatch.setattr(separators, "BLOCK_VALUES", block_values)
         calls.clear()
-        c = crude_partition(e, resolve_step2(g.n, k, eps, delta), derive_stream(0, "count"))
+        c = crude_partition(e, resolve_step2(g.n, k, eps, delta), RandomStream(0, "count"))
         block = max(1, block_values // g.n)
         assert len(calls) == math.ceil(c.effective.rounds / block)
         assert sum(calls) == k * c.effective.rounds

@@ -1,6 +1,8 @@
-"""The runtime depends on numpy and the standard library only."""
+"""The runtime depends on numpy and the standard library only, and exports what it names."""
 
 import ast
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -24,3 +26,12 @@ def test_src_imports_only_numpy_and_the_standard_library():
                 found.setdefault(name.split(".")[0], []).append(path.name)
     assert "numpy" in found
     assert {top: files for top, files in found.items() if top not in ALLOWED} == {}
+
+
+def test_every_exported_name_resolves():
+    modules = [bufpart] + [importlib.import_module(f"bufpart.{info.name}")
+                           for info in pkgutil.iter_modules(bufpart.__path__)]
+    unresolved = {module.__name__: [name for name in module.__all__ if not hasattr(module, name)]
+                  for module in modules if hasattr(module, "__all__")}
+    assert len(unresolved) >= 10
+    assert {name: missing for name, missing in unresolved.items() if missing} == {}

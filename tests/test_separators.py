@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bufpart import (CalibrationError, calibrate, derive_stream, gaussian_tail,
+from bufpart import (CalibrationError, RandomStream, calibrate, gaussian_tail,
                      sample_two_buffers)
 from bufpart.reports import render_json
 from bufpart.separators import classify, practical_params
@@ -93,7 +93,7 @@ class TestSingleDraws:
         every = {0, 1, 2, 3, 4}
         for i in range(50):
             s = sample_two_buffers(vecs, np.ones(5), 0.3, 2.0 / 3.0, 1.5,
-                                   derive_stream(7, "test", i), params=p)
+                                   RandomStream(7, "test", i), params=p)
             sets = [set(s.x.tolist()), set(s.y.tolist()), set(s.z.tolist())]
             assert all(m in (set(), every) for m in sets)
             assert sum(m == every for m in sets) <= 1
@@ -102,7 +102,7 @@ class TestSingleDraws:
         p = calibrate(0.3, 3, 1.5)
         with pytest.raises(ValueError, match="unit"):
             sample_two_buffers(np.array([[1.0, 1.0]]), np.ones(1), 0.3, 2.0 / 3.0, 1.5,
-                               derive_stream(0, "test"), params=p)
+                               RandomStream(0, "test"), params=p)
 
     def test_interval_structure(self):
         # membership is a pure function of which interval holds the projection
@@ -128,14 +128,14 @@ class TestSingleDraws:
         vecs = np.array([[1.0, 0.0]])
         for i in range(200):
             s = sample_two_buffers(vecs, np.array([1.0]), 0.3, 0.5, 0.8,
-                                   derive_stream(11, "test", i))
+                                   RandomStream(11, "test", i))
             assert not s.rejected
 
     def test_identical_cloud_never_rejected(self):
         vecs = np.tile(np.array([0.0, 1.0, 0.0]), (8, 1))
         for i in range(100):
             s = sample_two_buffers(vecs, np.full(8, 0.5), 0.3, 0.1, 0.5,
-                                   derive_stream(12, "test", i))
+                                   RandomStream(12, "test", i))
             assert not s.rejected
 
 
@@ -150,7 +150,7 @@ def feasible():
 @pytest.fixture(scope="module")
 def projections(feasible):
     cloud = make_cloud()
-    stream = derive_stream(2024, "mc-sep")
+    stream = RandomStream(2024, "mc-sep")
     return cloud, batch_projections(cloud, stream, DRAWS)
 
 
@@ -227,7 +227,7 @@ class TestMonteCarlo:
             vectors.append(v / np.linalg.norm(v))
         vectors = np.asarray(vectors)
         p = feasible
-        stream = derive_stream(4040, "mc-two-buffer")
+        stream = RandomStream(4040, "mc-two-buffer")
         proj = batch_projections(vectors, stream, 200_000)
         xy = proj > p.t - p.eps_prime
         xyz = proj > p.t - 2 * p.eps_prime
@@ -246,7 +246,7 @@ class TestMonteCarlo:
         delta = 0.25
         for i in range(300):
             s = sample_two_buffers(cloud, mu, 0.3, delta, 1.5,
-                                   derive_stream(400, "mc-ball", i))
+                                   RandomStream(400, "mc-ball", i))
             assert len(set(s.x) & set(s.y)) == 0
             assert len(set(s.y) & set(s.z)) == 0
             assert len(set(s.x) & set(s.z)) == 0
@@ -266,7 +266,7 @@ class TestMonteCarlo:
         p = calibrate(0.3, 2.0 / delta, 1.2)
         kept = 0
         dropped = 0
-        stream = derive_stream(500, "mc-reject")
+        stream = RandomStream(500, "mc-reject")
         proj = batch_projections(cloud, stream, 40_000)
         x = proj >= p.t
         for row in range(x.shape[0]):
@@ -293,7 +293,7 @@ def test_sample_measured_passthrough_rates():
     hits = np.zeros(len(cloud))
     for i in range(draws):
         s = sample_two_buffers(cloud, mu, 0.3, 2.0 / 3.0, 1.5,
-                               derive_stream(808, "mc-meas", i), params=p)
+                               RandomStream(808, "mc-meas", i), params=p)
         hits[s.x] += 1
     rate = hits / draws
     se = math.sqrt(p.alpha / draws)

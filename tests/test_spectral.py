@@ -1,4 +1,4 @@
-"""Laplacian, eigensolver (exact kernel plus block Lanczos), embedding, ball measure."""
+"""Laplacian, eigensolver (exact kernel plus block Lanczos), embedding."""
 
 import json
 import tracemalloc
@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bufpart import (EmbeddingError, Graph, ball_measure, cheeger2_buffered, edge_energy,
-                     eigenbasis, embed, lower_bound_unbuffered, normalized_laplacian)
+from bufpart import (EmbeddingError, Graph, cheeger2_buffered, edge_energy, eigenbasis, embed,
+                     lower_bound_unbuffered, normalized_laplacian)
 from bufpart import load_graph, spectral
 from bufpart.cli import run
 from bufpart.spectral import LaplacianOperator, SpectralBasis, _block_lanczos_eigenbasis
@@ -384,7 +384,7 @@ class TestEmbedding:
     def test_regular_first_coordinate(self):
         g = random_regular(20, 4, 9)
         e = embed(eigenbasis(normalized_laplacian(g), 3), g)
-        assert np.allclose(e.vectors[:, 0], 1.0 / np.sqrt(20), atol=1e-9)
+        assert np.allclose(e.basis.eigenvectors[:, 0], 1.0 / np.sqrt(20), atol=1e-9)
 
     def test_edge_energy_identity(self):
         for g in (triangle(), weighted_er(30, 0.25, 8)):
@@ -397,7 +397,8 @@ class TestEmbedding:
         g = random_regular(200, 8, 10)
         basis = eigenbasis(normalized_laplacian(g), 10)
         e = embed(basis, g)
-        raw = ((e.vectors[g.edge_u] - e.vectors[g.edge_v]) ** 2).sum()
+        U = e.basis.eigenvectors
+        raw = ((U[g.edge_u] - U[g.edge_v]) ** 2).sum()
         assert raw <= 10 * 8 * basis.eigenvalues[-1] + 1e-9
 
     def test_mu_in_unit_interval_default_weights(self):
@@ -432,32 +433,3 @@ class TestEmbedding:
                            "the graph has 3 connected components, more than the 2 "
                            "eigenvectors of the embedding$"):
             embed(basis, g)
-
-
-class TestBallMeasure:
-    def test_total_at_radius_two(self):
-        g = weighted_er(25, 0.3, 13)
-        e = embed(eigenbasis(normalized_laplacian(g), 5), g)
-        for u in range(0, 25, 5):
-            assert ball_measure(e, u, 2.0) == pytest.approx(e.mu.sum(), rel=1e-12)
-
-    def test_self_always_inside(self):
-        g = weighted_er(25, 0.3, 14)
-        e = embed(eigenbasis(normalized_laplacian(g), 5), g)
-        for u in range(0, 25, 3):
-            assert ball_measure(e, u, 0.0) >= e.mu[u] - 1e-15
-
-    def test_spread_bound(self):
-        # mu(Ball(u, R)) <= 1/(1 - 2 R^2) for every vertex and grid radius
-        for g in (random_regular(60, 6, 15), weighted_er(40, 0.2, 16)):
-            e = embed(eigenbasis(normalized_laplacian(g), 6), g)
-            for r in (0.1, 0.2, 0.25, 0.3):
-                limit = 1.0 / (1.0 - 2.0 * r * r) + 1e-9
-                for u in range(g.n):
-                    assert ball_measure(e, u, r) <= limit
-
-    def test_radius_validated(self):
-        g = k4()
-        e = embed(eigenbasis(normalized_laplacian(g), 2), g)
-        with pytest.raises(ValueError):
-            ball_measure(e, 0, 2.5)
