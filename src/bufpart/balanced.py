@@ -24,12 +24,16 @@ obeys w(B_t) <= eps w(L_t)); kway_balanced() recursively bisects, giving the
 heavier side the larger half of the part budget.  Each level cuts the subgraph
 the previous level's T induces, and each split branch the subgraph its side
 induces in its parent branch; level 1 and the root branch cut g itself.
+
+Each result is a BufferedPartition label (graph.py): a cut's is 0 on S, 1 on B
+and 2 on T, a balanced cut's 0 on L, 1 on B and 2 on R, a k-way partition's 2i
+on part i and 1 on every branch buffer.  Set weights are the label's masked sums.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,9 +62,7 @@ def _check_epsilon(epsilon: float) -> None:
 
 @dataclass(frozen=True)
 class BufferedCut:
-    s: np.ndarray           # the light side, w(S) <= w(T)
-    t: np.ndarray
-    b: np.ndarray
+    label: np.ndarray       # 0 on S, the light side with w(S) <= w(T); 1 on B; 2 on T
     phi: float              # delta(S,T) / min(w(S), w(T))
     buffer_ratio: float     # w(B) / min(w(S), w(T))
     cut_value: float        # delta(S,T)
@@ -71,24 +73,21 @@ class BufferedCut:
 
 @dataclass(frozen=True)
 class BalancedCutResult:
-    left: np.ndarray
-    right: np.ndarray
-    buffer: np.ndarray
-    cut_value: float
+    label: np.ndarray       # 0 on L, 1 on B, 2 on R
+    weights: tuple          # w(L), w(B), w(R)
+    cut_value: float        # delta(L,R)
     balanced: bool
     violations: tuple
     per_level_lambda2: tuple  # bench/layers.py counts the levels by it
     per_level_phi: tuple
-    per_level_cuts: tuple   # BufferedCut per recursion level, in global ids
 
 
 @dataclass(frozen=True)
 class KwayBalancedResult:
-    parts: tuple
-    buffer: np.ndarray
-    crossing_cost: float
-    max_part_weight: float
+    label: np.ndarray       # 2i on part i, 1 on the pooled branch buffers
+    part_weights: tuple
     buffer_weight: float
+    crossing_cost: float
     per_level_lambda2: tuple
     violations: tuple
 
@@ -201,7 +200,7 @@ def cheeger2_buffered(g: Graph, epsilon: float) -> BufferedCut:
         raise AssertionError("median split invariant failed: w(S) > w(T)")
     min_side = min(ws, wt)
     return BufferedCut(
-        s=np.flatnonzero(s_mask), t=np.flatnonzero(t_mask), b=np.flatnonzero(b_mask),
+        label=np.where(s_mask, 0, np.where(b_mask, 1, 2)),
         phi=cut / min_side, buffer_ratio=wb / min_side, cut_value=cut,
         lambda2=lam, threshold=t, side_vector=u)
 
@@ -212,29 +211,22 @@ def buffered_balanced_cut(g: Graph, epsilon: float) -> BalancedCutResult:
     if g.n < 2:
         raise PartitionError("balanced cut needs at least two vertices")
     total = g.total_weight
+    label = np.full(g.n, 2, dtype=np.int64)
     sub, ids = g, np.arange(g.n)       # this level's graph; ids[i] is its vertex i in g
-    levels: list[BufferedCut] = []     # each level's cut, in g's ids
+    levels: list[BufferedCut] = []     # each level's cut, in its own graph's ids
     left_weight = 0.0
     while True:
         # eps/2 per level: the enumerated cut guarantees w(B_t) <= 2(eps/2) w(L_t).
         cut = cheeger2_buffered(sub, epsilon / 2.0)
-        levels.append(replace(cut, s=ids[cut.s], t=ids[cut.t], b=ids[cut.b]))
-        left_weight += g.weight_of(levels[-1].s)
-        if left_weight >= BALANCE_FRACTION * total or cut.t.size < 2:
+        levels.append(cut)
+        label[ids] = cut.label          # this level's S joins L, its B joins B
+        left_weight += float(sub.weights[cut.label == 0].sum())
+        active = np.flatnonzero(cut.label == 2)
+        if left_weight >= BALANCE_FRACTION * total or active.size < 2:
             break
-        sub, keep = sub.subgraph(cut.t)
+        sub, keep = sub.subgraph(active)
         ids = ids[keep]
-    left_idx = np.concatenate([c.s for c in levels])
-    buf_idx = np.concatenate([c.b for c in levels])
-    left_mask = np.zeros(g.n, dtype=bool)
-    left_mask[left_idx] = True
-    buf_mask = np.zeros(g.n, dtype=bool)
-    buf_mask[buf_idx] = True
-    right_mask = ~left_mask & ~buf_mask
-    right_idx = np.flatnonzero(right_mask)
-    wl, wr = g.weight_of(left_idx), g.weight_of(right_idx)
-    wb = g.weight_of(buf_idx)
-    cut_lr = cut_cost_masks(g, left_mask, right_mask)
+    wl, wb, wr = _group_sums(label, g.weights, 3)
     violations: list[str] = []
     lo, hi = BALANCE_FRACTION * total, (1.0 - BALANCE_FRACTION) * total
     slack = 1e-9 * total        # rounding slack, relative to w(V) like the bounds
@@ -242,17 +234,17 @@ def buffered_balanced_cut(g: Graph, epsilon: float) -> BalancedCutResult:
         violations.append(f"w(L)={wl!r} outside [{lo!r}, {hi!r}]")
     if not (lo - slack <= wr <= hi + slack):
         violations.append(f"w(R)={wr!r} outside [{lo!r}, {hi!r}]")
-    if wl > 0 and wr > 0 and wb > 3.0 * epsilon * min(wl, wr) + 1e-12 * total:
+    if wb > 3.0 * epsilon * min(wl, wr) + 1e-12 * total:
         violations.append(f"w(B)={wb!r} exceeds 3 eps min(w(L), w(R))")
     balanced = not violations
     if not balanced and left_weight < BALANCE_FRACTION * total:
-        violations.insert(0, f"recursion bottomed out with {levels[-1].t.size} active "
+        violations.insert(0, f"recursion bottomed out with {active.size} active "
                              f"vertices before reaching the balance target")
     return BalancedCutResult(
-        left=left_idx, right=right_idx, buffer=buf_idx, cut_value=cut_lr,
+        label=label, weights=(wl, wb, wr), cut_value=cut_cost_masks(g, label == 0, label == 2),
         balanced=balanced, violations=tuple(violations),
         per_level_lambda2=tuple(c.lambda2 for c in levels),
-        per_level_phi=tuple(c.phi for c in levels), per_level_cuts=tuple(levels))
+        per_level_phi=tuple(c.phi for c in levels))
 
 
 def kway_balanced(g: Graph, k: int, epsilon: float) -> KwayBalancedResult:
@@ -261,31 +253,30 @@ def kway_balanced(g: Graph, k: int, epsilon: float) -> KwayBalancedResult:
         raise ValueError(f"k must be at least 1, got {k}")
     _check_epsilon(epsilon)
     total = g.total_weight
-    parts: list[np.ndarray] = []
-    buffer: list[np.ndarray] = []
+    label = np.full(g.n, -1, dtype=np.int64)
+    leaves = 0
     lambdas: list[float] = []
     violations: list[str] = []
 
     def recurse(sub: Graph, ids: np.ndarray, side: np.ndarray, k_here: int) -> None:
-        """Split side, vertices of sub (ids[i] is vertex i in g), into k_here parts.
-
-        A leaf keeps side's order; a split cuts the subgraph side induces in sub
-        (sub itself at the root), whose ids come back sorted.
-        """
+        """Split side, vertices of sub (ids[i] is vertex i in g), into k_here parts."""
+        nonlocal leaves
         if k_here <= 1 or side.size < 2:
             if k_here > 1:
                 violations.append(
                     f"branch with {side.size} vertices could not host {k_here} parts")
-            parts.append(ids[side])
+            label[ids[side]] = 2 * leaves
+            leaves += 1
             return
         if side.size < sub.n:
             sub, keep = sub.subgraph(side)
             ids = ids[keep]
         res = buffered_balanced_cut(sub, epsilon)
         lambdas.extend(res.per_level_lambda2)
-        buffer.append(ids[res.buffer])
-        wl, wr = g.weight_of(ids[res.left]), g.weight_of(ids[res.right])
-        big, small = (res.left, res.right) if wl >= wr else (res.right, res.left)
+        label[ids[res.label == 1]] = 1
+        wl, _, wr = res.weights
+        left, right = np.flatnonzero(res.label == 0), np.flatnonzero(res.label == 2)
+        big, small = (left, right) if wl >= wr else (right, left)
         # Part budget proportional to realized side weights, heavier side
         # rounding up (equal weights reduce to ceil(k/2) / floor(k/2)).
         ratio = max(wl, wr) / (wl + wr)
@@ -294,30 +285,26 @@ def kway_balanced(g: Graph, k: int, epsilon: float) -> KwayBalancedResult:
         recurse(sub, ids, small, k_here - k_big)
 
     recurse(g, np.arange(g.n), np.arange(g.n), k)
-    buf_idx = np.concatenate(buffer) if buffer else np.empty(0, dtype=np.int64)
-    part_w = [g.weight_of(p) for p in parts]
+    sums = _group_sums(label, g.weights, 2 * leaves)
+    part_w = sums[::2]
     limit = PART_WEIGHT_FACTOR * total / k
     for i, pw in enumerate(part_w):
         if pw > limit + 1e-9 * total:
             violations.append(f"part {i} weight {pw!r} exceeds 6 w(V)/k = {limit!r}")
     return KwayBalancedResult(
-        parts=tuple(parts), buffer=buf_idx, crossing_cost=_crossing_cost(g, parts),
-        max_part_weight=max(part_w) if part_w else 0.0,
-        buffer_weight=g.weight_of(buf_idx),
+        label=label, part_weights=tuple(part_w), buffer_weight=sums[1],
+        crossing_cost=_crossing_cost(g, label, leaves),
         per_level_lambda2=tuple(lambdas), violations=tuple(violations))
 
 
-def _crossing_cost(g: Graph, parts: list) -> float:
-    """Sum of cut_cost_masks(g, P_i, P_j) over part pairs i < j, added in (i, j) order.
+def _crossing_cost(g: Graph, label: np.ndarray, k: int) -> float:
+    """Sum of cut_cost_masks(g, P_i, P_j) over the k parts of label, added in (i, j) order.
 
-    One labelled pass: an edge between parts i < j gets pair id i k + j, and
-    graph._group_sums sums each pair's edges in edge order, as its masked sum does.
+    One labelled pass: an edge between the cores of parts i < j gets pair id i k + j,
+    and graph._group_sums sums each pair's edges in edge order, as its masked sum does.
     """
-    k = len(parts)
-    label = np.full(g.n, -1, dtype=np.int64)
-    for i, p in enumerate(parts):
-        label[p] = i
-    a, b = label[g.edge_u], label[g.edge_v]
+    core = np.where(label & 1, -1, label >> 1)     # a core vertex's part, else -1
+    a, b = core[g.edge_u], core[g.edge_v]
     between = (a >= 0) & (b >= 0) & (a != b)
     crossing = 0.0
     for pair in _group_sums((np.minimum(a, b) * k + np.maximum(a, b))[between],

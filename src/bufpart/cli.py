@@ -122,13 +122,17 @@ def _assignment_json(g: Graph, part: BufferedPartition) -> Verbatim:
 
 
 def _read_partition_file(path, g: Graph, epsilon: float) -> BufferedPartition:
-    """Parse an assignment file of {vertex: {"part_id": int, "role": "core"|"buffer"}}."""
+    """Parse an assignment file of {vertex: {"part_id": int, "role": "core"|"buffer"}},
+    bare or as a report's "assignment"."""
     text = _read_text(path, "partition")
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:    # bad JSON, huge ints, deep nesting
         raise GraphError(f"partition file {str(path)!r}: {exc}") from exc
     assignment = data.get("assignment", data) if isinstance(data, dict) else None
+    if assignment is data and isinstance(data.get("error"), str):    # a failed run's report
+        raise GraphError(f"partition file {str(path)!r} reports an error, not an assignment: "
+                         f"{data['error']}")
     if not isinstance(assignment, dict) or not assignment:
         raise GraphError("partition file holds no assignment object of vertices")
     index = {name: i for i, name in enumerate(g.labels)}
@@ -181,8 +185,7 @@ def _cmd_cheeger2(args) -> tuple[dict, int]:
     doc = {
         "command": "cheeger2",
         "params": {"eps": args.eps},
-        "assignment": _assignment_json(
-            g, BufferedPartition.from_sets([cut.s, cut.t], [cut.b, []], args.eps)),
+        "assignment": _assignment_json(g, BufferedPartition(cut.label, 2, args.eps)),
         "phi": cut.phi,
         "cut_value": cut.cut_value,
         "buffer_ratio": cut.buffer_ratio,
@@ -198,17 +201,14 @@ def _cmd_balanced_cut(args) -> tuple[dict, int]:
     g = _load(args)
     _check_range("--eps", args.eps, 0.0, 0.25, lo_open=True)
     res = buffered_balanced_cut(g, args.eps)
+    wl, wb, wr = res.weights
     doc = {
         "command": "balanced-cut",
         "params": {"eps": args.eps},
-        "assignment": _assignment_json(
-            g, BufferedPartition.from_sets([res.left, res.right], [res.buffer, []], args.eps)),
+        "assignment": _assignment_json(g, BufferedPartition(res.label, 2, args.eps)),
         "cut_value": res.cut_value,
-        "balance": {"left": g.weight_of(res.left), "right": g.weight_of(res.right),
-                    "total": g.total_weight},
-        "buffer_ratio": (g.weight_of(res.buffer) /
-                         min(g.weight_of(res.left), g.weight_of(res.right))
-                         if res.left.size and res.right.size else None),
+        "balance": {"left": wl, "right": wr, "total": g.total_weight},
+        "buffer_ratio": wb / min(wl, wr),
         "per_level_lambda2": list(res.per_level_lambda2),
         "per_level_phi": list(res.per_level_phi),
         "balanced": res.balanced,
@@ -226,14 +226,13 @@ def _cmd_kbalanced(args) -> tuple[dict, int]:
     doc = {
         "command": "kbalanced",
         "params": {"k": args.k, "eps": args.eps},
-        "assignment": _assignment_json(g, BufferedPartition.from_sets(
-            res.parts, [res.buffer] + [[]] * (len(res.parts) - 1), args.eps)),
-        "part_weights": [g.weight_of(p) for p in res.parts],
-        "max_part_weight": res.max_part_weight,
+        "assignment": _assignment_json(
+            g, BufferedPartition(res.label, len(res.part_weights), args.eps)),
+        "part_weights": list(res.part_weights),
+        "max_part_weight": max(res.part_weights),
         "weight_limit": PART_WEIGHT_FACTOR * g.total_weight / args.k,
         "buffer_weight": res.buffer_weight,
-        "buffer_constant": (res.buffer_weight / (args.eps * g.total_weight)
-                            if args.eps > 0 else None),
+        "buffer_constant": res.buffer_weight / (args.eps * g.total_weight),
         "crossing_cost": res.crossing_cost,
         "per_level_lambda2": list(res.per_level_lambda2),
         "violations": list(res.violations),

@@ -169,9 +169,6 @@ class Graph:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    def weight_of(self, vertices: np.ndarray) -> float:
-        return float(self.weights[np.asarray(vertices, dtype=np.int64)].sum())
-
     def incident_cost(self) -> np.ndarray:
         return _incident_cost(self.n, self.edge_u, self.edge_v, self.edge_cost)
 

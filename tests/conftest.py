@@ -16,6 +16,12 @@ def columns(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2].astype(float)
 
 
+def weight(g: Graph, vertices) -> float:
+    """w(S) of S given as a mask, or as vertex ids summed in the order given."""
+    s = np.asarray(vertices)
+    return float(g.weights[s if s.dtype == bool else s.astype(np.int64)].sum())
+
+
 def triangle() -> Graph:
     return Graph.build(3, [0, 1, 0], [1, 2, 2], [1.0, 1.0, 1.0])
 

@@ -9,12 +9,15 @@ oracle tests require the library to reproduce them exactly; patched in for
 
 The partition checks are the per-part loops the library replaced with one
 label pass: validate_partition and partition_cost as two masks per part,
-each part's expansion from buffered_expansion, and weights from g.weight_of.
+each part's expansion from buffered_expansion, and each set's weight as the
+sum of its sorted vertices' weights.
 
 The recursions rebuild every level and branch from the root graph with
-``g.subgraph`` and lift each level's cut field by field, where the library
-cuts the subgraph of the graph its parent already holds.  Both call the
-library's ``cheeger2_buffered``, so they check only the recursion.
+``g.subgraph``, where the library cuts the subgraph of the graph its parent
+already holds, and write each level's sets into one label over the root.
+Every reported weight is the masked sum float(w[label == j].sum()), and the
+L-R cut and the crossing cost are masked edge sums.  Both call the library's
+``cheeger2_buffered``, so they check only the recursion.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import numpy as np
 
 from bufpart import balanced
-from bufpart.balanced import BALANCE_FRACTION, PART_WEIGHT_FACTOR, BufferedCut
+from bufpart.balanced import BALANCE_FRACTION, PART_WEIGHT_FACTOR
 from bufpart.graph import (BufferedPartition, CutReport, Graph, PartitionError,
                            buffered_expansion, cut_cost_masks)
 
@@ -92,8 +95,7 @@ def reference_violations(g: Graph, part: BufferedPartition) -> tuple:
     for i, (p, b) in enumerate(zip(part.parts, part.buffers)):
         if p.size == 0:
             continue
-        wb = g.weight_of(b) if b.size else 0.0
-        wp = g.weight_of(p)
+        wb, wp = float(g.weights[b].sum()), float(g.weights[p].sum())
         if wb > part.epsilon * wp:
             violations.append(
                 f"condition 4 violated: w(B_{i})={wb!r} > eps*w(P_{i})={part.epsilon * wp!r}")
@@ -106,7 +108,7 @@ def reference_cut_report(g: Graph, part: BufferedPartition) -> CutReport:
     ratios = []
     for p, b in zip(part.parts, part.buffers):
         phis.append(buffered_expansion(g, p, b))
-        ratios.append((g.weight_of(b) if b.size else 0.0) / g.weight_of(p))
+        ratios.append(float(g.weights[b].sum()) / float(g.weights[p].sum()))
     return CutReport(per_part_expansion=tuple(phis), max_expansion=max(phis),
                      buffer_ratios=tuple(ratios), violations=())
 
@@ -117,10 +119,12 @@ def reference_balanced_cut(g: Graph, epsilon: float) -> balanced.BalancedCutResu
     if g.n < 2:
         raise PartitionError("balanced cut needs at least two vertices")
     total = g.total_weight
-    active = np.arange(g.n)
-    left, buf, lambdas, phis, levels, violations = [], [], [], [], [], []
+    w = g.weights
+    label = np.full(g.n, 2, dtype=np.int64)       # 0 on L, 1 on B, 2 on the active T
+    lambdas, phis, violations = [], [], []
     left_weight = 0.0
     while True:
+        active = np.flatnonzero(label == 2)
         if active.size < 2:
             violations.append(
                 f"recursion bottomed out with {active.size} active vertices before "
@@ -128,30 +132,16 @@ def reference_balanced_cut(g: Graph, epsilon: float) -> balanced.BalancedCutResu
             break
         sub, ids = g.subgraph(active)
         cut = balanced.cheeger2_buffered(sub, epsilon / 2.0)
-        lifted = BufferedCut(
-            s=ids[cut.s], t=ids[cut.t], b=ids[cut.b], phi=cut.phi,
-            buffer_ratio=cut.buffer_ratio, cut_value=cut.cut_value,
-            lambda2=cut.lambda2, threshold=cut.threshold, side_vector=cut.side_vector)
-        levels.append(lifted)
         lambdas.append(cut.lambda2)
         phis.append(cut.phi)
-        left.append(lifted.s)
-        buf.append(lifted.b)
-        left_weight += g.weight_of(lifted.s)
-        active = lifted.t
+        s = ids[cut.label == 0]
+        label[s] = 0
+        label[ids[cut.label == 1]] = 1
+        left_weight += float(w[s].sum())
         if left_weight >= BALANCE_FRACTION * total:
             break
-    left_idx = np.concatenate(left)
-    buf_idx = np.concatenate(buf)
-    left_mask = np.zeros(g.n, dtype=bool)
-    left_mask[left_idx] = True
-    buf_mask = np.zeros(g.n, dtype=bool)
-    buf_mask[buf_idx] = True
-    right_mask = ~left_mask & ~buf_mask
-    right_idx = np.flatnonzero(right_mask)
-    wl, wr = g.weight_of(left_idx), g.weight_of(right_idx)
-    wb = g.weight_of(buf_idx)
-    cut_lr = cut_cost_masks(g, left_mask, right_mask)
+    wl, wb, wr = (float(w[label == j].sum()) for j in range(3))
+    cut_lr = cut_cost_masks(g, label == 0, label == 2)
     is_balanced = True
     lo, hi = BALANCE_FRACTION * total, (1.0 - BALANCE_FRACTION) * total
     if not (lo - 1e-9 <= wl <= hi + 1e-9):
@@ -166,10 +156,9 @@ def reference_balanced_cut(g: Graph, epsilon: float) -> balanced.BalancedCutResu
     if is_balanced:
         violations = [v for v in violations if "bottomed out" not in v]
     return balanced.BalancedCutResult(
-        left=left_idx, right=right_idx, buffer=buf_idx, cut_value=cut_lr,
+        label=label, weights=(wl, wb, wr), cut_value=cut_lr,
         balanced=is_balanced, violations=tuple(violations),
-        per_level_lambda2=tuple(lambdas), per_level_phi=tuple(phis),
-        per_level_cuts=tuple(levels))
+        per_level_lambda2=tuple(lambdas), per_level_phi=tuple(phis))
 
 
 def reference_kway(g: Graph, k: int, epsilon: float) -> balanced.KwayBalancedResult:
@@ -178,6 +167,7 @@ def reference_kway(g: Graph, k: int, epsilon: float) -> balanced.KwayBalancedRes
         raise ValueError(f"k must be at least 1, got {k}")
     balanced._check_epsilon(epsilon)
     total = g.total_weight
+    w = g.weights
     parts, buffer, lambdas, violations = [], [], [], []
 
     def recurse(vertices: np.ndarray, k_here: int) -> None:
@@ -190,13 +180,13 @@ def reference_kway(g: Graph, k: int, epsilon: float) -> balanced.KwayBalancedRes
         sub, ids = g.subgraph(vertices)
         res = reference_balanced_cut(sub, epsilon)
         lambdas.extend(res.per_level_lambda2)
-        if res.left.size == 0 or res.right.size == 0:
+        side_l, side_r = ids[res.label == 0], ids[res.label == 2]
+        if side_l.size == 0 or side_r.size == 0:
             violations.append("degenerate split; keeping branch whole")
             parts.append(vertices)
             return
-        buffer.append(ids[res.buffer])
-        side_l, side_r = ids[res.left], ids[res.right]
-        wl, wr = g.weight_of(side_l), g.weight_of(side_r)
+        buffer.append(ids[res.label == 1])
+        wl, wr = float(w[side_l].sum()), float(w[side_r].sum())
         big, small = (side_l, side_r) if wl >= wr else (side_r, side_l)
         ratio = max(wl, wr) / (wl + wr)
         k_big = min(max(math.floor(k_here * ratio + 0.5), 1), k_here - 1)
@@ -204,14 +194,17 @@ def reference_kway(g: Graph, k: int, epsilon: float) -> balanced.KwayBalancedRes
         recurse(small, k_here - k_big)
 
     recurse(np.arange(g.n), k)
-    buf_idx = np.concatenate(buffer) if buffer else np.empty(0, dtype=np.int64)
-    part_w = [g.weight_of(p) for p in parts]
+    label = np.full(g.n, -1, dtype=np.int64)
+    for i, p in enumerate(parts):
+        label[p] = 2 * i
+    for b in buffer:
+        label[b] = 1
+    part_w = [float(w[label == 2 * i].sum()) for i in range(len(parts))]
     limit = PART_WEIGHT_FACTOR * total / k
     for i, pw in enumerate(part_w):
         if pw > limit + 1e-9:
             violations.append(f"part {i} weight {pw!r} exceeds 6 w(V)/k = {limit!r}")
     return balanced.KwayBalancedResult(
-        parts=tuple(parts), buffer=buf_idx, crossing_cost=reference_crossing_cost(g, parts),
-        max_part_weight=max(part_w) if part_w else 0.0,
-        buffer_weight=g.weight_of(buf_idx),
+        label=label, part_weights=tuple(part_w), buffer_weight=float(w[label == 1].sum()),
+        crossing_cost=reference_crossing_cost(g, parts),
         per_level_lambda2=tuple(lambdas), violations=tuple(violations))

@@ -8,7 +8,8 @@ import pytest
 from bufpart import (Graph, balanced, buffered_balanced_cut, cheeger2_buffered, cut_cost,
                      kway_balanced)
 from bufpart.balanced import _break_points
-from conftest import clique, columns, disjoint_cliques, planted, tiny_connected, weighted_er
+from conftest import (clique, columns, disjoint_cliques, planted, tiny_connected, weight,
+                      weighted_er)
 
 
 def two_triangles_bridge() -> Graph:
@@ -25,8 +26,7 @@ def brute_tripartition(g: Graph, eps: float) -> float:
         b = [v for v in range(g.n) if assign[v] == 2]
         if not s or not t:
             continue
-        ws, wt = g.weight_of(np.array(s)), g.weight_of(np.array(t))
-        wb = g.weight_of(np.array(b)) if b else 0.0
+        ws, wt, wb = weight(g, s), weight(g, t), weight(g, b)
         if wb > eps * min(ws, wt):
             continue
         best = min(best, cut_cost(g, s, t) / min(ws, wt))
@@ -66,23 +66,21 @@ class TestCheeger2:
         for seed in (6, 7, 8):
             g = tiny_connected(8, seed)
             cut = cheeger2_buffered(g, 0.1)
-            assert g.weight_of(cut.s) <= g.total_weight / 2.0 + 1e-9
-            assert g.weight_of(cut.s) <= g.weight_of(cut.t) + 1e-9
+            ws, wt = weight(g, cut.label == 0), weight(g, cut.label == 2)
+            assert ws <= g.total_weight / 2.0 + 1e-9
+            assert ws <= wt + 1e-9
 
     def test_threshold_reconstructs_sets(self):
         g = weighted_er(18, 0.3, 9)
         cut = cheeger2_buffered(g, 0.1)
         usq = cut.side_vector ** 2
-        s = np.flatnonzero(usq > cut.threshold)
-        t = np.flatnonzero(usq <= cut.threshold / 1.1)
-        assert np.array_equal(np.sort(s), cut.s)
-        assert np.array_equal(np.sort(t), cut.t)
+        assert np.array_equal(cut.label == 0, usq > cut.threshold)
+        assert np.array_equal(cut.label == 2, usq <= cut.threshold / 1.1)
 
     def test_partition_is_tripartition(self):
         g = weighted_er(15, 0.3, 10)
         cut = cheeger2_buffered(g, 0.2)
-        combined = np.concatenate([cut.s, cut.t, cut.b])
-        assert np.array_equal(np.sort(combined), np.arange(g.n))
+        assert cut.label.shape == (g.n,) and set(cut.label.tolist()) <= {0, 1, 2}
 
     def test_tiny_graph_rejected(self):
         with pytest.raises(Exception):
@@ -139,8 +137,7 @@ class TestBalancedCut:
             g, _ = planted([30, 30], 0.3, 0.02, seed)
             res = buffered_balanced_cut(g, 0.2)
             total = g.total_weight
-            wl, wr = g.weight_of(res.left), g.weight_of(res.right)
-            wb = g.weight_of(res.buffer)
+            wl, wb, wr = (weight(g, res.label == j) for j in range(3))
             assert res.balanced
             assert total / 4 - 1e-9 <= wl <= 3 * total / 4 + 1e-9
             assert total / 4 - 1e-9 <= wr <= 3 * total / 4 + 1e-9
@@ -149,8 +146,7 @@ class TestBalancedCut:
     def test_levels_are_disjoint_and_cover(self):
         g, _ = planted([25, 25], 0.25, 0.02, 16)
         res = buffered_balanced_cut(g, 0.15)
-        combined = np.concatenate([res.left, res.right, res.buffer])
-        assert np.array_equal(np.sort(combined), np.arange(g.n))
+        assert res.label.shape == (g.n,) and set(res.label.tolist()) <= {0, 1, 2}
 
     def test_per_level_guarantee(self):
         g, _ = planted([20, 20], 0.3, 0.03, 17)
@@ -197,37 +193,34 @@ class TestBalancedCutDegenerate:
     def test_heavy_vertex_kway_keeps_the_unsplittable_branch(self):
         res = kway_balanced(heavy_vertex_path(), 3, 0.2)
         assert res.violations == ("branch with 1 vertices could not host 2 parts",)
-        assert [p.tolist() for p in res.parts] == [[0], [1, 2, 3]]
+        assert res.label.tolist() == [0, 2, 2, 2]
 
 
 class TestKwayBalanced:
     def test_k1_identity(self):
         g = tiny_connected(7, 18)
         res = kway_balanced(g, 1, 0.1)
-        assert len(res.parts) == 1
-        assert res.buffer.size == 0
+        assert res.label.tolist() == [0] * g.n
         assert res.crossing_cost == 0.0
 
     def test_equal_cliques_zero_crossing(self):
         g = disjoint_cliques([8, 8, 8, 8])
         res = kway_balanced(g, 4, 0.1)
-        assert len(res.parts) == 4
         assert res.crossing_cost == pytest.approx(0.0)
-        sizes = sorted(p.size for p in res.parts)
-        assert sizes == [8, 8, 8, 8]
+        assert np.bincount(res.label).tolist() == [8, 0, 8, 0, 8, 0, 8]
 
     def test_weight_limit(self):
         for seed in (19, 20):
             g = weighted_er(48, 0.15, seed)
             for k in (4, 8):
                 res = kway_balanced(g, k, 0.2)
-                assert res.max_part_weight <= 6.0 * g.total_weight / k + 1e-9
+                assert max(res.part_weights) <= 6.0 * g.total_weight / k + 1e-9
 
     def test_parts_and_buffer_tile_v(self):
         g = weighted_er(30, 0.2, 21)
         res = kway_balanced(g, 4, 0.15)
-        combined = np.concatenate([res.buffer] + [p for p in res.parts])
-        assert np.array_equal(np.sort(combined), np.arange(g.n))
+        parts = range(0, 2 * len(res.part_weights), 2)
+        assert res.label.shape == (g.n,) and set(res.label.tolist()) <= {1, *parts}
 
 
 def test_kway_subgraphs_are_cut_from_the_caller_graph(monkeypatch):
@@ -257,12 +250,13 @@ def test_kway_subgraphs_are_cut_from_the_caller_graph(monkeypatch):
     monkeypatch.setattr(balanced, "cheeger2_buffered", cut)
     monkeypatch.setattr(balanced, "buffered_balanced_cut", balanced_cut)
     res = kway_balanced(g, 5, 0.1)
-    assert len(res.parts) == 5
+    assert len(res.part_weights) == 5
     for parent, keep in calls:
         assert keep.size < parent.n
-        assert (any(sub is parent and np.array_equal(c.t, keep) for sub, c in levels)
-                or any(sub is parent and (np.array_equal(np.sort(r.left), keep)
-                                          or np.array_equal(r.right, keep))
+        assert (any(sub is parent and np.array_equal(np.flatnonzero(c.label == 2), keep)
+                    for sub, c in levels)
+                or any(sub is parent and (np.array_equal(np.flatnonzero(r.label == 0), keep)
+                                          or np.array_equal(np.flatnonzero(r.label == 2), keep))
                        for sub, r in branches))
     # one call per branch below the root and per level below a branch's first
     assert len(calls) == len(levels) - 1

@@ -13,7 +13,7 @@ from bufpart import (BufferedPartition, Graph, brute_force_h_k_eps, buffered_exp
 from bufpart import certify
 from bufpart.certify import _canonical_labels, certify_run
 from conftest import (cycle, disjoint_cliques, k4, planted, tiny_connected,
-                      tiny_connected_suite, weighted_er)
+                      tiny_connected_suite, weight, weighted_er)
 
 
 def exhaustive_h_k_eps(g, k, eps):
@@ -261,7 +261,7 @@ class TestBufferedLowerBound:
             if any(p.size == 0 for p in parts):
                 continue
             buffers = [np.flatnonzero(assign == 2 * i + 1) for i in range(k)]
-            ratios = [g.weight_of(b) / g.weight_of(p) if b.size else 0.0
+            ratios = [weight(g, b) / weight(g, p) if b.size else 0.0
                       for p, b in zip(parts, buffers)]
             eps = max(ratios)
             if eps >= 1.0:
@@ -292,7 +292,7 @@ class TestBufferedLowerBound:
                 continue
             passed, slack = check_buffered_lower_bound(g, part, k)
             sets = [np.union1d(p, b) for p, b in zip(parts, buffers)]
-            phis = [cut_cost(g, s, np.setdiff1d(np.arange(n), s)) / g.weight_of(s) for s in sets]
+            phis = [cut_cost(g, s, np.setdiff1d(np.arange(n), s)) / weight(g, s) for s in sets]
             lam = eigenbasis(normalized_laplacian(g), k).eigenvalues[k - 1]
             assert passed, f"lower bound violated: slack {slack}"
             assert slack == pytest.approx(2.0 * max(phis) - lam, rel=1e-12, abs=1e-12)
@@ -378,10 +378,10 @@ def graph_expansion(g):
     half = g.total_weight / 2.0
     for bits in range(1, 2 ** g.n - 1):
         s = np.array([i for i in range(g.n) if (bits >> i) & 1])
-        if g.weight_of(s) > half:
+        if weight(g, s) > half:
             continue
         rest = np.array([i for i in range(g.n) if not (bits >> i) & 1])
-        best = min(best, cut_cost(g, s, rest) / g.weight_of(s))
+        best = min(best, cut_cost(g, s, rest) / weight(g, s))
     return best
 
 

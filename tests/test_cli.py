@@ -19,7 +19,7 @@ from bufpart.cli import _assignment_json, _read_partition_file, run
 from bufpart.graph import BufferedPartition, Graph, PartitionError, load_graph
 from bufpart.reports import render_json
 from bufpart import certify
-from conftest import four_component_union, lapack_spectrum, wide_spectrum_draws
+from conftest import four_component_union, lapack_spectrum, weighted_er, wide_spectrum_draws
 
 
 def _schema_dir() -> Path:
@@ -187,6 +187,32 @@ class TestCheeger2AndBalanced:
 
     def test_eps_bound(self, clique_file):
         assert run(["cheeger2", "--graph", clique_file, "--eps", "0.3"]) == 1
+
+    @pytest.mark.parametrize("seed, eps", [(501, 0.2), (502, 0.05), (505, 0.05)])
+    def test_weights_are_the_masked_sums_of_the_assignment(self, seed, eps, tmp_path):
+        # Real-valued weights, and balanced cuts of several levels: each reported
+        # weight is its set's sum in vertex order, bit for bit.
+        g = weighted_er(100, 0.1, seed)
+        edges = _write(tmp_path, "g.txt", "".join(
+            f"{u} {v} {c!r}\n"
+            for u, v, c in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_cost.tolist())))
+        weights = _write(tmp_path, "g.w", "".join(
+            f"{v} {w!r}\n" for v, w in enumerate(g.weights.tolist())))
+        g = load_graph(edges, weights)
+        _, doc = run_json(["balanced-cut", "--graph", edges, "--weights", weights,
+                           "--eps", str(eps)], tmp_path, "bc.json")
+        w = g.weights
+        label = _read_partition_file(tmp_path / "bc.json", g, eps).label
+        assert len(doc["per_level_lambda2"]) >= 2
+        assert doc["balance"]["left"] == float(w[label == 0].sum())
+        assert doc["balance"]["right"] == float(w[label == 2].sum())
+        assert doc["buffer_ratio"] == float(w[label == 1].sum()) / min(
+            doc["balance"]["left"], doc["balance"]["right"])
+        _, doc = run_json(["kbalanced", "--graph", edges, "--weights", weights, "--k", "5",
+                           "--eps", str(eps)], tmp_path, "kb.json")
+        label = _read_partition_file(tmp_path / "kb.json", g, eps).label
+        assert doc["part_weights"] == [float(w[label == 2 * i].sum()) for i in range(5)]
+        assert doc["buffer_weight"] == float(w[label == 1].sum())
 
 
 class TestVerifyCertifyBrute:
@@ -474,6 +500,33 @@ class TestPartitionErrorBranch:
         assert set(doc) == {"command", "error"}     # the partition_error branch
         assert doc["error"].startswith(
             "all 2 restarts failed the Step-2 acceptance check; attempts: [{'restart': 0, ")
+
+
+class TestFailedReportAsPartitionFile:
+    @pytest.mark.parametrize("command", [["verify"], ["certify", "--delta", "0.9"]])
+    def test_the_reports_error_is_named_exit_1(self, command, tmp_path, capsys):
+        # K12 at k = 5, delta = 0.9: the one restart fails Step 2's acceptance check.
+        graph = _write(tmp_path, "k12.txt", "".join(
+            f"v{i} v{j}\n" for i in range(12) for j in range(i + 1, 12)))
+        report = tmp_path / "failed.json"
+        assert run(["partition", "--graph", graph, "--k", "5", "--eps", "0.1", "--delta", "0.9",
+                    "--restarts", "1", "--out", str(report)]) == 2
+        error = json.loads(report.read_text())["error"]
+        out = tmp_path / "out.json"
+        code, err = _run_quietly(command + ["--graph", graph, "--partition", str(report),
+                                            "--k", "5", "--eps", "0.1", "--out", str(out)],
+                                 capsys)
+        assert (code, err) == (1, f"bufpart: error: partition file {str(report)!r} reports an "
+                                  f"error, not an assignment: {error}\n")
+        assert not out.exists()
+
+    def test_a_bare_assignment_may_name_vertices_command_and_error(self, tmp_path):
+        g = load_graph(_write(tmp_path, "g.txt", "command error 1\nerror x 1\nx y 1\n"))
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({name: {"part_id": i // 2, "role": "core"}
+                                    for i, name in enumerate(["command", "error", "x", "y"])}))
+        bp = _read_partition_file(part, g, 0.1)
+        assert bp.k == 2 and bp.label.tolist() == [0, 0, 2, 2]
 
 
 def _assert_one_line_exit_1(argv, tmp_path, capsys):

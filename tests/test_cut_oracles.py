@@ -30,7 +30,7 @@ EPSILONS = (0.01, 0.1, 0.24)
 
 
 def assert_same_cut(got, want):
-    for field in ("s", "t", "b", "side_vector"):
+    for field in ("label", "side_vector"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
     for field in ("phi", "buffer_ratio", "cut_value", "lambda2", "threshold"):
@@ -56,6 +56,30 @@ class CutSpy:
             self.cuts.append(value)
             return value
         monkeypatch.setattr(balanced, "cut_cost_masks", spy)
+
+
+class LevelSpy:
+    """Records every cut cheeger2_buffered returns to the recursions, in call order."""
+
+    def __init__(self, monkeypatch):
+        self.cuts = []
+        real = balanced.cheeger2_buffered
+
+        def spy(g, eps):
+            self.cuts.append(real(g, eps))
+            return self.cuts[-1]
+        monkeypatch.setattr(balanced, "cheeger2_buffered", spy)
+
+    def take(self) -> list:
+        cuts, self.cuts = self.cuts, []
+        return cuts
+
+
+def assert_same_levels(got, want):
+    """Two runs cut the same levels; each level's vertices are numbered in order."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_same_cut(a, b)
 
 
 def use_reference_loop(monkeypatch):
@@ -133,18 +157,16 @@ def test_threshold_cut_fuzz():
 @pytest.mark.parametrize("name", ["planted", "weighted", "regular"])
 def test_balanced_recursions_match_reference(name, monkeypatch):
     g = GRAPHS[name]
+    levels = LevelSpy(monkeypatch)
     got_bc = buffered_balanced_cut(g, 0.1)
     got_kw = kway_balanced(g, 4, 0.1)
+    got_levels = levels.take()
     use_reference_loop(monkeypatch)
     want_bc = buffered_balanced_cut(g, 0.1)
     want_kw = kway_balanced(g, 4, 0.1)
-    for a, b in zip(got_bc.per_level_cuts, want_bc.per_level_cuts, strict=True):
-        assert_same_cut(a, b)
-    assert got_bc.cut_value == want_bc.cut_value
-    assert np.array_equal(got_bc.buffer, want_bc.buffer)
-    assert got_kw.crossing_cost == want_kw.crossing_cost
-    for a, b in zip(got_kw.parts, want_kw.parts, strict=True):
-        assert np.array_equal(a, b)
+    assert_same_levels(got_levels, levels.take())
+    assert_same_result(got_bc, want_bc)
+    assert_same_result(got_kw, want_kw)
 
 
 @pytest.mark.parametrize("name", ["planted", "weighted"])
@@ -152,7 +174,8 @@ def test_balanced_recursions_match_reference(name, monkeypatch):
 def test_kway_crossing_cost_matches_pairwise_loop(name, k):
     g = GRAPHS[name]
     res = kway_balanced(g, k, 0.1)
-    assert res.crossing_cost == reference_crossing_cost(g, res.parts)
+    parts = [np.flatnonzero(res.label == 2 * i) for i in range(len(res.part_weights))]
+    assert res.crossing_cost == reference_crossing_cost(g, parts)
 
 
 def test_crossing_cost_fuzz():
@@ -161,25 +184,18 @@ def test_crossing_cost_fuzz():
     g = weighted_er(200, 0.3, 46)
     for k in (1, 2, 3, 7, 16):
         for _ in range(5):
-            label = rng.integers(-1, k, size=g.n)       # -1: buffer
-            parts = [np.flatnonzero(label == i) for i in range(k)]
-            assert balanced._crossing_cost(g, parts) == reference_crossing_cost(g, parts)
+            part = rng.integers(-1, k, size=g.n)       # -1: buffer
+            parts = [np.flatnonzero(part == i) for i in range(k)]
+            label = np.where(part >= 0, 2 * part, rng.choice([-1, 1], size=g.n))
+            assert balanced._crossing_cost(g, label, k) == reference_crossing_cost(g, parts)
 
 
 def assert_same_result(got, want):
     """Every field of two BalancedCutResults or KwayBalancedResults, bit for bit."""
     for field in dataclasses.fields(want):
         a, b = getattr(got, field.name), getattr(want, field.name)
-        if field.name == "per_level_cuts":
-            assert len(a) == len(b)
-            for x, y in zip(a, b):
-                assert_same_cut(x, y)
-        elif isinstance(b, np.ndarray):
+        if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and np.array_equal(a, b), field.name
-        elif field.name == "parts":
-            assert len(a) == len(b)
-            for x, y in zip(a, b):
-                assert x.dtype == y.dtype and np.array_equal(x, y), field.name
         else:
             assert type(a) is type(b) and a == b, field.name
 
@@ -199,29 +215,51 @@ def outcome(fn, *args):
         return None, (type(exc), str(exc))
 
 
-def test_recursions_match_root_subgraph_reference_fuzz():
+def test_recursions_match_root_subgraph_reference_fuzz(monkeypatch):
     # Multi-level stacks, bottomed-out recursions (a heavy vertex, few
-    # vertices) and unsorted left sides feeding k-way branches all occur.
+    # vertices) and left sides from several levels feeding k-way branches all occur.
     rng = np.random.default_rng(47)
+    levels = LevelSpy(monkeypatch)
     multi_level = bottomed = compared = 0
     for _ in range(300):
         g = random_weighted_graph(rng)
         eps = float(rng.choice([0.05, 0.1, 0.2]))
         k = int(rng.integers(1, 7))
         got, err = outcome(buffered_balanced_cut, g, eps)
+        got_levels = levels.take()
         want, want_err = outcome(reference_balanced_cut, g, eps)
         assert err == want_err
+        assert_same_levels(got_levels, levels.take())
         if want is not None:
             assert_same_result(got, want)
-            multi_level += len(want.per_level_cuts) >= 2
+            multi_level += len(want.per_level_lambda2) >= 2
             bottomed += any("bottomed out" in v for v in want.violations)
         got, err = outcome(kway_balanced, g, k, eps)
+        got_levels = levels.take()
         want, want_err = outcome(reference_kway, g, k, eps)
         assert err == want_err
+        assert_same_levels(got_levels, levels.take())
         if want is not None:
             assert_same_result(got, want)
             compared += 1
     assert multi_level >= 50 and bottomed >= 10 and compared >= 250
+
+
+def test_recursions_match_reference_on_real_weights():
+    # Real-valued weights round differently when summed in another order, so
+    # each reported weight must be its set's masked sum in vertex order, bit for
+    # bit; the fuzz above draws weights from {1, 5, 50}, whose sums are exact.
+    rng = np.random.default_rng(49)
+    multi_level = 0
+    for seed in range(12):
+        g = weighted_er(int(rng.integers(40, 201)), float(rng.uniform(0.05, 0.15)), 500 + seed)
+        eps = float(rng.choice([0.05, 0.2]))
+        want = reference_balanced_cut(g, eps)
+        assert_same_result(buffered_balanced_cut(g, eps), want)
+        multi_level += len(want.per_level_lambda2) >= 2
+        k = int(rng.integers(2, 7))
+        assert_same_result(kway_balanced(g, k, eps), reference_kway(g, k, eps))
+    assert multi_level >= 3
 
 
 def random_labelled_partition(rng):

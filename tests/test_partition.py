@@ -17,7 +17,7 @@ from bufpart.certify import brute_force_h_k_eps
 from bufpart.partition import RESTARTS, CrudePartition, PartialPartition, resolve_step2
 from bufpart.separators import practical_params
 from conftest import (clique, columns, clique_labels, disjoint_cliques, planted, planted_blocks,
-                      tiny_connected, weighted_er)
+                      tiny_connected, weight, weighted_er)
 from round_oracles import crude_sets, refined_tuples
 
 
@@ -152,9 +152,9 @@ class TestRefineAndDiscard:
         sigma_rp[r_p] = True
         by_round = {rec.index: rec for rec in c.rounds}
         for t in refined_tuples(pp):
-            wp = g.weight_of(t.p)
-            assert g.weight_of(t.b) <= c_prime * eps * wp + 1e-12
-            assert g.weight_of(t.a_double) <= 10.0 * eps * wp + 1e-12
+            wp = weight(g, t.p)
+            assert weight(g, t.b) <= c_prime * eps * wp + 1e-12
+            assert weight(g, t.a_double) <= 10.0 * eps * wp + 1e-12
             pb = np.concatenate([t.p, t.b])
             assert cut_cost(g, t.a_prime, pb) <= bound * wp + 1e-9
             rec = by_round[t.round_index]
@@ -205,7 +205,7 @@ class TestPartialPartition:
         eps = run.partial.effective.epsilon
         assert run.buffer_mass <= 16.0 * eps * g.total_weight + 1e-9
         r_b_prime = np.flatnonzero(run.partial.label == -2)
-        assert g.weight_of(r_b_prime) <= 16.0 * eps * g.total_weight + 1e-9
+        assert weight(g, r_b_prime) <= 16.0 * eps * g.total_weight + 1e-9
 
     def test_determinism(self):
         g = disjoint_cliques([10, 10, 10])
@@ -287,7 +287,7 @@ class TestCompletePartition:
         bp = complete_partition(pp, g, 4)
         tuples = refined_tuples(pp)
         order = sorted(range(pp.k_prime),
-                       key=lambda i: (tuples[i].phi, -g.weight_of(tuples[i].p), i))
+                       key=lambda i: (tuples[i].phi, -weight(g, tuples[i].p), i))
         for rank, i in enumerate(order[:3]):
             assert np.array_equal(bp.parts[rank], tuples[i].p)
             expect = tuples[i].phi
