@@ -322,30 +322,9 @@ def buffered_expansion(g: Graph, p: Iterable[int], b: Iterable[int]) -> float:
 class BufferedPartition:
     """Parts P_0..P_{k-1}, buffers B_0..B_{k-1} and budget epsilon as vertex labels."""
 
-    label: np.ndarray       # int64; from_sets makes it 1 + the largest listed id long
+    label: np.ndarray       # int64: 2i on P_i, 2i + 1 on B_i, -1 in no set
     k: int
     epsilon: float
-
-    @staticmethod
-    def from_sets(parts: Sequence[Iterable[int]], buffers: Sequence[Iterable[int]],
-                  epsilon: float) -> "BufferedPartition":
-        """The labels of vertex sets; a label holds one set per vertex, so sets that
-        share a vertex raise (condition 1), as do negative ids."""
-        if len(parts) != len(buffers):
-            raise PartitionError("need one buffer per part (may be empty)")
-        sets = [np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64)
-                for pair in zip(parts, buffers) for s in pair]
-        ids = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
-        owner = np.repeat(np.arange(len(sets)), [s.size for s in sets])
-        if ids.size and ids.min() < 0:
-            raise PartitionError(f"negative vertex id {int(ids.min())}")
-        label = np.full(int(ids.max(initial=-1)) + 1, -1, dtype=np.int64)
-        label[ids] = owner
-        shared = ids[label[ids] != owner]
-        if shared.size:
-            raise PartitionError(f"condition 1 violated: sets are not pairwise disjoint "
-                                 f"(vertex {int(shared.min())})")
-        return BufferedPartition(label=label, k=len(parts), epsilon=float(epsilon))
 
     @property
     def parts(self) -> tuple:

@@ -19,14 +19,16 @@ min over u in X of mu(X minus Ball(u, R)) <= delta mu(U), which makes the
 separation property hold on every returned draw by construction.
 
 measured_draws() evaluates a run of draws at once: it validates the vectors
-and measures once and takes each block's Gaussian directions from one
-normals() call.  Fast float arithmetic only discards what provably cannot
-matter, and the exact formulas decide the rest:
+and measures once and takes each block of BLOCK_VALUES // dim Gaussian
+directions from one normals() call, whatever the number n of vectors.  Fast
+float arithmetic only discards what provably cannot matter, and the exact
+formulas decide the rest:
 
   * a direction whose norm, widened by its rounding and the unit-norm
     tolerance, is below floor - margin reaches nothing (g . psi(u) <=
     ||g|| ||psi(u)||), so only the other directions of a block enter the
-    BLAS product with the vectors (_aimed);
+    BLAS product with the vectors, BLOCK_VALUES // n of them per product
+    (_aimed);
   * that product keeps the entries whose value is at least floor - margin,
     floor = min(t - 2 eps', t) and margin = 4 (dim + 2) u (||g||_1 + |floor|)
     with u = 2^-53, which bounds how far the BLAS sum can be from the exact
@@ -36,15 +38,18 @@ matter, and the exact formulas decide the rest:
     the X sets of every reached draw of the run accepts by mass or by the
     row of a pivot member and rejects by triangle-inequality bounds through
     that pivot, each with a stated float margin; only the draws it leaves
-    open are scored exactly, on the rows of the centers the bound kept
+    open are scored exactly, _CENTRE_ROWS of the centers the bound kept at a
+    time, up to the first pass that holds an accepting center
     (_min_ball_accepted).
 
 So X, Y, Z and every rejection are the same bits for any BLAS build, thread
-count and block size.  Only the draws that reach a vector are returned, as
-(draw index, sample), rejected or not.  A draw that reaches nothing consumes
-its direction from the stream and returns nothing.  sample_two_buffers() is
-a one-draw run of the same routine, so it gives the same bits as the
-matching draw of a longer run.
+count, block size and pass size, and no step holds more than about
+BLOCK_VALUES directions or projections, or _CENTRE_ROWS x |X| distances.
+Only the draws that reach a vector are returned, as (draw index, sample),
+rejected or not.  A draw that reaches nothing consumes its direction from
+the stream and returns nothing.  sample_two_buffers() is a one-draw run of
+the same routine, so it gives the same bits as the matching draw of a longer
+run.
 """
 
 from __future__ import annotations
@@ -70,7 +75,8 @@ __all__ = [
 ]
 
 T_MAX = 40.0
-BLOCK_VALUES = 2 ** 18      # projections evaluated per block of measured draws
+BLOCK_VALUES = 2 ** 18      # normals per direction block; projections per BLAS product
+_CENTRE_ROWS = 16           # min-ball centers scored per exact pass
 
 
 class CalibrationError(RuntimeError):
@@ -172,15 +178,17 @@ def classify(proj: np.ndarray, p: SeparatorParams) -> tuple[np.ndarray, np.ndarr
     return x, y, z
 
 
-def _leftover_rows(vectors: np.ndarray, measures: np.ndarray, x_idx: np.ndarray,
-                   centres: np.ndarray, r: float) -> np.ndarray:
-    """mu(X minus Ball(u, r)) in the psi metric for each center u = x_idx[c], c in centres.
+def _leftover_rows(pts: np.ndarray, sq: np.ndarray, mu: np.ndarray, centres: np.ndarray,
+                   r: float) -> np.ndarray:
+    """mu(X minus Ball(u, r)) in the psi metric for each center u = pts[c], c in centres.
 
-    v lies outside Ball(u, r) when np.linalg.norm(psi(u) - psi(v)) > r; that
-    rule alone decides.  The Gram form d2 = |p|^2 + |q|^2 - 2 <p, q> (one BLAS
-    product for the centers' rows) only settles the pairs it provably puts on
-    the same side.  For vectors of norm at most 1 + 1e-9 (checked by
-    _check_unit) and gamma = (dim + 4) u, u = 2^-53:
+    pts are the rows psi(v) of the members v of X, sq their squared norms and
+    mu their measures.  v lies outside Ball(u, r) when
+    np.linalg.norm(psi(u) - psi(v)) > r; that rule alone decides.  The Gram
+    form d2 = |p|^2 + |q|^2 - 2 <p, q> (one BLAS product for the centers'
+    rows) only settles the pairs it provably puts on the same side.  For
+    vectors of norm at most 1 + 1e-9 (checked by _check_unit) and
+    gamma = (dim + 4) u, u = 2^-53:
 
         |d2 - |p - q|^2|                <= 4.1 gamma
         rule value = |p - q| (1 + theta),  |theta| <= gamma
@@ -188,10 +196,9 @@ def _leftover_rows(vectors: np.ndarray, measures: np.ndarray, x_idx: np.ndarray,
     so a pair with |d2 - r^2| > 16 gamma (1 + r^2), at least twice both
     errors together, is outside exactly when d2 > r^2; every other pair is
     re-decided by the rule.  Each row sums the same 0/mu vector as that row of
-    the all-pairs matrix, so it is the same bits.
+    the all-pairs matrix, so it is the same bits whichever centers are scored
+    with it.
     """
-    pts = vectors[x_idx]
-    sq = np.einsum("ij,ij->i", pts, pts)
     d2 = sq[centres, None] + sq[None, :] - 2.0 * (pts[centres] @ pts.T)
     r2 = r * r
     far = d2 > r2
@@ -199,7 +206,7 @@ def _leftover_rows(vectors: np.ndarray, measures: np.ndarray, x_idx: np.ndarray,
     if unsure.any():
         i, j = np.nonzero(unsure)
         far[i, j] = np.linalg.norm(pts[centres[i]] - pts[j], axis=1) > r
-    return (far * measures[x_idx]).sum(axis=1)
+    return (far * mu).sum(axis=1)
 
 
 def _min_ball_accepted(vectors: np.ndarray, measures: np.ndarray, members: np.ndarray,
@@ -223,7 +230,12 @@ def _min_ball_accepted(vectors: np.ndarray, measures: np.ndarray, members: np.nd
         (one sorted sweep and a cumsum give every window); reject when every
         center is excluded.
 
-    The other sets are decided on the exact rows of the centers kept.
+    The other sets are decided on the exact rows of the centers kept, scored
+    _CENTRE_ROWS at a time in member order: a set is accepted at the first
+    pass whose least row is at most limit, and no later center is scored.
+    That is the all-pairs decision (some row at most limit), since a row has
+    the same bits in any pass, and the exact Gram holds _CENTRE_ROWS x |X|
+    entries, not |kept| x |X|.
     """
     count = starts.size
     if not count:
@@ -251,8 +263,14 @@ def _min_ball_accepted(vectors: np.ndarray, measures: np.ndarray, members: np.nd
     kept = np.add.reduceat(mu, starts)[seg] - near - tol <= limit
     for i in np.flatnonzero(~accepted & np.logical_or.reduceat(kept, starts)).tolist():
         lo, hi = starts[i], ends[i]
-        rows = _leftover_rows(vectors, measures, members[lo:hi], np.flatnonzero(kept[lo:hi]), r)
-        accepted[i] = rows.min() <= limit
+        x_pts = pts[lo:hi]
+        sq = np.einsum("ij,ij->i", x_pts, x_pts)
+        centres = np.flatnonzero(kept[lo:hi])
+        for first in range(0, centres.size, _CENTRE_ROWS):
+            rows = _leftover_rows(x_pts, sq, mu[lo:hi], centres[first:first + _CENTRE_ROWS], r)
+            if rows.min() <= limit:
+                accepted[i] = True
+                break
     return accepted
 
 
@@ -263,13 +281,13 @@ def measured_draws(vectors: np.ndarray, measures: np.ndarray, delta: float,
 
     params fixes the thresholds and the min-ball radius params.r; a draw is
     rejected when its min-ball leftover exceeds delta mu(U).  The inputs are
-    validated once.  Each block of up to
-    max(1, BLOCK_VALUES // len(vectors)) draws takes its Gaussian directions
-    from one normals() call, which consumes the stream exactly as one call
-    per draw would, so the draws do not depend on the block size.  A draw
-    whose X u Y u Z is empty is consumed but not returned; every other draw
-    is checked by the min-ball rejection and returned, rejected or not, with
-    its index in 0..count-1, in draw order.
+    validated once.  Each block of up to max(1, BLOCK_VALUES // dim) draws
+    takes its Gaussian directions from one normals() call, whatever the
+    number of vectors; that consumes the stream exactly as one call per draw
+    would, so the draws do not depend on the block size.  A draw whose
+    X u Y u Z is empty is consumed but not returned; every other draw is
+    checked by the min-ball rejection and returned, rejected or not, with its
+    index in 0..count-1, in draw order.
     """
     if delta <= 0.0 or delta > 2.0 / 3.0:
         raise ValueError(f"measured separators need delta in (0, 2/3], got {delta}")
@@ -325,24 +343,29 @@ def _draw_blocks(vectors, measures, limit, p, stream, count):
     together with the rounding of floor - margin.  An entry whose BLAS value
     is below floor - margin cannot reach X u Y u Z; every other entry is
     recomputed by _projections() and classified from that value alone, so X,
-    Y and Z are the same bits for any BLAS and any block size.  The X sets of
-    the whole run then go through one _min_ball_accepted() call.
+    Y and Z are the same bits for any BLAS and any block size.  A block's
+    aimed directions enter the product BLOCK_VALUES // n at a time, so the
+    product holds about BLOCK_VALUES values, like the block's directions.
+    The X sets of the whole run then go through one _min_ball_accepted() call.
     """
     count_v, dim = vectors.shape
     columns = np.ascontiguousarray(vectors.T)
-    block = max(1, BLOCK_VALUES // max(count_v, 1))
+    block = max(1, BLOCK_VALUES // max(dim, 1))
+    product = max(1, BLOCK_VALUES // max(count_v, 1))
     floor = min(p.t - 2.0 * p.eps_prime, p.t)     # no entry below it is reached
     found = []
     for first in range(0, count, block):
         size = min(block, count - first)
         gs = stream.normals(dim * size).reshape(size, dim)
-        aimed, margin = _aimed(gs, floor)
-        rows, cols = np.divmod(np.flatnonzero(gs[aimed] @ columns >= (floor - margin)[:, None]),
-                               count_v)
-        rows = aimed[rows]
-        x, y, z = classify(_projections(gs, columns, rows, cols), p)
-        hit = x | y | z
-        found.append((first + rows[hit], cols[hit], x[hit], y[hit], z[hit]))
+        aimed, margins = _aimed(gs, floor)
+        for lo in range(0, aimed.size, product):
+            batch = aimed[lo:lo + product]
+            above = gs[batch] @ columns >= (floor - margins[lo:lo + product])[:, None]
+            rows, cols = np.divmod(np.flatnonzero(above), count_v)
+            rows = batch[rows]
+            x, y, z = classify(_projections(gs, columns, rows, cols), p)
+            hit = x | y | z
+            found.append((first + rows[hit], cols[hit], x[hit], y[hit], z[hit]))
     if not found:
         return []
     draw, cols, x, y, z = (np.concatenate(parts) for parts in zip(*found))

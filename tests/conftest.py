@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bufpart import Graph
+from bufpart import BufferedPartition, Graph, PartitionError
 
 
 def columns(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -20,6 +20,27 @@ def weight(g: Graph, vertices) -> float:
     """w(S) of S given as a mask, or as vertex ids summed in the order given."""
     s = np.asarray(vertices)
     return float(g.weights[s if s.dtype == bool else s.astype(np.int64)].sum())
+
+
+def from_sets(parts, buffers, epsilon: float) -> BufferedPartition:
+    """The labels of vertex sets, 1 + the largest listed id long; a label holds
+    one set per vertex, so sets that share a vertex raise (condition 1), as do
+    negative ids."""
+    if len(parts) != len(buffers):
+        raise PartitionError("need one buffer per part (may be empty)")
+    sets = [np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64)
+            for pair in zip(parts, buffers) for s in pair]
+    ids = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
+    owner = np.repeat(np.arange(len(sets)), [s.size for s in sets])
+    if ids.size and ids.min() < 0:
+        raise PartitionError(f"negative vertex id {int(ids.min())}")
+    label = np.full(int(ids.max(initial=-1)) + 1, -1, dtype=np.int64)
+    label[ids] = owner
+    shared = ids[label[ids] != owner]
+    if shared.size:
+        raise PartitionError(f"condition 1 violated: sets are not pairwise disjoint "
+                             f"(vertex {int(shared.min())})")
+    return BufferedPartition(label=label, k=len(parts), epsilon=float(epsilon))
 
 
 def triangle() -> Graph:

@@ -45,12 +45,17 @@ def reference_project(columns: np.ndarray, g: np.ndarray) -> np.ndarray:
     return proj
 
 
-def reference_min_ball_leftover(vectors, measures, x_idx, r) -> float:
-    """min over u in X of mu(X minus Ball(u, r)) from the all-pairs distance matrix."""
+def reference_leftover_rows(vectors, measures, x_idx, r) -> np.ndarray:
+    """mu(X minus Ball(u, r)) for each u in X, from the all-pairs distance matrix."""
     pts = vectors[x_idx]
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     outside = (d > r) * measures[x_idx][None, :]
-    return float(outside.sum(axis=1).min())
+    return outside.sum(axis=1)
+
+
+def reference_min_ball_leftover(vectors, measures, x_idx, r) -> float:
+    """min over u in X of mu(X minus Ball(u, r))."""
+    return float(reference_leftover_rows(vectors, measures, x_idx, r).min())
 
 
 def reference_draw(vectors, measures, limit, r, p, rng):

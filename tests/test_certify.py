@@ -12,7 +12,7 @@ from bufpart import (BufferedPartition, Graph, brute_force_h_k_eps, buffered_exp
                      robust_expansion, validate_partition)
 from bufpart import certify
 from bufpart.certify import _canonical_labels, certify_run
-from conftest import (cycle, disjoint_cliques, k4, planted, tiny_connected,
+from conftest import (cycle, disjoint_cliques, from_sets, k4, planted, tiny_connected,
                       tiny_connected_suite, weight, weighted_er)
 
 
@@ -244,7 +244,7 @@ class TestCanonicalLabels:
 class TestBufferedLowerBound:
     def test_component_partition_zero_slack_side(self):
         g = disjoint_cliques([3, 3])
-        part = BufferedPartition.from_sets([[0, 1, 2], [3, 4, 5]], [[], []], 0.0)
+        part = from_sets([[0, 1, 2], [3, 4, 5]], [[], []], 0.0)
         passed, slack = check_buffered_lower_bound(g, part, 2)
         assert passed
         assert slack == pytest.approx(0.0, abs=1e-9)
@@ -266,7 +266,7 @@ class TestBufferedLowerBound:
             eps = max(ratios)
             if eps >= 1.0:
                 continue
-            part = BufferedPartition.from_sets(parts, buffers, min(eps * 1.0000001, 0.999999))
+            part = from_sets(parts, buffers, min(eps * 1.0000001, 0.999999))
             passed, slack = check_buffered_lower_bound(g, part, k)
             assert passed, f"lower bound violated: slack {slack}"
             cases += 1
@@ -287,7 +287,7 @@ class TestBufferedLowerBound:
             buffers = [np.flatnonzero(assign == 2 * i + 1) for i in range(k)]
             if any(p.size == 0 for p in parts) or np.all(g.weights >= g.incident_cost()):
                 continue
-            part = BufferedPartition.from_sets(parts, buffers, 0.999999)
+            part = from_sets(parts, buffers, 0.999999)
             if not validate_partition(g, part).valid:
                 continue
             passed, slack = check_buffered_lower_bound(g, part, k)
@@ -302,7 +302,7 @@ class TestBufferedLowerBound:
         # A given basis supplies lambda_k as is; a k' = 4 solve and the k = 2 one
         # agree on lambda_2 to rounding, not to the bit.
         g = tiny_connected(8, 71)
-        part = BufferedPartition.from_sets([[0, 1, 2, 3], [4, 5, 6, 7]], [[], []], 0.0)
+        part = from_sets([[0, 1, 2, 3], [4, 5, 6, 7]], [[], []], 0.0)
         own = check_buffered_lower_bound(g, part, 2)
         wider = eigenbasis(normalized_laplacian(g), 4)
         passed, slack = check_buffered_lower_bound(g, part, 2, basis=wider)
@@ -312,7 +312,7 @@ class TestBufferedLowerBound:
 
     def test_mismatched_basis_rejected(self):
         g = tiny_connected(8, 71)
-        part = BufferedPartition.from_sets([[0, 1, 2, 3], [4, 5, 6, 7]], [[], []], 0.0)
+        part = from_sets([[0, 1, 2, 3], [4, 5, 6, 7]], [[], []], 0.0)
         other = eigenbasis(normalized_laplacian(tiny_connected(7, 72)), 3)
         with pytest.raises(ValueError, match="basis"):
             check_buffered_lower_bound(g, part, 2, basis=other)
@@ -322,7 +322,7 @@ class TestBufferedLowerBound:
 
     def test_invalid_partition_raises(self):
         g = k4()
-        part = BufferedPartition.from_sets([[0], []], [[], []], 0.0)
+        part = from_sets([[0], []], [[], []], 0.0)
         with pytest.raises(Exception, match="condition"):
             check_buffered_lower_bound(g, part, 2)
 
@@ -415,7 +415,7 @@ def test_robust_expansion_eigenvalue_spot_check():
 class TestCertifyRun:
     def test_disconnected_zero_ratio(self):
         g = disjoint_cliques([3, 3])
-        part = BufferedPartition.from_sets([[0, 1, 2], [3, 4, 5]], [[], []], 0.0)
+        part = from_sets([[0, 1, 2], [3, 4, 5]], [[], []], 0.0)
         basis = eigenbasis(normalized_laplacian(g), 2)
         cert = certify_run(g, 2, 0.1, part, partition_cost(g, part), basis)
         assert cert.approx_ratio == 0.0

@@ -19,7 +19,8 @@ from bufpart.cli import _assignment_json, _read_partition_file, run
 from bufpart.graph import BufferedPartition, Graph, PartitionError, load_graph
 from bufpart.reports import render_json
 from bufpart import certify
-from conftest import four_component_union, lapack_spectrum, weighted_er, wide_spectrum_draws
+from conftest import (four_component_union, from_sets, lapack_spectrum, weighted_er,
+                      wide_spectrum_draws)
 
 
 def _schema_dir() -> Path:
@@ -376,7 +377,7 @@ class TestAssignmentText:
     def test_overlapping_sets_are_rejected(self):
         with pytest.raises(PartitionError, match=r"^condition 1 violated: sets are not "
                                                  r"pairwise disjoint \(vertex 1\)$"):
-            BufferedPartition.from_sets([[0, 1], [1, 2]], [[2, 3], [3]], 0.0)
+            from_sets([[0, 1], [1, 2]], [[2, 3], [3]], 0.0)
 
     @pytest.mark.parametrize("command", [["cheeger2"], ["balanced-cut"],
                                          ["kbalanced", "--k", "3"],

@@ -14,7 +14,8 @@ import pytest
 from bufpart import (BufferedPartition, Graph, balanced, buffered_balanced_cut,
                      cheeger2_buffered, kway_balanced, validate_partition)
 from bufpart.graph import _cut_report
-from conftest import columns, cycle, disjoint_cliques, planted, random_regular, weighted_er
+from conftest import (columns, cycle, disjoint_cliques, from_sets, planted, random_regular,
+                      weighted_er)
 from cut_oracles import (reference_balanced_cut, reference_crossing_cost, reference_cut_report,
                          reference_kway, reference_two_threshold_cut, reference_violations)
 
@@ -288,7 +289,7 @@ def test_partition_label_pass_matches_per_part_loops_fuzz():
     for _ in range(320):
         g, label, k, eps = random_labelled_partition(rng)
         sets = [rng.permutation(np.flatnonzero(label == j)) for j in range(2 * k)]
-        part = BufferedPartition.from_sets(sets[::2], sets[1::2], eps)
+        part = from_sets(sets[::2], sets[1::2], eps)
         got = validate_partition(g, part).violations
         assert got == reference_violations(g, part)
         valid += not got

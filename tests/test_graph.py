@@ -8,13 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bufpart import (BufferedPartition, Graph, GraphError, PartitionError,
-                     buffered_expansion, cut_cost, load_graph, partition_cost,
-                     validate_partition)
+from bufpart import (Graph, GraphError, PartitionError, buffered_expansion, cut_cost, load_graph,
+                     partition_cost, validate_partition)
 from bufpart import graph as graph_module
 from bufpart.graph import _WHITESPACE, _radix_order, _records, interval_sums, least_exact
-from conftest import (columns, disjoint_cliques, k4, path, planted, tiny_connected, triangle,
-                      weighted_er)
+from conftest import (columns, disjoint_cliques, from_sets, k4, path, planted, tiny_connected,
+                      triangle, weighted_er)
 from ingest_oracle import reference_load_graph
 
 
@@ -307,7 +306,7 @@ class TestBufferedExpansion:
 
 class TestBufferedPartitionLabels:
     def test_from_sets_labels_each_vertex_once(self):
-        part = BufferedPartition.from_sets([np.array([3, 0]), [2, 2]], [[5], ()], 0.25)
+        part = from_sets([np.array([3, 0]), [2, 2]], [[5], ()], 0.25)
         assert part.label.tolist() == [0, -1, 2, 0, -1, 1]
         assert (part.k, part.epsilon) == (2, 0.25)
         assert [p.tolist() for p in part.parts] == [[0, 3], [2]]
@@ -315,16 +314,16 @@ class TestBufferedPartitionLabels:
 
     def test_from_sets_rejects_negative_ids_and_unpaired_buffers(self):
         with pytest.raises(PartitionError, match="negative vertex id -2"):
-            BufferedPartition.from_sets([[0, -2]], [[]], 0.0)
+            from_sets([[0, -2]], [[]], 0.0)
         with pytest.raises(PartitionError, match="one buffer per part"):
-            BufferedPartition.from_sets([[0], [1]], [[]], 0.0)
+            from_sets([[0], [1]], [[]], 0.0)
 
     def test_from_sets_does_not_sort(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("from_sets sorted")
         for name in ("unique", "sort", "argsort", "lexsort"):
             monkeypatch.setattr(np, name, refuse)
-        part = BufferedPartition.from_sets([np.arange(50, 0, -1)], [[0]], 0.1)
+        part = from_sets([np.arange(50, 0, -1)], [[0]], 0.1)
         assert part.label.tolist() == [1] + [0] * 50
 
 
@@ -333,34 +332,34 @@ class TestValidatePartition:
         g = Graph.build(4, [0, 1, 2], [1, 2, 3], [1.0, 1.0, 1.0],
                         weights=[2.0, 1.0, 2.0, 1.0])
         # w(B_1) = 1 = 0.5 * w(P_1) exactly
-        part = BufferedPartition.from_sets([[0], [2]], [[1], [3]], 0.5)
+        part = from_sets([[0], [2]], [[1], [3]], 0.5)
         assert validate_partition(g, part).valid
 
     def test_overlap_names_condition_1(self):
         with pytest.raises(PartitionError, match=r"^condition 1 violated: sets are not "
                                                  r"pairwise disjoint \(vertex 1\)$"):
-            BufferedPartition.from_sets([[0, 1], [2]], [[], [1]], 0.9)
+            from_sets([[0, 1], [2]], [[], [1]], 0.9)
 
     def test_empty_part_names_condition_3(self):
-        part = BufferedPartition.from_sets([[0, 1, 2, 3], []], [[], []], 0.5)
+        part = from_sets([[0, 1, 2, 3], []], [[], []], 0.5)
         report = validate_partition(k4(), part)
         assert not report.valid
         assert any("condition 3" in v for v in report.violations)
 
     def test_missing_vertex_names_condition_2(self):
-        part = BufferedPartition.from_sets([[0], [1]], [[], []], 0.5)
+        part = from_sets([[0], [1]], [[], []], 0.5)
         report = validate_partition(k4(), part)
         assert any("condition 2" in v for v in report.violations)
 
     def test_reports_every_violation(self):
-        part = BufferedPartition.from_sets([[0], []], [[1], []], 0.5)
+        part = from_sets([[0], []], [[1], []], 0.5)
         assert validate_partition(k4(), part).violations == (
             "condition 2 violated: union does not cover V (vertex 2)",
             "condition 3 violated: part 1 is empty",
             "condition 4 violated: w(B_0)=3.0 > eps*w(P_0)=1.5")
 
     def test_out_of_range_ids_are_named_per_set(self):
-        part = BufferedPartition.from_sets([[0, 5], [1, 2]], [[], [3, 4]], 0.9)
+        part = from_sets([[0, 5], [1, 2]], [[], [3, 4]], 0.9)
         assert validate_partition(k4(), part).violations == (
             "part 0 has out-of-range vertices", "buffer 1 has out-of-range vertices")
 
@@ -376,7 +375,7 @@ class TestValidatePartition:
                          for i in range(k)]
                 buffers = [[v for v in range(g.n) if assign[v] == 2 * i + 1]
                            for i in range(k)]
-                part = BufferedPartition.from_sets(parts, buffers, eps)
+                part = from_sets(parts, buffers, eps)
                 reference = all(len(p) > 0 for p in parts) and all(
                     sum(g.weights[v] for v in buffers[i]) <=
                     eps * sum(g.weights[v] for v in parts[i])
@@ -389,22 +388,22 @@ class TestValidatePartition:
 class TestPartitionCost:
     def test_component_partition_costs_zero(self):
         g = disjoint_cliques([3, 4])
-        part = BufferedPartition.from_sets([[0, 1, 2], [3, 4, 5, 6]], [[], []], 0.0)
+        part = from_sets([[0, 1, 2], [3, 4, 5, 6]], [[], []], 0.0)
         report = partition_cost(g, part)
         assert report.max_expansion == 0.0
 
     def test_k4_split(self):
-        part = BufferedPartition.from_sets([[0, 1], [2, 3]], [[], []], 0.0)
+        part = from_sets([[0, 1], [2, 3]], [[], []], 0.0)
         report = partition_cost(k4(), part)
         assert report.per_part_expansion == pytest.approx((4.0 / 6.0, 4.0 / 6.0))
         assert report.max_expansion == pytest.approx(2.0 / 3.0)
 
     def test_single_part_zero(self):
-        part = BufferedPartition.from_sets([[0, 1, 2, 3]], [[]], 0.0)
+        part = from_sets([[0, 1, 2, 3]], [[]], 0.0)
         assert partition_cost(k4(), part).max_expansion == 0.0
 
     def test_invalid_partition_raises_with_first_condition(self):
-        part = BufferedPartition.from_sets([[0], []], [[], []], 0.0)
+        part = from_sets([[0], []], [[], []], 0.0)
         with pytest.raises(PartitionError, match="condition"):
             partition_cost(k4(), part)
 

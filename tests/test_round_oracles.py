@@ -5,6 +5,7 @@ reproduced exactly, so these comparisons use exact equality throughout.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -19,7 +20,8 @@ from bufpart import certify, partition, separators
 from bufpart.partition import resolve_step2
 from conftest import columns, disjoint_cliques, planted, weighted_er
 from round_oracles import (crude_of_rounds, crude_sets, reached, reference_crude_partition,
-                           reference_draw, reference_min_ball_leftover, reference_project,
+                           reference_draw, reference_leftover_rows,
+                           reference_min_ball_leftover, reference_project,
                            reference_refine_and_discard, refined_tuples)
 
 CLIQUES6 = disjoint_cliques([34, 34, 33, 33, 33, 33])
@@ -563,6 +565,131 @@ def test_min_ball_decision_equals_all_pairs_oracle(case):
     assert _decisions(vectors, mu, sets, limit, r).tolist() == want
 
 
+def _ring(count, seed):
+    """count unit vectors on a ring at polar angle 0.5 about e_3, which is the
+    last vector, with measures in [1, 2) on the ring and 1 at e_3; r = 0.3.
+
+    e_3 is the pivot, at rule distance 2 sin(0.25) ~ 0.495 > r from every
+    ring member, so its row is the ring's whole mass.  For a limit from 1 up
+    to below that mass the pivot row accepts nothing, and the pivot bound
+    keeps every ring member (all at one distance from e_3) and excludes e_3
+    itself: the set is open, and its kept centers are its ring members in
+    member order.
+    """
+    phi = 2.0 * np.pi * np.arange(count) / count
+    ring = np.column_stack([math.sin(0.5) * np.cos(phi), math.sin(0.5) * np.sin(phi),
+                            np.full(count, math.cos(0.5))])
+    vectors = np.vstack([ring, [0.0, 0.0, 1.0]])
+    mu = np.append(1.0 + np.random.default_rng(seed).random(count), 1.0)
+    return vectors, mu, 0.3
+
+
+def _scored_centres(monkeypatch):
+    """The centers _leftover_rows scores, one list per call."""
+    calls = []
+    real = separators._leftover_rows
+
+    def counting(*args):
+        calls.append(args[3].tolist())
+        return real(*args)
+
+    monkeypatch.setattr(separators, "_leftover_rows", counting)
+    return calls
+
+
+def _ring_order(count, accepting, at):
+    """The ring members with `accepting` moved to position `at`, then e_3."""
+    others = [i for i in range(count) if i != accepting]
+    return np.array(others[:at] + [accepting] + others[at:] + [count])
+
+
+# Where the only accepting center sits among the kept centers: inside a later
+# pass, or first in its pass.
+@pytest.mark.parametrize("where", ["later pass", "first of a pass"])
+def test_min_ball_stops_at_the_pass_of_the_first_accepting_center(where, monkeypatch):
+    chunk = separators._CENTRE_ROWS
+    count = 4 * chunk
+    vectors, mu, r = _ring(count, 3)
+    rows = reference_leftover_rows(vectors, mu, np.arange(count + 1), r)
+    accepting = int(np.argmin(rows))
+    limit = float(rows[accepting])
+    assert np.count_nonzero(rows <= limit) == 1 and rows[count] > limit
+    at = chunk + chunk // 2 if where == "later pass" else 2 * chunk
+    x_idx = _ring_order(count, accepting, at)
+    calls = _scored_centres(monkeypatch)
+    assert _decisions(vectors, mu, [x_idx], limit, r).tolist() == [True]
+    assert reference_min_ball_leftover(vectors, mu, x_idx, r) <= limit
+    # Whole passes of the kept centers (the ring, in order) up to the one
+    # holding the accepting center, and none after it.
+    end = (at // chunk + 1) * chunk
+    assert calls == [list(range(lo, lo + chunk)) for lo in range(0, end, chunk)]
+    assert len(calls) > 1 and end < count
+    if where == "first of a pass":
+        assert calls[-1][0] == at
+
+
+def test_min_ball_scores_every_kept_center_before_it_rejects(monkeypatch):
+    chunk = separators._CENTRE_ROWS
+    count = 4 * chunk + 5                   # a partial last pass
+    vectors, mu, r = _ring(count, 5)
+    x_idx = np.arange(count + 1)
+    limit = float(np.nextafter(reference_min_ball_leftover(vectors, mu, x_idx, r), 0.0))
+    calls = _scored_centres(monkeypatch)
+    assert _decisions(vectors, mu, [x_idx], limit, r).tolist() == [False]
+    assert [c for call in calls for c in call] == list(range(count))
+    assert [len(call) for call in calls] == [chunk] * 4 + [5]
+
+
+def test_min_ball_memory_does_not_grow_with_the_open_set_squared(monkeypatch):
+    # One open set of 3,001 members that rejects after scoring all 3,000
+    # kept centers.  A |kept| x |X| Gram would be 72 MB; the passes hold
+    # _CENTRE_ROWS x |X| distances at a time.
+    count = 3000
+    vectors, mu, r = _ring(count, 7)
+    x_idx = np.arange(count + 1)
+    limit = float(mu[:count].sum()) / 2.0   # every ring row is about 0.8 of the ring's mass
+    calls = _scored_centres(monkeypatch)
+    assert _decisions(vectors, mu, [x_idx], limit, r).tolist() == [False]
+    assert sum(len(call) for call in calls) == count
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        decided = _decisions(vectors, mu, [x_idx], limit, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decided.tolist() == [False]
+    assert peak < 4 * 2 ** 20, peak
+
+
+def test_draw_blocks_larger_than_the_blas_product_match_reference(monkeypatch):
+    # n = 200 and k' = 4: a normals() block of 607 // 4 = 151 draws, whose
+    # aimed directions enter the product 607 // 200 = 3 at a time.
+    monkeypatch.setattr(separators, "BLOCK_VALUES", 607)
+    aimed = []
+    real = separators._aimed
+
+    def spy(gs, floor):
+        rows, margin = real(gs, floor)
+        aimed.append((gs.shape[0], rows.size))
+        return rows, margin
+
+    monkeypatch.setattr(separators, "_aimed", spy)
+    g, k, eps, delta = CASES["planted-k4"]
+    e = _embedding(g, k)
+    eff = resolve_step2(g.n, k, eps, delta)
+    for seed in range(2):
+        aimed.clear()
+        got = separators.measured_draws(e.psi, e.mu, eff.delta_sep, eff.params,
+                                        RandomStream(seed, "blocks", k), eff.rounds)
+        want = reference_crude_partition(e, eff, RandomStream(seed, "blocks", k))
+        assert got
+        assert_same_draws(got, reached(want.draws))
+        assert [size for size, _ in aimed[:-1]] == [151] * (len(aimed) - 1)
+        assert max(rows for _, rows in aimed) > 3
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 6])
 def test_normals_block_equals_successive_calls(k):
     blocks = 37
@@ -588,13 +715,17 @@ def test_crude_partition_normals_calls(monkeypatch):
         return original(self, count)
 
     monkeypatch.setattr(RandomStream, "normals", counting)
-    for block_values in (separators.BLOCK_VALUES, 50 * g.n):
+    # A block holds BLOCK_VALUES // k' draws whatever n is: one call for the
+    # whole restart at the default, several with a small BLOCK_VALUES.
+    for block_values in (separators.BLOCK_VALUES, 50 * g.n, 100 * k + 5):
         monkeypatch.setattr(separators, "BLOCK_VALUES", block_values)
         calls.clear()
         c = crude_partition(e, resolve_step2(g.n, k, eps, delta), RandomStream(0, "count"))
-        block = max(1, block_values // g.n)
-        assert len(calls) == math.ceil(c.effective.rounds / block)
+        draws = max(1, block_values // k)
+        assert len(calls) == math.ceil(c.effective.rounds / draws)
         assert sum(calls) == k * c.effective.rounds
+        assert calls[:-1] == [k * draws] * (len(calls) - 1)
+    assert len(calls) == 12
 
 
 def test_driver_solves_one_eigenbasis(monkeypatch):
