@@ -68,7 +68,7 @@ def check_buffered_lower_bound(g: Graph, part: BufferedPartition, k: int,
     elif basis.eigenvectors.shape[0] != g.n or basis.k_prime < k:
         raise ValueError(f"basis of shape {basis.eigenvectors.shape} does not hold "
                          f"the bottom {k} eigenpairs of this {g.n}-vertex graph")
-    if np.all(g.weights >= g.incident_cost()):
+    if np.all(g.weights >= g.incident):
         bound = 2.0 * report.max_expansion + part.epsilon
     else:       # P_i u B_i as the core of part i with no buffer: phi is phi(P_i u B_i)
         merged = BufferedPartition(label=part.label[:g.n] & ~1, k=part.k, epsilon=part.epsilon)

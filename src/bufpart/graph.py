@@ -95,6 +95,7 @@ class Graph:
     edge_u: np.ndarray           # (m,) int64, edge_u[i] < edge_v[i]
     edge_v: np.ndarray
     edge_cost: np.ndarray        # (m,) float64, > 0
+    incident: np.ndarray         # (n,) float64, inc_u: the total cost of u's edges
     labels: tuple = ()           # external ids in internal order, () when native
 
     @staticmethod
@@ -163,14 +164,12 @@ class Graph:
             if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
                 raise GraphError("vertex weights must be positive and finite")
         _check_scale(n, ec, w, incident)
-        return Graph(n=int(n), weights=w, edge_u=eu, edge_v=ev, edge_cost=ec, labels=labels)
+        return Graph(n=int(n), weights=w, edge_u=eu, edge_v=ev, edge_cost=ec, incident=incident,
+                     labels=labels)
 
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
-
-    def incident_cost(self) -> np.ndarray:
-        return _incident_cost(self.n, self.edge_u, self.edge_v, self.edge_cost)
 
     def mask(self, vertices: Iterable[int]) -> np.ndarray:
         m = np.zeros(self.n, dtype=bool)
@@ -192,8 +191,10 @@ class Graph:
         ru, rv = remap[self.edge_u], remap[self.edge_v]
         inside = (ru >= 0) & (rv >= 0)
         eu, ev, ec, w = ru[inside], rv[inside], self.edge_cost[inside], self.weights[keep]
-        _check_scale(keep.size, ec, w, _incident_cost(keep.size, eu, ev, ec))
-        return Graph(n=int(keep.size), weights=w, edge_u=eu, edge_v=ev, edge_cost=ec), keep
+        incident = _incident_cost(keep.size, eu, ev, ec)
+        _check_scale(keep.size, ec, w, incident)
+        return Graph(n=int(keep.size), weights=w, edge_u=eu, edge_v=ev, edge_cost=ec,
+                     incident=incident), keep
 
 
 def _radix_order(*keys: np.ndarray) -> np.ndarray:

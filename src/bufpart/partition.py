@@ -17,10 +17,13 @@ reads the sets it needs off the labels; the one set view, CrudePartition.rounds,
 is there for bench/layers.py.
 
 The draws come from separators.measured_draws(), which evaluates a whole
-restart's draws at once and returns only the draws that reach a vector; a
-draw that reaches nothing changes no set.  Each reached draw's bookkeeping
-touches only the labels of X u Y u Z, and a round gets a number j (with its
-draw index in draws[j]) only when its Ptilde or Btilde is non-empty.
+restart's draws at once and returns the (draw, vertex, role) entries of its
+accepted draws in draw order.  The bookkeeping above is a first-touch rule,
+computed per vertex: v is in Ptilde of the earliest draw that touches it
+when that touch is in X, else in Btilde of the first draw whose X or Y
+holds it, else in R_B when some draw touches it and in R_P when none does.
+A round gets a number j (with its draw index in draws[j]), in draw order,
+only when it owns a vertex.
 
 Step 3 refines each round by a threshold search over the member measures (a
 strictly stronger replacement for the probabilistic-method existence argument:
@@ -187,25 +190,22 @@ class CrudePartition:
 
 def crude_partition(e: Embedding, eff: EffectiveParams, rng: RandomStream) -> CrudePartition:
     """Step 2: the eff.rounds separator draws of eff.params, with the
-    crude-partition bookkeeping; a draw is rejected when its min-ball leftover
-    exceeds eff.delta_sep mu(U)."""
-    label = np.full(e.graph.n, -1, dtype=np.int64)      # R_P until touched
-    draws: list[int] = []
-    rejects = 0
-    for t, s in measured_draws(e.psi, e.mu, eff.delta_sep, eff.params, rng, eff.rounds):
-        rejects += s.rejected   # a rejected draw has empty sets and changes nothing
-        # Index work on X u Y u Z only; the round is recorded as j if it sets anything.
-        j = len(draws)
-        p_tilde = s.x[label[s.x] == -1]
-        label[p_tilde] = 2 * j
-        xy = np.union1d(s.x, s.y) if s.y.size else s.x
-        b_tilde = xy[label[xy] < 0]
-        label[b_tilde] = 2 * j + 1
-        label[s.z[label[s.z] == -1]] = -2   # a draw that only adds Z still moves it to R_B
-        if p_tilde.size or b_tilde.size:
-            draws.append(t)
-    return CrudePartition(label=label, draws=np.array(draws, dtype=np.int64), effective=eff,
-                          reject_count=rejects)
+    crude-partition bookkeeping as the module docstring's first-touch rule; a
+    draw is rejected when its min-ball leftover exceeds eff.delta_sep mu(U),
+    and a rejected draw changes nothing."""
+    draw, vertex, role, rejected = measured_draws(e.psi, e.mu, eff.delta_sep, eff.params, rng,
+                                                  eff.rounds)
+    label = np.full(e.graph.n, -1, dtype=np.int64)      # R_P: never touched
+    # The entries are in draw order, so np.unique's first index is a first touch.
+    touched, first = np.unique(vertex, return_index=True)
+    label[touched] = -2
+    xy = np.flatnonzero(role < 2)
+    owned, at = np.unique(vertex[xy], return_index=True)
+    at = xy[at]                                         # each owned vertex's first X or Y
+    in_p = role[first[np.searchsorted(touched, owned)]] == 0    # first touched in X
+    draws, j = np.unique(draw[at], return_inverse=True)
+    label[owned] = 2 * j + ~in_p
+    return CrudePartition(label=label, draws=draws, effective=eff, reject_count=rejected.size)
 
 
 @dataclass(frozen=True)

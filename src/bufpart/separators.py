@@ -45,11 +45,12 @@ formulas decide the rest:
 So X, Y, Z and every rejection are the same bits for any BLAS build, thread
 count, block size and pass size, and no step holds more than about
 BLOCK_VALUES directions or projections, or _CENTRE_ROWS x |X| distances.
-Only the draws that reach a vector are returned, as (draw index, sample),
-rejected or not.  A draw that reaches nothing consumes its direction from
-the stream and returns nothing.  sample_two_buffers() is a one-draw run of
-the same routine, so it gives the same bits as the matching draw of a longer
-run.
+A run is returned as columns: the (draw, vertex, role) entries of every
+accepted draw that reaches a vector, role 0 for X, 1 for Y and 2 for Z, in
+draw order and by vertex within a draw, and the rejected draws.  A draw that
+reaches nothing consumes its direction from the stream and appears nowhere.
+sample_two_buffers() is a one-draw run of the same routine, so it gives the
+same bits as the matching draw of a longer run.
 """
 
 from __future__ import annotations
@@ -276,18 +277,19 @@ def _min_ball_accepted(vectors: np.ndarray, measures: np.ndarray, members: np.nd
 
 def measured_draws(vectors: np.ndarray, measures: np.ndarray, delta: float,
                    params: SeparatorParams, stream: RandomStream, count: int
-                   ) -> list[tuple[int, SeparatorSample]]:
-    """(index, sample) for each of count successive draws that reaches a vector.
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(draw, vertex, role, rejected) of count successive draws, indexed 0..count-1.
 
     params fixes the thresholds and the min-ball radius params.r; a draw is
     rejected when its min-ball leftover exceeds delta mu(U).  The inputs are
     validated once.  Each block of up to max(1, BLOCK_VALUES // dim) draws
     takes its Gaussian directions from one normals() call, whatever the
     number of vectors; that consumes the stream exactly as one call per draw
-    would, so the draws do not depend on the block size.  A draw whose
-    X u Y u Z is empty is consumed but not returned; every other draw is
-    checked by the min-ball rejection and returned, rejected or not, with its
-    index in 0..count-1, in draw order.
+    would, so the draws do not depend on the block size.  draw, vertex and
+    role (int8: 0 X, 1 Y, 2 Z) hold one entry per member of X u Y u Z of
+    every accepted draw, in draw order and with ascending vertices within a
+    draw; rejected lists the draws that reached a vector and were rejected,
+    in ascending order.  A draw whose X u Y u Z is empty is in neither.
     """
     if delta <= 0.0 or delta > 2.0 / 3.0:
         raise ValueError(f"measured separators need delta in (0, 2/3], got {delta}")
@@ -346,14 +348,16 @@ def _draw_blocks(vectors, measures, limit, p, stream, count):
     Y and Z are the same bits for any BLAS and any block size.  A block's
     aimed directions enter the product BLOCK_VALUES // n at a time, so the
     product holds about BLOCK_VALUES values, like the block's directions.
-    The X sets of the whole run then go through one _min_ball_accepted() call.
+    The X sets of the whole run then go through one _min_ball_accepted() call,
+    and one np.isin drops the entries of the draws it rejects.
     """
     count_v, dim = vectors.shape
     columns = np.ascontiguousarray(vectors.T)
     block = max(1, BLOCK_VALUES // max(dim, 1))
     product = max(1, BLOCK_VALUES // max(count_v, 1))
     floor = min(p.t - 2.0 * p.eps_prime, p.t)     # no entry below it is reached
-    found = []
+    empty = np.empty(0, dtype=np.int64)
+    found = [(empty, empty, np.empty(0, dtype=np.int8))]
     for first in range(0, count, block):
         size = min(block, count - first)
         gs = stream.normals(dim * size).reshape(size, dim)
@@ -365,26 +369,17 @@ def _draw_blocks(vectors, measures, limit, p, stream, count):
             rows = batch[rows]
             x, y, z = classify(_projections(gs, columns, rows, cols), p)
             hit = x | y | z
-            found.append((first + rows[hit], cols[hit], x[hit], y[hit], z[hit]))
-    if not found:
-        return []
-    draw, cols, x, y, z = (np.concatenate(parts) for parts in zip(*found))
-    # draw is sorted, so each reached draw is one run of equal entries and
-    # its X set one run of the X entries.
-    starts = np.flatnonzero(np.diff(draw, prepend=-1))
+            role = (y + 2 * z).astype(np.int8)
+            found.append((first + rows[hit], cols[hit], role[hit]))
+    draw, vertex, role = (np.concatenate(parts) for parts in zip(*found))
+    # draw is sorted, so each draw's X set is one run of the X entries.
+    x = role == 0
     x_draw = draw[x]
     x_starts = np.flatnonzero(np.diff(x_draw, prepend=-1))
-    passed = _min_ball_accepted(vectors, measures, cols[x], x_starts, limit, p.r)
-    refused_draws = np.isin(draw[starts], x_draw[x_starts[~passed]]).tolist()
-    empty = np.empty(0, dtype=np.int64)
-    refused = SeparatorSample(x=empty, y=empty, z=empty, rejected=True)
-    out = []
-    for lo, hi, index, no in zip(starts.tolist(), starts[1:].tolist() + [draw.size],
-                                 draw[starts].tolist(), refused_draws):
-        span = cols[lo:hi]
-        out.append((index, refused if no else
-                    SeparatorSample(x=span[x[lo:hi]], y=span[y[lo:hi]], z=span[z[lo:hi]])))
-    return out
+    passed = _min_ball_accepted(vectors, measures, vertex[x], x_starts, limit, p.r)
+    rejected = x_draw[x_starts[~passed]]
+    keep = ~np.isin(draw, rejected)
+    return draw[keep], vertex[keep], role[keep], rejected
 
 
 def sample_two_buffers(vectors: np.ndarray, measures: np.ndarray, epsilon: float,
@@ -392,13 +387,14 @@ def sample_two_buffers(vectors: np.ndarray, measures: np.ndarray, epsilon: float
                        params: SeparatorParams | None = None) -> SeparatorSample:
     """Measure-constrained separator with both buffer layers Y and Z.
 
-    One draw of measured_draws(); its sets are all empty when it reaches no
-    vector.  Without params the family is calibrate(epsilon, 2/delta, r);
-    with params, epsilon and r are those of params.  bench/layers.py wraps it
-    by name, and its install() raises without it.
+    The one-draw view of measured_draws() columns, and the only place that
+    builds a SeparatorSample; its sets are all empty when the draw reaches no
+    vector or is rejected.  Without params the family is
+    calibrate(epsilon, 2/delta, r); with params, epsilon and r are those of
+    params.  bench/layers.py wraps it by name, and its install() raises
+    without it.
     """
     p = params if params is not None else calibrate(epsilon, 2.0 / delta, r)
-    for _, sample in measured_draws(vectors, measures, delta, p, stream, 1):
-        return sample
-    empty = np.empty(0, dtype=np.int64)
-    return SeparatorSample(x=empty, y=empty, z=empty)
+    _, vertex, role, rejected = measured_draws(vectors, measures, delta, p, stream, 1)
+    return SeparatorSample(x=vertex[role == 0], y=vertex[role == 1], z=vertex[role == 2],
+                           rejected=bool(rejected.size))

@@ -100,7 +100,7 @@ def normalized_laplacian(g: Graph) -> LaplacianOperator:
     # other entry keeps the bits of c_uv / sqrt(w_u w_v)
     normal = (prod >= _TINY) & np.isfinite(prod)
     root = np.sqrt(prod, where=normal, out=np.sqrt(wu) * np.sqrt(wv))
-    return LaplacianOperator(graph=g, n=g.n, diag=g.incident_cost() / g.weights,
+    return LaplacianOperator(graph=g, n=g.n, diag=g.incident / g.weights,
                              off_scale=g.edge_cost / root)
 
 

@@ -226,7 +226,7 @@ def planted_blocks(n: int, blocks: int, seed: int, pairs: int = 15,
     g = Graph.build(n, keys // n, keys % n, cost)
     if weighted:
         g = Graph.build(n, keys // n, keys % n, cost,
-                        weights=g.incident_cost() * rng.uniform(1.0, 2.0, n))
+                        weights=g.incident * rng.uniform(1.0, 2.0, n))
     return g
 
 

@@ -89,25 +89,36 @@ class ReferenceCrude:
     reject_count: int
 
 
-def reached(draws):
-    """(index, draw) of each (x, y, z, rejected) draw that reached a vector."""
-    return [(t, d) for t, d in enumerate(draws) if d[3] or d[0].size or d[1].size or d[2].size]
+def draw_columns(draws):
+    """The (x, y, z, rejected) draws as measured_draws() returns a run:
+    (draw, vertex, role, rejected), the X, Y and Z members (role 0, 1, 2) of
+    each accepted draw by draw and then vertex, and the rejected draws."""
+    empty = np.empty(0, dtype=np.int64)
+    parts = [(empty, empty, np.empty(0, dtype=np.int8))] + [
+        (np.full(s.size, t, dtype=np.int64), s, np.full(s.size, role, dtype=np.int8))
+        for t, (x, y, z, rejected) in enumerate(draws) if not rejected
+        for role, s in enumerate((x, y, z))]
+    draw, vertex, role = (np.concatenate(c) for c in zip(*parts))
+    order = np.lexsort((vertex, draw))
+    rejected = np.array([t for t, d in enumerate(draws) if d[3]], dtype=np.int64)
+    return draw[order], vertex[order], role[order], rejected
 
 
 def reference_crude_partition(e, eff, rng) -> ReferenceCrude:
-    """Step 2 with one reference_draw call and full-length masks per draw."""
-    n = e.graph.n
-    psi, mu = e.psi, e.mu
-    limit = eff.delta_sep * float(mu.sum())
+    """Step 2 with one reference_draw call per draw and reference_rounds() bookkeeping."""
+    limit = eff.delta_sep * float(e.mu.sum())
+    return reference_rounds(e.graph.n, [reference_draw(e.psi, e.mu, limit, eff.params.r,
+                                                       eff.params, rng)
+                                        for _ in range(eff.rounds)])
+
+
+def reference_rounds(n, draws) -> ReferenceCrude:
+    """Step 2's bookkeeping over (x, y, z, rejected) draws, full-length masks per draw."""
     sigma = np.zeros(n, dtype=bool)
     gamma = np.zeros(n, dtype=bool)
     touched = np.zeros(n, dtype=bool)
-    draws = []
     active = []
-    for t in range(eff.rounds):
-        draw = reference_draw(psi, mu, limit, eff.params.r, eff.params, rng)
-        draws.append(draw)
-        sx, sy, sz, _ = draw
+    for t, (sx, sy, sz, _) in enumerate(draws):
         x = np.zeros(n, dtype=bool)
         x[sx] = True
         xy = x.copy()

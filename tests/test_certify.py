@@ -285,7 +285,7 @@ class TestBufferedLowerBound:
             assign = rng.integers(0, 2 * k, size=n)
             parts = [np.flatnonzero(assign == 2 * i) for i in range(k)]
             buffers = [np.flatnonzero(assign == 2 * i + 1) for i in range(k)]
-            if any(p.size == 0 for p in parts) or np.all(g.weights >= g.incident_cost()):
+            if any(p.size == 0 for p in parts) or np.all(g.weights >= g.incident):
                 continue
             part = from_sets(parts, buffers, 0.999999)
             if not validate_partition(g, part).valid:

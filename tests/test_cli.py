@@ -286,7 +286,7 @@ class TestLowerBoundInForce:
         *_, (drawn, edges, weights) = wide_spectrum_draws(7, t + 1)
         assert drawn == t
         g = load_graph(edges, weights)
-        assert np.any(g.weights < g.incident_cost())
+        assert np.any(g.weights < g.incident)
         return ["--graph", _write(tmp_path, "g.edges", "\n".join(edges) + "\n"),
                 "--weights", _write(tmp_path, "g.weights", "\n".join(weights) + "\n")]
 

@@ -19,10 +19,10 @@ from bufpart import (Graph, RandomStream, buffered_k_partition, crude_partition,
 from bufpart import certify, partition, separators
 from bufpart.partition import resolve_step2
 from conftest import columns, disjoint_cliques, planted, weighted_er
-from round_oracles import (crude_of_rounds, crude_sets, reached, reference_crude_partition,
+from round_oracles import (crude_of_rounds, crude_sets, draw_columns, reference_crude_partition,
                            reference_draw, reference_leftover_rows,
                            reference_min_ball_leftover, reference_project,
-                           reference_refine_and_discard, refined_tuples)
+                           reference_refine_and_discard, reference_rounds, refined_tuples)
 
 CLIQUES6 = disjoint_cliques([34, 34, 33, 33, 33, 33])
 WEIGHTED = weighted_er(60, 0.15, 31)
@@ -61,12 +61,9 @@ def assert_same_crude(got, want):
 
 
 def assert_same_draws(got, want):
-    """measured_draws() pairs against the reference's reached (index, draw) pairs."""
-    assert [index for index, _ in got] == [index for index, _ in want]
-    for (index, a), (_, (x, y, z, rejected)) in zip(got, want):
-        assert a.rejected == rejected, index
-        for name, arr in (("x", x), ("y", y), ("z", z)):
-            assert _same_array(getattr(a, name), arr), (index, name)
+    """measured_draws() columns against the reference's draws as draw_columns() puts them."""
+    for name, a, b in zip(("draw", "vertex", "role", "rejected"), got, draw_columns(want)):
+        assert _same_array(a, b), name
 
 
 def assert_same_partial(got, want):
@@ -98,7 +95,7 @@ def test_block_rounds_match_per_draw_reference(case, block_values, monkeypatch):
         assert_same_crude(got, want)
         draws = separators.measured_draws(e.psi, e.mu, eff.delta_sep, eff.params,
                                           RandomStream(seed, "oracle", k), eff.rounds)
-        assert_same_draws(list(draws), reached(want.draws))
+        assert_same_draws(draws, want.draws)
 
 
 def test_oracle_cases_include_rejections():
@@ -108,6 +105,67 @@ def test_oracle_cases_include_rejections():
         eff = resolve_step2(g.n, k, eps, delta)
         rejects += crude_partition(e, eff, RandomStream(0, "oracle", k)).reject_count
     assert rejects > 0
+
+
+def test_measured_draws_columns_are_sorted_by_draw_then_vertex():
+    entries = rejects = 0
+    for g, k, eps, delta in CASES.values():
+        e = _embedding(g, k)
+        eff = resolve_step2(g.n, k, eps, delta)
+        draw, vertex, role, rejected = separators.measured_draws(
+            e.psi, e.mu, eff.delta_sep, eff.params, RandomStream(0, "oracle", k), eff.rounds)
+        assert draw.dtype == vertex.dtype == rejected.dtype == np.int64
+        assert role.dtype == np.int8 and set(role.tolist()) <= {0, 1, 2}
+        assert draw.shape == vertex.shape == role.shape
+        step = np.diff(draw)
+        assert np.all(step >= 0)
+        assert np.all(np.diff(vertex)[step == 0] > 0)
+        assert np.all(np.diff(rejected) > 0)
+        assert not np.isin(rejected, draw).any()
+        assert np.all((0 <= draw) & (draw < eff.rounds) & (0 <= vertex) & (vertex < g.n))
+        entries += draw.size
+        rejects += rejected.size
+    assert entries and rejects
+
+
+# Scripted Step-2 runs of 6 draws over 8 vertices: the (X, Y, Z) of each
+# accepted draw that reaches a vertex, the rejected draws, and the label and
+# round draws of the first-touch rule.
+FIRST_TOUCH = {
+    "z-then-x": ({0: ([0], [], [1]), 2: ([1, 2], [], [])}, [],
+                 [0, 3, 2, -1, -1, -1, -1, -1], [0, 2]),
+    "y-then-x": ({0: ([0], [1], []), 1: ([1, 3], [], [])}, [],
+                 [0, 1, -1, 2, -1, -1, -1, -1], [0, 1]),
+    "z-then-y-then-x": ({0: ([], [], [5]), 1: ([0], [5], []), 3: ([5], [], [])}, [],
+                        [0, -1, -1, -1, -1, 1, -1, -1], [1]),
+    "z-only-draw": ({0: ([0], [], []), 1: ([], [], [4, 5]), 2: ([6], [], [])}, [],
+                    [0, -1, -1, -1, -2, -2, 2, -1], [0, 2]),
+    "owned-draw": ({0: ([0, 1], [2], []), 1: ([1], [0, 2], [3]), 2: ([4], [], [])}, [],
+                   [0, 0, 1, -2, 2, -1, -1, -1], [0, 2]),
+    "rejected-draw": ({0: ([0], [1], []), 2: ([2], [], [])}, [1],
+                      [0, 1, 2, -1, -1, -1, -1, -1], [0, 2]),
+    "empty-run": ({}, [3, 5], [-1] * 8, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_TOUCH))
+def test_crude_labels_follow_the_first_touch_rule(case, monkeypatch):
+    accepted, rejected, label, draws = FIRST_TOUCH[case]
+    empty = np.empty(0, dtype=np.int64)
+    run = [(empty, empty, empty, True) if t in rejected else
+           tuple(np.array(s, dtype=np.int64) for s in accepted.get(t, ([], [], []))) + (False,)
+           for t in range(6)]
+    monkeypatch.setattr(partition, "measured_draws", lambda *args: draw_columns(run))
+    e = SimpleNamespace(graph=SimpleNamespace(n=8), psi=None, mu=None)
+    eff = SimpleNamespace(delta_sep=0.1, params=None, rounds=len(run))
+    got = crude_partition(e, eff, None)
+    assert _same_array(got.label, np.array(label, dtype=np.int64))
+    assert _same_array(got.draws, np.array(draws, dtype=np.int64))
+    assert got.reject_count == len(rejected)
+    if draws:
+        assert_same_crude(got, reference_rounds(8, run))
+    else:
+        assert not reference_rounds(8, run).active
 
 
 # The ids keep the name of Step 4's rule, "theory" (keep every tuple within
@@ -344,16 +402,14 @@ def test_draws_on_interval_boundaries_match_reference(where, block_values, monke
     p = separators.SeparatorParams(epsilon=0.1, m=3.0, r=0.5, t=t, alpha=0.1,
                                    eps_prime=eps_prime, calibrated=False)
     delta, r = 2.0 / 3.0, p.r
-    got = list(separators.measured_draws(vectors, measures, delta, p, ScriptedStream(gs),
-                                         len(gs)))
+    got = separators.measured_draws(vectors, measures, delta, p, ScriptedStream(gs), len(gs))
     stream = ScriptedStream(gs)
     want = [reference_draw(vectors, measures, delta * float(measures.sum()), r, p, stream)
             for _ in range(len(gs))]
-    assert_same_draws(got, reached(want))
-    empty = np.empty(0, dtype=np.int64)
-    target = dict(got).get(d, separators.SeparatorSample(x=empty, y=empty, z=empty))
-    joined = [name for name in ("x", "y", "z") if c in getattr(target, name)]
-    assert not target.rejected
+    assert_same_draws(got, want)
+    draw, vertex, role, rejected = got
+    joined = ["xyz"[r] for r in role[(draw == d) & (vertex == c)].tolist()]
+    assert d not in rejected
     assert joined == ([BOUNDARIES[where]] if BOUNDARIES[where] else [])
 
 
@@ -382,9 +438,9 @@ def test_norm_prune_keeps_a_direction_at_the_floor(eps_prime, stretch):
     stream = ScriptedStream(gs)
     want = [reference_draw(vectors, np.ones(40), delta * 40.0, r, p, stream)
             for _ in range(len(gs))]
-    assert_same_draws(got, reached(want))
-    sample = dict(got)[3]
-    assert 11 in (sample.z if eps_prime else sample.x)
+    assert_same_draws(got, want)
+    draw, vertex, role, _ = got
+    assert role[(draw == 3) & (vertex == 11)].tolist() == [2 if eps_prime else 0]
 
 
 def test_norm_prune_leaves_few_draws_for_the_blas_product(monkeypatch):
@@ -404,10 +460,11 @@ def test_norm_prune_leaves_few_draws_for_the_blas_product(monkeypatch):
     monkeypatch.setattr(separators, "_aimed", spy)
     eff = resolve_step2(4000, 4, 0.001, 1.0 / 80.0)
     vectors = _unit_rows(np.random.default_rng(41), 4000, 4)
-    draws = separators.measured_draws(vectors, np.ones(4000), eff.delta_sep, eff.params,
-                                      RandomStream(0, "norm-prune"), eff.rounds)
+    draw, _, _, rejected = separators.measured_draws(vectors, np.ones(4000), eff.delta_sep,
+                                                     eff.params, RandomStream(0, "norm-prune"),
+                                                     eff.rounds)
     assert sum(drawn) == eff.rounds == 19880
-    assert len(draws) <= sum(aimed) < eff.rounds / 10
+    assert np.unique(draw).size + rejected.size <= sum(aimed) < eff.rounds / 10
 
 
 def _oracle_distance(vectors, i, j):
@@ -684,8 +741,8 @@ def test_draw_blocks_larger_than_the_blas_product_match_reference(monkeypatch):
         got = separators.measured_draws(e.psi, e.mu, eff.delta_sep, eff.params,
                                         RandomStream(seed, "blocks", k), eff.rounds)
         want = reference_crude_partition(e, eff, RandomStream(seed, "blocks", k))
-        assert got
-        assert_same_draws(got, reached(want.draws))
+        assert got[0].size
+        assert_same_draws(got, want.draws)
         assert [size for size, _ in aimed[:-1]] == [151] * (len(aimed) - 1)
         assert max(rows for _, rows in aimed) > 3
 
