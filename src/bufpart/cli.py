@@ -333,6 +333,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         doc, code = _HANDLERS[args.command](args)
+        text = write_report(doc, args.out)      # an unwritable --out is an I/O error too
     except (ParameterError, GraphError, ValueError, OSError) as exc:
         print(f"bufpart: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -342,7 +343,6 @@ def run(argv=None) -> int:
     except AssertionError as exc:
         print(f"bufpart: failure: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_GUARANTEE
-    text = write_report(doc, args.out)
     if not args.out:
         sys.stdout.write(text)
     return code

@@ -1,10 +1,10 @@
 """Weighted graph model, buffered partitions, and cut arithmetic.
 
 Vertices are dense 0-based integers.  load_graph tokenizes the edge and
-weight sources with one reader, _records: array passes over each piece of
-the text find the comments, the field starts and each line's field count,
-and one str.split() per piece gives the fields.  It numbers the external ids
-in order of first appearance, keeps them as the graph's labels (which name
+weight sources with one reader, _records: one regex drops the comments of each
+piece of the text, array passes find the field starts and each line's field
+count, and one str.split() per piece gives the fields.  It numbers the external
+ids in order of first appearance, keeps them as the graph's labels (which name
 vertices in error messages), and hands the numbered edges to Graph.build as
 typed columns: int64 ids u and v and float64 costs.  Vertex weights and edge
 costs are float64 and must be strictly positive.  Buffer budgets are checked
@@ -12,11 +12,12 @@ with exact <= (an input contract, not a numerical estimate).
 
 A graph is its edge arrays: every edge is stored once as (u < v, cost), sorted
 by (u, v), and the Laplacian, cuts and expansions are all computed from them.
-Graph.build validates edges with array operations and sorts them by a stable
-radix sort of 16-bit digits, in np.lexsort's order.  subgraph() does not need
-to: it renumbers the kept vertices in increasing order, so the parent's edges
-between them keep u < v and their (u, v) order, and a subset of valid,
-distinct, loop-free edges with positive costs is still one.  It only
+Graph.build validates edges with array operations and sorts them by one int64
+key, min(u, v) n + max(u, v) (n^2 when out of range), in a stable radix sort of
+16-bit digits; equal neighbours in that order are repeated edges.  subgraph()
+does not need to: it renumbers the kept vertices in increasing order, so the
+parent's edges between them keep u < v and their (u, v) order, and a subset of
+valid, distinct, loop-free edges with positive costs is still one.  It only
 re-applies the scale rule, which depends on n and the incident costs.
 
 A buffered partition is one int64 label per vertex: 2i for a core vertex of
@@ -32,6 +33,7 @@ and least_exact(), which lets only the exact masked sums pick the winner.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Sequence
@@ -112,9 +114,13 @@ class Graph:
         costs and weights must be normal float64 numbers (a subnormal one
         keeps fewer than 53 significant bits), and every normalized Laplacian
         entry must stay within what the solvers' float64 norms can hold.
+        The int64 edge keys (module docstring) need n^2 < 2^63: n is at most
+        3,037,000,499, and a graph that size would need 24 GB for its weights.
         """
         if n <= 0:
             raise GraphError("graph needs at least one vertex")
+        if n > 3_037_000_499:
+            raise GraphError(f"graph has {n} vertices; its edge keys need n^2 < 2^63")
         u, v, cost = np.asarray(u), np.asarray(v), np.asarray(cost, dtype=np.float64)
         if not u.shape == v.shape == cost.shape == (cost.size,):
             raise GraphError("edge columns u, v and cost must be 1-d and of one length")
@@ -123,15 +129,16 @@ class Graph:
                 raise GraphError(f"vertex id columns must hold integers within int64; "
                                  f"this one has dtype {ids.dtype}")
         u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        order = _radix_order(hi, lo)            # stable: repeats keep input order
-        eu, ev, ec = lo[order], hi[order], cost[order]
+        outside = (u < 0) | (v < 0) | (u >= n) | (v >= n)
+        key = np.minimum(u, v) * n + np.maximum(u, v)     # one key per pair in range
+        key[outside] = n * n
+        order = _radix_order(key)               # stable: repeats keep input order
+        key = key[order]
 
         loop = u == v
-        outside = (lo < 0) | (hi >= n)
         bad_cost = (cost <= 0.0) | ~np.isfinite(cost)
         repeat = np.zeros(u.size, dtype=bool)
-        repeat[order[1:]] = (eu[1:] == eu[:-1]) & (ev[1:] == ev[:-1])
+        repeat[order[1:]] = key[1:] == key[:-1]
         bad = loop | outside | bad_cost | repeat
         labels = tuple(labels) if labels is not None else ()
         if bad.any():
@@ -150,6 +157,9 @@ class Graph:
                 raise GraphError(f"edge ({name(a)},{name(b)}) has {kind} cost {float(cost[i])}")
             raise GraphError(f"duplicate edge ({name(min(a, b))}, {name(max(a, b))})")
 
+        ec = cost[order]
+        del order           # frees m int64 before the split
+        eu, ev = np.divmod(key, n)
         with np.errstate(over="ignore"):
             incident = _incident_cost(n, eu, ev, ec)
         if weights is None:
@@ -197,21 +207,15 @@ class Graph:
                      incident=incident), keep
 
 
-def _radix_order(*keys: np.ndarray) -> np.ndarray:
-    """The permutation np.lexsort(keys) gives (the last key primary), for int64 keys.
+def _radix_order(key: np.ndarray) -> np.ndarray:
+    """np.argsort(key, kind="stable") for a nonnegative int64 key.
 
-    LSD radix sort: one stable argsort of uint16 digits per 16 bits of each
-    key, least significant key and digit first.  Flipping the sign bit and
-    subtracting the least key maps int64 to uint64 in order, so negative and
-    large keys sort exactly and small ones need few digits.
+    LSD radix sort: one stable argsort of uint16 digits per 16 bits of the
+    largest key, least significant first, so small keys need few passes.
     """
-    order = np.arange(keys[0].size)
-    for key in keys:
-        k = key.view(np.uint64) ^ np.uint64(1 << 63)
-        k -= k.min(initial=np.iinfo(np.uint64).max)
-        for shift in range(0, int(k.max(initial=0)).bit_length(), 16):
-            digit = (k[order] >> np.uint64(shift)).astype(np.uint16)
-            order = order[np.argsort(digit, kind="stable")]
+    order = np.arange(key.size)
+    for shift in range(0, int(key.max(initial=0)).bit_length(), 16):
+        order = order[np.argsort((key[order] >> shift).astype(np.uint16), kind="stable")]
     return order
 
 
@@ -430,6 +434,7 @@ _WHITESPACE = (*range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680,
 _SPACE = np.zeros(0x3002, dtype=bool)   # by code point; the last entry stands for all above
 _SPACE[list(_WHITESPACE)] = True
 _PIECE = 1 << 14    # characters tokenized at a time; bounds the fields held as str
+_COMMENT = re.compile(r"#[^\n]*")
 
 
 def _records(source, kind: str, form: str, arities: tuple, number: str):
@@ -443,11 +448,12 @@ def _records(source, kind: str, form: str, arities: tuple, number: str):
     between fields, and so is a newline inside a listed line.
 
     The text goes in pieces of about _PIECE characters that end at line ends.
-    Array passes over a piece's code points find where its fields start and
-    each line's field count, and one str.split() gives the fields.  At the
-    first line with a wrong field count or a bad number, the records before
-    it are yielded and the next step raises its GraphError, so a consumer's
-    checks of earlier lines come first.
+    One regex drops a piece's comments, keeping every newline; array passes
+    over its code points find where its fields start and each line's field
+    count, and one str.split() gives the fields.  At the first line with a
+    wrong field count or a bad number, the records before it are yielded and
+    the next step raises its GraphError (quoting the source's line), so a
+    consumer's checks of earlier lines come first.
     """
     listed = isinstance(source, (list, tuple))
     if listed:
@@ -458,21 +464,11 @@ def _records(source, kind: str, form: str, arities: tuple, number: str):
     while start < len(text):
         end = text.find("\n", start + _PIECE) + 1 or len(text)
         piece, start = text[start:end], end
+        if "#" in piece:
+            piece = _COMMENT.sub("", piece)
         codes = np.frombuffer(piece.encode("utf-32-le", "surrogatepass"), np.uint32)
         space = _SPACE.take(np.minimum(codes, _SPACE.size - 1))
         newline = np.flatnonzero(codes == 10)
-        hashes = np.flatnonzero(codes == 35)
-        if hashes.size:        # blank each line from its first '#' to its end
-            line = np.searchsorted(newline, hashes)
-            first = np.flatnonzero(np.diff(line, prepend=-1))
-            mark = np.zeros(codes.size + 1, dtype=np.int8)
-            mark[hashes[first]] = 1
-            mark[np.append(newline, codes.size)[line[first]]] = -1
-            comment = np.cumsum(mark[:-1], dtype=np.int8).astype(bool)
-            space |= comment
-            codes = codes.copy()
-            codes[comment] = 32
-            piece = codes.tobytes().decode("utf-32-le", "surrogatepass")
         starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
         count = np.diff(np.searchsorted(starts, newline), prepend=0, append=starts.size)  # per line
         fields = piece.split()
@@ -517,12 +513,12 @@ def _is_float(text: str) -> bool:
 
 
 def _read_text(path, kind: str) -> str:
-    """A UTF-8 file's text with universal newlines; bytes that do not decode
-    raise GraphError naming the file and the line."""
+    """A UTF-8 file's text with universal newlines and no leading byte-order
+    mark; bytes that do not decode raise GraphError naming the file and the line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
-    except UnicodeDecodeError as exc:     # exc.object holds the whole file's bytes
+    except UnicodeDecodeError as exc:     # exc.object holds the file's bytes after the mark
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise GraphError(f"{kind} file {str(path)!r} line {line}: not UTF-8 text "
                          f"({exc.reason})") from exc

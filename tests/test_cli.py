@@ -89,6 +89,14 @@ class TestSpectrum:
     def test_bad_k(self, tiny_file):
         assert run(["spectrum", "--graph", tiny_file, "--k", "9"]) == 1
 
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_unwritable_out_is_one_line_exit_1(self, where, tiny_file, tmp_path, capsys):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
+        code = run(["spectrum", "--graph", tiny_file, "--k", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("bufpart: error: ") and str(out) in err
+        assert err.count("\n") == 1
+
     def test_lanczos_method(self, tiny_file, tmp_path):
         # four vertices take the exact kernel plus block Lanczos, as every graph does
         code, doc = run_json(["spectrum", "--graph", tiny_file, "--k", "4"], tmp_path)
@@ -441,6 +449,13 @@ class TestMalformedPartitionFile:
                                   "--k", "2", "--eps", "0.1", "--out", str(out)], capsys)
         assert (code, err) == (1, f"bufpart: error: partition file {str(part)!r}{reason}\n")
         assert not out.exists()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        g = load_graph(["a b 1", "b c 1", "c a 1"])
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({name: {"part_id": 0, "role": "core"} for name in "abc"}),
+                        encoding="utf-8-sig")
+        assert _read_partition_file(part, g, 0.1).label.tolist() == [0, 0, 0]
 
     @pytest.mark.parametrize("content, reason", [
         ("[" * 200_000, "maximum recursion depth exceeded"),

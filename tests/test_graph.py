@@ -90,6 +90,14 @@ class TestGraphBuild:
          "duplicate edge (1, 2)"),
         ([(0, 2, 1.0), (2 ** 33, 1, 1.0), (2, 0, 1.0), (-(2 ** 33), 0, 1.0)],
          "edge (8589934592,1) outside vertex range [0,3)"),
+        # out-of-range edges share one sort key beside an in-range duplicate
+        ([(0, 5, 1.0), (1, 2, 1.0), (7, -1, 1.0), (2, 1, 1.0), (5, 0, 1.0)],
+         "edge (0,5) outside vertex range [0,3)"),
+        ([(1, 2, 1.0), (2, 1, 1.0), (7, -1, 1.0), (0, 5, 1.0), (5, 0, 1.0)],
+         "duplicate edge (1, 2)"),
+        ([(1, 0, 1.0), (3, 4, 1.0), (0, 3, 1.0), (0, 1, 1.0)],
+         "edge (3,4) outside vertex range [0,3)"),
+        ([(0, 1, 1.0), (1, 0, 1.0), (0, 3, 1.0), (3, 4, 1.0)], "duplicate edge (0, 1)"),
     ])
     def test_error_names_first_bad_edge_in_input_order(self, edges, message):
         with pytest.raises(GraphError) as info:
@@ -148,17 +156,21 @@ class TestGraphBuild:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_radix_order_is_the_lexsort_permutation(self, seed):
+        # np.lexsort of one key is its stable argsort
         rng = np.random.default_rng(seed)
-        m = int(rng.integers(0, 300))
-        limits = [(-8, 8), (0, 2 ** 16 + 8), (-(2 ** 33), 2 ** 33), (-(2 ** 63), 2 ** 63 - 1)]
-        keys = []
-        for low, high in (limits[seed % 4], limits[(seed // 4) % 4]):
-            key = rng.integers(low, high, m, endpoint=True)
-            if m:       # repeats of one key, and of the extremes
-                key[rng.integers(0, m, m // 3)] = key[0]
-                key[rng.integers(0, m, 2)] = (low, high)
-            keys.append(key)
-        assert np.array_equal(_radix_order(*keys), np.lexsort(keys))
+        m = 0 if seed == 0 else int(rng.integers(1, 300))
+        high = [8, 2 ** 16 + 8, 2 ** 33, 2 ** 62][seed % 4]
+        key = rng.integers(0, high, m, endpoint=True)
+        if m:       # repeats of one key, zeros and the largest key
+            key[rng.integers(0, m, m // 3)] = key[0]
+            key[rng.integers(0, m, 2)] = (0, high)
+        assert np.array_equal(_radix_order(key), np.argsort(key, kind="stable"))
+
+    def test_too_many_vertices_for_the_edge_keys_are_rejected(self):
+        # 3,037,000,499^2 is the largest square within int64; no n-sized array is made
+        with pytest.raises(GraphError) as info:
+            Graph.build(3_037_000_500, [0], [1], [1.0])
+        assert str(info.value) == "graph has 3037000500 vertices; its edge keys need n^2 < 2^63"
 
     def test_list_and_array_columns_build_equal_graphs(self):
         u, v, cost = [3, 1, 0, 2], [0, 2, 1, 3], [0.5, 2.0, 1.25, 4.0]
@@ -438,6 +450,28 @@ class TestLoadGraph:
             load_graph(["1"])
         with pytest.raises(GraphError, match="missing"):
             load_graph(["1 2 1"], ["1 4"])
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "a b 1\nb c 2 # note\na c 0.5\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want, got = load_graph(str(plain)), load_graph(str(marked))
+        assert got.labels == want.labels == ("a", "b", "c")
+        _assert_same_graph(got, want)
+        assert got.incident.tobytes() == want.incident.tobytes()
+        weights = tmp_path / "w.txt"
+        weights.write_text("a 1\nb 2\nc 3\n", encoding="utf-8-sig")
+        assert load_graph(str(marked), str(weights)).weights.tolist() == [1.0, 2.0, 3.0]
+
+    def test_byte_order_mark_then_a_bad_byte_names_its_line(self, tmp_path):
+        path_ = tmp_path / "g.txt"
+        path_.write_bytes(b"\xef\xbb\xbfa b\nb \xff c\n")
+        with pytest.raises(GraphError) as info:
+            load_graph(str(path_))
+        assert str(info.value) == (f"edge file {str(path_)!r} line 2: not UTF-8 text "
+                                   f"(invalid start byte)")
 
     def test_file_round_trip(self, tmp_path):
         path_ = tmp_path / "g.txt"
