@@ -39,7 +39,7 @@ import numpy as np
 
 from .graph import (UNIT, Graph, PartitionError, _group_sums, cut_cost_masks, interval_sums,
                     least_exact)
-from .spectral import eigenbasis, normalized_laplacian
+from .spectral import eigenbasis
 
 __all__ = [
     "BufferedCut",
@@ -170,7 +170,7 @@ def cheeger2_buffered(g: Graph, epsilon: float) -> BufferedCut:
         raise PartitionError("a two-way cut needs at least two vertices")
     _check_epsilon(epsilon)
     w = g.weights
-    basis = eigenbasis(normalized_laplacian(g), 2)
+    basis = eigenbasis(g, 2)
     lam = float(basis.eigenvalues[1])
     y = basis.eigenvectors[:, 1]
     v = y / np.sqrt(w)

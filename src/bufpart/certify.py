@@ -22,7 +22,7 @@ import numpy as np
 
 from .graph import (BufferedPartition, CutReport, Graph, PartitionError, _cut_report,
                     partition_cost)
-from .spectral import SpectralBasis, eigenbasis, normalized_laplacian
+from .spectral import SpectralBasis, eigenbasis
 
 __all__ = [
     "Certificate",
@@ -41,7 +41,7 @@ def lower_bound_unbuffered(g: Graph, k: int) -> float:
     """lambda_k / 2: a lower bound on any non-buffered k-partition's max expansion."""
     if not 2 <= k <= g.n:
         raise ValueError(f"k must lie in [2, n={g.n}], got {k}")
-    basis = eigenbasis(normalized_laplacian(g), k)
+    basis = eigenbasis(g, k)
     return float(basis.eigenvalues[k - 1]) / 2.0
 
 
@@ -64,7 +64,7 @@ def check_buffered_lower_bound(g: Graph, part: BufferedPartition, k: int,
     if part.k != k:
         raise ValueError(f"partition has {part.k} parts, expected {k}")
     if basis is None:
-        basis = eigenbasis(normalized_laplacian(g), k)
+        basis = eigenbasis(g, k)
     elif basis.eigenvectors.shape[0] != g.n or basis.k_prime < k:
         raise ValueError(f"basis of shape {basis.eigenvectors.shape} does not hold "
                          f"the bottom {k} eigenpairs of this {g.n}-vertex graph")

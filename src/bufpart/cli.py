@@ -23,8 +23,7 @@ from .graph import (BufferedPartition, Graph, GraphError, PartitionError, _cut_r
                     _read_text, load_graph, partition_cost, validate_partition)
 from .partition import RESTARTS, buffered_k_partition, lifted_k
 from .reports import Verbatim, json_string, write_report
-from .spectral import (EmbeddingError, SolverError, eigenbasis,
-                       normalized_laplacian)
+from .spectral import EmbeddingError, SolverError, eigenbasis
 
 __all__ = ["main", "run"]
 
@@ -244,7 +243,7 @@ def _cmd_spectrum(args) -> tuple[dict, int]:
     g = _load(args)
     if not 1 <= args.k <= g.n:
         raise ParameterError(f"--k must lie in [1, n={g.n}], got {args.k}")
-    basis = eigenbasis(normalized_laplacian(g), args.k)
+    basis = eigenbasis(g, args.k)
     if args.embedding_tsv:
         with open(args.embedding_tsv, "w", encoding="utf-8") as fh:
             for name, vector in zip(g.labels, basis.eigenvectors):
@@ -290,7 +289,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
     part = _read_partition_file(args.partition, g, args.eps)
     if not 1 <= args.k <= g.n:
         raise ParameterError(f"--k must lie in [1, n={g.n}], got {args.k}")
-    basis = eigenbasis(normalized_laplacian(g), lifted_k(args.k, args.delta, g.n))
+    basis = eigenbasis(g, lifted_k(args.k, args.delta, g.n))
     cert = certify_run(g, args.k, args.eps, part, partition_cost(g, part), basis)
     doc = {
         "command": "certify",

@@ -72,7 +72,7 @@ from .graph import (UNIT, BufferedPartition, CutReport, Graph, PartitionError, _
 from .rng import RandomStream
 from .separators import (CalibrationError, SeparatorParams, calibrate,
                          measured_draws, practical_params)
-from .spectral import Embedding, embed, eigenbasis, normalized_laplacian
+from .spectral import Embedding, embed, eigenbasis
 
 __all__ = [
     "EffectiveParams",
@@ -483,7 +483,7 @@ def partial_partition(g: Graph, eff: EffectiveParams, k: int, seed: int = 0,
     does not rank runs: singleton fragments raise it without lowering the
     expansion.
     """
-    e = embed(eigenbasis(normalized_laplacian(g), eff.k), g)
+    e = embed(eigenbasis(g, eff.k), g)
     notes = eff.notes
     w_max, total = float(g.weights.max()), g.total_weight
     w_cap = eff.epsilon * total / (3.0 * eff.k)
@@ -576,6 +576,8 @@ def buffered_k_partition(g: Graph, k: int, epsilon: float, delta: float, seed: i
         raise ValueError(f"epsilon must lie in [0,1), got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     k_hat = lifted_k(k, delta, g.n)
     # (1 - 1/sqrt(1 + delta))/2 without its cancellation, which gives 0 for delta <= 2e-16
     s = math.sqrt(1.0 + delta)

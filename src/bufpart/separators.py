@@ -225,11 +225,11 @@ def _min_ball_accepted(vectors: np.ndarray, measures: np.ndarray, members: np.nd
 
       * accept when the pivot's row, counting every v with d(v, p) > r - slack
         as outside, plus tol is at most limit (this covers mu(X) <= limit);
-      * exclude a center u when mu(X) minus the mass in its window
-        |d(u, p) - d(v, p)| <= r + slack, minus tol, is above limit: every v
-        outside the window is outside Ball(u, r) by the triangle inequality
-        (one sorted sweep and a cumsum give every window); reject when every
-        center is excluded.
+      * in the sets still open, exclude a center u when mu(X) minus the mass
+        in its window |d(u, p) - d(v, p)| <= r + slack, minus tol, is above
+        limit: every v outside the window is outside Ball(u, r) by the
+        triangle inequality (one sorted sweep of their members and a cumsum
+        give every window); reject when every center is excluded.
 
     The other sets are decided on the exact rows of the centers kept, scored
     _CENTRE_ROWS at a time in member order: a set is accepted at the first
@@ -252,16 +252,19 @@ def _min_ball_accepted(vectors: np.ndarray, measures: np.ndarray, members: np.nd
     dist = np.linalg.norm(pts - pts[pivot][seg], axis=1)
     row = np.add.reduceat(np.where(dist > r - slack, mu, 0.0), starts)
     accepted = row + tol <= limit
-    # Set i's distances sit at 16 i + d; a window of half-width at most 4
-    # never reaches another set, and no two distances differ by 4.
+    # The windows of the members of the sets still open.  Set i's distances sit
+    # at 16 i + d; a window of half-width at most 4 never reaches another set,
+    # and no two distances differ by 4.
+    live = np.flatnonzero(~accepted[seg])
     width = min(r + slack, 4.0)
-    key = 16.0 * seg + dist
-    order = np.lexsort((dist, seg))
+    key = 16.0 * seg[live] + dist[live]
+    order = np.lexsort((dist[live], seg[live]))
     ranked = key[order]
-    cum = np.append(0.0, np.cumsum(mu[order]))
+    cum = np.append(0.0, np.cumsum(mu[live][order]))
     near = (cum[np.searchsorted(ranked, key + width, "right")]
             - cum[np.searchsorted(ranked, key - width, "left")])
-    kept = np.add.reduceat(mu, starts)[seg] - near - tol <= limit
+    kept = np.zeros(members.size, dtype=bool)
+    kept[live] = np.add.reduceat(mu, starts)[seg[live]] - near - tol <= limit
     for i in np.flatnonzero(~accepted & np.logical_or.reduceat(kept, starts)).tolist():
         lo, hi = starts[i], ends[i]
         x_pts = pts[lo:hi]

@@ -6,16 +6,16 @@ ubar = (x_1(u), ..., x_k'(u)) of the bottom eigenvectors, with measure
 mu(u) = ||ubar||^2 and unit direction psi(u) = ubar/||ubar||, which is also
 zhat_u/||zhat_u|| for the scaled vectors zhat_u = ubar/sqrt(w_u) of edge_energy.
 
-One solver path for every size.  The kernel is exact: each connected component
-C, found by hook-and-shortcut, gives the eigenvector D_w^{1/2} 1_C / ||.|| of
-eigenvalue 0, and these come first, in the order of the components' smallest
-vertices.  Block Lanczos with thick restarts solves the rest on the kernel's
-orthogonal complement.  A block of b columns finds at most b copies of an
-eigenvalue, so the block starts at BLOCK columns and a solve that reports b equal
-values below a larger one is redone with twice the block.  Start and refill
-columns come from a seeded Philox stream, so results are deterministic.  The
-basis holds max(BASIS, 16 b + 2 k') columns, plus the Ritz vectors a restart
-keeps: O(n k') floats, never n^2.
+One entry, eigenbasis(g, k'), builds L and returns its bottom k' eigenpairs at
+every size.  The kernel is exact: each connected component C, found by
+hook-and-shortcut, gives the eigenvector D_w^{1/2} 1_C / ||.|| of eigenvalue 0, and
+these come first, in the order of the components' smallest vertices.  Block Lanczos
+with thick restarts solves the rest on the kernel's orthogonal complement, on L / 2^e
+for 2^e the power of two nearest max(diag) (e = 0 on a zero diagonal), so its
+thresholds are relative to the operator's scale; the scaling and the ldexp back are
+exact.  Start and refill columns come from a seeded Philox stream, so results are
+deterministic.  The basis holds max(BASIS, 16 b + 2 k') columns, plus the Ritz vectors
+a restart keeps: O(n k') floats, never n^2.
 
 Each block step applies L to the whole block in one matvec call (two bincounts
 per column, no temporary longer than the edge list) and orthogonalizes the result
@@ -29,8 +29,14 @@ the most steps, at most 8, over which that loss stays below 1e-12 if it keeps
 growing at the largest rate measured since the last restart.  The new block is
 orthonormalized by one reduced QR, or column by column when it loses rank.
 
-eigenbasis checks each answer by its residuals on L itself, and solves again with the
-full pass at every step when they are too large.
+The attempt loop.  A block of b columns finds at most b copies of an eigenvalue, so
+an attempt starts at b = min(BLOCK, want) and, while a solve reports b equal values
+below a larger one, solves again with twice the block, carrying its matvec count
+forward.  The answer is then checked by its residuals on L itself: the solver's
+convergence test reads the Ritz residual that the Lanczos relation predicts, which a
+loss of orthogonality can make small for a wrong spectrum.  When the largest is above
+1e-8 on L / 2^e, or the solver raised SolverError, one more attempt runs the full pass
+at every block step, from a fresh stream and block; its failure raises SolverError.
 """
 
 from __future__ import annotations
@@ -74,7 +80,6 @@ class LaplacianOperator:
     """Symmetric operator z -> L z exposed as an O(|E|) matvec."""
 
     graph: Graph
-    n: int
     diag: np.ndarray        # inc_u / w_u
     off_scale: np.ndarray   # c_uv / sqrt(w_u w_v), aligned with edge arrays
 
@@ -86,8 +91,8 @@ class LaplacianOperator:
         for j in range(Z.shape[1]):
             col = Z[:, j]
             out[:, j] = (self.diag * col
-                         - np.bincount(g.edge_u, scale * col[g.edge_v], minlength=self.n)
-                         - np.bincount(g.edge_v, scale * col[g.edge_u], minlength=self.n))
+                         - np.bincount(g.edge_u, scale * col[g.edge_v], minlength=g.n)
+                         - np.bincount(g.edge_v, scale * col[g.edge_u], minlength=g.n))
         return out.reshape(z.shape)
 
 
@@ -100,7 +105,7 @@ def normalized_laplacian(g: Graph) -> LaplacianOperator:
     # other entry keeps the bits of c_uv / sqrt(w_u w_v)
     normal = (prod >= _TINY) & np.isfinite(prod)
     root = np.sqrt(prod, where=normal, out=np.sqrt(wu) * np.sqrt(wv))
-    return LaplacianOperator(graph=g, n=g.n, diag=g.incident / g.weights,
+    return LaplacianOperator(graph=g, diag=g.incident / g.weights,
                              off_scale=g.edge_cost / root)
 
 
@@ -123,10 +128,6 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
         if col[idx] < 0:
             out[:, j] = -col
     return out
-
-
-def _residuals(op: LaplacianOperator, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(op.matvec(vecs) - vecs * vals, axis=0)
 
 
 def _components(g: Graph) -> tuple[int, np.ndarray]:
@@ -218,7 +219,7 @@ def _block_lanczos(op: LaplacianOperator, K: np.ndarray, want: int, b: int, stre
     restart when the basis is full, and block columns that run out of rank refilled
     from `stream`.  `matvecs` counts the ones spent before; returns (values, vectors,
     matvecs spent in all)."""
-    n = op.n
+    n = op.graph.n
     max_matvecs = 50 * n
     room = n - K.shape[1]              # dimension of the kernel's complement
     b = min(b, room)
@@ -332,72 +333,49 @@ def _block_lanczos(op: LaplacianOperator, K: np.ndarray, want: int, b: int, stre
         used = extend(W, done, width)
 
 
-def _scale_exponent(op: LaplacianOperator) -> int:
-    """e of 2^e, the power of two nearest max(diag), or 0 on a zero diagonal."""
+def eigenbasis(g: Graph, k_prime: int) -> SpectralBasis:
+    """Bottom-k' eigenpairs of g's normalized Laplacian L by the attempt loop (module
+    docstring), with canonical signs and the residuals ||L x - lambda x|| of one more
+    matvec."""
+    if not 1 <= k_prime <= g.n:
+        raise ValueError(f"k_prime must lie in [1, n={g.n}], got {k_prime}")
+    op = normalized_laplacian(g)
     top = float(op.diag.max())
-    return int(np.round(np.log2(top))) if top > 0.0 else 0
-
-
-def _block_lanczos_eigenbasis(op: LaplacianOperator, k_prime: int, full: bool = False,
-                              e: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Bottom-k' eigenpairs: the exact kernel first, then block Lanczos on its complement.
-
-    The block starts at BLOCK columns and doubles, with a fresh solve, while a value
-    the block may hold too few copies of is reported.  It runs on L / 2^e, e being
-    _scale_exponent(op) unless given, so its thresholds are relative to the operator's
-    scale; the scaling and the ldexp back are exact.  `full` runs the full
-    reorthogonalization pass at every block step; only eigenbasis's retry sets it."""
-    e = _scale_exponent(op) if e is None else e
-    if e:
-        op = replace(op, diag=np.ldexp(op.diag, -e), off_scale=np.ldexp(op.off_scale, -e))
-    c, K = _kernel(op.graph, k_prime)
-    want = k_prime - c
-    if want <= 0:
-        return np.zeros(k_prime), K
-    stream = RandomStream(0, "lanczos")
-    b = min(BLOCK, want)
-    matvecs = 0
-    while True:
-        vals, vecs, matvecs = _block_lanczos(op, K, want, b, stream, matvecs, full)
-        if b == want or not _saturated(vals, b):
-            return np.ldexp(np.concatenate([np.zeros(c), vals]), e), np.hstack([K, vecs])
-        b = min(2 * b, want)
-
-
-def eigenbasis(op: LaplacianOperator, k_prime: int) -> SpectralBasis:
-    """Bottom-k' eigenpairs of the normalized Laplacian: the exact kernel, then block
-    Lanczos, with canonical signs and the residuals ||L x - lambda x|| of one more matvec.
-
-    The answer stands when its largest residual is at most 1e-8 on L / 2^e, i.e.
-    1e-8 2^e on L (e = _scale_exponent(op)): the solver's convergence test
-    reads the Ritz residual that the Lanczos relation predicts, which a loss of
-    orthogonality can make small for a wrong spectrum.  Else, or when the solver raises
-    SolverError, the solve is redone with the full reorthogonalization pass at every
-    block step, and a second failure raises SolverError."""
-    if not 1 <= k_prime <= op.n:
-        raise ValueError(f"k_prime must lie in [1, n={op.n}], got {k_prime}")
-    e = _scale_exponent(op)
+    e = int(np.round(np.log2(top))) if top > 0.0 else 0
     limit = 1e-8 * np.ldexp(1.0, e)
-    for full in (False, True):
+    scaled = (replace(op, diag=np.ldexp(op.diag, -e), off_scale=np.ldexp(op.off_scale, -e))
+              if e else op)
+    c, K = _kernel(g, k_prime)
+    want = k_prime - c
+    full, b, matvecs, stream = False, min(BLOCK, want), 0, RandomStream(0, "lanczos")
+    while True:
         try:
-            vals, vecs = _block_lanczos_eigenbasis(op, k_prime, full, e)
+            vals, vecs, matvecs = (_block_lanczos(scaled, K, want, b, stream, matvecs, full)
+                                   if want > 0 else (np.zeros(0), K[:, :0], 0))
         except SolverError:
             if full:
                 raise
-            continue
-        vecs = _canonical_signs(vecs)
-        # A Ritz value of an eigenvalue near 0 can land a rounding error below it;
-        # reflect such values to nonnegative ones, which the sort then reorders.
-        vals = np.where(np.abs(vals) < 1e-12, np.abs(vals), vals)
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        vecs = vecs[:, order]
-        residuals = _residuals(op, vals, vecs)
-        if float(residuals.max()) <= limit:
-            return SpectralBasis(k_prime=int(k_prime), eigenvalues=vals, eigenvectors=vecs,
-                                 residuals=residuals)
-    raise SolverError(f"block Lanczos with full reorthogonalization left a residual of "
-                      f"{float(residuals.max()):.3e}, above {limit:.3e} (1e-8 on L / 2^e)")
+        else:
+            if b < want and _saturated(vals, b):
+                b = min(2 * b, want)
+                continue
+            vecs = _canonical_signs(np.hstack([K, vecs]))
+            vals = np.ldexp(np.concatenate([np.zeros(K.shape[1]), vals]), e)
+            # A Ritz value of an eigenvalue near 0 can land a rounding error below it;
+            # reflect such values to nonnegative ones, which the sort then reorders.
+            vals = np.where(np.abs(vals) < 1e-12, np.abs(vals), vals)
+            order = np.argsort(vals, kind="stable")
+            vals = vals[order]
+            vecs = vecs[:, order]
+            residuals = np.linalg.norm(op.matvec(vecs) - vecs * vals, axis=0)
+            if float(residuals.max()) <= limit:
+                return SpectralBasis(k_prime=int(k_prime), eigenvalues=vals,
+                                     eigenvectors=vecs, residuals=residuals)
+            if full:
+                raise SolverError(f"block Lanczos with full reorthogonalization left a "
+                                  f"residual of {float(residuals.max()):.3e}, above "
+                                  f"{limit:.3e} (1e-8 on L / 2^e)")
+        full, b, matvecs, stream = True, min(BLOCK, want), 0, RandomStream(0, "lanczos")
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,11 @@ from bufpart import (RandomStream, brute_force_h_k_eps, buffered_balanced_cut,
                      buffered_k_partition, calibrate, cheeger2_buffered,
                      crude_partition, cut_cost, edge_energy,
                      eigenbasis, embed, gaussian_tail, gaussian_tail_inv,
-                     kway_balanced, normalized_laplacian,
+                     kway_balanced,
                      robust_expansion, sample_two_buffers, tail_sandwich,
                      validate_partition)
 from bufpart.graph import PartitionError
 from bufpart.partition import resolve_step2
-from bufpart.spectral import _block_lanczos_eigenbasis
 from conftest import (ACCEPTANCE_LINES, disjoint_cliques, lapack_spectrum, planted,
                       random_regular, small_solver_suite, tiny_connected_suite,
                       weight, weighted_er)
@@ -49,7 +48,7 @@ def embeddings(spectral_graph_suite):
     out = {}
     for kp in (5, 10):
         for i, (kind, g) in enumerate(spectral_graph_suite):
-            basis = eigenbasis(normalized_laplacian(g), kp)
+            basis = eigenbasis(g, kp)
             out[(kind, i, kp)] = (g, embed(basis, g))
     return out
 
@@ -90,9 +89,8 @@ def test_criterion_03_eigensolver_oracle():
     worst = 0.0
     for name, g in small_solver_suite():
         assert g.n <= 64
-        lap = normalized_laplacian(g)
         k = min(6, g.n)
-        lanczos, _ = _block_lanczos_eigenbasis(lap, k)
+        lanczos = eigenbasis(g, k).eigenvalues
         err = float(np.abs(lapack_spectrum(g, k) - lanczos).max())
         worst = max(worst, err)
         assert err <= 1e-8, name
@@ -233,7 +231,7 @@ def test_criterion_07_eigenvalue_sandwich_tiny():
     worst_lower, worst_buffered = np.inf, np.inf
     for g in graphs:
         for k in (2, 3):
-            lam = float(eigenbasis(normalized_laplacian(g), k).eigenvalues[k - 1])
+            lam = float(eigenbasis(g, k).eigenvalues[k - 1])
             (opt0, _), (opt25, _) = brute_force_h_k_eps(g, k, [0.0, 0.25])
             oracle = {0.0: opt0, 0.25: opt25}
             assert lam / 2.0 <= oracle[0.0] + 1e-9
@@ -359,7 +357,7 @@ def test_criterion_11_planted_recovery():
         # resolve_step2 raises to 1/(3 k_hat); radius and delta_sep depend on
         # nothing else.
         eff = resolve_step2(g.n, k, 0.0, 1.0 / 80.0)
-        e = embed(eigenbasis(normalized_laplacian(g), k), g)
+        e = embed(eigenbasis(g, k), g)
         limit = eff.delta_sep * float(e.mu.sum())
         for c in range(k):
             leftover = _min_ball_leftover(e, np.flatnonzero(labels == c), eff.params.r)
@@ -382,7 +380,7 @@ def test_criterion_11_planted_recovery():
 
 def test_criterion_12_step2_statistics():
     g = disjoint_cliques([34, 34, 33, 33, 33, 33])
-    e = embed(eigenbasis(normalized_laplacian(g), 6), g)
+    e = embed(eigenbasis(g, 6), g)
     eff = resolve_step2(g.n, 6, 0.01, 0.01)
     delta_eff, eps_eff = eff.delta, eff.epsilon
     runs = 200

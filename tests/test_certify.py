@@ -8,7 +8,7 @@ import pytest
 
 from bufpart import (BufferedPartition, Graph, brute_force_h_k_eps, buffered_expansion,
                      buffered_k_partition, check_buffered_lower_bound, cut_cost, eigenbasis,
-                     lower_bound_unbuffered, normalized_laplacian, partition_cost,
+                     lower_bound_unbuffered, partition_cost,
                      robust_expansion, validate_partition)
 from bufpart import certify
 from bufpart.certify import _canonical_labels, certify_run
@@ -293,7 +293,7 @@ class TestBufferedLowerBound:
             passed, slack = check_buffered_lower_bound(g, part, k)
             sets = [np.union1d(p, b) for p, b in zip(parts, buffers)]
             phis = [cut_cost(g, s, np.setdiff1d(np.arange(n), s)) / weight(g, s) for s in sets]
-            lam = eigenbasis(normalized_laplacian(g), k).eigenvalues[k - 1]
+            lam = eigenbasis(g, k).eigenvalues[k - 1]
             assert passed, f"lower bound violated: slack {slack}"
             assert slack == pytest.approx(2.0 * max(phis) - lam, rel=1e-12, abs=1e-12)
             cases += 1
@@ -304,7 +304,7 @@ class TestBufferedLowerBound:
         g = tiny_connected(8, 71)
         part = from_sets([[0, 1, 2, 3], [4, 5, 6, 7]], [[], []], 0.0)
         own = check_buffered_lower_bound(g, part, 2)
-        wider = eigenbasis(normalized_laplacian(g), 4)
+        wider = eigenbasis(g, 4)
         passed, slack = check_buffered_lower_bound(g, part, 2, basis=wider)
         phi = partition_cost(g, part).max_expansion
         assert slack == 2.0 * phi + part.epsilon - float(wider.eigenvalues[1])
@@ -313,10 +313,10 @@ class TestBufferedLowerBound:
     def test_mismatched_basis_rejected(self):
         g = tiny_connected(8, 71)
         part = from_sets([[0, 1, 2, 3], [4, 5, 6, 7]], [[], []], 0.0)
-        other = eigenbasis(normalized_laplacian(tiny_connected(7, 72)), 3)
+        other = eigenbasis(tiny_connected(7, 72), 3)
         with pytest.raises(ValueError, match="basis"):
             check_buffered_lower_bound(g, part, 2, basis=other)
-        narrow = eigenbasis(normalized_laplacian(g), 1)
+        narrow = eigenbasis(g, 1)
         with pytest.raises(ValueError, match="basis"):
             check_buffered_lower_bound(g, part, 2, basis=narrow)
 
@@ -401,7 +401,7 @@ def test_robust_expansion_eigenvalue_spot_check():
     # across the tiny suite; c* is reported, never asserted against a formula
     ratios = []
     for g in tiny_connected_suite(6, sizes=(5, 6), seed0=150):
-        lam2 = float(eigenbasis(normalized_laplacian(g), 2).eigenvalues[1])
+        lam2 = float(eigenbasis(g, 2).eigenvalues[1])
         for eta in (0.25, 0.5):
             denom = eta * graph_expansion(g) * robust_graph_expansion(g, eta)
             if denom > 0:
@@ -416,7 +416,7 @@ class TestCertifyRun:
     def test_disconnected_zero_ratio(self):
         g = disjoint_cliques([3, 3])
         part = from_sets([[0, 1, 2], [3, 4, 5]], [[], []], 0.0)
-        basis = eigenbasis(normalized_laplacian(g), 2)
+        basis = eigenbasis(g, 2)
         cert = certify_run(g, 2, 0.1, part, partition_cost(g, part), basis)
         assert cert.approx_ratio == 0.0
         assert cert.lower_bound_buffered_check
@@ -427,7 +427,7 @@ class TestCertifyRun:
         for seed in (90, 91):
             g = tiny_connected(6, seed)
             [(opt, witness)] = brute_force_h_k_eps(g, 2, [0.25])
-            basis = eigenbasis(normalized_laplacian(g), 2)
+            basis = eigenbasis(g, 2)
             cert = certify_run(g, 2, 0.25, witness, partition_cost(g, witness), basis)
             assert cert.achieved_cost >= opt - 1e-9
 
@@ -437,7 +437,7 @@ class TestCertifyRun:
         g, labels = planted([15] * 4, 0.6, 0.02, 7)
         _, _, info = buffered_k_partition(g, 4, 0.1, 0.5, seed=1)
         assert info["k_hat"] == 6
-        basis = eigenbasis(normalized_laplacian(g), 6)
+        basis = eigenbasis(g, 6)
         bound = info["certificate"]["lower_bound_unbuffered"]
         assert bound == float(basis.eigenvalues[3]) / 2.0
         planted_part = BufferedPartition(label=2 * labels, k=4, epsilon=0.0)

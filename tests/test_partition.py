@@ -9,8 +9,7 @@ import pytest
 
 from bufpart import (RandomStream, buffered_expansion,
                      buffered_k_partition, complete_partition, crude_partition,
-                     cut_cost, embed, eigenbasis,
-                     normalized_laplacian, partial_partition,
+                     cut_cost, embed, eigenbasis, partial_partition,
                      partition_cost, refine_and_discard, validate_partition)
 from bufpart.graph import Graph, PartitionError
 from bufpart.certify import brute_force_h_k_eps
@@ -22,7 +21,7 @@ from round_oracles import crude_sets, refined_tuples
 
 
 def embedding_for(g, k):
-    return embed(eigenbasis(normalized_laplacian(g), k), g)
+    return embed(eigenbasis(g, k), g)
 
 
 CLIQUES6 = disjoint_cliques([34, 34, 33, 33, 33, 33])
@@ -420,3 +419,6 @@ class TestDriver:
             buffered_k_partition(g, 2, 1.1, 0.5)
         with pytest.raises(ValueError):
             buffered_k_partition(g, 2, 0.1, 0.0)
+        for restarts in (0, -2):
+            with pytest.raises(ValueError, match=f"^restarts must be at least 1, got {restarts}$"):
+                buffered_k_partition(g, 2, 0.1, 0.5, restarts=restarts)

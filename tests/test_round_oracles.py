@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bufpart import (Graph, RandomStream, buffered_k_partition, crude_partition,
-                     eigenbasis, embed, normalized_laplacian, refine_and_discard)
+                     eigenbasis, embed, refine_and_discard)
 from bufpart import certify, partition, separators
 from bufpart.partition import resolve_step2
 from conftest import columns, disjoint_cliques, planted, weighted_er
@@ -41,7 +41,7 @@ CASES = {
 
 
 def _embedding(g, k):
-    return embed(eigenbasis(normalized_laplacian(g), k), g)
+    return embed(eigenbasis(g, k), g)
 
 
 def _same_array(a, b):
@@ -620,6 +620,11 @@ def test_min_ball_decision_equals_all_pairs_oracle(case):
     vectors, mu, sets, limit, r = case
     want = [reference_min_ball_leftover(vectors, mu, x_idx, r) <= limit for x_idx in sets]
     assert _decisions(vectors, mu, sets, limit, r).tolist() == want
+    # A singleton before each set, whose leftover is 0: the pivot row accepts it
+    # whenever limit clears the rounding slack, so it sits between open sets.
+    mixed = [x for x_idx in sets for x in (x_idx[:1], x_idx)]
+    want = [w for ok in want for w in (limit >= 0.0, ok)]
+    assert _decisions(vectors, mu, mixed, limit, r).tolist() == want
 
 
 def _ring(count, seed):

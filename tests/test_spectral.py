@@ -10,7 +10,7 @@ from bufpart import (EmbeddingError, Graph, cheeger2_buffered, edge_energy, eige
                      lower_bound_unbuffered, normalized_laplacian)
 from bufpart import load_graph, spectral
 from bufpart.cli import run
-from bufpart.spectral import LaplacianOperator, SpectralBasis, _block_lanczos_eigenbasis
+from bufpart.spectral import LaplacianOperator, SpectralBasis
 from conftest import (columns, cycle, disjoint_cliques, four_component_union, k4,
                       lapack_spectrum, laplacian_matrix, path, planted_blocks, random_regular,
                       ring_with_chords, small_solver_suite, triangle, weighted_er,
@@ -85,50 +85,48 @@ class TestLaplacianOperator:
 
 class TestEigenbasis:
     def test_k4_spectrum(self):
-        basis = eigenbasis(normalized_laplacian(k4()), 4)
+        basis = eigenbasis(k4(), 4)
         assert np.allclose(basis.eigenvalues, [0.0, 4.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0],
                            atol=1e-10)
 
     def test_cycle4_spectrum(self):
-        basis = eigenbasis(normalized_laplacian(cycle(4)), 4)
+        basis = eigenbasis(cycle(4), 4)
         assert np.allclose(basis.eigenvalues, [0.0, 1.0, 1.0, 2.0], atol=1e-10)
 
     def test_kernel_multiplicity_counts_components(self):
         g = disjoint_cliques([3, 4, 5])
-        basis = eigenbasis(normalized_laplacian(g), 4)
+        basis = eigenbasis(g, 4)
         assert np.all(np.abs(basis.eigenvalues[:3]) <= 1e-10)
         assert basis.eigenvalues[3] > 0.1
 
     def test_orthonormal_columns(self):
         g = weighted_er(30, 0.2, 4)
-        basis = eigenbasis(normalized_laplacian(g), 8)
+        basis = eigenbasis(g, 8)
         gram = basis.eigenvectors.T @ basis.eigenvectors
         assert np.abs(gram - np.eye(8)).max() <= 1e-8
 
     def test_residuals_small(self):
         g = weighted_er(25, 0.25, 5)
-        basis = eigenbasis(normalized_laplacian(g), 6)
+        basis = eigenbasis(g, 6)
         assert basis.residuals.max() <= 1e-10
 
     def test_rayleigh_monotone_in_k(self):
         g = weighted_er(24, 0.3, 6)
-        lap = normalized_laplacian(g)
-        small = eigenbasis(lap, 4)
-        large = eigenbasis(lap, 10)
+        small = eigenbasis(g, 4)
+        large = eigenbasis(g, 10)
         assert np.allclose(small.eigenvalues, large.eigenvalues[:4], atol=1e-7)
 
     def test_lanczos_matches_dense_suite(self):
         # the acceptance-criterion oracle at module granularity
         for name, g in small_solver_suite():
-            lap = normalized_laplacian(g)
             k = min(6, g.n)
-            lanczos, _ = _block_lanczos_eigenbasis(lap, k)
+            lanczos = eigenbasis(g, k).eigenvalues
             assert np.abs(lapack_spectrum(g, k) - lanczos).max() <= 1e-8, name
 
     def test_lanczos_kernel_multiplicity(self):
         # the exact kernel holds all three zero eigenvalues, even below the block size
         g = disjoint_cliques([4, 4, 4])
-        vals, _ = _block_lanczos_eigenbasis(normalized_laplacian(g), 4)
+        vals = eigenbasis(g, 4).eigenvalues
         assert np.all(np.abs(vals[:3]) <= 1e-9)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e100])
@@ -146,7 +144,8 @@ class TestEigenbasis:
             g = Graph.build(40, *columns(edges * [1.0, 1.0, factor]), weights=np.ones(40))
             lap = normalized_laplacian(g)
             dense = lapack_spectrum(g, 4)
-            lanczos, vecs = _block_lanczos_eigenbasis(lap, 4)
+            basis = eigenbasis(g, 4)
+            lanczos, vecs = basis.eigenvalues, basis.eigenvectors
             assert np.abs(lanczos - dense).max() <= 1e-8 * factor
             for i in range(4):
                 assert (np.linalg.norm(lap.matvec(vecs[:, i]) - lanczos[i] * vecs[:, i])
@@ -163,11 +162,12 @@ class TestEigenbasis:
         lap = normalized_laplacian(g)
         tracemalloc.start()
         try:
-            vals, vecs = _block_lanczos_eigenbasis(lap, k)
+            basis = eigenbasis(g, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 48 * n * k * 8
+        vals, vecs = basis.eigenvalues, basis.eigenvectors
         for i in range(k):
             assert np.linalg.norm(lap.matvec(vecs[:, i]) - vals[i] * vecs[:, i]) <= 1e-8
         assert np.allclose(vecs.T @ vecs, np.eye(k), atol=1e-10)
@@ -176,7 +176,7 @@ class TestEigenbasis:
         g = planted_blocks(20000, 8, 5, pairs=9, weighted=True)
         tracemalloc.start()
         try:
-            basis = eigenbasis(normalized_laplacian(g), 8)
+            basis = eigenbasis(g, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -194,14 +194,14 @@ class TestEigenbasis:
         assert single[1] > 0.1
         union = Graph.build(copies * n, *columns(np.vstack([one + [c * n, c * n, 0.0]
                                                             for c in range(copies)])))
-        basis = eigenbasis(normalized_laplacian(union), 2 * copies)
+        basis = eigenbasis(union, 2 * copies)
         want = np.repeat(single, copies)
         assert np.abs(basis.eigenvalues - want).max() <= 1e-8
 
     @pytest.mark.parametrize("n", [2100, 3000])
     def test_cycle_spectrum_comes_in_pairs(self, n):
         # 1 - cos(2 pi j / n) for j = 0, 1, 1, 2, 2: each nonzero value twice
-        basis = eigenbasis(normalized_laplacian(cycle(n)), 5)
+        basis = eigenbasis(cycle(n), 5)
         want = 1.0 - np.cos(2.0 * np.pi * np.array([0, 1, 1, 2, 2]) / n)
         assert np.abs(basis.eigenvalues - want).max() <= 1e-10
 
@@ -210,7 +210,7 @@ class TestEigenbasis:
         (4000, 8, 8, True), (5000, 5, 3, False), (5000, 8, 6, True)])
     def test_block_lanczos_matches_eigsh_on_planted_graphs(self, n, blocks, k, weighted):
         g = planted_blocks(n, blocks, n + k, pairs=6, weighted=weighted)
-        vals, _ = _block_lanczos_eigenbasis(normalized_laplacian(g), k)
+        vals = eigenbasis(g, k).eigenvalues
         assert np.abs(vals - eigsh_bottom(g, k)).max() <= 1e-8
 
     def test_block_lanczos_matches_eigsh_on_two_identical_blocks(self):
@@ -219,7 +219,7 @@ class TestEigenbasis:
         union = Graph.build(2 * one.n, np.concatenate([one.edge_u, one.edge_u + one.n]),
                             np.concatenate([one.edge_v, one.edge_v + one.n]),
                             np.tile(one.edge_cost, 2), weights=np.tile(one.weights, 2))
-        vals, _ = _block_lanczos_eigenbasis(normalized_laplacian(union), 8)
+        vals = eigenbasis(union, 8).eigenvalues
         assert np.abs(vals[2::2] - vals[3::2]).max() <= 1e-10 and vals[2] > 1e-3
         assert np.abs(vals - eigsh_bottom(union, 8)).max() <= 1e-8
 
@@ -235,7 +235,8 @@ class TestEigenbasis:
         # the full reorthogonalization pass is skipped on most steps; skipping must
         # neither move an eigenvalue nor let the returned vectors lose orthogonality
         g = make()
-        vals, vecs = _block_lanczos_eigenbasis(normalized_laplacian(g), k)
+        basis = eigenbasis(g, k)
+        vals, vecs = basis.eigenvalues, basis.eigenvectors
         assert np.abs(vals - np.linalg.eigvalsh(laplacian_matrix(g))[:k]).max() <= 1e-10
         assert np.abs(vecs.T @ vecs - np.eye(k)).max() <= 1e-10
 
@@ -258,8 +259,10 @@ class TestEigenbasis:
         monkeypatch.setattr(spectral, "_full_pass", record_full_pass)
         monkeypatch.setattr(LaplacianOperator, "matvec", record_matvec)
         g = planted_blocks(600, 4, 608, pairs=6)
-        vals, _ = _block_lanczos_eigenbasis(normalized_laplacian(g), 8)
+        vals = eigenbasis(g, 8).eigenvalues
         assert np.abs(vals - lapack_spectrum(g, 8)).max() <= 1e-10
+        # the last matvec is eigenbasis's residual check of the answer, not a block step
+        assert events.pop() == ("step", 0, 8)
         steps = [i for i, e in enumerate(events) if e[0] == "step"] + [len(events)]
         assert sum(e[0] == "full" for e in events) < len(steps) - 1
         # a thick restart: the next block starts at a lower basis column than the last
@@ -273,9 +276,9 @@ class TestEigenbasis:
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
-            eigenbasis(normalized_laplacian(k4()), 5)
+            eigenbasis(k4(), 5)
         with pytest.raises(ValueError):
-            eigenbasis(normalized_laplacian(k4()), 0)
+            eigenbasis(k4(), 0)
 
 
 def tiny_graphs():
@@ -291,9 +294,8 @@ class TestTinyGraphs:
 
     @pytest.mark.parametrize("g", tiny_graphs())
     def test_every_k_prime_matches_lapack(self, g):
-        lap = normalized_laplacian(g)
         for k in range(1, g.n + 1):
-            basis = eigenbasis(lap, k)
+            basis = eigenbasis(g, k)
             assert np.abs(basis.eigenvalues - lapack_spectrum(g, k)).max() <= 1e-10, k
             gram = basis.eigenvectors.T @ basis.eigenvectors
             assert np.abs(gram - np.eye(k)).max() <= 1e-10, k
@@ -317,7 +319,7 @@ class TestWideSpectrumDraws:
         assert drawn == t
         g = load_graph(edges, weights)
         lap = normalized_laplacian(g)
-        basis = eigenbasis(lap, 3)
+        basis = eigenbasis(g, 3)
         assert_bottom_spectrum(g, basis.eigenvalues)
         assert basis.residuals.max() <= 1e-8 * 2.0 * lap.diag.max()
 
@@ -325,7 +327,7 @@ class TestWideSpectrumDraws:
         count = 0
         for _, edges, weights in wide_spectrum_draws(11, 600):
             g = load_graph(edges, weights)
-            assert_bottom_spectrum(g, eigenbasis(normalized_laplacian(g), min(3, g.n)).eigenvalues)
+            assert_bottom_spectrum(g, eigenbasis(g, min(3, g.n)).eigenvalues)
             count += 1
         assert count >= 550
 
@@ -339,6 +341,48 @@ class TestWideSpectrumDraws:
         assert code == 0
         g = load_graph(edges, weights)
         assert_bottom_spectrum(g, np.array(json.loads(out.read_text())["eigenvalues"]))
+
+
+def cube4() -> Graph:
+    """The 4-cube Q4, unit costs: eigenvalues 0, 1/2 four times, 1 six times, 3/2 four
+    times and 2."""
+    u, v = np.nonzero(np.bitwise_count(np.arange(16)[:, None] ^ np.arange(16)) == 1)
+    keep = u < v
+    return Graph.build(16, u[keep], v[keep], np.ones(int(keep.sum())))
+
+
+def _wide_draw(t: int) -> Graph:
+    *_, (drawn, edges, weights) = wide_spectrum_draws(7, t + 1)
+    assert drawn == t
+    return load_graph(edges, weights)
+
+
+# (b, matvecs, full) of each block Lanczos call, and "SolverError" after one that raised
+@pytest.mark.parametrize("make, k, want", [
+    # b = 3 holds three of the four copies of 1/2: the block doubles, matvecs carry on
+    pytest.param(cube4, 8, [(3, 0, False), (6, 15, False)], id="cube4"),
+    # a residual above the limit: one more attempt with the full pass, from b = 1
+    pytest.param(lambda: _wide_draw(1212), 3, [(1, 0, False), (1, 0, True)], id="draw1212"),
+    # SolverError: one more attempt with the full pass, matvecs from 0
+    pytest.param(lambda: _wide_draw(1990), 3, [(2, 0, False), "SolverError", (2, 0, True)],
+                 id="draw1990"),
+])
+def test_attempt_sequence(make, k, want, monkeypatch):
+    calls = []
+    real = spectral._block_lanczos
+
+    def record(op, K, want, b, stream, matvecs, full):
+        calls.append((b, matvecs, full))
+        try:
+            return real(op, K, want, b, stream, matvecs, full)
+        except spectral.SolverError:
+            calls.append("SolverError")
+            raise
+
+    monkeypatch.setattr(spectral, "_block_lanczos", record)
+    g = make()
+    eigenbasis(g, k)
+    assert calls == want
 
 
 class TestFourComponentUnion:
@@ -361,7 +405,7 @@ class TestFourComponentUnion:
 
     def test_kernel_columns_come_first_in_component_order(self, union):
         g, component = union
-        basis = eigenbasis(normalized_laplacian(g), 6)
+        basis = eigenbasis(g, 6)
         assert np.all(basis.eigenvalues[:4] == 0.0) and basis.eigenvalues[4] > 1e-3
         # components numbered by their smallest vertex id
         firsts = [int(np.flatnonzero(component == c).min()) for c in range(4)]
@@ -377,25 +421,25 @@ class TestEmbedding:
     def test_total_measure_is_k(self):
         for g in (k4(), cycle(9), weighted_er(40, 0.2, 7)):
             for k in (1, 3):
-                basis = eigenbasis(normalized_laplacian(g), k)
+                basis = eigenbasis(g, k)
                 e = embed(basis, g)
                 assert e.mu.sum() == pytest.approx(k, abs=1e-9 * k)
 
     def test_regular_first_coordinate(self):
         g = random_regular(20, 4, 9)
-        e = embed(eigenbasis(normalized_laplacian(g), 3), g)
+        e = embed(eigenbasis(g, 3), g)
         assert np.allclose(e.basis.eigenvectors[:, 0], 1.0 / np.sqrt(20), atol=1e-9)
 
     def test_edge_energy_identity(self):
         for g in (triangle(), weighted_er(30, 0.25, 8)):
             for k in (2, min(5, g.n)):
-                basis = eigenbasis(normalized_laplacian(g), k)
+                basis = eigenbasis(g, k)
                 e = embed(basis, g)
                 assert edge_energy(e) == pytest.approx(basis.eigenvalues.sum(), abs=1e-8)
 
     def test_regular_energy_bound(self):
         g = random_regular(200, 8, 10)
-        basis = eigenbasis(normalized_laplacian(g), 10)
+        basis = eigenbasis(g, 10)
         e = embed(basis, g)
         U = e.basis.eigenvectors
         raw = ((U[g.edge_u] - U[g.edge_v]) ** 2).sum()
@@ -403,18 +447,18 @@ class TestEmbedding:
 
     def test_mu_in_unit_interval_default_weights(self):
         for g in (k4(), cycle(7), weighted_er(25, 0.3, 11)):
-            e = embed(eigenbasis(normalized_laplacian(g), 3), g)
+            e = embed(eigenbasis(g, 3), g)
             assert np.all(e.mu > 0)
             assert np.all(e.mu <= 1.0 + 1e-12)
 
     def test_psi_unit_norm(self):
         g = weighted_er(20, 0.3, 12)
-        e = embed(eigenbasis(normalized_laplacian(g), 4), g)
+        e = embed(eigenbasis(g, 4), g)
         assert np.allclose(np.linalg.norm(e.psi, axis=1), 1.0, atol=1e-12)
 
     def test_zero_row_raises(self):
         g = k4()
-        basis = eigenbasis(normalized_laplacian(g), 2)
+        basis = eigenbasis(g, 2)
         vecs = basis.eigenvectors.copy()
         vecs[0, :] = 0.0
         broken = SpectralBasis(k_prime=2, eigenvalues=basis.eigenvalues,
@@ -428,7 +472,7 @@ class TestEmbedding:
         g = Graph.build(600, *columns([(200 * c + i, 200 * c + (i + 1) % 200, 1.0)
                                        for c in range(3) for i in range(200)]),
                         labels=[f"v{i}" for i in range(600)])
-        basis = eigenbasis(normalized_laplacian(g), 2)
+        basis = eigenbasis(g, 2)
         with pytest.raises(EmbeddingError, match="^vertex 'v400' embeds to the zero vector: "
                            "the graph has 3 connected components, more than the 2 "
                            "eigenvectors of the embedding$"):
