@@ -249,8 +249,8 @@ def buffered_balanced_cut(g: Graph, epsilon: float) -> BalancedCutResult:
 
 def kway_balanced(g: Graph, k: int, epsilon: float) -> KwayBalancedResult:
     """Recursive bisection into k parts with one shared buffer pool."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    if not 1 <= k <= g.n:
+        raise ValueError(f"k must lie in [1, n={g.n}], got {k}")
     _check_epsilon(epsilon)
     total = g.total_weight
     label = np.full(g.n, -1, dtype=np.int64)

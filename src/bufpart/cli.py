@@ -1,10 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 parameter or I/O error, 2 validation or guarantee
-failure.  A failed check writes its report, as does a `partition` whose driver
-gives up (the report names the error); a solver, embedding or invariant failure,
-or a partition error elsewhere, writes none and prints one `bufpart: failure:`
-line.  Reports are deterministic JSON; a fixed seed reproduces them byte for byte.
+`run` loads the graph, calls the command's handler and maps its errors, once for
+every command.  Exit codes: 0 success, 1 parameter or I/O error (one `bufpart:
+error:` line), 2 validation or guarantee failure.  A failed check writes its
+report, as does a `partition` whose driver gives up (the report names the error);
+a solver, embedding or invariant failure, or a partition error elsewhere, writes
+none and prints one `bufpart: failure:` line.  Each parameter's range is checked
+once, by the library call that takes it; the front end checks only a stored
+partition's `--eps` and `certify`'s `--k` and `--delta`, which no library call on
+their path checks.  Every command that takes `--k` needs k <= n.  Reports are
+deterministic JSON; a fixed seed reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -37,18 +42,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-class ParameterError(ValueError):
-    pass
-
-
-def _check_range(name: str, value: float, lo: float, hi: float,
-                 lo_open: bool = False) -> None:
-    """Require value in [lo, hi), or in (lo, hi) when lo_open."""
-    if not ((value > lo if lo_open else value >= lo) and value < hi):
-        raise ParameterError(f"{name} must lie in {'(' if lo_open else '['}{lo}, {hi}), "
-                             f"got {value}")
 
 
 def _build_parser() -> _Parser:
@@ -106,10 +99,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(args) -> Graph:
-    return load_graph(args.graph, args.weights)
-
-
 def _assignment_json(g: Graph, part: BufferedPartition) -> Verbatim:
     """The object {name: {"part_id": i, "role": "core"|"buffer"}} of part's labelled
     vertices as JSON text, in (len(name), name) order."""
@@ -122,7 +111,10 @@ def _assignment_json(g: Graph, part: BufferedPartition) -> Verbatim:
 
 def _read_partition_file(path, g: Graph, epsilon: float) -> BufferedPartition:
     """Parse an assignment file of {vertex: {"part_id": int, "role": "core"|"buffer"}},
-    bare or as a report's "assignment"."""
+    bare or as a report's "assignment".  epsilon is checked here: validate_partition
+    would report a bad one as a violation of the partition."""
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in [0,1), got {epsilon}")
     text = _read_text(path, "partition")
     try:
         data = json.loads(text)
@@ -150,21 +142,13 @@ def _read_partition_file(path, g: Graph, epsilon: float) -> BufferedPartition:
     return BufferedPartition(label=label, k=1 + int(label.max()) // 2, epsilon=epsilon)
 
 
-def _cmd_partition(args) -> tuple[dict, int]:
-    g = _load(args)
-    _check_range("--eps", args.eps, 0.0, 1.0)
-    _check_range("--delta", args.delta, 0.0, 1.0, lo_open=True)
-    if args.k < 2:
-        raise ParameterError(f"--k must be at least 2, got {args.k}")
-    if args.restarts < 1:
-        raise ParameterError(f"--restarts must be at least 1, got {args.restarts}")
+def _cmd_partition(args, g: Graph) -> tuple[dict, int]:
     try:
         bp, report, info = buffered_k_partition(g, args.k, args.eps, args.delta,
                                                 seed=args.seed, restarts=args.restarts)
     except PartitionError as exc:
-        return {"command": "partition", "error": str(exc)}, EXIT_GUARANTEE
+        return {"error": str(exc)}, EXIT_GUARANTEE
     doc = {
-        "command": "partition",
         "params": {"k": args.k, "eps": args.eps, "delta": args.delta,
                    "seed": args.seed, "restarts": args.restarts},
         "epsilon_realized": bp.epsilon,
@@ -177,12 +161,9 @@ def _cmd_partition(args) -> tuple[dict, int]:
     return doc, code
 
 
-def _cmd_cheeger2(args) -> tuple[dict, int]:
-    g = _load(args)
-    _check_range("--eps", args.eps, 0.0, 0.25, lo_open=True)
+def _cmd_cheeger2(args, g: Graph) -> tuple[dict, int]:
     cut = cheeger2_buffered(g, args.eps)
     doc = {
-        "command": "cheeger2",
         "params": {"eps": args.eps},
         "assignment": _assignment_json(g, BufferedPartition(cut.label, 2, args.eps)),
         "phi": cut.phi,
@@ -196,13 +177,10 @@ def _cmd_cheeger2(args) -> tuple[dict, int]:
     return doc, code
 
 
-def _cmd_balanced_cut(args) -> tuple[dict, int]:
-    g = _load(args)
-    _check_range("--eps", args.eps, 0.0, 0.25, lo_open=True)
+def _cmd_balanced_cut(args, g: Graph) -> tuple[dict, int]:
     res = buffered_balanced_cut(g, args.eps)
     wl, wb, wr = res.weights
     doc = {
-        "command": "balanced-cut",
         "params": {"eps": args.eps},
         "assignment": _assignment_json(g, BufferedPartition(res.label, 2, args.eps)),
         "cut_value": res.cut_value,
@@ -216,14 +194,9 @@ def _cmd_balanced_cut(args) -> tuple[dict, int]:
     return doc, EXIT_OK if res.balanced else EXIT_GUARANTEE
 
 
-def _cmd_kbalanced(args) -> tuple[dict, int]:
-    g = _load(args)
-    _check_range("--eps", args.eps, 0.0, 0.25, lo_open=True)
-    if args.k < 1:
-        raise ParameterError(f"--k must be at least 1, got {args.k}")
+def _cmd_kbalanced(args, g: Graph) -> tuple[dict, int]:
     res = kway_balanced(g, args.k, args.eps)
     doc = {
-        "command": "kbalanced",
         "params": {"k": args.k, "eps": args.eps},
         "assignment": _assignment_json(
             g, BufferedPartition(res.label, len(res.part_weights), args.eps)),
@@ -239,10 +212,7 @@ def _cmd_kbalanced(args) -> tuple[dict, int]:
     return doc, EXIT_OK if not res.violations else EXIT_GUARANTEE
 
 
-def _cmd_spectrum(args) -> tuple[dict, int]:
-    g = _load(args)
-    if not 1 <= args.k <= g.n:
-        raise ParameterError(f"--k must lie in [1, n={g.n}], got {args.k}")
+def _cmd_spectrum(args, g: Graph) -> tuple[dict, int]:
     basis = eigenbasis(g, args.k)
     if args.embedding_tsv:
         with open(args.embedding_tsv, "w", encoding="utf-8") as fh:
@@ -250,7 +220,6 @@ def _cmd_spectrum(args) -> tuple[dict, int]:
                 row = "\t".join("%.17g" % x for x in vector)
                 fh.write(f"{name}\t{row}\n")
     doc = {
-        "command": "spectrum",
         "params": {"k": args.k},
         "eigenvalues": [float(v) for v in basis.eigenvalues],
         "residuals": [float(r) for r in basis.residuals],
@@ -258,13 +227,10 @@ def _cmd_spectrum(args) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
-    g = _load(args)
-    _check_range("--eps", args.eps, 0.0, 1.0)
+def _cmd_verify(args, g: Graph) -> tuple[dict, int]:
     part = _read_partition_file(args.partition, g, args.eps)
     validation = validate_partition(g, part)
     doc = {
-        "command": "verify",
         "params": {"k": args.k, "eps": args.eps},
         "valid": validation.valid,
         "violations": list(validation.violations),
@@ -282,29 +248,24 @@ def _cmd_verify(args) -> tuple[dict, int]:
     return doc, EXIT_OK if passed else EXIT_GUARANTEE
 
 
-def _cmd_certify(args) -> tuple[dict, int]:
-    g = _load(args)
-    _check_range("--eps", args.eps, 0.0, 1.0)
-    _check_range("--delta", args.delta, 0.0, 1.0, lo_open=True)
+def _cmd_certify(args, g: Graph) -> tuple[dict, int]:
     part = _read_partition_file(args.partition, g, args.eps)
-    if not 1 <= args.k <= g.n:
-        raise ParameterError(f"--k must lie in [1, n={g.n}], got {args.k}")
+    if not 1 <= args.k <= g.n:     # lifted_k would overflow on a huge k
+        raise ValueError(f"k must lie in [1, n={g.n}], got {args.k}")
+    if not 0.0 < args.delta < 1.0:
+        raise ValueError(f"delta must lie in (0,1), got {args.delta}")
     basis = eigenbasis(g, lifted_k(args.k, args.delta, g.n))
     cert = certify_run(g, args.k, args.eps, part, partition_cost(g, part), basis)
     doc = {
-        "command": "certify",
         "params": {"k": args.k, "eps": args.eps, "delta": args.delta},
         "certificate": cert.to_dict(),
     }
     return doc, EXIT_OK if cert.lower_bound_buffered_check else EXIT_GUARANTEE
 
 
-def _cmd_brute(args) -> tuple[dict, int]:
-    g = _load(args)
-    _check_range("--eps", args.eps, 0.0, 1.0)
+def _cmd_brute(args, g: Graph) -> tuple[dict, int]:
     [(optimum, witness)] = brute_force_h_k_eps(g, args.k, [args.eps])
     doc = {
-        "command": "brute",
         "params": {"k": args.k, "eps": args.eps},
         "optimum": optimum,
         "witness": _assignment_json(g, witness),
@@ -331,14 +292,17 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        doc, code = _HANDLERS[args.command](args)
-        text = write_report(doc, args.out)      # an unwritable --out is an I/O error too
-    except (ParameterError, GraphError, ValueError, OSError) as exc:
-        print(f"bufpart: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # no name holds the graph, so it is freed before the report renders
+        doc, code = _HANDLERS[args.command](args, load_graph(args.graph, args.weights))
+        # an unwritable --out is an I/O error too
+        text = write_report({"command": args.command, **doc}, args.out)
+    # PartitionError is a ValueError, so this clause comes first
     except (PartitionError, SolverError, EmbeddingError) as exc:
         print(f"bufpart: failure: {exc}", file=sys.stderr)
         return EXIT_GUARANTEE
+    except (ValueError, OSError) as exc:
+        print(f"bufpart: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except AssertionError as exc:
         print(f"bufpart: failure: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_GUARANTEE

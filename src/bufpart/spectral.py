@@ -338,7 +338,7 @@ def eigenbasis(g: Graph, k_prime: int) -> SpectralBasis:
     docstring), with canonical signs and the residuals ||L x - lambda x|| of one more
     matvec."""
     if not 1 <= k_prime <= g.n:
-        raise ValueError(f"k_prime must lie in [1, n={g.n}], got {k_prime}")
+        raise ValueError(f"k must lie in [1, n={g.n}], got {k_prime}")
     op = normalized_laplacian(g)
     top = float(op.diag.max())
     e = int(np.round(np.log2(top))) if top > 0.0 else 0

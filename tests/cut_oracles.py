@@ -163,8 +163,8 @@ def reference_balanced_cut(g: Graph, epsilon: float) -> balanced.BalancedCutResu
 
 def reference_kway(g: Graph, k: int, epsilon: float) -> balanced.KwayBalancedResult:
     """kway_balanced with every branch cut from g.subgraph(its vertices)."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    if not 1 <= k <= g.n:
+        raise ValueError(f"k must lie in [1, n={g.n}], got {k}")
     balanced._check_epsilon(epsilon)
     total = g.total_weight
     w = g.weights

@@ -146,7 +146,7 @@ class TestPartition:
         assert run(["partition", "--graph", clique_file, "--k", "3", "--eps", "0.1",
                     "--delta", "0.5", "--restarts", restarts, "--out", str(out)]) == 1
         assert capsys.readouterr().err == \
-            f"bufpart: error: --restarts must be at least 1, got {restarts}\n"
+            f"bufpart: error: restarts must be at least 1, got {restarts}\n"
         assert not out.exists()
 
     def test_unknown_command_exits_1(self):
@@ -268,8 +268,25 @@ class TestVerifyCertifyBrute:
         out = tmp_path / "out.json"
         assert run(["certify", "--graph", tiny_file, "--partition", part, "--k", k,
                     "--eps", "0.1", "--delta", "0.5", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"bufpart: error: --k must lie in [1, n=4], got {k}\n"
+        assert capsys.readouterr().err == f"bufpart: error: k must lie in [1, n=4], got {k}\n"
         assert not out.exists()
+
+    def test_certify_invalid_partition_exits_2_verify_reports_it(self, tmp_path, capsys):
+        # b is a buffer of part 0 heavier than eps * w(P_0): condition 4 fails.
+        graph = _write(tmp_path, "c4.txt", "a b\nb c\nc d\nd a\na c\n")
+        part = _write(tmp_path, "p.json", json.dumps({"assignment": {
+            "a": {"part_id": 0, "role": "core"}, "b": {"part_id": 0, "role": "buffer"},
+            "c": {"part_id": 1, "role": "core"}, "d": {"part_id": 1, "role": "core"}}}))
+        out = tmp_path / "out.json"
+        args = ["--graph", graph, "--partition", part, "--k", "2", "--eps", "0.1"]
+        assert run(["certify", *args, "--delta", "0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bufpart: failure: invalid buffered partition: "
+                              "condition 4 violated: ") and err.count("\n") == 1
+        assert not out.exists()
+        code, doc = run_json(["verify", *args], tmp_path)
+        assert code == 2 and doc["valid"] is False
+        assert doc["violations"][0].startswith("condition 4 violated: ")
 
     def test_brute(self, tiny_file, tmp_path):
         code, doc = run_json(
@@ -278,6 +295,71 @@ class TestVerifyCertifyBrute:
         assert code == 0
         assert doc["optimum"] >= 0.0
         assert len(doc["witness"]) == 4
+
+
+HUGE_K = "1" + "0" * 400
+PARAMETER_RANGES = {    # command: (valid arguments, [(argument, value, message)])
+    "partition": (["--k", "2", "--eps", "0.1", "--delta", "0.5"], [
+        ("--k", "1", "k must lie in [2, n=4], got 1"),
+        ("--k", "5", "k must lie in [2, n=4], got 5"),
+        ("--k", HUGE_K, f"k must lie in [2, n=4], got {HUGE_K}"),
+        ("--eps", "1", "epsilon must lie in [0,1), got 1.0"),
+        ("--eps", "-0.1", "epsilon must lie in [0,1), got -0.1"),
+        ("--delta", "0", "delta must lie in (0,1), got 0.0"),
+        ("--delta", "1", "delta must lie in (0,1), got 1.0"),
+        ("--restarts", "0", "restarts must be at least 1, got 0")]),
+    "cheeger2": (["--eps", "0.1"], [
+        ("--eps", "0", "epsilon must lie in (0, 1/4), got 0.0"),
+        ("--eps", "0.25", "epsilon must lie in (0, 1/4), got 0.25")]),
+    "balanced-cut": (["--eps", "0.1"], [
+        ("--eps", "-1", "epsilon must lie in (0, 1/4), got -1.0"),
+        ("--eps", "0.3", "epsilon must lie in (0, 1/4), got 0.3")]),
+    "kbalanced": (["--k", "2", "--eps", "0.1"], [
+        ("--k", "0", "k must lie in [1, n=4], got 0"),
+        ("--k", "5", "k must lie in [1, n=4], got 5"),
+        ("--k", HUGE_K, f"k must lie in [1, n=4], got {HUGE_K}"),
+        ("--eps", "0.25", "epsilon must lie in (0, 1/4), got 0.25")]),
+    "spectrum": (["--k", "2"], [
+        ("--k", "0", "k must lie in [1, n=4], got 0"),
+        ("--k", "5", "k must lie in [1, n=4], got 5"),
+        ("--k", HUGE_K, f"k must lie in [1, n=4], got {HUGE_K}")]),
+    "verify": (["--k", "2", "--eps", "0.1"], [
+        ("--eps", "1", "epsilon must lie in [0,1), got 1.0"),
+        ("--eps", "-0.5", "epsilon must lie in [0,1), got -0.5"),
+        ("--k", HUGE_K, f"partition has 2 parts, expected {HUGE_K}")]),
+    "certify": (["--k", "2", "--eps", "0.1", "--delta", "0.5"], [
+        ("--eps", "1", "epsilon must lie in [0,1), got 1.0"),
+        ("--k", HUGE_K, f"k must lie in [1, n=4], got {HUGE_K}"),
+        ("--delta", "0", "delta must lie in (0,1), got 0.0"),
+        ("--delta", "1", "delta must lie in (0,1), got 1.0")]),
+    "brute": (["--k", "2", "--eps", "0.1"], [
+        ("--k", "0", "k must lie in [1, n=4], got 0"),
+        ("--k", "5", "k must lie in [1, n=4], got 5"),
+        ("--k", HUGE_K, f"k must lie in [1, n=4], got {HUGE_K}"),
+        ("--eps", "1", "epsilon must lie in [0,1), got 1.0")]),
+}
+
+
+@pytest.mark.parametrize("command, argument, value, message", [
+    pytest.param(command, argument, value, message,
+                 id=f"{command}{argument}={'1e400' if value == HUGE_K else value}")
+    for command, (_, cases) in PARAMETER_RANGES.items() for argument, value, message in cases])
+def test_out_of_range_parameter_is_one_line_exit_1(command, argument, value, message,
+                                                   tiny_file, tmp_path, capsys):
+    """Each range is checked once, by the library or, where no library call on the
+    path checks it, by the front end; either way one line in the library's words."""
+    argv = list(PARAMETER_RANGES[command][0])
+    if argument in argv:
+        argv[argv.index(argument) + 1] = value
+    else:
+        argv += [argument, value]
+    if command in ("verify", "certify"):
+        argv += ["--partition", _write(tmp_path, "p.json", json.dumps({"assignment": {
+            str(v): {"part_id": v % 2, "role": "core"} for v in range(4)}}))]
+    out = tmp_path / "out.json"
+    assert run([command, "--graph", tiny_file, *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"bufpart: error: {message}\n"
+    assert not out.exists()
 
 
 BOUND_NOTE = "the bound in force always holds; its failure indicates an implementation bug"

@@ -83,7 +83,7 @@ def cases(draw):
         weights = "".join(f"{v} {w}\n" for v, w in zip(lines, draw(numbers(len(lines)))))
 
     name = draw(st.sampled_from(COMMANDS))
-    k = draw(st.sampled_from([2, 3, 4, 1, 5, 9, 0, -1]))
+    k = draw(st.sampled_from([2, 3, 4, 1, 5, 9, 0, -1, 10 ** 400]))
     argv = [name]
     if name not in ("cheeger2", "balanced-cut"):
         argv += ["--k", str(k)]
