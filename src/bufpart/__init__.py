@@ -7,7 +7,7 @@ and an exact brute-force oracle for tiny graphs.
 
 from .balanced import buffered_balanced_cut, cheeger2_buffered, kway_balanced
 from .certify import (brute_force_h_k_eps, certify_run, check_buffered_lower_bound,
-                      lower_bound_unbuffered, robust_expansion)
+                      robust_expansion)
 from .gaussian import gaussian_tail, gaussian_tail_inv, tail_sandwich
 from .graph import (BufferedPartition, CutReport, Graph, GraphError,
                     PartitionError, buffered_expansion, cut_cost, load_graph,

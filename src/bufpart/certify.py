@@ -2,7 +2,9 @@
 
 A run's certificate holds only polynomial quantities: lambda at the lifted
 index k_hat, the unbuffered bound lambda_k / 2 and the buffered lower bound in
-force for the input.
+force for the input.  It takes the eigenbasis and the partition_cost report its
+caller holds and solves nothing itself, so a caller validates a partition before
+it pays for an eigensolve.
 
 The exact oracle realizes the definition of h^{k,eps} on graphs of at most
 BRUTE_FORCE_CAP vertices.  It enumerates each assignment of vertices to
@@ -20,13 +22,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import (BufferedPartition, CutReport, Graph, PartitionError, _cut_report,
-                    partition_cost)
-from .spectral import SpectralBasis, eigenbasis
+from .graph import BufferedPartition, CutReport, Graph, PartitionError, _cut_report
+from .spectral import SpectralBasis
 
 __all__ = [
     "Certificate",
-    "lower_bound_unbuffered",
     "check_buffered_lower_bound",
     "brute_force_h_k_eps",
     "robust_expansion",
@@ -37,41 +37,26 @@ BRUTE_FORCE_CAP = 10
 _CHUNK = 1 << 17
 
 
-def lower_bound_unbuffered(g: Graph, k: int) -> float:
-    """lambda_k / 2: a lower bound on any non-buffered k-partition's max expansion."""
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k must lie in [2, n={g.n}], got {k}")
-    basis = eigenbasis(g, k)
-    return float(basis.eigenvalues[k - 1]) / 2.0
+def check_buffered_lower_bound(g: Graph, part: BufferedPartition, basis: SpectralBasis,
+                               report: CutReport) -> tuple[bool, float]:
+    """Evaluate the buffered lower bound on lambda_k, k = part.k; returns
+    (passed, bound - lambda_k).
 
-
-def check_buffered_lower_bound(g: Graph, part: BufferedPartition, k: int,
-                               basis: SpectralBasis | None = None,
-                               report: CutReport | None = None) -> tuple[bool, float]:
-    """Evaluate the buffered lower bound on lambda_k; returns (passed, bound - lambda_k).
-
-    basis, when given, is a bottom-k' eigenbasis of g with k' >= k that the
-    caller already holds; otherwise the bottom-k basis is solved here.  report,
-    when given, is partition_cost(g, part), which the caller already holds;
-    otherwise it is computed here, raising PartitionError on an invalid part.
+    basis is a bottom-k' eigenbasis of g with k' >= k and report is
+    partition_cost(g, part), both of which the caller already holds.
 
     The bound is 2 phi + eps when every w_u >= inc_u, else 2 max_i phi(P_i u B_i),
     phi(S) = delta(S, V - S) / w(S), by Courant-Fischer on the k disjoint indicators:
     a theorem either way, so a failure means an implementation bug.
     """
-    if report is None:
-        report = partition_cost(g, part)
-    if part.k != k:
-        raise ValueError(f"partition has {part.k} parts, expected {k}")
-    if basis is None:
-        basis = eigenbasis(g, k)
-    elif basis.eigenvectors.shape[0] != g.n or basis.k_prime < k:
+    k = part.k
+    if basis.eigenvectors.shape[0] != g.n or basis.k_prime < k:
         raise ValueError(f"basis of shape {basis.eigenvectors.shape} does not hold "
                          f"the bottom {k} eigenpairs of this {g.n}-vertex graph")
     if np.all(g.weights >= g.incident):
         bound = 2.0 * report.max_expansion + part.epsilon
     else:       # P_i u B_i as the core of part i with no buffer: phi is phi(P_i u B_i)
-        merged = BufferedPartition(label=part.label[:g.n] & ~1, k=part.k, epsilon=part.epsilon)
+        merged = BufferedPartition(label=part.label[:g.n] & ~1, k=k, epsilon=part.epsilon)
         bound = 2.0 * _cut_report(g, merged).max_expansion
     slack = bound - float(basis.eigenvalues[k - 1])
     return slack >= -1e-9, slack
@@ -210,18 +195,18 @@ class Certificate:
         return asdict(self)
 
 
-def certify_run(g: Graph, k: int, epsilon: float, part: BufferedPartition,
+def certify_run(g: Graph, epsilon: float, part: BufferedPartition,
                 report: CutReport, basis: SpectralBasis) -> Certificate:
     """The eigenvalue bounds for part, whose partition_cost is report.
 
     basis is the run's bottom-k_hat eigenbasis; the approximation ratio is taken
     against its last eigenvalue, the unbuffered and buffered lower bounds against
-    lambda_k.
+    lambda_k, k = part.k.
     """
-    k_hat = basis.k_prime
+    k, k_hat = part.k, basis.k_prime
     lam_hat = float(basis.eigenvalues[k_hat - 1])
     achieved = report.max_expansion
-    passed, slack = check_buffered_lower_bound(g, part, k, basis=basis, report=report)
+    passed, slack = check_buffered_lower_bound(g, part, basis, report)
     denom = lam_hat * math.log(k_hat) if k_hat > 1 else 0.0
     if denom > 0.0:
         ratio: float | None = achieved * epsilon / denom

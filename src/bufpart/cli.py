@@ -6,10 +6,11 @@ error:` line), 2 validation or guarantee failure.  A failed check writes its
 report, as does a `partition` whose driver gives up (the report names the error);
 a solver, embedding or invariant failure, or a partition error elsewhere, writes
 none and prints one `bufpart: failure:` line.  Each parameter's range is checked
-once, by the library call that takes it; the front end checks only a stored
-partition's `--eps` and `certify`'s `--k` and `--delta`, which no library call on
-their path checks.  Every command that takes `--k` needs k <= n.  Reports are
-deterministic JSON; a fixed seed reproduces them byte for byte.
+once, by the library call that takes it; the front end checks only what no library
+call on its path checks: a stored partition's `--eps` and part count against `--k`
+as it reads the file, and `certify`'s `--delta`.  `verify` and `certify` validate
+the partition before they solve.  Every command that takes `--k` needs k <= n.
+Reports are deterministic JSON; a fixed seed reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -109,10 +110,11 @@ def _assignment_json(g: Graph, part: BufferedPartition) -> Verbatim:
                                    f'"role":"{roles[label[v] & 1]}"}}' for v in placed) + "}")
 
 
-def _read_partition_file(path, g: Graph, epsilon: float) -> BufferedPartition:
+def _read_partition_file(path, g: Graph, k: int, epsilon: float) -> BufferedPartition:
     """Parse an assignment file of {vertex: {"part_id": int, "role": "core"|"buffer"}},
-    bare or as a report's "assignment".  epsilon is checked here: validate_partition
-    would report a bad one as a violation of the partition."""
+    bare or as a report's "assignment", whose part count must be k.  epsilon is
+    checked here: validate_partition would report a bad one as a violation of the
+    partition."""
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0,1), got {epsilon}")
     text = _read_text(path, "partition")
@@ -139,7 +141,10 @@ def _read_partition_file(path, g: Graph, epsilon: float) -> BufferedPartition:
         if role not in ("core", "buffer"):
             raise GraphError(f"partition file gives vertex {name!r} the unknown role {role!r}")
         label[index[name]] = 2 * part_id + (role == "buffer")
-    return BufferedPartition(label=label, k=1 + int(label.max()) // 2, epsilon=epsilon)
+    parts = 1 + int(label.max()) // 2
+    if parts != k:
+        raise ValueError(f"partition has {parts} parts, expected {k}")
+    return BufferedPartition(label=label, k=parts, epsilon=epsilon)
 
 
 def _cmd_partition(args, g: Graph) -> tuple[dict, int]:
@@ -228,7 +233,7 @@ def _cmd_spectrum(args, g: Graph) -> tuple[dict, int]:
 
 
 def _cmd_verify(args, g: Graph) -> tuple[dict, int]:
-    part = _read_partition_file(args.partition, g, args.eps)
+    part = _read_partition_file(args.partition, g, args.k, args.eps)
     validation = validate_partition(g, part)
     doc = {
         "params": {"k": args.k, "eps": args.eps},
@@ -238,7 +243,7 @@ def _cmd_verify(args, g: Graph) -> tuple[dict, int]:
     if not validation.valid:
         return doc, EXIT_GUARANTEE
     report = _cut_report(g, part)
-    passed, slack = check_buffered_lower_bound(g, part, args.k, report=report)
+    passed, slack = check_buffered_lower_bound(g, part, eigenbasis(g, part.k), report)
     doc["cut_report"] = report.to_dict()
     doc["lower_bound_buffered_check"] = passed
     doc["lower_bound_buffered_slack"] = slack
@@ -249,13 +254,12 @@ def _cmd_verify(args, g: Graph) -> tuple[dict, int]:
 
 
 def _cmd_certify(args, g: Graph) -> tuple[dict, int]:
-    part = _read_partition_file(args.partition, g, args.eps)
-    if not 1 <= args.k <= g.n:     # lifted_k would overflow on a huge k
-        raise ValueError(f"k must lie in [1, n={g.n}], got {args.k}")
+    part = _read_partition_file(args.partition, g, args.k, args.eps)
     if not 0.0 < args.delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {args.delta}")
-    basis = eigenbasis(g, lifted_k(args.k, args.delta, g.n))
-    cert = certify_run(g, args.k, args.eps, part, partition_cost(g, part), basis)
+    report = partition_cost(g, part)
+    basis = eigenbasis(g, lifted_k(part.k, args.delta, g.n))
+    cert = certify_run(g, args.eps, part, report, basis)
     doc = {
         "params": {"k": args.k, "eps": args.eps, "delta": args.delta},
         "certificate": cert.to_dict(),

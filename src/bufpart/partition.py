@@ -593,7 +593,7 @@ def buffered_k_partition(g: Graph, k: int, epsilon: float, delta: float, seed: i
     if isinstance(run.completion, PartitionError):
         raise run.completion
     bp, report = run.completion
-    cert = certify_run(g, k, epsilon, bp, report, run.embedding.basis)
+    cert = certify_run(g, epsilon, bp, report, run.embedding.basis)
     info = {
         "k": k, "epsilon": epsilon, "delta": delta,
         "k_hat": k_hat, "delta_hat": delta_hat,

@@ -8,8 +8,7 @@ import pytest
 
 from bufpart import (BufferedPartition, Graph, brute_force_h_k_eps, buffered_expansion,
                      buffered_k_partition, check_buffered_lower_bound, cut_cost, eigenbasis,
-                     lower_bound_unbuffered, partition_cost,
-                     robust_expansion, validate_partition)
+                     partition_cost, robust_expansion, validate_partition)
 from bufpart import certify
 from bufpart.certify import _canonical_labels, certify_run
 from conftest import (cycle, disjoint_cliques, from_sets, k4, planted, tiny_connected,
@@ -105,23 +104,30 @@ def generated_rows(n, k):
     return np.concatenate(list(_canonical_labels(n, k)))
 
 
+def unbuffered_bound(g, part):
+    """The certificate's lambda_k / 2 for part, k = part.k."""
+    cert = certify_run(g, 0.0, part, partition_cost(g, part), eigenbasis(g, part.k))
+    return cert.lower_bound_unbuffered
+
+
 class TestLowerBoundUnbuffered:
     def test_components_bound_zero(self):
+        # the three components are an optimal 3-partition: it cuts nothing
         g = disjoint_cliques([3, 3, 4])
-        assert lower_bound_unbuffered(g, 3) == pytest.approx(0.0, abs=1e-10)
+        part = from_sets([[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]], [[], [], []], 0.0)
+        assert unbuffered_bound(g, part) == pytest.approx(0.0, abs=1e-10)
 
     def test_k4_tight(self):
         g = k4()
-        bound = lower_bound_unbuffered(g, 2)
-        assert bound == pytest.approx(2.0 / 3.0, abs=1e-10)
-        [(opt, _)] = brute_force_h_k_eps(g, 2, [0.0])
+        [(opt, witness)] = brute_force_h_k_eps(g, 2, [0.0])
         assert opt == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert unbuffered_bound(g, witness) == pytest.approx(2.0 / 3.0, abs=1e-10)
 
     def test_below_oracle_on_tiny_suite(self):
         for g in tiny_connected_suite(6, sizes=(5, 6), seed0=40):
             for k in (2, 3):
-                assert lower_bound_unbuffered(g, k) <= \
-                    brute_force_h_k_eps(g, k, [0.0])[0][0] + 1e-9
+                [(opt, witness)] = brute_force_h_k_eps(g, k, [0.0])
+                assert unbuffered_bound(g, witness) <= opt + 1e-9
 
 
 class TestBruteForce:
@@ -245,7 +251,8 @@ class TestBufferedLowerBound:
     def test_component_partition_zero_slack_side(self):
         g = disjoint_cliques([3, 3])
         part = from_sets([[0, 1, 2], [3, 4, 5]], [[], []], 0.0)
-        passed, slack = check_buffered_lower_bound(g, part, 2)
+        passed, slack = check_buffered_lower_bound(g, part, eigenbasis(g, 2),
+                                                   partition_cost(g, part))
         assert passed
         assert slack == pytest.approx(0.0, abs=1e-9)
 
@@ -267,7 +274,8 @@ class TestBufferedLowerBound:
             if eps >= 1.0:
                 continue
             part = from_sets(parts, buffers, min(eps * 1.0000001, 0.999999))
-            passed, slack = check_buffered_lower_bound(g, part, k)
+            passed, slack = check_buffered_lower_bound(g, part, eigenbasis(g, k),
+                                                       partition_cost(g, part))
             assert passed, f"lower bound violated: slack {slack}"
             cases += 1
 
@@ -290,10 +298,11 @@ class TestBufferedLowerBound:
             part = from_sets(parts, buffers, 0.999999)
             if not validate_partition(g, part).valid:
                 continue
-            passed, slack = check_buffered_lower_bound(g, part, k)
+            basis = eigenbasis(g, k)
+            passed, slack = check_buffered_lower_bound(g, part, basis, partition_cost(g, part))
             sets = [np.union1d(p, b) for p, b in zip(parts, buffers)]
             phis = [cut_cost(g, s, np.setdiff1d(np.arange(n), s)) / weight(g, s) for s in sets]
-            lam = eigenbasis(g, k).eigenvalues[k - 1]
+            lam = basis.eigenvalues[k - 1]
             assert passed, f"lower bound violated: slack {slack}"
             assert slack == pytest.approx(2.0 * max(phis) - lam, rel=1e-12, abs=1e-12)
             cases += 1
@@ -303,28 +312,31 @@ class TestBufferedLowerBound:
         # agree on lambda_2 to rounding, not to the bit.
         g = tiny_connected(8, 71)
         part = from_sets([[0, 1, 2, 3], [4, 5, 6, 7]], [[], []], 0.0)
-        own = check_buffered_lower_bound(g, part, 2)
+        report = partition_cost(g, part)
+        own = check_buffered_lower_bound(g, part, eigenbasis(g, 2), report)
         wider = eigenbasis(g, 4)
-        passed, slack = check_buffered_lower_bound(g, part, 2, basis=wider)
-        phi = partition_cost(g, part).max_expansion
+        passed, slack = check_buffered_lower_bound(g, part, wider, report)
+        phi = report.max_expansion
         assert slack == 2.0 * phi + part.epsilon - float(wider.eigenvalues[1])
         assert passed == own[0] and abs(slack - own[1]) <= 1e-12
 
     def test_mismatched_basis_rejected(self):
         g = tiny_connected(8, 71)
         part = from_sets([[0, 1, 2, 3], [4, 5, 6, 7]], [[], []], 0.0)
+        report = partition_cost(g, part)
         other = eigenbasis(tiny_connected(7, 72), 3)
         with pytest.raises(ValueError, match="basis"):
-            check_buffered_lower_bound(g, part, 2, basis=other)
+            check_buffered_lower_bound(g, part, other, report)
         narrow = eigenbasis(g, 1)
         with pytest.raises(ValueError, match="basis"):
-            check_buffered_lower_bound(g, part, 2, basis=narrow)
+            check_buffered_lower_bound(g, part, narrow, report)
 
     def test_invalid_partition_raises(self):
+        # the report the check takes is partition_cost's, which refuses the partition
         g = k4()
         part = from_sets([[0], []], [[], []], 0.0)
         with pytest.raises(Exception, match="condition"):
-            check_buffered_lower_bound(g, part, 2)
+            partition_cost(g, part)
 
 
 class TestRobustExpansion:
@@ -417,7 +429,7 @@ class TestCertifyRun:
         g = disjoint_cliques([3, 3])
         part = from_sets([[0, 1, 2], [3, 4, 5]], [[], []], 0.0)
         basis = eigenbasis(g, 2)
-        cert = certify_run(g, 2, 0.1, part, partition_cost(g, part), basis)
+        cert = certify_run(g, 0.1, part, partition_cost(g, part), basis)
         assert cert.approx_ratio == 0.0
         assert cert.lower_bound_buffered_check
         [(opt, _)] = brute_force_h_k_eps(g, 2, [0.1])
@@ -428,7 +440,7 @@ class TestCertifyRun:
             g = tiny_connected(6, seed)
             [(opt, witness)] = brute_force_h_k_eps(g, 2, [0.25])
             basis = eigenbasis(g, 2)
-            cert = certify_run(g, 2, 0.25, witness, partition_cost(g, witness), basis)
+            cert = certify_run(g, 0.25, witness, partition_cost(g, witness), basis)
             assert cert.achieved_cost >= opt - 1e-9
 
     def test_unbuffered_bound_reads_lambda_k_not_lambda_k_hat(self):

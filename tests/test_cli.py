@@ -18,7 +18,7 @@ from referencing import Registry, Resource
 from bufpart.cli import _assignment_json, _read_partition_file, run
 from bufpart.graph import BufferedPartition, Graph, PartitionError, load_graph
 from bufpart.reports import render_json
-from bufpart import certify
+from bufpart import cli
 from conftest import (four_component_union, from_sets, lapack_spectrum, weighted_er,
                       wide_spectrum_draws)
 
@@ -60,6 +60,18 @@ def tiny_file(tmp_path):
     path = tmp_path / "tiny.txt"
     path.write_text("0 1 1\n1 2 1\n2 3 1\n3 0 1\n0 2 1\n")
     return str(path)
+
+
+@pytest.fixture()
+def solves(monkeypatch):
+    """The k' of each eigenbasis call the front end makes."""
+    calls, solve = [], cli.eigenbasis
+
+    def counting(g, k_prime):
+        calls.append(k_prime)
+        return solve(g, k_prime)
+    monkeypatch.setattr(cli, "eigenbasis", counting)
+    return calls
 
 
 def run_json(args, tmp_path, name="out.json"):
@@ -211,7 +223,7 @@ class TestCheeger2AndBalanced:
         _, doc = run_json(["balanced-cut", "--graph", edges, "--weights", weights,
                            "--eps", str(eps)], tmp_path, "bc.json")
         w = g.weights
-        label = _read_partition_file(tmp_path / "bc.json", g, eps).label
+        label = _read_partition_file(tmp_path / "bc.json", g, 2, eps).label
         assert len(doc["per_level_lambda2"]) >= 2
         assert doc["balance"]["left"] == float(w[label == 0].sum())
         assert doc["balance"]["right"] == float(w[label == 2].sum())
@@ -219,7 +231,7 @@ class TestCheeger2AndBalanced:
             doc["balance"]["left"], doc["balance"]["right"])
         _, doc = run_json(["kbalanced", "--graph", edges, "--weights", weights, "--k", "5",
                            "--eps", str(eps)], tmp_path, "kb.json")
-        label = _read_partition_file(tmp_path / "kb.json", g, eps).label
+        label = _read_partition_file(tmp_path / "kb.json", g, 5, eps).label
         assert doc["part_weights"] == [float(w[label == 2 * i].sum()) for i in range(5)]
         assert doc["buffer_weight"] == float(w[label == 1].sum())
 
@@ -262,17 +274,25 @@ class TestVerifyCertifyBrute:
         assert doc["certificate"]["achieved_cost"] == 0.0
 
     @pytest.mark.parametrize("k", ["0", "5", "1" + "0" * 400])
-    def test_certify_k_out_of_range_exits_1(self, k, tiny_file, tmp_path, capsys):
+    def test_certify_k_out_of_range_exits_1(self, k, tiny_file, tmp_path, capsys, solves):
+        # verify and certify compare --k with the file's part count as they read it,
+        # so a wrong k gives one line and no eigensolve.
         part = _write(tmp_path, "p.json", json.dumps({"assignment": {
             str(v): {"part_id": v % 2, "role": "core"} for v in range(4)}}))
         out = tmp_path / "out.json"
-        assert run(["certify", "--graph", tiny_file, "--partition", part, "--k", k,
-                    "--eps", "0.1", "--delta", "0.5", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"bufpart: error: k must lie in [1, n=4], got {k}\n"
-        assert not out.exists()
+        args = ["--graph", tiny_file, "--partition", part, "--k", k, "--eps", "0.1",
+                "--out", str(out)]
+        for argv in (["verify", *args], ["certify", *args, "--delta", "0.5"]):
+            assert run(argv) == 1
+            assert capsys.readouterr().err == f"bufpart: error: partition has 2 parts, " \
+                                              f"expected {k}\n"
+            assert not out.exists()
+        assert solves == []
 
-    def test_certify_invalid_partition_exits_2_verify_reports_it(self, tmp_path, capsys):
-        # b is a buffer of part 0 heavier than eps * w(P_0): condition 4 fails.
+    def test_certify_invalid_partition_exits_2_verify_reports_it(self, tmp_path, capsys,
+                                                                 solves):
+        # b is a buffer of part 0 heavier than eps * w(P_0): condition 4 fails, and
+        # both commands say so before they solve.
         graph = _write(tmp_path, "c4.txt", "a b\nb c\nc d\nd a\na c\n")
         part = _write(tmp_path, "p.json", json.dumps({"assignment": {
             "a": {"part_id": 0, "role": "core"}, "b": {"part_id": 0, "role": "buffer"},
@@ -287,6 +307,7 @@ class TestVerifyCertifyBrute:
         code, doc = run_json(["verify", *args], tmp_path)
         assert code == 2 and doc["valid"] is False
         assert doc["violations"][0].startswith("condition 4 violated: ")
+        assert solves == []
 
     def test_brute(self, tiny_file, tmp_path):
         code, doc = run_json(
@@ -329,7 +350,7 @@ PARAMETER_RANGES = {    # command: (valid arguments, [(argument, value, message)
         ("--k", HUGE_K, f"partition has 2 parts, expected {HUGE_K}")]),
     "certify": (["--k", "2", "--eps", "0.1", "--delta", "0.5"], [
         ("--eps", "1", "epsilon must lie in [0,1), got 1.0"),
-        ("--k", HUGE_K, f"k must lie in [1, n=4], got {HUGE_K}"),
+        ("--k", HUGE_K, f"partition has 2 parts, expected {HUGE_K}"),
         ("--delta", "0", "delta must lie in (0,1), got 0.0"),
         ("--delta", "1", "delta must lie in (0,1), got 1.0")]),
     "brute": (["--k", "2", "--eps", "0.1"], [
@@ -417,12 +438,12 @@ class TestLowerBoundInForce:
             ga, k = ["--graph", clique_file], "3"
         assert run_json(["partition", *ga, "--k", k, "--eps", "0.1", "--delta", "0.5"],
                         tmp_path, "part.json")[0] == 0
-        solve = certify.eigenbasis
+        solve = cli.eigenbasis
 
         def raised(op, k_prime):
             basis = solve(op, k_prime)
             return dataclasses.replace(basis, eigenvalues=basis.eigenvalues + 1e6)
-        monkeypatch.setattr(certify, "eigenbasis", raised)
+        monkeypatch.setattr(cli, "eigenbasis", raised)
         code, doc = run_json(["verify", *ga, "--partition", str(tmp_path / "part.json"),
                               "--k", k, "--eps", "0.1"], tmp_path, "verify.json")
         assert code == 2
@@ -482,7 +503,8 @@ class TestAssignmentText:
                               "--eps", "0.1"], tmp_path, "report.json")
         assert code == 0 and sorted(doc["assignment"]) == sorted(names)
         g = load_graph(str(graph))
-        bp = _read_partition_file(tmp_path / "report.json", g, 0.1)
+        k = int(command[command.index("--k") + 1]) if "--k" in command else 2
+        bp = _read_partition_file(tmp_path / "report.json", g, k, 0.1)
         for i, (p, b) in enumerate(zip(bp.parts, bp.buffers)):
             for v, role in [(v, "core") for v in p.tolist()] + [(v, "buffer") for v in b.tolist()]:
                 assert doc["assignment"][g.labels[v]] == {"part_id": i, "role": role}
@@ -537,7 +559,7 @@ class TestMalformedPartitionFile:
         part = tmp_path / "part.json"
         part.write_text(json.dumps({name: {"part_id": 0, "role": "core"} for name in "abc"}),
                         encoding="utf-8-sig")
-        assert _read_partition_file(part, g, 0.1).label.tolist() == [0, 0, 0]
+        assert _read_partition_file(part, g, 1, 0.1).label.tolist() == [0, 0, 0]
 
     @pytest.mark.parametrize("content, reason", [
         ("[" * 200_000, "maximum recursion depth exceeded"),
@@ -623,7 +645,7 @@ class TestFailedReportAsPartitionFile:
         part = tmp_path / "part.json"
         part.write_text(json.dumps({name: {"part_id": i // 2, "role": "core"}
                                     for i, name in enumerate(["command", "error", "x", "y"])}))
-        bp = _read_partition_file(part, g, 0.1)
+        bp = _read_partition_file(part, g, 2, 0.1)
         assert bp.k == 2 and bp.label.tolist() == [0, 0, 2, 2]
 
 

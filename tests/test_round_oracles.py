@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from bufpart import (Graph, RandomStream, buffered_k_partition, crude_partition,
                      eigenbasis, embed, refine_and_discard)
-from bufpart import certify, partition, separators
+from bufpart import partition, separators
 from bufpart.partition import resolve_step2
 from conftest import columns, disjoint_cliques, planted, weighted_er
 from round_oracles import (crude_of_rounds, crude_sets, draw_columns, reference_crude_partition,
@@ -799,7 +799,6 @@ def test_driver_solves_one_eigenbasis(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(partition, "eigenbasis", counting)
-    monkeypatch.setattr(certify, "eigenbasis", counting)
     g = disjoint_cliques([12, 12, 12, 12])
     bp, report, info = buffered_k_partition(g, 4, 0.1, 0.1, seed=0)
     assert len(calls) == 1
