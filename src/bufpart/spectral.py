@@ -26,8 +26,10 @@ schedule in the spirit of Simon (Math. Comp. 42, 1984).  Each full pass measures
 the loss of orthogonality the short passes let through: the largest coefficient
 on the older columns, relative to the block's norm.  The next pass comes after
 the most steps, at most 8, over which that loss stays below 1e-12 if it keeps
-growing at the largest rate measured since the last restart.  The new block is
-orthonormalized by one reduced QR, or column by column when it loses rank.
+growing at the largest rate measured since the last restart.  The new block joins
+the basis a column at a time by classical Gram-Schmidt, twice, and the full pass when
+that leaves at most half a column's norm; fresh columns from the stream replace the
+ones the passes cancel, and make up the start block.
 
 The attempt loop.  A block of b columns finds at most b copies of an eigenvalue, so
 an attempt starts at b = min(BLOCK, want) and, while a solve reports b equal values
@@ -121,13 +123,8 @@ class SpectralBasis:
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry (lowest index on ties) is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        if col[idx] < 0:
-            out[:, j] = -col
-    return out
+    idx = np.argmax(np.abs(vectors), axis=0)
+    return np.where(vectors[idx, np.arange(vectors.shape[1])] < 0, -vectors, vectors)
 
 
 def _components(g: Graph) -> tuple[int, np.ndarray]:
@@ -141,7 +138,8 @@ def _components(g: Graph) -> tuple[int, np.ndarray]:
         cross = pu != pv
         if not cross.any():
             break
-        parent[np.maximum(pu[cross], pv[cross])] = np.minimum(pu[cross], pv[cross])
+        pu, pv = pu[cross], pv[cross]
+        parent[np.maximum(pu, pv)] = np.minimum(pu, pv)
         while True:
             grand = parent[parent]
             if np.array_equal(grand, parent):
@@ -216,9 +214,9 @@ def _block_lanczos(op: LaplacianOperator, K: np.ndarray, want: int, b: int, stre
     Each block step orthogonalizes L's new block against the kernel and the two newest
     blocks, and against the whole basis when a full pass is due (_steps_to_full), the
     short pass nearly cancelled a column, or `full` asks for it at every step; a thick
-    restart when the basis is full, and block columns that run out of rank refilled
-    from `stream`.  `matvecs` counts the ones spent before; returns (values, vectors,
-    matvecs spent in all)."""
+    restart when the basis is full.  The start block and the columns a block lacks rank
+    for come from `stream`.  `matvecs` counts the ones spent before; returns (values,
+    vectors, matvecs spent in all)."""
     n = op.graph.n
     max_matvecs = 50 * n
     room = n - K.shape[1]              # dimension of the kernel's complement
@@ -229,39 +227,33 @@ def _block_lanczos(op: LaplacianOperator, K: np.ndarray, want: int, b: int, stre
     H = np.zeros((cap, cap))           # Q^T L Q, filled one block column at a time
 
     def extend(W: np.ndarray, used: int, width: int) -> int:
-        """Append `width` orthonormal columns spanning W (orthogonal to Q[:, :used]) to Q.
-
-        One reduced QR when W's first `width` columns each keep over half their norm;
-        else column by column, refilling the columns W lacks rank for from the stream."""
-        if W.shape[1] >= width:
-            Y, R = np.linalg.qr(W[:, :width])
-            if np.all(np.abs(np.diag(R)) > np.maximum(
-                    0.5 * np.linalg.norm(W[:, :width], axis=0), 1e-12)):
-                Q[:, used:used + width] = Y
-                return used + width
-        col = 0
-        for j in range(W.shape[1]):
-            if col == width:
+        """Append `width` orthonormal columns to Q, orthogonal to K and Q[:, :used]: W's
+        columns (which miss both) in order, then fresh ones from the stream.  A W column
+        takes classical Gram-Schmidt, twice, against the columns appended before it, and
+        the full pass too when it keeps at most half its norm; a fresh one the full pass."""
+        col = used
+        for j in range(W.shape[1] + width):
+            if col == used + width:
                 break
-            w = W[:, j:j + 1].copy()
-            _full_pass(w, K, Q[:, :used + col])
+            fresh = j >= W.shape[1]
+            if fresh:
+                w = stream.normals(n)[:, None]
+            else:
+                w = W[:, j:j + 1].copy()
+                before = np.linalg.norm(w)
+                for _ in range(2):
+                    w -= Q[:, used:col] @ (Q[:, used:col].T @ w)
+            if fresh or np.linalg.norm(w) <= 0.5 * before:
+                _full_pass(w, K, Q[:, :col])
             norm = float(np.linalg.norm(w))
-            if norm > 1e-12:
-                Q[:, used + col] = w[:, 0] / norm
+            if norm > (1e-8 if fresh else 1e-12):
+                Q[:, col] = w[:, 0] / norm
                 col += 1
-        while col < width:
-            w = stream.normals(n)[:, None]
-            _full_pass(w, K, Q[:, :used + col])
-            norm = float(np.linalg.norm(w))
-            if norm <= 1e-8:
+            elif fresh:
                 raise SolverError("could not extend the block Lanczos basis with a fresh vector")
-            Q[:, used + col] = w[:, 0] / norm
-            col += 1
-        return used + width
+        return col
 
-    start = stream.normals(n * b).reshape(b, n).T      # b columns, in stream order
-    start -= K @ (K.T @ start)
-    used = extend(start, 0, b)
+    used = extend(Q[:, :0], 0, b)       # the start block: b fresh vectors
     done = lo = 0
     step = due = 0                     # block steps taken; the step a full pass is due
     measured = None                    # (step, loss, growth) of the last full pass

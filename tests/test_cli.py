@@ -623,18 +623,23 @@ class TestPartitionErrorBranch:
 
 
 class TestFailedReportAsPartitionFile:
-    @pytest.mark.parametrize("command", [["verify"], ["certify", "--delta", "0.9"]])
+    @pytest.mark.parametrize("command", [["verify"], ["certify", "--delta", "0.5"]])
     def test_the_reports_error_is_named_exit_1(self, command, tmp_path, capsys):
-        # K12 at k = 5, delta = 0.9: the one restart fails Step 2's acceptance check.
-        graph = _write(tmp_path, "k12.txt", "".join(
-            f"v{i} v{j}\n" for i in range(12) for j in range(i + 1, 12)))
+        # A 12-vertex graph whose bottom four eigenvalues 0, 0.509, 0.639, 0.717 are
+        # simple, so its basis at k_hat = 4 is unique up to the signs the solver fixes:
+        # the one restart at k = 3, delta = 0.5 fails Step 2's acceptance check (buffer
+        # mass 5 of 12) whatever the solver's rounding.
+        pairs = ("0 1, 0 2, 0 5, 0 7, 0 8, 0 10, 0 11, 1 2, 1 8, 2 3, 2 6, 2 7, 3 4, 3 7, "
+                 "3 8, 3 9, 4 5, 4 6, 4 9, 4 11, 5 6, 5 8, 5 10, 6 7, 7 8, 8 9, 9 10, 10 11")
+        graph = _write(tmp_path, "g12.txt", "".join(
+            f"v{pair.replace(' ', ' v')}\n" for pair in pairs.split(", ")))
         report = tmp_path / "failed.json"
-        assert run(["partition", "--graph", graph, "--k", "5", "--eps", "0.1", "--delta", "0.9",
+        assert run(["partition", "--graph", graph, "--k", "3", "--eps", "0.1", "--delta", "0.5",
                     "--restarts", "1", "--out", str(report)]) == 2
         error = json.loads(report.read_text())["error"]
         out = tmp_path / "out.json"
         code, err = _run_quietly(command + ["--graph", graph, "--partition", str(report),
-                                            "--k", "5", "--eps", "0.1", "--out", str(out)],
+                                            "--k", "3", "--eps", "0.1", "--out", str(out)],
                                  capsys)
         assert (code, err) == (1, f"bufpart: error: partition file {str(report)!r} reports an "
                                   f"error, not an assignment: {error}\n")

@@ -357,32 +357,69 @@ def _wide_draw(t: int) -> Graph:
     return load_graph(edges, weights)
 
 
-# (b, matvecs, full) of each block Lanczos call, and "SolverError" after one that raised
-@pytest.mark.parametrize("make, k, want", [
+def _wrong_values(vals, vecs, matvecs):
+    """The first attempt's answer with every value 0.1 too high, as a loss of
+    orthogonality once made draw 1212's lambda_1 read -0.1016: residuals above the limit."""
+    return vals + 0.1, vecs, matvecs
+
+
+def _solver_error(vals, vecs, matvecs):
+    """The first attempt's answer replaced by the SolverError draw 1990 once raised."""
+    raise spectral.SolverError("injected")
+
+
+# (b, matvecs, full) of each block Lanczos call, and "SolverError" after one that raised.
+# The two retries are injected into the first attempt: whether a real solve takes them
+# turns on rounding, and the draws that once did (1212, 1990) no longer do.
+@pytest.mark.parametrize("make, k, spoil, want", [
     # b = 3 holds three of the four copies of 1/2: the block doubles, matvecs carry on
-    pytest.param(cube4, 8, [(3, 0, False), (6, 15, False)], id="cube4"),
+    pytest.param(cube4, 8, None, [(3, 0, False), (6, 15, False)], id="cube4"),
     # a residual above the limit: one more attempt with the full pass, from b = 1
-    pytest.param(lambda: _wide_draw(1212), 3, [(1, 0, False), (1, 0, True)], id="draw1212"),
+    pytest.param(lambda: _wide_draw(1212), 3, _wrong_values, [(1, 0, False), (1, 0, True)],
+                 id="draw1212"),
     # SolverError: one more attempt with the full pass, matvecs from 0
-    pytest.param(lambda: _wide_draw(1990), 3, [(2, 0, False), "SolverError", (2, 0, True)],
-                 id="draw1990"),
+    pytest.param(lambda: _wide_draw(1990), 3, _solver_error,
+                 [(2, 0, False), "SolverError", (2, 0, True)], id="draw1990"),
 ])
-def test_attempt_sequence(make, k, want, monkeypatch):
+def test_attempt_sequence(make, k, spoil, want, monkeypatch):
     calls = []
     real = spectral._block_lanczos
 
     def record(op, K, want, b, stream, matvecs, full):
         calls.append((b, matvecs, full))
         try:
-            return real(op, K, want, b, stream, matvecs, full)
+            out = real(op, K, want, b, stream, matvecs, full)
+            return spoil(*out) if spoil and len(calls) == 1 else out
         except spectral.SolverError:
             calls.append("SolverError")
             raise
 
     monkeypatch.setattr(spectral, "_block_lanczos", record)
     g = make()
-    eigenbasis(g, k)
+    basis = eigenbasis(g, k)
     assert calls == want
+    assert_bottom_spectrum(g, basis.eigenvalues)
+
+
+def test_rank_loss_refills_from_the_stream(monkeypatch):
+    # K8: L is 8/7 times the identity on the kernel's complement, so L's new block lies
+    # in the basis already and loses all its rank: each step's columns come from the
+    # stream.  The basis spans the 7-dimensional complement, so the vectors are K and
+    # Q times an orthogonal matrix, orthonormal exactly when Q is.
+    draws = []
+
+    class Counted(spectral.RandomStream):
+        def normals(self, n):
+            draws.append(n)
+            return super().normals(n)
+
+    monkeypatch.setattr(spectral, "RandomStream", Counted)
+    basis = eigenbasis(disjoint_cliques([8]), 8)
+    assert draws == [8] * 7     # the start block's 3 columns, then 4 refill columns
+    vecs = basis.eigenvectors
+    assert np.abs(vecs.T @ vecs - np.eye(8)).max() <= 1e-12
+    assert basis.residuals.max() <= 1e-8
+    assert np.abs(basis.eigenvalues[1:] - 8 / 7).max() <= 1e-12
 
 
 class TestFourComponentUnion:
