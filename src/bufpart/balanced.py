@@ -158,7 +158,7 @@ def _two_threshold_cut(g: Graph, usq: np.ndarray, epsilon: float) -> tuple:
         cut = cut_cost_masks(g, s_mask, t_mask)
         return (cut / ws, t), (t, s_mask, t_mask, b_mask, cut, ws, wb)
 
-    best = least_exact(np.lexsort((thresholds[cand], phi_a)), phi_lb, evaluate)
+    best = least_exact(np.argsort(phi_a, kind="stable"), phi_lb, evaluate)  # ties by ascending t
     if best is None:
         raise PartitionError("no feasible two-threshold cut found (implementation bug)")
     return best

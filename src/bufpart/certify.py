@@ -172,7 +172,7 @@ def robust_expansion(g: Graph, s: np.ndarray, eta: float) -> tuple[int, float]:
     if target <= 0.0:
         return 0, 0.0
     outside = np.flatnonzero(~ms)
-    order = outside[np.lexsort((outside, -contrib[outside]))]
+    order = outside[np.argsort(-contrib[outside], kind="stable")]     # ties by index
     acc = 0.0
     for count, v in enumerate(order, start=1):
         acc += contrib[v]

@@ -16,6 +16,7 @@ Reports are deterministic JSON; a fixed seed reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -45,6 +46,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache     # parse_args leaves the parser as it was, so one serves every run()
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bufpart", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

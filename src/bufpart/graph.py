@@ -29,6 +29,8 @@ i, and _group_sums adds each part's costs in edge order, as its masked .sum() wo
 The threshold searches of cheeger2 and Step 3 share interval_sums(), which
 scores every candidate threshold at once under one stated float error bound,
 and least_exact(), which lets only the exact masked sums pick the winner.
+Step 3 and the min-ball test order (int, float) pairs by one exact complex
+key, _pair_key().
 """
 
 from __future__ import annotations
@@ -426,6 +428,17 @@ def _group_sums(key: np.ndarray, values: np.ndarray, groups: int) -> list:
     group's values come in input order, as in its masked array, so numpy's
     pairwise .sum() adds them alike."""
     return [float(values[members].sum()) for members in _groups(key, groups)]
+
+
+def _pair_key(group: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """group + i value as one complex128 key per pair.  np.sort, np.argsort and
+    np.searchsorted order complex numbers lexicographically, so this key orders
+    the pairs exactly by (group, value) for integer groups below 2^53 and values
+    that are not NaN, +-inf included; -0.0 ties with 0.0, as in a float sort.
+    The parts are assigned: 1j * value would give value inf a NaN real part."""
+    key = np.empty(np.broadcast(group, value).shape, dtype=np.complex128)
+    key.real, key.imag = group, value
+    return key
 
 
 # The code points str.isspace() accepts, which are those str.split() splits at.

@@ -48,6 +48,12 @@ Each parameter is derived once: buffered_k_partition() lifts (k, eps, delta)
 to (k_hat, delta_hat, delta_slack, eps_hat), resolve_step2() turns those into
 the Step-2 record, and partial_partition() runs one rung from that record.
 
+A graph with more connected components than k_hat would leave whole components
+at the zero vector of the embedding.  It needs no draws: its first k-1
+components (in the order of their smallest vertices) are parts with empty
+buffers and the rest is the last part, so every part has buffered expansion 0,
+which is h^{k,eps} = lambda_k = 0; the certificate reads eigenbasis(g, k_hat).
+
 Desk-scale practicality: Step 2 always runs at the practical scale
 alpha = min(Phi_bar(1), max(1/n, 1e-4)) with T = ceil((2/alpha) ln(1/delta))
 draws per restart.  The certified scale of calibrate() cannot fire at a
@@ -68,11 +74,11 @@ import numpy as np
 
 from .certify import certify_run
 from .graph import (UNIT, BufferedPartition, CutReport, Graph, PartitionError, _group_sums,
-                    _groups, interval_sums, least_exact, partition_cost)
+                    _groups, _pair_key, interval_sums, least_exact, partition_cost)
 from .rng import RandomStream
 from .separators import (CalibrationError, SeparatorParams, calibrate,
                          measured_draws, practical_params)
-from .spectral import Embedding, embed, eigenbasis
+from .spectral import Embedding, _components, embed, eigenbasis
 
 __all__ = [
     "EffectiveParams",
@@ -181,9 +187,9 @@ class CrudePartition:
 
     def buffer_mass(self, g: Graph) -> float:
         """w(R_B) + sum_t w(Btilde_t), the Step-2 acceptance quantity."""
-        sums = _group_sums(self.label + 2, g.weights, 2 * self.draws.size + 2)
-        mass = sums[0]
-        for wb in sums[3::2]:
+        mass = float(g.weights[self.label == -2].sum())
+        for wb in _group_sums(np.where(self.label & 1, self.label >> 1, -1), g.weights,
+                              self.draws.size):
             mass += wb
         return mass
 
@@ -225,20 +231,6 @@ class PartialPartition:
         return len(self.phi)
 
 
-def _ranks(values, groups, queries, q_groups, side: str) -> np.ndarray:
-    """For each query, np.searchsorted(values of its group, query, side) plus the
-    group's offset in values, which is sorted by (group, value): one exact
-    lexsort of both counts the values that sort before each query."""
-    count = values.size
-    tie = np.concatenate([np.full(count, side == "left"), np.full(queries.size, side == "right")])
-    order = np.lexsort((tie, np.concatenate([values, queries]),
-                        np.concatenate([groups, q_groups])))
-    asked = order >= count
-    out = np.empty(queries.size, dtype=np.int64)
-    out[order[asked] - count] = np.cumsum(~asked)[asked]
-    return out
-
-
 def _step3_rounds(label, refinable, g: Graph, mu: np.ndarray, sigma_rp: np.ndarray,
                   epsilon: float, c_prime: float, bound: float):
     """Step 3 of the crude label's rounds with refinable[j] set (those with a
@@ -262,6 +254,10 @@ def _step3_rounds(label, refinable, g: Graph, mu: np.ndarray, sigma_rp: np.ndarr
     graph.least_exact visits the rest by ascending phi lower bound, and the
     exact masked sums over the round's own slice decide alone; they select
     the same elements in the same order as global masks would.
+
+    Every order here is one exact key: candidates, their searches and the
+    visits sort complex (round, value) keys (graph._pair_key), edges the int64
+    round m + edge, and slots a stable argsort of their round alone.
     """
     n, count = g.n, int(refinable.sum())
     if not count:
@@ -274,7 +270,7 @@ def _step3_rounds(label, refinable, g: Graph, mu: np.ndarray, sigma_rp: np.ndarr
     verts = np.flatnonzero(round_of >= 0)
     vertex = np.concatenate([verts, np.full(count, n)])
     slot_round = np.concatenate([round_of[verts], np.arange(count)])
-    order = np.lexsort((vertex, slot_round))
+    order = np.argsort(slot_round, kind="stable")     # vertices ascend within a round
     vertex, slot_round = vertex[order], slot_round[order]
     member = vertex < n
     pt = np.append(label, -1)[vertex] % 2 == 0      # a sentinel's -1 is odd
@@ -286,11 +282,9 @@ def _step3_rounds(label, refinable, g: Graph, mu: np.ndarray, sigma_rp: np.ndarr
     local[vertex] = np.arange(vertex.size)
 
     # Candidates: each round's unique mu, ascending, rounds in order.
-    cand_round, cands = slot_round[member], mu_s[member]
-    order = np.lexsort((cands, cand_round))
-    cand_round, cands = cand_round[order], cands[order]
-    first = np.append(True, (cand_round[1:] != cand_round[:-1]) | (cands[1:] != cands[:-1]))
-    cand_round, cands = cand_round[first], cands[first]
+    cand_key = np.sort(_pair_key(slot_round[member], mu_s[member]), kind="stable")
+    cand_key = cand_key[np.append(True, cand_key[1:] != cand_key[:-1])]
+    cand_round, cands = cand_key.real.astype(np.int64), cand_key.imag
     total = cands.size
     cand_start = np.searchsorted(cand_round, np.arange(count + 1))
     los = cands / (1.0 + epsilon)        # the same expressions as evaluate()'s masks
@@ -299,19 +293,18 @@ def _step3_rounds(label, refinable, g: Graph, mu: np.ndarray, sigma_rp: np.ndarr
     # in A'' for pb_end[s] <= i < a2_end[s] and in A' for a1_start[s] <= i < end,
     # [off, end) being its round's candidates.  A sentinel is in none.
     off, end = cand_start[slot_round], cand_start[slot_round + 1]
-    p_end = np.where(pt, _ranks(cands, cand_round, mu_s, slot_round, "right"), off)
-    pb_end = np.where(member, _ranks(los, cand_round, mu_s, slot_round, "right"), off)
-    a2_end = np.where(pt, _ranks(lo2s, cand_round, mu_s, slot_round, "left"), off)
+    slot_key = _pair_key(slot_round, mu_s)
+    p_end = np.where(pt, np.searchsorted(cand_key, slot_key, "right"), off)
+    pb_end = np.where(member, np.searchsorted(_pair_key(cand_round, los), slot_key, "right"), off)
+    a2_end = np.where(pt, np.searchsorted(_pair_key(cand_round, lo2s), slot_key, "left"), off)
     a1_start = np.where(pt, np.maximum(pb_end, a2_end), end)
 
-    # Edges with an end in a round; an edge between two rounds is in both.
-    eu, ev = g.edge_u, g.edge_v
+    # Edges with an end in a round, by round m + edge; an edge between two rounds is in both.
+    eu, ev, m = g.edge_u, g.edge_v, g.edge_u.size
     ru, rv = round_of[eu], round_of[ev]
     second = (rv >= 0) & (rv != ru)
-    edge = np.concatenate([np.flatnonzero(ru >= 0), np.flatnonzero(second)])
-    e_round = np.concatenate([ru[ru >= 0], rv[second]])
-    order = np.lexsort((edge, e_round))
-    edge, e_round = edge[order], e_round[order]
+    packed = np.concatenate([(ru * m + np.arange(m))[ru >= 0], (rv * m + np.arange(m))[second]])
+    e_round, edge = np.divmod(np.sort(packed), m)
     ends_u, ends_v, ec = eu[edge], ev[edge], g.edge_cost[edge]
     lu = np.where(round_of[ends_u] == e_round, local[ends_u], sentinel[e_round])
     lv = np.where(round_of[ends_v] == e_round, local[ends_v], sentinel[e_round])
@@ -346,7 +339,7 @@ def _step3_rounds(label, refinable, g: Graph, mu: np.ndarray, sigma_rp: np.ndarr
     # operations and of the exact division, and phi >= 0 always.
     phi_lb = np.maximum((phi_a[cand] - tol_phi) / (wp_a[cand] + tol_p) * (1.0 - 8.0 * UNIT),
                         0.0)
-    visit = np.lexsort((phi_lb, cand_round[cand]))     # by round, then phi_lb
+    visit = np.argsort(_pair_key(cand_round[cand], phi_lb), kind="stable")
     visit_start = np.searchsorted(cand, cand_start)
 
     for j in range(count):
@@ -438,7 +431,7 @@ def refine_and_discard(c: CrudePartition, e: Embedding) -> PartialPartition:
         pays = source[:, ::-1] & (ends >= 0) & (ends % 4 < 2)
         aggs = _group_sums(ends[pays] >> 2, np.repeat(g.edge_cost, 2)[pays.ravel()], len(phis))
         unit = lam_k * math.log(k) / epsilon
-        for agg, wp in zip(aggs, _group_sums(label, w, 4 * len(phis))[::4]):
+        for agg, wp in zip(aggs, _group_sums(np.where(label & 3, -1, label >> 2), w, len(phis))):
             leftover_ratio = max(leftover_ratio, agg / (unit * wp))
 
     return PartialPartition(
@@ -536,7 +529,7 @@ def complete_partition(pp: PartialPartition, g: Graph, k_target: int) -> Buffere
         raise PartitionError(
             f"partial partition has only {k_prime} tuples but {k_target} parts were "
             f"requested; rerun with a larger delta slack")
-    core_weight = _group_sums(pp.label, g.weights, 4 * k_prime)[::4]
+    core_weight = _group_sums(np.where(pp.label & 3, -1, pp.label >> 2), g.weights, k_prime)
     order = sorted(range(k_prime), key=lambda i: (pp.phi[i], -core_weight[i], i))
     # Indexed by partial label + 2: R'_B, R'_P, then P, B, A', A'' of each tuple.
     last = 2 * (k_target - 1)
@@ -579,6 +572,14 @@ def buffered_k_partition(g: Graph, k: int, epsilon: float, delta: float, seed: i
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     k_hat = lifted_k(k, delta, g.n)
+    components, comp = _components(g)
+    if components > k_hat:
+        # Unions of components cut nothing: h^{k,eps} = 0 (module docstring).
+        bp = BufferedPartition(label=2 * np.minimum(comp, k - 1), k=k, epsilon=0.0)
+        report = partition_cost(g, bp)
+        cert = certify_run(g, epsilon, bp, report, eigenbasis(g, k_hat))
+        return bp, report, {"k": k, "epsilon": epsilon, "delta": delta, "k_hat": k_hat,
+                            "components": components, "certificate": cert.to_dict()}
     # (1 - 1/sqrt(1 + delta))/2 without its cancellation, which gives 0 for delta <= 2e-16
     s = math.sqrt(1.0 + delta)
     delta_hat = min(delta / (2.0 * s * (1.0 + s)), 1.0 / 80.0)

@@ -37,10 +37,10 @@ formulas decide the rest:
   * the min-ball test decides, it does not measure: one vectorized pass over
     the X sets of every reached draw of the run accepts by mass or by the
     row of a pivot member and rejects by triangle-inequality bounds through
-    that pivot, each with a stated float margin; only the draws it leaves
-    open are scored exactly, _CENTRE_ROWS of the centers the bound kept at a
-    time, up to the first pass that holds an accepting center
-    (_min_ball_accepted).
+    that pivot on exact (set, distance) keys, each with a stated float margin;
+    only the draws it leaves open are scored exactly, _CENTRE_ROWS of the
+    centers the bound kept at a time, up to the first pass that holds an
+    accepting center (_min_ball_accepted).
 
 So X, Y, Z and every rejection are the same bits for any BLAS build, thread
 count, block size and pass size, and no step holds more than about
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import gaussian_tail, gaussian_tail_inv, log_gaussian_tail
-from .graph import UNIT
+from .graph import UNIT, _pair_key
 from .rng import RandomStream
 
 __all__ = [
@@ -216,20 +216,25 @@ def _min_ball_accepted(vectors: np.ndarray, measures: np.ndarray, members: np.nd
     X = members[starts[i]:starts[i + 1]] (the last one ends with members; none
     is empty), as the all-pairs rule of _leftover_rows() decides it.
 
-    One pass settles most sets through a pivot p per set, its member of largest
-    psi(p) . sum_v mu_v psi(v), and the rule distances d(v, p).  Those are
-    within gamma = (dim + 4) u of the real ones (u = 2^-53, norms at most
-    1 + 1e-9) and the keys 16 i + d of set i round by at most 16 (S + 1) u for
-    S sets, which slack = 8 gamma + 64 (S + 1) u covers; for N members of total
-    measure V the sums here are within tol = 8 (N + 1) u V of the rule's.  So:
+    One pass settles most sets through a pivot p per set, its first member of
+    largest psi(p) . sum_v mu_v psi(v), and the rule distances d(v, p).  Those
+    are within gamma = (dim + 4) u of the real ones (u = 2^-53, norms at most
+    1 + 1e-9), and for N members of total measure V the sums here are within
+    tol = 8 (N + 1) u V of the rule's.  So, with slack = 8 gamma:
 
       * accept when the pivot's row, counting every v with d(v, p) > r - slack
         as outside, plus tol is at most limit (this covers mu(X) <= limit);
       * in the sets still open, exclude a center u when mu(X) minus the mass
         in its window |d(u, p) - d(v, p)| <= r + slack, minus tol, is above
         limit: every v outside the window is outside Ball(u, r) by the
-        triangle inequality (one sorted sweep of their members and a cumsum
-        give every window); reject when every center is excluded.
+        triangle inequality (one sort of the complex keys (set, d) and two
+        searches of (set, d(u, p) -/+ (r + slack)) give every window, exactly
+        within each set); reject when every center is excluded.
+
+    A window leaves a member out only when r + slack < 2.01, since no two
+    distances differ by more; there the rounding of d -/+ (r + slack) (at most
+    5 u <= gamma), the errors of the two distances (4.1 gamma) and that of the
+    rule's own value (2.1 gamma) add up to less than slack.
 
     The other sets are decided on the exact rows of the centers kept, scored
     _CENTRE_ROWS at a time in member order: a set is accepted at the first
@@ -246,19 +251,18 @@ def _min_ball_accepted(vectors: np.ndarray, measures: np.ndarray, members: np.nd
     pts = vectors[members]
     mu = measures[members]
     tol = 8.0 * (members.size + 1) * UNIT * float(mu.sum())
-    slack = (8.0 * (vectors.shape[1] + 4) + 64.0 * (count + 1)) * UNIT
+    slack = 8.0 * (vectors.shape[1] + 4) * UNIT
     pull = np.add.reduceat(mu[:, None] * pts, starts)
-    pivot = np.lexsort((-np.einsum("ij,ij->i", pts, pull[seg]), seg))[starts]
+    score = np.einsum("ij,ij->i", pts, pull[seg])
+    top = np.flatnonzero(score == np.maximum.reduceat(score, starts)[seg])
+    pivot = top[np.searchsorted(top, starts)]
     dist = np.linalg.norm(pts - pts[pivot][seg], axis=1)
     row = np.add.reduceat(np.where(dist > r - slack, mu, 0.0), starts)
     accepted = row + tol <= limit
-    # The windows of the members of the sets still open.  Set i's distances sit
-    # at 16 i + d; a window of half-width at most 4 never reaches another set,
-    # and no two distances differ by 4.
+    # The windows of the members of the sets still open.
     live = np.flatnonzero(~accepted[seg])
-    width = min(r + slack, 4.0)
-    key = 16.0 * seg[live] + dist[live]
-    order = np.lexsort((dist[live], seg[live]))
+    key, width = _pair_key(seg[live], dist[live]), 1j * (r + slack)
+    order = np.argsort(key, kind="stable")
     ranked = key[order]
     cum = np.append(0.0, np.cumsum(mu[live][order]))
     near = (cum[np.searchsorted(ranked, key + width, "right")]
@@ -368,7 +372,7 @@ def _draw_blocks(vectors, measures, limit, p, stream, count):
         for lo in range(0, aimed.size, product):
             batch = aimed[lo:lo + product]
             above = gs[batch] @ columns >= (floor - margins[lo:lo + product])[:, None]
-            rows, cols = np.divmod(np.flatnonzero(above), count_v)
+            rows, cols = np.nonzero(above)
             rows = batch[rows]
             x, y, z = classify(_projections(gs, columns, rows, cols), p)
             hit = x | y | z

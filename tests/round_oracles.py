@@ -58,6 +58,27 @@ def reference_min_ball_leftover(vectors, measures, x_idx, r) -> float:
     return float(reference_leftover_rows(vectors, measures, x_idx, r).min())
 
 
+def reference_ranks(values, groups, queries, q_groups, side: str) -> np.ndarray:
+    """For each query, the number of (group, value) pairs that sort before
+    (q_group, query): those of a smaller group, and of its own group those
+    below it ("left") or at most it ("right").  One np.lexsort of values and
+    queries together, the query placed after its equal values for "right".
+    This is the two-key form the library's complex-key searches replaced."""
+    count = values.size
+    tie = np.concatenate([np.full(count, side == "left"), np.full(queries.size, side == "right")])
+    order = np.lexsort((tie, np.concatenate([values, queries]),
+                        np.concatenate([groups, q_groups])))
+    asked = order >= count
+    out = np.empty(queries.size, dtype=np.int64)
+    out[order[asked] - count] = np.cumsum(~asked)[asked]
+    return out
+
+
+def reference_pivots(score, seg, starts) -> np.ndarray:
+    """The first member of largest score of each set, by one lexsort of (set, -score)."""
+    return np.lexsort((-score, seg))[starts]
+
+
 def reference_draw(vectors, measures, limit, r, p, rng):
     """One measured two-buffer draw: (x, y, z, rejected).
 

@@ -709,7 +709,8 @@ class TestOverflowingCosts:
 
 
 class TestMoreComponentsThanEigenvectors:
-    """Three disjoint edges: k' = 2 eigenvectors leave the third component at zero."""
+    """Three disjoint edges: k' = 2 eigenvectors leave the third component at zero.
+    At k = 2, delta = 0.2 (k_hat = 2) `partition` returns unions of components."""
 
     @pytest.fixture()
     def three_edges(self, tmp_path):
@@ -717,16 +718,31 @@ class TestMoreComponentsThanEigenvectors:
         path.write_text("a b\nc d\ne f\n")
         return str(path)
 
+    def _partition(self, graph, tmp_path, capsys) -> dict:
+        out = tmp_path / "out.json"
+        code = run(["partition", "--graph", graph, "--k", "2", "--eps", "0.1",
+                    "--delta", "0.2", "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        doc = json.loads(out.read_text())
+        VALIDATOR.validate(doc)
+        assert doc["cut_report"]["max_expansion"] == 0.0
+        assert doc["epsilon_realized"] == 0.0
+        assert doc["certificate"]["lower_bound_buffered_check"]
+        assert doc["diagnostics"]["components"] == 3
+        assert {e["role"] for e in doc["assignment"].values()} == {"core"}
+        return {v: e["part_id"] for v, e in doc["assignment"].items()}
+
     def test_partition_names_the_vertex_and_the_components(self, three_edges, tmp_path,
                                                            capsys):
-        out = tmp_path / "out.json"
-        code = run(["partition", "--graph", three_edges, "--k", "2", "--eps", "0.1",
-                    "--delta", "0.2", "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "bufpart: failure: vertex 'e' embeds to the zero vector: the graph has 3 "
-            "connected components, more than the 2 eigenvectors of the embedding\n")
-        assert not out.exists()      # an embedding failure writes no report
+        parts = self._partition(three_edges, tmp_path, capsys)
+        assert parts == {"a": 0, "b": 0, "c": 1, "d": 1, "e": 1, "f": 1}
+
+    def test_partition_of_three_triangles_is_two_unions_of_them(self, tmp_path, capsys):
+        graph = tmp_path / "triangles.txt"
+        graph.write_text("".join(f"{a} {b}\n{b} {c}\n{a} {c}\n" for a, b, c in
+                                 ("abc", "def", "ghi")))
+        parts = self._partition(str(graph), tmp_path, capsys)
+        assert parts == dict(zip("abcdefghi", [0, 0, 0, 1, 1, 1, 1, 1, 1]))
 
     def test_spectrum_writes_the_zero_rows(self, three_edges, tmp_path):
         tsv = tmp_path / "emb.tsv"

@@ -11,6 +11,7 @@ from bufpart import (RandomStream, buffered_expansion,
                      buffered_k_partition, complete_partition, crude_partition,
                      cut_cost, embed, eigenbasis, partial_partition,
                      partition_cost, refine_and_discard, validate_partition)
+from bufpart import partition as partition_module
 from bufpart.graph import Graph, PartitionError
 from bufpart.certify import brute_force_h_k_eps
 from bufpart.partition import RESTARTS, CrudePartition, PartialPartition, resolve_step2
@@ -404,6 +405,25 @@ class TestDriver:
                             lambda self, g: 2.0 * 16.0 * self.effective.epsilon * g.total_weight)
         with pytest.raises(PartitionError, match="all 2 restarts failed"):
             partial_partition(g, eff, 6, seed=0, restarts=2)
+
+    @pytest.mark.parametrize("sizes, k, parts", [([2, 2, 2], 2, [0, 1, 1]),
+                                                 ([3, 3, 3], 2, [0, 1, 1]),
+                                                 ([3, 2, 4, 2], 3, [0, 1, 2, 2])])
+    def test_more_components_than_k_hat_are_the_parts(self, sizes, k, parts, monkeypatch):
+        # k_hat = floor(1.2 k) is below the component count: the first k - 1
+        # components are parts, the rest is the last one, buffers are empty and
+        # no separator is drawn.
+        def no_draws(*args):
+            raise AssertionError("a partition into components draws nothing")
+
+        monkeypatch.setattr(partition_module, "measured_draws", no_draws)
+        g = disjoint_cliques(sizes)
+        bp, report, info = buffered_k_partition(g, k, 0.1, 0.2)
+        assert np.array_equal(bp.label, 2 * np.repeat(parts, sizes))
+        assert report.max_expansion == 0.0 and bp.epsilon == 0.0
+        assert (info["components"], info["k_hat"]) == (len(sizes), k)
+        assert info["certificate"]["lower_bound_buffered_check"]
+        assert info["certificate"]["approx_ratio"] == 0.0
 
     def test_minimal_graph(self):
         g = disjoint_cliques([2, 2])

@@ -552,17 +552,31 @@ def _arc(rng, positions, dim):
     return rows / np.linalg.norm(rows, axis=1)[:, None]
 
 
+def _ring_rows(rng, size, dim, theta):
+    """size unit rows at angle theta from a coordinate axis e_a, each toward a
+    signed other axis, then e_a itself.  Every ring row differs from e_a by the
+    same two entries, so all their rule distances to e_a are the same bits."""
+    a = int(rng.integers(dim))
+    rows = np.zeros((size + 1, dim))
+    rows[:size, a] = math.cos(theta)
+    rows[np.arange(size), rng.choice(np.delete(np.arange(dim), a), size)] = (
+        rng.choice([-1.0, 1.0], size) * math.sin(theta))
+    rows[size, a] = 1.0
+    return rows
+
+
 @st.composite
 def min_ball_runs(draw):
     """A run of X sets over up to 300 vectors: spread vectors, tight clusters,
-    short arcs and collinear triples, each group one set, and random subsets
-    of all of them, with duplicate rows.  r is random or the rule distance of
-    two members of one set within 1 ulp, and the limit is that set's oracle
-    leftover within 1 ulp.  A triple is two light points on a short arc with
-    a heavy one beyond them; the triples of a run share their spacing, so
-    their light pairs all lie within rounding of one distance.  The heavy
-    point is the pivot, and the pivot bound of the middle point is tight to
-    the rounding of the distances and of their offset keys."""
+    short arcs, collinear triples and rings, each group one set, and random
+    subsets of all of them, with duplicate rows.  r is random or the rule
+    distance of two members of one set within 1 ulp, and the limit is that
+    set's oracle leftover within 1 ulp.  A triple is two light points on a
+    short arc with a heavy one beyond them; the triples of a run share their
+    spacing, so their light pairs all lie within rounding of one distance.  The
+    heavy point is the pivot, and the pivot bound of the middle point is tight
+    to the rounding of the distances.  A ring (_ring_rows) has up to 120 rows
+    at one and the same distance from its heavy pivot."""
     dim = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     # Long enough for the heavy point to be the pivot, short enough for the
@@ -570,7 +584,7 @@ def min_ball_runs(draw):
     spacing = 10.0 ** draw(st.floats(-7.0, -5.0)) * np.array([0.0, 1.0, 1.0 + draw(
         st.floats(0.2, 0.8))])
     groups, pairs, heavy = [], [], []
-    for kind in draw(st.lists(st.sampled_from(["spread", "cluster", "arc", "triple"]),
+    for kind in draw(st.lists(st.sampled_from(["spread", "cluster", "arc", "triple", "ring"]),
                               min_size=1, max_size=6)):
         size = 3 if kind == "triple" else draw(st.one_of(st.integers(1, 5),
                                                          st.integers(1, 120)))
@@ -581,12 +595,17 @@ def min_ball_runs(draw):
             rows /= np.linalg.norm(rows, axis=1)[:, None]
         elif kind == "arc":
             rows = _arc(rng, 10.0 ** draw(st.integers(-9, -1)) * rng.random(size), dim)
+        elif kind == "ring":
+            rows = _ring_rows(rng, size, dim, draw(st.floats(0.05, 1.5)))
         else:
             rows = _arc(rng, spacing, dim)
         first = sum(len(g) for g in groups)
         if kind == "triple":
             pairs.append((first, first + 1))
             heavy.append(first + 2)
+        elif kind == "ring":
+            pairs.append((first, first + size))     # a ring row and its axis
+            heavy.append(first + size)
         else:
             pairs.append(tuple(first + rng.integers(size, size=2)))
         groups.append(rows)
@@ -625,6 +644,33 @@ def test_min_ball_decision_equals_all_pairs_oracle(case):
     mixed = [x for x_idx in sets for x in (x_idx[:1], x_idx)]
     want = [w for ok in want for w in (limit >= 0.0, ok)]
     assert _decisions(vectors, mu, mixed, limit, r).tolist() == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_min_ball_decision_on_a_run_of_many_sets(seed):
+    """1,200 sets in one run, so no margin may grow with the set count: subsets
+    of 30 rings that share one angle, most with their heavy axis row (the
+    pivot), r the one ring-to-axis distance or 1 ulp either side, and the
+    limit at the median leftover."""
+    rng = np.random.default_rng(seed)
+    groups = [_ring_rows(rng, int(rng.integers(2, 12)), 3 + seed, 0.3 + 0.2 * seed)
+              for _ in range(30)]
+    bounds = np.cumsum([0] + [len(rows) for rows in groups])
+    vectors = np.concatenate(groups)
+    mu = rng.random(len(vectors)) ** 3
+    mu[bounds[1:] - 1] += 100.0
+    sets = []
+    for _ in range(1200):
+        group = int(rng.integers(30))
+        lo, axis = bounds[group], bounds[group + 1] - 1
+        ring = lo + rng.choice(axis - lo, int(rng.integers(1, axis - lo + 1)), replace=False)
+        sets.append(np.sort(np.append(ring, axis) if rng.random() < 0.8 else ring))
+    for r in _around(_oracle_distance(vectors, 0, bounds[1] - 1)):
+        leftovers = [reference_min_ball_leftover(vectors, mu, x_idx, r) for x_idx in sets]
+        limit = float(np.median(leftovers))
+        want = [left <= limit for left in leftovers]
+        assert 0 < sum(want) < len(want)
+        assert _decisions(vectors, mu, sets, limit, r).tolist() == want
 
 
 def _ring(count, seed):
